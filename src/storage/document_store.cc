@@ -14,6 +14,7 @@ void DocumentStore::Charge(uint64_t bytes) const {
 }
 
 Status DocumentStore::Open() {
+  WriterMutexLock lock(mu_);
   MMM_ASSIGN_OR_RETURN(bool exists, env_->FileExists(wal_path_));
   if (!exists) return Status::OK();
   MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, env_->ReadFile(wal_path_));
@@ -69,24 +70,28 @@ Status DocumentStore::Insert(const std::string& collection, const JsonValue& doc
     return Status::InvalidArgument("document must have a string _id member");
   }
   const std::string id = id_result.ValueOrDie();
-  auto& index = id_index_[collection];
-  if (index.contains(id)) {
-    return Status::AlreadyExists("document '", id, "' already in collection '",
-                                 collection, "'");
-  }
-
   JsonValue record = JsonValue::Object();
   record.Set("collection", collection);
   record.Set("doc", doc);
   std::string line = record.Dump();
   line.push_back('\n');
-  MMM_RETURN_NOT_OK(env_->AppendToFile(
-      wal_path_, std::span<const uint8_t>(
-                     reinterpret_cast<const uint8_t*>(line.data()), line.size())));
 
-  auto& docs = collections_[collection];
-  index[id] = docs.size();
-  docs.push_back(doc);
+  {
+    WriterMutexLock lock(mu_);
+    auto& index = id_index_[collection];
+    if (index.contains(id)) {
+      return Status::AlreadyExists("document '", id,
+                                   "' already in collection '", collection,
+                                   "'");
+    }
+    MMM_RETURN_NOT_OK(env_->AppendToFile(
+        wal_path_,
+        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(line.data()),
+                                 line.size())));
+    auto& docs = collections_[collection];
+    index[id] = docs.size();
+    docs.push_back(doc);
+  }
 
   stats_.AddWrite(line.size());
   Charge(line.size());
@@ -107,26 +112,33 @@ void DocumentStore::RemoveAt(const std::string& collection, size_t position) {
 
 Status DocumentStore::Remove(const std::string& collection,
                              const std::string& id) {
-  auto coll_it = id_index_.find(collection);
-  if (coll_it == id_index_.end() || !coll_it->second.contains(id)) {
-    return Status::NotFound("no document '", id, "' in collection '", collection,
-                            "'");
-  }
   JsonValue record = JsonValue::Object();
   record.Set("collection", collection);
   record.Set("tombstone", id);
   std::string line = record.Dump();
   line.push_back('\n');
-  MMM_RETURN_NOT_OK(env_->AppendToFile(
-      wal_path_, std::span<const uint8_t>(
-                     reinterpret_cast<const uint8_t*>(line.data()), line.size())));
-  RemoveAt(collection, coll_it->second.at(id));
+
+  {
+    WriterMutexLock lock(mu_);
+    auto coll_it = id_index_.find(collection);
+    if (coll_it == id_index_.end() || !coll_it->second.contains(id)) {
+      return Status::NotFound("no document '", id, "' in collection '",
+                              collection, "'");
+    }
+    MMM_RETURN_NOT_OK(env_->AppendToFile(
+        wal_path_,
+        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(line.data()),
+                                 line.size())));
+    RemoveAt(collection, coll_it->second.at(id));
+  }
+
   stats_.AddWrite(line.size());
   Charge(line.size());
   return Status::OK();
 }
 
 Status DocumentStore::Compact() {
+  WriterMutexLock lock(mu_);
   std::string rewritten;
   for (const auto& [collection, docs] : collections_) {
     for (const JsonValue& doc : docs) {
@@ -151,16 +163,20 @@ Result<uint64_t> DocumentStore::WalBytes() const {
 
 Result<JsonValue> DocumentStore::Get(const std::string& collection,
                                      const std::string& id) const {
-  auto coll_it = id_index_.find(collection);
-  if (coll_it == id_index_.end()) {
-    return Status::NotFound("no collection '", collection, "'");
+  JsonValue doc;
+  {
+    ReaderMutexLock lock(mu_);
+    auto coll_it = id_index_.find(collection);
+    if (coll_it == id_index_.end()) {
+      return Status::NotFound("no collection '", collection, "'");
+    }
+    auto doc_it = coll_it->second.find(id);
+    if (doc_it == coll_it->second.end()) {
+      return Status::NotFound("no document '", id, "' in collection '",
+                              collection, "'");
+    }
+    doc = collections_.at(collection)[doc_it->second];
   }
-  auto doc_it = coll_it->second.find(id);
-  if (doc_it == coll_it->second.end()) {
-    return Status::NotFound("no document '", id, "' in collection '", collection,
-                            "'");
-  }
-  const JsonValue& doc = collections_.at(collection)[doc_it->second];
   uint64_t bytes = doc.Dump().size();
   stats_.AddRead(bytes);
   Charge(bytes);
@@ -170,19 +186,20 @@ Result<JsonValue> DocumentStore::Get(const std::string& collection,
 Result<std::vector<JsonValue>> DocumentStore::Find(const std::string& collection,
                                                    const std::string& field,
                                                    const JsonValue& value) const {
-  auto coll_it = collections_.find(collection);
-  if (coll_it == collections_.end()) {
-    return Status::NotFound("no collection '", collection, "'");
-  }
   std::vector<JsonValue> matches;
-  uint64_t bytes = 0;
-  for (const JsonValue& doc : coll_it->second) {
-    auto member = doc.Get(field);
-    if (member.ok() && *member.ValueOrDie() == value) {
-      matches.push_back(doc);
-      bytes += doc.Dump().size();
+  {
+    ReaderMutexLock lock(mu_);
+    auto coll_it = collections_.find(collection);
+    if (coll_it == collections_.end()) {
+      return Status::NotFound("no collection '", collection, "'");
+    }
+    for (const JsonValue& doc : coll_it->second) {
+      auto member = doc.Get(field);
+      if (member.ok() && *member.ValueOrDie() == value) matches.push_back(doc);
     }
   }
+  uint64_t bytes = 0;
+  for (const JsonValue& doc : matches) bytes += doc.Dump().size();
   stats_.AddRead(bytes);
   Charge(bytes);
   return matches;
@@ -190,23 +207,30 @@ Result<std::vector<JsonValue>> DocumentStore::Find(const std::string& collection
 
 Result<std::vector<JsonValue>> DocumentStore::All(
     const std::string& collection) const {
-  auto coll_it = collections_.find(collection);
-  if (coll_it == collections_.end()) {
-    return Status::NotFound("no collection '", collection, "'");
+  std::vector<JsonValue> docs;
+  {
+    ReaderMutexLock lock(mu_);
+    auto coll_it = collections_.find(collection);
+    if (coll_it == collections_.end()) {
+      return Status::NotFound("no collection '", collection, "'");
+    }
+    docs = coll_it->second;
   }
   uint64_t bytes = 0;
-  for (const JsonValue& doc : coll_it->second) bytes += doc.Dump().size();
+  for (const JsonValue& doc : docs) bytes += doc.Dump().size();
   stats_.AddRead(bytes);
   Charge(bytes);
-  return coll_it->second;
+  return docs;
 }
 
 size_t DocumentStore::Count(const std::string& collection) const {
+  ReaderMutexLock lock(mu_);
   auto coll_it = collections_.find(collection);
   return coll_it == collections_.end() ? 0 : coll_it->second.size();
 }
 
 std::vector<std::string> DocumentStore::Collections() const {
+  ReaderMutexLock lock(mu_);
   std::vector<std::string> names;
   names.reserve(collections_.size());
   for (const auto& [name, _] : collections_) names.push_back(name);

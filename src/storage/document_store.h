@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "serialize/json.h"
 #include "storage/env.h"
 #include "storage/latency_model.h"
@@ -26,6 +27,11 @@ namespace mmm {
 /// Every Insert/Get/Find charges the configured latency model once — this is
 /// what makes MMlib-base's "one insert per model" pattern visibly expensive,
 /// exactly as in the paper's evaluation.
+///
+/// Thread-safe: queries share one reader/writer lock and mutations take it
+/// exclusively, so a save may commit beside concurrent recoveries. The lock
+/// is held across the WAL append, which keeps log order equal to the order
+/// in which the in-memory state changed.
 class DocumentStore {
  public:
   DocumentStore(Env* env, std::string wal_path, StoreLatencyModel latency = {},
@@ -75,16 +81,22 @@ class DocumentStore {
 
  private:
   void Charge(uint64_t bytes) const;
-  void RemoveAt(const std::string& collection, size_t position);
+  void RemoveAt(const std::string& collection, size_t position)
+      MMM_REQUIRES(mu_);
 
   Env* env_;
   std::string wal_path_;
   StoreLatencyModel latency_;
   SimulatedClock* sim_clock_;
   mutable AtomicStoreStats stats_;
+  // Callers may hold the CAS, journal or executor locks (110-130); the
+  // store calls into the Env, whose locks (140/150) nest inside this one.
+  mutable SharedMutex mu_ MMM_LOCK_RANK(135);
   // collection -> ordered documents; ids index into the vector.
-  std::map<std::string, std::vector<JsonValue>> collections_;
-  std::map<std::string, std::map<std::string, size_t>> id_index_;
+  std::map<std::string, std::vector<JsonValue>> collections_
+      MMM_GUARDED_BY(mu_);
+  std::map<std::string, std::map<std::string, size_t>> id_index_
+      MMM_GUARDED_BY(mu_);
 };
 
 }  // namespace mmm

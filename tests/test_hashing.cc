@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/rng.h"
 #include "serialize/crc32.h"
 #include "serialize/sha256.h"
@@ -84,6 +87,62 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   uint32_t before = Crc32::Compute(data);
   data[100] ^= 0x01;
   EXPECT_NE(before, Crc32::Compute(data));
+}
+
+// Bit-at-a-time reference, independent of both the table loop and the
+// carry-less-multiply fold.
+uint32_t ReferenceCrc32(uint32_t crc, std::span<const uint8_t> data) {
+  crc = ~crc;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
+  std::vector<uint8_t> data(n);
+  for (auto& b : data) b = static_cast<uint8_t>(rng->NextBounded(256));
+  return data;
+}
+
+// Every length up to 1024 at every start offset within a 16-byte block:
+// covers spans below the 64-byte fold threshold, fold bulks with every
+// 16-byte remainder count, and every table-loop tail length.
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
+  Rng rng(12);
+  const std::vector<uint8_t> data = RandomBytes(&rng, 1024 + 15);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const auto init = static_cast<uint32_t>(rng.NextUint64());
+      const std::span<const uint8_t> span(data.data() + offset, length);
+      ASSERT_EQ(Crc32::Extend(init, span), ReferenceCrc32(init, span))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+// Chained Extend calls split on both sides of the 16- and 64-byte fold
+// boundaries must equal one pass over the whole buffer, whichever side of
+// the split each piece's fold bulk and tail end up on.
+TEST(Crc32Test, ChainedExtendAcrossFoldBoundaries) {
+  Rng rng(13);
+  const std::vector<uint8_t> data = RandomBytes(&rng, 331);
+  const std::span<const uint8_t> all(data);
+  const size_t cuts[] = {0,  1,  15, 16, 17,  47,  48,  49,  63, 64,
+                         65, 79, 80, 81, 127, 128, 129, 143, 144, 145};
+  for (size_t first : cuts) {
+    for (size_t second : cuts) {
+      const auto init = static_cast<uint32_t>(rng.NextUint64());
+      uint32_t crc = Crc32::Extend(init, all.subspan(0, first));
+      crc = Crc32::Extend(crc, all.subspan(first, second));
+      crc = Crc32::Extend(crc, all.subspan(first + second));
+      ASSERT_EQ(crc, ReferenceCrc32(init, all))
+          << "pieces " << first << " + " << second << " + rest";
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/manager.h"
@@ -534,6 +538,87 @@ TEST_F(ServeTest, ConcurrentZipfianReplayIsRaceFreeAndExact) {
   }
   LayerCacheStats cache_stats = service.cache_stats();
   EXPECT_LE(cache_stats.bytes_used, cache_stats.capacity_bytes);
+}
+
+// Saves commit beside recoveries: one thread extends the Update chain with
+// derived sets while two threads recover the already-saved sets through the
+// service. Both sides touch the document store at once (the TSan target);
+// every recovered set, and every newly saved one, is bit-exact.
+TEST_F(ServeTest, SavesBesideConcurrentRecoveriesStayExact) {
+  OpenManager();
+  Save(ApproachType::kUpdate, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo first, scenario_->AdvanceCycle());
+  Save(ApproachType::kUpdate, &first);
+  const std::map<std::string, ModelSet> readable = expected_;
+
+  // Cycles are trained up front so the writer only saves.
+  std::vector<std::pair<ModelSetUpdateInfo, ModelSet>> cycles;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+    cycles.emplace_back(update, scenario_->current_set());
+  }
+
+  ModelSetServiceOptions options;
+  options.cache_capacity_bytes = 1 << 20;  // evict, so reads reach storage
+  ModelSetService service(manager_.get(), options);
+
+  std::atomic<int> readers_started{0};
+  std::atomic<bool> writer_done{false};
+  std::vector<std::pair<std::string, ModelSet>> saved;
+  Status writer_status = Status::OK();
+  std::thread writer([&] {
+    // Saving starts only once both readers run, and they keep reading
+    // until the last save returns, so the two sides always overlap.
+    while (readers_started < 2) std::this_thread::yield();
+    std::string head = heads_[ApproachType::kUpdate];
+    for (const auto& [update, set] : cycles) {
+      ModelSetUpdateInfo derived = update;
+      derived.base_set_id = head;
+      Result<SaveResult> result =
+          manager_->SaveDerived(ApproachType::kUpdate, set, derived);
+      if (!result.ok()) {
+        writer_status = result.status();
+        break;
+      }
+      head = result.ValueOrDie().set_id;
+      saved.emplace_back(head, set);
+    }
+    writer_done = true;
+  });
+
+  std::vector<std::vector<std::pair<std::string, ModelSet>>> reads(2);
+  std::vector<Status> reader_status(2, Status::OK());
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < reads.size(); ++r) {
+    readers.emplace_back([&, r] {
+      ++readers_started;
+      for (size_t i = 0; i < readable.size() || !writer_done; ++i) {
+        auto it = std::next(readable.begin(),
+                            static_cast<ptrdiff_t>((i + r) % readable.size()));
+        Result<ModelSet> recovered = service.Recover(it->first);
+        if (!recovered.ok()) {
+          reader_status[r] = recovered.status();
+          return;
+        }
+        reads[r].emplace_back(it->first, std::move(recovered).ValueOrDie());
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  ASSERT_OK(writer_status);
+  ASSERT_EQ(saved.size(), cycles.size());
+  for (size_t r = 0; r < reads.size(); ++r) {
+    ASSERT_OK(reader_status[r]);
+    for (const auto& [id, set] : reads[r]) {
+      ExpectSetEquals(set, readable.at(id));
+    }
+  }
+  for (const auto& [id, set] : saved) {
+    ASSERT_OK_AND_ASSIGN(ModelSet recovered, service.Recover(id));
+    ExpectSetEquals(recovered, set);
+  }
 }
 
 // Per-request modeled store cost is exact at any worker count: charges are
