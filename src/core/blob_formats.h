@@ -68,10 +68,10 @@ Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
 
 /// \brief Streaming DecodeParamBlob (DESIGN.md §12): absorbs the
 /// decompressed param blob in arbitrary chunks and emits each layer tensor
-/// the moment its bytes are complete, in (model, param) order — so a
-/// recovery can hand finished layers to the LayerCache while later models
-/// are still in flight, and peak buffering is one layer plus the CRC
-/// running state instead of the whole blob.
+/// the moment its bytes are complete, in (model, param) order, so peak
+/// buffering is one layer plus the CRC running state instead of the whole
+/// blob. Emitted layers are unverified until Finish succeeds: a caller must
+/// not publish them (e.g. to the LayerCache) before then.
 ///
 /// Accepts exactly the blobs DecodeParamBlob accepts (header, counts, and
 /// CRC32 footer all validated — the footer necessarily last, at Finish,

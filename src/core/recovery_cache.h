@@ -2,6 +2,7 @@
 #define MMM_CORE_RECOVERY_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/blob_formats.h"
@@ -36,6 +37,14 @@ struct CacheRequestStats {
   }
 };
 
+/// \brief Per-set metadata the cached recovery path resolves once per set:
+/// the set's stored per-layer hash table and the architecture it decodes
+/// against. Immutable once built, so a memo can hand out shared references.
+struct SetMeta {
+  HashTable hashes;
+  ArchitectureSpec spec;
+};
+
 /// \brief Interface of a layer-granular recovery cache, consulted by the
 /// Update approach's read path (implemented by serve/ModelSetService).
 ///
@@ -44,9 +53,14 @@ struct CacheRequestStats {
 /// layers shared between a base set and its derived sets have identical
 /// hashes, so one cached decode serves every set that contains the layer.
 /// Entries are therefore immutable by construction — a content hash can
-/// never map to stale bytes — and the *document store* remains the single
-/// root of trust: every recovery starts with a live set-document fetch, so
-/// a cache can never resurrect a deleted set.
+/// never map to stale bytes — and are shared, never copied, between the
+/// cache and its readers. The *document store* remains the single root of
+/// trust: every recovery starts with a live set-document fetch, so a cache
+/// can never resurrect a deleted set.
+///
+/// RecoverCached offers a layer only after every blob it was decoded from
+/// has passed its CRC check, and only under the requested set's hashes, so
+/// an entry never holds bytes a corrupt blob produced.
 ///
 /// Implementations must be safe for concurrent calls; lookups and inserts
 /// are advisory (a cache may decline to admit or may have evicted anything).
@@ -54,21 +68,19 @@ class RecoveryCache {
  public:
   virtual ~RecoveryCache() = default;
 
-  /// Fetches the tensor cached under a content hash into `out`.
-  virtual bool GetLayer(const Sha256Digest& hash, Tensor* out) = 0;
+  /// Returns the tensor cached under a content hash, or null on a miss.
+  virtual std::shared_ptr<const Tensor> GetLayer(const Sha256Digest& hash) = 0;
 
-  /// Offers a decoded layer for admission (may be declined).
-  virtual void PutLayer(const Sha256Digest& hash, const Tensor& value) = 0;
+  /// Offers a verified, decoded layer for admission (may be declined).
+  virtual void PutLayer(const Sha256Digest& hash,
+                        std::shared_ptr<const Tensor> value) = 0;
 
-  /// Fetches the memoized per-set metadata: the set's stored hash table and
-  /// the architecture it decodes against.
-  virtual bool GetSetMeta(const std::string& set_id, HashTable* hashes,
-                          ArchitectureSpec* spec) = 0;
+  /// Returns the memoized metadata of a set, or null on a miss.
+  virtual std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) = 0;
 
-  /// Memoizes a set's hash table + architecture after a recovery resolved
-  /// them from the store.
-  virtual void PutSetMeta(const std::string& set_id, const HashTable& hashes,
-                          const ArchitectureSpec& spec) = 0;
+  /// Memoizes a set's metadata after a recovery resolved it from the store.
+  virtual void PutSetMeta(const std::string& set_id,
+                          std::shared_ptr<const SetMeta> meta) = 0;
 };
 
 }  // namespace mmm

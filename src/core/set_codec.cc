@@ -179,6 +179,27 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
   return decoder->num_models();
 }
 
+Result<size_t> ReadParamBlobLayers(const StoreContext& context,
+                                   const std::string& blob_name,
+                                   const ArchitectureSpec& spec,
+                                   ParamBlobStreamDecoder::LayerSink sink) {
+  if (context.streaming_recovery) {
+    return StreamParamBlob(context, blob_name, spec, std::move(sink));
+  }
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
+                       CasReadBlob(context.file_store, blob_name));
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, DecompressBlob(stored));
+  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
+                       DecodeParamBlob(spec, blob));
+  for (size_t m = 0; m < models.size(); ++m) {
+    for (size_t p = 0; p < models[m].size(); ++p) {
+      auto& [key, tensor] = models[m][p];
+      MMM_RETURN_NOT_OK(sink(m, p, key, std::move(tensor)));
+    }
+  }
+  return models.size();
+}
+
 Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
                                   const SetDocument& doc) {
   if (doc.arch_blob.empty() || doc.param_blob.empty()) {
@@ -188,24 +209,17 @@ Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
                        CasReadBlobString(context.file_store, doc.arch_blob));
   MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, DecodeArchBlob(arch_text));
   std::vector<StateDict> models;
-  if (context.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(
-        size_t num_models,
-        StreamParamBlob(context, doc.param_blob, spec,
-                        [&](size_t model, size_t /*param*/,
-                            const std::string& key, Tensor tensor) -> Status {
-                          if (models.size() <= model) models.resize(model + 1);
-                          models[model].emplace_back(key, std::move(tensor));
-                          return Status::OK();
-                        }));
-    // Zero-parameter layouts emit no layers; the header still counts models.
-    models.resize(num_models);
-  } else {
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                         CasReadBlob(context.file_store, doc.param_blob));
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, DecompressBlob(stored));
-    MMM_ASSIGN_OR_RETURN(models, DecodeParamBlob(spec, blob));
-  }
+  MMM_ASSIGN_OR_RETURN(
+      size_t num_models,
+      ReadParamBlobLayers(context, doc.param_blob, spec,
+                          [&](size_t model, size_t /*param*/,
+                              const std::string& key, Tensor tensor) -> Status {
+                            if (models.size() <= model) models.resize(model + 1);
+                            models[model].emplace_back(key, std::move(tensor));
+                            return Status::OK();
+                          }));
+  // Zero-parameter layouts emit no layers; the header still counts models.
+  models.resize(num_models);
   if (models.size() != doc.num_models) {
     return Status::Corruption("set ", doc.id, " holds ", models.size(),
                               " models, document says ", doc.num_models);

@@ -101,6 +101,18 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
                                const ArchitectureSpec& spec,
                                ParamBlobStreamDecoder::LayerSink sink);
 
+/// Decodes a stored parameter blob layer by layer into `sink`, in (model,
+/// param) order, and returns the blob's model count. Honors
+/// `context.streaming_recovery`: streaming goes through StreamParamBlob,
+/// otherwise the blob is read and decoded whole first. Either way the CRC
+/// footer is checked before this returns OK — but with streaming only
+/// *after* the sink has seen every layer, so a sink must not publish a
+/// layer anywhere until the call succeeds.
+Result<size_t> ReadParamBlobLayers(const StoreContext& context,
+                                   const std::string& blob_name,
+                                   const ArchitectureSpec& spec,
+                                   ParamBlobStreamDecoder::LayerSink sink);
+
 /// Reads only the models at `indices` from a full snapshot. Uncompressed
 /// parameter blobs are accessed with ranged store reads (one per distinct
 /// model); compressed blobs fall back to a full read. The result is

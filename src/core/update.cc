@@ -1,5 +1,9 @@
 #include "core/update.h"
 
+#include <functional>
+#include <numeric>
+#include <optional>
+
 #include "cas/blob_io.h"
 #include "core/set_codec.h"
 
@@ -150,6 +154,49 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
   result.chain_depth = doc.chain_depth;
   return result;
 }
+
+namespace {
+
+/// Reads and decodes a set's stored per-layer hash table.
+Result<HashTable> ReadStoredHashTable(const StoreContext& context,
+                                      const SetDocument& doc) {
+  if (doc.hash_blob.empty()) {
+    return Status::Corruption("set ", doc.id, " is missing its hash blob");
+  }
+  if (context.streaming_recovery) {
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> bytes,
+        CasReadBlobDecompressed(context.file_store, doc.hash_blob,
+                                context.stream_window_bytes));
+    return DecodeHashTable(bytes);
+  }
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
+                       CasReadBlob(context.file_store, doc.hash_blob));
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, DecompressBlob(stored));
+  return DecodeHashTable(bytes);
+}
+
+/// Reads and decodes `doc`'s diff blob (CRC-checked) against `spec`. Diff
+/// blobs are decoded whole (entries reference arbitrary positions), but with
+/// streaming recovery on the *stored-side* intermediate — the
+/// compressed/chunked bytes — never materializes.
+Result<DecodedDiff> ReadDiffBlob(const StoreContext& context,
+                                 const SetDocument& doc,
+                                 const ArchitectureSpec& spec) {
+  std::vector<uint8_t> diff_bytes;
+  if (context.streaming_recovery) {
+    MMM_ASSIGN_OR_RETURN(diff_bytes, CasReadBlobDecompressed(
+                                         context.file_store, doc.diff_blob,
+                                         context.stream_window_bytes));
+  } else {
+    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored_diff,
+                         CasReadBlob(context.file_store, doc.diff_blob));
+    MMM_ASSIGN_OR_RETURN(diff_bytes, DecompressBlob(stored_diff));
+  }
+  return DecodeDiffBlob(spec, diff_bytes);
+}
+
+}  // namespace
 
 Result<ModelSet> UpdateApproach::Recover(const std::string& set_id,
                                          RecoverStats* stats) {
@@ -340,20 +387,7 @@ Result<ModelSet> UpdateApproach::RecoverFromDoc(const SetDocument& doc,
 }
 
 Status UpdateApproach::ApplyDelta(const SetDocument& doc, ModelSet* set) {
-  // Diff blobs are decoded whole (entries reference arbitrary positions),
-  // but with streaming recovery on the *stored-side* intermediate — the
-  // compressed/chunked bytes — never materializes.
-  std::vector<uint8_t> diff_bytes;
-  if (context_.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(diff_bytes, CasReadBlobDecompressed(
-                                         context_.file_store, doc.diff_blob,
-                                         context_.stream_window_bytes));
-  } else {
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored_diff,
-                         CasReadBlob(context_.file_store, doc.diff_blob));
-    MMM_ASSIGN_OR_RETURN(diff_bytes, DecompressBlob(stored_diff));
-  }
-  MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(set->spec, diff_bytes));
+  MMM_ASSIGN_OR_RETURN(DecodedDiff diff, ReadDiffBlob(context_, doc, set->spec));
   for (size_t i = 0; i < diff.entries.size(); ++i) {
     const DiffEntry& entry = diff.entries[i];
     if (entry.model_index >= set->models.size() ||
@@ -373,46 +407,6 @@ Status UpdateApproach::ApplyDelta(const SetDocument& doc, ModelSet* set) {
   return Status::OK();
 }
 
-namespace {
-
-/// Reads and decodes a set's stored per-layer hash table.
-Result<HashTable> ReadStoredHashTable(const StoreContext& context,
-                                      const SetDocument& doc) {
-  if (doc.hash_blob.empty()) {
-    return Status::Corruption("set ", doc.id, " is missing its hash blob");
-  }
-  if (context.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> bytes,
-        CasReadBlobDecompressed(context.file_store, doc.hash_blob,
-                                context.stream_window_bytes));
-    return DecodeHashTable(bytes);
-  }
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                       CasReadBlob(context.file_store, doc.hash_blob));
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, DecompressBlob(stored));
-  return DecodeHashTable(bytes);
-}
-
-/// Walks the delta chain (documents only) down to the root snapshot and
-/// reads its architecture blob — the cheap way to learn a delta set's spec
-/// without touching any parameter or diff blob.
-Result<ArchitectureSpec> ResolveChainSpec(const StoreContext& context,
-                                          SetDocument doc, uint64_t budget) {
-  while (doc.kind == "delta") {
-    if (budget-- == 0) {
-      return Status::Corruption("update chain too deep (cycle?) at ", doc.id);
-    }
-    MMM_ASSIGN_OR_RETURN(doc, FetchSetDocument(context, doc.base_set_id));
-  }
-  if (doc.kind != "full") {
-    return Status::Corruption("update chain does not end in a full snapshot");
-  }
-  return ReadSnapshotSpec(context, doc);
-}
-
-}  // namespace
-
 Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
                                                RecoveryCache* cache,
                                                RecoverStats* stats,
@@ -420,29 +414,6 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   if (cache == nullptr) return Recover(set_id, stats);
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  // Budget from the target's recorded depth, exactly as in Recover.
-  uint64_t depth_budget = doc.chain_depth + 1;
-  CacheRequestStats local;
-  MMM_ASSIGN_OR_RETURN(
-      ModelSet set,
-      RecoverCachedFromDoc(doc, cache, stats, &local, depth_budget));
-  if (cache_stats != nullptr) *cache_stats += local;
-  capture.FillRecover(stats);
-  return set;
-}
-
-Result<ModelSet> UpdateApproach::RecoverCachedInternal(
-    const std::string& set_id, RecoveryCache* cache, RecoverStats* stats,
-    CacheRequestStats* cache_stats, uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("update recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
   // The set document is always fetched live. The document store stays the
   // single root of trust, so recovering a deleted set fails right here no
   // matter what the cache still holds — a cache hit can never resurrect a
@@ -452,140 +423,214 @@ Result<ModelSet> UpdateApproach::RecoverCachedInternal(
     return Status::InvalidArgument("set ", set_id, " was saved by '",
                                    doc.approach, "', not update");
   }
-  return RecoverCachedFromDoc(doc, cache, stats, cache_stats, depth_budget);
+  CacheRequestStats local;
+  MMM_ASSIGN_OR_RETURN(ModelSet set,
+                       RecoverCachedFromDoc(doc, cache, stats, &local));
+  if (cache_stats != nullptr) *cache_stats += local;
+  capture.FillRecover(stats);
+  return set;
 }
 
 Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
     const SetDocument& doc, RecoveryCache* cache, RecoverStats* stats,
-    CacheRequestStats* cache_stats, uint64_t depth_budget) {
-  const std::string& set_id = doc.id;
-  if (stats != nullptr) stats->sets_recovered += 1;
+    CacheRequestStats* cache_stats) {
+  // The chain from the target down to its full snapshot, newest first,
+  // fetched lazily: one fetch per level. The budget comes from the target's
+  // recorded depth, exactly as in Recover, so a corrupted base-pointer cycle
+  // fails after chain_depth + 1 fetches.
+  const uint64_t depth_budget = doc.chain_depth + 1;
+  std::vector<SetDocument> chain{doc};
+  auto fetch_next_level = [&]() -> Status {
+    if (chain.size() >= depth_budget) {
+      return Status::Corruption("update recovery chain too deep (cycle?) at ",
+                                chain.back().base_set_id);
+    }
+    MMM_ASSIGN_OR_RETURN(SetDocument base,
+                         FetchSetDocument(context_, chain.back().base_set_id));
+    if (base.approach != Name()) {
+      return Status::InvalidArgument("set ", base.id, " was saved by '",
+                                     base.approach, "', not update");
+    }
+    chain.push_back(std::move(base));
+    return Status::OK();
+  };
 
   // Step 1: resolve the set's per-layer content hashes and architecture,
-  // memoized so a hot set costs no hash-blob or chain-walk reads.
-  HashTable hashes;
-  ArchitectureSpec spec;
-  if (cache->GetSetMeta(set_id, &hashes, &spec)) {
+  // memoized so a hot set costs no hash-blob or chain-walk reads. The
+  // architecture lives with the chain's full snapshot, so a memo miss walks
+  // the documents down to it; the resolution walk below reuses them.
+  std::shared_ptr<const SetMeta> meta = cache->GetSetMeta(doc.id);
+  const bool meta_hit = meta != nullptr;
+  if (meta_hit) {
     cache_stats->meta_hits += 1;
   } else {
     cache_stats->meta_misses += 1;
-    MMM_ASSIGN_OR_RETURN(hashes, ReadStoredHashTable(context_, doc));
-    MMM_ASSIGN_OR_RETURN(spec,
-                         ResolveChainSpec(context_, doc, depth_budget));
+    auto fresh = std::make_shared<SetMeta>();
+    MMM_ASSIGN_OR_RETURN(fresh->hashes, ReadStoredHashTable(context_, doc));
+    while (chain.back().kind == "delta") MMM_RETURN_NOT_OK(fetch_next_level());
+    if (chain.back().kind != "full") {
+      return Status::Corruption("update chain of ", doc.id,
+                                " does not end in a full snapshot");
+    }
+    MMM_ASSIGN_OR_RETURN(fresh->spec, ReadSnapshotSpec(context_, chain.back()));
+    meta = std::move(fresh);
   }
-  ParamLayout layout = LayoutOf(spec);
+  const HashTable& hashes = meta->hashes;
+  const ParamLayout layout = LayoutOf(meta->spec);
   if (hashes.size() != doc.num_models) {
-    return Status::Corruption("hash table of ", set_id, " covers ",
+    return Status::Corruption("hash table of ", doc.id, " covers ",
                               hashes.size(), " models, document says ",
                               doc.num_models);
   }
   for (const auto& row : hashes) {
     if (row.size() != layout.size()) {
-      return Status::Corruption("hash table of ", set_id,
+      return Status::Corruption("hash table of ", doc.id,
                                 " disagrees with the parameter layout");
     }
   }
 
-  // Step 2: probe every layer by content hash. Layers shared with an
-  // already-served set (the base snapshot, or any sibling derived set) hit
-  // regardless of which set first brought them in.
-  std::vector<std::vector<Tensor>> cached_layers(hashes.size());
-  bool complete = true;
+  // Step 2: probe each layer of the requested set once, by content hash.
+  // Layers shared with any set served before (its base, a sibling) hit no
+  // matter which set brought them in. Slot m * num_params + p.
+  const size_t num_params = layout.size();
+  const size_t num_slots = hashes.size() * num_params;
+  std::vector<std::shared_ptr<const Tensor>> layers(num_slots);
+  size_t missing = 0;
   for (size_t m = 0; m < hashes.size(); ++m) {
-    cached_layers[m].resize(layout.size());
-    for (size_t p = 0; p < layout.size(); ++p) {
-      if (cache->GetLayer(hashes[m][p], &cached_layers[m][p])) {
+    for (size_t p = 0; p < num_params; ++p) {
+      layers[m * num_params + p] = cache->GetLayer(hashes[m][p]);
+      if (layers[m * num_params + p] != nullptr) {
         cache_stats->layer_hits += 1;
       } else {
         cache_stats->layer_misses += 1;
-        complete = false;
+        missing += 1;
       }
     }
   }
+  if (stats != nullptr) stats->sets_recovered += 1;
+  if (missing == 0) cache_stats->sets_from_cache += 1;
 
-  // Step 3a: full hit — assemble without touching the file store.
-  if (complete) {
-    cache_stats->sets_from_cache += 1;
-    ModelSet set;
-    set.spec = spec;
-    set.models.resize(hashes.size());
-    for (size_t m = 0; m < hashes.size(); ++m) {
-      StateDict& state = set.models[m];
-      state.reserve(layout.size());
-      for (size_t p = 0; p < layout.size(); ++p) {
-        state.emplace_back(layout[p].first, std::move(cached_layers[m][p]));
-      }
+  // Step 3: resolve only the misses, walking the chain newest-first and
+  // stopping at the first level that leaves nothing unresolved. XOR diff
+  // entries accumulate until an absolute value (a newer absolute diff
+  // entry, or the full snapshot) is found, as in RecoverModels.
+  std::vector<bool> fetched(num_slots, false);
+  std::vector<std::optional<Tensor>> xor_acc(num_slots);
+  auto resolve = [&](size_t slot, Tensor value) {
+    if (xor_acc[slot].has_value()) {
+      value = XorTensors(value, *xor_acc[slot]);
+      xor_acc[slot].reset();
     }
-    cache->PutSetMeta(set_id, hashes, spec);
-    return set;
-  }
-
-  // Step 3b: miss — materialize from the store. A full snapshot decodes its
-  // parameter blob; a delta recovers its base *through the cache* (the
-  // memoized recursion) and applies the diff on top.
-  ModelSet set;
-  bool layers_offered = false;
-  if (doc.kind == "full") {
-    if (context_.streaming_recovery) {
-      // Streaming decode: each finished layer goes to the cache the moment
-      // its bytes are complete — a concurrent request for a sibling set can
-      // hit layers of this snapshot while later models are still streaming
-      // in. Offering here replaces step 4's offer for this set.
+    layers[slot] = std::make_shared<const Tensor>(std::move(value));
+    fetched[slot] = true;
+    missing -= 1;
+  };
+  for (size_t i = 0; missing > 0; ++i) {
+    if (i == chain.size()) MMM_RETURN_NOT_OK(fetch_next_level());
+    const SetDocument& level = chain[i];
+    if (i > 0 && stats != nullptr) stats->sets_recovered += 1;
+    if (level.num_models != doc.num_models) {
+      return Status::Corruption("base set ", level.id, " holds ",
+                                level.num_models, " models, derived set ",
+                                doc.id, " holds ", doc.num_models);
+    }
+    if (level.kind == "full") {
+      if (level.param_blob.empty()) {
+        return Status::Corruption("set ", level.id, " is not a full snapshot");
+      }
       MMM_ASSIGN_OR_RETURN(
           size_t streamed_models,
-          StreamParamBlob(
-              context_, doc.param_blob, spec,
-              [&](size_t m, size_t p, const std::string& key,
+          ReadParamBlobLayers(
+              context_, level.param_blob, meta->spec,
+              [&](size_t m, size_t p, const std::string& /*key*/,
                   Tensor tensor) -> Status {
-                if (m >= hashes.size() || p >= hashes[m].size()) {
-                  return Status::Corruption(
-                      "set ", set_id, " streams layer (", m, ", ", p,
-                      ") outside its hash table");
+                if (m >= hashes.size() || p >= num_params) {
+                  return Status::Corruption("set ", level.id,
+                                            " streams layer (", m, ", ", p,
+                                            ") outside the hash table of ",
+                                            doc.id);
                 }
-                cache->PutLayer(hashes[m][p], tensor);
-                if (set.models.size() <= m) set.models.resize(m + 1);
-                set.models[m].emplace_back(key, std::move(tensor));
+                if (layers[m * num_params + p] == nullptr) {
+                  resolve(m * num_params + p, std::move(tensor));
+                }
                 return Status::OK();
               }));
-      set.models.resize(streamed_models);
-      layers_offered = true;
-    } else {
-      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                           CasReadBlob(context_.file_store, doc.param_blob));
-      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, DecompressBlob(stored));
-      MMM_ASSIGN_OR_RETURN(set.models, DecodeParamBlob(spec, blob));
+      if (streamed_models != level.num_models) {
+        return Status::Corruption("set ", level.id, " holds ", streamed_models,
+                                  " models, document says ", level.num_models);
+      }
+      break;
     }
-    set.spec = spec;
-    if (set.models.size() != doc.num_models) {
-      return Status::Corruption("set ", set_id, " holds ", set.models.size(),
-                                " models, document says ", doc.num_models);
+    if (level.kind != "delta") {
+      return Status::Corruption("set ", level.id, " has unexpected kind '",
+                                level.kind, "'");
     }
-  } else if (doc.kind == "delta") {
-    MMM_ASSIGN_OR_RETURN(
-        set, RecoverCachedInternal(doc.base_set_id, cache, stats, cache_stats,
-                                   depth_budget - 1));
-    if (set.models.size() != doc.num_models) {
-      return Status::Corruption("base set size ", set.models.size(),
-                                " != derived size ", doc.num_models);
+    MMM_ASSIGN_OR_RETURN(DecodedDiff diff,
+                         ReadDiffBlob(context_, level, meta->spec));
+    // Backwards, so that within one absolute diff the last entry for a
+    // layer wins, as when ApplyDelta applies them in order.
+    for (size_t e = diff.entries.size(); e-- > 0;) {
+      const DiffEntry& entry = diff.entries[e];
+      if (entry.model_index >= hashes.size() || entry.param_index >= num_params) {
+        return Status::Corruption("diff entry out of range in set ", level.id);
+      }
+      if (diff.encoding == DiffEncoding::kXorBase &&
+          diff.tensors[e].shape() != layout[entry.param_index].second) {
+        return Status::Corruption("xor diff shape mismatch in set ", level.id);
+      }
+      const size_t slot = entry.model_index * num_params + entry.param_index;
+      if (layers[slot] != nullptr) continue;
+      if (diff.encoding == DiffEncoding::kXorBase) {
+        if (xor_acc[slot].has_value()) {
+          *xor_acc[slot] = XorTensors(*xor_acc[slot], diff.tensors[e]);
+        } else {
+          xor_acc[slot] = std::move(diff.tensors[e]);
+        }
+        continue;  // unresolved until an absolute value is reached
+      }
+      resolve(slot, std::move(diff.tensors[e]));
     }
-    MMM_RETURN_NOT_OK(ApplyDelta(doc, &set));
-  } else {
-    return Status::Corruption("set ", set_id, " has unexpected kind '",
-                              doc.kind, "'");
+  }
+  if (missing > 0) {
+    return Status::Corruption("set ", doc.id, " left ", missing,
+                              " layers unresolved");
   }
 
-  // Step 4: offer every materialized layer back to the cache under its
-  // stored content hash (shared layers re-admit idempotently). The
-  // streaming full-snapshot path already offered each layer as it finished
-  // decoding; re-offering would only inflate the cache's rejection stats.
-  if (!layers_offered) {
-    for (size_t m = 0; m < set.models.size(); ++m) {
-      for (size_t p = 0; p < set.models[m].size(); ++p) {
-        cache->PutLayer(hashes[m][p], set.models[m][p].second);
-      }
+  // Step 4: verify-then-admit. Every blob a fetched layer came from has now
+  // passed its CRC check, so the layers are offered under the requested
+  // set's hashes only now: a corrupt blob can never leave an entry behind.
+  // Ancestors' layers are not admitted under their own hashes.
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    if (fetched[slot]) {
+      cache->PutLayer(hashes[slot / num_params][slot % num_params],
+                      layers[slot]);
     }
   }
-  cache->PutSetMeta(set_id, hashes, set.spec);
+  if (!meta_hit) cache->PutSetMeta(doc.id, meta);
+
+  // The content hash covers a tensor's bytes, not its shape: a zeroed
+  // [48] bias and a zeroed [1, 48] weight share one entry. Each layer
+  // therefore takes its shape from the layout, never from the entry.
+  std::vector<size_t> numels(num_params);
+  for (size_t p = 0; p < num_params; ++p) {
+    numels[p] = std::accumulate(layout[p].second.begin(), layout[p].second.end(),
+                                size_t{1}, std::multiplies<>());
+  }
+  ModelSet set;
+  set.spec = meta->spec;
+  set.models.resize(hashes.size());
+  for (size_t m = 0; m < hashes.size(); ++m) {
+    StateDict& state = set.models[m];
+    state.reserve(num_params);
+    for (size_t p = 0; p < num_params; ++p) {
+      const Tensor& layer = *layers[m * num_params + p];
+      if (layer.numel() != numels[p]) {
+        return Status::Corruption("layer (", m, ", ", p, ") of ", doc.id,
+                                  " does not match its content hash");
+      }
+      state.emplace_back(layout[p].first, Tensor(layout[p].second, layer.vec()));
+    }
+  }
   return set;
 }
 

@@ -58,14 +58,16 @@ class UpdateApproach : public ModelSetApproach {
 
   /// Recovery through a layer-granular cache (the serving read path).
   ///
-  /// Decomposes Recover into cacheable per-layer steps: the set's stored
-  /// per-layer content hashes are resolved first (memoized via
-  /// RecoveryCache::GetSetMeta), then every layer is probed in the cache by
-  /// its hash. A set whose layers all hit is assembled without reading a
-  /// single parameter or diff blob; otherwise the base set is recovered
-  /// recursively *through the same cache* — so a hot base set is fetched and
-  /// decoded once, and each derived set costs only its own diff blob — and
-  /// every materialized layer is offered back to the cache.
+  /// One pass over the requested set: its stored per-layer content hashes
+  /// are resolved first (memoized via RecoveryCache::GetSetMeta), then each
+  /// of its layers is probed in the cache once, by hash. A set whose layers
+  /// all hit is assembled without reading a single parameter or diff blob.
+  /// Otherwise only the misses are resolved: the chain's diffs are read
+  /// newest-first, each contributing just the entries of layers still
+  /// missing, and the full snapshot is streamed only if some layer is still
+  /// unresolved after the last diff. The fetched layers are offered to the
+  /// cache under the requested set's hashes once every blob they came from
+  /// has passed its CRC check; ancestors' layers are not admitted.
   ///
   /// Bit-exactness: cached tensors are keyed by their SHA-256 content hash,
   /// so assembly reproduces exactly the bytes Recover would return. With
@@ -86,16 +88,10 @@ class UpdateApproach : public ModelSetApproach {
   /// and proceed without a second fetch.
   Result<ModelSet> RecoverFromDoc(const SetDocument& doc, RecoverStats* stats,
                                   uint64_t depth_budget);
-  Result<ModelSet> RecoverCachedInternal(const std::string& set_id,
-                                         RecoveryCache* cache,
-                                         RecoverStats* stats,
-                                         CacheRequestStats* cache_stats,
-                                         uint64_t depth_budget);
   Result<ModelSet> RecoverCachedFromDoc(const SetDocument& doc,
                                         RecoveryCache* cache,
                                         RecoverStats* stats,
-                                        CacheRequestStats* cache_stats,
-                                        uint64_t depth_budget);
+                                        CacheRequestStats* cache_stats);
   /// Reads, decodes, and applies `doc`'s diff blob onto `set` in place.
   Status ApplyDelta(const SetDocument& doc, ModelSet* set);
 

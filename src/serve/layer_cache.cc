@@ -29,18 +29,17 @@ const LayerCache::Shard& LayerCache::ShardOf(const Sha256Digest& hash) const {
   return *shards_[h % shards_.size()];
 }
 
-bool LayerCache::Get(const Sha256Digest& hash, Tensor* out) {
+std::shared_ptr<const Tensor> LayerCache::Get(const Sha256Digest& hash) {
   Shard& shard = ShardOf(hash);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(Key{hash.bytes});
   if (it == shard.index.end()) {
     shard.misses += 1;
-    return false;
+    return nullptr;
   }
   shard.hits += 1;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *out = it->second->value;
-  return true;
+  return it->second->value;
 }
 
 bool LayerCache::Contains(const Sha256Digest& hash) const {
@@ -49,10 +48,10 @@ bool LayerCache::Contains(const Sha256Digest& hash) const {
   return shard.index.find(Key{hash.bytes}) != shard.index.end();
 }
 
-bool LayerCache::Put(const Sha256Digest& hash, const Tensor& value,
-                     bool pinned) {
+bool LayerCache::Put(const Sha256Digest& hash,
+                     std::shared_ptr<const Tensor> value, bool pinned) {
   Shard& shard = ShardOf(hash);
-  uint64_t charge = ChargeOf(value);
+  uint64_t charge = ChargeOf(*value);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(Key{hash.bytes});
   if (it != shard.index.end()) {
@@ -93,7 +92,7 @@ bool LayerCache::Put(const Sha256Digest& hash, const Tensor& value,
     victim = shard.lru.erase(victim);
     shard.evictions += 1;
   }
-  shard.lru.push_front(Entry{Key{hash.bytes}, value, charge, pinned});
+  shard.lru.push_front(Entry{Key{hash.bytes}, std::move(value), charge, pinned});
   shard.index[Key{hash.bytes}] = shard.lru.begin();
   shard.bytes_used += charge;
   if (pinned) shard.bytes_pinned += charge;

@@ -34,7 +34,9 @@ struct LayerCacheStats {
 /// Content-hash keys make entries immutable by construction: a hash can only
 /// ever map to one tensor value, so concurrent Puts for the same key are
 /// idempotent and a hit always returns exactly the bytes a store recovery
-/// would have produced.
+/// would have produced. Entries hold a `shared_ptr<const Tensor>`, so a hit
+/// shares the tensor instead of copying it under the shard lock, and an
+/// evicted tensor stays alive for every reader still holding it.
 ///
 /// The capacity bound is strict *per shard* (shard capacity = total /
 /// shards), which also bounds the global footprint: charged bytes never
@@ -52,9 +54,9 @@ class LayerCache {
   /// \param shards number of independently locked LRU shards (>= 1)
   explicit LayerCache(uint64_t capacity_bytes, size_t shards = 8);
 
-  /// Copies the cached tensor for `hash` into `out` and marks the entry
-  /// most-recently used. Returns false on miss.
-  bool Get(const Sha256Digest& hash, Tensor* out);
+  /// Returns the cached tensor for `hash` and marks the entry
+  /// most-recently used, or null on a miss.
+  std::shared_ptr<const Tensor> Get(const Sha256Digest& hash);
 
   /// True if the hash is resident (does not touch LRU order or counters).
   bool Contains(const Sha256Digest& hash) const;
@@ -64,7 +66,8 @@ class LayerCache {
   /// entry was declined (already resident, or cannot fit). `pinned` admits
   /// the entry pre-pinned (used by PinSet so a pin can never lose the race
   /// against eviction).
-  bool Put(const Sha256Digest& hash, const Tensor& value, bool pinned = false);
+  bool Put(const Sha256Digest& hash, std::shared_ptr<const Tensor> value,
+           bool pinned = false);
 
   /// Pins a resident entry, shielding it from eviction. Returns false if
   /// the hash is not resident.
@@ -104,7 +107,7 @@ class LayerCache {
   };
   struct Entry {
     Key key;
-    Tensor value;
+    std::shared_ptr<const Tensor> value;
     uint64_t charge = 0;
     bool pinned = false;
   };

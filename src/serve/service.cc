@@ -26,52 +26,27 @@ uint64_t WallNanos() { return WallClock::NowNanos(); }
 
 }  // namespace
 
-bool ModelSetService::CacheAdapter::GetLayer(const Sha256Digest& hash,
-                                             Tensor* out) {
-  return service_->layer_cache_.Get(hash, out);
+std::shared_ptr<const Tensor> ModelSetService::CacheAdapter::GetLayer(
+    const Sha256Digest& hash) {
+  return service_->layer_cache_.Get(hash);
 }
 
-void ModelSetService::CacheAdapter::PutLayer(const Sha256Digest& hash,
-                                             const Tensor& value) {
-  service_->layer_cache_.Put(hash, value);
+void ModelSetService::CacheAdapter::PutLayer(
+    const Sha256Digest& hash, std::shared_ptr<const Tensor> value) {
+  service_->layer_cache_.Put(hash, std::move(value));
 }
 
-bool ModelSetService::CacheAdapter::GetSetMeta(const std::string& set_id,
-                                               HashTable* hashes,
-                                               ArchitectureSpec* spec) {
+std::shared_ptr<const SetMeta> ModelSetService::CacheAdapter::GetSetMeta(
+    const std::string& set_id) {
   MutexLock lock(service_->meta_mu_);
   auto it = service_->meta_index_.find(set_id);
-  if (it == service_->meta_index_.end()) return false;
-  service_->meta_lru_.splice(service_->meta_lru_.begin(), service_->meta_lru_,
-                             it->second);
-  *hashes = it->second->hashes;
-  *spec = it->second->spec;
-  return true;
+  return it == service_->meta_index_.end() ? nullptr : it->second;
 }
 
-void ModelSetService::CacheAdapter::PutSetMeta(const std::string& set_id,
-                                               const HashTable& hashes,
-                                               const ArchitectureSpec& spec) {
+void ModelSetService::CacheAdapter::PutSetMeta(
+    const std::string& set_id, std::shared_ptr<const SetMeta> meta) {
   MutexLock lock(service_->meta_mu_);
-  // The hash index always learns the mapping — it is what lets the GC
-  // invalidate a set's layers even after the memo entry was evicted.
-  service_->hash_index_[set_id] = Flatten(hashes);
-  size_t bound = service_->options_.meta_cache_entries;
-  if (bound == 0) return;
-  auto it = service_->meta_index_.find(set_id);
-  if (it != service_->meta_index_.end()) {
-    service_->meta_lru_.splice(service_->meta_lru_.begin(),
-                               service_->meta_lru_, it->second);
-    it->second->hashes = hashes;
-    it->second->spec = spec;
-    return;
-  }
-  service_->meta_lru_.push_front(MetaEntry{set_id, hashes, spec});
-  service_->meta_index_[set_id] = service_->meta_lru_.begin();
-  while (service_->meta_lru_.size() > bound) {
-    service_->meta_index_.erase(service_->meta_lru_.back().set_id);
-    service_->meta_lru_.pop_back();
-  }
+  service_->meta_index_[set_id] = std::move(meta);
 }
 
 ModelSetService::ModelSetService(ModelSetManager* manager,
@@ -162,13 +137,13 @@ Status ModelSetService::PinSet(const std::string& set_id) {
         " was saved by '", doc.approach, "'");
   }
   // Materialize through the cache; this also records the set's hash table
-  // in the hash index, aligned m-major with set.models.
+  // in the metadata memo, aligned m-major with set.models.
   MMM_ASSIGN_OR_RETURN(ModelSet set, manager_->update_approach()->RecoverCached(
                                          set_id, &adapter_, nullptr, nullptr));
   std::vector<Sha256Digest> hashes = KnownHashesOf(set_id);
   size_t layers_per_model = set.models.empty() ? 0 : set.models[0].size();
   if (hashes.size() != set.models.size() * layers_per_model) {
-    return Status::Internal("hash index out of sync for set ", set_id);
+    return Status::Internal("metadata memo out of sync for set ", set_id);
   }
 
   MutexLock pin_lock(pin_mu_);
@@ -180,7 +155,8 @@ Status ModelSetService::PinSet(const std::string& set_id) {
       // Pin in place if resident; otherwise admit pre-pinned so the entry
       // can never lose a race against eviction.
       if (!layer_cache_.Pin(hashes[i]) &&
-          !layer_cache_.Put(hashes[i], value, /*pinned=*/true)) {
+          !layer_cache_.Put(hashes[i], std::make_shared<const Tensor>(value),
+                            /*pinned=*/true)) {
         // Roll back every reference taken so far (a set may repeat a hash
         // when models share identical layer bytes).
         pinned_hash_refs_.erase(RawKey(hashes[i]));
@@ -308,15 +284,10 @@ void ModelSetService::InvalidateDeleted(
     std::vector<Sha256Digest> hashes;
     {
       MutexLock lock(meta_mu_);
-      auto hit = hash_index_.find(id);
-      if (hit != hash_index_.end()) {
-        hashes = std::move(hit->second);
-        hash_index_.erase(hit);
-      }
-      auto mit = meta_index_.find(id);
-      if (mit != meta_index_.end()) {
-        meta_lru_.erase(mit->second);
-        meta_index_.erase(mit);
+      auto it = meta_index_.find(id);
+      if (it != meta_index_.end()) {
+        hashes = Flatten(it->second->hashes);
+        meta_index_.erase(it);
       }
     }
     MutexLock pin_lock(pin_mu_);
@@ -334,9 +305,9 @@ void ModelSetService::InvalidateDeleted(
 std::vector<Sha256Digest> ModelSetService::KnownHashesOf(
     const std::string& set_id) {
   MutexLock lock(meta_mu_);
-  auto it = hash_index_.find(set_id);
-  if (it == hash_index_.end()) return {};
-  return it->second;
+  auto it = meta_index_.find(set_id);
+  if (it == meta_index_.end()) return {};
+  return Flatten(it->second->hashes);
 }
 
 void ModelSetService::Drain() {

@@ -1,7 +1,6 @@
 #ifndef MMM_SERVE_SERVICE_H_
 #define MMM_SERVE_SERVICE_H_
 
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,8 +29,6 @@ struct ModelSetServiceOptions {
   /// Layer-cache budget; capacity is enforced strictly (see LayerCache).
   uint64_t cache_capacity_bytes = 256ull << 20;
   size_t cache_shards = 8;
-  /// Entry bound of the per-set metadata memo (hash table + architecture).
-  size_t meta_cache_entries = 1024;
 };
 
 /// \brief Outcome of one served recovery request.
@@ -45,7 +42,9 @@ struct ServeResult {
   /// per-thread accumulator (SimulatedClock::ThreadNanos), and a request
   /// runs entirely on one worker.
   uint64_t modeled_store_nanos = 0;
-  /// Sets materialized, including recursively recovered bases.
+  /// Chain levels the recovery visited: the target, plus each ancestor
+  /// whose diff or snapshot blob the cached path read to resolve a miss
+  /// (on the uncached path, every set recursively recovered).
   uint64_t sets_walked = 0;
   /// Cache effectiveness of this request (all-zero on the uncached path).
   CacheRequestStats cache;
@@ -163,31 +162,23 @@ class ModelSetService {
 
  private:
   /// RecoveryCache view of the service handed to RecoverCached: layers go
-  /// to the sharded LayerCache, set metadata to the entry-bounded memo.
-  /// Under streaming recovery (DESIGN.md §12) PutLayer fires from inside
-  /// the blob decode — each finished layer is admitted while later models
-  /// of the same blob are still streaming, so a concurrent request for a
-  /// sibling set can hit layers of a recovery that has not returned yet.
-  /// Both calls are therefore concurrent across worker lanes; the sharded
-  /// cache and the metadata memo each take their own locks.
+  /// to the sharded LayerCache, set metadata to the per-set memo.
+  /// Calls are concurrent across worker lanes; the sharded cache and the
+  /// metadata memo each take their own locks, and both hand out shared
+  /// immutable values, so neither copies a tensor or a hash table under
+  /// its lock.
   class CacheAdapter : public RecoveryCache {
    public:
     explicit CacheAdapter(ModelSetService* service) : service_(service) {}
-    bool GetLayer(const Sha256Digest& hash, Tensor* out) override;
-    void PutLayer(const Sha256Digest& hash, const Tensor& value) override;
-    bool GetSetMeta(const std::string& set_id, HashTable* hashes,
-                    ArchitectureSpec* spec) override;
-    void PutSetMeta(const std::string& set_id, const HashTable& hashes,
-                    const ArchitectureSpec& spec) override;
+    std::shared_ptr<const Tensor> GetLayer(const Sha256Digest& hash) override;
+    void PutLayer(const Sha256Digest& hash,
+                  std::shared_ptr<const Tensor> value) override;
+    std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) override;
+    void PutSetMeta(const std::string& set_id,
+                    std::shared_ptr<const SetMeta> meta) override;
 
    private:
     ModelSetService* service_;
-  };
-
-  struct MetaEntry {
-    std::string set_id;
-    HashTable hashes;
-    ArchitectureSpec spec;
   };
 
   Result<ModelSet> RecoverLocked(const std::string& set_id, ServeResult* result)
@@ -202,7 +193,7 @@ class ModelSetService {
   /// layers a pinned set still needs.
   void InvalidateDeleted(const std::vector<std::string>& deleted_set_ids)
       MMM_EXCLUDES(meta_mu_, pin_mu_);
-  /// Flattened hashes of a set from the meta memo / hash index.
+  /// Flattened hashes of a set from the metadata memo (empty if unknown).
   std::vector<Sha256Digest> KnownHashesOf(const std::string& set_id)
       MMM_EXCLUDES(meta_mu_);
 
@@ -219,14 +210,11 @@ class ModelSetService {
   SharedMutex gate_ MMM_LOCK_RANK(70);
 
   mutable Mutex meta_mu_ MMM_LOCK_RANK(80);
-  /// Front = most recently used.
-  std::list<MetaEntry> meta_lru_ MMM_GUARDED_BY(meta_mu_);
-  std::unordered_map<std::string, std::list<MetaEntry>::iterator> meta_index_
-      MMM_GUARDED_BY(meta_mu_);
-  /// set id -> flattened layer hashes, kept past meta eviction so GC can
-  /// always invalidate a collected set's layers. One entry per set ever
-  /// served; pruned on deletion.
-  std::unordered_map<std::string, std::vector<Sha256Digest>> hash_index_
+  /// set id -> metadata memo (hash table + architecture), one entry per set
+  /// served, pruned when the set is deleted or rewritten. Besides saving
+  /// hash-blob reads, it is what lets the GC invalidate a collected set's
+  /// layers.
+  std::unordered_map<std::string, std::shared_ptr<const SetMeta>> meta_index_
       MMM_GUARDED_BY(meta_mu_);
 
   mutable Mutex pin_mu_ MMM_LOCK_RANK(90);

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/blob_formats.h"
 #include "core/manager.h"
+#include "core/set_codec.h"
 #include "serve/layer_cache.h"
 #include "serve/service.h"
 #include "serve/trace.h"
@@ -28,18 +33,22 @@ Sha256Digest DigestOf(uint8_t tag) {
   return d;
 }
 
+std::shared_ptr<const Tensor> Shared(const Tensor& t) {
+  return std::make_shared<const Tensor>(t);
+}
+
 // ---------------------------------------------------------------------------
 // LayerCache invariants.
 
 TEST(LayerCacheTest, RoundTripAndHitCounters) {
   LayerCache cache(1 << 20, /*shards=*/4);
   Tensor t = RandomTensor(Shape{16, 4}, 1);
-  Tensor out;
-  EXPECT_FALSE(cache.Get(DigestOf(1), &out));
-  EXPECT_TRUE(cache.Put(DigestOf(1), t));
-  EXPECT_FALSE(cache.Put(DigestOf(1), t));  // duplicate declined
-  EXPECT_TRUE(cache.Get(DigestOf(1), &out));
-  EXPECT_TRUE(out.Equals(t));
+  EXPECT_EQ(cache.Get(DigestOf(1)), nullptr);
+  EXPECT_TRUE(cache.Put(DigestOf(1), Shared(t)));
+  EXPECT_FALSE(cache.Put(DigestOf(1), Shared(t)));  // duplicate declined
+  std::shared_ptr<const Tensor> out = cache.Get(DigestOf(1));
+  ASSERT_NE(out, nullptr);
+  EXPECT_TRUE(out->Equals(t));
   LayerCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -54,7 +63,7 @@ TEST(LayerCacheTest, CapacityNeverExceeded) {
   // One shard so the budget is a single LRU; room for ~4 entries.
   LayerCache cache(charge * 4, /*shards=*/1);
   for (uint8_t i = 0; i < 100; ++i) {
-    cache.Put(DigestOf(i), t);
+    cache.Put(DigestOf(i), Shared(t));
     LayerCacheStats stats = cache.stats();
     ASSERT_LE(stats.bytes_used, cache.capacity_bytes());
     ASSERT_LE(stats.entries, 4u);
@@ -64,7 +73,7 @@ TEST(LayerCacheTest, CapacityNeverExceeded) {
   EXPECT_EQ(stats.evictions, 96u);
   // An entry larger than the whole budget is declined outright.
   Tensor huge = RandomTensor(Shape{1024}, 3);
-  EXPECT_FALSE(cache.Put(DigestOf(200), huge));
+  EXPECT_FALSE(cache.Put(DigestOf(200), Shared(huge)));
   EXPECT_LE(cache.stats().bytes_used, cache.capacity_bytes());
 }
 
@@ -72,30 +81,30 @@ TEST(LayerCacheTest, PinnedEntriesSurviveEvictionPressure) {
   Tensor t = RandomTensor(Shape{64}, 4);
   uint64_t charge = LayerCache::ChargeOf(t);
   LayerCache cache(charge * 3, /*shards=*/1);
-  ASSERT_TRUE(cache.Put(DigestOf(1), t, /*pinned=*/true));
-  ASSERT_TRUE(cache.Put(DigestOf(2), t));
+  ASSERT_TRUE(cache.Put(DigestOf(1), Shared(t), /*pinned=*/true));
+  ASSERT_TRUE(cache.Put(DigestOf(2), Shared(t)));
   ASSERT_TRUE(cache.Pin(DigestOf(2)));
-  for (uint8_t i = 10; i < 60; ++i) cache.Put(DigestOf(i), t);
+  for (uint8_t i = 10; i < 60; ++i) cache.Put(DigestOf(i), Shared(t));
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
   EXPECT_TRUE(cache.Contains(DigestOf(2)));
   ASSERT_LE(cache.stats().bytes_used, cache.capacity_bytes());
   // With only pinned entries left in budget, an oversized Put is declined,
   // never evicting a pinned entry.
   Tensor big = RandomTensor(Shape{140}, 5);
-  EXPECT_FALSE(cache.Put(DigestOf(99), big));
+  EXPECT_FALSE(cache.Put(DigestOf(99), Shared(big)));
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
   EXPECT_TRUE(cache.Contains(DigestOf(2)));
   // Unpinning releases them for eviction again.
   cache.Unpin(DigestOf(1));
   cache.Unpin(DigestOf(2));
-  for (uint8_t i = 60; i < 70; ++i) cache.Put(DigestOf(i), t);
+  for (uint8_t i = 60; i < 70; ++i) cache.Put(DigestOf(i), Shared(t));
   EXPECT_FALSE(cache.Contains(DigestOf(1)));
 }
 
 TEST(LayerCacheTest, InvalidateRemovesEvenPinned) {
   Tensor t = RandomTensor(Shape{8}, 6);
   LayerCache cache(1 << 20, /*shards=*/2);
-  ASSERT_TRUE(cache.Put(DigestOf(1), t, /*pinned=*/true));
+  ASSERT_TRUE(cache.Put(DigestOf(1), Shared(t), /*pinned=*/true));
   EXPECT_TRUE(cache.Invalidate(DigestOf(1)));
   EXPECT_FALSE(cache.Contains(DigestOf(1)));
   LayerCacheStats stats = cache.stats();
@@ -138,7 +147,9 @@ class ServeTest : public ::testing::Test {
  protected:
   ServeTest() : temp_("serve") {}
 
-  void OpenManager(UpdateApproachOptions update_options = {}) {
+  void OpenManager(UpdateApproachOptions update_options = {},
+                   Compression compression = Compression::kNone,
+                   bool cas = false) {
     ScenarioConfig config = ScenarioConfig::Battery(12);
     config.samples_per_dataset = 64;
     scenario_ = std::make_unique<MultiModelScenario>(config);
@@ -147,6 +158,8 @@ class ServeTest : public ::testing::Test {
     options.root_dir = temp_.path() + "/store";
     options.resolver = scenario_.get();
     options.update_options = update_options;
+    options.blob_compression = compression;
+    options.cas.enabled = cas;
     // Modeled store latency on, so per-request cost comparisons are
     // meaningful (the clock is simulated — no real waiting).
     options.profile = SetupProfile::Server();
@@ -270,8 +283,10 @@ TEST_F(ServeTest, CacheOffSingleWorkerMatchesDirectRecover) {
   }
 }
 
-// Exact hit accounting at one worker: a repeated request probes every layer
-// and hits all of them, serving the set without a single file-store read.
+// Exact hit accounting at one worker. A cold request probes each layer of
+// the requested set once; a repeated request hits all of them and serves the
+// set without a single file-store read; the base, recovered next, hits
+// exactly the layers it shares with the head (ancestors are not admitted).
 TEST_F(ServeTest, WarmCacheHitCountersAreExact) {
   OpenManager();
   std::string base_id = Save(ApproachType::kUpdate, nullptr);
@@ -280,13 +295,14 @@ TEST_F(ServeTest, WarmCacheHitCountersAreExact) {
   size_t layers = TotalLayers(expected_[head_id]);
 
   ModelSetService service(manager_.get(), ModelSetServiceOptions{});
-  // Cold request: every probed layer misses (head + base are both walked).
+  // Cold request: each of the head's layers misses once; the walk reads the
+  // head's diff, then the base's snapshot for what the diff lacks.
   ServeResult cold;
   ASSERT_OK_AND_ASSIGN(ModelSet first, service.Recover(head_id, &cold));
   ExpectSetEquals(first, expected_[head_id]);
   EXPECT_EQ(cold.cache.layer_hits, 0u);
-  EXPECT_EQ(cold.cache.layer_misses, 2 * layers);  // head + its base
-  EXPECT_EQ(cold.cache.meta_misses, 2u);
+  EXPECT_EQ(cold.cache.layer_misses, layers);
+  EXPECT_EQ(cold.cache.meta_misses, 1u);
   EXPECT_EQ(cold.sets_walked, 2u);
 
   // Warm request: all layers hit, zero file-store reads, strictly cheaper.
@@ -304,14 +320,63 @@ TEST_F(ServeTest, WarmCacheHitCountersAreExact) {
   EXPECT_EQ(delta.bytes_read, 0u);
   EXPECT_LT(warm.modeled_store_nanos, cold.modeled_store_nanos);
 
-  // Sibling sharing: the base set's unchanged layers are already resident,
-  // so its first recovery hits on every layer too (the hash table is the
-  // only store read left besides documents).
+  // Sibling sharing: the base's layers that the head kept are resident
+  // under the same content hashes and hit; the ones the head changed miss
+  // and come from the base's snapshot.
+  HashTable head_hashes = ComputeHashTable(expected_[head_id]);
+  std::set<std::string> resident;
+  for (const auto& row : head_hashes) {
+    for (const Sha256Digest& hash : row) resident.insert(hash.ToHex());
+  }
+  size_t shared = 0;
+  for (const auto& row : ComputeHashTable(expected_[base_id])) {
+    for (const Sha256Digest& hash : row) shared += resident.count(hash.ToHex());
+  }
+  ASSERT_GT(shared, 0u);
+  ASSERT_LT(shared, layers);
   ServeResult base_result;
   ASSERT_OK_AND_ASSIGN(ModelSet base, service.Recover(base_id, &base_result));
   ExpectSetEquals(base, expected_[base_id]);
-  EXPECT_EQ(base_result.cache.layer_hits, layers);
-  EXPECT_EQ(base_result.cache.sets_from_cache, 1u);
+  EXPECT_EQ(base_result.cache.layer_hits, shared);
+  EXPECT_EQ(base_result.cache.layer_misses, layers - shared);
+  EXPECT_EQ(base_result.cache.sets_from_cache, 0u);
+  EXPECT_EQ(base_result.sets_walked, 1u);
+}
+
+// Recovering the head after its base reads the head's diff blob and no
+// parameter blob: the base's snapshot already put every shared layer in the
+// cache, and the head's diff holds every layer it changed.
+TEST_F(ServeTest, HeadAfterBaseReadsOnlyItsDiff) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  std::string head_id = Save(ApproachType::kUpdate, &update);
+
+  ModelSetService service(manager_.get(), ModelSetServiceOptions{});
+  ASSERT_OK(service.Recover(base_id).status());
+  StoreStats before = manager_->file_store()->stats();
+  ServeResult result;
+  ASSERT_OK_AND_ASSIGN(ModelSet head, service.Recover(head_id, &result));
+  StoreStats delta = manager_->file_store()->stats() - before;
+  ExpectSetEquals(head, expected_[head_id]);
+  EXPECT_GT(result.cache.layer_hits, 0u);
+  EXPECT_GT(result.cache.layer_misses, 0u);
+  EXPECT_EQ(result.sets_walked, 1u);
+
+  // Three blob reads: the head's hash table and the root's architecture
+  // (the head's metadata memo missed), then the head's diff.
+  ASSERT_OK_AND_ASSIGN(SetDocument head_doc,
+                       FetchSetDocument(manager_->context(), head_id));
+  ASSERT_OK_AND_ASSIGN(SetDocument base_doc,
+                       FetchSetDocument(manager_->context(), base_id));
+  FileStore* files = manager_->file_store();
+  ASSERT_OK_AND_ASSIGN(uint64_t hash_bytes, files->Size(head_doc.hash_blob));
+  ASSERT_OK_AND_ASSIGN(uint64_t arch_bytes, files->Size(base_doc.arch_blob));
+  ASSERT_OK_AND_ASSIGN(uint64_t diff_bytes, files->Size(head_doc.diff_blob));
+  ASSERT_OK_AND_ASSIGN(uint64_t param_bytes, files->Size(base_doc.param_blob));
+  EXPECT_EQ(delta.read_ops, 3u);
+  EXPECT_EQ(delta.bytes_read, hash_bytes + arch_bytes + diff_bytes);
+  EXPECT_LT(delta.bytes_read, param_bytes);
 }
 
 // Pinned sets survive arbitrary eviction pressure; pin bookkeeping is
@@ -655,6 +720,254 @@ TEST_F(ServeTest, PerRequestModeledCostExactUnderConcurrency) {
         << "request " << i << " set " << trace[i];
     EXPECT_EQ(runs[0][i].sets_walked, runs[1][i].sets_walked);
   }
+}
+
+// A corrupt blob never poisons the layer cache. One byte of the base
+// snapshot's parameter blob is flipped inside a layer the head shares with
+// it. Recovering the base fails with Corruption and leaves no layer of that
+// blob in the cache (layers are admitted only after their blob's CRC
+// passed), so the head, recovered next, cannot be assembled from the
+// flipped layer: it ends in Corruption or in bit-exact bytes.
+TEST_F(ServeTest, CorruptBlobNeverPoisonsTheCache) {
+  struct Arm {
+    const char* name;
+    Compression compression;
+    bool cas;
+  };
+  for (const Arm& arm : {Arm{"raw", Compression::kNone, false},
+                         Arm{"lz", Compression::kLz, false},
+                         Arm{"cas", Compression::kNone, true}}) {
+    SCOPED_TRACE(arm.name);
+    manager_.reset();
+    heads_.clear();
+    expected_.clear();
+    std::filesystem::remove_all(temp_.path() + "/store");
+    OpenManager({}, arm.compression, arm.cas);
+    std::string base_id = Save(ApproachType::kUpdate, nullptr);
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+    std::string head_id = Save(ApproachType::kUpdate, &update);
+
+    // The largest layer the head kept unchanged from the base.
+    const ModelSet& base = expected_[base_id];
+    const ModelSet& head = expected_[head_id];
+    const Tensor* victim = nullptr;
+    for (size_t m = 0; m < base.models.size(); ++m) {
+      for (size_t p = 0; p < base.models[m].size(); ++p) {
+        const Tensor& t = base.models[m][p].second;
+        if (t.Equals(head.models[m][p].second) &&
+            (victim == nullptr || t.numel() > victim->numel())) {
+          victim = &t;
+        }
+      }
+    }
+    ASSERT_NE(victim, nullptr);
+    ASSERT_GE(victim->numel(), 8u);
+    // Stored files hold a shared layer's floats verbatim: raw blobs and CAS
+    // chunks byte for byte, LZ blobs as literals (trained weights do not
+    // compress). Flip a byte inside the first 16-byte window of the layer
+    // that occurs exactly once across the store's blobs.
+    const auto* bytes = reinterpret_cast<const char*>(victim->data().data());
+    const size_t layer_bytes = victim->numel() * sizeof(float);
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             temp_.path() + "/store/blobs")) {
+      if (entry.is_regular_file()) files.push_back(entry.path().string());
+    }
+    std::string flipped_file;
+    for (size_t at = 0; at + 16 <= layer_bytes && flipped_file.empty();
+         at += 16) {
+      const std::string window(bytes + at, 16);
+      std::vector<std::pair<std::string, size_t>> hits;
+      for (const std::string& file : files) {
+        std::ifstream in(file, std::ios::binary);
+        std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+        for (size_t pos = content.find(window); pos != std::string::npos;
+             pos = content.find(window, pos + 1)) {
+          hits.emplace_back(file, pos);
+        }
+      }
+      if (hits.size() != 1) continue;
+      std::fstream io(hits[0].first,
+                      std::ios::binary | std::ios::in | std::ios::out);
+      io.seekg(static_cast<std::streamoff>(hits[0].second + 8));
+      char c = 0;
+      io.get(c);
+      io.seekp(static_cast<std::streamoff>(hits[0].second + 8));
+      io.put(static_cast<char>(c ^ 0x01));
+      flipped_file = hits[0].first;
+    }
+    ASSERT_FALSE(flipped_file.empty()) << "no stored copy of the layer found";
+
+    ModelSetService service(manager_.get(), ModelSetServiceOptions{});
+    Result<ModelSet> base_result = service.Recover(base_id);
+    ASSERT_TRUE(base_result.status().IsCorruption())
+        << base_result.status().ToString();
+    EXPECT_EQ(service.cache_stats().entries, 0u);
+    EXPECT_EQ(service.cache_stats().inserts, 0u);
+
+    Result<ModelSet> head_result = service.Recover(head_id);
+    if (head_result.ok()) {
+      ExpectSetEquals(head_result.ValueOrDie(), head);
+    } else {
+      EXPECT_TRUE(head_result.status().IsCorruption())
+          << head_result.status().ToString();
+    }
+  }
+}
+
+// Cached-vs-direct parity. Both diff encodings x compression {none, LZ} x
+// CAS {off, on}, over a chain 4 deltas deep, through caches of 0, 0.3x and
+// 2x one set, replaying a seeded random order at workers 1 and 4: every
+// served set is bit-exact with ModelSetManager::Recover. At 0.3x, entries
+// are evicted while other workers still hold them (a TSan target).
+TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
+  for (DiffEncoding encoding : {DiffEncoding::kAbsolute, DiffEncoding::kXorBase}) {
+    for (Compression compression : {Compression::kNone, Compression::kLz}) {
+      for (bool cas : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "xor=" << (encoding == DiffEncoding::kXorBase)
+                     << " lz=" << (compression == Compression::kLz)
+                     << " cas=" << cas);
+        TempDir dir("serve-parity");
+        ModelSetManager::Options options;
+        options.root_dir = dir.path() + "/store";
+        options.update_options.diff_encoding = encoding;
+        options.blob_compression = compression;
+        options.cas.enabled = cas;
+        ASSERT_OK_AND_ASSIGN(std::unique_ptr<ModelSetManager> manager,
+                             ModelSetManager::Open(options));
+
+        // Each version changes a random subset of layers: nudged, zeroed
+        // (so layers repeat within and across sets) or negated.
+        Rng rng(23);
+        ASSERT_OK_AND_ASSIGN(ModelSet set,
+                             MakeInitializedSet(Ffnn48Spec(), 8, /*seed=*/5));
+        ASSERT_OK_AND_ASSIGN(SaveResult saved,
+                             manager->SaveInitial(ApproachType::kUpdate, set));
+        std::vector<std::string> ids{saved.set_id};
+        for (int version = 0; version < 4; ++version) {
+          ModelSet base = set;
+          for (size_t k = 0, n = 3 + rng.NextBounded(10); k < n; ++k) {
+            StateDict& model = set.models[rng.NextBounded(set.models.size())];
+            Tensor& tensor = model[rng.NextBounded(model.size())].second;
+            switch (rng.NextBounded(3)) {
+              case 0:
+                tensor.at(rng.NextBounded(tensor.numel())) += 0.25f;
+                break;
+              case 1:
+                tensor.Fill(0.0f);
+                break;
+              default:
+                for (float& x : tensor.mutable_data()) x = -x;
+                break;
+            }
+          }
+          ModelSetUpdateInfo update;
+          update.base_set_id = ids.back();
+          update.base_set = &base;
+          ASSERT_OK_AND_ASSIGN(
+              saved, manager->SaveDerived(ApproachType::kUpdate, set, update));
+          ids.push_back(saved.set_id);
+        }
+        std::map<std::string, ModelSet> direct;
+        for (const std::string& id : ids) {
+          ASSERT_OK_AND_ASSIGN(direct[id], manager->Recover(id));
+        }
+        ExpectSetEquals(direct[ids.back()], set);
+
+        std::vector<std::string> trace;
+        for (int i = 0; i < 24; ++i) {
+          trace.push_back(ids[rng.NextBounded(ids.size())]);
+        }
+        const uint64_t set_bytes = SetChargeBytes(set);
+        for (uint64_t capacity : {uint64_t{0}, set_bytes * 3 / 10, 2 * set_bytes}) {
+          for (size_t workers : {size_t{1}, size_t{4}}) {
+            SCOPED_TRACE(::testing::Message() << "capacity=" << capacity
+                                              << " workers=" << workers);
+            ModelSetServiceOptions service_options;
+            service_options.workers = workers;
+            service_options.cache_capacity_bytes = capacity;
+            ModelSetService service(manager.get(), service_options);
+            std::vector<ModelSet> recovered;
+            std::vector<ServeResult> results = service.Replay(trace, &recovered);
+            for (size_t i = 0; i < trace.size(); ++i) {
+              ASSERT_OK(results[i].status);
+              ExpectSetEquals(recovered[i], direct[trace[i]]);
+            }
+            EXPECT_LE(service.cache_stats().bytes_used, capacity);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Corrupted chains fail cleanly on both read paths. Two planted delta
+// documents whose base_set_ids point at each other end in Corruption within
+// chain_depth + 1 fetches of the chain's documents; a diff entry whose model
+// index is out of range ends in Corruption through the cached path too.
+TEST_F(ServeTest, CorruptedChainsFailCleanlyOnBothPaths) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  std::string head_id = Save(ApproachType::kUpdate, &update);
+  const StoreContext& context = manager_->context();
+  ASSERT_OK_AND_ASSIGN(SetDocument head_doc, FetchSetDocument(context, head_id));
+
+  SetDocument a = head_doc;
+  a.id = "set-cycle-a";
+  a.base_set_id = "set-cycle-b";
+  SetDocument b = head_doc;
+  b.id = "set-cycle-b";
+  b.base_set_id = "set-cycle-a";
+  ASSERT_OK(InsertSetDocument(context, a));
+  ASSERT_OK(InsertSetDocument(context, b));
+  const uint64_t budget = a.chain_depth + 1;
+  DocumentStore* docs = manager_->doc_store();
+
+  // The approach itself fetches at most chain_depth + 1 documents; the
+  // manager and the service each add one fetch up front to learn the
+  // set's approach.
+  uint64_t before = docs->stats().read_ops;
+  Result<ModelSet> walked = manager_->update_approach()->Recover(a.id);
+  EXPECT_TRUE(walked.status().IsCorruption()) << walked.status().ToString();
+  EXPECT_LE(docs->stats().read_ops - before, budget);
+
+  before = docs->stats().read_ops;
+  Result<ModelSet> direct = manager_->Recover(a.id);
+  EXPECT_TRUE(direct.status().IsCorruption()) << direct.status().ToString();
+  EXPECT_NE(direct.status().ToString().find("cycle"), std::string::npos);
+  EXPECT_LE(docs->stats().read_ops - before, budget + 1);
+
+  ModelSetService service(manager_.get(), ModelSetServiceOptions{});
+  before = docs->stats().read_ops;
+  Result<ModelSet> served = service.Recover(a.id);
+  EXPECT_TRUE(served.status().IsCorruption()) << served.status().ToString();
+  EXPECT_NE(served.status().ToString().find("cycle"), std::string::npos);
+  EXPECT_LE(docs->stats().read_ops - before, budget + 1);
+
+  // A diff whose one entry names model num_models. It is encoded from the
+  // head plus one extra model, so the blob itself decodes cleanly.
+  ModelSet wider = expected_[head_id];
+  wider.models.push_back(wider.models.back());
+  std::vector<DiffEntry> entries{
+      {static_cast<uint32_t>(head_doc.num_models), 0}};
+  SetDocument oob = head_doc;
+  oob.id = "set-oob";
+  oob.diff_blob = "set-oob.diff.bin";
+  ASSERT_OK(manager_->file_store()->Put(oob.diff_blob,
+                                        EncodeDiffBlob(wider, entries)));
+  ASSERT_OK(InsertSetDocument(context, oob));
+  Result<ModelSet> oob_direct = manager_->Recover(oob.id);
+  EXPECT_TRUE(oob_direct.status().IsCorruption())
+      << oob_direct.status().ToString();
+  ModelSetService cold_service(manager_.get(), ModelSetServiceOptions{});
+  Result<ModelSet> oob_served = cold_service.Recover(oob.id);
+  EXPECT_TRUE(oob_served.status().IsCorruption())
+      << oob_served.status().ToString();
+  EXPECT_NE(oob_served.status().ToString().find("out of range"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -185,8 +185,7 @@ TEST(StreamRecoveryTest, BitExactThroughServiceWorkers) {
   TempDir dir("stream-workers");
   StoreFixture fixture = BuildStore(dir.path() + "/store", Env::Default(),
                                     /*cas_enabled=*/false, Compression::kNone);
-  // Replay the Update chain (the only approach with the cached path that
-  // admits layers early under streaming).
+  // Replay every saved set; Update sets take the cached path.
   std::vector<std::string> trace;
   for (const std::string& id : fixture.ids) trace.push_back(id);
 
@@ -223,8 +222,8 @@ TEST(StreamRecoveryTest, BitExactThroughServiceWorkers) {
   }
 }
 
-/// Streaming admits each finished layer to the LayerCache while the blob is
-/// still in flight; a warm replay must therefore hit the cache and still be
+/// A streamed recovery admits its layers to the LayerCache once the blob's
+/// CRC has passed; a warm replay must therefore hit the cache and still be
 /// bit-exact.
 TEST(StreamRecoveryTest, EarlyLayerAdmissionFillsCache) {
   TempDir dir("stream-cache");
@@ -250,8 +249,8 @@ TEST(StreamRecoveryTest, EarlyLayerAdmissionFillsCache) {
   service_options.cache_capacity_bytes = 256ull * 1024 * 1024;
   ModelSetService service(manager.get(), service_options);
 
-  // Cold pass populates the cache from inside the streaming decode; the
-  // warm pass must take layer hits.
+  // Cold pass populates the cache after each verified streaming decode;
+  // the warm pass must take layer hits.
   std::vector<ModelSet> cold_sets;
   std::vector<ServeResult> cold = service.Replay(chain, &cold_sets);
   for (const ServeResult& r : cold) ASSERT_TRUE(r.status.ok());
