@@ -32,6 +32,29 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(1 << 10)->Arg(20 << 10)->Arg(1 << 20);
 
+void BM_Sha256HashMany(benchmark::State& state) {
+  // One FFNN-48 layer across a 500-model set, as ComputeHashTable batches
+  // it: 500 equal-length streams of 768 B (fc1's 4x48 weight) or 9,216 B
+  // (a 48x48 hidden weight).
+  constexpr size_t kStreams = 500;
+  const size_t length = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> data(kStreams * length);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + (i >> 9));
+  }
+  std::vector<const uint8_t*> streams(kStreams);
+  for (size_t m = 0; m < kStreams; ++m) streams[m] = data.data() + m * length;
+  std::vector<Sha256Digest> digests(kStreams);
+  for (auto _ : state) {
+    Sha256HashMany(streams.data(), length, kStreams, digests.data());
+    benchmark::DoNotOptimize(digests.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kStreams * length));
+}
+BENCHMARK(BM_Sha256HashMany)->Arg(768)->Arg(9216);
+
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0x5a);
   for (auto _ : state) {

@@ -47,13 +47,23 @@ class CasBatchSession : public CasWriteSession {
     manifest.raw_size = data->size();
     manifest.raw_crc = Crc32::Compute(*data);
     const std::vector<ChunkSpan> spans = ChunkBlob(*data, options);
+    // Hash before locking: the digests need no shared state, and GC,
+    // audits and other sessions would otherwise wait out ~10 MB of SHA-256.
+    std::vector<std::string> hexes;
+    hexes.reserve(spans.size());
+    for (const ChunkSpan& span : spans) {
+      hexes.push_back(Sha256::Hash(std::span<const uint8_t>(
+                                       data->data() + span.offset, span.length))
+                          .ToHex());
+    }
 
     MutexLock lock(store_->mu_);
     // Overwriting a previously chunked blob retires the old version's refs.
     RecordRetireLocked(name);
-    for (const ChunkSpan& span : spans) {
+    for (size_t c = 0; c < spans.size(); ++c) {
+      const ChunkSpan& span = spans[c];
+      const std::string& hex = hexes[c];
       std::span<const uint8_t> bytes(data->data() + span.offset, span.length);
-      const std::string hex = Sha256::Hash(bytes).ToHex();
       manifest.chunks.push_back({hex, span.length});
       increments_[hex] += 1;
       chunk_bytes_[hex] = span.length;

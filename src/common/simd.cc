@@ -1,11 +1,13 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
 #include "common/env_config.h"
 
 #if defined(__x86_64__)
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -13,23 +15,42 @@ namespace mmm {
 
 namespace {
 
+#if defined(__x86_64__)
+// AVX-512 instructions fault unless the OS saves the opmask and ZMM
+// registers on context switch: XCR0 bits 1-2 (SSE/AVX) and 5-7 (opmask,
+// ZMM0-15 upper halves, ZMM16-31) must all be set.
+bool OsSavesZmmState() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_OSXSAVE) == 0) return false;
+  unsigned xcr0_lo = 0, xcr0_hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+  const uint64_t xcr0 = (uint64_t{xcr0_hi} << 32) | xcr0_lo;
+  return (xcr0 & 0xE6) == 0xE6;
+}
+#endif
+
 SimdLevel DetectSimdLevel() {
 #if defined(__x86_64__)
   SimdLevel best = SimdLevel::kSse2;  // baseline for every x86-64 CPU
-#if defined(__GNUC__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) best = SimdLevel::kAvx2;
-#endif
+  if (best == SimdLevel::kAvx2 && __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") && OsSavesZmmState()) {
+    best = SimdLevel::kAvx512;
+  }
 #else
   SimdLevel best = SimdLevel::kScalar;
 #endif
-  // MMM_SIMD clamps downward only: tests pin "scalar"/"sse2" to prove
-  // bit-exactness across levels; asking for more than the CPU has keeps
-  // the best supported level.
+  // MMM_SIMD clamps downward only: tests pin "scalar"/"sse2"/"avx2" to
+  // prove bit-exactness across levels; asking for more than the CPU has
+  // keeps the best supported level.
   const std::string want = GetEnvString("MMM_SIMD", "");
-  if (want == "scalar") return SimdLevel::kScalar;
-  if (want == "sse2" && best > SimdLevel::kSse2) return SimdLevel::kSse2;
-  return best;
+  SimdLevel cap = best;
+  if (want == "scalar") cap = SimdLevel::kScalar;
+  if (want == "sse2") cap = SimdLevel::kSse2;
+  if (want == "avx2") cap = SimdLevel::kAvx2;
+  return std::min(best, cap);
 }
 
 }  // namespace
@@ -42,6 +63,8 @@ const char* SimdLevelName(SimdLevel level) {
       return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -107,6 +130,7 @@ __attribute__((target("avx2"))) void XorBytesAvx2(uint8_t* dst,
 void XorBytes(uint8_t* dst, const uint8_t* src, size_t n) {
 #if defined(__x86_64__)
   switch (ActiveSimdLevel()) {
+    case SimdLevel::kAvx512:
     case SimdLevel::kAvx2:
       XorBytesAvx2(dst, src, n);
       return;

@@ -18,18 +18,21 @@ namespace mmm {
 /// CRCs, or recovered tensors.
 ///
 /// Dispatch policy: the active level is detected once per process from
-/// CPUID (AVX2 > SSE2 > scalar; non-x86 builds are always scalar) and can
-/// be clamped down with the MMM_SIMD environment variable ("scalar",
-/// "sse2", "avx2") — requesting a level the CPU lacks falls back to the
-/// best supported one. The primitives are small enough that per-call
-/// dispatch is a single relaxed atomic load.
+/// CPUID (AVX-512 > AVX2 > SSE2 > scalar; non-x86 builds are always
+/// scalar) and can be clamped down with the MMM_SIMD environment variable
+/// ("scalar", "sse2", "avx2", "avx512") — requesting a level the CPU lacks
+/// falls back to the best supported one. The primitives are small enough
+/// that per-call dispatch is a single relaxed atomic load. Levels are
+/// ordered, so a kernel for level L serves every level >= L.
 enum class SimdLevel {
   kScalar = 0,
   kSse2 = 1,
   kAvx2 = 2,
+  kAvx512 = 3,  // AVX-512 F + BW with ZMM state enabled by the OS
 };
 
-/// Human-readable level name ("scalar", "sse2", "avx2") for bench metadata.
+/// Human-readable level name ("scalar", "sse2", "avx2", "avx512") for bench
+/// metadata.
 const char* SimdLevelName(SimdLevel level);
 
 /// The level the process dispatches to: min(CPU support, MMM_SIMD clamp).

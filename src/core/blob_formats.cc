@@ -344,7 +344,7 @@ HashTable ComputeHashTable(const ModelSet& set, Executor* executor) {
   // compose. Any model whose layer count or layer byte-size diverges from
   // the group (impossible for a consistent set, cheap to guard) falls back
   // to the scalar per-tensor hash.
-  constexpr size_t kGroup = 8;  // widest lane count (AVX2)
+  constexpr size_t kGroup = kSha256MaxLanes;
   const size_t num_groups = (num_models + kGroup - 1) / kGroup;
   auto hash_group = [&](size_t g) {
     const size_t begin = g * kGroup;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -144,6 +145,134 @@ TEST(Crc32Test, ChainedExtendAcrossFoldBoundaries) {
     }
   }
 }
+
+// Plain FIPS 180-4, one padded message at a time: independent of the
+// SHA-NI path Sha256::Hash and Update take and of every multi-lane kernel.
+Sha256Digest ReferenceSha256(std::span<const uint8_t> data) {
+  static constexpr uint32_t kK[64] = {
+      0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+      0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+      0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+      0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+      0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+      0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+      0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+      0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+      0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+      0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+      0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+  auto rotr = [](uint32_t x, int n) { return (x >> n) | (x << (32 - n)); };
+  std::vector<uint8_t> msg(data.begin(), data.end());
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0);
+  const uint64_t bits = uint64_t{data.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    msg.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  uint32_t hash[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (size_t block = 0; block < msg.size(); block += 64) {
+    uint32_t w[64];
+    for (int t = 0; t < 16; ++t) {
+      const uint8_t* p = msg.data() + block + 4 * t;
+      w[t] = (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) |
+             (uint32_t{p[2]} << 8) | uint32_t{p[3]};
+    }
+    for (int t = 16; t < 64; ++t) {
+      const uint32_t s0 =
+          rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
+      const uint32_t s1 =
+          rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
+      w[t] = w[t - 16] + s0 + w[t - 7] + s1;
+    }
+    uint32_t v[8];
+    std::copy(hash, hash + 8, v);
+    for (int t = 0; t < 64; ++t) {
+      const uint32_t e = v[4];
+      const uint32_t a = v[0];
+      const uint32_t t1 = v[7] + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) +
+                          ((e & v[5]) ^ (~e & v[6])) + kK[t] + w[t];
+      const uint32_t t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) +
+                          ((a & v[1]) ^ (a & v[2]) ^ (v[1] & v[2]));
+      std::copy_backward(v, v + 7, v + 8);
+      v[4] += t1;
+      v[0] = t1 + t2;
+    }
+    for (int i = 0; i < 8; ++i) hash[i] += v[i];
+  }
+  Sha256Digest digest;
+  for (int i = 0; i < 32; ++i) {
+    digest.bytes[i] = static_cast<uint8_t>(hash[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+// Every length through four blocks: each padding shape (one or two final
+// blocks, the 55/56-byte boundary) after 0-3 whole blocks.
+TEST(Sha256Test, HashMatchesReferenceAtEveryLength) {
+  Rng rng(31);
+  const std::vector<uint8_t> data = RandomBytes(&rng, 256);
+  for (size_t length = 0; length <= data.size(); ++length) {
+    const std::span<const uint8_t> span(data.data(), length);
+    ASSERT_EQ(Sha256::Hash(span), ReferenceSha256(span)) << "length " << length;
+  }
+}
+
+// Update splits around the bulk path: an odd lead-in leaves the byte buffer
+// part full, then every chunk size 1-130 feeds the rest from an odd address,
+// so whole-block bulk calls run both from an empty buffer and right after a
+// buffer flush.
+TEST(Sha256Test, UpdateSplitsMatchReference) {
+  Rng rng(77);
+  const std::vector<uint8_t> storage = RandomBytes(&rng, 4096 + 1);
+  const std::span<const uint8_t> data(storage.data() + 1, 4096);
+  const Sha256Digest expected = ReferenceSha256(data);
+  for (size_t lead : {1, 3, 63}) {
+    for (size_t chunk = 1; chunk <= 130; ++chunk) {
+      Sha256 hasher;
+      hasher.Update(data.subspan(0, lead));
+      for (size_t offset = lead; offset < data.size(); offset += chunk) {
+        hasher.Update(
+            data.subspan(offset, std::min(chunk, data.size() - offset)));
+      }
+      ASSERT_EQ(hasher.Finish(), expected)
+          << "lead " << lead << " chunk " << chunk;
+    }
+  }
+}
+
+class Sha256HashManySweep : public ::testing::TestWithParam<size_t> {};
+
+// Counts 1-40 reach every lane width's batches and remainders (16, 8 and 4
+// lanes, then single streams). Each stream is its own allocation at a
+// distinct misaligned offset that ends exactly `length` bytes later, so a
+// kernel reading past a stream's end trips ASan.
+TEST_P(Sha256HashManySweep, MatchesReference) {
+  const size_t length = GetParam();
+  constexpr size_t kMaxCount = 40;
+  Rng rng(400 + length);
+  std::vector<std::vector<uint8_t>> buffers(kMaxCount);
+  std::vector<const uint8_t*> streams(kMaxCount);
+  std::vector<Sha256Digest> expected(kMaxCount);
+  for (size_t s = 0; s < kMaxCount; ++s) {
+    const size_t offset = 1 + (s * 5) % 63;
+    buffers[s] = RandomBytes(&rng, offset + length);
+    streams[s] = buffers[s].data() + offset;
+    expected[s] = ReferenceSha256({streams[s], length});
+  }
+  for (size_t count = 1; count <= kMaxCount; ++count) {
+    std::vector<Sha256Digest> digests(count);
+    Sha256HashMany(streams.data(), length, count, digests.data());
+    for (size_t s = 0; s < count; ++s) {
+      ASSERT_EQ(digests[s], expected[s])
+          << "count " << count << " stream " << s;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, Sha256HashManySweep,
+                         ::testing::Values(0, 1, 55, 56, 63, 64, 65, 119, 120,
+                                           128, 192, 768, 9216));
 
 }  // namespace
 }  // namespace mmm
