@@ -1,5 +1,6 @@
 #include "cas/blob_io.h"
 
+#include <algorithm>
 #include <map>
 
 #include "serialize/compress.h"
@@ -9,39 +10,84 @@ namespace mmm {
 
 namespace {
 
-/// Fetches a manifest's chunks and reassembles the payload, verifying size
-/// and CRC. Repeated chunks within one manifest are fetched once.
+using ChunkFn = std::function<Status(std::span<const uint8_t>)>;
+
+Status CheckChunkSize(const std::string& name, const CasChunkRef& ref,
+                      uint64_t size) {
+  if (size == ref.length) return Status::OK();
+  return Status::Corruption("blob '", name, "' chunk ", ref.hash_hex, " has ",
+                            size, " bytes, manifest records ", ref.length);
+}
+
+/// Reads one chunk a manifest names with a single store Get (one
+/// Env::ReadFile) and checks its size against the manifest.
+Result<std::vector<uint8_t>> ReadChunk(FileStore* store,
+                                       const std::string& name,
+                                       const CasChunkRef& ref) {
+  auto chunk = store->Get(ChunkBlobName(ref.hash_hex));
+  if (!chunk.ok()) {
+    return chunk.status().WithContext("blob '", name, "' chunk ",
+                                      ref.hash_hex);
+  }
+  MMM_RETURN_NOT_OK(CheckChunkSize(name, ref, chunk.ValueOrDie().size()));
+  return chunk;
+}
+
+/// Hands the chunks of `manifest` to `on_chunk` in manifest order and
+/// verifies the reassembled size and CRC against it. Each distinct chunk
+/// is read from the store once; a chunk that repeats later in the manifest
+/// is retained until its last use, so peak buffering is bounded by the
+/// duplicated chunks, not the blob.
+Status ReassembleChunks(FileStore* store, const std::string& name,
+                        const CasManifest& manifest, const ChunkFn& on_chunk) {
+  std::map<std::string, size_t> uses;
+  for (const CasChunkRef& ref : manifest.chunks) ++uses[ref.hash_hex];
+  std::map<std::string, std::vector<uint8_t>> retained;
+
+  uint64_t total = 0;
+  uint32_t crc = 0;
+  for (const CasChunkRef& ref : manifest.chunks) {
+    const size_t remaining_uses = --uses[ref.hash_hex];
+    auto it = retained.find(ref.hash_hex);
+    std::vector<uint8_t> fetched;
+    std::span<const uint8_t> bytes;
+    if (it != retained.end()) {
+      MMM_RETURN_NOT_OK(CheckChunkSize(name, ref, it->second.size()));
+      bytes = it->second;
+    } else {
+      MMM_ASSIGN_OR_RETURN(fetched, ReadChunk(store, name, ref));
+      bytes = fetched;
+    }
+    total += bytes.size();
+    crc = Crc32::Extend(crc, bytes);
+    MMM_RETURN_NOT_OK(on_chunk(bytes));
+    if (it == retained.end() && remaining_uses > 0) {
+      retained.emplace(ref.hash_hex, std::move(fetched));
+    } else if (it != retained.end() && remaining_uses == 0) {
+      retained.erase(it);
+    }
+  }
+  if (total != manifest.raw_size) {
+    return Status::Corruption("blob '", name, "' reassembled to ", total,
+                              " bytes, manifest records ", manifest.raw_size);
+  }
+  if (crc != manifest.raw_crc) {
+    return Status::Corruption("blob '", name,
+                              "' fails its manifest crc after reassembly");
+  }
+  return Status::OK();
+}
+
 Result<std::vector<uint8_t>> Reassemble(FileStore* store,
                                         const std::string& name,
                                         const CasManifest& manifest) {
   std::vector<uint8_t> out;
   out.reserve(manifest.raw_size);
-  std::map<std::string, std::vector<uint8_t>> fetched;
-  for (const CasChunkRef& ref : manifest.chunks) {
-    auto it = fetched.find(ref.hash_hex);
-    if (it == fetched.end()) {
-      auto chunk = store->Get(ChunkBlobName(ref.hash_hex));
-      if (!chunk.ok()) {
-        return chunk.status().WithContext("blob '", name, "' chunk ",
-                                          ref.hash_hex);
-      }
-      it = fetched.emplace(ref.hash_hex, std::move(chunk).ValueOrDie()).first;
-    }
-    if (it->second.size() != ref.length) {
-      return Status::Corruption("blob '", name, "' chunk ", ref.hash_hex,
-                                " has ", it->second.size(),
-                                " bytes, manifest records ", ref.length);
-    }
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-  if (out.size() != manifest.raw_size) {
-    return Status::Corruption("blob '", name, "' reassembled to ", out.size(),
-                              " bytes, manifest records ", manifest.raw_size);
-  }
-  if (Crc32::Compute(out) != manifest.raw_crc) {
-    return Status::Corruption("blob '", name,
-                              "' fails its manifest crc after reassembly");
-  }
+  MMM_RETURN_NOT_OK(ReassembleChunks(
+      store, name, manifest, [&out](std::span<const uint8_t> chunk) {
+        out.insert(out.end(), chunk.begin(), chunk.end());
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -123,42 +169,6 @@ Result<std::vector<uint8_t>> CasReadBlobRange(FileStore* store,
   return out;
 }
 
-namespace {
-
-/// Streams one chunk (or replays a retained copy) into `on_window`,
-/// retaining the bytes only when `retain` is set.
-Status StreamChunk(FileStore* store, const std::string& name,
-                   const CasChunkRef& ref, uint64_t window_bytes, bool retain,
-                   std::vector<uint8_t>* retained,
-                   const std::function<Status(std::span<const uint8_t>)>&
-                       on_window) {
-  auto stream = store->OpenStream(ChunkBlobName(ref.hash_hex), window_bytes);
-  if (!stream.ok()) {
-    return stream.status().WithContext("blob '", name, "' chunk ",
-                                       ref.hash_hex);
-  }
-  if (stream.ValueOrDie().size() != ref.length) {
-    return Status::Corruption("blob '", name, "' chunk ", ref.hash_hex,
-                              " has ", stream.ValueOrDie().size(),
-                              " bytes, manifest records ", ref.length);
-  }
-  while (!stream.ValueOrDie().done()) {
-    auto window = stream.ValueOrDie().Next();
-    if (!window.ok()) {
-      return window.status().WithContext("blob '", name, "' chunk ",
-                                         ref.hash_hex);
-    }
-    if (retain) {
-      retained->insert(retained->end(), window.ValueOrDie().begin(),
-                       window.ValueOrDie().end());
-    }
-    MMM_RETURN_NOT_OK(on_window(window.ValueOrDie()));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status CasStreamBlob(FileStore* store, const std::string& name,
                      uint64_t window_bytes,
                      const std::function<Status(uint64_t)>& on_open,
@@ -203,47 +213,18 @@ Status CasStreamBlob(FileStore* store, const std::string& name,
   head.shrink_to_fit();
   if (on_open != nullptr) MMM_RETURN_NOT_OK(on_open(manifest.raw_size));
 
-  // Mirror the materializing reassembly's fetch-once semantics: each
-  // distinct chunk is read from the store exactly once, so only chunks
-  // with uses still ahead of the cursor need their bytes retained.
-  std::map<std::string, size_t> uses;
-  for (const CasChunkRef& ref : manifest.chunks) ++uses[ref.hash_hex];
-  std::map<std::string, std::vector<uint8_t>> retained;
-
-  uint64_t total = 0;
-  uint32_t crc = 0;
-  auto count_and_forward = [&](std::span<const uint8_t> window) -> Status {
-    total += window.size();
-    crc = Crc32::Extend(crc, window);
-    return on_window(window);
-  };
-  for (const CasChunkRef& ref : manifest.chunks) {
-    const size_t remaining_uses = --uses[ref.hash_hex];
-    auto it = retained.find(ref.hash_hex);
-    if (it != retained.end()) {
-      if (it->second.size() != ref.length) {
-        return Status::Corruption("blob '", name, "' chunk ", ref.hash_hex,
-                                  " has ", it->second.size(),
-                                  " bytes, manifest records ", ref.length);
-      }
-      MMM_RETURN_NOT_OK(count_and_forward(it->second));
-      if (remaining_uses == 0) retained.erase(it);
-      continue;
-    }
-    std::vector<uint8_t>* keep = nullptr;
-    if (remaining_uses > 0) keep = &retained[ref.hash_hex];
-    MMM_RETURN_NOT_OK(StreamChunk(store, name, ref, window_bytes,
-                                  keep != nullptr, keep, count_and_forward));
-  }
-  if (total != manifest.raw_size) {
-    return Status::Corruption("blob '", name, "' reassembled to ", total,
-                              " bytes, manifest records ", manifest.raw_size);
-  }
-  if (crc != manifest.raw_crc) {
-    return Status::Corruption("blob '", name,
-                              "' fails its manifest crc after reassembly");
-  }
-  return Status::OK();
+  // Chunks are read whole (at most CasOptions::max_chunk_bytes) and handed
+  // on in windows of at most `window_bytes`, like any other stream.
+  const uint64_t window =
+      window_bytes == 0 ? kDefaultStreamWindowBytes : window_bytes;
+  return ReassembleChunks(
+      store, name, manifest, [&](std::span<const uint8_t> chunk) -> Status {
+        for (uint64_t at = 0; at < chunk.size(); at += window) {
+          const uint64_t take = std::min<uint64_t>(window, chunk.size() - at);
+          MMM_RETURN_NOT_OK(on_window(chunk.subspan(at, take)));
+        }
+        return Status::OK();
+      });
 }
 
 Result<std::vector<uint8_t>> CasReadBlobDecompressed(FileStore* store,

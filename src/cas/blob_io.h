@@ -55,12 +55,13 @@ Result<std::vector<uint8_t>> CasReadBlobRange(FileStore* store,
 /// (after the manifest, if any, is decoded; may be null), then `on_window`
 /// receives the payload bytes in order. The concatenated windows are
 /// bit-identical to CasReadBlob's result, and the store accounting is too:
-/// verbatim blobs are one OpenStream; manifests fetch each *distinct*
-/// chunk once (repeated chunks are replayed from a retained copy, exactly
-/// mirroring the materializing reassembly's fetch-once map — only chunks
-/// that repeat later in the manifest are retained, so peak buffering is
-/// bounded by the duplicated chunks, not the blob). Size and CRC are
-/// verified against the manifest as the windows flow through.
+/// verbatim blobs are one OpenStream; manifests read each *distinct* chunk
+/// once, whole, with one Get (repeated chunks are replayed from a retained
+/// copy — only chunks that repeat later in the manifest are retained, so
+/// peak buffering is bounded by the duplicated chunks, not the blob) and
+/// hand it on in windows of at most `window_bytes`. CasReadBlob reassembles
+/// through the same loop. Size and CRC are verified against the manifest
+/// as the windows flow through.
 ///
 /// A non-OK status from either callback aborts the stream and is returned
 /// unchanged, so callers can propagate their own decode errors.

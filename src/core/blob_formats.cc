@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/simd.h"
 #include "serialize/binary_io.h"
@@ -43,6 +44,16 @@ Status CheckMagic(BinaryReader* reader, const char* magic) {
     }
   }
   return Status::OK();
+}
+
+/// True when `a * b * width == bytes`. Checked by division: `a` and `b`
+/// are untrusted header varints whose product can wrap past a
+/// multiplication-based size check.
+bool SizeIs(uint64_t a, uint64_t b, uint64_t width, uint64_t bytes) {
+  if (bytes % width != 0) return false;
+  const uint64_t elements = bytes / width;
+  if (a == 0 || b == 0) return elements == 0;
+  return elements % a == 0 && elements / a == b;
 }
 
 void WriteMagic(BinaryWriter* writer, const char* magic) {
@@ -116,7 +127,7 @@ Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
                               " params/model, architecture implies ",
                               LayoutNumel(layout));
   }
-  if (reader.remaining() != num_models * per_model * sizeof(float)) {
+  if (!SizeIs(num_models, per_model, sizeof(float), reader.remaining())) {
     return Status::Corruption("param blob size mismatch");
   }
 
@@ -178,7 +189,8 @@ Status ParamBlobStreamDecoder::ParseHeaderByte(uint8_t byte) {
                                 LayoutNumel(layout_));
     }
     const uint64_t payload_bytes = total_bytes_ - 4;
-    if (payload_bytes - position_ != num_models_ * per_model_ * sizeof(float)) {
+    if (!SizeIs(num_models_, per_model_, sizeof(float),
+                payload_bytes - position_)) {
       return Status::Corruption("param blob size mismatch");
     }
     if (num_models_ == 0 || layout_.empty()) {
@@ -412,16 +424,19 @@ Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob) {
   MMM_RETURN_NOT_OK(CheckMagic(&reader, kHashMagic));
   MMM_ASSIGN_OR_RETURN(uint64_t num_models, reader.ReadVarint());
   MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
-  if (reader.remaining() != num_models * per_model * 32) {
+  constexpr size_t kDigestBytes = sizeof(Sha256Digest::bytes);
+  if (!SizeIs(num_models, per_model, kDigestBytes, reader.remaining())) {
     return Status::Corruption("hash table size mismatch");
   }
+  // The size check covers every digest, so they are copied straight out of
+  // the payload.
+  const uint8_t* next = payload.data() + reader.offset();
   HashTable hashes(num_models);
-  for (uint64_t m = 0; m < num_models; ++m) {
-    hashes[m].resize(per_model);
-    for (uint64_t p = 0; p < per_model; ++p) {
-      for (auto& byte : hashes[m][p].bytes) {
-        MMM_ASSIGN_OR_RETURN(byte, reader.ReadUint8());
-      }
+  for (auto& model_hashes : hashes) {
+    model_hashes.resize(per_model);
+    for (Sha256Digest& digest : model_hashes) {
+      std::memcpy(digest.bytes.data(), next, kDigestBytes);
+      next += kDigestBytes;
     }
   }
   return hashes;
@@ -475,6 +490,11 @@ Result<DecodedDiff> DecodeDiffBlob(const ArchitectureSpec& spec,
     return Status::Corruption("diff blob has unknown encoding ", encoding_value);
   }
   MMM_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
+  // Every entry spends at least two index varint bytes.
+  if (count > reader.remaining() / 2) {
+    return Status::Corruption("diff blob lists ", count, " entries in ",
+                              reader.remaining(), " bytes");
+  }
 
   ParamLayout layout = LayoutOf(spec);
   DecodedDiff diff;
@@ -483,6 +503,10 @@ Result<DecodedDiff> DecodeDiffBlob(const ArchitectureSpec& spec,
   for (uint64_t i = 0; i < count; ++i) {
     MMM_ASSIGN_OR_RETURN(uint64_t model_index, reader.ReadVarint());
     MMM_ASSIGN_OR_RETURN(uint64_t param_index, reader.ReadVarint());
+    if (model_index > std::numeric_limits<uint32_t>::max()) {
+      return Status::Corruption("diff entry references model ", model_index,
+                                ", past the 32-bit model index range");
+    }
     if (param_index >= layout.size()) {
       return Status::Corruption("diff entry references parameter ", param_index,
                                 " but layout has ", layout.size());

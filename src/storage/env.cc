@@ -1,8 +1,14 @@
 #include "storage/env.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 namespace mmm {
 
@@ -10,7 +16,28 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Env backed by the host filesystem via <filesystem> and stdio.
+std::string ErrnoMessage() {
+  return std::error_code(errno, std::generic_category()).message();
+}
+
+/// Owns a file descriptor (negative when the open failed) and closes it.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Env backed by the host filesystem: writes via stdio, reads via a raw
+/// descriptor (open + fstat + pread), metadata via <filesystem>.
 class PosixEnv : public Env {
  public:
   Status WriteFile(const std::string& path, std::span<const uint8_t> data) override {
@@ -41,47 +68,13 @@ class PosixEnv : public Env {
   }
 
   Result<std::vector<uint8_t>> ReadFile(const std::string& path) override {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      return Status::NotFound("cannot open for read: ", path);
-    }
-    std::fseek(file, 0, SEEK_END);
-    long size = std::ftell(file);
-    std::fseek(file, 0, SEEK_SET);
-    std::vector<uint8_t> data(static_cast<size_t>(size < 0 ? 0 : size));
-    size_t read = data.empty() ? 0 : std::fread(data.data(), 1, data.size(), file);
-    std::fclose(file);
-    if (read != data.size()) {
-      return Status::IOError("short read from ", path);
-    }
-    return data;
+    return ReadAt(path, 0, std::nullopt);
   }
 
   Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
                                              uint64_t offset,
                                              uint64_t length) override {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      return Status::NotFound("cannot open for read: ", path);
-    }
-    std::fseek(file, 0, SEEK_END);
-    long size = std::ftell(file);
-    // Overflow-safe form of `offset + length > size` (the sum can wrap in
-    // uint64); see the ReadFileRange contract in env.h.
-    if (size < 0 || offset > static_cast<uint64_t>(size) ||
-        length > static_cast<uint64_t>(size) - offset) {
-      std::fclose(file);
-      return Status::OutOfRange("range [", offset, ", +", length,
-                                ") past end of ", path);
-    }
-    std::fseek(file, static_cast<long>(offset), SEEK_SET);
-    std::vector<uint8_t> data(length);
-    size_t read = data.empty() ? 0 : std::fread(data.data(), 1, length, file);
-    std::fclose(file);
-    if (read != length) {
-      return Status::IOError("short ranged read from ", path);
-    }
-    return data;
+    return ReadAt(path, offset, length);
   }
 
   Result<bool> FileExists(const std::string& path) override {
@@ -94,6 +87,9 @@ class PosixEnv : public Env {
   Result<uint64_t> FileSize(const std::string& path) override {
     std::error_code ec;
     uint64_t size = fs::file_size(path, ec);
+    if (ec == std::errc::no_such_file_or_directory) {
+      return Status::NotFound("file_size(", path, "): ", ec.message());
+    }
     if (ec) return Status::IOError("file_size(", path, "): ", ec.message());
     return size;
   }
@@ -128,6 +124,48 @@ class PosixEnv : public Env {
     if (ec) return Status::IOError("list(", path, "): ", ec.message());
     std::sort(names.begin(), names.end());
     return names;
+  }
+
+ private:
+  /// Reads `[offset, offset + length)` of `path`, or from `offset` to the
+  /// end when `length` is unset, with one open, one fstat and a pread loop
+  /// on a raw descriptor (no stdio buffer, no seeks).
+  static Result<std::vector<uint8_t>> ReadAt(const std::string& path,
+                                             uint64_t offset,
+                                             std::optional<uint64_t> length) {
+    const ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0) return Status::NotFound("cannot open for read: ", path);
+    struct stat st{};
+    if (::fstat(fd.get(), &st) != 0) {
+      return Status::IOError("fstat(", path, "): ", ErrnoMessage());
+    }
+    if (!S_ISREG(st.st_mode)) {
+      return Status::IOError("not a regular file: ", path);
+    }
+    const uint64_t size = static_cast<uint64_t>(st.st_size);
+    // Overflow-safe form of `offset + length > size` (the sum can wrap in
+    // uint64); see the ReadFileRange contract in env.h.
+    if (offset > size || (length.has_value() && *length > size - offset)) {
+      return Status::OutOfRange("range [", offset, ", +", length.value_or(0),
+                                ") past end of ", path);
+    }
+    std::vector<uint8_t> data(length.value_or(size - offset));
+    size_t done = 0;
+    while (done < data.size()) {
+      const ssize_t got =
+          ::pread(fd.get(), data.data() + done, data.size() - done,
+                  static_cast<off_t>(offset + done));
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) {
+        return Status::IOError("read(", path, "): ", ErrnoMessage());
+      }
+      if (got == 0) {
+        return Status::IOError("short read from ", path, ": ", done, " of ",
+                               data.size(), " bytes");
+      }
+      done += static_cast<size_t>(got);
+    }
+    return data;
   }
 };
 

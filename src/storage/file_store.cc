@@ -85,20 +85,11 @@ Result<StreamFile> FileStore::OpenStream(const std::string& name,
                                          uint64_t window_bytes) {
   MMM_RETURN_NOT_OK(ValidateName(name));
   const std::string path = root_ + "/" + name;
-  auto size = env_->FileSize(path);
-  if (!size.ok()) {
-    // Report a missing blob the way Get does (PosixEnv's FileSize surfaces
-    // a generic IOError for absent files).
-    auto exists = env_->FileExists(path);
-    if (exists.ok() && !exists.ValueOrDie()) {
-      return Status::NotFound("cannot open for read: ", path);
-    }
-    return size.status();
-  }
+  MMM_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path));
   // Whole-stream accounting up front; see the cost model in file_store.h.
-  stats_.AddRead(size.ValueOrDie());
-  Charge(size.ValueOrDie());
-  return StreamFile(env_, path, size.ValueOrDie(), window_bytes);
+  stats_.AddRead(size);
+  Charge(size);
+  return StreamFile(env_, path, size, window_bytes);
 }
 
 Result<uint64_t> FileStore::Size(const std::string& name) {

@@ -592,5 +592,76 @@ TEST_F(CasManagerTest, AuditFlagsMissingAndCorruptChunks) {
   EXPECT_FALSE(problems.empty());
 }
 
+// Each chunk read checks the chunk's size against the manifest. Behind the
+// store's back, one chunk grows by a byte, one loses a byte and one is
+// deleted, in turn: the streaming recovery and CasReadBlob both fail, with
+// Corruption for a resized chunk and NotFound for the missing one, and the
+// error names the chunk.
+TEST_F(CasManagerTest, ResizedOrMissingChunksFailNamingTheChunk) {
+  InitScenario(8);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult saved,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  FileStore* store = manager->file_store();
+
+  // The largest manifest is the parameter snapshot.
+  std::string manifest_name;
+  CasManifest manifest;
+  for (const std::string& name : store->List().ValueOrDie()) {
+    if (!manager->cas()->IsManifest(name)) continue;
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, store->Get(name));
+    ASSERT_OK_AND_ASSIGN(CasManifest decoded, DecodeManifest(bytes));
+    if (decoded.chunks.size() > manifest.chunks.size()) {
+      manifest_name = name;
+      manifest = std::move(decoded);
+    }
+  }
+  std::vector<std::string> hashes;
+  for (const CasChunkRef& ref : manifest.chunks) {
+    if (std::find(hashes.begin(), hashes.end(), ref.hash_hex) == hashes.end()) {
+      hashes.push_back(ref.hash_hex);
+    }
+  }
+  ASSERT_GE(hashes.size(), 3u);
+
+  Env* env = Env::Default();
+  enum class Damage { kAppend, kTruncate, kDelete };
+  const std::pair<Damage, std::string> cases[] = {
+      {Damage::kAppend, hashes[0]},
+      {Damage::kTruncate, hashes[hashes.size() / 2]},
+      {Damage::kDelete, hashes.back()}};
+  for (const auto& [damage, hash] : cases) {
+    SCOPED_TRACE("chunk " + hash);
+    const std::string path = store->root() + "/" + ChunkBlobName(hash);
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> original, env->ReadFile(path));
+    std::vector<uint8_t> damaged = original;
+    if (damage == Damage::kAppend) damaged.push_back(0x5a);
+    if (damage == Damage::kTruncate) damaged.pop_back();
+    if (damage == Damage::kDelete) {
+      ASSERT_OK(env->DeleteFile(path));
+    } else {
+      ASSERT_OK(env->WriteFile(path, damaged));
+    }
+
+    const Status streamed = manager->Recover(saved.set_id).status();
+    const Status materialized = CasReadBlob(store, manifest_name).status();
+    for (const Status& status : {streamed, materialized}) {
+      ASSERT_FALSE(status.ok());
+      if (damage == Damage::kDelete) {
+        EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+      } else {
+        EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      }
+      EXPECT_NE(status.ToString().find(hash), std::string::npos)
+          << status.ToString();
+    }
+
+    ASSERT_OK(env->WriteFile(path, original));
+    ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(saved.set_id));
+    ExpectSetEquals(recovered, scenario_->current_set());
+  }
+}
+
 }  // namespace
 }  // namespace mmm

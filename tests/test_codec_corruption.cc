@@ -14,13 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "core/blob_formats.h"
 #include "core/set_codec.h"
+#include "serialize/binary_io.h"
 #include "serialize/compress.h"
+#include "serialize/crc32.h"
 #include "tests/test_util.h"
 
 namespace mmm {
@@ -157,6 +160,101 @@ TEST(CodecCorruptionTest, DiffBlobXor) {
     return DecodeDiffBlob(set.spec, b).status();
   };
   SweepCorruptions(blob, decode, "diff blob (xor)");
+}
+
+// ---------------------------------------------------------------------------
+// Crafted headers. Each blob below carries a valid CRC footer, so only the
+// decoder's own header checks stand between it and a bad allocation or a
+// silently wrong decode.
+
+/// Starts a blob with its 8-byte magic.
+BinaryWriter CraftedBlob(const char* magic) {
+  BinaryWriter writer;
+  writer.WriteBytes(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(magic), 8));
+  return writer;
+}
+
+/// Seals a crafted blob with the CRC footer its decoder checks first.
+std::vector<uint8_t> SealWithCrc(BinaryWriter writer) {
+  writer.WriteUint32(Crc32::Compute(writer.buffer()));
+  return writer.TakeBuffer();
+}
+
+/// A param blob holding exactly one model's floats whose header claims
+/// `num_models`, chosen so that `num_models * per_model * 4` wraps uint64
+/// back to one model's byte count.
+std::vector<uint8_t> WrappedParamBlob(const ModelSet& set) {
+  const uint64_t per_model = LayoutNumel(LayoutOf(set.spec));
+  const uint64_t model_bytes = per_model * sizeof(float);
+  const int zeros = std::countr_zero(model_bytes);
+  const uint64_t num_models = 1 + (uint64_t{1} << (64 - zeros));
+  BinaryWriter writer = CraftedBlob("MMMPARM1");
+  writer.WriteVarint(num_models);
+  writer.WriteVarint(per_model);
+  for (const auto& [_, tensor] : set.models[0]) {
+    writer.WriteFloatSpan(tensor.data());
+  }
+  return SealWithCrc(std::move(writer));
+}
+
+TEST(CodecCorruptionTest, HashTableRejectsWrappedModelCount) {
+  // (2^59 + 1) models x 1 digest x 32 bytes wraps to the one digest stored.
+  BinaryWriter writer = CraftedBlob("MMMHASH1");
+  writer.WriteVarint((uint64_t{1} << 59) + 1);
+  writer.WriteVarint(1);
+  writer.WriteBytes(std::vector<uint8_t>(32, 0xab));
+  Result<HashTable> decoded = DecodeHashTable(SealWithCrc(std::move(writer)));
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+}
+
+TEST(CodecCorruptionTest, ParamBlobRejectsWrappedModelCount) {
+  ModelSet set = SmallSet(1);
+  Result<std::vector<StateDict>> decoded =
+      DecodeParamBlob(set.spec, WrappedParamBlob(set));
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+}
+
+TEST(CodecCorruptionTest, ParamStreamDecoderRejectsWrappedModelCount) {
+  ModelSet set = SmallSet(1);
+  std::vector<uint8_t> blob = WrappedParamBlob(set);
+  size_t layers = 0;
+  ParamBlobStreamDecoder decoder(
+      set.spec, blob.size(),
+      [&layers](size_t, size_t, const std::string&, Tensor) {
+        ++layers;
+        return Status::OK();
+      });
+  Status fed = decoder.Feed(blob);
+  EXPECT_TRUE(fed.IsCorruption()) << fed.ToString();
+  EXPECT_EQ(layers, 0u) << "decoder emitted layers past a bad header";
+  EXPECT_TRUE(decoder.Finish().IsCorruption());
+}
+
+TEST(CodecCorruptionTest, DiffBlobRejectsCountPastPayload) {
+  ModelSet set = SmallSet(1);
+  BinaryWriter writer = CraftedBlob("MMMDIFF1");
+  writer.WriteVarint(static_cast<uint64_t>(DiffEncoding::kAbsolute));
+  writer.WriteVarint(uint64_t{1} << 60);
+  writer.WriteVarint(0);
+  writer.WriteVarint(0);
+  Result<DecodedDiff> decoded =
+      DecodeDiffBlob(set.spec, SealWithCrc(std::move(writer)));
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+}
+
+TEST(CodecCorruptionTest, DiffBlobRejectsModelIndexPast32Bits) {
+  // Model 2^32 + 3 must not narrow to model 3.
+  ModelSet set = SmallSet(1);
+  BinaryWriter writer = CraftedBlob("MMMDIFF1");
+  writer.WriteVarint(static_cast<uint64_t>(DiffEncoding::kAbsolute));
+  writer.WriteVarint(1);
+  writer.WriteVarint((uint64_t{1} << 32) + 3);
+  writer.WriteVarint(0);
+  writer.WriteFloatSpan(set.models[0][0].second.data());
+  Result<DecodedDiff> decoded =
+      DecodeDiffBlob(set.spec, SealWithCrc(std::move(writer)));
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
 /// The real read path for compressed artifacts: auto-detecting decompress,

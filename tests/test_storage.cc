@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
+#include "common/rng.h"
 #include "storage/document_store.h"
 #include "storage/env.h"
 #include "storage/file_store.h"
@@ -75,6 +77,16 @@ TEST_P(EnvSweep, MissingFileIsNotFound) {
   EXPECT_FALSE(env_->FileExists(root_ + "/missing").ValueOrDie());
 }
 
+// Both Envs report a missing path to FileSize as NotFound, so FileStore's
+// OpenStream surfaces NotFound exactly like Get without a second probe.
+TEST_P(EnvSweep, MissingFileSizeIsNotFound) {
+  EXPECT_TRUE(env_->FileSize(root_ + "/missing").status().IsNotFound());
+  FileStore store(env_, root_ + "/store");
+  ASSERT_OK(store.Open());
+  EXPECT_TRUE(store.OpenStream("missing").status().IsNotFound());
+  EXPECT_TRUE(store.Get("missing").status().IsNotFound());
+}
+
 TEST_P(EnvSweep, FileSizeAndExists) {
   std::string path = root_ + "/sized";
   ASSERT_OK(env_->WriteFile(path, AsBytes("12345")));
@@ -131,6 +143,41 @@ TEST_P(EnvSweep, ReadFileRangeZeroLengthContract) {
                        env_->ReadFileRange(empty_path, 0, 0));
   EXPECT_TRUE(none.empty());
   EXPECT_TRUE(env_->ReadFileRange(empty_path, 1, 0).status().IsOutOfRange());
+}
+
+// A multi-MiB file round-trips byte-exact through one ReadFile and through
+// back-to-back ReadFileRange windows (an odd window size, so the last one
+// is short), the access pattern of a StreamFile.
+TEST_P(EnvSweep, LargeFileRoundTripsWholeAndWindowed) {
+  std::vector<uint8_t> payload(3 * 1024 * 1024 + 12345);
+  Rng rng(/*seed=*/41);
+  for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.NextBounded(256));
+  std::string path = root_ + "/large";
+  ASSERT_OK(env_->WriteFile(path, payload));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> whole, env_->ReadFile(path));
+  EXPECT_TRUE(whole == payload);
+
+  const uint64_t window = 256 * 1024 + 7;
+  std::vector<uint8_t> windowed;
+  for (uint64_t offset = 0; offset < payload.size(); offset += window) {
+    const uint64_t take = std::min<uint64_t>(window, payload.size() - offset);
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> piece,
+                         env_->ReadFileRange(path, offset, take));
+    ASSERT_EQ(piece.size(), take);
+    windowed.insert(windowed.end(), piece.begin(), piece.end());
+  }
+  EXPECT_TRUE(windowed == payload);
+}
+
+// A directory is never read as a file: both reads fail rather than return
+// bytes, whatever the range.
+TEST_P(EnvSweep, ReadingADirectoryFails) {
+  std::string dir = root_ + "/dir";
+  ASSERT_OK(env_->CreateDirs(dir));
+  ASSERT_OK(env_->WriteFile(dir + "/inside", AsBytes("x")));
+  EXPECT_FALSE(env_->ReadFile(dir).ok());
+  EXPECT_FALSE(env_->ReadFileRange(dir, 0, 0).ok());
+  EXPECT_FALSE(env_->ReadFileRange(dir, 0, 1).ok());
 }
 
 TEST_P(EnvSweep, DeleteRemoves) {
