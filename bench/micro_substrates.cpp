@@ -84,7 +84,8 @@ void BM_DecodeParamBlob(benchmark::State& state) {
           .ValueOrDie();
   std::vector<uint8_t> blob = EncodeParamBlob(set);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DecodeParamBlob(set.spec, blob).ValueOrDie());
+    benchmark::DoNotOptimize(
+        DecodeParamBlob(set.spec, blob, set.models.size()).ValueOrDie());
   }
   state.SetBytesProcessed(state.iterations() * blob.size());
 }

@@ -42,17 +42,8 @@ struct StoreContext {
   /// When set, batches chunk+dedup eligible blob writes and reads
   /// reassemble through cas/blob_io.h (see cas/cas_store.h).
   CasStore* cas = nullptr;
-  /// Streaming recovery (DESIGN.md §12): recovery reads pull blobs
-  /// window-by-window through FileStore::OpenStream and the incremental
-  /// decoders instead of materializing the stored bytes first. Bit-exact
-  /// with the materializing path, and the modeled store cost is identical
-  /// by construction (OpenStream charges exactly what Get charges); what
-  /// changes is peak memory (≈ one window + one layer instead of the whole
-  /// snapshot) and wall-clock (decode overlaps nothing extra, but the
-  /// intermediate copies disappear).
-  bool streaming_recovery = false;
-  /// Stream window size for streaming recovery; 0 means
-  /// kDefaultStreamWindowBytes.
+  /// Window size of the streaming reads every recovery makes (DESIGN.md
+  /// §12); 0 means kDefaultStreamWindowBytes.
   uint64_t stream_window_bytes = 0;
 
   Status Validate() const {
@@ -92,7 +83,9 @@ struct SaveResult {
 
 /// \brief Statistics of recovering one model set.
 struct RecoverStats {
-  /// Sets materialized, including recursively recovered bases.
+  /// Chain levels visited, the requested set included (1 for a full
+  /// snapshot): for Update each level whose blob the walk read, for
+  /// Provenance every replayed base.
   uint64_t sets_recovered = 0;
   /// Models retrained during provenance replay.
   uint64_t models_retrained = 0;

@@ -56,6 +56,18 @@ bool SizeIs(uint64_t a, uint64_t b, uint64_t width, uint64_t bytes) {
   return elements % a == 0 && elements / a == b;
 }
 
+/// Header model counts are untrusted. With a zero-width layout no payload
+/// bytes bound them, so each is checked against the count the set document
+/// records before anything is sized by it.
+Status CheckModelCount(const char* what, uint64_t num_models,
+                       uint64_t expected) {
+  if (num_models != expected) {
+    return Status::Corruption(what, " holds ", num_models,
+                              " models, document says ", expected);
+  }
+  return Status::OK();
+}
+
 void WriteMagic(BinaryWriter* writer, const char* magic) {
   writer->WriteBytes(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(magic), 8));
@@ -114,12 +126,14 @@ std::vector<uint8_t> EncodeParamBlob(const ModelSet& set) {
 }
 
 Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
-                                               std::span<const uint8_t> blob) {
+                                               std::span<const uint8_t> blob,
+                                               uint64_t expected_models) {
   MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> payload, CheckCrcFooter(blob));
   BinaryReader reader(payload);
   MMM_RETURN_NOT_OK(CheckMagic(&reader, kParamMagic));
   MMM_ASSIGN_OR_RETURN(uint64_t num_models, reader.ReadVarint());
   MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
+  MMM_RETURN_NOT_OK(CheckModelCount("param blob", num_models, expected_models));
 
   ParamLayout layout = LayoutOf(spec);
   if (per_model != LayoutNumel(layout)) {
@@ -149,9 +163,11 @@ Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
 
 ParamBlobStreamDecoder::ParamBlobStreamDecoder(const ArchitectureSpec& spec,
                                                uint64_t total_bytes,
+                                               uint64_t num_models,
                                                LayerSink sink)
     : layout_(LayoutOf(spec)),
       total_bytes_(total_bytes),
+      expected_models_(num_models),
       sink_(std::move(sink)) {
   if (total_bytes_ < 4) {
     error_ = Status::Corruption("blob too small for crc footer");
@@ -180,6 +196,8 @@ Status ParamBlobStreamDecoder::ParseHeaderByte(uint8_t byte) {
   if ((byte & 0x80) != 0) return Status::OK();
   if (header_varints_done_ == 0) {
     num_models_ = header_value_;
+    MMM_RETURN_NOT_OK(
+        CheckModelCount("param blob", num_models_, expected_models_));
   } else {
     per_model_ = header_value_;
     // Same validations DecodeParamBlob performs once the header is known.
@@ -418,12 +436,14 @@ std::vector<uint8_t> EncodeHashTable(const HashTable& hashes) {
   return writer.TakeBuffer();
 }
 
-Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob) {
+Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob,
+                                  uint64_t expected_models) {
   MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> payload, CheckCrcFooter(blob));
   BinaryReader reader(payload);
   MMM_RETURN_NOT_OK(CheckMagic(&reader, kHashMagic));
   MMM_ASSIGN_OR_RETURN(uint64_t num_models, reader.ReadVarint());
   MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
+  MMM_RETURN_NOT_OK(CheckModelCount("hash table", num_models, expected_models));
   constexpr size_t kDigestBytes = sizeof(Sha256Digest::bytes);
   if (!SizeIs(num_models, per_model, kDigestBytes, reader.remaining())) {
     return Status::Corruption("hash table size mismatch");

@@ -32,8 +32,11 @@ Result<StateDict> DecodeStateDict(std::span<const uint8_t> blob);
 /// @{
 std::vector<uint8_t> EncodeParamBlob(const ModelSet& set);
 /// Decodes using the layout derived from `spec`; validates counts and CRC.
+/// The header's model count must equal `num_models` (the set document's),
+/// checked before anything is sized by it.
 Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
-                                               std::span<const uint8_t> blob);
+                                               std::span<const uint8_t> blob,
+                                               uint64_t num_models);
 /// @}
 
 /// \name Ranged access to the set-level parameter blob.
@@ -76,7 +79,8 @@ Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
 /// Accepts exactly the blobs DecodeParamBlob accepts (header, counts, and
 /// CRC32 footer all validated — the footer necessarily last, at Finish,
 /// since the CRC runs alongside the stream). The emitted tensors are
-/// bit-identical to the materializing decode.
+/// bit-identical to the one-shot decode, and no layer is emitted before the
+/// header's model count has matched the expected one.
 class ParamBlobStreamDecoder {
  public:
   /// Called once per completed layer, in (model, param) order. `key` is
@@ -87,9 +91,10 @@ class ParamBlobStreamDecoder {
                                          Tensor tensor)>;
 
   /// `total_bytes` is the decompressed blob's full size (header through
-  /// CRC footer), known up front from the stream being decoded.
+  /// CRC footer), known up front from the stream being decoded;
+  /// `num_models` is the model count the set document records.
   ParamBlobStreamDecoder(const ArchitectureSpec& spec, uint64_t total_bytes,
-                         LayerSink sink);
+                         uint64_t num_models, LayerSink sink);
 
   /// Absorbs the next chunk of the decompressed blob. Errors are sticky.
   Status Feed(std::span<const uint8_t> data);
@@ -97,8 +102,6 @@ class ParamBlobStreamDecoder {
   /// Validates completeness and the CRC footer.
   Status Finish();
 
-  /// Model count from the blob header; 0 before the header has streamed.
-  size_t num_models() const { return num_models_; }
   /// High-water mark of internal buffering (≈ one layer), for the
   /// peak-memory assertions in tests.
   size_t peak_buffered_bytes() const { return peak_buffered_; }
@@ -118,6 +121,7 @@ class ParamBlobStreamDecoder {
 
   ParamLayout layout_;
   uint64_t total_bytes_;
+  uint64_t expected_models_;
   LayerSink sink_;
   Status error_;  // sticky
   State state_ = State::kMagic;
@@ -153,7 +157,10 @@ using HashTable = std::vector<std::vector<Sha256Digest>>;
 HashTable ComputeHashTable(const ModelSet& set, Executor* executor = nullptr);
 
 std::vector<uint8_t> EncodeHashTable(const HashTable& hashes);
-Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob);
+/// Validates the CRC and that the table covers exactly `num_models` models
+/// (the set document's count), checked before the table is allocated.
+Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob,
+                                  uint64_t num_models);
 /// @}
 
 /// \name Parameter diff blob (Update approach, paper §3.3 steps 3-4):

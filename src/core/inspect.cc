@@ -229,16 +229,10 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
     };
     check_blob(doc.param_blob, [&](const std::vector<uint8_t>& blob) {
       if (!have_spec) return Status::OK();
-      auto models = DecodeParamBlob(spec, blob);
-      if (!models.ok()) return models.status();
-      if (models.ValueOrDie().size() != doc.num_models) {
-        return Status::Corruption("holds ", models.ValueOrDie().size(),
-                                  " models, document says ", doc.num_models);
-      }
-      return Status::OK();
+      return DecodeParamBlob(spec, blob, doc.num_models).status();
     });
     check_blob(doc.hash_blob, [&](const std::vector<uint8_t>& blob) {
-      return DecodeHashTable(blob).status();
+      return DecodeHashTable(blob, doc.num_models).status();
     });
     check_blob(doc.diff_blob, [&](const std::vector<uint8_t>& blob) -> Status {
       // The architecture lives at the chain root; resolve it to decode.

@@ -125,7 +125,6 @@ Result<std::unique_ptr<ModelSetManager>> ModelSetManager::Open(Options options) 
                                    manager->executor_.get(), options.pipeline,
                                    manager->journal_.get(),
                                    manager->cas_.get(),
-                                   options.streaming_recovery,
                                    options.stream_window_bytes};
 
   EnvironmentInfo environment = options.environment.has_value()

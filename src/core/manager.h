@@ -85,14 +85,10 @@ class ModelSetManager {
     /// reproduces the paper's serialized cost model bit-exactly; more lanes
     /// overlap blob writes, hashing, and compression across a worker pool.
     StorePipelineOptions pipeline;
-    /// Streaming recovery (DESIGN.md §12). ON by default: recovery reads
-    /// pull blobs window-by-window through FileStore::OpenStream and the
-    /// incremental decoders, so peak recovery allocation is ≈ one stream
-    /// window + one layer instead of the whole snapshot. Bit-exact with
-    /// the materializing path and the modeled store cost is identical by
-    /// construction; flip OFF to get the seed read path verbatim.
-    bool streaming_recovery = true;
-    /// Stream window size; 0 means kDefaultStreamWindowBytes (256 KiB).
+    /// Window size of the streaming recovery reads (DESIGN.md §12): blobs
+    /// are pulled through FileStore::OpenStream and the incremental
+    /// decoders, so peak recovery allocation is ≈ one window + one layer.
+    /// 0 means kDefaultStreamWindowBytes (256 KiB).
     uint64_t stream_window_bytes = 0;
     /// Environment snapshot persisted by MMlib-base (per model) and
     /// Provenance (per set); defaults to EnvironmentInfo::Capture().

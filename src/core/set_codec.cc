@@ -135,10 +135,10 @@ Status WriteFullSnapshot(const StoreContext& context, const std::string& set_id,
   return batch.Commit();
 }
 
-Result<size_t> StreamParamBlob(const StoreContext& context,
-                               const std::string& blob_name,
-                               const ArchitectureSpec& spec,
-                               ParamBlobStreamDecoder::LayerSink sink) {
+Status StreamParamBlob(const StoreContext& context,
+                       const std::string& blob_name,
+                       const ArchitectureSpec& spec, uint64_t num_models,
+                       ParamBlobStreamDecoder::LayerSink sink) {
   // Three incremental stages chained window-by-window: CAS reassembly →
   // blob decompression → param decode. The decoder is constructed lazily,
   // on the first decompressed bytes, because the decompressed size is only
@@ -148,12 +148,13 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
   std::optional<ParamBlobStreamDecoder> decoder;
   uint64_t stored_logical = 0;
   std::vector<uint8_t> ready;
+  auto start_decoder = [&]() {
+    decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
+                    num_models, std::move(sink));
+  };
   auto drain = [&]() -> Status {
     if (ready.empty()) return Status::OK();
-    if (!decoder.has_value()) {
-      decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
-                      std::move(sink));
-    }
+    if (!decoder.has_value()) start_decoder();
     Status status = decoder->Feed(ready);
     ready.clear();
     return status;
@@ -170,34 +171,9 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
       }));
   MMM_RETURN_NOT_OK(decompressor.Finish(&ready));
   MMM_RETURN_NOT_OK(drain());
-  if (!decoder.has_value()) {
-    // Empty blob: let the decoder produce the canonical error/result.
-    decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
-                    std::move(sink));
-  }
-  MMM_RETURN_NOT_OK(decoder->Finish());
-  return decoder->num_models();
-}
-
-Result<size_t> ReadParamBlobLayers(const StoreContext& context,
-                                   const std::string& blob_name,
-                                   const ArchitectureSpec& spec,
-                                   ParamBlobStreamDecoder::LayerSink sink) {
-  if (context.streaming_recovery) {
-    return StreamParamBlob(context, blob_name, spec, std::move(sink));
-  }
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                       CasReadBlob(context.file_store, blob_name));
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, DecompressBlob(stored));
-  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
-                       DecodeParamBlob(spec, blob));
-  for (size_t m = 0; m < models.size(); ++m) {
-    for (size_t p = 0; p < models[m].size(); ++p) {
-      auto& [key, tensor] = models[m][p];
-      MMM_RETURN_NOT_OK(sink(m, p, key, std::move(tensor)));
-    }
-  }
-  return models.size();
+  // An empty blob: let the decoder produce the canonical error.
+  if (!decoder.has_value()) start_decoder();
+  return decoder->Finish();
 }
 
 Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
@@ -205,25 +181,19 @@ Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
   if (doc.arch_blob.empty() || doc.param_blob.empty()) {
     return Status::Corruption("set ", doc.id, " is not a full snapshot");
   }
-  MMM_ASSIGN_OR_RETURN(std::string arch_text,
-                       CasReadBlobString(context.file_store, doc.arch_blob));
-  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, DecodeArchBlob(arch_text));
+  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context, doc));
   std::vector<StateDict> models;
-  MMM_ASSIGN_OR_RETURN(
-      size_t num_models,
-      ReadParamBlobLayers(context, doc.param_blob, spec,
-                          [&](size_t model, size_t /*param*/,
-                              const std::string& key, Tensor tensor) -> Status {
-                            if (models.size() <= model) models.resize(model + 1);
-                            models[model].emplace_back(key, std::move(tensor));
-                            return Status::OK();
-                          }));
-  // Zero-parameter layouts emit no layers; the header still counts models.
-  models.resize(num_models);
-  if (models.size() != doc.num_models) {
-    return Status::Corruption("set ", doc.id, " holds ", models.size(),
-                              " models, document says ", doc.num_models);
-  }
+  MMM_RETURN_NOT_OK(StreamParamBlob(
+      context, doc.param_blob, spec, doc.num_models,
+      [&](size_t model, size_t /*param*/, const std::string& key,
+          Tensor tensor) -> Status {
+        if (models.size() <= model) models.resize(model + 1);
+        models[model].emplace_back(key, std::move(tensor));
+        return Status::OK();
+      }));
+  // Zero-parameter layouts emit no layers; the header, already checked
+  // against the document, still counts models.
+  models.resize(doc.num_models);
   ModelSet set;
   set.spec = std::move(spec);
   set.models = std::move(models);

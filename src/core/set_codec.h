@@ -81,37 +81,25 @@ Status StageFullSnapshot(const StoreContext& context, StoreBatch* batch,
 Status WriteFullSnapshot(const StoreContext& context, const std::string& set_id,
                          const ModelSet& set, SetDocument* doc);
 
-/// Reads a full snapshot described by `doc`. With
-/// `context.streaming_recovery` set, the parameter blob is pulled
-/// window-by-window through the incremental decompressor and
-/// ParamBlobStreamDecoder (DESIGN.md §12) — bit-identical result, but the
-/// stored bytes and the decompressed blob are never materialized whole.
+/// Reads a full snapshot described by `doc`. The parameter blob is pulled
+/// window by window through StreamParamBlob, so neither the stored bytes nor
+/// the decompressed blob is ever held whole (DESIGN.md §12).
 Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
                                   const SetDocument& doc);
 
 /// Streams a stored parameter blob (possibly compressed, possibly CAS-
 /// chunked) through the incremental decode pipeline, handing each finished
 /// layer to `sink` in (model, param) order the moment its bytes are
-/// complete. Returns the blob's model count. Accepts exactly the blobs the
-/// materializing path accepts and validates the same header/size/CRC
-/// invariants (shuffle-compressed blobs degenerate to decode-at-finish —
-/// the byte-plane transpose is global — but remain bit-exact).
-Result<size_t> StreamParamBlob(const StoreContext& context,
-                               const std::string& blob_name,
-                               const ArchitectureSpec& spec,
-                               ParamBlobStreamDecoder::LayerSink sink);
-
-/// Decodes a stored parameter blob layer by layer into `sink`, in (model,
-/// param) order, and returns the blob's model count. Honors
-/// `context.streaming_recovery`: streaming goes through StreamParamBlob,
-/// otherwise the blob is read and decoded whole first. Either way the CRC
-/// footer is checked before this returns OK — but with streaming only
-/// *after* the sink has seen every layer, so a sink must not publish a
-/// layer anywhere until the call succeeds.
-Result<size_t> ReadParamBlobLayers(const StoreContext& context,
-                                   const std::string& blob_name,
-                                   const ArchitectureSpec& spec,
-                                   ParamBlobStreamDecoder::LayerSink sink);
+/// complete. The blob must hold exactly `num_models` models (the set
+/// document's count); the header is checked before any layer is emitted.
+/// Accepts exactly the blobs DecodeParamBlob accepts; shuffle-compressed
+/// blobs degenerate to decode-at-finish, since the byte-plane transpose is
+/// global. The CRC footer is checked last, after the sink has seen every
+/// layer, so a sink must not publish a layer anywhere until this returns OK.
+Status StreamParamBlob(const StoreContext& context,
+                       const std::string& blob_name,
+                       const ArchitectureSpec& spec, uint64_t num_models,
+                       ParamBlobStreamDecoder::LayerSink sink);
 
 /// Reads only the models at `indices` from a full snapshot. Uncompressed
 /// parameter blobs are accessed with ranged store reads (one per distinct

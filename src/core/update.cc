@@ -1,13 +1,30 @@
 #include "core/update.h"
 
+#include <algorithm>
 #include <functional>
-#include <numeric>
 #include <optional>
 
 #include "cas/blob_io.h"
 #include "core/set_codec.h"
 
 namespace mmm {
+namespace {
+
+constexpr char kUpdateName[] = "update";
+
+/// Reads and decodes a set's stored per-layer hash table.
+Result<HashTable> ReadStoredHashTable(const StoreContext& context,
+                                      const SetDocument& doc) {
+  if (doc.hash_blob.empty()) {
+    return Status::Corruption("set ", doc.id, " is missing its hash blob");
+  }
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       CasReadBlobDecompressed(context.file_store, doc.hash_blob,
+                                               context.stream_window_bytes));
+  return DecodeHashTable(bytes, doc.num_models);
+}
+
+}  // namespace
 
 UpdateApproach::UpdateApproach(StoreContext context, UpdateApproachOptions options)
     : context_(context), options_(options) {}
@@ -75,12 +92,8 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
     return Status::InvalidArgument("set has ", set.models.size(),
                                    " models but base has ", base_doc.num_models);
   }
-  if (base_doc.hash_blob.empty()) {
-    return Status::Corruption("base set ", update.base_set_id,
-                              " is missing its hash blob");
-  }
 
-  // Periodic full snapshots bound the recovery recursion depth.
+  // Periodic full snapshots bound the chain a recovery walks.
   if (base_doc.chain_depth + 1 >= options_.snapshot_interval) {
     MMM_ASSIGN_OR_RETURN(SaveResult result,
                          SaveSnapshotWithHashes(set, update.base_set_id));
@@ -95,11 +108,8 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
   // Step 2: hash every model's layers, fanned out across the pipeline lanes.
   HashTable current_hashes = ComputeHashTable(set, context_.executor);
   // Step 3: identify changed parameters against the base set's hash blob.
-  MMM_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> base_hash_bytes,
-      CasReadBlobDecompressed(context_.file_store, base_doc.hash_blob,
-                              context_.stream_window_bytes));
-  MMM_ASSIGN_OR_RETURN(HashTable base_hashes, DecodeHashTable(base_hash_bytes));
+  MMM_ASSIGN_OR_RETURN(HashTable base_hashes,
+                       ReadStoredHashTable(context_, base_doc));
   MMM_ASSIGN_OR_RETURN(std::vector<DiffEntry> entries,
                        DiffHashTables(base_hashes, current_hashes));
   // Step 4: concatenate the changed parameters into one binary blob.
@@ -157,43 +167,225 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
 
 namespace {
 
-/// Reads and decodes a set's stored per-layer hash table.
-Result<HashTable> ReadStoredHashTable(const StoreContext& context,
-                                      const SetDocument& doc) {
-  if (doc.hash_blob.empty()) {
-    return Status::Corruption("set ", doc.id, " is missing its hash blob");
+/// An Update chain from a requested set towards its full snapshot, newest
+/// first. Levels are fetched on demand, each at most once, and every level
+/// is validated as it arrives. The target's recorded chain_depth bounds the
+/// walk: a valid chain holds chain_depth + 1 documents, so a corrupted
+/// base-pointer cycle fails after that many fetches instead of walking
+/// every set of every approach in a mixed store.
+class UpdateChain {
+ public:
+  static Result<UpdateChain> Open(const StoreContext& context,
+                                  const std::string& set_id) {
+    UpdateChain chain;
+    MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context, set_id));
+    MMM_RETURN_NOT_OK(chain.Append(std::move(doc)));
+    return chain;
   }
-  if (context.streaming_recovery) {
+
+  const SetDocument& target() const { return levels_.front(); }
+  const SetDocument& level(size_t i) const { return levels_[i]; }
+  size_t fetched() const { return levels_.size(); }
+
+  /// Fetches the base of the oldest level fetched so far.
+  Status FetchNext(const StoreContext& context) {
+    const SetDocument& oldest = levels_.back();
+    if (levels_.size() > target().chain_depth) {
+      return Status::Corruption("update recovery chain too deep (cycle?) at ",
+                                oldest.base_set_id);
+    }
+    MMM_ASSIGN_OR_RETURN(SetDocument base,
+                         FetchSetDocument(context, oldest.base_set_id));
+    return Append(std::move(base));
+  }
+
+  /// Fetches every level down to the full snapshot and returns it.
+  Result<const SetDocument*> FetchRoot(const StoreContext& context) {
+    while (levels_.back().kind != "full") MMM_RETURN_NOT_OK(FetchNext(context));
+    return &levels_.back();
+  }
+
+ private:
+  UpdateChain() = default;
+
+  /// The one validation site for chain levels.
+  Status Append(SetDocument level) {
+    if (level.approach != kUpdateName) {
+      return Status::InvalidArgument("set ", level.id, " was saved by '",
+                                     level.approach, "', not update");
+    }
+    if (level.kind != "full" && level.kind != "delta") {
+      return Status::Corruption("set ", level.id, " has unexpected kind '",
+                                level.kind, "'");
+    }
+    if (level.kind == "full" && level.param_blob.empty()) {
+      return Status::Corruption("set ", level.id, " is not a full snapshot");
+    }
+    if (!levels_.empty() && level.num_models != target().num_models) {
+      return Status::Corruption("base set ", level.id, " holds ",
+                                level.num_models, " models, derived set ",
+                                target().id, " holds ", target().num_models);
+    }
+    levels_.push_back(std::move(level));
+    return Status::OK();
+  }
+
+  std::vector<SetDocument> levels_;
+};
+
+/// Receives each slot the resolver resolves, once, with its final value.
+/// Slot r * num_params + p is parameter p of the r-th requested model.
+using SlotSink = std::function<void(size_t slot, Tensor value)>;
+
+/// The one chain resolver behind every Update recovery. Resolves every slot
+/// of the models `models` names (sorted and distinct; null means the whole
+/// set, row r = model r) that `resolved` does not already mark (cache
+/// hits), handing each to `sink`.
+///
+/// Walks `chain` newest-first, fetching levels only as needed. Each diff
+/// contributes just the entries of slots still unresolved: an absolute
+/// entry resolves its slot, XOR entries accumulate until an absolute value
+/// (a newer absolute entry or the snapshot) is found. The walk stops at the
+/// first level that leaves nothing unresolved, and the full snapshot is
+/// read only for what is left: a model subset with ranged reads, the whole
+/// set streamed. `spec` is the architecture of the chain's root. The
+/// snapshot's CRC is checked only after its layers reach `sink`, so a
+/// caller must not publish a value anywhere until this returns OK.
+Status ResolveChain(const StoreContext& context, UpdateChain* chain,
+                    const ArchitectureSpec& spec,
+                    const std::vector<size_t>* models,
+                    std::vector<bool> resolved, const SlotSink& sink,
+                    RecoverStats* stats) {
+  const ParamLayout layout = LayoutOf(spec);
+  const size_t num_params = layout.size();
+  const uint64_t num_models = chain->target().num_models;
+  constexpr size_t kNotRequested = std::numeric_limits<size_t>::max();
+  auto row_of = [&](size_t model) -> size_t {
+    if (models == nullptr) return model;
+    auto it = std::lower_bound(models->begin(), models->end(), model);
+    return it != models->end() && *it == model
+               ? static_cast<size_t>(it - models->begin())
+               : kNotRequested;
+  };
+  size_t missing =
+      static_cast<size_t>(std::count(resolved.begin(), resolved.end(), false));
+  // The requested set counts as walked even when nothing is missing.
+  if (stats != nullptr) stats->sets_recovered += 1;
+  if (missing == 0) return Status::OK();
+
+  std::vector<std::optional<Tensor>> xor_acc(resolved.size());
+  auto resolve = [&](size_t slot, Tensor value) {
+    if (xor_acc[slot].has_value()) {
+      value = XorTensors(value, *xor_acc[slot]);
+      xor_acc[slot].reset();
+    }
+    resolved[slot] = true;
+    missing -= 1;
+    sink(slot, std::move(value));
+  };
+  for (size_t i = 0; missing > 0; ++i) {
+    if (i == chain->fetched()) MMM_RETURN_NOT_OK(chain->FetchNext(context));
+    const SetDocument& level = chain->level(i);
+    if (i > 0 && stats != nullptr) stats->sets_recovered += 1;
+
+    if (level.kind == "full") {
+      if (models == nullptr) {
+        return StreamParamBlob(
+            context, level.param_blob, spec, num_models,
+            [&](size_t m, size_t p, const std::string& /*key*/,
+                Tensor tensor) -> Status {
+              const size_t slot = m * num_params + p;
+              if (!resolved[slot]) resolve(slot, std::move(tensor));
+              return Status::OK();
+            });
+      }
+      std::vector<size_t> root_rows;
+      std::vector<size_t> root_models;
+      for (size_t r = 0; r < models->size(); ++r) {
+        for (size_t p = 0; p < num_params; ++p) {
+          if (!resolved[r * num_params + p]) {
+            root_rows.push_back(r);
+            root_models.push_back((*models)[r]);
+            break;
+          }
+        }
+      }
+      MMM_ASSIGN_OR_RETURN(std::vector<StateDict> states,
+                           ReadModelsFromSnapshot(context, level, root_models));
+      for (size_t k = 0; k < root_rows.size(); ++k) {
+        for (size_t p = 0; p < num_params; ++p) {
+          const size_t slot = root_rows[k] * num_params + p;
+          if (!resolved[slot]) resolve(slot, std::move(states[k][p].second));
+        }
+      }
+      return Status::OK();
+    }
+
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> bytes,
-        CasReadBlobDecompressed(context.file_store, doc.hash_blob,
+        CasReadBlobDecompressed(context.file_store, level.diff_blob,
                                 context.stream_window_bytes));
-    return DecodeHashTable(bytes);
+    MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(spec, bytes));
+    const bool xor_encoded = diff.encoding == DiffEncoding::kXorBase;
+    // Backwards, so that within one absolute diff the last entry for a
+    // layer wins, as if the diffs were applied in order.
+    for (size_t e = diff.entries.size(); e-- > 0;) {
+      const DiffEntry& entry = diff.entries[e];
+      if (entry.model_index >= num_models || entry.param_index >= num_params) {
+        return Status::Corruption("diff entry out of range in set ", level.id);
+      }
+      if (xor_encoded &&
+          diff.tensors[e].shape() != layout[entry.param_index].second) {
+        return Status::Corruption("xor diff shape mismatch in set ", level.id);
+      }
+      const size_t row = row_of(entry.model_index);
+      if (row == kNotRequested) continue;
+      const size_t slot = row * num_params + entry.param_index;
+      if (resolved[slot]) continue;
+      if (!xor_encoded) {
+        resolve(slot, std::move(diff.tensors[e]));
+      } else if (xor_acc[slot].has_value()) {
+        *xor_acc[slot] = XorTensors(*xor_acc[slot], diff.tensors[e]);
+      } else {
+        xor_acc[slot] = std::move(diff.tensors[e]);
+      }
+    }
   }
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                       CasReadBlob(context.file_store, doc.hash_blob));
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, DecompressBlob(stored));
-  return DecodeHashTable(bytes);
+  return Status::OK();
 }
 
-/// Reads and decodes `doc`'s diff blob (CRC-checked) against `spec`. Diff
-/// blobs are decoded whole (entries reference arbitrary positions), but with
-/// streaming recovery on the *stored-side* intermediate — the
-/// compressed/chunked bytes — never materializes.
-Result<DecodedDiff> ReadDiffBlob(const StoreContext& context,
-                                 const SetDocument& doc,
-                                 const ArchitectureSpec& spec) {
-  std::vector<uint8_t> diff_bytes;
-  if (context.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(diff_bytes, CasReadBlobDecompressed(
-                                         context.file_store, doc.diff_blob,
-                                         context.stream_window_bytes));
-  } else {
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored_diff,
-                         CasReadBlob(context.file_store, doc.diff_blob));
-    MMM_ASSIGN_OR_RETURN(diff_bytes, DecompressBlob(stored_diff));
+/// Moves `values` (row-major, one per slot) into `num_rows` state dicts,
+/// keyed by the layout.
+std::vector<StateDict> TakeRows(const ParamLayout& layout, size_t num_rows,
+                                std::vector<Tensor>* values) {
+  const size_t num_params = layout.size();
+  std::vector<StateDict> rows(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    rows[r].reserve(num_params);
+    for (size_t p = 0; p < num_params; ++p) {
+      rows[r].emplace_back(layout[p].first,
+                           std::move((*values)[r * num_params + p]));
+    }
   }
-  return DecodeDiffBlob(spec, diff_bytes);
+  return rows;
+}
+
+/// Resolves every slot of the models `models` names (null: the whole set)
+/// with nothing filled in advance, and returns them as state dicts.
+Result<std::vector<StateDict>> ResolveRows(const StoreContext& context,
+                                           UpdateChain* chain,
+                                           const ArchitectureSpec& spec,
+                                           const std::vector<size_t>* models,
+                                           RecoverStats* stats) {
+  const ParamLayout layout = LayoutOf(spec);
+  const size_t num_rows =
+      models == nullptr ? chain->target().num_models : models->size();
+  std::vector<Tensor> values(num_rows * layout.size());
+  MMM_RETURN_NOT_OK(ResolveChain(
+      context, chain, spec, models, std::vector<bool>(values.size(), false),
+      [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
+      stats));
+  return TakeRows(layout, num_rows, &values);
 }
 
 }  // namespace
@@ -202,17 +394,12 @@ Result<ModelSet> UpdateApproach::Recover(const std::string& set_id,
                                          RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  // The target's recorded chain depth bounds the walk: a valid chain holds
-  // chain_depth + 1 documents down to its full snapshot. Sizing the budget
-  // from the whole collection would let a corrupted base-pointer cycle walk
-  // every set of every approach in a mixed store before failing.
-  uint64_t depth_budget = doc.chain_depth + 1;
-  MMM_ASSIGN_OR_RETURN(ModelSet set, RecoverFromDoc(doc, stats, depth_budget));
+  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
+  ModelSet set;
+  MMM_ASSIGN_OR_RETURN(set.spec, ReadSnapshotSpec(context_, *root));
+  MMM_ASSIGN_OR_RETURN(set.models,
+                       ResolveRows(context_, &chain, set.spec, nullptr, stats));
   capture.FillRecover(stats);
   return set;
 }
@@ -222,189 +409,25 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
     RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
+  MMM_RETURN_NOT_OK(CheckIndices(indices, chain.target().num_models));
+  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context_, *root));
 
-  // Walk the chain down to the nearest full snapshot.
-  std::vector<SetDocument> deltas;
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  // Bounded by the target's recorded depth, not the collection size (see
-  // Recover): a corrupted cycle fails after chain_depth + 1 hops.
-  uint64_t budget = doc.chain_depth + 1;
-  while (doc.kind == "delta") {
-    if (budget-- == 0) {
-      return Status::Corruption("update chain too deep (cycle?) at ", doc.id);
-    }
-    deltas.push_back(doc);
-    MMM_ASSIGN_OR_RETURN(doc, FetchSetDocument(context_, doc.base_set_id));
-    if (doc.approach != Name()) {
-      return Status::InvalidArgument("base set ", doc.id, " was saved by '",
-                                     doc.approach, "', not update");
-    }
-  }
-  if (doc.kind != "full") {
-    return Status::Corruption("update chain of ", set_id,
-                              " does not end in a full snapshot");
-  }
-  MMM_RETURN_NOT_OK(CheckIndices(indices, deltas.empty()
-                                              ? doc.num_models
-                                              : deltas.front().num_models));
-  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context_, doc));
-  ParamLayout layout = LayoutOf(spec);
-
-  // Newest-wins resolution per requested (model, param). XOR-encoded diff
-  // entries compose: the accumulator gathers them until an absolute value
-  // (a newer-than-root absolute diff entry, or the root snapshot) is found.
-  std::map<size_t, std::vector<Tensor>> resolved;
-  std::map<size_t, std::vector<bool>> have;
-  std::map<std::pair<size_t, size_t>, Tensor> xor_acc;
-  for (size_t index : indices) {
-    if (!resolved.contains(index)) {
-      resolved[index].resize(layout.size());
-      have[index].assign(layout.size(), false);
-    }
-  }
-  size_t missing = have.size() * layout.size();
-
-  for (const SetDocument& delta : deltas) {
-    if (stats != nullptr) stats->sets_recovered += 1;
-    if (missing == 0) continue;  // still count the metadata walk
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                         CasReadBlob(context_.file_store, delta.diff_blob));
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> diff_bytes,
-                         DecompressBlob(stored));
-    MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(spec, diff_bytes));
-    for (size_t i = 0; i < diff.entries.size(); ++i) {
-      const DiffEntry& entry = diff.entries[i];
-      auto it = have.find(entry.model_index);
-      if (it == have.end() || entry.param_index >= layout.size() ||
-          it->second[entry.param_index]) {
-        continue;
-      }
-      if (diff.encoding == DiffEncoding::kXorBase) {
-        std::pair<size_t, size_t> key{entry.model_index, entry.param_index};
-        auto acc_it = xor_acc.find(key);
-        if (acc_it == xor_acc.end()) {
-          xor_acc.emplace(key, std::move(diff.tensors[i]));
-        } else {
-          acc_it->second = XorTensors(acc_it->second, diff.tensors[i]);
-        }
-        continue;  // unresolved until an absolute value is reached
-      }
-      Tensor value = std::move(diff.tensors[i]);
-      auto acc_it = xor_acc.find({entry.model_index, entry.param_index});
-      if (acc_it != xor_acc.end()) {
-        value = XorTensors(value, acc_it->second);
-      }
-      it->second[entry.param_index] = true;
-      resolved[entry.model_index][entry.param_index] = std::move(value);
-      --missing;
-    }
-  }
-
-  // Fill whatever is still unresolved from the root snapshot.
-  if (stats != nullptr) stats->sets_recovered += 1;
-  if (missing > 0) {
-    std::vector<size_t> root_models;
-    for (const auto& [model, flags] : have) {
-      for (bool got : flags) {
-        if (!got) {
-          root_models.push_back(model);
-          break;
-        }
-      }
-    }
-    MMM_ASSIGN_OR_RETURN(std::vector<StateDict> root_states,
-                         ReadModelsFromSnapshot(context_, doc, root_models));
-    for (size_t r = 0; r < root_models.size(); ++r) {
-      size_t model = root_models[r];
-      for (size_t p = 0; p < layout.size(); ++p) {
-        if (!have[model][p]) {
-          Tensor value = std::move(root_states[r][p].second);
-          auto acc_it = xor_acc.find({model, p});
-          if (acc_it != xor_acc.end()) {
-            value = XorTensors(value, acc_it->second);
-          }
-          resolved[model][p] = std::move(value);
-          have[model][p] = true;
-        }
-      }
-    }
-  }
+  std::vector<size_t> models = indices;
+  std::sort(models.begin(), models.end());
+  models.erase(std::unique(models.begin(), models.end()), models.end());
+  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> rows,
+                       ResolveRows(context_, &chain, spec, &models, stats));
 
   std::vector<StateDict> out;
   out.reserve(indices.size());
   for (size_t index : indices) {
-    StateDict state;
-    state.reserve(layout.size());
-    for (size_t p = 0; p < layout.size(); ++p) {
-      state.emplace_back(layout[p].first, resolved[index][p]);
-    }
-    out.push_back(std::move(state));
+    auto it = std::lower_bound(models.begin(), models.end(), index);
+    out.push_back(rows[static_cast<size_t>(it - models.begin())]);
   }
   capture.FillRecover(stats);
   return out;
-}
-
-Result<ModelSet> UpdateApproach::RecoverInternal(const std::string& set_id,
-                                                 RecoverStats* stats,
-                                                 uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("update recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  return RecoverFromDoc(doc, stats, depth_budget);
-}
-
-Result<ModelSet> UpdateApproach::RecoverFromDoc(const SetDocument& doc,
-                                                RecoverStats* stats,
-                                                uint64_t depth_budget) {
-  if (stats != nullptr) stats->sets_recovered += 1;
-
-  if (doc.kind == "full") {
-    return ReadFullSnapshot(context_, doc);
-  }
-  if (doc.kind != "delta") {
-    return Status::Corruption("set ", doc.id, " has unexpected kind '",
-                              doc.kind, "'");
-  }
-  // Recursive recovery: materialize the base set, then apply the diffs.
-  MMM_ASSIGN_OR_RETURN(
-      ModelSet set, RecoverInternal(doc.base_set_id, stats, depth_budget - 1));
-  if (set.models.size() != doc.num_models) {
-    return Status::Corruption("base set size ", set.models.size(),
-                              " != derived size ", doc.num_models);
-  }
-  MMM_RETURN_NOT_OK(ApplyDelta(doc, &set));
-  return set;
-}
-
-Status UpdateApproach::ApplyDelta(const SetDocument& doc, ModelSet* set) {
-  MMM_ASSIGN_OR_RETURN(DecodedDiff diff, ReadDiffBlob(context_, doc, set->spec));
-  for (size_t i = 0; i < diff.entries.size(); ++i) {
-    const DiffEntry& entry = diff.entries[i];
-    if (entry.model_index >= set->models.size() ||
-        entry.param_index >= set->models[entry.model_index].size()) {
-      return Status::Corruption("diff entry out of range in set ", doc.id);
-    }
-    Tensor& target = set->models[entry.model_index][entry.param_index].second;
-    if (diff.encoding == DiffEncoding::kXorBase) {
-      if (diff.tensors[i].shape() != target.shape()) {
-        return Status::Corruption("xor diff shape mismatch in set ", doc.id);
-      }
-      target = XorTensors(target, diff.tensors[i]);
-    } else {
-      target = std::move(diff.tensors[i]);
-    }
-  }
-  return Status::OK();
 }
 
 Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
@@ -418,219 +441,88 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   // single root of trust, so recovering a deleted set fails right here no
   // matter what the cache still holds — a cache hit can never resurrect a
   // collected set.
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
+  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
   CacheRequestStats local;
-  MMM_ASSIGN_OR_RETURN(ModelSet set,
-                       RecoverCachedFromDoc(doc, cache, stats, &local));
-  if (cache_stats != nullptr) *cache_stats += local;
-  capture.FillRecover(stats);
-  return set;
-}
 
-Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
-    const SetDocument& doc, RecoveryCache* cache, RecoverStats* stats,
-    CacheRequestStats* cache_stats) {
-  // The chain from the target down to its full snapshot, newest first,
-  // fetched lazily: one fetch per level. The budget comes from the target's
-  // recorded depth, exactly as in Recover, so a corrupted base-pointer cycle
-  // fails after chain_depth + 1 fetches.
-  const uint64_t depth_budget = doc.chain_depth + 1;
-  std::vector<SetDocument> chain{doc};
-  auto fetch_next_level = [&]() -> Status {
-    if (chain.size() >= depth_budget) {
-      return Status::Corruption("update recovery chain too deep (cycle?) at ",
-                                chain.back().base_set_id);
-    }
-    MMM_ASSIGN_OR_RETURN(SetDocument base,
-                         FetchSetDocument(context_, chain.back().base_set_id));
-    if (base.approach != Name()) {
-      return Status::InvalidArgument("set ", base.id, " was saved by '",
-                                     base.approach, "', not update");
-    }
-    chain.push_back(std::move(base));
-    return Status::OK();
-  };
-
-  // Step 1: resolve the set's per-layer content hashes and architecture,
-  // memoized so a hot set costs no hash-blob or chain-walk reads. The
-  // architecture lives with the chain's full snapshot, so a memo miss walks
-  // the documents down to it; the resolution walk below reuses them.
-  std::shared_ptr<const SetMeta> meta = cache->GetSetMeta(doc.id);
+  // The set's per-layer content hashes and architecture, memoized so a hot
+  // set costs no hash-blob or chain-walk reads. The architecture lives with
+  // the chain's full snapshot, so a memo miss walks the documents down to
+  // it; the resolver reuses them. A memo entry is validated once, here.
+  std::shared_ptr<const SetMeta> meta = cache->GetSetMeta(set_id);
   const bool meta_hit = meta != nullptr;
   if (meta_hit) {
-    cache_stats->meta_hits += 1;
+    local.meta_hits += 1;
   } else {
-    cache_stats->meta_misses += 1;
+    local.meta_misses += 1;
     auto fresh = std::make_shared<SetMeta>();
-    MMM_ASSIGN_OR_RETURN(fresh->hashes, ReadStoredHashTable(context_, doc));
-    while (chain.back().kind == "delta") MMM_RETURN_NOT_OK(fetch_next_level());
-    if (chain.back().kind != "full") {
-      return Status::Corruption("update chain of ", doc.id,
-                                " does not end in a full snapshot");
+    MMM_ASSIGN_OR_RETURN(fresh->hashes,
+                         ReadStoredHashTable(context_, chain.target()));
+    MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
+    MMM_ASSIGN_OR_RETURN(fresh->spec, ReadSnapshotSpec(context_, *root));
+    const size_t num_params = LayoutOf(fresh->spec).size();
+    for (const auto& row : fresh->hashes) {
+      if (row.size() != num_params) {
+        return Status::Corruption("hash table of ", set_id,
+                                  " disagrees with the parameter layout");
+      }
     }
-    MMM_ASSIGN_OR_RETURN(fresh->spec, ReadSnapshotSpec(context_, chain.back()));
     meta = std::move(fresh);
   }
   const HashTable& hashes = meta->hashes;
   const ParamLayout layout = LayoutOf(meta->spec);
-  if (hashes.size() != doc.num_models) {
-    return Status::Corruption("hash table of ", doc.id, " covers ",
-                              hashes.size(), " models, document says ",
-                              doc.num_models);
-  }
-  for (const auto& row : hashes) {
-    if (row.size() != layout.size()) {
-      return Status::Corruption("hash table of ", doc.id,
-                                " disagrees with the parameter layout");
-    }
-  }
-
-  // Step 2: probe each layer of the requested set once, by content hash.
-  // Layers shared with any set served before (its base, a sibling) hit no
-  // matter which set brought them in. Slot m * num_params + p.
   const size_t num_params = layout.size();
+
+  // Probe each layer of the requested set once, by content hash. Layers
+  // shared with any set served before (its base, a sibling) hit no matter
+  // which set brought them in; the hits are the slots the resolver skips.
   const size_t num_slots = hashes.size() * num_params;
   std::vector<std::shared_ptr<const Tensor>> layers(num_slots);
-  size_t missing = 0;
-  for (size_t m = 0; m < hashes.size(); ++m) {
-    for (size_t p = 0; p < num_params; ++p) {
-      layers[m * num_params + p] = cache->GetLayer(hashes[m][p]);
-      if (layers[m * num_params + p] != nullptr) {
-        cache_stats->layer_hits += 1;
-      } else {
-        cache_stats->layer_misses += 1;
-        missing += 1;
-      }
-    }
+  std::vector<bool> hit(num_slots, false);
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    layers[slot] = cache->GetLayer(hashes[slot / num_params][slot % num_params]);
+    hit[slot] = layers[slot] != nullptr;
   }
-  if (stats != nullptr) stats->sets_recovered += 1;
-  if (missing == 0) cache_stats->sets_from_cache += 1;
+  local.layer_hits += static_cast<uint64_t>(
+      std::count(hit.begin(), hit.end(), true));
+  local.layer_misses += num_slots - local.layer_hits;
+  if (local.layer_misses == 0) local.sets_from_cache += 1;
+  MMM_RETURN_NOT_OK(ResolveChain(
+      context_, &chain, meta->spec, nullptr, hit,
+      [&](size_t slot, Tensor value) {
+        layers[slot] = std::make_shared<const Tensor>(std::move(value));
+      },
+      stats));
 
-  // Step 3: resolve only the misses, walking the chain newest-first and
-  // stopping at the first level that leaves nothing unresolved. XOR diff
-  // entries accumulate until an absolute value (a newer absolute diff
-  // entry, or the full snapshot) is found, as in RecoverModels.
-  std::vector<bool> fetched(num_slots, false);
-  std::vector<std::optional<Tensor>> xor_acc(num_slots);
-  auto resolve = [&](size_t slot, Tensor value) {
-    if (xor_acc[slot].has_value()) {
-      value = XorTensors(value, *xor_acc[slot]);
-      xor_acc[slot].reset();
-    }
-    layers[slot] = std::make_shared<const Tensor>(std::move(value));
-    fetched[slot] = true;
-    missing -= 1;
-  };
-  for (size_t i = 0; missing > 0; ++i) {
-    if (i == chain.size()) MMM_RETURN_NOT_OK(fetch_next_level());
-    const SetDocument& level = chain[i];
-    if (i > 0 && stats != nullptr) stats->sets_recovered += 1;
-    if (level.num_models != doc.num_models) {
-      return Status::Corruption("base set ", level.id, " holds ",
-                                level.num_models, " models, derived set ",
-                                doc.id, " holds ", doc.num_models);
-    }
-    if (level.kind == "full") {
-      if (level.param_blob.empty()) {
-        return Status::Corruption("set ", level.id, " is not a full snapshot");
-      }
-      MMM_ASSIGN_OR_RETURN(
-          size_t streamed_models,
-          ReadParamBlobLayers(
-              context_, level.param_blob, meta->spec,
-              [&](size_t m, size_t p, const std::string& /*key*/,
-                  Tensor tensor) -> Status {
-                if (m >= hashes.size() || p >= num_params) {
-                  return Status::Corruption("set ", level.id,
-                                            " streams layer (", m, ", ", p,
-                                            ") outside the hash table of ",
-                                            doc.id);
-                }
-                if (layers[m * num_params + p] == nullptr) {
-                  resolve(m * num_params + p, std::move(tensor));
-                }
-                return Status::OK();
-              }));
-      if (streamed_models != level.num_models) {
-        return Status::Corruption("set ", level.id, " holds ", streamed_models,
-                                  " models, document says ", level.num_models);
-      }
-      break;
-    }
-    if (level.kind != "delta") {
-      return Status::Corruption("set ", level.id, " has unexpected kind '",
-                                level.kind, "'");
-    }
-    MMM_ASSIGN_OR_RETURN(DecodedDiff diff,
-                         ReadDiffBlob(context_, level, meta->spec));
-    // Backwards, so that within one absolute diff the last entry for a
-    // layer wins, as when ApplyDelta applies them in order.
-    for (size_t e = diff.entries.size(); e-- > 0;) {
-      const DiffEntry& entry = diff.entries[e];
-      if (entry.model_index >= hashes.size() || entry.param_index >= num_params) {
-        return Status::Corruption("diff entry out of range in set ", level.id);
-      }
-      if (diff.encoding == DiffEncoding::kXorBase &&
-          diff.tensors[e].shape() != layout[entry.param_index].second) {
-        return Status::Corruption("xor diff shape mismatch in set ", level.id);
-      }
-      const size_t slot = entry.model_index * num_params + entry.param_index;
-      if (layers[slot] != nullptr) continue;
-      if (diff.encoding == DiffEncoding::kXorBase) {
-        if (xor_acc[slot].has_value()) {
-          *xor_acc[slot] = XorTensors(*xor_acc[slot], diff.tensors[e]);
-        } else {
-          xor_acc[slot] = std::move(diff.tensors[e]);
-        }
-        continue;  // unresolved until an absolute value is reached
-      }
-      resolve(slot, std::move(diff.tensors[e]));
-    }
-  }
-  if (missing > 0) {
-    return Status::Corruption("set ", doc.id, " left ", missing,
-                              " layers unresolved");
-  }
-
-  // Step 4: verify-then-admit. Every blob a fetched layer came from has now
-  // passed its CRC check, so the layers are offered under the requested
-  // set's hashes only now: a corrupt blob can never leave an entry behind.
+  // Verify-then-admit. Every blob a fetched layer came from has now passed
+  // its CRC check, so the layers are offered under the requested set's
+  // hashes only now: a corrupt blob can never leave an entry behind.
   // Ancestors' layers are not admitted under their own hashes.
   for (size_t slot = 0; slot < num_slots; ++slot) {
-    if (fetched[slot]) {
+    if (!hit[slot]) {
       cache->PutLayer(hashes[slot / num_params][slot % num_params],
                       layers[slot]);
     }
   }
-  if (!meta_hit) cache->PutSetMeta(doc.id, meta);
+  if (!meta_hit) cache->PutSetMeta(set_id, meta);
 
   // The content hash covers a tensor's bytes, not its shape: a zeroed
   // [48] bias and a zeroed [1, 48] weight share one entry. Each layer
   // therefore takes its shape from the layout, never from the entry.
-  std::vector<size_t> numels(num_params);
-  for (size_t p = 0; p < num_params; ++p) {
-    numels[p] = std::accumulate(layout[p].second.begin(), layout[p].second.end(),
-                                size_t{1}, std::multiplies<>());
+  std::vector<Tensor> values(num_slots);
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    const Shape& shape = layout[slot % num_params].second;
+    if (layers[slot]->numel() != Tensor::NumElements(shape)) {
+      return Status::Corruption("layer (", slot / num_params, ", ",
+                                slot % num_params, ") of ", set_id,
+                                " does not match its content hash");
+    }
+    values[slot] = Tensor(shape, layers[slot]->vec());
   }
   ModelSet set;
   set.spec = meta->spec;
-  set.models.resize(hashes.size());
-  for (size_t m = 0; m < hashes.size(); ++m) {
-    StateDict& state = set.models[m];
-    state.reserve(num_params);
-    for (size_t p = 0; p < num_params; ++p) {
-      const Tensor& layer = *layers[m * num_params + p];
-      if (layer.numel() != numels[p]) {
-        return Status::Corruption("layer (", m, ", ", p, ") of ", doc.id,
-                                  " does not match its content hash");
-      }
-      state.emplace_back(layout[p].first, Tensor(layout[p].second, layer.vec()));
-    }
-  }
+  set.models = TakeRows(layout, hashes.size(), &values);
+  if (cache_stats != nullptr) *cache_stats += local;
+  capture.FillRecover(stats);
   return set;
 }
 

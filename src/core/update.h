@@ -34,8 +34,12 @@ struct UpdateApproachOptions {
 /// concatenating exactly the changed parameters. Change detection needs only
 /// the base set's *hash* blob, never its parameters.
 ///
-/// Recovery is recursive: recover the base set, then apply the diffs —
-/// hence the staircase time-to-recover in Figure 5.
+/// Recovery resolves the chain newest-first: each diff, from the requested
+/// set back towards the last full snapshot, contributes the layers no newer
+/// diff already supplied, and the snapshot is read only for what is left.
+/// Every recovery entry point shares that one resolver, so reads grow with
+/// the chain — the staircase time-to-recover in Figure 5 — while no
+/// intermediate set is ever materialized.
 class UpdateApproach : public ModelSetApproach {
  public:
   UpdateApproach(StoreContext context, UpdateApproachOptions options = {});
@@ -46,10 +50,11 @@ class UpdateApproach : public ModelSetApproach {
                                  const ModelSetUpdateInfo& update) override;
   Result<ModelSet> Recover(const std::string& set_id,
                            RecoverStats* stats) override;
-  /// Selective recovery walks the delta chain once, keeping only the newest
-  /// version of each requested (model, layer) pair, and reads the remaining
-  /// parameters from the root snapshot with ranged store reads — no full set
-  /// is ever materialized.
+  /// Selective recovery: the same newest-first resolver as Recover, asked
+  /// only for the models at `indices`. Diff entries of other models are
+  /// skipped (after the same range checks), and the root snapshot is read
+  /// with ranged store reads for just the models still unresolved — no full
+  /// set is ever materialized.
   Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
@@ -58,16 +63,16 @@ class UpdateApproach : public ModelSetApproach {
 
   /// Recovery through a layer-granular cache (the serving read path).
   ///
-  /// One pass over the requested set: its stored per-layer content hashes
-  /// are resolved first (memoized via RecoveryCache::GetSetMeta), then each
-  /// of its layers is probed in the cache once, by hash. A set whose layers
-  /// all hit is assembled without reading a single parameter or diff blob.
-  /// Otherwise only the misses are resolved: the chain's diffs are read
-  /// newest-first, each contributing just the entries of layers still
-  /// missing, and the full snapshot is streamed only if some layer is still
-  /// unresolved after the last diff. The fetched layers are offered to the
-  /// cache under the requested set's hashes once every blob they came from
-  /// has passed its CRC check; ancestors' layers are not admitted.
+  /// The set's stored per-layer content hashes are resolved first (memoized
+  /// via RecoveryCache::GetSetMeta), then each of its layers is probed in
+  /// the cache once, by hash. The shared resolver skips the hits, so a set
+  /// whose layers all hit is assembled without reading a single parameter
+  /// or diff blob, and otherwise only the misses are resolved — the chain's
+  /// diffs newest-first, the full snapshot only if some layer is still
+  /// unresolved after the last diff. The fetched layers
+  /// are offered to the cache under the requested set's hashes once every
+  /// blob they came from has passed its CRC check; ancestors' layers are not
+  /// admitted.
   ///
   /// Bit-exactness: cached tensors are keyed by their SHA-256 content hash,
   /// so assembly reproduces exactly the bytes Recover would return. With
@@ -80,20 +85,6 @@ class UpdateApproach : public ModelSetApproach {
  private:
   Result<SaveResult> SaveSnapshotWithHashes(const ModelSet& set,
                                             const std::string& base_set_id);
-  Result<ModelSet> RecoverInternal(const std::string& set_id,
-                                   RecoverStats* stats, uint64_t depth_budget);
-  /// Continues recovery from an already-fetched document. Split from
-  /// RecoverInternal so the top-level entry point can fetch the target
-  /// document once, size the recursion budget from its recorded chain_depth,
-  /// and proceed without a second fetch.
-  Result<ModelSet> RecoverFromDoc(const SetDocument& doc, RecoverStats* stats,
-                                  uint64_t depth_budget);
-  Result<ModelSet> RecoverCachedFromDoc(const SetDocument& doc,
-                                        RecoveryCache* cache,
-                                        RecoverStats* stats,
-                                        CacheRequestStats* cache_stats);
-  /// Reads, decodes, and applies `doc`'s diff blob onto `set` in place.
-  Status ApplyDelta(const SetDocument& doc, ModelSet* set);
 
   StoreContext context_;
   UpdateApproachOptions options_;

@@ -43,8 +43,8 @@ struct ServeResult {
   /// runs entirely on one worker.
   uint64_t modeled_store_nanos = 0;
   /// Chain levels the recovery visited: the target, plus each ancestor
-  /// whose diff or snapshot blob the cached path read to resolve a miss
-  /// (on the uncached path, every set recursively recovered).
+  /// whose diff or snapshot blob was read to resolve a layer (for
+  /// Provenance, every set recursively recovered).
   uint64_t sets_walked = 0;
   /// Cache effectiveness of this request (all-zero on the uncached path).
   CacheRequestStats cache;

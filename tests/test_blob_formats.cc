@@ -47,7 +47,7 @@ TEST(ParamBlobTest, RoundTrip) {
   ModelSet set = SmallSet(5);
   std::vector<uint8_t> blob = EncodeParamBlob(set);
   ASSERT_OK_AND_ASSIGN(std::vector<StateDict> decoded,
-                       DecodeParamBlob(set.spec, blob));
+                       DecodeParamBlob(set.spec, blob, 5));
   ASSERT_EQ(decoded.size(), 5u);
   for (size_t m = 0; m < 5; ++m) {
     for (size_t p = 0; p < decoded[m].size(); ++p) {
@@ -68,14 +68,14 @@ TEST(ParamBlobTest, SizeIsDominatedByRawFloats) {
 TEST(ParamBlobTest, WrongArchitectureFails) {
   ModelSet set = SmallSet(2);
   std::vector<uint8_t> blob = EncodeParamBlob(set);
-  EXPECT_TRUE(DecodeParamBlob(Ffnn69Spec(), blob).status().IsCorruption());
+  EXPECT_TRUE(DecodeParamBlob(Ffnn69Spec(), blob, 2).status().IsCorruption());
 }
 
 TEST(ParamBlobTest, DetectsBitFlip) {
   ModelSet set = SmallSet(2);
   std::vector<uint8_t> blob = EncodeParamBlob(set);
   blob[100] ^= 0x01;
-  EXPECT_TRUE(DecodeParamBlob(set.spec, blob).status().IsCorruption());
+  EXPECT_TRUE(DecodeParamBlob(set.spec, blob, 2).status().IsCorruption());
 }
 
 TEST(ParamBlobTest, EmptySetRoundTrips) {
@@ -83,7 +83,7 @@ TEST(ParamBlobTest, EmptySetRoundTrips) {
   set.spec = Ffnn48Spec();
   std::vector<uint8_t> blob = EncodeParamBlob(set);
   ASSERT_OK_AND_ASSIGN(std::vector<StateDict> decoded,
-                       DecodeParamBlob(set.spec, blob));
+                       DecodeParamBlob(set.spec, blob, 0));
   EXPECT_TRUE(decoded.empty());
 }
 
@@ -108,7 +108,7 @@ TEST(HashTableTest, SensitiveToSingleParamChange) {
 TEST(HashTableTest, EncodeDecodeRoundTrip) {
   HashTable hashes = ComputeHashTable(SmallSet(4));
   std::vector<uint8_t> blob = EncodeHashTable(hashes);
-  ASSERT_OK_AND_ASSIGN(HashTable decoded, DecodeHashTable(blob));
+  ASSERT_OK_AND_ASSIGN(HashTable decoded, DecodeHashTable(blob, 4));
   EXPECT_EQ(decoded, hashes);
 }
 
@@ -121,7 +121,7 @@ TEST(HashTableTest, BlobSizeIs32BytesPerEntryPlusHeader) {
 TEST(HashTableTest, DetectsCorruption) {
   std::vector<uint8_t> blob = EncodeHashTable(ComputeHashTable(SmallSet(2)));
   blob[50] ^= 0xff;
-  EXPECT_TRUE(DecodeHashTable(blob).status().IsCorruption());
+  EXPECT_TRUE(DecodeHashTable(blob, 2).status().IsCorruption());
 }
 
 TEST(DiffHashTablesTest, FindsExactlyChangedEntries) {

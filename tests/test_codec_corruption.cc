@@ -123,7 +123,7 @@ TEST(CodecCorruptionTest, ParamBlob) {
   ModelSet set = SmallSet(2);
   std::vector<uint8_t> blob = EncodeParamBlob(set);
   Decoder decode = [&set](std::span<const uint8_t> b) {
-    return DecodeParamBlob(set.spec, b).status();
+    return DecodeParamBlob(set.spec, b, set.models.size()).status();
   };
   SweepCorruptions(blob, decode, "param blob");
   SweepGarbage(decode, "param blob");
@@ -132,8 +132,8 @@ TEST(CodecCorruptionTest, ParamBlob) {
 TEST(CodecCorruptionTest, HashTableBlob) {
   ModelSet set = SmallSet(3);
   std::vector<uint8_t> blob = EncodeHashTable(ComputeHashTable(set));
-  Decoder decode = [](std::span<const uint8_t> b) {
-    return DecodeHashTable(b).status();
+  Decoder decode = [&set](std::span<const uint8_t> b) {
+    return DecodeHashTable(b, set.models.size()).status();
   };
   SweepCorruptions(blob, decode, "hash table");
   SweepGarbage(decode, "hash table");
@@ -184,34 +184,39 @@ std::vector<uint8_t> SealWithCrc(BinaryWriter writer) {
 /// A param blob holding exactly one model's floats whose header claims
 /// `num_models`, chosen so that `num_models * per_model * 4` wraps uint64
 /// back to one model's byte count.
+uint64_t WrappedModelCount(const ModelSet& set) {
+  const uint64_t model_bytes = LayoutNumel(LayoutOf(set.spec)) * sizeof(float);
+  return 1 + (uint64_t{1} << (64 - std::countr_zero(model_bytes)));
+}
+
 std::vector<uint8_t> WrappedParamBlob(const ModelSet& set) {
-  const uint64_t per_model = LayoutNumel(LayoutOf(set.spec));
-  const uint64_t model_bytes = per_model * sizeof(float);
-  const int zeros = std::countr_zero(model_bytes);
-  const uint64_t num_models = 1 + (uint64_t{1} << (64 - zeros));
   BinaryWriter writer = CraftedBlob("MMMPARM1");
-  writer.WriteVarint(num_models);
-  writer.WriteVarint(per_model);
+  writer.WriteVarint(WrappedModelCount(set));
+  writer.WriteVarint(LayoutNumel(LayoutOf(set.spec)));
   for (const auto& [_, tensor] : set.models[0]) {
     writer.WriteFloatSpan(tensor.data());
   }
   return SealWithCrc(std::move(writer));
 }
 
+// The wrapped-count cases pass the header's own count as the expected one,
+// so only the size check can reject them.
 TEST(CodecCorruptionTest, HashTableRejectsWrappedModelCount) {
   // (2^59 + 1) models x 1 digest x 32 bytes wraps to the one digest stored.
+  const uint64_t num_models = (uint64_t{1} << 59) + 1;
   BinaryWriter writer = CraftedBlob("MMMHASH1");
-  writer.WriteVarint((uint64_t{1} << 59) + 1);
+  writer.WriteVarint(num_models);
   writer.WriteVarint(1);
   writer.WriteBytes(std::vector<uint8_t>(32, 0xab));
-  Result<HashTable> decoded = DecodeHashTable(SealWithCrc(std::move(writer)));
+  Result<HashTable> decoded =
+      DecodeHashTable(SealWithCrc(std::move(writer)), num_models);
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
 TEST(CodecCorruptionTest, ParamBlobRejectsWrappedModelCount) {
   ModelSet set = SmallSet(1);
   Result<std::vector<StateDict>> decoded =
-      DecodeParamBlob(set.spec, WrappedParamBlob(set));
+      DecodeParamBlob(set.spec, WrappedParamBlob(set), WrappedModelCount(set));
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
@@ -220,7 +225,7 @@ TEST(CodecCorruptionTest, ParamStreamDecoderRejectsWrappedModelCount) {
   std::vector<uint8_t> blob = WrappedParamBlob(set);
   size_t layers = 0;
   ParamBlobStreamDecoder decoder(
-      set.spec, blob.size(),
+      set.spec, blob.size(), WrappedModelCount(set),
       [&layers](size_t, size_t, const std::string&, Tensor) {
         ++layers;
         return Status::OK();
@@ -229,6 +234,66 @@ TEST(CodecCorruptionTest, ParamStreamDecoderRejectsWrappedModelCount) {
   EXPECT_TRUE(fed.IsCorruption()) << fed.ToString();
   EXPECT_EQ(layers, 0u) << "decoder emitted layers past a bad header";
   EXPECT_TRUE(decoder.Finish().IsCorruption());
+}
+
+// Zero-width headers: with a zero-parameter architecture no payload byte
+// bounds the header's model count, so a crafted 2^40 passes every size
+// check. Each decoder must compare it with the set document's count (2
+// here) before sizing anything by it, and answer Corruption, not throw.
+constexpr uint64_t kZeroWidthModels = uint64_t{1} << 40;
+
+ArchitectureSpec ZeroParamSpec() {
+  ArchitectureSpec spec;
+  spec.family = "ZERO";
+  spec.input_shape = {4};
+  spec.layers = {LayerSpec{"act", "tanh"}};
+  return spec;
+}
+
+std::vector<uint8_t> ZeroWidthBlob(const char* magic) {
+  BinaryWriter writer = CraftedBlob(magic);
+  writer.WriteVarint(kZeroWidthModels);
+  writer.WriteVarint(0);
+  return SealWithCrc(std::move(writer));
+}
+
+TEST(CodecCorruptionTest, ZeroWidthHashTableChecksModelCount) {
+  ASSERT_TRUE(LayoutOf(ZeroParamSpec()).empty());
+  Result<HashTable> decoded = DecodeHashTable(ZeroWidthBlob("MMMHASH1"), 2);
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+}
+
+TEST(CodecCorruptionTest, ZeroWidthParamBlobChecksModelCount) {
+  std::vector<uint8_t> blob = ZeroWidthBlob("MMMPARM1");
+  Result<std::vector<StateDict>> decoded =
+      DecodeParamBlob(ZeroParamSpec(), blob, 2);
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+
+  ParamBlobStreamDecoder decoder(
+      ZeroParamSpec(), blob.size(), 2,
+      [](size_t, size_t, const std::string&, Tensor) { return Status::OK(); });
+  Status fed = decoder.Feed(blob);
+  EXPECT_TRUE(fed.IsCorruption()) << fed.ToString();
+  EXPECT_TRUE(decoder.Finish().IsCorruption());
+}
+
+TEST(CodecCorruptionTest, ZeroWidthSnapshotChecksModelCount) {
+  InMemoryEnv env;
+  FileStore files(&env, "/blobs");
+  DocumentStore docs(&env, "/wal");
+  IdGenerator ids(7);
+  ASSERT_OK(files.Open());
+  ASSERT_OK(docs.Open());
+  StoreContext context{&files, &docs, &ids};
+  SetDocument doc;
+  doc.id = "set-zero";
+  doc.num_models = 2;
+  doc.arch_blob = "set-zero.arch.json";
+  doc.param_blob = "set-zero.params.bin";
+  ASSERT_OK(files.PutString(doc.arch_blob, EncodeArchBlob(ZeroParamSpec())));
+  ASSERT_OK(files.Put(doc.param_blob, ZeroWidthBlob("MMMPARM1")));
+  Result<ModelSet> read = ReadFullSnapshot(context, doc);
+  EXPECT_TRUE(read.status().IsCorruption()) << read.status().ToString();
 }
 
 TEST(CodecCorruptionTest, DiffBlobRejectsCountPastPayload) {
@@ -268,7 +333,9 @@ TEST(CodecCorruptionTest, CompressedParamBlob) {
   Decoder decode = [&set](std::span<const uint8_t> b) {
     auto decompressed = DecompressBlob(b);
     if (!decompressed.ok()) return decompressed.status();
-    return DecodeParamBlob(set.spec, decompressed.ValueOrDie()).status();
+    return DecodeParamBlob(set.spec, decompressed.ValueOrDie(),
+                           set.models.size())
+        .status();
   };
   for (Compression method : {Compression::kLz, Compression::kShuffleLz}) {
     std::string label = "compressed param blob (" +

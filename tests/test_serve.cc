@@ -816,11 +816,14 @@ TEST_F(ServeTest, CorruptBlobNeverPoisonsTheCache) {
   }
 }
 
-// Cached-vs-direct parity. Both diff encodings x compression {none, LZ} x
-// CAS {off, on}, over a chain 4 deltas deep, through caches of 0, 0.3x and
-// 2x one set, replaying a seeded random order at workers 1 and 4: every
-// served set is bit-exact with ModelSetManager::Recover. At 0.3x, entries
-// are evicted while other workers still hold them (a TSan target).
+// Every Update read path against what was saved. Both diff encodings x
+// compression {none, LZ} x CAS {off, on}, over a chain 4 deltas deep:
+// Recover, RecoverModels of a fixed subset, and the service through caches
+// of 0, 0.3x and 2x one set, replaying a seeded random order at workers 1
+// and 4, all return exactly the saved version. The paths share one chain
+// resolver, so each is checked against the saved bytes, not against
+// another path. At 0.3x, entries are evicted while other workers still hold
+// them (a TSan target).
 TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
   for (DiffEncoding encoding : {DiffEncoding::kAbsolute, DiffEncoding::kXorBase}) {
     for (Compression compression : {Compression::kNone, Compression::kLz}) {
@@ -846,6 +849,7 @@ TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
         ASSERT_OK_AND_ASSIGN(SaveResult saved,
                              manager->SaveInitial(ApproachType::kUpdate, set));
         std::vector<std::string> ids{saved.set_id};
+        std::map<std::string, ModelSet> versions{{saved.set_id, set}};
         for (int version = 0; version < 4; ++version) {
           ModelSet base = set;
           for (size_t k = 0, n = 3 + rng.NextBounded(10); k < n; ++k) {
@@ -869,12 +873,22 @@ TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
           ASSERT_OK_AND_ASSIGN(
               saved, manager->SaveDerived(ApproachType::kUpdate, set, update));
           ids.push_back(saved.set_id);
+          versions[saved.set_id] = set;
         }
-        std::map<std::string, ModelSet> direct;
+        const std::vector<size_t> subset{5, 0, 5, 3};
         for (const std::string& id : ids) {
-          ASSERT_OK_AND_ASSIGN(direct[id], manager->Recover(id));
+          ASSERT_OK_AND_ASSIGN(ModelSet direct, manager->Recover(id));
+          ExpectSetEquals(direct, versions[id]);
+          ASSERT_OK_AND_ASSIGN(std::vector<StateDict> models,
+                               manager->RecoverModels(id, subset));
+          ASSERT_EQ(models.size(), subset.size());
+          ModelSet selected;
+          selected.spec = versions[id].spec;
+          for (size_t index : subset) {
+            selected.models.push_back(versions[id].models[index]);
+          }
+          ExpectSetEquals(ModelSet{selected.spec, std::move(models)}, selected);
         }
-        ExpectSetEquals(direct[ids.back()], set);
 
         std::vector<std::string> trace;
         for (int i = 0; i < 24; ++i) {
@@ -893,7 +907,7 @@ TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
             std::vector<ServeResult> results = service.Replay(trace, &recovered);
             for (size_t i = 0; i < trace.size(); ++i) {
               ASSERT_OK(results[i].status);
-              ExpectSetEquals(recovered[i], direct[trace[i]]);
+              ExpectSetEquals(recovered[i], versions[trace[i]]);
             }
             EXPECT_LE(service.cache_stats().bytes_used, capacity);
           }
@@ -903,10 +917,11 @@ TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
   }
 }
 
-// Corrupted chains fail cleanly on both read paths. Two planted delta
-// documents whose base_set_ids point at each other end in Corruption within
-// chain_depth + 1 fetches of the chain's documents; a diff entry whose model
-// index is out of range ends in Corruption through the cached path too.
+// Corrupted chains fail cleanly on every read path: Recover, RecoverModels
+// and the cached path. Two planted delta documents whose base_set_ids point
+// at each other end in Corruption within chain_depth + 1 fetches of the
+// chain's documents; a diff entry whose model index is out of range, and a
+// base of an unknown kind, end in Corruption too.
 TEST_F(ServeTest, CorruptedChainsFailCleanlyOnBothPaths) {
   OpenManager();
   std::string base_id = Save(ApproachType::kUpdate, nullptr);
@@ -947,6 +962,11 @@ TEST_F(ServeTest, CorruptedChainsFailCleanlyOnBothPaths) {
   EXPECT_NE(served.status().ToString().find("cycle"), std::string::npos);
   EXPECT_LE(docs->stats().read_ops - before, budget + 1);
 
+  before = docs->stats().read_ops;
+  Result<std::vector<StateDict>> selected = manager_->RecoverModels(a.id, {0});
+  EXPECT_TRUE(selected.status().IsCorruption()) << selected.status().ToString();
+  EXPECT_LE(docs->stats().read_ops - before, budget + 1);
+
   // A diff whose one entry names model num_models. It is encoded from the
   // head plus one extra model, so the blob itself decodes cleanly.
   ModelSet wider = expected_[head_id];
@@ -968,6 +988,30 @@ TEST_F(ServeTest, CorruptedChainsFailCleanlyOnBothPaths) {
       << oob_served.status().ToString();
   EXPECT_NE(oob_served.status().ToString().find("out of range"),
             std::string::npos);
+  Result<std::vector<StateDict>> oob_selected =
+      manager_->RecoverModels(oob.id, {0});
+  EXPECT_TRUE(oob_selected.status().IsCorruption())
+      << oob_selected.status().ToString();
+
+  // A base level of a kind an Update chain never holds.
+  SetDocument odd_base = head_doc;
+  odd_base.id = "set-odd-base";
+  odd_base.kind = "prov";
+  SetDocument odd = head_doc;
+  odd.id = "set-odd";
+  odd.base_set_id = odd_base.id;
+  ASSERT_OK(InsertSetDocument(context, odd_base));
+  ASSERT_OK(InsertSetDocument(context, odd));
+  Result<ModelSet> odd_direct = manager_->Recover(odd.id);
+  EXPECT_TRUE(odd_direct.status().IsCorruption())
+      << odd_direct.status().ToString();
+  Result<std::vector<StateDict>> odd_selected =
+      manager_->RecoverModels(odd.id, {0});
+  EXPECT_TRUE(odd_selected.status().IsCorruption())
+      << odd_selected.status().ToString();
+  Result<ModelSet> odd_served = cold_service.Recover(odd.id);
+  EXPECT_TRUE(odd_served.status().IsCorruption())
+      << odd_served.status().ToString();
 }
 
 }  // namespace

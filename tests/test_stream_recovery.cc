@@ -1,11 +1,11 @@
 // Streaming recovery (DESIGN.md §12) bit-exactness and fault tests.
 //
-// The streaming read path (Options::streaming_recovery, ON by default) must
-// be observationally identical to the seed's materializing path: same
-// recovered tensors bit-for-bit, same accept/reject decisions under faults
-// and corruption, at every lane and worker count, with CAS on or off. These
-// tests pin that contract; the peak-buffering test pins the point of the
-// whole exercise (recovery no longer allocates whole-snapshot buffers).
+// Every recovery reads blobs window by window through the incremental
+// decoders. Each recovered set must be bit-for-bit the set that was saved,
+// at every lane, worker and window count, with CAS on or off; under faults
+// and corruption a recovery either returns those exact bytes or fails with
+// a non-OK status. The peak-buffering test pins the point of the whole
+// exercise (recovery never allocates whole-snapshot buffers).
 
 #include <gtest/gtest.h>
 
@@ -51,6 +51,8 @@ struct StoreFixture {
   /// Saved ids, oldest first, across all four approaches and the version
   /// chain (initial + 2 derived cycles per approach).
   std::vector<std::string> ids;
+  /// The set each id was saved from, parallel to `ids`.
+  std::vector<ModelSet> saved;
 };
 
 /// Builds a store at `root` holding an initial set plus two update cycles
@@ -70,7 +72,6 @@ StoreFixture BuildStore(const std::string& root, Env* env, bool cas_enabled,
   options.resolver = fixture.scenario.get();
   options.cas.enabled = cas_enabled;
   options.blob_compression = compression;
-  options.streaming_recovery = false;  // write path is identical either way
   auto manager = ModelSetManager::Open(options).ValueOrDie();
 
   std::map<ApproachType, std::string> heads;
@@ -80,6 +81,7 @@ StoreFixture BuildStore(const std::string& root, Env* env, bool cas_enabled,
                          .set_id;
     heads[type] = id;
     fixture.ids.push_back(id);
+    fixture.saved.push_back(fixture.scenario->current_set());
   }
   for (int cycle = 0; cycle < 2; ++cycle) {
     ModelSetUpdateInfo update = fixture.scenario->AdvanceCycle().ValueOrDie();
@@ -92,36 +94,41 @@ StoreFixture BuildStore(const std::string& root, Env* env, bool cas_enabled,
                            .set_id;
       heads[type] = id;
       fixture.ids.push_back(id);
+      fixture.saved.push_back(fixture.scenario->current_set());
     }
   }
   return fixture;
 }
 
-/// Recovers every id with one manager configuration; the manager is opened
-/// and closed inside so arms never contend for the journal lock.
-std::vector<ModelSet> RecoverAll(const std::string& root, Env* env,
-                                 DatasetResolver* resolver,
-                                 const std::vector<std::string>& ids,
-                                 bool streaming, size_t lanes,
-                                 uint64_t window_bytes = 0) {
+/// Checks that every saved id recovers to exactly the set it was saved from.
+void ExpectRecoversSaved(ModelSetManager* manager, const StoreFixture& fixture,
+                         const std::string& label) {
+  for (size_t i = 0; i < fixture.ids.size(); ++i) {
+    Result<ModelSet> got = manager->Recover(fixture.ids[i]);
+    ASSERT_TRUE(got.ok()) << label << " set " << fixture.ids[i] << ": "
+                          << got.status().ToString();
+    ExpectSetsEqual(fixture.saved[i], got.ValueOrDie(),
+                    label + " set " + fixture.ids[i]);
+  }
+}
+
+/// The same, through a manager opened on `root` with `lanes` and
+/// `window_bytes` and closed again on return, so calls never contend for
+/// the journal lock.
+void ExpectRecoversSaved(const std::string& root, const StoreFixture& fixture,
+                         size_t lanes, uint64_t window_bytes,
+                         const std::string& label) {
   ModelSetManager::Options options;
   options.root_dir = root;
-  options.env = env;
-  options.resolver = resolver;
-  options.streaming_recovery = streaming;
+  options.resolver = fixture.scenario.get();
   options.stream_window_bytes = window_bytes;
   options.pipeline.lanes = lanes;
   auto manager = ModelSetManager::Open(options).ValueOrDie();
-  std::vector<ModelSet> sets;
-  sets.reserve(ids.size());
-  for (const std::string& id : ids) {
-    sets.push_back(manager->Recover(id).ValueOrDie());
-  }
-  return sets;
+  ExpectRecoversSaved(manager.get(), fixture, label);
 }
 
-/// Tentpole contract: streaming == materializing, bit for bit, for all four
-/// approaches × lanes {1, 4} × CAS {off, on} × compression {none, lz}.
+/// All four approaches × lanes {1, 4} × CAS {off, on} × compression
+/// {none, lz}: every recovery is bit-exact with the saved set.
 TEST(StreamRecoveryTest, BitExactAcrossApproachesLanesCasCompression) {
   for (bool cas : {false, true}) {
     for (Compression compression : {Compression::kNone, Compression::kLz}) {
@@ -131,25 +138,10 @@ TEST(StreamRecoveryTest, BitExactAcrossApproachesLanesCasCompression) {
       TempDir dir("stream-bitexact");
       StoreFixture fixture = BuildStore(dir.path() + "/store", Env::Default(),
                                         cas, compression);
-
-      std::vector<ModelSet> reference =
-          RecoverAll(dir.path() + "/store", Env::Default(),
-                     fixture.scenario.get(), fixture.ids,
-                     /*streaming=*/false, /*lanes=*/1);
       for (size_t lanes : {size_t{1}, size_t{4}}) {
-        for (bool streaming : {false, true}) {
-          if (!streaming && lanes == 1) continue;  // the reference itself
-          std::vector<ModelSet> got =
-              RecoverAll(dir.path() + "/store", Env::Default(),
-                         fixture.scenario.get(), fixture.ids, streaming, lanes);
-          ASSERT_EQ(got.size(), reference.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            ExpectSetsEqual(reference[i], got[i],
-                            StringFormat("set %s streaming=%d lanes=%zu",
-                                         fixture.ids[i].c_str(), streaming,
-                                         lanes));
-          }
-        }
+        ExpectRecoversSaved(dir.path() + "/store", fixture, lanes,
+                            /*window_bytes=*/0,
+                            StringFormat("lanes=%zu", lanes));
       }
     }
   }
@@ -162,62 +154,38 @@ TEST(StreamRecoveryTest, BitExactAtTinyWindowSizes) {
   TempDir dir("stream-window");
   StoreFixture fixture = BuildStore(dir.path() + "/store", Env::Default(),
                                     /*cas_enabled=*/true, Compression::kLz);
-  std::vector<ModelSet> reference =
-      RecoverAll(dir.path() + "/store", Env::Default(), fixture.scenario.get(),
-                 fixture.ids, /*streaming=*/false, /*lanes=*/1);
   for (uint64_t window : {uint64_t{64}, uint64_t{4096}}) {
-    std::vector<ModelSet> got =
-        RecoverAll(dir.path() + "/store", Env::Default(),
-                   fixture.scenario.get(), fixture.ids,
-                   /*streaming=*/true, /*lanes=*/1, window);
-    for (size_t i = 0; i < got.size(); ++i) {
-      ExpectSetsEqual(reference[i], got[i],
-                      StringFormat("window=%llu set %s",
-                                   static_cast<unsigned long long>(window),
-                                   fixture.ids[i].c_str()));
-    }
+    ExpectRecoversSaved(dir.path() + "/store", fixture, /*lanes=*/1, window,
+                        StringFormat("window=%llu",
+                                     static_cast<unsigned long long>(window)));
   }
 }
 
-/// Serving-layer parity: Replay at workers {1, 4}, streaming off vs on,
-/// recovered sets identical pairwise and across worker counts.
+/// Serving-layer parity: Replay at workers {1, 4}; every served set is
+/// bit-exact with the saved set.
 TEST(StreamRecoveryTest, BitExactThroughServiceWorkers) {
   TempDir dir("stream-workers");
   StoreFixture fixture = BuildStore(dir.path() + "/store", Env::Default(),
                                     /*cas_enabled=*/false, Compression::kNone);
   // Replay every saved set; Update sets take the cached path.
-  std::vector<std::string> trace;
-  for (const std::string& id : fixture.ids) trace.push_back(id);
-
-  std::vector<ModelSet> reference;
-  bool have_reference = false;
   for (size_t workers : {size_t{1}, size_t{4}}) {
-    for (bool streaming : {false, true}) {
-      ModelSetManager::Options options;
-      options.root_dir = dir.path() + "/store";
-      options.resolver = fixture.scenario.get();
-      options.streaming_recovery = streaming;
-      auto manager = ModelSetManager::Open(options).ValueOrDie();
-      ModelSetServiceOptions service_options;
-      service_options.workers = workers;
-      ModelSetService service(manager.get(), service_options);
-      std::vector<ModelSet> recovered;
-      std::vector<ServeResult> results = service.Replay(trace, &recovered);
-      ASSERT_EQ(results.size(), trace.size());
-      for (const ServeResult& r : results) {
-        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      }
-      ASSERT_EQ(recovered.size(), trace.size());
-      if (!have_reference) {
-        reference = std::move(recovered);
-        have_reference = true;
-        continue;
-      }
-      for (size_t i = 0; i < recovered.size(); ++i) {
-        ExpectSetsEqual(reference[i], recovered[i],
-                        StringFormat("workers=%zu streaming=%d request %zu",
-                                     workers, streaming, i));
-      }
+    ModelSetManager::Options options;
+    options.root_dir = dir.path() + "/store";
+    options.resolver = fixture.scenario.get();
+    auto manager = ModelSetManager::Open(options).ValueOrDie();
+    ModelSetServiceOptions service_options;
+    service_options.workers = workers;
+    ModelSetService service(manager.get(), service_options);
+    std::vector<ModelSet> recovered;
+    std::vector<ServeResult> results = service.Replay(fixture.ids, &recovered);
+    ASSERT_EQ(results.size(), fixture.ids.size());
+    for (const ServeResult& r : results) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    }
+    ASSERT_EQ(recovered.size(), fixture.ids.size());
+    for (size_t i = 0; i < recovered.size(); ++i) {
+      ExpectSetsEqual(fixture.saved[i], recovered[i],
+                      StringFormat("workers=%zu request %zu", workers, i));
     }
   }
 }
@@ -230,18 +198,19 @@ TEST(StreamRecoveryTest, EarlyLayerAdmissionFillsCache) {
   StoreFixture fixture = BuildStore(dir.path() + "/store", Env::Default(),
                                     /*cas_enabled=*/false, Compression::kNone);
   // Only Update sets have the cached recovery path; pick its chain.
+  // BuildStore pushes approaches in kAllApproaches order; kUpdate is index 2
+  // within each group of 4.
   std::vector<std::string> chain;
-  for (size_t i = 0; i < fixture.ids.size(); ++i) {
-    // BuildStore pushes approaches in kAllApproaches order; kUpdate is
-    // index 2 within each group of 4.
-    if (i % 4 == 2) chain.push_back(fixture.ids[i]);
+  std::vector<const ModelSet*> chain_saved;
+  for (size_t i = 2; i < fixture.ids.size(); i += 4) {
+    chain.push_back(fixture.ids[i]);
+    chain_saved.push_back(&fixture.saved[i]);
   }
   ASSERT_EQ(chain.size(), 3u);
 
   ModelSetManager::Options options;
   options.root_dir = dir.path() + "/store";
   options.resolver = fixture.scenario.get();
-  options.streaming_recovery = true;
   auto manager = ModelSetManager::Open(options).ValueOrDie();
   ModelSetServiceOptions service_options;
   service_options.workers = 1;
@@ -263,52 +232,36 @@ TEST(StreamRecoveryTest, EarlyLayerAdmissionFillsCache) {
   }
   EXPECT_GT(warm_hits, 0u);
   for (size_t i = 0; i < chain.size(); ++i) {
-    ExpectSetsEqual(cold_sets[i], warm_sets[i],
-                    StringFormat("warm replay of %s", chain[i].c_str()));
+    ExpectSetsEqual(*chain_saved[i], cold_sets[i], "cold replay of " + chain[i]);
+    ExpectSetsEqual(*chain_saved[i], warm_sets[i], "warm replay of " + chain[i]);
   }
 }
 
-/// Shard-kill fault (blobs subtree unreachable): both read paths fail
-/// cleanly with a non-OK status, and after healing both recover the exact
-/// reference bytes. Streaming must not mask or reorder fault surfacing.
-TEST(StreamRecoveryTest, FaultedBlobDirFailsCleanlyBothPaths) {
+/// Shard-kill fault (blobs subtree unreachable): recovery fails cleanly with
+/// a non-OK status, and after healing every set recovers to the exact saved
+/// bytes. Streaming must not mask or reorder fault surfacing.
+TEST(StreamRecoveryTest, FaultedBlobDirFailsCleanly) {
   TempDir dir("stream-fault");
   FaultInjectionEnv fault(Env::Default());
   const std::string root = dir.path() + "/store";
   StoreFixture fixture = BuildStore(root, &fault, /*cas_enabled=*/false,
                                     Compression::kLz);
-  std::vector<ModelSet> reference =
-      RecoverAll(root, &fault, fixture.scenario.get(), fixture.ids,
-                 /*streaming=*/false, /*lanes=*/1);
-
-  for (bool streaming : {false, true}) {
-    ModelSetManager::Options options;
-    options.root_dir = root;
-    options.env = &fault;
-    options.resolver = fixture.scenario.get();
-    options.streaming_recovery = streaming;
-    auto manager = ModelSetManager::Open(options).ValueOrDie();
-
-    fault.FailPathsUnder(root + "/blobs");
-    // Baseline's initial set (ids[1]) must read its param blob.
-    Result<ModelSet> down = manager->Recover(fixture.ids[1]);
-    EXPECT_FALSE(down.ok()) << "streaming=" << streaming;
-    fault.HealPaths();
-
-    for (size_t i = 0; i < fixture.ids.size(); ++i) {
-      Result<ModelSet> up = manager->Recover(fixture.ids[i]);
-      ASSERT_TRUE(up.ok()) << up.status().ToString();
-      ExpectSetsEqual(reference[i], up.ValueOrDie(),
-                      StringFormat("healed streaming=%d set %s",
-                                   static_cast<int>(streaming),
-                                   fixture.ids[i].c_str()));
-    }
-  }
+  ModelSetManager::Options options;
+  options.root_dir = root;
+  options.env = &fault;
+  options.resolver = fixture.scenario.get();
+  auto manager = ModelSetManager::Open(options).ValueOrDie();
+  fault.FailPathsUnder(root + "/blobs");
+  // Baseline's initial set (ids[1]) must read its param blob.
+  EXPECT_FALSE(manager->Recover(fixture.ids[1]).ok());
+  fault.HealPaths();
+  ExpectRecoversSaved(manager.get(), fixture, "healed");
 }
 
-/// Short read (a blob truncated on disk after a partial crash): both paths
-/// must reject — never return a short or padded set — and agree on ok().
-TEST(StreamRecoveryTest, TruncatedBlobRejectedByBothPaths) {
+/// Short read (a blob truncated on disk after a partial crash): every
+/// recovery returns exactly the saved set or fails with a non-OK status —
+/// never a short or padded set — and at least one recovery fails.
+TEST(StreamRecoveryTest, TruncatedBlobRecoversExactOrFails) {
   TempDir dir("stream-trunc");
   const std::string root = dir.path() + "/store";
   StoreFixture fixture = BuildStore(root, Env::Default(), /*cas_enabled=*/false,
@@ -330,37 +283,21 @@ TEST(StreamRecoveryTest, TruncatedBlobRejectedByBothPaths) {
   ASSERT_FALSE(victim.empty());
   std::filesystem::resize_file(victim, victim_size / 2);
 
+  ModelSetManager::Options options;
+  options.root_dir = root;
+  options.resolver = fixture.scenario.get();
+  auto manager = ModelSetManager::Open(options).ValueOrDie();
   size_t rejected = 0;
-  for (const std::string& id : fixture.ids) {
-    ModelSet materialized;
-    bool mat_ok;
-    {
-      ModelSetManager::Options options;
-      options.root_dir = root;
-      options.resolver = fixture.scenario.get();
-      options.streaming_recovery = false;
-      auto manager = ModelSetManager::Open(options).ValueOrDie();
-      Result<ModelSet> r = manager->Recover(id);
-      mat_ok = r.ok();
-      if (mat_ok) materialized = std::move(r).ValueOrDie();
-    }
-    ModelSetManager::Options options;
-    options.root_dir = root;
-    options.resolver = fixture.scenario.get();
-    options.streaming_recovery = true;
-    auto manager = ModelSetManager::Open(options).ValueOrDie();
-    Result<ModelSet> streamed = manager->Recover(id);
-    ASSERT_EQ(mat_ok, streamed.ok())
-        << "paths disagree on set " << id << ": materializing "
-        << (mat_ok ? "accepted" : "rejected") << ", streaming "
-        << streamed.status().ToString();
-    if (mat_ok) {
-      ExpectSetsEqual(materialized, streamed.ValueOrDie(), "set " + id);
+  for (size_t i = 0; i < fixture.ids.size(); ++i) {
+    Result<ModelSet> recovered = manager->Recover(fixture.ids[i]);
+    if (recovered.ok()) {
+      ExpectSetsEqual(fixture.saved[i], recovered.ValueOrDie(),
+                      "set " + fixture.ids[i]);
     } else {
       ++rejected;
     }
   }
-  EXPECT_GT(rejected, 0u) << "truncation hit no recovery path";
+  EXPECT_GT(rejected, 0u) << "truncation hit no recovery";
 }
 
 /// The point of streaming: peak decoder buffering stays at roughly one
@@ -379,7 +316,7 @@ TEST(StreamRecoveryTest, PeakBufferingIsOneLayerNotWholeBlob) {
   BlobDecompressor decompressor;
   size_t emitted = 0;
   ParamBlobStreamDecoder decoder(
-      set.spec, raw.size(),
+      set.spec, raw.size(), set.models.size(),
       [&](size_t, size_t, const std::string&, Tensor) {
         ++emitted;
         return Status::OK();
