@@ -507,7 +507,9 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
 
   // The content hash covers a tensor's bytes, not its shape: a zeroed
   // [48] bias and a zeroed [1, 48] weight share one entry. Each layer
-  // therefore takes its shape from the layout, never from the entry.
+  // therefore takes its shape from the layout, never from the entry. It
+  // shares the entry's buffer; a caller's first write copies it, so the
+  // cache never sees the write.
   std::vector<Tensor> values(num_slots);
   for (size_t slot = 0; slot < num_slots; ++slot) {
     const Shape& shape = layout[slot % num_params].second;
@@ -516,7 +518,7 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
                                 slot % num_params, ") of ", set_id,
                                 " does not match its content hash");
     }
-    values[slot] = Tensor(shape, layers[slot]->vec());
+    values[slot] = layers[slot]->Reshape(shape);
   }
   ModelSet set;
   set.spec = meta->spec;

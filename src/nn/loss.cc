@@ -37,10 +37,13 @@ float CrossEntropyLoss::Forward(const Tensor& prediction, const Tensor& target) 
 
 Tensor CrossEntropyLoss::Backward() {
   const size_t batch = cached_softmax_.dim(0);
+  const size_t classes = cached_softmax_.dim(1);
   Tensor grad = cached_softmax_;
+  float* g = grad.mutable_data().data();
+  auto labels = cached_target_.data();
   for (size_t i = 0; i < batch; ++i) {
-    auto label = static_cast<size_t>(cached_target_.at(i));
-    grad.at2(i, label) -= 1.0f;
+    auto label = static_cast<size_t>(labels[i]);
+    g[i * classes + label] -= 1.0f;
   }
   ScaleInPlace(&grad, 1.0f / static_cast<float>(batch));
   return grad;

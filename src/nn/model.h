@@ -41,7 +41,8 @@ class Model {
   /// Runs the network in inference mode.
   Tensor Predict(const Tensor& input) { return network_->Forward(input); }
 
-  /// Deep copy of all parameters, in deterministic order.
+  /// Copy of all parameters, in deterministic order. The tensors share the
+  /// model's buffers until either side writes (see Tensor).
   StateDict GetStateDict() const;
 
   /// Loads parameters; keys and shapes must match the model exactly.
@@ -50,7 +51,7 @@ class Model {
   /// Total scalar parameter count.
   size_t ParameterCount() const { return network_->ParameterCount(); }
 
-  /// Deep copy (same spec, same parameters).
+  /// Independent copy (same spec, same parameters).
   Result<Model> Clone() const;
 
  private:

@@ -36,7 +36,10 @@ struct LayerCacheStats {
 /// idempotent and a hit always returns exactly the bytes a store recovery
 /// would have produced. Entries hold a `shared_ptr<const Tensor>`, so a hit
 /// shares the tensor instead of copying it under the shard lock, and an
-/// evicted tensor stays alive for every reader still holding it.
+/// evicted tensor stays alive for every reader still holding it. A set
+/// assembled from hits shares the entries' buffers too; a caller's first
+/// write to one of its tensors copies that buffer (Tensor is copy-on-write),
+/// so no write ever reaches an entry.
 ///
 /// The capacity bound is strict *per shard* (shard capacity = total /
 /// shards), which also bounds the global footprint: charged bytes never

@@ -12,6 +12,7 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bi
   const size_t oh = h - k + 1, ow = w - k + 1;
 
   Tensor out(Shape{n, cout, oh, ow});
+  float* po = out.mutable_data().data();
   for (size_t b = 0; b < n; ++b) {
     for (size_t oc = 0; oc < cout; ++oc) {
       const float bias_val = bias.at(oc);
@@ -25,7 +26,7 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bi
               }
             }
           }
-          out.at4(b, oc, y, x) = acc;
+          po[((b * cout + oc) * oh + y) * ow + x] = acc;
         }
       }
     }
@@ -36,7 +37,8 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bi
 Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
                       const Tensor& grad_output, Tensor* grad_weight,
                       Tensor* grad_bias) {
-  const size_t n = input.dim(0), cin = input.dim(1);
+  const size_t n = input.dim(0), cin = input.dim(1), h = input.dim(2),
+               w = input.dim(3);
   const size_t cout = weight.dim(0), k = weight.dim(2);
   const size_t oh = grad_output.dim(2), ow = grad_output.dim(3);
   MMM_DCHECK(grad_output.dim(0) == n && grad_output.dim(1) == cout);
@@ -44,19 +46,22 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
   MMM_DCHECK(grad_bias->ndim() == 1 && grad_bias->dim(0) == cout);
 
   Tensor grad_input(input.shape());
+  float* gi = grad_input.mutable_data().data();
+  float* gw = grad_weight->mutable_data().data();
+  float* gb = grad_bias->mutable_data().data();
   for (size_t b = 0; b < n; ++b) {
     for (size_t oc = 0; oc < cout; ++oc) {
       for (size_t y = 0; y < oh; ++y) {
         for (size_t x = 0; x < ow; ++x) {
           const float go = grad_output.at4(b, oc, y, x);
           if (go == 0.0f) continue;
-          grad_bias->at(oc) += go;
+          gb[oc] += go;
           for (size_t ic = 0; ic < cin; ++ic) {
             for (size_t ky = 0; ky < k; ++ky) {
               for (size_t kx = 0; kx < k; ++kx) {
-                grad_weight->at4(oc, ic, ky, kx) +=
+                gw[((oc * cin + ic) * k + ky) * k + kx] +=
                     go * input.at4(b, ic, y + ky, x + kx);
-                grad_input.at4(b, ic, y + ky, x + kx) +=
+                gi[((b * cin + ic) * h + y + ky) * w + x + kx] +=
                     go * weight.at4(oc, ic, ky, kx);
               }
             }
@@ -76,6 +81,7 @@ Tensor MaxPool2dForward(const Tensor& input, std::vector<size_t>* argmax) {
   const size_t oh = h / 2, ow = w / 2;
   Tensor out(Shape{n, c, oh, ow});
   if (argmax != nullptr) argmax->assign(out.numel(), 0);
+  float* po = out.mutable_data().data();
 
   size_t out_index = 0;
   for (size_t b = 0; b < n; ++b) {
@@ -94,7 +100,7 @@ Tensor MaxPool2dForward(const Tensor& input, std::vector<size_t>* argmax) {
               }
             }
           }
-          out.at4(b, ch, y, x) = best;
+          po[out_index] = best;
           if (argmax != nullptr) {
             (*argmax)[out_index] = ((b * c + ch) * h + best_y) * w + best_x;
           }

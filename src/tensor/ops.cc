@@ -138,8 +138,9 @@ Tensor Transpose2D(const Tensor& a) {
   MMM_DCHECK(a.ndim() == 2);
   const size_t m = a.dim(0), n = a.dim(1);
   Tensor out(Shape{n, m});
+  float* po = out.mutable_data().data();
   for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) out.at2(j, i) = a.at2(i, j);
+    for (size_t j = 0; j < n; ++j) po[j * m + i] = a.at2(i, j);
   }
   return out;
 }

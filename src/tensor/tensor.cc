@@ -1,6 +1,9 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -13,11 +16,45 @@ size_t Tensor::NumElements(const Shape& shape) {
 }
 
 Tensor::Tensor(Shape shape)
-    : shape_(std::move(shape)), data_(NumElements(shape_), 0.0f) {}
+    : shape_(std::move(shape)),
+      buffer_(std::make_shared<std::vector<float>>(NumElements(shape_), 0.0f)),
+      data_(buffer_->data()),
+      numel_(buffer_->size()) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  MMM_DCHECK(data_.size() == NumElements(shape_));
+    : shape_(std::move(shape)),
+      buffer_(std::make_shared<std::vector<float>>(std::move(data))),
+      data_(buffer_->data()),
+      numel_(buffer_->size()) {
+  MMM_DCHECK(numel_ == NumElements(shape_));
+}
+
+Tensor::Tensor(Tensor&& other) noexcept
+    : shape_(std::move(other.shape_)),
+      buffer_(std::move(other.buffer_)),
+      data_(std::exchange(other.data_, nullptr)),
+      numel_(std::exchange(other.numel_, 0)) {}
+
+Tensor& Tensor::operator=(Tensor&& other) noexcept {
+  shape_ = std::move(other.shape_);
+  buffer_ = std::move(other.buffer_);
+  data_ = std::exchange(other.data_, nullptr);
+  numel_ = std::exchange(other.numel_, 0);
+  return *this;
+}
+
+float* Tensor::Writable() {
+  if (buffer_.use_count() > 1) {
+    buffer_ = std::make_shared<std::vector<float>>(data_, data_ + numel_);
+    data_ = buffer_->data();
+  } else {
+    // Sole owner. The last other owner may have read the buffer just
+    // before dropping its reference; its release decrement pairs with
+    // this fence, so the writes below cannot race those reads. (GCC's
+    // TSan does not model standalone fences and warns with -Wtsan.)
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return data_;
 }
 
 Tensor Tensor::Full(Shape shape, float value) {
@@ -33,20 +70,23 @@ Tensor Tensor::FromVector(std::vector<float> values) {
 
 Tensor Tensor::Reshape(Shape new_shape) const {
   MMM_DCHECK(NumElements(new_shape) == numel());
-  return Tensor(std::move(new_shape), data_);
+  Tensor out = *this;
+  out.shape_ = std::move(new_shape);
+  return out;
 }
 
 void Tensor::Fill(float value) {
-  for (float& x : data_) x = value;
+  std::fill_n(Writable(), numel_, value);
 }
 
 bool Tensor::Equals(const Tensor& other) const {
-  return shape_ == other.shape_ && data_ == other.data_;
+  return shape_ == other.shape_ &&
+         std::equal(data_, data_ + numel_, other.data_, other.data_ + other.numel_);
 }
 
 bool Tensor::AllClose(const Tensor& other, float atol) const {
   if (shape_ != other.shape_) return false;
-  for (size_t i = 0; i < data_.size(); ++i) {
+  for (size_t i = 0; i < numel_; ++i) {
     if (std::fabs(data_[i] - other.data_[i]) > atol) return false;
   }
   return true;
@@ -59,12 +99,12 @@ std::string Tensor::ToString() const {
     out += std::to_string(shape_[i]);
   }
   out += "] {";
-  size_t show = std::min<size_t>(8, data_.size());
+  size_t show = std::min<size_t>(8, numel_);
   for (size_t i = 0; i < show; ++i) {
     if (i > 0) out += ", ";
     out += StringFormat("%g", data_[i]);
   }
-  if (data_.size() > show) out += ", ...";
+  if (numel_ > show) out += ", ...";
   out += "}";
   return out;
 }

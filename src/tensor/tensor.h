@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,9 +19,15 @@ using Shape = std::vector<size_t>;
 ///
 /// The numeric foundation of the NN substrate. Deliberately simple: always
 /// contiguous, always float32 (the paper's models are float32 — "4 Byte
-/// floats", §4.2), deep-copy semantics. Shape violations are programmer
-/// errors and abort via MMM_DCHECK; fallible I/O lives in
-/// tensor/tensor_serialize.h and returns Status.
+/// floats", §4.2). Value semantics with a shared, copy-on-write buffer:
+/// copying a tensor (or reshaping it) shares its buffer, and the first
+/// write through a tensor whose buffer is shared gives that tensor a copy
+/// of its own. A write can therefore never reach another tensor, and a
+/// tensor handed out by a cache costs a reference-count bump. A span or
+/// reference from a mutable accessor must not be written through after the
+/// tensor is copied: the copy shares the buffer it points into. Shape
+/// violations are programmer errors and abort via MMM_DCHECK; fallible I/O
+/// lives in tensor/tensor_serialize.h and returns Status.
 class Tensor {
  public:
   /// Constructs an empty (0-element, 0-dim) tensor.
@@ -30,7 +37,14 @@ class Tensor {
   explicit Tensor(Shape shape);
 
   /// Constructs from explicit data; `data.size()` must match the shape.
+  /// The vector becomes the tensor's buffer without a copy.
   Tensor(Shape shape, std::vector<float> data);
+
+  Tensor(const Tensor&) = default;
+  Tensor& operator=(const Tensor&) = default;
+  /// A moved-from tensor is empty.
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(Tensor&& other) noexcept;
 
   /// \name Factories
   /// @{
@@ -43,8 +57,8 @@ class Tensor {
   const Shape& shape() const { return shape_; }
   size_t ndim() const { return shape_.size(); }
   /// Total number of elements.
-  size_t numel() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
+  size_t numel() const { return numel_; }
+  bool empty() const { return numel_ == 0; }
 
   /// Size of dimension `dim`.
   size_t dim(size_t d) const {
@@ -52,23 +66,25 @@ class Tensor {
     return shape_[d];
   }
 
-  std::span<const float> data() const { return data_; }
-  std::span<float> mutable_data() { return data_; }
-  const std::vector<float>& vec() const { return data_; }
+  std::span<const float> data() const { return {data_, numel_}; }
+  /// Detaches a shared buffer first. Take it once outside a loop rather
+  /// than writing through at()/at2()/at4() per element.
+  std::span<float> mutable_data() { return {Writable(), numel_}; }
 
-  /// \name Element access (row-major).
+  /// \name Element access (row-major). The non-const overloads detach a
+  /// shared buffer, like mutable_data().
   /// @{
   float& at(size_t i) {
-    MMM_DCHECK(i < data_.size());
-    return data_[i];
+    MMM_DCHECK(i < numel_);
+    return Writable()[i];
   }
   float at(size_t i) const {
-    MMM_DCHECK(i < data_.size());
+    MMM_DCHECK(i < numel_);
     return data_[i];
   }
   float& at2(size_t i, size_t j) {
     MMM_DCHECK(ndim() == 2 && i < shape_[0] && j < shape_[1]);
-    return data_[i * shape_[1] + j];
+    return Writable()[i * shape_[1] + j];
   }
   float at2(size_t i, size_t j) const {
     MMM_DCHECK(ndim() == 2 && i < shape_[0] && j < shape_[1]);
@@ -76,7 +92,7 @@ class Tensor {
   }
   float& at4(size_t n, size_t c, size_t h, size_t w) {
     MMM_DCHECK(ndim() == 4);
-    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+    return Writable()[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
   }
   float at4(size_t n, size_t c, size_t h, size_t w) const {
     MMM_DCHECK(ndim() == 4);
@@ -84,7 +100,8 @@ class Tensor {
   }
   /// @}
 
-  /// Returns a tensor with the same data and a new shape of equal numel.
+  /// Returns a tensor with a new shape of equal numel that shares this
+  /// tensor's buffer.
   Tensor Reshape(Shape new_shape) const;
 
   /// Fills every element with `value`.
@@ -103,8 +120,16 @@ class Tensor {
   static size_t NumElements(const Shape& shape);
 
  private:
+  /// Makes the buffer this tensor's alone (copying it if shared) and
+  /// returns its first element.
+  float* Writable();
+
   Shape shape_;
-  std::vector<float> data_;
+  std::shared_ptr<std::vector<float>> buffer_;
+  /// `buffer_->data()` and `buffer_->size()`, cached so const access is a
+  /// plain pointer index.
+  float* data_ = nullptr;
+  size_t numel_ = 0;
 };
 
 }  // namespace mmm

@@ -15,6 +15,8 @@
 #include "core/blob_formats.h"
 #include "core/manager.h"
 #include "core/set_codec.h"
+#include "nn/model.h"
+#include "nn/trainer.h"
 #include "serve/layer_cache.h"
 #include "serve/service.h"
 #include "serve/trace.h"
@@ -603,6 +605,112 @@ TEST_F(ServeTest, ConcurrentZipfianReplayIsRaceFreeAndExact) {
   }
   LayerCacheStats cache_stats = service.cache_stats();
   EXPECT_LE(cache_stats.bytes_used, cache_stats.capacity_bytes);
+}
+
+// A set served from the cache shares the entries' buffers (a hit costs a
+// reference-count bump), and a caller's writes copy them first: overwriting
+// a hot recovery, or loading one into models and training them, never
+// reaches the cache, pinned entries included.
+TEST_F(ServeTest, CallerWritesNeverReachCachedLayers) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  std::string head_id = Save(ApproachType::kUpdate, &update);
+
+  ModelSetServiceOptions options;
+  options.cache_capacity_bytes = 4 * SetChargeBytes(expected_[head_id]);
+  ModelSetService service(manager_.get(), options);
+  ASSERT_OK(service.PinSet(base_id));
+  ASSERT_OK(service.Recover(head_id).status());
+
+  ServeResult hot;
+  ASSERT_OK_AND_ASSIGN(ModelSet first, service.Recover(head_id, &hot));
+  ASSERT_OK_AND_ASSIGN(ModelSet second, service.Recover(head_id));
+  EXPECT_EQ(hot.cache.layer_misses, 0u);
+  EXPECT_EQ(first.models[0][0].second.data().data(),
+            second.models[0][0].second.data().data());
+  const ModelSet untouched = first;
+
+  // Overwrite every tensor of one recovery in place.
+  for (StateDict& model : first.models) {
+    for (auto& [key, tensor] : model) {
+      for (float& x : tensor.mutable_data()) x = -2.0f * x + 1.0f;
+    }
+  }
+  // Load the other into models and train each for one step.
+  const Tensor inputs = RandomTensor(Shape{8, 4}, 31);
+  const Tensor targets = RandomTensor(Shape{8, 1}, 32);
+  TrainConfig one_step;
+  one_step.batch_size = 8;
+  for (const StateDict& state : second.models) {
+    ASSERT_OK_AND_ASSIGN(Model model, Model::Create(second.spec));
+    ASSERT_OK(model.LoadStateDict(state));
+    ASSERT_OK(TrainModel(&model, inputs, targets, one_step).status());
+    EXPECT_FALSE(model.GetStateDict()[0].second.Equals(state[0].second));
+  }
+
+  ServeResult again;
+  ASSERT_OK_AND_ASSIGN(ModelSet third, service.Recover(head_id, &again));
+  EXPECT_EQ(again.cache.layer_misses, 0u);
+  ASSERT_OK_AND_ASSIGN(ModelSet direct, manager_->Recover(head_id));
+  ExpectSetEquals(third, expected_[head_id]);
+  ExpectSetEquals(third, direct);
+  ExpectSetEquals(untouched, expected_[head_id]);
+
+  // The pinned base's layers survive the same treatment.
+  ASSERT_OK_AND_ASSIGN(ModelSet base, service.Recover(base_id));
+  for (StateDict& model : base.models) {
+    for (auto& [key, tensor] : model) tensor.Fill(7.0f);
+  }
+  ServeResult pinned;
+  ASSERT_OK_AND_ASSIGN(base, service.Recover(base_id, &pinned));
+  EXPECT_EQ(pinned.cache.layer_misses, 0u);
+  ExpectSetEquals(base, expected_[base_id]);
+}
+
+// Writers recover one hot set and overwrite their copies while readers
+// recover the same set and compare it with the saved bytes. Every writer
+// copies shared cache buffers concurrently with the readers (a TSan target).
+TEST_F(ServeTest, ConcurrentWritersNeverDisturbCachedReaders) {
+  OpenManager();
+  std::string id = Save(ApproachType::kUpdate, nullptr);
+  ModelSetServiceOptions options;
+  options.cache_capacity_bytes = 4 * SetChargeBytes(expected_[id]);
+  ModelSetService service(manager_.get(), options);
+  ASSERT_OK(service.Recover(id).status());
+
+  const ModelSet& saved = expected_[id];
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const bool writer = t % 2 == 0;
+      for (int round = 0; round < 20; ++round) {
+        Result<ModelSet> recovered = service.Recover(id);
+        if (!recovered.ok()) {
+          ++wrong;
+          continue;
+        }
+        ModelSet set = std::move(recovered).ValueOrDie();
+        for (size_t m = 0; m < set.models.size(); ++m) {
+          for (size_t p = 0; p < set.models[m].size(); ++p) {
+            Tensor& tensor = set.models[m][p].second;
+            const Tensor& want = saved.models[m][p].second;
+            if (writer) {
+              tensor.Fill(static_cast<float>(t));
+              if (tensor.data()[0] != static_cast<float>(t)) ++wrong;
+            } else if (!tensor.Equals(want)) {
+              ++wrong;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  ASSERT_OK_AND_ASSIGN(ModelSet after, service.Recover(id));
+  ExpectSetEquals(after, saved);
 }
 
 // Saves commit beside recoveries: one thread extends the Update chain with

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "tensor/ops.h"
 #include "tensor/tensor_serialize.h"
@@ -59,6 +61,63 @@ TEST(TensorTest, ReshapeKeepsData) {
   Tensor r = t.Reshape(Shape{3, 4});
   EXPECT_EQ(r.shape(), (Shape{3, 4}));
   EXPECT_TRUE(std::equal(t.data().begin(), t.data().end(), r.data().begin()));
+}
+
+TEST(TensorTest, CopiesAndReshapesShareTheBuffer) {
+  std::vector<float> values(12, 1.0f);
+  const float* storage = values.data();
+  Tensor t(Shape{2, 6}, std::move(values));
+  EXPECT_EQ(t.data().data(), storage);  // the vector moved in, no copy
+  Tensor copy = t;
+  Tensor view = t.Reshape(Shape{3, 4});
+  EXPECT_EQ(copy.data().data(), storage);
+  EXPECT_EQ(view.data().data(), storage);
+
+  // A sole owner writes in place.
+  Tensor moved = std::move(copy);
+  EXPECT_TRUE(copy.empty());
+  view = Tensor();
+  t = Tensor();
+  EXPECT_EQ(moved.mutable_data().data(), storage);
+}
+
+// Every mutating accessor detaches a shared buffer: a write through a copy
+// (or a reshaped view) never reaches the tensor it was taken from, and a
+// write through the original never reaches the copy.
+TEST(TensorTest, WritesCopyASharedBufferFirst) {
+  const std::vector<
+      std::pair<const char*, std::function<void(Tensor*)>>> writes = {
+      {"mutable_data", [](Tensor* t) { t->mutable_data()[5] = -1.0f; }},
+      {"at", [](Tensor* t) { t->at(5) = -1.0f; }},
+      {"at2",
+       [](Tensor* t) {
+         *t = t->Reshape(Shape{4, 6});
+         t->at2(0, 5) = -1.0f;
+       }},
+      {"at4",
+       [](Tensor* t) {
+         *t = t->Reshape(Shape{1, 2, 3, 4});
+         t->at4(0, 0, 1, 1) = -1.0f;
+       }},
+      {"Fill", [](Tensor* t) { t->Fill(-1.0f); }},
+  };
+  const Tensor reference = RandomTensor(Shape{24}, 3);
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    Tensor original = reference;
+    Tensor copy = original;
+    write(&copy);
+    EXPECT_TRUE(original.Equals(reference));
+    EXPECT_FALSE(copy.Reshape(Shape{24}).Equals(reference));
+
+    Tensor view = original.Reshape(Shape{2, 12});
+    write(&view);
+    EXPECT_TRUE(original.Equals(reference));
+
+    Tensor kept = original;
+    write(&original);
+    EXPECT_TRUE(kept.Equals(reference));
+  }
 }
 
 TEST(TensorTest, EqualsAndAllClose) {
