@@ -42,7 +42,7 @@ Result<std::vector<UseCaseResult>> ExperimentRunner::Run() {
     options.blob_compression = config_.blob_compression;
     // The paper harness owns one isolated store per approach; the sharded
     // tier is out of scope for it.
-    // MMMLINT(direct-manager-open): per-approach store of the paper harness.
+    // MMMSA(direct-manager-open): per-approach store of the paper harness.
     MMM_ASSIGN_OR_RETURN(managers_[type], ModelSetManager::Open(options));
   }
 

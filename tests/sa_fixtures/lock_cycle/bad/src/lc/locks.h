@@ -21,7 +21,7 @@ class Tangle {
  private:
   Mutex a_ MMM_LOCK_RANK(10);
   Mutex b_ MMM_LOCK_RANK(20);
-  int work_ = 0;
+  int work_ MMM_GUARDED_BY(b_) = 0;
 };
 
 #endif  // SA_FIXTURE_LOCK_CYCLE_BAD_H_

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "cfg.h"
@@ -16,35 +18,6 @@ namespace mmmsa {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// Shared token helpers (mirrors parser.cc's private ones).
-
-const Token* At(const std::vector<Token>& toks, size_t i) {
-  return i < toks.size() ? &toks[i] : nullptr;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kIdent && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
-bool IsAnyIdent(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdent;
-}
-
-size_t SkipParens(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "(") ++depth;
-    if (toks[i].text == ")" && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
 
 // ---------------------------------------------------------------------------
 // File collection + lexing.
@@ -88,39 +61,88 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
+std::vector<LexedFile> LexSources(const std::vector<std::string>& paths,
+                                  std::vector<std::string>* io_errors) {
+  std::vector<LexedFile> files;
+  for (const std::string& path : CollectSources(paths, io_errors)) {
+    std::string contents;
+    if (ReadFile(path, &contents)) {
+      files.push_back(Lex(path, contents));
+    } else if (io_errors != nullptr) {
+      io_errors->push_back(path);
+    }
+  }
+  return files;
+}
+
+/// The directory prefix EffectivePath strips. Files sharing it form one
+/// source tree, and each tree is analyzed as its own program, so fixture
+/// trees that reuse class and function names never merge.
+std::string TreeRoot(const std::string& path) {
+  return path.substr(0, path.size() - EffectivePath(path).size());
+}
+
 // ---------------------------------------------------------------------------
-// Suppressions: `// MMMSA(<analysis>): reason` on the line or the line above.
+// Suppressions: `// MMMSA(<rule|analysis|*>): reason` on the finding line or
+// the line above. Only a well-formed tag counts (a rule or analysis name, or
+// `*`, then a colon), so comments that describe the syntax are not waivers.
+
+std::vector<SuppressionNote> ScanSuppressions(const LexedFile& file) {
+  // bench/suite/mmmbench.cc still carries the tag's old spelling, MMMLINT.
+  // That directory only changes together with the benchmark it defines, so
+  // the old spelling stays accepted until the benchmark is next revised.
+  static constexpr std::string_view kOpeners[] = {"MMMSA(", "MMMLINT("};
+  std::vector<SuppressionNote> notes;
+  for (const Comment& c : file.comments) {
+    for (std::string_view opener : kOpeners) {
+      for (size_t pos = c.text.find(opener); pos != std::string::npos;
+           pos = c.text.find(opener, pos + 1)) {
+        size_t start = pos + opener.size();
+        size_t close = c.text.find(')', start);
+        if (close == std::string::npos) break;
+        std::string tag = c.text.substr(start, close - start);
+        bool named = tag == "*" ||
+                     (!tag.empty() &&
+                      tag.find_first_not_of(
+                          "abcdefghijklmnopqrstuvwxyz0123456789-") ==
+                          std::string::npos);
+        if (!named || close + 1 >= c.text.size() || c.text[close + 1] != ':') {
+          continue;
+        }
+        size_t reason_end = c.text.find('\n', close + 2);
+        std::string reason = c.text.substr(close + 2, reason_end - close - 2);
+        reason.erase(0, reason.find_first_not_of(' '));
+        reason.erase(reason.find_last_not_of(" \r") + 1);
+        notes.push_back({file.path, c.line, std::move(tag), std::move(reason)});
+      }
+    }
+  }
+  return notes;
+}
 
 class Suppressions {
  public:
   explicit Suppressions(const std::vector<LexedFile>& files) {
     for (const LexedFile& f : files) {
-      std::string path = EffectivePath(f.path);
-      for (const Comment& c : f.comments) {
-        size_t pos = c.text.find("MMMSA(");
-        if (pos == std::string::npos) continue;
-        size_t close = c.text.find(')', pos);
-        if (close == std::string::npos) continue;
-        std::string analysis = c.text.substr(pos + 6, close - pos - 6);
-        by_file_[path].emplace(c.line, analysis);
+      for (SuppressionNote& note : ScanSuppressions(f)) {
+        tags_.insert({note.file, note.line, std::move(note.tag)});
       }
     }
   }
 
-  bool Covers(const Finding& finding) const {
-    auto it = by_file_.find(finding.file);
-    if (it == by_file_.end()) return false;
-    for (int line : {finding.line, finding.line - 1}) {
-      auto range = it->second.equal_range(line);
-      for (auto e = range.first; e != range.second; ++e) {
-        if (e->second == finding.analysis || e->second == "*") return true;
+  /// Keyed on the file as scanned, never its effective path: two fixture
+  /// trees holding the same effective path must not waive each other.
+  bool Covers(const Finding& f) const {
+    for (int line : {f.line, f.line - 1}) {
+      for (const std::string& tag : {std::string("*"), f.rule, f.analysis}) {
+        if (tags_.count({f.file, line, tag}) != 0) return true;
       }
     }
     return false;
   }
 
  private:
-  std::map<std::string, std::multimap<int, std::string>> by_file_;
+  std::set<std::tuple<std::string, int, std::string>> tags_;
 };
 
 // ---------------------------------------------------------------------------
@@ -319,14 +341,9 @@ struct Analyzer {
       cls = ResolveChainStep(cls, chain[i]);
     }
     if (cls.empty()) return {};
-    std::string probe = cls;
-    while (!probe.empty()) {
-      auto qit = program.by_qualified.find(probe + "::" + name);
-      if (qit != program.by_qualified.end()) return qit->second;
-      size_t pos = probe.rfind("::");
-      probe = pos == std::string::npos ? "" : probe.substr(0, pos);
-      break;  // only the exact class: base-class walks would guess
-    }
+    // Only the exact class: base-class walks would guess.
+    auto qit = program.by_qualified.find(cls + "::" + name);
+    if (qit != program.by_qualified.end()) return qit->second;
     return {};
   }
 };
@@ -369,6 +386,72 @@ bool IsCallKeyword(const std::string& s) {
   return kKeywords.count(s) != 0 || s.rfind("MMM_", 0) == 0;
 }
 
+/// Strongly connected components of `adj` that hold a cycle (more than one
+/// node, or a self-edge), each sorted. Iterative Tarjan, safe on deep graphs.
+std::vector<std::vector<std::string>> Cycles(
+    const std::map<std::string, std::vector<std::string>>& adj) {
+  std::map<std::string, int> index, low;
+  std::set<std::string> on_stack;
+  std::vector<std::string> stack;
+  std::vector<std::vector<std::string>> cycles;
+  int counter = 0;
+  struct Frame {
+    std::string node;
+    size_t next = 0;
+  };
+  static const std::vector<std::string> kNone;
+  auto succs_of =
+      [&](const std::string& node) -> const std::vector<std::string>& {
+    auto it = adj.find(node);
+    return it == adj.end() ? kNone : it->second;
+  };
+  for (const auto& [start, unused] : adj) {
+    if (index.count(start) != 0) continue;
+    std::vector<Frame> frames{{start, 0}};
+    index[start] = low[start] = counter++;
+    stack.push_back(start);
+    on_stack.insert(start);
+    while (!frames.empty()) {
+      Frame& fr = frames.back();
+      const std::vector<std::string>& succs = succs_of(fr.node);
+      if (fr.next < succs.size()) {
+        const std::string& next = succs[fr.next++];
+        if (index.count(next) == 0) {
+          index[next] = low[next] = counter++;
+          stack.push_back(next);
+          on_stack.insert(next);
+          frames.push_back(Frame{next, 0});
+        } else if (on_stack.count(next) != 0) {
+          low[fr.node] = std::min(low[fr.node], index[next]);
+        }
+        continue;
+      }
+      if (low[fr.node] == index[fr.node]) {
+        std::vector<std::string> scc;
+        while (true) {
+          std::string top = stack.back();
+          stack.pop_back();
+          on_stack.erase(top);
+          scc.push_back(top);
+          if (top == fr.node) break;
+        }
+        const std::vector<std::string>& self = succs_of(scc[0]);
+        if (scc.size() > 1 ||
+            std::find(self.begin(), self.end(), scc[0]) != self.end()) {
+          std::sort(scc.begin(), scc.end());
+          cycles.push_back(std::move(scc));
+        }
+      }
+      std::string done = fr.node;
+      frames.pop_back();
+      if (!frames.empty()) {
+        low[frames.back().node] = std::min(low[frames.back().node], low[done]);
+      }
+    }
+  }
+  return cycles;
+}
+
 // ---------------------------------------------------------------------------
 // Analysis 1: lock-order graph.
 
@@ -404,6 +487,7 @@ class LockOrderAnalysis {
     PropagateSummaries();
     AddCallEdges();
     ReportMissingRanks(findings);
+    ReportUnguardedMutexes(findings);
     ReportInversions(findings);
     ReportCycles(findings);
   }
@@ -440,8 +524,7 @@ class LockOrderAnalysis {
                                                                  : i + 3);
           if (!id.empty()) {
             for (const std::string& h : *held) {
-              AddEdge(h, id, EffectivePath(fn.file), toks[i].line,
-                      fn.qualified);
+              AddEdge(h, id, fn.file, toks[i].line, fn.qualified);
             }
             facts_[fn_idx].direct.push_back(id);
             held->push_back(id);
@@ -458,8 +541,8 @@ class LockOrderAnalysis {
             az_.ResolveCallee(fn, toks, chain_begin, i);
         for (size_t callee : callees) {
           if (callee == fn_idx) continue;  // recursion adds nothing
-          facts_[fn_idx].calls.push_back(CallSite{
-              callee, *held, EffectivePath(fn.file), toks[i].line});
+          facts_[fn_idx].calls.push_back(
+              CallSite{callee, *held, fn.file, toks[i].line});
         }
       }
     }
@@ -488,12 +571,11 @@ class LockOrderAnalysis {
     const FunctionInfo& fn = program_.functions[fn_idx];
     std::vector<std::string> held;
     for (const std::string& spelling : fn.requires_locks) {
-      LexedFile lexed = mmmlint::Lex("<requires>", spelling);
+      LexedFile lexed = Lex("<requires>", spelling);
       std::string id =
           az_.ResolveLockExpr(fn, lexed.tokens, 0, lexed.tokens.size());
       if (!id.empty()) held.push_back(id);
     }
-    required_[fn_idx] = held;
     WalkStmts(fn_idx, fn.body, std::move(held));
   }
 
@@ -531,19 +613,39 @@ class LockOrderAnalysis {
 
   void ReportMissingRanks(std::vector<Finding>* findings) {
     for (const LockDecl& lock : program_.locks) {
-      std::string path = EffectivePath(lock.file);
-      if (path.rfind("src/", 0) != 0) continue;
+      if (EffectivePath(lock.file).rfind("src/", 0) != 0) continue;
       if (lock.rank >= 0) continue;
       Finding f;
       f.analysis = "lock-order";
       f.rule = "lock-rank-missing";
-      f.file = path;
+      f.file = lock.file;
       f.line = lock.line;
       f.symbol = lock.id;
       f.message = "lock '" + lock.id +
                   "' has no MMM_LOCK_RANK annotation; every Mutex/SharedMutex "
                   "under src/ must declare its place in the global order "
                   "(DESIGN.md §6.2)";
+      findings->push_back(std::move(f));
+    }
+  }
+
+  void ReportUnguardedMutexes(std::vector<Finding>* findings) {
+    for (const LockDecl& lock : program_.locks) {
+      if (!lock.unguarded ||
+          EffectivePath(lock.file).find("common/thread_annotations.h") !=
+              std::string::npos) {
+        continue;
+      }
+      Finding f;
+      f.analysis = "lock-order";
+      f.rule = "mutex-missing-guard";
+      f.file = lock.file;
+      f.line = lock.line;
+      f.symbol = lock.id;
+      f.message = "class declares mutex member '" + lock.id +
+                  "' but annotates no field with MMM_GUARDED_BY: state the "
+                  "locking contract (or suppress with a reason if the mutex "
+                  "guards an external resource)";
       findings->push_back(std::move(f));
     }
   }
@@ -574,68 +676,9 @@ class LockOrderAnalysis {
   }
 
   void ReportCycles(std::vector<Finding>* findings) {
-    // Tarjan SCC over the acquisition graph; an SCC of >1 lock, or a
-    // self-edge, is a potential deadlock cycle.
     std::map<std::string, std::vector<std::string>> adj;
-    for (const auto& [key, edge] : edges_) {
-      adj[edge.from].push_back(edge.to);
-      adj[edge.to];  // ensure node exists
-    }
-    std::map<std::string, int> index, low;
-    std::map<std::string, bool> on_stack;
-    std::vector<std::string> stack;
-    std::vector<std::vector<std::string>> sccs;
-    int counter = 0;
-    // Iterative Tarjan to stay safe on deep graphs.
-    struct Frame {
-      std::string node;
-      size_t next = 0;
-    };
-    for (const auto& [start, unused] : adj) {
-      if (index.count(start) != 0) continue;
-      std::vector<Frame> frames{{start, 0}};
-      index[start] = low[start] = counter++;
-      stack.push_back(start);
-      on_stack[start] = true;
-      while (!frames.empty()) {
-        Frame& fr = frames.back();
-        const std::vector<std::string>& succs = adj[fr.node];
-        if (fr.next < succs.size()) {
-          const std::string& next = succs[fr.next++];
-          if (index.count(next) == 0) {
-            index[next] = low[next] = counter++;
-            stack.push_back(next);
-            on_stack[next] = true;
-            frames.push_back(Frame{next, 0});
-          } else if (on_stack[next]) {
-            low[fr.node] = std::min(low[fr.node], index[next]);
-          }
-          continue;
-        }
-        if (low[fr.node] == index[fr.node]) {
-          std::vector<std::string> scc;
-          while (true) {
-            std::string top = stack.back();
-            stack.pop_back();
-            on_stack[top] = false;
-            scc.push_back(top);
-            if (top == fr.node) break;
-          }
-          sccs.push_back(std::move(scc));
-        }
-        std::string done = fr.node;
-        frames.pop_back();
-        if (!frames.empty()) {
-          low[frames.back().node] =
-              std::min(low[frames.back().node], low[done]);
-        }
-      }
-    }
-    for (std::vector<std::string>& scc : sccs) {
-      bool self_loop =
-          scc.size() == 1 && edges_.count({scc[0], scc[0]}) != 0;
-      if (scc.size() < 2 && !self_loop) continue;
-      std::sort(scc.begin(), scc.end());
+    for (const auto& [key, edge] : edges_) adj[edge.from].push_back(edge.to);
+    for (const std::vector<std::string>& scc : Cycles(adj)) {
       std::string joined;
       for (const std::string& id : scc) {
         joined += joined.empty() ? id : "<->" + id;
@@ -643,9 +686,11 @@ class LockOrderAnalysis {
       // Anchor the finding at the lexicographically first in-cycle edge.
       const LockEdge* site = nullptr;
       for (const auto& [key, edge] : edges_) {
-        if (std::find(scc.begin(), scc.end(), edge.from) == scc.end()) continue;
-        if (std::find(scc.begin(), scc.end(), edge.to) == scc.end()) continue;
-        if (site == nullptr) site = &edge;
+        if (std::binary_search(scc.begin(), scc.end(), edge.from) &&
+            std::binary_search(scc.begin(), scc.end(), edge.to)) {
+          site = &edge;
+          break;
+        }
       }
       Finding f;
       f.analysis = "lock-order";
@@ -663,7 +708,6 @@ class LockOrderAnalysis {
   const Program& program_;
   const Analyzer& az_;
   std::vector<FnLockFacts> facts_;
-  std::map<size_t, std::vector<std::string>> required_;
   std::vector<std::set<std::string>> summaries_;
   std::map<std::pair<std::string, std::string>, LockEdge> edges_;
 };
@@ -756,23 +800,22 @@ class StatusFlowAnalysis {
       const Stmt* s = cfg.nodes[n].stmt;
       if (s != nullptr && s->kind == Stmt::Kind::kPlain) FindDecl(*s, &decls);
     }
-    std::string path = EffectivePath(fn.file);
     for (const auto& [var, decl_line] : decls) {
-      AnalyzeVar(fn, path, cfg, var, findings);
+      AnalyzeVar(fn, cfg, var, findings);
     }
   }
 
   /// Transfer function for one node; may emit an overwrite finding.
-  VarState Transfer(const FunctionInfo& fn, const std::string& path,
-                    const Cfg& cfg, int node, const std::string& var,
-                    VarState in, std::set<std::string>* reported,
+  VarState Transfer(const FunctionInfo& fn, const Cfg& cfg, int node,
+                    const std::string& var, VarState in,
+                    std::set<std::string>* reported,
                     std::vector<Finding>* findings) {
     const Stmt* s = cfg.nodes[node].stmt;
     if (s == nullptr) {  // synthetic exit: falling off the end drops `var`
       if (in.mark == Mark::kLive) {
         for (int origin : in.origins) {
           const Stmt* os = cfg.nodes[origin].stmt;
-          ReportDrop(fn, path, os != nullptr ? os->line : fn.line, var,
+          ReportDrop(fn, os != nullptr ? os->line : fn.line, var,
                      "falls out of scope", reported, findings);
         }
       }
@@ -822,7 +865,7 @@ class StatusFlowAnalysis {
           Finding f;
           f.analysis = "status-flow";
           f.rule = "status-overwrite";
-          f.file = path;
+          f.file = fn.file;
           f.line = s->line;
           f.symbol = fn.qualified + "::" + var;
           f.message = "'" + var + "' still holds the unchecked Status from " +
@@ -852,7 +895,7 @@ class StatusFlowAnalysis {
         return out;
       }
       if (in.mark == Mark::kLive) {
-        ReportDrop(fn, path, s->line, var,
+        ReportDrop(fn, s->line, var,
                    "is dropped by this return", reported, findings);
         VarState out;
         out.mark = Mark::kConsumed;  // report each return once
@@ -870,7 +913,7 @@ class StatusFlowAnalysis {
     return in;
   }
 
-  void ReportDrop(const FunctionInfo& fn, const std::string& path, int line,
+  void ReportDrop(const FunctionInfo& fn, int line,
                   const std::string& var, const std::string& how,
                   std::set<std::string>* reported,
                   std::vector<Finding>* findings) {
@@ -879,7 +922,7 @@ class StatusFlowAnalysis {
     Finding f;
     f.analysis = "status-flow";
     f.rule = "status-drop";
-    f.file = path;
+    f.file = fn.file;
     f.line = line;
     f.symbol = fn.qualified + "::" + var;
     f.message = "Status '" + var + "' in " + fn.qualified +
@@ -888,9 +931,8 @@ class StatusFlowAnalysis {
     findings->push_back(std::move(f));
   }
 
-  void AnalyzeVar(const FunctionInfo& fn, const std::string& path,
-                  const Cfg& cfg, const std::string& var,
-                  std::vector<Finding>* findings) {
+  void AnalyzeVar(const FunctionInfo& fn, const Cfg& cfg,
+                  const std::string& var, std::vector<Finding>* findings) {
     size_t n = cfg.nodes.size();
     std::vector<VarState> in_state(n), out_state(n);
     std::set<std::string> reported;
@@ -923,7 +965,7 @@ class StatusFlowAnalysis {
           in_state[node] = in;
           std::vector<Finding> scratch;
           VarState out =
-              Transfer(fn, path, cfg, node, var, in, &reported,
+              Transfer(fn, cfg, node, var, in, &reported,
                        sink != nullptr ? sink : &scratch);
           if (out.mark != out_state[node].mark ||
               out.origins != out_state[node].origins) {
@@ -1051,10 +1093,26 @@ class JournalPathAnalysis {
       "PendingBlobs",       // journal-replay pending set
   };
 
-  static bool Sanctioned(const FunctionInfo& fn) {
+  /// The storage/CAS machinery, and any Env's own DeleteFile wherever it
+  /// lives: an override of the primitive implements deletion rather than
+  /// calling it.
+  bool Sanctioned(const FunctionInfo& fn) const {
     std::string path = EffectivePath(fn.file);
     return path.rfind("src/storage/", 0) == 0 ||
-           path.rfind("src/cas/", 0) == 0;
+           path.rfind("src/cas/", 0) == 0 ||
+           (fn.name == "DeleteFile" && DerivesFromEnv(fn.class_scope, 0));
+  }
+
+  bool DerivesFromEnv(const std::string& cls, int depth) const {
+    auto it = program_.classes.find(cls);
+    if (it == program_.classes.end() || depth > 16) return false;
+    return std::any_of(
+        it->second.bases.begin(), it->second.bases.end(),
+        [&](const std::string& base) {
+          return base == "Env" ||
+                 DerivesFromEnv(ResolveClassName(program_, cls, base),
+                                depth + 1);
+        });
   }
 
   static bool IsDeletePrimitive(const std::vector<Token>& toks, size_t i) {
@@ -1079,13 +1137,13 @@ class JournalPathAnalysis {
     Finding f;
     f.analysis = "journal-path";
     f.rule = "unjournaled-delete";
-    f.file = EffectivePath(fn.file);
+    f.file = fn.file;
     f.line = line;
     f.symbol = fn.qualified;
     f.message = fn.qualified + " " + what +
                 "; destructive blob operations must be dominated by a "
                 "journal Begin/OnManifestDeleted/orphan-sweep intent "
-                "(DESIGN.md §6.5)";
+                "(DESIGN.md §6.4)";
     return f;
   }
 
@@ -1094,12 +1152,47 @@ class JournalPathAnalysis {
 };
 
 // ---------------------------------------------------------------------------
-// Analysis 4: layer DAG.
+// Analysis 4: layer DAG and include cycles, over one scan of the quoted
+// includes.
+
+struct Include {
+  std::string target;  ///< as written, e.g. "storage/env.h"
+  int line = 0;
+};
+
+std::vector<Include> ScanIncludes(const LexedFile& file) {
+  std::vector<Include> out;
+  const std::vector<Token>& toks = file.tokens;
+  for (size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (IsPunct(&toks[i], "#") && IsIdent(&toks[i + 1], "include") &&
+        toks[i + 2].kind == TokenKind::kString &&
+        toks[i + 1].line == toks[i + 2].line) {
+      out.push_back({toks[i + 2].text, toks[i + 2].line});
+    }
+  }
+  return out;
+}
 
 class LayerDagAnalysis {
  public:
   void Run(const std::vector<LexedFile>& files,
            std::vector<Finding>* findings) {
+    for (const LexedFile& f : files) by_normal_[Normal(f.path)] = f.path;
+    // includer -> (included file, line), over scanned files only
+    std::map<std::string, std::vector<std::pair<std::string, int>>> edges;
+    for (const LexedFile& file : files) {
+      for (const Include& inc : ScanIncludes(file)) {
+        CheckLayer(file.path, inc, findings);
+        std::string to = Resolve(file.path, inc.target);
+        if (!to.empty()) edges[file.path].emplace_back(to, inc.line);
+      }
+    }
+    ReportCycles(edges, findings);
+  }
+
+ private:
+  static void CheckLayer(const std::string& file, const Include& inc,
+                         std::vector<Finding>* findings) {
     static const std::map<std::string, std::set<std::string>> kAllowed = {
         {"common", {}},
         {"serialize", {"common"}},
@@ -1120,52 +1213,428 @@ class LayerDagAnalysis {
          {"common", "serialize", "storage", "cas", "core", "serve", "cluster",
           "nn", "prov", "battery"}},
     };
+    std::string path = EffectivePath(file);
+    if (path.rfind("src/", 0) != 0) return;  // tools/tests/bench: free
+    std::string layer = path.substr(4, path.find('/', 4) - 4);
+    auto allowed = kAllowed.find(layer);
+    if (allowed == kAllowed.end()) return;
+    size_t slash = inc.target.find('/');
+    if (slash == std::string::npos) return;  // same-dir include
+    std::string target = inc.target.substr(0, slash);
+    if (kAllowed.count(target) == 0) return;  // not a src layer
+    if (target == layer || allowed->second.count(target) != 0) return;
+    Finding f;
+    f.analysis = "layer-dag";
+    f.rule = "layer-violation";
+    f.file = file;
+    f.line = inc.line;
+    f.symbol = layer + "->" + target;
+    f.message = "layer '" + layer + "' must not include '" + inc.target +
+                "' from layer '" + target +
+                "': the enforced dependency DAG (ARCHITECTURE.md) "
+                "points strictly downward";
+    findings->push_back(std::move(f));
+  }
 
-    for (const LexedFile& file : files) {
-      std::string path = EffectivePath(file.path);
-      if (path.rfind("src/", 0) != 0) continue;  // tools/tests/bench: free
-      std::string layer = path.substr(4, path.find('/', 4) - 4);
-      auto allowed_it = kAllowed.find(layer);
-      if (allowed_it == kAllowed.end()) continue;
-      const std::set<std::string>& allowed = allowed_it->second;
+  static std::string Normal(const fs::path& path) {
+    return path.lexically_normal().generic_string();
+  }
 
-      const std::vector<Token>& toks = file.tokens;
-      for (size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!IsPunct(&toks[i], "#") || !IsIdent(&toks[i + 1], "include") ||
-            toks[i + 2].kind != TokenKind::kString) {
-          continue;
+  /// The scanned file an include names: the includer's directory first,
+  /// then the src/ root of the includer's tree; "" when neither was scanned.
+  std::string Resolve(const std::string& from, const std::string& inc) const {
+    for (const fs::path& candidate :
+         {fs::path(from).parent_path() / inc,
+          fs::path(TreeRoot(from) + "src") / inc}) {
+      auto it = by_normal_.find(Normal(candidate));
+      if (it != by_normal_.end()) return it->second;
+    }
+    return "";
+  }
+
+  static void ReportCycles(
+      const std::map<std::string, std::vector<std::pair<std::string, int>>>&
+          edges,
+      std::vector<Finding>* findings) {
+    std::map<std::string, std::vector<std::string>> adj;
+    for (const auto& [from, outs] : edges) {
+      for (const auto& [to, line] : outs) adj[from].push_back(to);
+    }
+    for (const std::vector<std::string>& scc : Cycles(adj)) {
+      auto in_cycle = [&](const std::string& file) {
+        return std::binary_search(scc.begin(), scc.end(), file);
+      };
+      Finding f;
+      f.analysis = "layer-dag";
+      f.rule = "include-cycle";
+      // Anchor at the first in-cycle include, in (file, line) order.
+      for (const auto& [from, outs] : edges) {
+        for (const auto& [to, line] : outs) {
+          if (f.file.empty() && in_cycle(from) && in_cycle(to)) {
+            f.file = from;
+            f.line = line;
+          }
         }
-        const std::string& inc = toks[i + 2].text;
-        size_t slash = inc.find('/');
-        if (slash == std::string::npos) continue;  // same-dir include
-        std::string target = inc.substr(0, slash);
-        if (kAllowed.count(target) == 0) continue;  // not a src layer
-        if (target == layer || allowed.count(target) != 0) continue;
-        Finding f;
-        f.analysis = "layer-dag";
-        f.rule = "layer-violation";
-        f.file = path;
-        f.line = toks[i + 2].line;
-        f.symbol = layer + "->" + target;
-        f.message = "layer '" + layer + "' must not include '" + inc +
-                    "' from layer '" + target +
-                    "': the enforced dependency DAG (ARCHITECTURE.md) "
-                    "points strictly downward";
-        findings->push_back(std::move(f));
+      }
+      std::string names;
+      for (const std::string& file : scc) {
+        f.symbol += (f.symbol.empty() ? "" : "<->") + EffectivePath(file);
+        names += (names.empty() ? "" : ", ") + EffectivePath(file);
+      }
+      f.message = "include cycle between " + names +
+                  ": break it with a forward declaration or by moving the "
+                  "shared part into its own header";
+      findings->push_back(std::move(f));
+    }
+  }
+
+  std::map<std::string, std::string> by_normal_;  ///< normalized -> scanned
+};
+
+// ---------------------------------------------------------------------------
+// Token rules: per-file contracts judged one token window at a time. Each
+// belongs to the analysis whose invariant it guards.
+
+/// One file under the token rules. `path` is the effective path, so fixture
+/// trees that mirror src/ earn the same exemptions as the real tree.
+struct TokenScan {
+  const LexedFile& file;
+  std::string path;
+  std::vector<Finding>* findings;
+
+  bool Under(std::string_view fragment) const {
+    return path.find(fragment) != std::string::npos;
+  }
+
+  void Report(std::string analysis, std::string rule, int line,
+              std::string symbol, std::string message) const {
+    findings->push_back(Finding{std::move(analysis), std::move(rule),
+                                file.path, line, std::move(symbol),
+                                std::move(message)});
+  }
+};
+
+bool IsMemberAccess(const std::vector<Token>& toks, size_t i) {
+  return i > 0 && (IsPunct(&toks[i - 1], ".") || IsPunct(&toks[i - 1], "->"));
+}
+
+/// determinism/banned-random: Provenance replay depends on seeded
+/// randomness and injected clocks.
+void CheckBannedRandom(const TokenScan& scan) {
+  static const std::set<std::string> kTypes = {
+      "random_device", "mt19937",      "mt19937_64",
+      "minstd_rand",   "ranlux24",     "default_random_engine",
+      "system_clock",  "steady_clock", "high_resolution_clock",
+  };
+  static const std::set<std::string> kCalls = {
+      "rand",      "srand",         "time",   "gettimeofday",
+      "localtime", "clock_gettime", "gmtime", "mktime",
+  };
+  if (scan.Under("common/rng.") || scan.Under("common/clock.h")) return;
+  const std::vector<Token>& toks = scan.file.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (!IsAnyIdent(&toks[i]) || IsMemberAccess(toks, i)) continue;
+    const std::string& t = toks[i].text;
+    if (kTypes.count(t) != 0) {
+      scan.Report("determinism", "banned-random", toks[i].line, t,
+                  "'" + t +
+                      "' is nondeterministic; use src/common/rng.h (seeded "
+                      "Rng) or src/common/clock.h (WallClock/SimulatedClock)");
+    } else if (kCalls.count(t) != 0 && IsPunct(At(toks, i + 1), "(")) {
+      scan.Report("determinism", "banned-random", toks[i].line, t,
+                  "call to '" + t +
+                      "()' breaks the determinism contract; route "
+                      "randomness through src/common/rng.h and time through "
+                      "src/common/clock.h");
+    }
+  }
+}
+
+/// status-flow/discarded-status: a bare-statement call (or `(void)` cast) of
+/// a storage API whose Status/Result return encodes a write failure.
+void CheckDiscardedStatus(const TokenScan& scan) {
+  static const std::set<std::string> kStatusCalls = {
+      "Commit",     "WriteFile",  "AppendToFile",  "DeleteFile",
+      "CreateDirs", "RemoveDirs", "MarkCommitted", "MarkFinished",
+  };
+  const std::vector<Token>& toks = scan.file.tokens;
+  // Statement starts: after `;`, `{`, `}` at paren depth 0, plus index 0.
+  size_t stmt = 0;
+  int paren_depth = 0;
+  for (size_t i = 0; i <= toks.size(); ++i) {
+    bool boundary = i == toks.size();
+    if (!boundary && toks[i].kind == TokenKind::kPunct) {
+      if (toks[i].text == "(") ++paren_depth;
+      if (toks[i].text == ")") --paren_depth;
+      boundary = paren_depth == 0 &&
+                 (toks[i].text == ";" || toks[i].text == "{" ||
+                  toks[i].text == "}");
+    }
+    if (!boundary) continue;
+    // Analyze [stmt, i): flag a pure call chain ending in a catalog call,
+    // optionally wrapped in a (void) cast.
+    size_t p = stmt;
+    bool voided = IsPunct(At(toks, p), "(") &&
+                  IsIdent(At(toks, p + 1), "void") &&
+                  IsPunct(At(toks, p + 2), ")");
+    if (voided) p += 3;
+    stmt = i + 1;
+    if (!IsAnyIdent(At(toks, p))) continue;
+    std::string last_name = toks[p].text;
+    std::string final_call;
+    int call_line = toks[p].line;
+    for (++p; p < i;) {
+      bool named_step = (IsPunct(&toks[p], "::") || IsPunct(&toks[p], ".") ||
+                         IsPunct(&toks[p], "->")) &&
+                        IsAnyIdent(At(toks, p + 1));
+      if (named_step) {
+        last_name = toks[p + 1].text;
+        p += 2;
+      } else if (IsPunct(&toks[p], "(")) {
+        final_call = last_name;
+        call_line = toks[p].line;
+        p = SkipParens(toks, p);
+      } else {
+        final_call.clear();
+        break;
+      }
+    }
+    if (p == i && kStatusCalls.count(final_call) != 0 &&
+        IsPunct(At(toks, i), ";")) {
+      scan.Report("status-flow", "discarded-status", call_line, final_call,
+                  std::string(voided ? "(void)-cast" : "discarded") +
+                      " Status/Result of '" + final_call +
+                      "': handle the error or suppress with a justified "
+                      "MMMSA(discarded-status) comment");
+    }
+  }
+}
+
+/// ownership/naked-new, ownership/naked-delete: outside allocator shims,
+/// ownership lives in smart pointers.
+void CheckNakedNewDelete(const TokenScan& scan) {
+  static const std::set<std::string> kSmartPtrMakers = {
+      "unique_ptr", "shared_ptr", "make_unique", "make_shared",
+  };
+  if (scan.Under("allocator")) return;
+  const std::vector<Token>& toks = scan.file.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (IsIdent(&toks[i], "new")) {
+      // Back-scan to the statement start: a `new` immediately wrapped into a
+      // smart pointer is the sanctioned ownership-transfer idiom.
+      bool smart = false;
+      for (size_t j = i; j-- > 0;) {
+        if (IsPunct(&toks[j], ";") || IsPunct(&toks[j], "{") ||
+            IsPunct(&toks[j], "}")) {
+          break;
+        }
+        if (IsAnyIdent(&toks[j]) && kSmartPtrMakers.count(toks[j].text) != 0) {
+          smart = true;
+          break;
+        }
+      }
+      if (!smart) {
+        scan.Report("ownership", "naked-new", toks[i].line, "new",
+                    "naked 'new': wrap the allocation in std::unique_ptr / "
+                    "std::make_unique (allocator shim files are exempt)");
+      }
+    } else if (IsIdent(&toks[i], "delete") &&
+               !IsPunct(At(toks, i - 1), "=") &&
+               !IsIdent(At(toks, i - 1), "operator")) {
+      scan.Report("ownership", "naked-delete", toks[i].line, "delete",
+                  "explicit 'delete': ownership must live in a smart pointer "
+                  "(allocator shim files are exempt)");
+    }
+  }
+}
+
+/// lock-order/raw-std-mutex: concurrent code uses the annotated wrappers so
+/// clang's -Wthread-safety can check it.
+void CheckRawStdMutex(const TokenScan& scan) {
+  static const std::set<std::string> kRawTypes = {
+      "mutex",       "shared_mutex",       "recursive_mutex",
+      "timed_mutex", "condition_variable", "condition_variable_any",
+      "recursive_timed_mutex",
+  };
+  if (scan.Under("common/thread_annotations.h")) return;  // the wrappers
+  const std::vector<Token>& toks = scan.file.tokens;
+  for (size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (IsIdent(&toks[i], "std") && IsPunct(&toks[i + 1], "::") &&
+        IsAnyIdent(&toks[i + 2]) && kRawTypes.count(toks[i + 2].text) != 0) {
+      scan.Report("lock-order", "raw-std-mutex", toks[i].line,
+                  "std::" + toks[i + 2].text,
+                  "raw std::" + toks[i + 2].text +
+                      ": use the annotated wrappers in "
+                      "common/thread_annotations.h (Mutex, SharedMutex, "
+                      "CondVar) so -Wthread-safety can check the contract");
+    }
+  }
+}
+
+/// store-access/direct-env-write, store-access/direct-env-read: approach
+/// code (src/core/) writes through StoreBatch and reads through FileStore,
+/// never through the Env directly.
+void CheckDirectEnvAccess(const TokenScan& scan) {
+  if (!scan.Under("src/core/")) return;
+  const std::vector<Token>& toks = scan.file.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!IsAnyIdent(&toks[i]) || !IsPunct(&toks[i + 1], "(")) continue;
+    const std::string& t = toks[i].text;
+    if (t == "WriteFile" || t == "AppendToFile") {
+      scan.Report("store-access", "direct-env-write", toks[i].line, t,
+                  "'" + t +
+                      "' in approach code: save-path writes must stage "
+                      "through StoreBatch so batching, journaling, and "
+                      "crash-point sweeps observe them");
+    } else if (t == "ReadFile" || t == "ReadFileRange") {
+      scan.Report("store-access", "direct-env-read", toks[i].line, t,
+                  "'" + t +
+                      "' in approach code: recovery reads must go through "
+                      "FileStore (Get/GetRange/OpenStream) so modeled "
+                      "latency, read counters, and fault injection observe "
+                      "them");
+    }
+  }
+}
+
+/// store-access/direct-manager-open: ModelSetManager is opened by its
+/// ownership layers (core, cluster shards) plus tests and benches; everything
+/// else takes an injected manager or goes through cluster/Coordinator, so
+/// two facades never race on one store.
+void CheckDirectManagerOpen(const TokenScan& scan) {
+  if (scan.Under("src/core/") || scan.Under("src/cluster/") ||
+      scan.Under("tests/") || scan.Under("bench/")) {
+    return;
+  }
+  const std::vector<Token>& toks = scan.file.tokens;
+  for (size_t i = 0; i + 3 < toks.size(); ++i) {
+    if (IsIdent(&toks[i], "ModelSetManager") && IsPunct(&toks[i + 1], "::") &&
+        IsIdent(&toks[i + 2], "Open") && IsPunct(&toks[i + 3], "(")) {
+      scan.Report("store-access", "direct-manager-open", toks[i].line,
+                  "ModelSetManager::Open",
+                  "direct ModelSetManager::Open outside core/, cluster/, "
+                  "tests, and bench: take an injected manager, or go through "
+                  "cluster/Coordinator so placement and lock order hold");
+    }
+  }
+}
+
+/// journal-path/chunk-delete: `cas-` chunk blobs are refcounted and shared
+/// across sets, so only src/cas/ deletes them; everyone else decrements
+/// (OnManifestDeleted) and lets the sweep reclaim.
+void CheckChunkDelete(const TokenScan& scan) {
+  if (scan.Under("src/cas/")) return;
+  const std::vector<Token>& toks = scan.file.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!IsIdent(&toks[i], "Delete") && !IsIdent(&toks[i], "DeleteFile")) {
+      continue;
+    }
+    if (!IsPunct(&toks[i + 1], "(")) continue;
+    size_t end = SkipParens(toks, i + 1);
+    for (size_t j = i + 2; j + 1 < end; ++j) {
+      bool chunk_arg = IsIdent(&toks[j], "ChunkBlobName") ||
+                       IsIdent(&toks[j], "kCasChunkPrefix") ||
+                       (toks[j].kind == TokenKind::kString &&
+                        toks[j].text.rfind("cas-", 0) == 0);
+      if (chunk_arg) {
+        scan.Report("journal-path", "chunk-delete", toks[i].line,
+                    toks[i].text,
+                    "'" + toks[i].text +
+                        "' of a cas- chunk blob outside src/cas/: chunks are "
+                        "refcounted — call CasStore::OnManifestDeleted and "
+                        "let SweepZeroRefChunks reclaim them");
+        break;
       }
     }
   }
-};
+}
+
+/// Line-number-free and checkout-independent: the effective path keeps a
+/// key stable wherever the tree is scanned from.
+std::string BaselineKey(const Finding& f) {
+  return f.rule + "|" + EffectivePath(f.file) + "|" + f.symbol;
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+bool Selected(const SaOptions& options, const std::string& name) {
+  return options.only.empty() || options.only.count(name) != 0;
+}
+
+/// Runs every selected analysis over one source tree.
+void AnalyzeTree(const std::vector<LexedFile>& files, const SaOptions& options,
+                 std::vector<Finding>* findings) {
+  auto runs = [&](const std::string& analysis) {
+    for (const Analysis& a : Catalog()) {
+      if (a.name != analysis) continue;
+      if (Selected(options, a.name)) return true;
+      for (const std::string& rule : a.rules) {
+        if (options.only.count(rule) != 0) return true;
+      }
+    }
+    return false;
+  };
+  Program program;
+  if (runs("lock-order") || runs("status-flow") || runs("journal-path")) {
+    program = ParseProgram(files);
+  }
+  Analyzer az(program);
+  if (runs("lock-order")) LockOrderAnalysis(program, az).Run(findings);
+  if (runs("status-flow")) StatusFlowAnalysis(program).Run(findings);
+  if (runs("journal-path")) JournalPathAnalysis(program, az).Run(findings);
+  if (runs("layer-dag")) LayerDagAnalysis().Run(files, findings);
+  for (const LexedFile& file : files) {
+    TokenScan scan{file, EffectivePath(file.path), findings};
+    if (runs("lock-order")) CheckRawStdMutex(scan);
+    if (runs("status-flow")) CheckDiscardedStatus(scan);
+    if (runs("journal-path")) CheckChunkDelete(scan);
+    if (runs("store-access")) {
+      CheckDirectEnvAccess(scan);
+      CheckDirectManagerOpen(scan);
+    }
+    if (runs("determinism")) CheckBannedRandom(scan);
+    if (runs("ownership")) CheckNakedNewDelete(scan);
+  }
+}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Public interface.
 
-const std::vector<std::string>& AnalysisNames() {
-  static const std::vector<std::string> kNames = {
-      "lock-order", "status-flow", "journal-path", "layer-dag"};
-  return kNames;
+const std::vector<Analysis>& Catalog() {
+  static const std::vector<Analysis> kCatalog = {
+      {"lock-order",
+       {"lock-cycle", "rank-inversion", "lock-rank-missing",
+        "mutex-missing-guard", "raw-std-mutex"}},
+      {"status-flow", {"status-overwrite", "status-drop", "discarded-status"}},
+      {"journal-path", {"unjournaled-delete", "chunk-delete"}},
+      {"layer-dag", {"layer-violation", "include-cycle"}},
+      {"store-access",
+       {"direct-env-write", "direct-env-read", "direct-manager-open"}},
+      {"determinism", {"banned-random"}},
+      {"ownership", {"naked-new", "naked-delete"}},
+  };
+  return kCatalog;
 }
 
 std::string EffectivePath(const std::string& path) {
@@ -1187,63 +1656,40 @@ std::string EffectivePath(const std::string& path) {
 std::vector<Finding> AnalyzePaths(const std::vector<std::string>& paths,
                                   const SaOptions& options,
                                   std::vector<std::string>* io_errors) {
-  std::vector<std::string> sources = CollectSources(paths, io_errors);
-  std::vector<LexedFile> files;
-  files.reserve(sources.size());
-  for (const std::string& path : sources) {
-    std::string contents;
-    if (!ReadFile(path, &contents)) {
-      if (io_errors != nullptr) io_errors->push_back(path);
-      continue;
-    }
-    files.push_back(mmmlint::Lex(path, contents));
-  }
-
-  auto enabled = [&](const std::string& name) {
-    return options.only_analyses.empty() ||
-           options.only_analyses.count(name) != 0;
-  };
-
-  std::vector<Finding> findings;
-  Program program;
-  if (enabled("lock-order") || enabled("status-flow") ||
-      enabled("journal-path")) {
-    program = ParseProgram(files);
-  }
-  Analyzer az(program);
-  if (enabled("lock-order")) {
-    LockOrderAnalysis(program, az).Run(&findings);
-  }
-  if (enabled("status-flow")) {
-    StatusFlowAnalysis(program).Run(&findings);
-  }
-  if (enabled("journal-path")) {
-    JournalPathAnalysis(program, az).Run(&findings);
-  }
-  if (enabled("layer-dag")) {
-    LayerDagAnalysis().Run(files, &findings);
-  }
-
+  std::vector<LexedFile> files = LexSources(paths, io_errors);
   Suppressions suppressions(files);
-  findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                [&](const Finding& f) {
-                                  return suppressions.Covers(f);
-                                }),
-                 findings.end());
+  std::map<std::string, std::vector<LexedFile>> trees;
+  for (LexedFile& file : files) {
+    std::string root = TreeRoot(file.path);
+    trees[root].push_back(std::move(file));
+  }
+  std::vector<Finding> findings;
+  for (const auto& [root, tree] : trees) {
+    AnalyzeTree(tree, options, &findings);
+  }
+  std::erase_if(findings, [&](const Finding& f) {
+    return suppressions.Covers(f) ||
+           !(Selected(options, f.analysis) || Selected(options, f.rule));
+  });
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end()),
                  findings.end());
   return findings;
 }
 
-std::string DescribeLockGraph(const std::vector<std::string>& paths) {
-  std::vector<std::string> sources = CollectSources(paths, nullptr);
-  std::vector<LexedFile> files;
-  for (const std::string& path : sources) {
-    std::string contents;
-    if (ReadFile(path, &contents)) files.push_back(mmmlint::Lex(path, contents));
+std::vector<SuppressionNote> ListSuppressions(
+    const std::vector<std::string>& paths,
+    std::vector<std::string>* io_errors) {
+  std::vector<SuppressionNote> notes;
+  for (const LexedFile& file : LexSources(paths, io_errors)) {
+    std::vector<SuppressionNote> found = ScanSuppressions(file);
+    notes.insert(notes.end(), found.begin(), found.end());
   }
-  Program program = ParseProgram(files);
+  return notes;
+}
+
+std::string DescribeLockGraph(const std::vector<std::string>& paths) {
+  Program program = ParseProgram(LexSources(paths, nullptr));
   Analyzer az(program);
   std::vector<Finding> scratch;
   LockOrderAnalysis analysis(program, az);
@@ -1293,8 +1739,7 @@ bool ApplyBaseline(const std::string& baseline_path,
   findings->erase(
       std::remove_if(findings->begin(), findings->end(),
                      [&](const Finding& f) {
-                       return keys.count(f.rule + "|" + f.file + "|" +
-                                         f.symbol) != 0;
+                       return keys.count(BaselineKey(f)) != 0;
                      }),
       findings->end());
   return true;
@@ -1302,9 +1747,7 @@ bool ApplyBaseline(const std::string& baseline_path,
 
 std::string FormatBaseline(const std::vector<Finding>& findings) {
   std::set<std::string> keys;
-  for (const Finding& f : findings) {
-    keys.insert(f.rule + "|" + f.file + "|" + f.symbol);
-  }
+  for (const Finding& f : findings) keys.insert(BaselineKey(f));
   std::ostringstream out;
   out << "# mmmsa ratchet baseline: rule|file|symbol per line.\n"
       << "# Findings listed here are known debt and do not fail the build;\n"
@@ -1328,28 +1771,6 @@ std::string FormatText(const std::vector<Finding>& findings) {
   return out.str();
 }
 
-namespace {
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
 
 std::string FormatSarif(const std::vector<Finding>& findings) {
   std::set<std::string> rules;

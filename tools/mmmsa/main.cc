@@ -1,5 +1,3 @@
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -13,13 +11,17 @@ void PrintUsage() {
   std::cout
       << "usage: mmmsa [options] <path>...\n"
          "\n"
-         "Whole-program flow-aware static analysis for the mmm tree\n"
-         "(DESIGN.md §6.5). Paths are files or directories; directories\n"
-         "recurse over .h/.hpp/.cc/.cpp.\n"
+         "The static analyzer for the mmm tree (DESIGN.md §6.4). Paths are\n"
+         "files or directories; directories recurse over .h/.hpp/.cc/.cpp.\n"
+         "Suppress one finding with a justified comment on the same or the\n"
+         "preceding line:  // MMMSA(<rule|analysis|*>): <reason>\n"
          "\n"
          "options:\n"
-         "  --analysis=<name>      run only this analysis (repeatable)\n"
-         "  --list-analyses        print the analysis catalog and exit\n"
+         "  --analysis=<name>      run only this analysis or rule "
+         "(repeatable)\n"
+         "  --list-analyses        print every analysis with its rules and "
+         "exit\n"
+         "  --list-suppressions    print every suppression comment and exit\n"
          "  --baseline=<file>      drop findings listed in the ratchet "
          "baseline\n"
          "  --write-baseline=<file> write current findings as a new baseline\n"
@@ -29,6 +31,16 @@ void PrintUsage() {
          "  --help                 this text\n"
          "\n"
          "exit status: 0 clean, 1 findings, 2 usage or I/O error\n";
+}
+
+bool Known(const std::string& name) {
+  for (const mmmsa::Analysis& analysis : mmmsa::Catalog()) {
+    if (analysis.name == name) return true;
+    for (const std::string& rule : analysis.rules) {
+      if (rule == name) return true;
+    }
+  }
+  return false;
 }
 
 bool WriteFileOrComplain(const std::string& path, const std::string& contents) {
@@ -48,6 +60,7 @@ int main(int argc, char** argv) {
   mmmsa::SaOptions options;
   std::string baseline, write_baseline, sarif;
   bool dump_lock_graph = false;
+  bool list_suppressions = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -56,10 +69,17 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--list-analyses") {
-      for (const std::string& name : mmmsa::AnalysisNames()) {
-        std::cout << name << "\n";
+      for (const mmmsa::Analysis& analysis : mmmsa::Catalog()) {
+        std::cout << analysis.name << "\n";
+        for (const std::string& rule : analysis.rules) {
+          std::cout << "  " << rule << "\n";
+        }
       }
       return 0;
+    }
+    if (arg == "--list-suppressions") {
+      list_suppressions = true;
+      continue;
     }
     if (arg == "--dump-lock-graph") {
       dump_lock_graph = true;
@@ -67,13 +87,12 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--analysis=", 0) == 0) {
       std::string name = arg.substr(11);
-      const auto& names = mmmsa::AnalysisNames();
-      if (std::find(names.begin(), names.end(), name) == names.end()) {
-        std::cerr << "mmmsa: unknown analysis '" << name
+      if (!Known(name)) {
+        std::cerr << "mmmsa: unknown analysis or rule '" << name
                   << "' (see --list-analyses)\n";
         return 2;
       }
-      options.only_analyses.insert(name);
+      options.only.insert(name);
       continue;
     }
     if (arg.rfind("--baseline=", 0) == 0) {
@@ -107,6 +126,22 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> io_errors;
+  if (list_suppressions) {
+    std::vector<mmmsa::SuppressionNote> notes =
+        mmmsa::ListSuppressions(paths, &io_errors);
+    for (const std::string& path : io_errors) {
+      std::cerr << "mmmsa: cannot read '" << path << "'\n";
+    }
+    for (const mmmsa::SuppressionNote& note : notes) {
+      std::cout << note.file << ":" << note.line << ": [" << note.tag << "] "
+                << (note.reason.empty() ? "(no reason given)" : note.reason)
+                << "\n";
+    }
+    std::cout << "mmmsa: " << notes.size() << " suppression"
+              << (notes.size() == 1 ? "" : "s") << "\n";
+    return io_errors.empty() ? 0 : 2;
+  }
+
   std::vector<mmmsa::Finding> findings =
       mmmsa::AnalyzePaths(paths, options, &io_errors);
   for (const std::string& path : io_errors) {

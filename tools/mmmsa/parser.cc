@@ -6,42 +6,6 @@
 namespace mmmsa {
 namespace {
 
-const Token* At(const std::vector<Token>& toks, size_t i) {
-  return i < toks.size() ? &toks[i] : nullptr;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kIdent && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
-bool IsAnyIdent(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdent;
-}
-
-size_t SkipParens(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "(") ++depth;
-    if (toks[i].text == ")" && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
-
-size_t SkipBraces(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "{") ++depth;
-    if (toks[i].text == "}" && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
-
 /// Past a balanced `< ... >` group ("<" at `open`), counting ">>" as two
 /// closers. Gives up (returns open+1) if the group does not close within the
 /// same statement-ish window — `<` was a comparison, not a template.
@@ -266,6 +230,7 @@ struct RawMember {
 struct RawClass {
   std::string scoped_name;
   std::string file;
+  std::vector<std::string> bases;
   std::vector<RawMember> members;  ///< non-function member declarations
 };
 
@@ -413,20 +378,31 @@ class DeclScanner {
       }
       ++j;
     }
-    // Skip the base clause to the body opener.
+    // Base clause up to the body opener: keep the last identifier of each
+    // specifier, outside template arguments.
+    std::vector<std::string> bases;
     while (j < end && !IsPunct(&toks_[j], "{")) {
       if (IsPunct(&toks_[j], "(")) {
         j = SkipParens(toks_, j);
         continue;
       }
+      if (IsPunct(&toks_[j], "<")) {
+        j = SkipAngles(toks_, j);
+        continue;
+      }
       if (IsPunct(&toks_[j], ";")) return j + 1;
+      if (IsPunct(&toks_[j], ":") || IsPunct(&toks_[j], ",")) {
+        bases.emplace_back();
+      } else if (IsAnyIdent(&toks_[j]) && !bases.empty()) {
+        bases.back() = toks_[j].text;
+      }
       ++j;
     }
     if (j >= end) return end;
     size_t close = SkipBraces(toks_, j);
     if (name.empty()) name = "anon";
     std::string scoped = scope.empty() ? name : scope + "::" + name;
-    out_->classes.push_back(RawClass{scoped, file_.path, {}});
+    out_->classes.push_back(RawClass{scoped, file_.path, std::move(bases), {}});
     ScanScope(j + 1, close > j ? close - 1 : j + 1, scoped);
     // Past the body there may be `name;` declarators — consume to `;`.
     size_t k = close;
@@ -450,7 +426,7 @@ class DeclScanner {
     while (j < end) {
       const Token& t = toks_[j];
       if (IsPunct(&t, ";")) {
-        RecordPlainDecl(decl, scope, saw_params, params_begin, params_end);
+        RecordPlainDecl(decl, scope);
         return j + 1;
       }
       if (IsPunct(&t, "}")) {
@@ -484,7 +460,7 @@ class DeclScanner {
           decl.push_back(toks_[j]);
           ++j;
         }
-        RecordPlainDecl(decl, scope, saw_params, params_begin, params_end);
+        RecordPlainDecl(decl, scope);
         return j < end ? j + 1 : end;
       }
       if (IsPunct(&t, ":") && saw_params) {
@@ -523,27 +499,13 @@ class DeclScanner {
     return end;
   }
 
-  /// Declaration that ended at `;`: a field or a method declaration.
-  void RecordPlainDecl(const std::vector<Token>& decl, const std::string& scope,
-                       bool saw_params, size_t params_begin,
-                       size_t params_end) {
-    (void)params_begin;
-    (void)params_end;
+  /// Declaration that ended at `;`: a field or a method declaration, told
+  /// apart in pass 2.
+  void RecordPlainDecl(const std::vector<Token>& decl,
+                       const std::string& scope) {
     if (scope.empty()) return;  // namespace-scope variables: not needed
     RawClass* cls = FindRawClass(scope);
-    if (cls == nullptr) return;
-    if (saw_params) {
-      // Method declaration: name = ident right before the first `(`.
-      for (size_t k = 0; k + 1 < decl.size(); ++k) {
-        if (IsPunct(&decl[k + 1], "(") && IsAnyIdent(&decl[k])) {
-          // record via the member list abuse is avoided; scanned in pass 2
-          break;
-        }
-      }
-      cls->members.push_back(RawMember{decl});  // classified again in pass 2
-      return;
-    }
-    cls->members.push_back(RawMember{decl});
+    if (cls != nullptr) cls->members.push_back(RawMember{decl});
   }
 
   /// Function definition whose body opens at toks_[body_open] == `{`.
@@ -743,6 +705,15 @@ Program ParseProgram(const std::vector<LexedFile>& files) {
   for (const FileScan& scan : scans) {
     for (const RawClass& rc : scan.classes) {
       ClassInfo& info = program.classes[rc.scoped_name];
+      if (info.bases.empty()) info.bases = rc.bases;
+      bool guarded = std::any_of(
+          rc.members.begin(), rc.members.end(), [](const RawMember& m) {
+            return std::any_of(m.tokens.begin(), m.tokens.end(),
+                               [](const Token& t) {
+                                 return IsIdent(&t, "MMM_GUARDED_BY") ||
+                                        IsIdent(&t, "MMM_PT_GUARDED_BY");
+                               });
+          });
       for (const RawMember& m : rc.members) {
         std::string lock_name;
         bool shared = false;
@@ -756,6 +727,7 @@ Program ParseProgram(const std::vector<LexedFile>& files) {
           lock.line = line;
           lock.rank = rank;
           lock.shared = shared;
+          lock.unguarded = !guarded;
           if (program.lock_index.count(lock.id) == 0) {
             program.lock_index[lock.id] = program.locks.size();
             program.locks_by_member[lock_name].push_back(lock.id);

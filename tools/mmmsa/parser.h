@@ -10,12 +10,12 @@
 
 /// \file
 /// mmmsa's lightweight C++ front end: a declaration and function-body parser
-/// over the mmmlint token stream. It is *not* a C++ parser — it recovers
+/// over the lexer's token stream. It is *not* a C++ parser — it recovers
 /// exactly the structure the whole-program analyses need and skips the rest:
 ///
 ///   - class/struct scopes (including nested and file-local classes), their
-///     data members with a best-effort type (the unique known-class
-///     identifier in the declaration), their lock members
+///     base names, their data members with a best-effort type (the unique
+///     known-class identifier in the declaration), their lock members
 ///     (`Mutex`/`SharedMutex`) with the `MMM_LOCK_RANK(n)` annotation, and
 ///     their method declarations with `MMM_REQUIRES(...)` contracts;
 ///   - function definitions with a qualified name, parameter/local variable
@@ -32,11 +32,6 @@
 /// acceptable and an invented one is not.
 
 namespace mmmsa {
-
-using mmmlint::Comment;
-using mmmlint::LexedFile;
-using mmmlint::Token;
-using mmmlint::TokenKind;
 
 /// One statement of a function body.
 struct Stmt {
@@ -67,6 +62,9 @@ struct LockDecl {
   int line = 0;
   int rank = -1;  ///< from MMM_LOCK_RANK(n); -1 when unannotated
   bool shared = false;
+  /// Class member whose class definition annotates no field with
+  /// MMM_GUARDED_BY / MMM_PT_GUARDED_BY.
+  bool unguarded = false;
 };
 
 /// One function definition (body present).
@@ -91,6 +89,8 @@ struct FunctionInfo {
 
 struct ClassInfo {
   std::string name;  ///< scoped, e.g. "LayerCache::Shard"
+  /// Last identifier of each base specifier (`public mmm::Env` -> "Env").
+  std::vector<std::string> bases;
   /// member name -> scoped class name of its type (known classes only).
   std::map<std::string, std::string> member_types;
   /// Methods declared or defined in the class body.
