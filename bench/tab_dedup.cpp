@@ -14,7 +14,12 @@
 //   - the chunk index's own accounting: unique chunks, manifest logical
 //     bytes, dedup ratio (logical / stored);
 //   - total save wall time and full-fleet recover wall time, so the dedup
-//     win is priced against the chunking cost.
+//     win is priced against the chunking cost;
+//   - per recovery: file-store read ops and modeled TTR under
+//     SetupProfile::Server(), the store round trips the dedup grain costs;
+//   - after a RetainOnly of the newest quarter of the fleet (and the GC
+//     sweep it runs): the files that hold chunk bytes and the fraction of
+//     their bytes no live manifest references (dead bytes).
 //
 // Expected shape: CAS-off pays ~100x one snapshot's bytes. Chunked rows
 // collapse that to roughly one snapshot plus the per-cycle deltas — well
@@ -30,6 +35,8 @@
 //
 // Knobs: MMM_SETS (default 100), MMM_MODELS (default 20), MMM_SAMPLES (32).
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -55,6 +62,11 @@ struct RowResult {
   double recover_s = 0.0;   ///< wall time of recovering every set
   uint64_t store_bytes = 0; ///< physical bytes of every artifact blob
   CasStore::Stats stats;    ///< zero-valued for the control row
+  double read_ops_per_recovery = 0.0;
+  double modeled_ttr_ms = 0.0;  ///< modeled store time per recovery
+  size_t retained_sets = 0;
+  uint64_t chunk_files = 0;     ///< files holding chunk bytes, after retain
+  double dead_fraction = 0.0;   ///< unreferenced share of their bytes
 };
 
 CasOptions Chunked(uint64_t avg, bool fixed_size) {
@@ -86,6 +98,9 @@ int main() {
       {"fixed 8K", Chunked(8192, /*fixed_size=*/true)},
   };
 
+  // Under the temp directory ($TMPDIR, else /tmp).
+  const std::string work_dir =
+      (std::filesystem::temp_directory_path() / "mmm-bench-dedup").string();
   std::vector<RowResult> rows;
   for (const ChunkRow& in : rows_in) {
     // Re-archive the identical version fleet (seeded scenario) fresh.
@@ -95,8 +110,9 @@ int main() {
     scenario.Init().Check();
 
     ModelSetManager::Options options;
-    options.root_dir = "/tmp/mmm-bench-dedup/store";
+    options.root_dir = work_dir + "/store";
     options.resolver = &scenario;
+    options.profile = SetupProfile::Server();
     options.cas = in.cas;
     auto manager = ModelSetManager::Open(options).ValueOrDie();
 
@@ -109,22 +125,32 @@ int main() {
         manager->SaveInitial(ApproachType::kBaseline, scenario.current_set())
             .ValueOrDie()
             .set_id);
+    // Each version is its own root (as on mmmbench's cas_mixed): a
+    // Baseline save is a full snapshot either way, and without lineage
+    // links the RetainOnly below can retire the older versions.
     for (size_t version = 1; version < sets; ++version) {
-      ModelSetUpdateInfo update = scenario.AdvanceCycle().ValueOrDie();
-      update.base_set_id = ids.back();
-      ids.push_back(manager
-                        ->SaveDerived(ApproachType::kBaseline,
-                                      scenario.current_set(), update)
-                        .ValueOrDie()
-                        .set_id);
+      scenario.AdvanceCycle().status().Check();
+      ids.push_back(
+          manager->SaveInitial(ApproachType::kBaseline, scenario.current_set())
+              .ValueOrDie()
+              .set_id);
     }
     row.save_s = save_watch.ElapsedSeconds();
 
+    const uint64_t read_ops_before = manager->file_store()->stats().read_ops;
+    const uint64_t modeled_before = manager->sim_clock()->nanos();
     StopWatch recover_watch;
     for (const std::string& id : ids) {
       manager->Recover(id).status().Check();
     }
     row.recover_s = recover_watch.ElapsedSeconds();
+    row.read_ops_per_recovery =
+        static_cast<double>(manager->file_store()->stats().read_ops -
+                            read_ops_before) /
+        static_cast<double>(ids.size());
+    row.modeled_ttr_ms =
+        static_cast<double>(manager->sim_clock()->nanos() - modeled_before) *
+        1e-6 / static_cast<double>(ids.size());
 
     for (const std::string& blob :
          manager->file_store()->List().ValueOrDie()) {
@@ -132,6 +158,31 @@ int main() {
     }
     if (manager->cas() != nullptr) {
       row.stats = manager->cas()->ComputeStats().ValueOrDie();
+    }
+
+    // Retire the older three quarters; the GC sweep leaves only chunks the
+    // newest sets reference, and dead bytes wherever chunk storage is
+    // coarser than one chunk.
+    row.retained_sets = std::max<size_t>(1, ids.size() / 4);
+    RetainOnly(manager->context(),
+               std::vector<std::string>(ids.end() - row.retained_sets,
+                                        ids.end()))
+        .status()
+        .Check();
+    if (manager->cas() != nullptr) {
+      const CasStore::Stats retained =
+          manager->cas()->ComputeStats().ValueOrDie();
+      uint64_t file_bytes = 0;
+      for (const std::string& blob :
+           manager->file_store()->List().ValueOrDie()) {
+        if (!IsChunkBlobName(blob)) continue;
+        ++row.chunk_files;
+        file_bytes += manager->file_store()->Size(blob).ValueOrDie();
+      }
+      row.dead_fraction =
+          file_bytes == 0 ? 0.0
+                          : 1.0 - static_cast<double>(retained.chunk_bytes) /
+                                      static_cast<double>(file_bytes);
     }
 
     // Dedup must never cost integrity: every row leaves a healthy store.
@@ -144,26 +195,31 @@ int main() {
 
     rows.push_back(std::move(row));
     manager.reset();
-    Env::Default()->RemoveDirs("/tmp/mmm-bench-dedup").Check();
+    Env::Default()->RemoveDirs(work_dir).Check();
   }
 
   const uint64_t control_bytes = rows.front().store_bytes;
   std::printf("\nBaseline approach, %zu full snapshots of %zu models:\n",
               sets, knobs.models);
-  std::printf("%-10s | %10s | %9s | %8s | %8s | %10s | %10s\n", "chunking",
-              "store MB", "reduction", "save s", "recov s", "chunks",
-              "dedup x");
+  std::printf("%-10s | %10s | %9s | %8s | %8s | %10s | %10s | %8s | %9s | "
+              "%11s | %6s\n",
+              "chunking", "store MB", "reduction", "save s", "recov s",
+              "chunks", "dedup x", "read ops", "TTR ms", "chunk files",
+              "dead");
   JsonValue out_rows = JsonValue::Array();
   for (const RowResult& row : rows) {
     double reduction = row.store_bytes == 0
                            ? 0.0
                            : static_cast<double>(control_bytes) /
                                  static_cast<double>(row.store_bytes);
-    std::printf("%-10s | %10s | %8.2fx | %8.2f | %8.2f | %10llu | %9.2fx\n",
-                row.label.c_str(), Mb(row.store_bytes).c_str(), reduction,
-                row.save_s, row.recover_s,
-                static_cast<unsigned long long>(row.stats.unique_chunks),
-                row.stats.dedup_ratio());
+    std::printf(
+        "%-10s | %10s | %8.2fx | %8.2f | %8.2f | %10llu | %9.2fx | %8.1f | "
+        "%9.3f | %11llu | %5.1f%%\n",
+        row.label.c_str(), Mb(row.store_bytes).c_str(), reduction, row.save_s,
+        row.recover_s, static_cast<unsigned long long>(row.stats.unique_chunks),
+        row.stats.dedup_ratio(), row.read_ops_per_recovery, row.modeled_ttr_ms,
+        static_cast<unsigned long long>(row.chunk_files),
+        100.0 * row.dead_fraction);
 
     JsonValue entry = JsonValue::Object();
     entry.Set("chunking", row.label);
@@ -176,6 +232,11 @@ int main() {
     entry.Set("manifests", row.stats.manifests);
     entry.Set("manifest_raw_bytes", row.stats.manifest_raw_bytes);
     entry.Set("dedup_ratio", row.stats.dedup_ratio());
+    entry.Set("read_ops_per_recovery", row.read_ops_per_recovery);
+    entry.Set("modeled_ttr_ms_per_recovery", row.modeled_ttr_ms);
+    entry.Set("retained_sets", static_cast<uint64_t>(row.retained_sets));
+    entry.Set("chunk_files_after_retain", row.chunk_files);
+    entry.Set("dead_fraction_after_retain", row.dead_fraction);
     out_rows.Append(std::move(entry));
   }
 
@@ -183,6 +244,7 @@ int main() {
   doc.Set("bench", "tab_dedup");
   doc.Set("sets", static_cast<uint64_t>(sets));
   doc.Set("models", static_cast<uint64_t>(knobs.models));
+  doc.Set("profile", SetupProfile::Server().name);
   doc.Set("rows", std::move(out_rows));
   std::string json = doc.DumpPretty() + "\n";
   Env::Default()
