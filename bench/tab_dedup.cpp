@@ -18,8 +18,9 @@
 //   - per recovery: file-store read ops and modeled TTR under
 //     SetupProfile::Server(), the store round trips the dedup grain costs;
 //   - after a RetainOnly of the newest quarter of the fleet (and the GC
-//     sweep it runs): the files that hold chunk bytes and the fraction of
-//     their bytes no live manifest references (dead bytes).
+//     sweep and repack it runs): the files that hold chunk bytes (packs)
+//     and the fraction of their chunk bytes no live chunk occupies (dead
+//     bytes).
 //
 // Expected shape: CAS-off pays ~100x one snapshot's bytes. Chunked rows
 // collapse that to roughly one snapshot plus the per-cycle deltas — well
@@ -65,8 +66,8 @@ struct RowResult {
   double read_ops_per_recovery = 0.0;
   double modeled_ttr_ms = 0.0;  ///< modeled store time per recovery
   size_t retained_sets = 0;
-  uint64_t chunk_files = 0;     ///< files holding chunk bytes, after retain
-  double dead_fraction = 0.0;   ///< unreferenced share of their bytes
+  uint64_t chunk_files = 0;     ///< packs, after retain
+  double dead_fraction = 0.0;   ///< dead share of their chunk bytes
 };
 
 CasOptions Chunked(uint64_t avg, bool fixed_size) {
@@ -172,17 +173,8 @@ int main() {
     if (manager->cas() != nullptr) {
       const CasStore::Stats retained =
           manager->cas()->ComputeStats().ValueOrDie();
-      uint64_t file_bytes = 0;
-      for (const std::string& blob :
-           manager->file_store()->List().ValueOrDie()) {
-        if (!IsChunkBlobName(blob)) continue;
-        ++row.chunk_files;
-        file_bytes += manager->file_store()->Size(blob).ValueOrDie();
-      }
-      row.dead_fraction =
-          file_bytes == 0 ? 0.0
-                          : 1.0 - static_cast<double>(retained.chunk_bytes) /
-                                      static_cast<double>(file_bytes);
+      row.chunk_files = retained.packs;
+      row.dead_fraction = 1.0 - retained.live_fraction();
     }
 
     // Dedup must never cost integrity: every row leaves a healthy store.

@@ -6,20 +6,14 @@
 #include "serialize/crc32.h"
 #include "serialize/json.h"
 #include "serialize/sha256.h"
+#include "storage/store_batch.h"
 
 namespace mmm {
 
-namespace {
-
-std::string HexOfChunkBlob(const std::string& blob_name) {
-  return blob_name.substr(sizeof(kCasChunkPrefix) - 1);
-}
-
-}  // namespace
-
 /// \brief Per-commit write session (see storage/cas_iface.h for the
-/// protocol). Collects refcount deltas and applies them atomically under
-/// the store's lock once the commit is durable.
+/// protocol). Collects refcount deltas and the commit's new chunks, and
+/// applies them atomically under the store's lock once the commit is
+/// durable.
 class CasBatchSession : public CasWriteSession {
  public:
   explicit CasBatchSession(CasStore* store) : store_(store) {}
@@ -27,9 +21,9 @@ class CasBatchSession : public CasWriteSession {
     if (!closed_) Aborted();
   }
 
-  Status TransformWrite(const std::string& name, std::vector<uint8_t>* data,
-                        std::vector<ChunkWrite>* new_chunks) override {
-    if (IsChunkBlobName(name)) {
+  Status TransformWrite(const std::string& name,
+                        std::vector<uint8_t>* data) override {
+    if (IsPackBlobName(name) || IsChunkBlobName(name)) {
       return Status::Internal("cas session asked to transform chunk blob '",
                               name, "'");
     }
@@ -63,16 +57,13 @@ class CasBatchSession : public CasWriteSession {
     for (size_t c = 0; c < spans.size(); ++c) {
       const ChunkSpan& span = spans[c];
       const std::string& hex = hexes[c];
-      std::span<const uint8_t> bytes(data->data() + span.offset, span.length);
       manifest.chunks.push_back({hex, span.length});
       increments_[hex] += 1;
-      chunk_bytes_[hex] = span.length;
       PinLocked(hex);
-      const bool in_store = store_->chunks_.count(hex) != 0;
-      if (!in_store && staged_.insert(hex).second) {
-        new_chunks->push_back(
-            {ChunkBlobName(hex),
-             std::vector<uint8_t>(bytes.begin(), bytes.end())});
+      if (store_->chunks_.count(hex) == 0 && staged_.count(hex) == 0) {
+        staged_[hex] = pack_.entries().size();
+        pack_.Add(hex, std::span<const uint8_t>(data->data() + span.offset,
+                                                span.length));
       }
     }
     written_manifests_[name] =
@@ -85,6 +76,20 @@ class CasBatchSession : public CasWriteSession {
     MutexLock lock(store_->mu_);
     RecordRetireLocked(name);
     return Status::OK();
+  }
+
+  bool TakePack(BlobWrite* pack) override {
+    if (pack_.empty()) return false;
+    entries_ = pack_.entries();
+    {
+      MutexLock lock(store_->mu_);
+      pack_id_ = store_->next_pack_id_++;
+      store_->writing_packs_.insert(pack_id_);
+    }
+    pack->name = PackBlobName(pack_id_);
+    pack->data = pack_.Finish();
+    pack_file_bytes_ = pack->data.size();
+    return true;
   }
 
   Status Applied() override {
@@ -103,25 +108,43 @@ class CasBatchSession : public CasWriteSession {
       }
       store_->manifests_.erase(it);
     }
+    if (pack_id_ != 0) {
+      uint64_t data_bytes = 0;
+      for (const PackEntry& entry : entries_) data_bytes += entry.length;
+      store_->packs_[pack_id_] = {pack_file_bytes_, data_bytes, 0};
+      store_->writing_packs_.erase(pack_id_);
+    }
+    Status status;
     for (const auto& [hex, count] : increments_) {
-      CasStore::ChunkState& state = store_->chunks_[hex];
-      state.refs += count;
-      state.bytes = chunk_bytes_[hex];
+      auto [it, inserted] = store_->chunks_.try_emplace(hex);
+      if (inserted) {
+        // Not indexed when this session saw it, so this session packed it.
+        // A chunk another session committed first keeps that first copy;
+        // this pack's copy is then dead bytes.
+        auto staged = staged_.find(hex);
+        if (staged == staged_.end()) {
+          status = Status::Internal("cas chunk ", hex,
+                                    " is neither indexed nor in the pack");
+          continue;
+        }
+        const PackEntry& entry = entries_[staged->second];
+        it->second.where = {pack_id_, entry.offset, entry.length, entry.crc};
+        store_->packs_[pack_id_].live_bytes += entry.length;
+      }
+      it->second.refs += count;
     }
     for (auto& [name, state] : written_manifests_) {
       store_->manifests_[name] = std::move(state);
     }
     UnpinAllLocked();
     // Decrement-then-sweep: chunks the retirements zeroed go now, unless an
-    // overlapping session still pins them.
-    for (auto it = store_->chunks_.begin(); it != store_->chunks_.end();) {
-      if (it->second.refs == 0 && store_->pins_.count(it->first) == 0) {
-        MMM_RETURN_NOT_OK(store_->store_->Delete(ChunkBlobName(it->first)));
-        it = store_->chunks_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // overlapping session still pins them, and so do packs left without a
+    // live chunk (this commit's own, if another session beat it to every
+    // chunk).
+    CasStore::SweepReport ignored;
+    store_->DropZeroRefChunksLocked(&ignored);
+    MMM_RETURN_NOT_OK(store_->DeleteDeadPacksLocked(&ignored));
+    MMM_RETURN_NOT_OK(status);
     return store_->PersistIndexLocked();
   }
 
@@ -129,6 +152,9 @@ class CasBatchSession : public CasWriteSession {
     closed_ = true;
     MutexLock lock(store_->mu_);
     UnpinAllLocked();
+    // A pack that already landed is rolled back by journal replay or
+    // reclaimed by the untracked-pack sweep.
+    if (pack_id_ != 0) store_->writing_packs_.erase(pack_id_);
     increments_.clear();
     written_manifests_.clear();
     retired_.clear();
@@ -155,9 +181,13 @@ class CasBatchSession : public CasWriteSession {
   bool closed_ = false;
   /// chunk hex -> reference count this commit adds.
   std::map<std::string, uint64_t> increments_;
-  std::map<std::string, uint64_t> chunk_bytes_;
-  /// Chunks whose blob writes this session already handed to the batch.
-  std::set<std::string> staged_;
+  /// This commit's new chunks, and where each sits in pack_.
+  PackBuilder pack_;
+  std::map<std::string, size_t> staged_;
+  /// pack_'s entries, kept past TakePack for Applied.
+  std::vector<PackEntry> entries_;
+  uint64_t pack_id_ = 0;
+  uint64_t pack_file_bytes_ = 0;
   /// Chunks this session pinned against concurrent sweeps.
   std::set<std::string> pinned_;
   /// Manifest names this commit overwrites or deletes.
@@ -165,30 +195,44 @@ class CasBatchSession : public CasWriteSession {
   std::map<std::string, CasStore::ManifestState> written_manifests_;
 };
 
+CasStore::PackPins::PackPins(PackPins&& other) noexcept
+    : cas_(other.cas_), packs_(std::move(other.packs_)) {
+  other.cas_ = nullptr;
+  other.packs_.clear();
+}
+
+void CasStore::PackPins::Release() {
+  if (cas_ != nullptr) cas_->UnpinPacks(packs_);
+  cas_ = nullptr;
+  packs_.clear();
+}
+
 Result<std::unique_ptr<CasStore>> CasStore::Open(Env* env, FileStore* store,
+                                                 CommitJournal* journal,
                                                  std::string index_path,
                                                  CasOptions options) {
   MMM_RETURN_NOT_OK(options.Validate());
   auto cas = std::unique_ptr<CasStore>(
-      new CasStore(env, store, std::move(index_path), options));
+      new CasStore(env, store, journal, std::move(index_path), options));
   MMM_ASSIGN_OR_RETURN(Rebuilt scan, cas->ScanStore());
+  // Skipped when the scan saw undecodable manifests or packs: their
+  // references are unknown, so deleting anything could orphan a
+  // recoverable blob; fsck reports the corruption instead.
+  const bool scan_clean = scan.problems.empty();
+  if (scan_clean && !scan.legacy_chunks.empty()) {
+    MMM_RETURN_NOT_OK(cas->MigrateLegacyChunks(&scan));
+  }
   MutexLock lock(cas->mu_);
   cas->chunks_ = std::move(scan.chunks);
   cas->manifests_ = std::move(scan.manifests);
-  // Reclaim chunk blobs no live manifest references — leftovers of
-  // rolled-back commits (rollback never deletes `cas` intents; see
-  // storage/journal.h) or of a crash between a decrement and its sweep.
-  // Skipped when the scan saw undecodable manifests: their references are
-  // unknown, so deleting anything could orphan a recoverable blob; fsck
-  // reports the corruption instead.
-  if (scan.problems.empty()) {
-    for (const auto& [blob_name, size] : scan.chunk_blobs) {
-      (void)size;
-      if (cas->chunks_.count(HexOfChunkBlob(blob_name)) == 0) {
-        MMM_RETURN_NOT_OK(
-            env->DeleteFile(store->root() + "/" + blob_name));
-      }
-    }
+  cas->packs_ = std::move(scan.packs);
+  cas->next_pack_id_ = scan.max_pack_id + 1;
+  // Reclaim packs no live manifest's chunks occupy — leftovers of a crash
+  // between a decrement and its sweep, or the sources of a repack the
+  // crash interrupted after its commit.
+  if (scan_clean) {
+    SweepReport ignored;
+    MMM_RETURN_NOT_OK(cas->DeleteDeadPacksLocked(&ignored));
   }
   MMM_RETURN_NOT_OK(cas->PersistIndexLocked());
   return cas;
@@ -200,13 +244,41 @@ Result<CasStore::Rebuilt> CasStore::ScanStore() const {
                        env_->ListDir(store_->root()));
   for (const std::string& name : names) {
     const std::string path = store_->root() + "/" + name;
-    if (IsChunkBlobName(name)) {
+    if (IsPackBlobName(name)) {
+      const uint64_t id = PackIdOfBlobName(name);
+      if (id == 0) {
+        out.problems.push_back("pack blob '" + name + "' has no valid id");
+        continue;
+      }
+      auto entries = ReadPackIndex(env_, path);
+      if (!entries.ok()) {
+        out.problems.push_back("pack '" + name +
+                               "': " + entries.status().ToString());
+        continue;
+      }
       MMM_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path));
-      out.chunk_blobs[name] = size;
+      PackState& pack = out.packs[id];
+      pack.file_bytes = size;
+      for (const PackEntry& entry : entries.ValueOrDie()) {
+        pack.data_bytes += entry.length;
+      }
+      out.pack_entries[id] = std::move(entries).ValueOrDie();
+      out.max_pack_id = std::max(out.max_pack_id, id);
       continue;
     }
+    if (IsChunkBlobName(name)) {
+      MMM_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path));
+      out.legacy_chunks[name] = size;
+      continue;
+    }
+    // Sniff the manifest magic with one small ranged read; only manifests
+    // (small) are read whole, never a verbatim multi-megabyte payload.
+    MMM_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path));
+    if (size < kCasManifestMagicSize) continue;
+    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> head,
+                         env_->ReadFileRange(path, 0, kCasManifestMagicSize));
+    if (!IsManifestPayload(head)) continue;
     MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> data, env_->ReadFile(path));
-    if (!IsManifestPayload(data)) continue;
     auto manifest = DecodeManifest(data);
     if (!manifest.ok()) {
       out.problems.push_back("manifest '" + name +
@@ -219,11 +291,73 @@ Result<CasStore::Rebuilt> CasStore::ScanStore() const {
     for (const CasChunkRef& ref : state.chunks) {
       ChunkState& chunk = out.chunks[ref.hash_hex];
       chunk.refs += 1;
-      chunk.bytes = ref.length;
+      chunk.where.length = ref.length;
     }
     out.manifests[name] = std::move(state);
   }
+  // Locate each referenced chunk; where packs overlap, the newest pack's
+  // copy wins (ids grow with every pack written, so a repack's output
+  // supersedes the packs it copied from).
+  for (const auto& [id, entries] : out.pack_entries) {
+    for (const PackEntry& entry : entries) {
+      auto chunk = out.chunks.find(entry.hash_hex);
+      if (chunk == out.chunks.end()) continue;
+      ChunkLocation& where = chunk->second.where;
+      if (where.pack != 0) out.packs[where.pack].live_bytes -= where.length;
+      where = {id, entry.offset, entry.length, entry.crc};
+      out.packs[id].live_bytes += entry.length;
+    }
+  }
   return out;
+}
+
+Status CasStore::MigrateLegacyChunks(Rebuilt* scan) {
+  const uint64_t id = scan->max_pack_id + 1;
+  PackBuilder builder;
+  StoreBatch batch(store_, /*doc_store=*/nullptr, /*executor=*/nullptr, {},
+                   journal_);
+  batch.AnnotateCommit("", "cas-migrate");
+  for (const auto& [name, size] : scan->legacy_chunks) {
+    const std::string hex = ChunkHexOfBlobName(name);
+    auto chunk = scan->chunks.find(hex);
+    if (chunk != scan->chunks.end() && chunk->second.where.pack == 0) {
+      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                           env_->ReadFile(store_->root() + "/" + name));
+      const std::string actual =
+          Sha256::Hash(std::span<const uint8_t>(bytes)).ToHex();
+      if (actual != hex) {
+        // Keep a damaged chunk file where it is for fsck to report.
+        scan->problems.push_back("legacy chunk '" + name +
+                                 "' content hashes to " + actual);
+        continue;
+      }
+      builder.Add(hex, bytes);
+    }
+    batch.DeleteBlob(name);
+  }
+  std::vector<PackEntry> entries = builder.entries();
+  uint64_t file_bytes = 0;
+  if (!builder.empty()) {
+    std::vector<uint8_t> pack = builder.Finish();
+    file_bytes = pack.size();
+    batch.PutBlob(PackBlobName(id), std::move(pack));
+  }
+  MMM_RETURN_NOT_OK(batch.Commit());
+
+  if (!entries.empty()) {
+    PackState& pack = scan->packs[id];
+    pack.file_bytes = file_bytes;
+    for (const PackEntry& entry : entries) {
+      pack.data_bytes += entry.length;
+      pack.live_bytes += entry.length;
+      scan->chunks[entry.hash_hex].where = {id, entry.offset, entry.length,
+                                            entry.crc};
+    }
+    scan->pack_entries[id] = std::move(entries);
+    scan->max_pack_id = id;
+  }
+  scan->legacy_chunks.clear();
+  return Status::OK();
 }
 
 bool CasStore::IsManifest(const std::string& name) const {
@@ -239,17 +373,18 @@ std::optional<std::vector<CasChunkRef>> CasStore::ManifestChunks(
   return it->second.chunks;
 }
 
-uint64_t CasStore::RefCount(const std::string& hash_hex) const {
-  MutexLock lock(mu_);
-  auto it = chunks_.find(hash_hex);
-  return it == chunks_.end() ? 0 : it->second.refs;
-}
-
 std::map<std::string, uint64_t> CasStore::ChunkRefsSnapshot() const {
   MutexLock lock(mu_);
   std::map<std::string, uint64_t> refs;
   for (const auto& [hex, state] : chunks_) refs[hex] = state.refs;
   return refs;
+}
+
+std::map<std::string, ChunkLocation> CasStore::ChunkLocationsSnapshot() const {
+  MutexLock lock(mu_);
+  std::map<std::string, ChunkLocation> locations;
+  for (const auto& [hex, state] : chunks_) locations[hex] = state.where;
+  return locations;
 }
 
 std::vector<std::string> CasStore::ManifestNames() const {
@@ -260,28 +395,88 @@ std::vector<std::string> CasStore::ManifestNames() const {
   return names;
 }
 
-Result<CasStore::Stats> CasStore::ComputeStats() const {
-  Stats stats;
+bool CasStore::TracksPack(const std::string& blob_name) const {
+  const uint64_t id = PackIdOfBlobName(blob_name);
+  MutexLock lock(mu_);
+  return packs_.count(id) != 0 || writing_packs_.count(id) != 0;
+}
+
+Result<CasStore::PackPins> CasStore::ResolveChunks(
+    std::span<const CasChunkRef> refs,
+    std::vector<ChunkLocation>* locations) {
+  PackPins pins;
+  std::function<void()> hook;
   {
     MutexLock lock(mu_);
-    stats.unique_chunks = chunks_.size();
-    for (const auto& [hex, state] : chunks_) {
-      stats.chunk_bytes += state.bytes;
-      stats.total_refs += state.refs;
-      ++stats.refcount_histogram[state.refs];
+    locations->clear();
+    locations->reserve(refs.size());
+    std::set<uint64_t> packs;
+    for (const CasChunkRef& ref : refs) {
+      auto it = chunks_.find(ref.hash_hex);
+      if (it == chunks_.end()) {
+        return Status::NotFound("chunk ", ref.hash_hex,
+                                " is not in the cas index");
+      }
+      locations->push_back(it->second.where);
+      if (it->second.where.pack != 0) packs.insert(it->second.where.pack);
     }
-    stats.manifests = manifests_.size();
-    for (const auto& [name, state] : manifests_) {
-      stats.manifest_raw_bytes += state.raw_size;
+    pins.cas_ = this;
+    for (uint64_t id : packs) {
+      ++reader_pins_[id];
+      pins.packs_.push_back(id);
     }
+    hook = resolve_hook_;
   }
+  if (hook != nullptr) hook();
+  return pins;
+}
+
+void CasStore::SetResolveHookForTesting(std::function<void()> hook) {
+  MutexLock lock(mu_);
+  resolve_hook_ = std::move(hook);
+}
+
+void CasStore::UnpinPacks(const std::vector<uint64_t>& packs) {
+  MutexLock lock(mu_);
+  for (uint64_t id : packs) {
+    auto it = reader_pins_.find(id);
+    if (it == reader_pins_.end()) continue;
+    if (--it->second == 0) reader_pins_.erase(it);
+  }
+  // The last reader out of a pack a repack emptied deletes it. Deletes
+  // charge no modeled cost; a failure leaves the pack for the next sweep.
+  SweepReport ignored;
+  for (uint64_t id : packs) {
+    if (!DeletePackIfDeadLocked(id, &ignored).ok()) break;
+  }
+}
+
+Result<CasStore::Stats> CasStore::ComputeStats() const {
+  Stats stats;
   MMM_ASSIGN_OR_RETURN(std::vector<std::string> names,
                        env_->ListDir(store_->root()));
   MutexLock lock(mu_);
+  stats.unique_chunks = chunks_.size();
+  for (const auto& [hex, state] : chunks_) {
+    stats.chunk_bytes += state.where.length;
+    stats.total_refs += state.refs;
+    ++stats.refcount_histogram[state.refs];
+  }
+  stats.manifests = manifests_.size();
+  for (const auto& [name, state] : manifests_) {
+    stats.manifest_raw_bytes += state.raw_size;
+  }
+  stats.packs = packs_.size();
+  for (const auto& [id, pack] : packs_) {
+    stats.pack_bytes += pack.file_bytes;
+    stats.dead_bytes += pack.data_bytes - pack.live_bytes;
+  }
   for (const std::string& name : names) {
-    if (IsChunkBlobName(name) &&
-        chunks_.count(HexOfChunkBlob(name)) == 0) {
-      ++stats.orphan_chunks;
+    const uint64_t id = PackIdOfBlobName(name);
+    if (IsChunkBlobName(name) ||
+        (IsPackBlobName(name) && packs_.count(id) == 0 &&
+         writing_packs_.count(id) == 0)) {
+      ++stats.orphan_packs;
     }
   }
   return stats;
@@ -300,36 +495,172 @@ void CasStore::OnManifestDeleted(const std::string& name) {
   manifests_.erase(it);
 }
 
-Result<CasStore::SweepReport> CasStore::SweepZeroRefChunks() {
-  MutexLock lock(mu_);
-  SweepReport report;
+void CasStore::DropChunkLocked(
+    std::map<std::string, ChunkState>::iterator it) {
+  const ChunkLocation& where = it->second.where;
+  auto pack = packs_.find(where.pack);
+  if (pack != packs_.end()) pack->second.live_bytes -= where.length;
+  chunks_.erase(it);
+}
+
+void CasStore::DropZeroRefChunksLocked(SweepReport* report) {
   for (auto it = chunks_.begin(); it != chunks_.end();) {
     if (it->second.refs == 0 && pins_.count(it->first) == 0) {
-      MMM_RETURN_NOT_OK(store_->Delete(ChunkBlobName(it->first)));
-      ++report.chunks_swept;
-      report.bytes_swept += it->second.bytes;
-      it = chunks_.erase(it);
+      ++report->chunks_swept;
+      report->bytes_swept += it->second.where.length;
+      DropChunkLocked(it++);
     } else {
       ++it;
     }
   }
-  MMM_RETURN_NOT_OK(PersistIndexLocked());
+}
+
+Status CasStore::DeletePackIfDeadLocked(uint64_t id, SweepReport* report) {
+  auto pack = packs_.find(id);
+  if (pack == packs_.end() || pack->second.live_bytes != 0 ||
+      reader_pins_.count(id) != 0 || writing_packs_.count(id) != 0) {
+    return Status::OK();
+  }
+  Status deleted = store_->Delete(PackBlobName(id));
+  if (!deleted.ok() && !deleted.IsNotFound()) return deleted;
+  packs_.erase(pack);
+  ++report->packs_deleted;
+  return Status::OK();
+}
+
+Status CasStore::DeleteDeadPacksLocked(SweepReport* report) {
+  std::vector<uint64_t> dead;
+  for (const auto& [id, pack] : packs_) {
+    if (pack.live_bytes == 0) dead.push_back(id);
+  }
+  for (uint64_t id : dead) {
+    MMM_RETURN_NOT_OK(DeletePackIfDeadLocked(id, report));
+  }
+  return Status::OK();
+}
+
+Result<CasStore::SweepReport> CasStore::SweepZeroRefChunks() {
+  SweepReport report;
+  {
+    MutexLock lock(mu_);
+    DropZeroRefChunksLocked(&report);
+    MMM_RETURN_NOT_OK(DeleteDeadPacksLocked(&report));
+    MMM_RETURN_NOT_OK(PersistIndexLocked());
+  }
+  MMM_RETURN_NOT_OK(Repack(&report));
   return report;
 }
 
-Result<CasStore::SweepReport> CasStore::SweepUntrackedChunks() {
+Status CasStore::Repack(SweepReport* report) {
+  MutexLock repack_lock(repack_mu_);
+  std::vector<uint64_t> sources;
+  // The live chunks of the sources, in pack and offset order.
+  std::vector<std::pair<ChunkLocation, CasChunkRef>> live;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [id, pack] : packs_) {
+      if (pack.live_bytes > 0 &&
+          static_cast<double>(pack.live_bytes) <
+              kRepackLiveFraction * static_cast<double>(pack.data_bytes)) {
+        sources.push_back(id);
+      }
+    }
+    if (sources.empty()) return Status::OK();
+    const std::set<uint64_t> from(sources.begin(), sources.end());
+    for (const auto& [hex, chunk] : chunks_) {
+      if (from.count(chunk.where.pack) != 0) {
+        live.push_back({chunk.where, {hex, chunk.where.length}});
+      }
+    }
+    // Pinned like a reader's, so a concurrent commit that empties a source
+    // cannot delete it while the copy below streams from it.
+    for (uint64_t id : sources) ++reader_pins_[id];
+  }
+  std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
+    return a.first.pack != b.first.pack ? a.first.pack < b.first.pack
+                                        : a.first.offset < b.first.offset;
+  });
+  std::vector<ChunkLocation> from;
+  std::vector<CasChunkRef> refs;
+  for (auto& [where, ref] : live) {
+    from.push_back(where);
+    refs.push_back(std::move(ref));
+  }
+
+  // Copy through the recovery read path (so the same plan and checks
+  // apply), then write the new pack in its own journaled commit.
+  PackBuilder builder;
+  Status status = ReadPackedChunks(
+      store_, options_.max_chunk_bytes, refs, from,
+      [&](size_t i, std::span<const uint8_t> bytes) {
+        builder.Add(refs[i].hash_hex, bytes);
+        return Status::OK();
+      });
+  const std::vector<PackEntry> entries = builder.entries();
+  uint64_t id = 0;
+  uint64_t file_bytes = 0;
+  if (status.ok()) {
+    {
+      MutexLock lock(mu_);
+      id = next_pack_id_++;
+      writing_packs_.insert(id);
+    }
+    std::vector<uint8_t> pack = builder.Finish();
+    file_bytes = pack.size();
+    StoreBatch batch(store_, /*doc_store=*/nullptr, /*executor=*/nullptr, {},
+                     journal_);
+    batch.AnnotateCommit("", "cas-repack");
+    batch.PutBlob(PackBlobName(id), std::move(pack));
+    status = batch.Commit();
+  }
+
+  MutexLock lock(mu_);
+  if (id != 0) writing_packs_.erase(id);
+  for (uint64_t source : sources) {
+    auto pin = reader_pins_.find(source);
+    if (pin != reader_pins_.end() && --pin->second == 0) {
+      reader_pins_.erase(pin);
+    }
+  }
+  // A failed copy or commit leaves every location where it was; a pack
+  // that landed anyway is rolled back by replay or swept as untracked.
+  if (!status.ok()) return status.WithContext("repack");
+  uint64_t data_bytes = 0;
+  for (const PackEntry& entry : entries) data_bytes += entry.length;
+  packs_[id] = {file_bytes, data_bytes, 0};
+  for (size_t i = 0; i < refs.size(); ++i) {
+    // Relocate only chunks still indexed at the copied location; one
+    // dropped meanwhile leaves dead bytes in the new pack.
+    auto it = chunks_.find(refs[i].hash_hex);
+    if (it == chunks_.end() || it->second.where.pack != from[i].pack ||
+        it->second.where.offset != from[i].offset) {
+      continue;
+    }
+    packs_[from[i].pack].live_bytes -= from[i].length;
+    it->second.where = {id, entries[i].offset, entries[i].length,
+                        entries[i].crc};
+    packs_[id].live_bytes += entries[i].length;
+  }
+  report->packs_repacked += sources.size();
+  MMM_RETURN_NOT_OK(DeleteDeadPacksLocked(report));
+  return PersistIndexLocked();
+}
+
+Result<CasStore::SweepReport> CasStore::SweepUntrackedPacks() {
   MMM_ASSIGN_OR_RETURN(std::vector<std::string> names,
                        env_->ListDir(store_->root()));
   MutexLock lock(mu_);
   SweepReport report;
   for (const std::string& name : names) {
-    if (!IsChunkBlobName(name)) continue;
-    const std::string hex = HexOfChunkBlob(name);
-    if (chunks_.count(hex) != 0 || pins_.count(hex) != 0) continue;
+    const uint64_t id = PackIdOfBlobName(name);
+    const bool untracked_pack = IsPackBlobName(name) &&
+                                packs_.count(id) == 0 &&
+                                writing_packs_.count(id) == 0;
+    if (!untracked_pack && !IsChunkBlobName(name)) continue;
     MMM_ASSIGN_OR_RETURN(uint64_t size,
                          env_->FileSize(store_->root() + "/" + name));
     MMM_RETURN_NOT_OK(store_->Delete(name));
-    ++report.chunks_swept;
+    ++report.packs_deleted;
     report.bytes_swept += size;
   }
   return report;
@@ -340,41 +671,51 @@ Status CasStore::Audit(std::vector<std::string>* problems) const {
   for (const std::string& problem : scan.problems) {
     problems->push_back(problem);
   }
-  // Every referenced chunk must exist with the manifest's recorded size.
+  // Every referenced chunk must sit in a pack with the manifest's length.
   for (const auto& [name, manifest] : scan.manifests) {
     for (const CasChunkRef& ref : manifest.chunks) {
-      auto blob = scan.chunk_blobs.find(ChunkBlobName(ref.hash_hex));
-      if (blob == scan.chunk_blobs.end()) {
+      const ChunkLocation& where = scan.chunks.at(ref.hash_hex).where;
+      if (where.pack == 0) {
         problems->push_back("manifest '" + name +
-                            "' references missing chunk " + ref.hash_hex);
-      } else if (blob->second != ref.length) {
+                            "' references chunk " + ref.hash_hex +
+                            " that no pack holds");
+      } else if (where.length != ref.length) {
         problems->push_back("manifest '" + name + "' chunk " + ref.hash_hex +
-                            " has size " + std::to_string(blob->second) +
-                            ", manifest records " +
+                            " has " + std::to_string(where.length) +
+                            " bytes in '" + PackBlobName(where.pack) +
+                            "', manifest records " +
                             std::to_string(ref.length));
       }
     }
   }
-  // Chunk contents must hash to their names; unreferenced chunks are
-  // orphans (a sweep must not have left any behind).
-  for (const auto& [blob_name, size] : scan.chunk_blobs) {
+  for (const auto& [name, size] : scan.legacy_chunks) {
     (void)size;
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
-                         env_->ReadFile(store_->root() + "/" + blob_name));
-    const std::string hex = Sha256::Hash(std::span<const uint8_t>(data)).ToHex();
-    if (ChunkBlobName(hex) != blob_name) {
-      problems->push_back("chunk '" + blob_name +
-                          "' content hashes to " + hex);
-    }
-    if (scan.chunks.count(HexOfChunkBlob(blob_name)) == 0) {
-      problems->push_back("orphan chunk '" + blob_name +
-                          "' (no live manifest references it)");
-    }
+    problems->push_back("legacy chunk file '" + name + "' was not migrated");
   }
-  // The in-memory index must match the store exactly; a zero-refcount
-  // entry still in memory means a sweep was skipped.
+  std::map<std::string, ChunkState> live;
   {
     MutexLock lock(mu_);
+    live = chunks_;
+    // Packs the index tracks must exist; packs in the store must be
+    // tracked and hold a live chunk (or a reader still streams from them).
+    for (const auto& [id, pack] : packs_) {
+      if (scan.packs.count(id) == 0) {
+        problems->push_back("index tracks pack '" + PackBlobName(id) +
+                            "' that the store does not hold");
+      } else if (pack.live_bytes == 0 && reader_pins_.count(id) == 0) {
+        problems->push_back("pack '" + PackBlobName(id) +
+                            "' holds no live chunk and no sweep reclaimed it");
+      }
+    }
+    for (const auto& [id, pack] : scan.packs) {
+      (void)pack;
+      if (packs_.count(id) == 0 && writing_packs_.count(id) == 0) {
+        problems->push_back("pack '" + PackBlobName(id) +
+                            "' is in the store but nothing references it");
+      }
+    }
+    // The in-memory index must match the store exactly; a zero-refcount
+    // entry still in memory means a sweep was skipped.
     for (const auto& [hex, state] : chunks_) {
       auto rebuilt = scan.chunks.find(hex);
       if (state.refs == 0) {
@@ -413,6 +754,42 @@ Status CasStore::Audit(std::vector<std::string>* problems) const {
         problems->push_back("index manifest '" + name +
                             "' does not exist in the store");
       }
+    }
+  }
+  // Every indexed location must be a chunk its pack's index lists there,
+  // and the bytes there must hash to the chunk's name.
+  for (const auto& [hex, state] : live) {
+    const ChunkLocation& where = state.where;
+    if (where.pack == 0) continue;  // reported above as unheld
+    const std::string pack = PackBlobName(where.pack);
+    auto entries = scan.pack_entries.find(where.pack);
+    const bool listed =
+        entries != scan.pack_entries.end() &&
+        std::any_of(entries->second.begin(), entries->second.end(),
+                    [&](const PackEntry& entry) {
+                      return entry.hash_hex == hex &&
+                             entry.offset == where.offset &&
+                             entry.length == where.length;
+                    });
+    if (!listed) {
+      problems->push_back("chunk " + hex + " is indexed at [" +
+                          std::to_string(where.offset) + ", +" +
+                          std::to_string(where.length) + ") of '" + pack +
+                          "', which its pack index does not list");
+      continue;
+    }
+    auto bytes = env_->ReadFileRange(store_->root() + "/" + pack, where.offset,
+                                     where.length);
+    if (!bytes.ok()) {
+      problems->push_back("chunk " + hex + " in '" + pack +
+                          "': " + bytes.status().ToString());
+      continue;
+    }
+    const std::string actual =
+        Sha256::Hash(std::span<const uint8_t>(bytes.ValueOrDie())).ToHex();
+    if (actual != hex) {
+      problems->push_back("chunk " + hex + " in '" + pack +
+                          "' content hashes to " + actual);
     }
   }
   // The persisted checkpoint must agree with the recomputed refcounts.
@@ -471,7 +848,7 @@ Status CasStore::PersistIndexLocked() {
     JsonValue entry = JsonValue::Array();
     entry.Append(hex);
     entry.Append(state.refs);
-    entry.Append(state.bytes);
+    entry.Append(state.where.length);
     chunk_array.Append(std::move(entry));
   }
   record.Set("chunks", std::move(chunk_array));

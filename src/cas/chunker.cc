@@ -48,6 +48,11 @@ Status CasOptions::Validate() const {
   if (min_blob_bytes == 0) {
     return Status::InvalidArgument("cas min_blob_bytes must be positive");
   }
+  // A pack index records each chunk's length in 32 bits (cas/pack.h).
+  if (max_chunk_bytes > UINT32_MAX) {
+    return Status::InvalidArgument("cas max_chunk_bytes (", max_chunk_bytes,
+                                   ") must fit in 32 bits");
+  }
   return Status::OK();
 }
 

@@ -10,10 +10,12 @@
 
 namespace mmm {
 
-/// Chunk blobs live in the same file store as every other artifact, under a
-/// reserved name prefix: `cas-<64 hex chars of the chunk's SHA-256>`. Only
-/// the CAS sweeper (cas/cas_store.cc) may delete blobs in this namespace —
-/// enforced by the mmmlint `chunk-delete` rule.
+/// The retired per-chunk-file layout stored each chunk as its own blob,
+/// `cas-<64 hex chars of the chunk's SHA-256>`. Chunks now live in pack
+/// blobs (cas/pack.h); `CasStore::Open` packs the chunk files of an older
+/// store and deletes them, and nothing else reads or writes this
+/// namespace. Only src/cas/ may delete blobs in it — enforced by the mmmsa
+/// `chunk-delete` rule.
 inline constexpr char kCasChunkPrefix[] = "cas-";
 
 /// First 8 bytes of every manifest payload. Raw artifact blobs all start
@@ -36,7 +38,7 @@ struct CasManifest {
   std::vector<CasChunkRef> chunks;
 };
 
-/// File-store blob name of a chunk.
+/// Legacy file-store blob name of a chunk (see kCasChunkPrefix).
 std::string ChunkBlobName(const std::string& hash_hex);
 
 /// True if `name` is in the chunk namespace.

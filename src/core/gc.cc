@@ -4,6 +4,7 @@
 #include <set>
 
 #include "cas/manifest.h"
+#include "cas/pack.h"
 #include "common/strings.h"
 #include "core/mmlib_base.h"
 #include "core/set_codec.h"
@@ -26,15 +27,17 @@ Status DeleteArtifactBlob(const StoreContext& context, const std::string& blob,
   return context.file_store->Delete(blob);
 }
 
-/// Reclaims every chunk no surviving manifest references; folds the freed
-/// blobs into the report. No-op without CAS.
+/// Drops every chunk no surviving manifest references and reclaims the
+/// packs that leaves dead (or, repacked, mostly dead); folds the dropped
+/// chunks and deleted packs into the report. No-op without CAS.
 Status SweepCasChunks(const StoreContext& context, DeleteReport* report) {
   if (context.cas == nullptr) return Status::OK();
   MMM_ASSIGN_OR_RETURN(CasStore::SweepReport swept,
                        context.cas->SweepZeroRefChunks());
-  report->blobs_deleted += swept.chunks_swept;
+  report->blobs_deleted += swept.packs_deleted;
   report->bytes_reclaimed += swept.bytes_swept;
   report->chunks_swept += swept.chunks_swept;
+  report->packs_repacked += swept.packs_repacked;
   return Status::OK();
 }
 
@@ -198,13 +201,13 @@ Result<OrphanReport> FindOrphanBlobs(const StoreContext& context) {
                        context.file_store->List());
   for (const std::string& blob : blobs) {
     if (live.contains(blob)) continue;
-    // Content-addressed chunks are reference-counted, not document-
-    // referenced: a chunk is live while any manifest in the store points at
-    // it (including a manifest that is itself orphaned — deleting that
-    // manifest drops the refs, and the CAS sweep then reclaims the chunk).
-    // Only genuinely zero-ref chunks are orphans.
-    if (context.cas != nullptr && IsChunkBlobName(blob) &&
-        context.cas->RefCount(ChunkHexOfBlobName(blob)) > 0) {
+    // Content-addressed packs are referenced through the CAS index, not
+    // documents: a pack is live while the index tracks it (it holds a chunk
+    // some manifest in the store points at — including a manifest that is
+    // itself orphaned; deleting that manifest drops the refs, and the CAS
+    // sweep then reclaims the pack). Only untracked packs are orphans.
+    if (context.cas != nullptr && IsPackBlobName(blob) &&
+        context.cas->TracksPack(blob)) {
       continue;
     }
     report.orphan_blobs.push_back(blob);
@@ -219,11 +222,11 @@ Result<DeleteReport> SweepOrphanBlobs(const StoreContext& context) {
   DeleteReport report;
   for (const std::string& blob : orphans.orphan_blobs) {
     if (context.cas != nullptr) {
-      // Chunk blobs belong to the CAS sweeper (the refcount index must stay
-      // in step with the store); an orphaned manifest must drop its chunk
-      // refs before it goes. The sweep below reclaims both kinds and does
-      // its own byte accounting, so chunk sizes are not pre-counted here.
-      if (IsChunkBlobName(blob)) continue;
+      // Pack and legacy chunk blobs belong to the CAS sweeper (the index
+      // must stay in step with the store); an orphaned manifest must drop
+      // its chunk refs before it goes. The sweeps below reclaim both and do
+      // their own byte accounting, so pack sizes are not pre-counted here.
+      if (IsPackBlobName(blob) || IsChunkBlobName(blob)) continue;
       context.cas->OnManifestDeleted(blob);
     }
     auto size = context.file_store->Size(blob);
@@ -233,13 +236,12 @@ Result<DeleteReport> SweepOrphanBlobs(const StoreContext& context) {
   }
   MMM_RETURN_NOT_OK(SweepCasChunks(context, &report));
   if (context.cas != nullptr) {
-    // Chunks never tracked by any manifest (an aborted commit's leftovers)
-    // are invisible to the refcount sweep; reclaim them here.
+    // Packs the index never tracked (an aborted commit's leftovers) are
+    // invisible to the refcount sweep; reclaim them here.
     MMM_ASSIGN_OR_RETURN(CasStore::SweepReport untracked,
-                         context.cas->SweepUntrackedChunks());
-    report.blobs_deleted += untracked.chunks_swept;
+                         context.cas->SweepUntrackedPacks());
+    report.blobs_deleted += untracked.packs_deleted;
     report.bytes_reclaimed += untracked.bytes_swept;
-    report.chunks_swept += untracked.chunks_swept;
   }
   return report;
 }

@@ -13,9 +13,13 @@ struct DeleteReport {
   size_t sets_deleted = 0;
   size_t blobs_deleted = 0;
   uint64_t bytes_reclaimed = 0;
-  /// Of blobs_deleted, how many were content-addressed chunks reclaimed by
-  /// the refcount sweep (always 0 when CAS is off).
+  /// Content-addressed chunks the refcount sweep dropped from the index
+  /// (always 0 when CAS is off). Chunks live in packs, so blobs_deleted
+  /// counts the packs the sweep deleted, not these.
   size_t chunks_swept = 0;
+  /// Packs the sweep repacked because less than half of them stayed live
+  /// (see CasStore::kRepackLiveFraction).
+  size_t packs_repacked = 0;
   std::vector<std::string> deleted_set_ids;
 };
 

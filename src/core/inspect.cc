@@ -40,7 +40,7 @@ Result<uint64_t> ArtifactBytes(const StoreContext& context,
     // Logical artifact size: a chunked blob counts its reassembled bytes,
     // so summaries stay comparable across CAS-on and CAS-off stores.
     MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
-                         CasReadBlob(context.file_store, blob));
+                         CasReadBlob(context.file_store, context.cas, blob));
     total += data.size();
   }
   return total;
@@ -148,7 +148,8 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
           report.problems.push_back(model_id + ": document lacks weights_blob");
           continue;
         }
-        auto blob = CasReadBlob(context.file_store, weights_name.ValueOrDie());
+        auto blob = CasReadBlob(context.file_store, context.cas,
+                                weights_name.ValueOrDie());
         if (!blob.ok()) {
           report.problems.push_back(model_id + ": cannot read weights blob");
           continue;
@@ -185,7 +186,8 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
     ArchitectureSpec spec;
     bool have_spec = false;
     if (!doc.arch_blob.empty()) {
-      auto text = CasReadBlobString(context.file_store, doc.arch_blob);
+      auto text =
+          CasReadBlobString(context.file_store, context.cas, doc.arch_blob);
       if (!text.ok()) {
         report.problems.push_back(doc.id + ": cannot read arch blob: " +
                                   text.status().ToString());
@@ -207,7 +209,7 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
     auto check_blob = [&](const std::string& name,
                           auto decode) {
       if (name.empty()) return;
-      auto raw = CasReadBlob(context.file_store, name);
+      auto raw = CasReadBlob(context.file_store, context.cas, name);
       if (!raw.ok()) {
         report.problems.push_back(doc.id + ": cannot read " + name + ": " +
                                   raw.status().ToString());
@@ -246,7 +248,7 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
         return Status::OK();  // broken chain, reported separately
       }
       MMM_ASSIGN_OR_RETURN(std::string text,
-                           CasReadBlobString(context.file_store,
+                           CasReadBlobString(context.file_store, context.cas,
                                              cursor->arch_blob));
       MMM_ASSIGN_OR_RETURN(ArchitectureSpec root_spec, DecodeArchBlob(text));
       return DecodeDiffBlob(root_spec, blob).status();

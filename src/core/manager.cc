@@ -104,8 +104,8 @@ Result<std::unique_ptr<ModelSetManager>> ModelSetManager::Open(Options options) 
     options.cas.enabled = true;
     MMM_ASSIGN_OR_RETURN(
         manager->cas_,
-        CasStore::Open(env, manager->file_store_.get(), cas_index_path,
-                       options.cas));
+        CasStore::Open(env, manager->file_store_.get(),
+                       manager->journal_.get(), cas_index_path, options.cas));
   }
 
   // New ids must not collide with sets persisted by a previous session.

@@ -110,7 +110,8 @@ Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
                          context_.doc_store->Get(kMmlibModelCollection, model_id));
     MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
     MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                         CasReadBlob(context_.file_store, weights_blob));
+                         CasReadBlob(context_.file_store, context_.cas,
+                                     weights_blob));
     MMM_ASSIGN_OR_RETURN(StateDict state, DecodeStateDict(blob));
     models.push_back(std::move(state));
   }
@@ -145,7 +146,8 @@ Result<ModelSet> MMlibBaseApproach::Recover(const std::string& set_id,
     }
     MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
     MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                         CasReadBlob(context_.file_store, weights_blob));
+                         CasReadBlob(context_.file_store, context_.cas,
+                                     weights_blob));
     MMM_ASSIGN_OR_RETURN(set.models[index], DecodeStateDict(blob));
   }
   MMM_RETURN_NOT_OK(CheckSetConsistent(set));

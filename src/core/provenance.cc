@@ -219,7 +219,8 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
                                          spec_hint, stats, depth_budget - 1));
 
   MMM_ASSIGN_OR_RETURN(std::string record_text,
-                       CasReadBlobString(context_.file_store, doc.prov_blob));
+                       CasReadBlobString(context_.file_store, context_.cas,
+                                         doc.prov_blob));
   MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));
   MMM_ASSIGN_OR_RETURN(const JsonValue* pipeline_json, record.Get("pipeline"));
   MMM_ASSIGN_OR_RETURN(TrainPipelineSpec pipeline,
@@ -285,7 +286,8 @@ Result<ModelSet> ProvenanceApproach::RecoverInternal(const std::string& set_id,
   MMM_ASSIGN_OR_RETURN(
       ModelSet set, RecoverInternal(doc.base_set_id, stats, depth_budget - 1));
   MMM_ASSIGN_OR_RETURN(std::string record_text,
-                       CasReadBlobString(context_.file_store, doc.prov_blob));
+                       CasReadBlobString(context_.file_store, context_.cas,
+                                         doc.prov_blob));
   MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));
   MMM_ASSIGN_OR_RETURN(const JsonValue* pipeline_json, record.Get("pipeline"));
   MMM_ASSIGN_OR_RETURN(TrainPipelineSpec pipeline,

@@ -160,7 +160,7 @@ Status StreamParamBlob(const StoreContext& context,
     return status;
   };
   MMM_RETURN_NOT_OK(CasStreamBlob(
-      context.file_store, blob_name, context.stream_window_bytes,
+      context.file_store, context.cas, blob_name, context.stream_window_bytes,
       [&](uint64_t logical_size) -> Status {
         stored_logical = logical_size;
         return Status::OK();
@@ -216,7 +216,8 @@ Result<ArchitectureSpec> ReadSnapshotSpec(const StoreContext& context,
     return Status::Corruption("set ", doc.id, " has no architecture blob");
   }
   MMM_ASSIGN_OR_RETURN(std::string text,
-                       CasReadBlobString(context.file_store, doc.arch_blob));
+                       CasReadBlobString(context.file_store, context.cas,
+                                         doc.arch_blob));
   return DecodeArchBlob(text);
 }
 

@@ -19,7 +19,8 @@ Result<HashTable> ReadStoredHashTable(const StoreContext& context,
     return Status::Corruption("set ", doc.id, " is missing its hash blob");
   }
   MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                       CasReadBlobDecompressed(context.file_store, doc.hash_blob,
+                       CasReadBlobDecompressed(context.file_store, context.cas,
+                                               doc.hash_blob,
                                                context.stream_window_bytes));
   return DecodeHashTable(bytes, doc.num_models);
 }
@@ -323,8 +324,8 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
 
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> bytes,
-        CasReadBlobDecompressed(context.file_store, level.diff_blob,
-                                context.stream_window_bytes));
+        CasReadBlobDecompressed(context.file_store, context.cas,
+                                level.diff_blob, context.stream_window_bytes));
     MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(spec, bytes));
     const bool xor_encoded = diff.encoding == DiffEncoding::kXorBase;
     // Backwards, so that within one absolute diff the last entry for a

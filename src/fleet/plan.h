@@ -179,9 +179,9 @@ class FleetSymbolicState {
   /// manifests back from the CAS index and records, per ordinal, how many
   /// references that set holds on each chunk. The shadow then predicts the
   /// store-wide refcount map as the sum over *alive* ordinals, which the
-  /// chunk oracle compares against CasStore::ChunkRefsSnapshot() and the
-  /// literal `cas-` listing of the file store after every step: GC must
-  /// decrement exactly the dead sets' references and sweep exactly the
+  /// chunk oracle compares against CasStore::ChunkRefsSnapshot() after
+  /// every step, along with the file store's pack listing: GC must
+  /// decrement exactly the dead sets' references and drop exactly the
   /// chunks that reached zero.
   /// @{
   /// Replaces `ordinal`'s observed chunk references (hex -> refs).

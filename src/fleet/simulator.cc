@@ -5,6 +5,7 @@
 #include <set>
 
 #include "cas/manifest.h"
+#include "cas/pack.h"
 #include "cluster/coordinator.h"
 #include "common/strings.h"
 #include "core/gc.h"
@@ -227,8 +228,8 @@ struct FleetSimulator::World {
     shadow.SetChunkOwnership(ordinal, std::move(refs));
   }
 
-  /// "" when the CAS refcount index, the store's literal `cas-` listing, and
-  /// the shadow's summed per-set ownership all agree; else the first
+  /// "" when the CAS refcount index, the store's pack listing, and the
+  /// shadow's summed per-set ownership all agree; else the first
   /// divergence. Runs after every executed op of an un-sharded CAS world.
   std::string ChunkOracleProblem() {
     if (manager == nullptr || manager->cas() == nullptr) return "";
@@ -258,25 +259,30 @@ struct FleetSimulator::World {
             static_cast<unsigned long long>(refs));
       }
     }
-    // The store must hold exactly the predicted chunk blobs: a missing one
-    // is data loss, an extra one is a zero-ref chunk a sweep failed to
-    // reclaim.
+    // The store must hold exactly the packs the index locates live chunks
+    // in: a missing one is data loss, an extra one is a dead pack a sweep
+    // or repack failed to reclaim, and a `cas-` chunk file is a chunk the
+    // open-time migration failed to pack.
     Result<std::vector<std::string>> listed = manager->file_store()->List();
     if (!listed.ok()) return listed.status().ToString();
-    std::set<std::string> chunk_blobs;
+    std::set<std::string> packs;
     for (const std::string& name : listed.ValueOrDie()) {
-      if (IsChunkBlobName(name)) chunk_blobs.insert(ChunkHexOfBlobName(name));
+      if (IsPackBlobName(name)) packs.insert(name);
+      if (IsChunkBlobName(name)) return "store holds chunk file " + name;
     }
-    for (const auto& [hex, refs] : predicted) {
-      if (chunk_blobs.erase(hex) == 0) {
-        return "store lost referenced chunk blob " + hex.substr(0, 12);
+    std::set<std::string> live_packs;
+    for (const auto& [hex, where] :
+         manager->cas()->ChunkLocationsSnapshot()) {
+      const std::string pack = PackBlobName(where.pack);
+      if (where.pack == 0 || packs.count(pack) == 0) {
+        return "store lost the pack of referenced chunk " + hex.substr(0, 12);
       }
+      live_packs.insert(pack);
     }
-    if (!chunk_blobs.empty()) {
-      return StringFormat("%zu unreferenced chunk blob(s) survived a sweep, "
-                          "first %s",
-                          chunk_blobs.size(),
-                          chunk_blobs.begin()->substr(0, 12).c_str());
+    for (const std::string& pack : packs) {
+      if (live_packs.count(pack) == 0) {
+        return "pack " + pack + " holds no live chunk but survived a sweep";
+      }
     }
     return "";
   }
@@ -513,6 +519,7 @@ struct FleetSimulator::World {
     }
     shadow.ApplyDelete(closure);
     ++report.deletes;
+    report.packs_repacked += result.ValueOrDie().packs_repacked;
     return OpOutcome::kExecuted;
   }
 
@@ -551,6 +558,7 @@ struct FleetSimulator::World {
     }
     shadow.ApplyRetain(keep);
     ++report.retains;
+    report.packs_repacked += result.ValueOrDie().packs_repacked;
     return OpOutcome::kExecuted;
   }
 

@@ -37,9 +37,11 @@ struct FleetSimOptions {
   /// enabled the run adds a chunk-refcount oracle after every executed op:
   /// the shadow's per-set chunk ownership (observed from the manifests each
   /// save/compaction wrote) summed over live sets must equal the CAS index's
-  /// refcount snapshot AND the literal `cas-` listing of the file store —
-  /// GC must decrement exactly the dead sets' references and sweep exactly
-  /// the zero-ref chunks. The oracle runs in un-sharded worlds; sharded
+  /// refcount snapshot, and the file store must list exactly the packs the
+  /// index locates live chunks in — GC must decrement exactly the dead
+  /// sets' references, drop exactly the zero-ref chunks, and delete or
+  /// repack the packs that leaves dead. The oracle runs in un-sharded
+  /// worlds; sharded
   /// runs still open every shard with CAS and audit it through fsck.
   CasOptions cas;
   /// Arm FaultInjectionEnv crash points around saves: a deterministic
@@ -89,6 +91,8 @@ struct FleetRunReport {
   uint64_t retains = 0;
   uint64_t compactions = 0;
   uint64_t crashes_injected = 0;
+  /// Packs CAS sweeps repacked (un-sharded CAS runs).
+  uint64_t packs_repacked = 0;
   uint64_t failovers = 0;
   uint64_t shards_added = 0;
   uint64_t rebalances = 0;

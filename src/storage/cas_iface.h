@@ -18,35 +18,42 @@ namespace mmm {
 ///
 ///   1. StoreBatch calls TransformWrite for every staged blob write (in
 ///      staging order, after its producer has run). The session may rewrite
-///      the payload into a chunk manifest and hand back the chunk blobs the
-///      batch must additionally write; chunks already live in the store or
-///      already staged earlier in this batch are not returned again.
+///      the payload into a chunk manifest; the chunks it names that are
+///      neither live in the store nor already added by this session go
+///      into the session's pack.
 ///   2. TrackDelete is called for every staged blob retirement, so deleting
 ///      a chunked blob decrements its chunks instead of leaking them.
-///   3. After the commit is durable, Applied() folds the session's refcount
-///      deltas into the index, sweeps chunks that dropped to zero, and
-///      persists the index checkpoint. If the commit fails, Aborted() drops
-///      the session; any chunk blobs that already landed are reclaimed by
-///      the open-time orphan sweep.
+///   3. TakePack hands back the one pack blob holding the commit's new
+///      chunks (none if every chunk deduplicated). The batch stages it
+///      ahead of every other write, so no manifest lands before its chunks.
+///      The pack is unique to the commit, so a rollback may delete it.
+///   4. After the commit is durable, Applied() folds the session's refcount
+///      deltas and chunk locations into the index, reclaims packs that no
+///      longer hold a live chunk, and persists the index checkpoint. If the
+///      commit fails, Aborted() drops the session; a pack that already
+///      landed is rolled back by journal replay or reclaimed by the
+///      untracked-pack sweep.
 class CasWriteSession {
  public:
   virtual ~CasWriteSession() = default;
 
-  /// A chunk blob the batch must write as part of the commit.
-  struct ChunkWrite {
+  /// A blob the batch must write as part of the commit.
+  struct BlobWrite {
     std::string name;
     std::vector<uint8_t> data;
   };
 
   /// Possibly rewrites `*data` (the payload about to be stored under
-  /// `name`) into a manifest, appending the new chunk blobs to
-  /// `new_chunks`. Leaves ineligible payloads untouched.
+  /// `name`) into a manifest. Leaves ineligible payloads untouched.
   virtual Status TransformWrite(const std::string& name,
-                                std::vector<uint8_t>* data,
-                                std::vector<ChunkWrite>* new_chunks) = 0;
+                                std::vector<uint8_t>* data) = 0;
 
   /// Records that the commit retires blob `name` once durable.
   virtual Status TrackDelete(const std::string& name) = 0;
+
+  /// The pack of this commit's new chunks; false if it has none. Call once,
+  /// after the last TransformWrite.
+  virtual bool TakePack(BlobWrite* pack) = 0;
 
   /// The commit is durable: apply refcount deltas, sweep, checkpoint.
   virtual Status Applied() = 0;

@@ -89,7 +89,23 @@ Result<StreamFile> FileStore::OpenStream(const std::string& name,
   // Whole-stream accounting up front; see the cost model in file_store.h.
   stats_.AddRead(size);
   Charge(size);
-  return StreamFile(env_, path, size, window_bytes);
+  return StreamFile(env_, path, 0, size, window_bytes);
+}
+
+Result<StreamFile> FileStore::OpenStream(const std::string& name,
+                                         uint64_t offset, uint64_t length,
+                                         uint64_t window_bytes) {
+  MMM_RETURN_NOT_OK(ValidateName(name));
+  const std::string path = root_ + "/" + name;
+  MMM_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path));
+  // Overflow-safe form of `offset + length > size`.
+  if (offset > size || length > size - offset) {
+    return Status::OutOfRange("range [", offset, ", +", length, ") of ", path,
+                              " exceeds its ", size, " bytes");
+  }
+  stats_.AddRead(length);
+  Charge(length);
+  return StreamFile(env_, path, offset, length, window_bytes);
 }
 
 Result<uint64_t> FileStore::Size(const std::string& name) {

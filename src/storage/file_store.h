@@ -70,6 +70,13 @@ class FileStore {
   Result<StreamFile> OpenStream(const std::string& name,
                                 uint64_t window_bytes = 0);
 
+  /// Opens a forward-only stream over `[offset, offset + length)` of a
+  /// blob. Charged like GetRange — one read op plus `length` bytes, at
+  /// open — however much of the range the reader then reads or skips.
+  /// OutOfRange if the range runs past the end of the blob.
+  Result<StreamFile> OpenStream(const std::string& name, uint64_t offset,
+                                uint64_t length, uint64_t window_bytes);
+
   /// Size of a stored blob in bytes.
   Result<uint64_t> Size(const std::string& name);
 
@@ -102,6 +109,8 @@ class FileStore {
   void ResetStats() { stats_.Reset(); }
 
   const std::string& root() const { return root_; }
+  /// The cost model this store charges.
+  const StoreLatencyModel& latency() const { return latency_; }
 
  private:
   Status ValidateName(const std::string& name) const;

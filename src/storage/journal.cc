@@ -104,9 +104,9 @@ Result<RepairReport> CommitJournal::Replay(FileStore* file_store,
       // commit mark) but are removed defensively — except replace intents,
       // whose pre-existing document is the live version and must survive.
       // Retirement deletes (entry.deletes) never ran and never will.
-      // Content-addressed chunk intents are skipped: the chunk may be
-      // shared with a committed manifest, and if not, the CAS orphan sweep
-      // right after this replay reclaims it (see BlobIntent::cas_chunk).
+      // Legacy chunk-file intents are skipped: the chunk may be shared
+      // with a committed manifest, and if not, the CAS migration right
+      // after this replay reclaims it (see BlobIntent::cas_chunk).
       for (const BlobIntent& blob : entry.blobs) {
         if (blob.cas_chunk) continue;
         auto exists = file_store->Exists(blob.name);

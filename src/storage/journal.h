@@ -76,13 +76,12 @@ struct RepairReport {
 class CommitJournal {
  public:
   /// One blob the commit is about to write, with the CRC32 of its payload.
-  /// `cas_chunk` marks content-addressed chunk blobs (serialized as
-  /// `"cas":true`): rollback must NOT delete them, because a chunk written
-  /// by this (failed) commit may be shared with a manifest an earlier
-  /// commit already made durable — deleting it would corrupt that blob.
-  /// A rolled-back chunk nobody references is reclaimed instead by the CAS
-  /// open-time orphan sweep, which runs right after Replay()
-  /// (see cas/cas_store.h).
+  /// `cas_chunk` (serialized as `"cas":true`) marks a blob rollback must
+  /// NOT delete because other commits may share it. Only journals of the
+  /// retired per-chunk-file CAS layout carry it — each of its `cas-<hex>`
+  /// chunk files could back manifests an earlier commit made durable — and
+  /// replay still honours it for those. CAS pack blobs are unique to their
+  /// commit, so they are journaled as ordinary blobs (see cas/pack.h).
   struct BlobIntent {
     std::string name;
     uint32_t crc = 0;

@@ -96,32 +96,26 @@ Status StoreBatch::Commit() {
 Status StoreBatch::ApplyCasTransform(
     std::unique_ptr<CasWriteSession>* session) {
   *session = cas_->BeginSession();
-  std::vector<StagedOp> transformed;
-  transformed.reserve(ops_.size());
   for (StagedOp& op : ops_) {
     if (op.kind == OpKind::kBlobWrite) {
       // Producers run inline here: the chunker needs the payload bytes
-      // before the lanes start. Chunk writes (below) still fan out across
-      // lanes, so the store ops themselves stay overlapped.
+      // before the lanes start. The writes themselves still fan out across
+      // lanes.
       if (op.producer != nullptr) {
         MMM_ASSIGN_OR_RETURN(op.data, op.producer());
         op.producer = nullptr;
       }
-      std::vector<CasWriteSession::ChunkWrite> chunks;
-      MMM_RETURN_NOT_OK(
-          (*session)->TransformWrite(op.name, &op.data, &chunks));
-      for (CasWriteSession::ChunkWrite& chunk : chunks) {
-        StagedOp chunk_op{OpKind::kBlobWrite, std::move(chunk.name),
-                          std::move(chunk.data), nullptr, JsonValue()};
-        chunk_op.cas_chunk = true;
-        transformed.push_back(std::move(chunk_op));
-      }
+      MMM_RETURN_NOT_OK((*session)->TransformWrite(op.name, &op.data));
     } else if (op.kind == OpKind::kBlobDelete) {
       MMM_RETURN_NOT_OK((*session)->TrackDelete(op.name));
     }
-    transformed.push_back(std::move(op));
   }
-  ops_ = std::move(transformed);
+  CasWriteSession::BlobWrite pack;
+  if ((*session)->TakePack(&pack)) {
+    ops_.insert(ops_.begin(),
+                StagedOp{OpKind::kBlobWrite, std::move(pack.name),
+                         std::move(pack.data), nullptr, JsonValue()});
+  }
   return Status::OK();
 }
 
@@ -287,8 +281,8 @@ Status StoreBatch::CommitJournaled(size_t lanes) {
   std::vector<CommitJournal::BlobIntent> blob_intents;
   blob_intents.reserve(blob_ops.size());
   for (size_t index : blob_ops) {
-    blob_intents.push_back({ops_[index].name, Crc32::Compute(ops_[index].data),
-                            ops_[index].cas_chunk});
+    blob_intents.push_back(
+        {ops_[index].name, Crc32::Compute(ops_[index].data)});
   }
   std::vector<CommitJournal::DocIntent> doc_intents;
   std::vector<std::string> delete_intents;

@@ -79,10 +79,10 @@ class StoreBatch {
   /// \param journal commit journal; nullptr commits without crash atomicity.
   /// \param cas content-addressed store; nullptr stores payloads verbatim.
   ///   When set, Commit first runs every deferred producer inline and hands
-  ///   each blob write to a CAS session, which may rewrite it into chunk
-  ///   writes plus a manifest (see storage/cas_iface.h). Chunk ops are
-  ///   staged immediately before their manifest, in staging order, so
-  ///   fault-injection crash points stay lane-invariant.
+  ///   each blob write to a CAS session, which may rewrite it into a
+  ///   manifest (see storage/cas_iface.h). The session's one pack write is
+  ///   staged ahead of every other op, so fault-injection crash points stay
+  ///   lane-invariant and no manifest lands before its chunks.
   StoreBatch(FileStore* file_store, DocumentStore* doc_store,
              Executor* executor = nullptr, StorePipelineOptions options = {},
              CommitJournal* journal = nullptr, CasWriter* cas = nullptr);
@@ -130,15 +130,11 @@ class StoreBatch {
     std::vector<uint8_t> data;
     BlobProducer producer;  ///< non-null: produces `data` at commit time
     JsonValue doc;
-    /// Chunk blob staged by the CAS transform. Journaled as a `cas` intent:
-    /// rollback must not delete it, since a chunk may be shared with
-    /// already-committed manifests (see storage/journal.h).
-    bool cas_chunk = false;
   };
 
   /// Runs producers, hands every blob write to a CAS session (which may
-  /// rewrite it into a manifest), and splices the session's chunk writes
-  /// into ops_. Fills `*session` for post-commit Applied()/Aborted().
+  /// rewrite it into a manifest), and stages the session's pack write
+  /// first. Fills `*session` for post-commit Applied()/Aborted().
   Status ApplyCasTransform(std::unique_ptr<CasWriteSession>* session);
 
   /// Executes one staged kDocInsert/kDocReplace against the document store.

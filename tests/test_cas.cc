@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "cas/blob_io.h"
 #include "cas/chunker.h"
 #include "cas/manifest.h"
+#include "cas/pack.h"
 #include "common/rng.h"
 #include "core/gc.h"
 #include "core/inspect.h"
 #include "core/manager.h"
+#include "serialize/crc32.h"
 #include "serialize/sha256.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -141,6 +145,10 @@ TEST(ChunkerTest, ValidateRejectsBadConfigs) {
   options.min_blob_bytes = 0;
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
 
+  options = SmallChunkOptions();
+  options.max_chunk_bytes = uint64_t{1} << 32;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+
   EXPECT_OK(SmallChunkOptions().Validate());
   EXPECT_OK(CasOptions{}.Validate());
 }
@@ -187,6 +195,59 @@ TEST(ManifestTest, ChunkNamespaceHelpers) {
   EXPECT_TRUE(IsChunkBlobName(name));
   EXPECT_FALSE(IsChunkBlobName("set-000001-abcd.params.bin"));
   EXPECT_EQ(ChunkHexOfBlobName(name), hex);
+
+  EXPECT_EQ(PackBlobName(42), "pack-0000000000000042");
+  EXPECT_TRUE(IsPackBlobName(PackBlobName(42)));
+  EXPECT_EQ(PackIdOfBlobName(PackBlobName(42)), 42u);
+  EXPECT_EQ(PackIdOfBlobName("pack-12"), 0u);
+  EXPECT_EQ(PackIdOfBlobName("set-000001-abcd.params.bin"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Pack format.
+
+TEST(PackTest, IndexRoundTripsAndTilesTheData) {
+  InMemoryEnv env;
+  PackBuilder builder;
+  const std::vector<uint8_t> a = RandomBytes(300, 1);
+  const std::vector<uint8_t> b = RandomBytes(17, 2);
+  const std::string a_hex = Sha256::Hash(std::span<const uint8_t>(a)).ToHex();
+  const std::string b_hex = Sha256::Hash(std::span<const uint8_t>(b)).ToHex();
+  builder.Add(a_hex, a);
+  builder.Add(b_hex, b);
+  const std::vector<uint8_t> pack = builder.Finish();
+  EXPECT_TRUE(builder.empty());
+  ASSERT_EQ(pack.size(), a.size() + b.size() + 2 * kCasPackEntrySize +
+                             kCasPackFooterSize);
+  ASSERT_OK(env.WriteFile("/p", pack));
+
+  ASSERT_OK_AND_ASSIGN(std::vector<PackEntry> entries,
+                       ReadPackIndex(&env, "/p"));
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].hash_hex, a_hex);
+  EXPECT_EQ(entries[0].offset, 0u);
+  EXPECT_EQ(entries[0].length, a.size());
+  EXPECT_EQ(entries[1].hash_hex, b_hex);
+  EXPECT_EQ(entries[1].offset, a.size());
+  EXPECT_EQ(entries[1].crc, Crc32::Compute(b));
+
+  // A torn pack, a flipped index byte, and an index that does not tile the
+  // data region are all Corruption.
+  std::vector<uint8_t> torn(pack.begin(), pack.end() - 5);
+  ASSERT_OK(env.WriteFile("/torn", torn));
+  EXPECT_TRUE(ReadPackIndex(&env, "/torn").status().IsCorruption());
+  std::vector<uint8_t> flipped = pack;
+  flipped[a.size() + b.size() + 3] ^= 0x10;
+  ASSERT_OK(env.WriteFile("/flipped", flipped));
+  EXPECT_TRUE(ReadPackIndex(&env, "/flipped").status().IsCorruption());
+  std::vector<PackEntry> wrong = entries;
+  wrong[1].length += 1;
+  std::vector<uint8_t> untiled(pack.begin(),
+                               pack.begin() + a.size() + b.size());
+  const std::vector<uint8_t> index = EncodePackIndex(wrong);
+  untiled.insert(untiled.end(), index.begin(), index.end());
+  ASSERT_OK(env.WriteFile("/untiled", untiled));
+  EXPECT_TRUE(ReadPackIndex(&env, "/untiled").status().IsCorruption());
 }
 
 // ---------------------------------------------------------------------------
@@ -234,13 +295,51 @@ class CasManagerTest : public ::testing::Test {
     }
   }
 
-  size_t CountChunkBlobs(ModelSetManager* manager) {
-    size_t chunks = 0;
+  /// Distinct chunks the index holds.
+  size_t CountChunks(ModelSetManager* manager) {
+    return manager->cas()->ComputeStats().ValueOrDie().unique_chunks;
+  }
+
+  /// Pack blob names in the store, sorted.
+  std::vector<std::string> PackNames(ModelSetManager* manager) {
+    std::vector<std::string> packs;
     for (const std::string& name :
          manager->file_store()->List().ValueOrDie()) {
-      if (IsChunkBlobName(name)) ++chunks;
+      EXPECT_FALSE(IsChunkBlobName(name)) << "chunk file " << name;
+      if (IsPackBlobName(name)) packs.push_back(name);
     }
-    return chunks;
+    return packs;
+  }
+
+  void ExpectHealthy(ModelSetManager* manager) {
+    ASSERT_OK_AND_ASSIGN(StoreValidationReport health,
+                         manager->ValidateStore());
+    EXPECT_TRUE(health.ok()) << (health.problems.empty()
+                                     ? ""
+                                     : health.problems.front());
+    ASSERT_OK_AND_ASSIGN(OrphanReport orphans,
+                         FindOrphanBlobs(manager->context()));
+    EXPECT_TRUE(orphans.clean()) << orphans.orphan_blobs.front();
+  }
+
+  /// Rewrites `manager`'s closed store in the per-chunk-file layout of
+  /// older stores: every pack's chunks become `cas-<hex>` files and the
+  /// packs go. Manifests and the checkpoint stay as they are.
+  static void ConvertToChunkFiles(Env* env, const std::string& blob_dir) {
+    for (const std::string& name : env->ListDir(blob_dir).ValueOrDie()) {
+      if (!IsPackBlobName(name)) continue;
+      const std::string path = blob_dir + "/" + name;
+      const std::vector<PackEntry> entries =
+          ReadPackIndex(env, path).ValueOrDie();
+      const std::vector<uint8_t> pack = env->ReadFile(path).ValueOrDie();
+      for (const PackEntry& entry : entries) {
+        env->WriteFile(blob_dir + "/" + ChunkBlobName(entry.hash_hex),
+                       std::span<const uint8_t>(pack.data() + entry.offset,
+                                                entry.length))
+            .Check();
+      }
+      env->DeleteFile(path).Check();
+    }
   }
 
   TempDir temp_;
@@ -302,7 +401,8 @@ TEST_P(CasApproachSweep, RecoveryBitExactWithAndWithoutCas) {
   }
 
   // The CAS store is healthy and actually chunked something.
-  EXPECT_GT(CountChunkBlobs(cas.get()), 0u);
+  EXPECT_GT(CountChunks(cas.get()), 0u);
+  EXPECT_FALSE(PackNames(cas.get()).empty());
   ASSERT_OK_AND_ASSIGN(StoreValidationReport health, cas->ValidateStore());
   EXPECT_TRUE(health.ok()) << (health.problems.empty()
                                    ? ""
@@ -342,7 +442,8 @@ TEST_F(CasManagerTest, DerivedSnapshotsDedupAgainstTheBase) {
   }
   ASSERT_OK_AND_ASSIGN(CasStore::Stats stats, manager->cas()->ComputeStats());
   EXPECT_GE(stats.manifests, 4u);  // at least the four param blobs chunked
-  EXPECT_EQ(stats.orphan_chunks, 0u);
+  EXPECT_EQ(stats.orphan_packs, 0u);
+  EXPECT_GT(stats.packs, 0u);
   // Four nearly identical snapshots: physical chunk bytes must be far below
   // the 4x logical bytes (the paper's cross-set dedup claim, in miniature).
   EXPECT_GT(stats.dedup_ratio(), 2.0)
@@ -372,14 +473,14 @@ TEST_F(CasManagerTest, DeleteDecrementsAndSweepsOnlyUnsharedChunks) {
                                             scenario_->current_set(), update));
   ModelSet b_state = scenario_->current_set();
 
-  size_t chunks_before = CountChunkBlobs(manager.get());
+  size_t chunks_before = CountChunks(manager.get());
   ASSERT_GT(chunks_before, 0u);
 
   // Deleting A reclaims only the chunks B does not share.
   ASSERT_OK_AND_ASSIGN(DeleteReport report,
                        DeleteSet(manager->context(), a.set_id));
   EXPECT_GT(report.chunks_swept, 0u);
-  size_t chunks_after = CountChunkBlobs(manager.get());
+  size_t chunks_after = CountChunks(manager.get());
   EXPECT_LT(chunks_after, chunks_before);
   EXPECT_GT(chunks_after, 0u);  // shared chunks survived
 
@@ -395,7 +496,7 @@ TEST_F(CasManagerTest, DeleteDecrementsAndSweepsOnlyUnsharedChunks) {
   ASSERT_OK_AND_ASSIGN(DeleteReport final_report,
                        DeleteSet(manager->context(), b.set_id));
   EXPECT_GT(final_report.chunks_swept, 0u);
-  EXPECT_EQ(CountChunkBlobs(manager.get()), 0u);
+  EXPECT_EQ(CountChunks(manager.get()), 0u);
   EXPECT_TRUE(manager->file_store()->List().ValueOrDie().empty());
 }
 
@@ -545,15 +646,17 @@ TEST_F(CasManagerTest, OrphanSweepReclaimsUntrackedChunksOnly) {
   ASSERT_OK_AND_ASSIGN(
       SaveResult saved,
       manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
-  size_t live_chunks = CountChunkBlobs(manager.get());
+  const size_t live_chunks = CountChunks(manager.get());
+  const std::vector<std::string> live_packs = PackNames(manager.get());
   ASSERT_GT(live_chunks, 0u);
 
-  // Plant a chunk blob no manifest references (what an aborted commit's
-  // already-written chunk writes leave behind).
+  // Plant a pack no index entry references (what an aborted commit's
+  // already-written pack leaves behind).
   std::vector<uint8_t> junk = RandomBytes(100, /*seed=*/23);
-  const std::string junk_name =
-      ChunkBlobName(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex());
-  ASSERT_OK(manager->file_store()->Put(junk_name, junk));
+  PackBuilder builder;
+  builder.Add(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex(), junk);
+  const std::string junk_name = PackBlobName(999);
+  ASSERT_OK(manager->file_store()->Put(junk_name, builder.Finish()));
 
   ASSERT_OK_AND_ASSIGN(OrphanReport orphans,
                        FindOrphanBlobs(manager->context()));
@@ -562,8 +665,9 @@ TEST_F(CasManagerTest, OrphanSweepReclaimsUntrackedChunksOnly) {
 
   ASSERT_OK_AND_ASSIGN(DeleteReport report,
                        SweepOrphanBlobs(manager->context()));
-  EXPECT_EQ(report.chunks_swept, 1u);
-  EXPECT_EQ(CountChunkBlobs(manager.get()), live_chunks);
+  EXPECT_EQ(report.blobs_deleted, 1u);
+  EXPECT_EQ(CountChunks(manager.get()), live_chunks);
+  EXPECT_EQ(PackNames(manager.get()), live_packs);
   ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(saved.set_id));
   ExpectSetEquals(recovered, scenario_->current_set());
 }
@@ -578,25 +682,49 @@ TEST_F(CasManagerTest, AuditFlagsMissingAndCorruptChunks) {
   ASSERT_OK(manager->cas()->Audit(&clean));
   EXPECT_TRUE(clean.empty()) << clean.front();
 
-  // Corrupt one chunk's content behind the store's back.
-  std::vector<std::string> chunk_names;
-  for (const std::string& name : manager->file_store()->List().ValueOrDie()) {
-    if (IsChunkBlobName(name)) chunk_names.push_back(name);
-  }
-  ASSERT_FALSE(chunk_names.empty());
-  std::vector<uint8_t> garbage = RandomBytes(64, /*seed=*/29);
-  ASSERT_OK(manager->file_store()->Put(chunk_names[0], garbage));
-
+  // Corrupt one chunk's bytes inside its pack behind the store's back: the
+  // audit re-hashes every live chunk from its pack range.
+  Env* env = Env::Default();
+  const auto locations = manager->cas()->ChunkLocationsSnapshot();
+  ASSERT_FALSE(locations.empty());
+  const auto& [hex, where] = *locations.begin();
+  const std::string pack_path =
+      manager->file_store()->root() + "/" + PackBlobName(where.pack);
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> original, env->ReadFile(pack_path));
+  std::vector<uint8_t> damaged = original;
+  damaged[where.offset] ^= 0x01;
+  ASSERT_OK(env->WriteFile(pack_path, damaged));
   std::vector<std::string> problems;
   ASSERT_OK(manager->cas()->Audit(&problems));
+  ASSERT_FALSE(problems.empty());
+  EXPECT_NE(problems.front().find(hex), std::string::npos) << problems.front();
+
+  // A missing pack is flagged too, and so is a pack nothing references.
+  ASSERT_OK(env->DeleteFile(pack_path));
+  problems.clear();
+  ASSERT_OK(manager->cas()->Audit(&problems));
   EXPECT_FALSE(problems.empty());
+  ASSERT_OK(env->WriteFile(pack_path, original));
+  PackBuilder builder;
+  std::vector<uint8_t> junk = RandomBytes(64, /*seed=*/29);
+  builder.Add(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex(), junk);
+  ASSERT_OK(env->WriteFile(
+      manager->file_store()->root() + "/" + PackBlobName(where.pack + 100),
+      builder.Finish()));
+  problems.clear();
+  ASSERT_OK(manager->cas()->Audit(&problems));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("nothing references"), std::string::npos)
+      << problems[0];
 }
 
-// Each chunk read checks the chunk's size against the manifest. Behind the
-// store's back, one chunk grows by a byte, one loses a byte and one is
-// deleted, in turn: the streaming recovery and CasReadBlob both fail, with
-// Corruption for a resized chunk and NotFound for the missing one, and the
-// error names the chunk.
+// Each chunk read checks the chunk against its manifest length and its
+// pack-index CRC before handing it on. Behind the store's back, in turn:
+// the pack is truncated into its chunks, deleted, has a byte flipped inside
+// one chunk's range, and gets an index that disagrees with its bytes. The
+// streaming recovery and CasReadBlob both fail — Corruption for damage,
+// NotFound for the missing pack — never with wrong bytes, and the error
+// names a chunk of the blob and the pack (the damaged chunk, where one is).
 TEST_F(CasManagerTest, ResizedOrMissingChunksFailNamingTheChunk) {
   InitScenario(8);
   auto manager = OpenCas("store");
@@ -617,35 +745,59 @@ TEST_F(CasManagerTest, ResizedOrMissingChunksFailNamingTheChunk) {
       manifest = std::move(decoded);
     }
   }
-  std::vector<std::string> hashes;
-  for (const CasChunkRef& ref : manifest.chunks) {
-    if (std::find(hashes.begin(), hashes.end(), ref.hash_hex) == hashes.end()) {
-      hashes.push_back(ref.hash_hex);
-    }
-  }
-  ASSERT_GE(hashes.size(), 3u);
-
+  ASSERT_GE(manifest.chunks.size(), 3u);
+  const std::vector<std::string> packs = PackNames(manager.get());
+  ASSERT_EQ(packs.size(), 1u);  // one commit, one pack
+  const std::string pack_path = store->root() + "/" + packs[0];
   Env* env = Env::Default();
-  enum class Damage { kAppend, kTruncate, kDelete };
-  const std::pair<Damage, std::string> cases[] = {
-      {Damage::kAppend, hashes[0]},
-      {Damage::kTruncate, hashes[hashes.size() / 2]},
-      {Damage::kDelete, hashes.back()}};
-  for (const auto& [damage, hash] : cases) {
-    SCOPED_TRACE("chunk " + hash);
-    const std::string path = store->root() + "/" + ChunkBlobName(hash);
-    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> original, env->ReadFile(path));
+  ASSERT_OK_AND_ASSIGN(const std::vector<uint8_t> original,
+                       env->ReadFile(pack_path));
+  ASSERT_OK_AND_ASSIGN(const std::vector<PackEntry> entries,
+                       ReadPackIndex(env, pack_path));
+  const auto locations = manager->cas()->ChunkLocationsSnapshot();
+  const CasChunkRef& middle = manifest.chunks[manifest.chunks.size() / 2];
+  const ChunkLocation& middle_at = locations.at(middle.hash_hex);
+  // Two adjacent pack entries of different lengths, both in the manifest.
+  size_t swap = 0;
+  while (swap + 1 < entries.size() &&
+         entries[swap].length == entries[swap + 1].length) {
+    ++swap;
+  }
+  ASSERT_LT(swap + 1, entries.size());
+
+  // Each case with the chunks the error may name ("chunk " for any).
+  enum class Damage { kTruncate, kDelete, kFlip, kIndex };
+  const std::pair<Damage, std::vector<std::string>> cases[] = {
+      {Damage::kTruncate, {"chunk "}},
+      {Damage::kDelete, {"chunk "}},
+      {Damage::kFlip, {middle.hash_hex}},
+      {Damage::kIndex, {entries[swap].hash_hex, entries[swap + 1].hash_hex}}};
+  for (const auto& [damage, named] : cases) {
+    SCOPED_TRACE("damage " + std::to_string(static_cast<int>(damage)));
     std::vector<uint8_t> damaged = original;
-    if (damage == Damage::kAppend) damaged.push_back(0x5a);
-    if (damage == Damage::kTruncate) damaged.pop_back();
-    if (damage == Damage::kDelete) {
-      ASSERT_OK(env->DeleteFile(path));
-    } else {
-      ASSERT_OK(env->WriteFile(path, damaged));
+    if (damage == Damage::kTruncate) damaged.resize(middle_at.offset + 1);
+    if (damage == Damage::kFlip) damaged[middle_at.offset + 1] ^= 0x40;
+    if (damage == Damage::kIndex) {
+      // Swap two entries' lengths: the index still tiles the pack and
+      // passes its own CRC, but now disagrees with the chunks' bytes.
+      std::vector<PackEntry> wrong = entries;
+      std::swap(wrong[swap].length, wrong[swap + 1].length);
+      const std::vector<uint8_t> index = EncodePackIndex(wrong);
+      damaged.resize(original.size() - index.size());
+      damaged.insert(damaged.end(), index.begin(), index.end());
     }
+    if (damage == Damage::kDelete) {
+      ASSERT_OK(env->DeleteFile(pack_path));
+    } else {
+      ASSERT_OK(env->WriteFile(pack_path, damaged));
+    }
+    // The index is read at open, so a rewritten index needs a reopen.
+    if (damage == Damage::kIndex) manager = OpenCas("store");
 
     const Status streamed = manager->Recover(saved.set_id).status();
-    const Status materialized = CasReadBlob(store, manifest_name).status();
+    const Status materialized =
+        CasReadBlob(manager->file_store(), manager->cas(), manifest_name)
+            .status();
     for (const Status& status : {streamed, materialized}) {
       ASSERT_FALSE(status.ok());
       if (damage == Damage::kDelete) {
@@ -653,13 +805,254 @@ TEST_F(CasManagerTest, ResizedOrMissingChunksFailNamingTheChunk) {
       } else {
         EXPECT_TRUE(status.IsCorruption()) << status.ToString();
       }
-      EXPECT_NE(status.ToString().find(hash), std::string::npos)
+      EXPECT_NE(status.ToString().find(packs[0]), std::string::npos)
+          << status.ToString();
+      EXPECT_TRUE(std::any_of(named.begin(), named.end(),
+                              [&](const std::string& chunk) {
+                                return status.ToString().find(chunk) !=
+                                       std::string::npos;
+                              }))
           << status.ToString();
     }
 
-    ASSERT_OK(env->WriteFile(path, original));
+    ASSERT_OK(env->WriteFile(pack_path, original));
+    if (damage == Damage::kIndex) manager = OpenCas("store");
     ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(saved.set_id));
     ExpectSetEquals(recovered, scenario_->current_set());
+  }
+}
+
+// A payload that repeats a chunk: the chunk is stored once, read once, and
+// replayed for its later uses, by every read entry point.
+TEST_F(CasManagerTest, RepeatedChunksAreReadOnceAndReplayed) {
+  InitScenario(4);
+  ModelSetManager::Options options = BaseOptions("store");
+  options.cas = SmallChunkOptions();
+  options.cas.fixed_size = true;  // cuts every 256 bytes
+  ASSERT_OK_AND_ASSIGN(auto manager, ModelSetManager::Open(std::move(options)));
+  const std::vector<uint8_t> block = RandomBytes(256, /*seed=*/5);
+  std::vector<uint8_t> payload;
+  for (int copy = 0; copy < 6; ++copy) {
+    payload.insert(payload.end(), block.begin(), block.end());
+  }
+  const std::vector<uint8_t> tail = RandomBytes(300, /*seed=*/6);
+  payload.insert(payload.end(), tail.begin(), tail.end());
+  StoreBatch batch = MakeBatch(manager->context());
+  batch.PutBlob("repeats.bin", payload);
+  ASSERT_OK(batch.Commit());
+  FileStore* store = manager->file_store();
+  CasStore* cas = manager->cas();
+  ASSERT_TRUE(cas->IsManifest("repeats.bin"));
+  ASSERT_OK_AND_ASSIGN(CasStore::Stats stats, cas->ComputeStats());
+  EXPECT_EQ(stats.unique_chunks, 3u);  // the block and two pieces of tail
+
+  const StoreStats before = store->stats();
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> whole,
+                       CasReadBlob(store, cas, "repeats.bin"));
+  EXPECT_EQ(whole, payload);
+  EXPECT_EQ((store->stats() - before).read_ops, 2u);  // manifest + pack
+  std::vector<uint8_t> streamed;
+  ASSERT_OK(CasStreamBlob(store, cas, "repeats.bin", /*window_bytes=*/100,
+                          nullptr, [&](std::span<const uint8_t> window) {
+                            streamed.insert(streamed.end(), window.begin(),
+                                            window.end());
+                            return Status::OK();
+                          }));
+  EXPECT_EQ(streamed, payload);
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> range,
+                       CasReadBlobRange(store, cas, "repeats.bin", 200, 1000));
+  EXPECT_EQ(range, std::vector<uint8_t>(payload.begin() + 200,
+                                        payload.begin() + 1200));
+}
+
+// Each commit writes its new chunks into one pack, and a recovery reads a
+// snapshot's chunks through a few ranged streams: here every chunk of one
+// snapshot sits in one pack in manifest order, so the whole parameter blob
+// costs one pack read on top of the manifest.
+TEST_F(CasManagerTest, RecoveryReadsEachPackThroughFewRangedStreams) {
+  InitScenario(8);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult saved,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  ASSERT_EQ(PackNames(manager.get()).size(), 1u);
+  ASSERT_OK_AND_ASSIGN(CasStore::Stats stats, manager->cas()->ComputeStats());
+  ASSERT_GT(stats.unique_chunks, 20u);
+
+  const StoreStats before = manager->file_store()->stats();
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(saved.set_id));
+  ExpectSetEquals(recovered, scenario_->current_set());
+  const StoreStats delta = manager->file_store()->stats() - before;
+  // Arch blob, param manifest, and one stream per chunked blob's pack.
+  EXPECT_LE(delta.read_ops, 6u) << delta.read_ops << " reads for "
+                                << stats.unique_chunks << " chunks";
+}
+
+// A sweep that leaves a pack less than half live copies its live chunks
+// into a new pack and deletes it; a pack with no live chunk is deleted.
+TEST_F(CasManagerTest, RepackMovesLiveChunksAndDropsDeadPacks) {
+  InitScenario(8, /*full_update_fraction=*/0.75,
+               /*partial_update_fraction=*/0.25);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult a,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  const std::vector<std::string> a_packs = PackNames(manager.get());
+  ASSERT_EQ(a_packs.size(), 1u);
+  ASSERT_OK(scenario_->AdvanceCycle().status());
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult b,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  const ModelSet b_state = scenario_->current_set();
+  ASSERT_EQ(PackNames(manager.get()).size(), 2u);
+
+  ASSERT_OK(DeleteSet(manager->context(), a.set_id).status());
+  const std::vector<std::string> after = PackNames(manager.get());
+  EXPECT_EQ(std::count(after.begin(), after.end(), a_packs[0]), 0)
+      << "A's pack survived although B references under half of it";
+  EXPECT_GT(after.back(), a_packs[0]);
+  ASSERT_OK_AND_ASSIGN(CasStore::Stats stats, manager->cas()->ComputeStats());
+  EXPECT_GE(stats.live_fraction(), CasStore::kRepackLiveFraction);
+  for (const auto& [hex, where] : manager->cas()->ChunkLocationsSnapshot()) {
+    EXPECT_NE(PackBlobName(where.pack), a_packs[0]) << hex;
+  }
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(b.set_id));
+  ExpectSetEquals(recovered, b_state);
+  ExpectHealthy(manager.get());
+
+  // The repacked layout survives a reopen unchanged.
+  manager.reset();
+  manager = OpenCas("store");
+  EXPECT_EQ(PackNames(manager.get()), after);
+  ASSERT_OK_AND_ASSIGN(recovered, manager->Recover(b.set_id));
+  ExpectSetEquals(recovered, b_state);
+}
+
+// A repack that lands between a recovery's location lookup and its pack
+// read: the recovery resolved (and pinned) the old pack, the repack moves
+// the chunks out and leaves the pinned pack in place, and the recovery
+// ends bit-exact. The last reader out deletes the emptied pack.
+TEST_F(CasManagerTest, RepackBetweenLocationLookupAndPackReadStaysBitExact) {
+  InitScenario(8, /*full_update_fraction=*/0.75,
+               /*partial_update_fraction=*/0.25);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult a,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  const std::string a_pack = PackNames(manager.get()).front();
+  ASSERT_OK(scenario_->AdvanceCycle().status());
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult b,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  const ModelSet b_state = scenario_->current_set();
+
+  bool repacked = false;
+  bool pack_held = false;
+  manager->cas()->SetResolveHookForTesting([&] {
+    if (repacked) return;
+    repacked = true;
+    ASSERT_OK(DeleteSet(manager->context(), a.set_id).status());
+    const std::vector<std::string> packs = PackNames(manager.get());
+    pack_held = std::count(packs.begin(), packs.end(), a_pack) == 1;
+  });
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(b.set_id));
+  manager->cas()->SetResolveHookForTesting(nullptr);
+  ASSERT_TRUE(repacked);
+  EXPECT_TRUE(pack_held) << "the repack deleted a pack a reader had pinned";
+  ExpectSetEquals(recovered, b_state);
+
+  const std::vector<std::string> packs = PackNames(manager.get());
+  EXPECT_EQ(std::count(packs.begin(), packs.end(), a_pack), 0);
+  ExpectHealthy(manager.get());
+  ASSERT_OK_AND_ASSIGN(recovered, manager->Recover(b.set_id));
+  ExpectSetEquals(recovered, b_state);
+}
+
+// Recoveries on two threads while the writer deletes and saves sets, so
+// sweeps repack under the readers (label cas runs under TSan).
+TEST_F(CasManagerTest, ConcurrentRecoveriesSurviveRepackingGc) {
+  InitScenario(8, /*full_update_fraction=*/0.75,
+               /*partial_update_fraction=*/0.25);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult kept,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  const ModelSet kept_state = scenario_->current_set();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        auto got = manager->Recover(kept.set_id);
+        if (!got.ok()) {
+          ++bad;
+          continue;
+        }
+        const ModelSet& set = got.ValueOrDie();
+        for (size_t m = 0; m < set.models.size(); ++m) {
+          for (size_t p = 0; p < set.models[m].size(); ++p) {
+            const Tensor& want = kept_state.models[m][p].second;
+            if (!set.models[m][p].second.Equals(want)) ++bad;
+          }
+        }
+      }
+    });
+  }
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    ASSERT_OK(scenario_->AdvanceCycle().status());
+    ASSERT_OK_AND_ASSIGN(
+        SaveResult other, manager->SaveInitial(ApproachType::kBaseline,
+                                               scenario_->current_set()));
+    ASSERT_OK(DeleteSet(manager->context(), other.set_id).status());
+  }
+  done = true;
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(bad.load(), 0);
+  ExpectHealthy(manager.get());
+}
+
+// A store in the per-chunk-file layout (one `cas-<hex>` file per chunk) is
+// packed on open: one pack, no chunk file left, every set bit-exact, fsck
+// clean — and opening it again changes nothing.
+TEST_F(CasManagerTest, OpenMigratesChunkFilesIntoOnePack) {
+  InitScenario(8);
+  std::vector<std::pair<std::string, ModelSet>> saved;
+  {
+    auto manager = OpenCas("store");
+    for (ApproachType type : {ApproachType::kMMlibBase, ApproachType::kBaseline,
+                              ApproachType::kUpdate,
+                              ApproachType::kProvenance}) {
+      ASSERT_OK_AND_ASSIGN(
+          SaveResult result,
+          manager->SaveInitial(type, scenario_->current_set()));
+      saved.emplace_back(result.set_id, scenario_->current_set());
+      ASSERT_OK(scenario_->AdvanceCycle().status());
+    }
+    ASSERT_GT(PackNames(manager.get()).size(), 1u);
+  }
+  const std::string blob_dir = temp_.path() + "/store/blobs";
+  ConvertToChunkFiles(Env::Default(), blob_dir);
+  size_t chunk_files = 0;
+  for (const std::string& name :
+       Env::Default()->ListDir(blob_dir).ValueOrDie()) {
+    chunk_files += IsChunkBlobName(name) ? 1 : 0;
+  }
+  ASSERT_GT(chunk_files, 0u);
+
+  for (int open = 0; open < 2; ++open) {
+    SCOPED_TRACE("open " + std::to_string(open));
+    auto manager = OpenCas("store");
+    EXPECT_EQ(PackNames(manager.get()).size(), 1u);
+    ASSERT_OK_AND_ASSIGN(CasStore::Stats stats, manager->cas()->ComputeStats());
+    EXPECT_EQ(stats.unique_chunks, chunk_files);
+    EXPECT_EQ(stats.dead_bytes, 0u);
+    for (const auto& [id, state] : saved) {
+      ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(id));
+      ExpectSetEquals(recovered, state);
+    }
+    ExpectHealthy(manager.get());
   }
 }
 

@@ -23,9 +23,12 @@
 #include <memory>
 #include <string>
 
+#include "cas/manifest.h"
+#include "cas/pack.h"
 #include "core/gc.h"
 #include "core/inspect.h"
 #include "core/manager.h"
+#include "core/mmlib_base.h"
 #include "fleet/plan.h"
 #include "fleet/simulator.h"
 #include "tests/test_util.h"
@@ -250,12 +253,12 @@ INSTANTIATE_TEST_SUITE_P(AllApproaches, CrashSweep,
 
 // ---------------------------------------------------------------------------
 // CAS crash sweep: with the content-addressed chunk store on, a save stages
-// chunk blobs + a manifest instead of one verbatim blob, and the derived
-// save dedups against the base's chunks. Crashing at every write must leave
-// the refcount index consistent with the store (CasStore::Audit runs inside
-// ValidateStore), the base recoverable from chunks the rollback must not
-// touch, and no orphaned chunk blob behind (the open-time sweep reclaims
-// chunks a rolled-back commit had already written).
+// one pack of new chunks + a manifest instead of one verbatim blob, and the
+// derived save dedups against the base's chunks. Crashing at every write
+// must leave the refcount index consistent with the store (CasStore::Audit
+// runs inside ValidateStore), the base recoverable from the base's pack the
+// rollback must not touch, and no orphaned pack behind (replay rolls back
+// the pack of a commit that never reached its commit mark).
 
 CasOptions SweepCasOptions() {
   // Chunks small enough that the 4-model battery blobs split into several
@@ -320,8 +323,8 @@ TEST_P(CasCrashSweep, EveryCrashPointKeepsChunkRefcountsConsistent) {
       ASSERT_OK(world.Reopen(lanes));
       ASSERT_NE(world.manager->cas(), nullptr) << label;
       // ValidateStore runs CasStore::Audit: refcounts == live manifest refs,
-      // every referenced chunk present with matching hash; FindOrphanBlobs
-      // proves the open-time sweep left no unreferenced chunk blob.
+      // every referenced chunk in a pack with matching hash; FindOrphanBlobs
+      // proves no untracked pack survived the reopen.
       ExpectStoreConsistent(&world, label);
       // The base's chunks survived the rollback (shared-chunk safety).
       ASSERT_OK_AND_ASSIGN(ModelSet base_recovered,
@@ -343,6 +346,173 @@ INSTANTIATE_TEST_SUITE_P(AllApproaches, CasCrashSweep,
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });
+
+// Pack-repack and migration crash sweeps. A GC whose sweep leaves the
+// older snapshot's pack under half live repacks it (one journaled pack
+// write); an open over a store in the per-chunk-file layout packs the chunk
+// files (one journaled commit that writes the pack and deletes the files).
+// Crashing at every write of either must leave a store that reopens
+// fsck-clean, with every surviving set bit-exact and no chunk file left.
+
+/// Drops `set_id`'s documents (the set and, for MMlib-base, its per-model
+/// documents) so its blobs become orphans; the CAS work of the GC then all
+/// happens inside SweepOrphanBlobs, the window the repack sweep crashes.
+Status DropSetDocuments(ModelSetManager* manager, const std::string& set_id) {
+  DocumentStore* docs = manager->doc_store();
+  if (docs->Count(kMmlibModelCollection) > 0) {
+    MMM_ASSIGN_OR_RETURN(std::vector<JsonValue> models,
+                         docs->All(kMmlibModelCollection));
+    for (const JsonValue& model : models) {
+      MMM_ASSIGN_OR_RETURN(std::string id, model.GetString("_id"));
+      if (id.rfind(set_id, 0) != 0) continue;
+      MMM_RETURN_NOT_OK(docs->Remove(kMmlibModelCollection, id));
+    }
+  }
+  return docs->Remove(kSetCollection, set_id);
+}
+
+std::vector<std::string> PackNames(World* world) {
+  std::vector<std::string> packs;
+  for (const std::string& name :
+       world->manager->file_store()->List().ValueOrDie()) {
+    if (IsPackBlobName(name)) packs.push_back(name);
+  }
+  return packs;
+}
+
+/// Two independent snapshots, the second two retraining cycles on, so the
+/// second shares only a few of the first's chunks.
+struct RepackWorld {
+  Status Prepare(ApproachType type, size_t lanes) {
+    world.cas = SweepCasOptions();
+    MMM_RETURN_NOT_OK(world.Open(type, lanes));
+    MMM_ASSIGN_OR_RETURN(SaveResult first, world.SaveInitial());
+    old_id = first.set_id;
+    old_packs = PackNames(&world);
+    MMM_RETURN_NOT_OK(world.scenario->AdvanceCycle().status());
+    MMM_RETURN_NOT_OK(world.scenario->AdvanceCycle().status());
+    MMM_ASSIGN_OR_RETURN(SaveResult second, world.SaveInitial());
+    kept_id = second.set_id;
+    return DropSetDocuments(world.manager.get(), old_id);
+  }
+
+  World world;
+  std::string old_id;
+  std::string kept_id;
+  std::vector<std::string> old_packs;
+};
+
+TEST_P(CasCrashSweep, EveryCrashPointOfARepackKeepsTheStoreConsistent) {
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    int64_t before = 0;
+    int64_t writes = 0;
+    {
+      RepackWorld probe;
+      ASSERT_OK(probe.Prepare(GetParam(), lanes));
+      before = probe.world.fault.write_count();
+      ASSERT_OK(SweepOrphanBlobs(probe.world.manager->context()).status());
+      writes = probe.world.fault.write_count() - before;
+      // The sweep is vacuous unless the old pack was repacked, not dropped.
+      const std::vector<std::string> packs = PackNames(&probe.world);
+      ASSERT_EQ(probe.old_packs.size(), 1u);
+      ASSERT_EQ(std::count(packs.begin(), packs.end(), probe.old_packs[0]), 0);
+      ASSERT_EQ(packs.size(), 2u) << "no repack: the old pack was all dead";
+    }
+    for (int64_t k = 0; k < writes; ++k) {
+      std::string label = ApproachTypeName(GetParam()) + " lanes=" +
+                          std::to_string(lanes) + " repack crash@" +
+                          std::to_string(k);
+      RepackWorld crash;
+      ASSERT_OK(crash.Prepare(GetParam(), lanes));
+      const ModelSet kept_state = crash.world.scenario->current_set();
+      ASSERT_EQ(crash.world.fault.write_count(), before) << label;
+      crash.world.fault.FailWritesAfter(before + k);
+      EXPECT_FALSE(SweepOrphanBlobs(crash.world.manager->context()).ok())
+          << label;
+      crash.world.fault.Heal();
+      ASSERT_OK(crash.world.Reopen(lanes));
+      ExpectStoreConsistent(&crash.world, label);
+      ASSERT_OK_AND_ASSIGN(ModelSet recovered,
+                           crash.world.manager->Recover(crash.kept_id));
+      ExpectSetEquals(recovered, kept_state, label);
+    }
+  }
+}
+
+/// Saves an initial and a derived set, then rewrites the closed store in
+/// the per-chunk-file layout: each pack's chunks become `cas-<hex>` files.
+struct LegacyWorld {
+  Status Prepare(ApproachType type, size_t lanes) {
+    world.cas = SweepCasOptions();
+    MMM_RETURN_NOT_OK(world.Open(type, lanes));
+    MMM_ASSIGN_OR_RETURN(SaveResult first, world.SaveInitial());
+    states.emplace_back(first.set_id, world.scenario->current_set());
+    MMM_ASSIGN_OR_RETURN(ModelSetUpdateInfo update,
+                         world.scenario->AdvanceCycle());
+    MMM_ASSIGN_OR_RETURN(SaveResult second,
+                         world.SaveDerived(first.set_id, update));
+    states.emplace_back(second.set_id, world.scenario->current_set());
+    world.manager.reset();
+    const std::string blobs = "/store/blobs";
+    MMM_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                         world.fault.ListDir(blobs));
+    for (const std::string& name : names) {
+      if (!IsPackBlobName(name)) continue;
+      MMM_ASSIGN_OR_RETURN(std::vector<PackEntry> entries,
+                           ReadPackIndex(&world.fault, blobs + "/" + name));
+      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> pack,
+                           world.fault.ReadFile(blobs + "/" + name));
+      for (const PackEntry& entry : entries) {
+        MMM_RETURN_NOT_OK(world.fault.WriteFile(
+            blobs + "/" + ChunkBlobName(entry.hash_hex),
+            std::span<const uint8_t>(pack.data() + entry.offset,
+                                     entry.length)));
+      }
+      MMM_RETURN_NOT_OK(world.fault.DeleteFile(blobs + "/" + name));
+    }
+    return Status::OK();
+  }
+
+  World world;
+  std::vector<std::pair<std::string, ModelSet>> states;
+};
+
+TEST_P(CasCrashSweep, EveryCrashPointOfChunkFileMigrationRecovers) {
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    int64_t before = 0;
+    int64_t writes = 0;
+    {
+      LegacyWorld probe;
+      ASSERT_OK(probe.Prepare(GetParam(), lanes));
+      before = probe.world.fault.write_count();
+      ASSERT_OK(probe.world.Reopen(lanes));
+      writes = probe.world.fault.write_count() - before;
+      ASSERT_EQ(PackNames(&probe.world).size(), 1u);
+    }
+    for (int64_t k = 0; k < writes; ++k) {
+      std::string label = ApproachTypeName(GetParam()) + " lanes=" +
+                          std::to_string(lanes) + " migration crash@" +
+                          std::to_string(k);
+      LegacyWorld crash;
+      ASSERT_OK(crash.Prepare(GetParam(), lanes));
+      ASSERT_EQ(crash.world.fault.write_count(), before) << label;
+      crash.world.fault.FailWritesAfter(before + k);
+      EXPECT_FALSE(crash.world.Reopen(lanes).ok()) << label;
+      crash.world.fault.Heal();
+      ASSERT_OK(crash.world.Reopen(lanes));
+      ExpectStoreConsistent(&crash.world, label);
+      for (const std::string& name :
+           crash.world.manager->file_store()->List().ValueOrDie()) {
+        EXPECT_FALSE(IsChunkBlobName(name)) << label << ": " << name;
+      }
+      for (const auto& [id, state] : crash.states) {
+        ASSERT_OK_AND_ASSIGN(ModelSet recovered,
+                             crash.world.manager->Recover(id));
+        ExpectSetEquals(recovered, state, label + " " + id);
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Compaction crash sweep: the chain compactor's journaled rebase commits get

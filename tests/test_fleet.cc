@@ -322,6 +322,8 @@ TEST(FleetSimulatorTest, CasChunkOracleSurvivesCrashInjection) {
   ASSERT_OK_AND_ASSIGN(FleetRunReport report, simulator.Run());
   ASSERT_TRUE(report.ok()) << ProblemsOf(report);
   EXPECT_GT(report.crashes_injected, 0u);
+  // GC repacked packs between the crashes, under the same oracles.
+  EXPECT_GT(report.packs_repacked, 0u);
 }
 
 TEST(FleetSimulatorTest, CasShardedClusterStaysFsckClean) {

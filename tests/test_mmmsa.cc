@@ -324,11 +324,17 @@ TEST(MmmlintRules, ChunkDelete) {
       << "Delete(kCasChunkPrefix + ...) not flagged";
   EXPECT_TRUE(HasFindingAt(findings, "chunk-delete", "bad.cc", 11))
       << "Delete(\"cas-...\") literal not flagged";
+  EXPECT_TRUE(HasFindingAt(findings, "chunk-delete", "bad_pack.cc", 7))
+      << "Delete(PackBlobName(...)) not flagged";
+  EXPECT_TRUE(HasFindingAt(findings, "chunk-delete", "bad_pack.cc", 9))
+      << "DeleteFile(kCasPackPrefix + ...) not flagged";
+  EXPECT_TRUE(HasFindingAt(findings, "chunk-delete", "bad_pack.cc", 11))
+      << "Delete(\"pack-...\") literal not flagged";
   EXPECT_EQ(FindingsInTwins(findings), "");
 }
 
 TEST(MmmlintRules, ChunkDeleteExemptsCasSweeper) {
-  // The real sweeper (src/cas/) deletes chunk blobs by design.
+  // The real sweeper (src/cas/) deletes pack blobs by design.
   SaOptions options;
   options.only = {"chunk-delete"};
   std::vector<std::string> io_errors;
@@ -526,9 +532,9 @@ TEST(MmmsaSelfCheck, TreeSuppressionsAreTheKnownFour) {
   }
   std::vector<std::tuple<std::string, int, std::string>> want = {
       {"bench/suite/mmmbench.cc", 128, "banned-random"},
-      {"src/fleet/simulator.cc", 124, "direct-manager-open"},
+      {"src/fleet/simulator.cc", 125, "direct-manager-open"},
       {"src/workload/experiment.cc", 45, "direct-manager-open"},
-      {"tools/mmmctl.cpp", 676, "direct-manager-open"},
+      {"tools/mmmctl.cpp", 684, "direct-manager-open"},
   };
   EXPECT_EQ(got, want);
 }

@@ -337,6 +337,48 @@ TEST(FileStoreTest, OpenStreamMatchesGetAccounting) {
   EXPECT_TRUE(store.Get("missing").status().IsNotFound());
 }
 
+// A ranged stream is charged like GetRange of its range — one op and the
+// range's bytes at open — however much of it the reader then skips, and it
+// moves forward only.
+TEST(FileStoreTest, RangedOpenStreamChargesLikeGetRange) {
+  InMemoryEnv env;
+  SimulatedClock clock;
+  FileStore store(&env, "/store", {1000, 2.0}, &clock);
+  ASSERT_OK(store.Open());
+  std::string payload(1000, 'x');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + i % 26);
+  }
+  ASSERT_OK(store.PutString("blob", payload));
+
+  StoreStats before = store.stats();
+  uint64_t nanos_before = clock.nanos();
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> range,
+                       store.GetRange("blob", 100, 300));
+  StoreStats range_delta = store.stats() - before;
+  uint64_t range_nanos = clock.nanos() - nanos_before;
+
+  before = store.stats();
+  nanos_before = clock.nanos();
+  ASSERT_OK_AND_ASSIGN(StreamFile stream,
+                       store.OpenStream("blob", 100, 300, 64));
+  EXPECT_EQ(stream.size(), 300u);
+  ASSERT_OK(stream.Skip(10));
+  ASSERT_OK_AND_ASSIGN(std::span<const uint8_t> piece, stream.Next(5));
+  EXPECT_EQ(std::string(piece.begin(), piece.end()), payload.substr(110, 5));
+  ASSERT_OK(stream.Skip(200));
+  ASSERT_OK_AND_ASSIGN(std::span<const uint8_t> tail, stream.Next());
+  EXPECT_EQ(std::string(tail.begin(), tail.end()), payload.substr(315, 64));
+  EXPECT_TRUE(stream.Skip(1000).IsOutOfRange());
+  StoreStats stream_delta = store.stats() - before;
+  EXPECT_EQ(stream_delta.read_ops, range_delta.read_ops);
+  EXPECT_EQ(stream_delta.bytes_read, range_delta.bytes_read);
+  EXPECT_EQ(clock.nanos() - nanos_before, range_nanos);
+
+  EXPECT_TRUE(store.OpenStream("blob", 900, 101, 64).status().IsOutOfRange());
+  EXPECT_TRUE(store.OpenStream("missing", 0, 1, 64).status().IsNotFound());
+}
+
 TEST(FileStoreTest, ListsBlobs) {
   InMemoryEnv env;
   FileStore store(&env, "/store");

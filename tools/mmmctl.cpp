@@ -222,9 +222,13 @@ int CmdCasStats(ModelSetManager* manager) {
                 static_cast<unsigned long long>(refs),
                 static_cast<unsigned long long>(chunks));
   }
-  if (stats.orphan_chunks != 0) {
-    std::printf("PROBLEM: %llu zero-ref chunk(s) awaiting sweep\n",
-                static_cast<unsigned long long>(stats.orphan_chunks));
+  std::printf("packs: %llu (%s), live fraction %.3f, dead bytes %s\n",
+              static_cast<unsigned long long>(stats.packs),
+              HumanBytes(stats.pack_bytes).c_str(), stats.live_fraction(),
+              HumanBytes(stats.dead_bytes).c_str());
+  if (stats.orphan_packs != 0) {
+    std::printf("PROBLEM: %llu untracked pack or chunk blob(s)\n",
+                static_cast<unsigned long long>(stats.orphan_packs));
   }
   std::vector<std::string> problems;
   Status audit = cas->Audit(&problems);
@@ -232,7 +236,7 @@ int CmdCasStats(ModelSetManager* manager) {
   for (const std::string& problem : problems) {
     std::printf("PROBLEM: %s\n", problem.c_str());
   }
-  if (stats.orphan_chunks == 0 && problems.empty()) {
+  if (stats.orphan_packs == 0 && problems.empty()) {
     std::printf("chunk index is consistent\n");
     return 0;
   }
@@ -524,6 +528,10 @@ int CmdFleetSim(const std::string& out_dir, const FleetPlanConfig& config,
   if (options.inject_crashes) {
     std::printf("  %llu crashes injected and recovered\n",
                 static_cast<unsigned long long>(report.crashes_injected));
+  }
+  if (options.cas.enabled) {
+    std::printf("  %llu packs repacked\n",
+                static_cast<unsigned long long>(report.packs_repacked));
   }
   if (options.shards > 0) {
     std::printf("  %llu failovers, %llu shards added, %llu rebalances\n",

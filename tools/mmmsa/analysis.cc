@@ -1519,8 +1519,9 @@ void CheckDirectManagerOpen(const TokenScan& scan) {
   }
 }
 
-/// journal-path/chunk-delete: `cas-` chunk blobs are refcounted and shared
-/// across sets, so only src/cas/ deletes them; everyone else decrements
+/// journal-path/chunk-delete: `pack-` blobs hold refcounted chunks shared
+/// across sets (and `cas-` names the chunk files older stores are migrated
+/// from), so only src/cas/ deletes them; everyone else decrements
 /// (OnManifestDeleted) and lets the sweep reclaim.
 void CheckChunkDelete(const TokenScan& scan) {
   if (scan.Under("src/cas/")) return;
@@ -1534,15 +1535,19 @@ void CheckChunkDelete(const TokenScan& scan) {
     for (size_t j = i + 2; j + 1 < end; ++j) {
       bool chunk_arg = IsIdent(&toks[j], "ChunkBlobName") ||
                        IsIdent(&toks[j], "kCasChunkPrefix") ||
+                       IsIdent(&toks[j], "PackBlobName") ||
+                       IsIdent(&toks[j], "kCasPackPrefix") ||
                        (toks[j].kind == TokenKind::kString &&
-                        toks[j].text.rfind("cas-", 0) == 0);
+                        (toks[j].text.rfind("cas-", 0) == 0 ||
+                         toks[j].text.rfind("pack-", 0) == 0));
       if (chunk_arg) {
         scan.Report("journal-path", "chunk-delete", toks[i].line,
                     toks[i].text,
                     "'" + toks[i].text +
-                        "' of a cas- chunk blob outside src/cas/: chunks are "
-                        "refcounted — call CasStore::OnManifestDeleted and "
-                        "let SweepZeroRefChunks reclaim them");
+                        "' of a pack- or cas- chunk blob outside src/cas/: "
+                        "chunks are refcounted — call "
+                        "CasStore::OnManifestDeleted and let "
+                        "SweepZeroRefChunks reclaim them");
         break;
       }
     }
