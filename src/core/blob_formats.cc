@@ -113,6 +113,9 @@ std::vector<uint8_t> EncodeParamBlob(const ModelSet& set) {
   ParamLayout layout = LayoutOf(set.spec);
   size_t per_model = LayoutNumel(layout);
   BinaryWriter writer;
+  // The header (magic and two varints), the floats and the CRC footer.
+  writer.Reserve(kParamBlobMaxHeaderBytes +
+                 set.models.size() * per_model * sizeof(float) + 4);
   WriteMagic(&writer, kParamMagic);
   writer.WriteVarint(set.models.size());
   writer.WriteVarint(per_model);

@@ -57,6 +57,11 @@ class BinaryWriter {
   /// Varint count followed by raw float bytes.
   void WriteFloatVector(std::span<const float> values);
 
+  /// Allocates room for `bytes` bytes in total, so an encoder that knows
+  /// its output size writes into one allocation instead of a chain of
+  /// doubling reallocations.
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+
   const std::vector<uint8_t>& buffer() const { return buffer_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }

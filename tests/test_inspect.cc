@@ -129,6 +129,33 @@ TEST_F(InspectTest, ValidateDetectsCorruptedParamBlob) {
   EXPECT_NE(report.problems[0].find("params.bin"), std::string::npos);
 }
 
+TEST_F(InspectTest, ValidateDetectsMissingParamBlob) {
+  std::vector<std::string> ids = BuildUpdateChain(0);
+  manager_->file_store()->Delete(ids[0] + ".params.bin").Check();
+  ASSERT_OK_AND_ASSIGN(StoreValidationReport report, manager_->ValidateStore());
+  ASSERT_EQ(report.problems.size(), 1u);
+  EXPECT_NE(report.problems[0].find("cannot read " + ids[0] + ".params.bin"),
+            std::string::npos);
+}
+
+TEST_F(InspectTest, ValidateDetectsTruncatedCompressedParamBlob) {
+  TempDir temp("inspect-truncated");
+  ModelSetManager::Options options;
+  options.root_dir = temp.path() + "/store";
+  options.blob_compression = Compression::kShuffleLz;
+  auto manager = ModelSetManager::Open(options).ValueOrDie();
+  ASSERT_OK_AND_ASSIGN(ModelSet set, MakeInitializedSet(Ffnn48Spec(), 6, 3));
+  std::string id =
+      manager->SaveInitial(ApproachType::kUpdate, set).ValueOrDie().set_id;
+  std::string blob_name = id + ".params.bin";
+  auto blob = manager->file_store()->Get(blob_name).ValueOrDie();
+  blob.resize(blob.size() - 7);
+  manager->file_store()->Put(blob_name, blob).Check();
+  ASSERT_OK_AND_ASSIGN(StoreValidationReport report, manager->ValidateStore());
+  ASSERT_EQ(report.problems.size(), 1u);
+  EXPECT_NE(report.problems[0].find("corrupt " + blob_name), std::string::npos);
+}
+
 TEST_F(InspectTest, ValidateDetectsBrokenChain) {
   // Save a delta whose base document is later removed from a *fresh* store
   // view: simulate by corrupting the WAL state via a doc referencing a
