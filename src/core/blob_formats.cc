@@ -367,60 +367,67 @@ Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
 HashTable ComputeHashTable(const ModelSet& set, Executor* executor) {
   const size_t num_models = set.models.size();
   HashTable hashes(num_models);
+  size_t max_params = 0;
   for (size_t m = 0; m < num_models; ++m) {
     hashes[m].resize(set.models[m].size());
+    max_params = std::max(max_params, set.models[m].size());
   }
-  // SHA-256 has no intra-message parallelism, but the set hashes the same
-  // same-shaped layer across every model — ideal multi-stream SIMD lanes
-  // (Sha256HashMany). Models are grouped in lane-width batches; each work
-  // item hashes one batch, so the executor parallelism and the SIMD lanes
-  // compose. Any model whose layer count or layer byte-size diverges from
-  // the group (impossible for a consistent set, cheap to guard) falls back
-  // to the scalar per-tensor hash.
-  constexpr size_t kGroup = kSha256MaxLanes;
-  const size_t num_groups = (num_models + kGroup - 1) / kGroup;
-  auto hash_group = [&](size_t g) {
-    const size_t begin = g * kGroup;
-    const size_t end = std::min(begin + kGroup, num_models);
-    const size_t params = set.models[begin].size();
+  // A tensor whose buffer already carries a digest memo (see Tensor) costs
+  // a read of it; only the misses are hashed. SHA-256 has no
+  // intra-message parallelism, but a set holds the same-shaped layer in
+  // every model, so each layer's misses across the whole set run in full
+  // lane-width batches of multi-stream SIMD (Sha256HashMany). Each batch is
+  // one work item, so the executor's lanes and the SIMD lanes compose. A
+  // batch whose byte sizes diverge (impossible for a consistent set, cheap
+  // to guard) falls back to the scalar per-tensor hash.
+  struct Batch {
+    size_t param;
+    size_t first;  ///< into `misses`
+    size_t count;
+  };
+  std::vector<size_t> misses;  // model indexes, grouped by layer
+  std::vector<Batch> batches;
+  for (size_t p = 0; p < max_params; ++p) {
+    const size_t layer_begin = misses.size();
+    for (size_t m = 0; m < num_models; ++m) {
+      if (p < set.models[m].size() &&
+          !set.models[m][p].second.LoadDigest(&hashes[m][p])) {
+        misses.push_back(m);
+      }
+    }
+    for (size_t b = layer_begin; b < misses.size(); b += kSha256MaxLanes) {
+      batches.push_back(
+          {p, b, std::min(kSha256MaxLanes, misses.size() - b)});
+    }
+  }
+  auto hash_batch = [&](size_t i) {
+    const Batch& batch = batches[i];
+    const uint8_t* streams[kSha256MaxLanes];
+    const size_t length =
+        TensorBytes(set.models[misses[batch.first]][batch.param].second).size();
     bool uniform = true;
-    for (size_t m = begin + 1; m < end && uniform; ++m) {
-      uniform = set.models[m].size() == params;
+    for (size_t k = 0; k < batch.count; ++k) {
+      std::span<const uint8_t> bytes =
+          TensorBytes(set.models[misses[batch.first + k]][batch.param].second);
+      uniform = uniform && bytes.size() == length;
+      streams[k] = bytes.data();
     }
+    Sha256Digest digests[kSha256MaxLanes];
     if (uniform) {
-      for (size_t p = 0; p < params && uniform; ++p) {
-        const size_t length = TensorBytes(set.models[begin][p].second).size();
-        const uint8_t* streams[kGroup];
-        for (size_t m = begin; m < end; ++m) {
-          std::span<const uint8_t> bytes =
-              TensorBytes(set.models[m][p].second);
-          if (bytes.size() != length) {
-            uniform = false;
-            break;
-          }
-          streams[m - begin] = bytes.data();
-        }
-        if (!uniform) break;
-        Sha256Digest digests[kGroup];
-        Sha256HashMany(streams, length, end - begin, digests);
-        for (size_t m = begin; m < end; ++m) {
-          hashes[m][p] = digests[m - begin];
-        }
-      }
+      Sha256HashMany(streams, length, batch.count, digests);
     }
-    if (!uniform) {
-      for (size_t m = begin; m < end; ++m) {
-        const StateDict& state = set.models[m];
-        for (size_t p = 0; p < state.size(); ++p) {
-          hashes[m][p] = Sha256::Hash(TensorBytes(state[p].second));
-        }
-      }
+    for (size_t k = 0; k < batch.count; ++k) {
+      const size_t m = misses[batch.first + k];
+      const Tensor& tensor = set.models[m][batch.param].second;
+      if (!uniform) digests[k] = Sha256::Hash(TensorBytes(tensor));
+      hashes[m][batch.param] = digests[k];
+      tensor.PublishDigest(digests[k]);
     }
   };
-  if (executor != nullptr && executor->lanes() > 1 && num_groups > 1) {
-    executor->ParallelFor(num_groups, hash_group);
+  if (executor != nullptr) {
+    executor->ParallelFor(batches.size(), hash_batch);
   } else {
-    for (size_t g = 0; g < num_groups; ++g) hash_group(g);
+    for (size_t i = 0; i < batches.size(); ++i) hash_batch(i);
   }
   return hashes;
 }

@@ -150,10 +150,12 @@ class ParamBlobStreamDecoder {
 /// @{
 using HashTable = std::vector<std::vector<Sha256Digest>>;
 
-/// Hashes every parameter tensor of every model. With a multi-lane
-/// `executor`, models are hashed in parallel (one model per work item); the
-/// result is identical to the serial computation since each lane writes only
-/// its own rows.
+/// Hashes every parameter tensor of every model. A tensor whose buffer
+/// already carries a digest memo is not hashed again, and every digest
+/// computed here is published to its buffer's memo (see Tensor). With a
+/// multi-lane `executor`, batches of one layer across up to
+/// kSha256MaxLanes models are hashed in parallel; the result is identical
+/// to the serial computation since each batch writes only its own slots.
 HashTable ComputeHashTable(const ModelSet& set, Executor* executor = nullptr);
 
 std::vector<uint8_t> EncodeHashTable(const HashTable& hashes);

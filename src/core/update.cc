@@ -37,8 +37,9 @@ Result<SaveResult> UpdateApproach::SaveSnapshotWithHashes(
   result.set_id = context_.ids->Next("set");
 
   // Per-layer hashing fans out across the pipeline's lanes (one work item
-  // per model), then the snapshot blobs, hash blob, and set document all
-  // commit through one batch.
+  // per lane-width batch of one layer; buffers hashed before are skipped),
+  // then the snapshot blobs, hash blob, and set document all commit through
+  // one batch.
   HashTable hash_table = ComputeHashTable(set, context_.executor);
 
   StoreBatch batch = MakeBatch(context_);
@@ -107,6 +108,7 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
 
   // Step 1 (§3.3): reference to the base set and metadata — the SetDocument.
   // Step 2: hash every model's layers, fanned out across the pipeline lanes.
+  // A layer whose buffer an earlier save already hashed costs a memo read.
   HashTable current_hashes = ComputeHashTable(set, context_.executor);
   // Step 3: identify changed parameters against the base set's hash blob.
   MMM_ASSIGN_OR_RETURN(HashTable base_hashes,

@@ -245,10 +245,19 @@ Status CommitJournal::MarkFinished(uint64_t txn) {
   if (FindEntry(txn) == nullptr) {
     return Status::InvalidArgument("commit journal has no pending txn ", txn);
   }
-  JsonValue record = JsonValue::Object();
-  record.Set("txn", txn);
-  record.Set("state", "finish");
-  MMM_RETURN_NOT_OK(AppendRecord(record));
+  if (entries_.size() == 1) {
+    // The last pending entry: every record in the log now belongs to a
+    // finished entry, so the log is emptied in place of the finish record.
+    // Without this only Replay() at open shrinks it. A crash that leaves
+    // the old log behind leaves this entry committed-but-unfinished, which
+    // replay completes idempotently.
+    MMM_RETURN_NOT_OK(env_->WriteFile(path_, {}));
+  } else {
+    JsonValue record = JsonValue::Object();
+    record.Set("txn", txn);
+    record.Set("state", "finish");
+    MMM_RETURN_NOT_OK(AppendRecord(record));
+  }
   std::erase_if(entries_, [txn](const Entry& e) { return e.txn == txn; });
   return Status::OK();
 }

@@ -52,7 +52,11 @@ struct RepairReport {
 /// chain compactor to hand superseded delta blobs to GC atomically with the
 /// metadata rewrite). `commit` is the atomicity point — it is appended after
 /// all blob writes succeed and before the first document insert. `finish`
-/// marks the entry fully applied, including the retirement deletes.
+/// marks the entry fully applied, including the retirement deletes. When
+/// the finishing entry is the last pending one, the journal is truncated
+/// instead of appended to: every record it holds is then finished, so the
+/// log stays bounded by the commits in flight rather than growing with
+/// every commit for the life of the process.
 ///
 /// Replay() turns a crash at any point into rollback-or-commit:
 ///  - entries without a `commit` mark are rolled back (listed blobs deleted,
@@ -119,7 +123,8 @@ class CommitJournal {
                          std::vector<std::string> deletes = {});
   /// Appends the `commit` record: all blob writes are durable.
   Status MarkCommitted(uint64_t txn);
-  /// Appends the `finish` record: all document inserts are durable.
+  /// Appends the `finish` record: all document inserts are durable. If no
+  /// other entry is pending, empties the journal instead.
   Status MarkFinished(uint64_t txn);
 
   /// Blob names claimed by unfinished entries. GC must treat these as live:

@@ -9,6 +9,18 @@
 
 namespace mmm {
 
+struct Tensor::Buffer {
+  enum : uint8_t { kNone, kBusy, kReady };
+
+  explicit Buffer(std::vector<float> v) : values(std::move(v)) {}
+
+  std::vector<float> values;
+  /// kNone -> kBusy (one publisher wins) -> kReady (release: `digest` is
+  /// written). Only a sole owner's Writable() goes back to kNone.
+  std::atomic<uint8_t> digest_state{kNone};
+  Sha256Digest digest;
+};
+
 size_t Tensor::NumElements(const Shape& shape) {
   size_t n = 1;
   for (size_t d : shape) n *= d;
@@ -17,15 +29,16 @@ size_t Tensor::NumElements(const Shape& shape) {
 
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
-      buffer_(std::make_shared<std::vector<float>>(NumElements(shape_), 0.0f)),
-      data_(buffer_->data()),
-      numel_(buffer_->size()) {}
+      buffer_(std::make_shared<Buffer>(
+          std::vector<float>(NumElements(shape_), 0.0f))),
+      data_(buffer_->values.data()),
+      numel_(buffer_->values.size()) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
     : shape_(std::move(shape)),
-      buffer_(std::make_shared<std::vector<float>>(std::move(data))),
-      data_(buffer_->data()),
-      numel_(buffer_->size()) {
+      buffer_(std::make_shared<Buffer>(std::move(data))),
+      data_(buffer_->values.data()),
+      numel_(buffer_->values.size()) {
   MMM_DCHECK(numel_ == NumElements(shape_));
 }
 
@@ -45,16 +58,40 @@ Tensor& Tensor::operator=(Tensor&& other) noexcept {
 
 float* Tensor::Writable() {
   if (buffer_.use_count() > 1) {
-    buffer_ = std::make_shared<std::vector<float>>(data_, data_ + numel_);
-    data_ = buffer_->data();
-  } else {
+    buffer_ = std::make_shared<Buffer>(std::vector<float>(data_, data_ + numel_));
+    data_ = buffer_->values.data();
+  } else if (buffer_ != nullptr) {
     // Sole owner. The last other owner may have read the buffer just
     // before dropping its reference; its release decrement pairs with
     // this fence, so the writes below cannot race those reads. (GCC's
     // TSan does not model standalone fences and warns with -Wtsan.)
     std::atomic_thread_fence(std::memory_order_acquire);
+    // The caller may write through the pointer at any time from here on,
+    // so the memo can no longer vouch for the bytes.
+    buffer_->digest_state.store(Buffer::kNone, std::memory_order_relaxed);
   }
   return data_;
+}
+
+bool Tensor::LoadDigest(Sha256Digest* digest) const {
+  if (buffer_ == nullptr ||
+      buffer_->digest_state.load(std::memory_order_acquire) != Buffer::kReady) {
+    return false;
+  }
+  *digest = buffer_->digest;
+  return true;
+}
+
+void Tensor::PublishDigest(const Sha256Digest& digest) const {
+  if (buffer_.use_count() < 2) return;
+  uint8_t expected = Buffer::kNone;
+  if (!buffer_->digest_state.compare_exchange_strong(
+          expected, Buffer::kBusy, std::memory_order_acquire,
+          std::memory_order_relaxed)) {
+    return;
+  }
+  buffer_->digest = digest;
+  buffer_->digest_state.store(Buffer::kReady, std::memory_order_release);
 }
 
 Tensor Tensor::Full(Shape shape, float value) {

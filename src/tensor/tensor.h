@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "serialize/sha256.h"
 
 namespace mmm {
 
@@ -28,6 +29,22 @@ using Shape = std::vector<size_t>;
 /// tensor is copied: the copy shares the buffer it points into. Shape
 /// violations are programmer errors and abort via MMM_DCHECK; fallible I/O
 /// lives in tensor/tensor_serialize.h and returns Status.
+///
+/// The shared buffer also carries a memo of the SHA-256 of its bytes, so a
+/// buffer that many sets (or many saves of one set) share is hashed once
+/// (core/blob_formats.cc, ComputeHashTable). A memo never describes stale
+/// bytes, by three rules:
+///  - it is published only while the buffer is shared (more than one
+///    tensor holds it). Every span taken before the sharing is dead by the
+///    contract above, so no write can reach the bytes without passing
+///    through a mutable accessor again;
+///  - once published it is readable at any time, by any holder;
+///  - a mutable accessor on a sole owner clears it before handing out the
+///    pointer, and on a shared buffer writes to a detached copy, which
+///    starts without a memo.
+/// The memo's state is an acquire/release atomic (none, busy, ready), so
+/// concurrent hashers of one buffer publish race-free: one wins, the
+/// others keep their own (identical) digest.
 class Tensor {
  public:
   /// Constructs an empty (0-element, 0-dim) tensor.
@@ -119,14 +136,27 @@ class Tensor {
   /// Number of elements implied by a shape.
   static size_t NumElements(const Shape& shape);
 
+  /// \name Digest memo (see the class comment)
+  /// @{
+  /// Copies the published digest of data()'s bytes into `*digest`; false
+  /// when none is published.
+  bool LoadDigest(Sha256Digest* digest) const;
+  /// Publishes `digest`, which must be Sha256::Hash of data()'s bytes. A
+  /// no-op unless the buffer is shared and has no memo yet.
+  void PublishDigest(const Sha256Digest& digest) const;
+  /// @}
+
  private:
-  /// Makes the buffer this tensor's alone (copying it if shared) and
-  /// returns its first element.
+  /// The values plus the digest memo of their bytes.
+  struct Buffer;
+
+  /// Makes the buffer this tensor's alone (copying it if shared, clearing
+  /// its memo if not) and returns its first element.
   float* Writable();
 
   Shape shape_;
-  std::shared_ptr<std::vector<float>> buffer_;
-  /// `buffer_->data()` and `buffer_->size()`, cached so const access is a
+  std::shared_ptr<Buffer> buffer_;
+  /// `buffer_`'s first value and value count, cached so const access is a
   /// plain pointer index.
   float* data_ = nullptr;
   size_t numel_ = 0;

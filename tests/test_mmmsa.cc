@@ -88,9 +88,10 @@ TEST(MmmlintRules, CatalogIsStable) {
       EXPECT_TRUE(rules.insert(rule).second) << "rule listed twice: " << rule;
     }
   }
-  EXPECT_EQ(rules.size(), 18u);
+  EXPECT_EQ(rules.size(), 19u);
   for (const char* rule :
        {"banned-random", "discarded-status", "naked-new", "naked-delete",
+        "const-cast",
         "mutex-missing-guard", "raw-std-mutex", "direct-env-write",
         "direct-env-read", "direct-manager-open", "chunk-delete",
         "include-cycle"}) {
@@ -276,6 +277,14 @@ TEST(MmmlintRules, NakedDelete) {
   EXPECT_EQ(FindingsInTwins(findings), "");
 }
 
+TEST(MmmlintRules, ConstCast) {
+  std::vector<Finding> findings = AnalyzeFixture("const_cast", "const-cast");
+  EXPECT_TRUE(HasFindingAt(findings, "const-cast", "bad.cc", 5))
+      << FormatText(findings);
+  EXPECT_EQ(findings.size(), 1u) << FormatText(findings);
+  EXPECT_EQ(FindingsInTwins(findings), "");
+}
+
 TEST(MmmlintRules, RawStdMutex) {
   std::vector<Finding> findings =
       AnalyzeFixture("raw_std_mutex", "raw-std-mutex");
@@ -367,7 +376,8 @@ TEST(MmmlintDriver, WholeFixtureTreeRespectsSuppressions) {
 
   std::vector<Finding> each;
   for (const char* fixture :
-       {"banned_random", "chunk_delete", "direct_env_read", "direct_env_write",
+       {"banned_random", "chunk_delete", "const_cast", "direct_env_read",
+        "direct_env_write",
         "direct_manager_open", "discarded_status", "include_cycle",
         "journal_path", "layer_dag", "lock_cycle", "mutex_missing_guard",
         "naked_delete", "naked_new", "rank_inversion", "raw_std_mutex",

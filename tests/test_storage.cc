@@ -7,6 +7,7 @@
 #include "storage/document_store.h"
 #include "storage/env.h"
 #include "storage/file_store.h"
+#include "storage/journal.h"
 #include "tests/test_util.h"
 
 namespace mmm {
@@ -567,6 +568,45 @@ TEST(DocumentStoreTest, ChargesLatencyPerOperation) {
   ASSERT_OK(store.Insert("c", MakeDoc("a", 1)));
   store.Get("c", "a").ValueOrDie();
   EXPECT_EQ(clock.nanos(), 20000u);
+}
+
+// ---------------------------------------------------------------------------
+// Commit journal size
+
+TEST(CommitJournalTest, FinishingTheLastPendingEntryEmptiesTheLog) {
+  InMemoryEnv env;
+  const std::string path = "/commit.journal";
+  CommitJournal journal(&env, path);
+  ASSERT_OK(journal.Open());
+  auto begin = [&](const std::string& set_id) {
+    return journal.Begin(set_id, "update", {{set_id + ".bin", 7}}, {});
+  };
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_OK_AND_ASSIGN(uint64_t txn, begin("set-" + std::to_string(i)));
+    ASSERT_OK(journal.MarkCommitted(txn));
+    ASSERT_OK(journal.MarkFinished(txn));
+    ASSERT_OK_AND_ASSIGN(uint64_t size, env.FileSize(path));
+    EXPECT_EQ(size, 0u) << "after commit " << i;
+  }
+
+  // While an entry is pending, other commits append their finish records
+  // and the pending entry's records stay on disk for the next replay.
+  ASSERT_OK_AND_ASSIGN(uint64_t pending, begin("set-pending"));
+  ASSERT_OK(journal.MarkCommitted(pending));
+  ASSERT_OK_AND_ASSIGN(uint64_t other, begin("set-other"));
+  ASSERT_OK(journal.MarkCommitted(other));
+  ASSERT_OK(journal.MarkFinished(other));
+  CommitJournal reopened(&env, path);
+  ASSERT_OK(reopened.Open());
+  EXPECT_EQ(reopened.pending_entries(), 1u);
+  EXPECT_EQ(reopened.PendingBlobs(),
+            std::vector<std::string>{"set-pending.bin"});
+
+  // Draining it empties the log again.
+  ASSERT_OK(journal.MarkFinished(pending));
+  ASSERT_OK_AND_ASSIGN(uint64_t size, env.FileSize(path));
+  EXPECT_EQ(size, 0u);
+  EXPECT_EQ(journal.pending_entries(), 0u);
 }
 
 TEST(StoreStatsTest, Arithmetic) {

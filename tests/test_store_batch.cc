@@ -5,10 +5,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/blob_formats.h"
 #include "core/manager.h"
+#include "storage/env.h"
 #include "storage/executor.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -295,6 +297,229 @@ TEST(HashTableParallelTest, StableAcrossLaneCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Digest memos on the save path
+// ---------------------------------------------------------------------------
+
+/// A copy of `set` in which every tensor owns a fresh buffer, so nothing in
+/// it carries a digest memo and nothing it hashes is published.
+ModelSet DeepCopy(const ModelSet& set) {
+  ModelSet copy = set;
+  for (StateDict& model : copy.models) {
+    for (auto& [key, tensor] : model) {
+      std::span<const float> values = tensor.data();
+      tensor = Tensor(tensor.shape(),
+                      std::vector<float>(values.begin(), values.end()));
+    }
+  }
+  return copy;
+}
+
+void ExpectSameHashes(const HashTable& got, const HashTable& expected,
+                      const std::string& label) {
+  ASSERT_EQ(got.size(), expected.size()) << label;
+  for (size_t m = 0; m < expected.size(); ++m) {
+    ASSERT_EQ(got[m].size(), expected[m].size()) << label << " model " << m;
+    for (size_t p = 0; p < expected[m].size(); ++p) {
+      EXPECT_EQ(got[m][p], expected[m][p])
+          << label << " model " << m << " param " << p;
+    }
+  }
+}
+
+void ExpectSameSet(const ModelSet& got, const ModelSet& expected,
+                   const std::string& label) {
+  ASSERT_EQ(got.models.size(), expected.models.size()) << label;
+  for (size_t m = 0; m < expected.models.size(); ++m) {
+    ASSERT_EQ(got.models[m].size(), expected.models[m].size()) << label;
+    for (size_t p = 0; p < expected.models[m].size(); ++p) {
+      EXPECT_TRUE(got.models[m][p].second.Equals(expected.models[m][p].second))
+          << label << " model " << m << " param " << p;
+    }
+  }
+}
+
+/// Five versions of a 20-model set. Each rewrites some layers of two
+/// models in place and shares every other buffer with its predecessor, as
+/// a retrain-then-save cycle does.
+std::vector<ModelSet> SharingChain() {
+  std::vector<ModelSet> chain;
+  chain.push_back(MakeInitializedSet(Ffnn48Spec(), 20, 11).ValueOrDie());
+  for (size_t v = 1; v < 5; ++v) {
+    ModelSet next = chain.back();
+    for (size_t m : {(3 * v) % 20, (7 * v + 1) % 20}) {
+      for (size_t p = v % 2; p < next.models[m].size(); p += 2) {
+        for (float& x : next.models[m][p].second.mutable_data()) {
+          x = x * 0.5f + 0.25f;
+        }
+      }
+    }
+    chain.push_back(std::move(next));
+  }
+  return chain;
+}
+
+std::unique_ptr<ModelSetManager> OpenInMemory(InMemoryEnv* env, size_t lanes) {
+  ModelSetManager::Options options;
+  options.root_dir = "/store";
+  options.env = env;
+  options.pipeline.lanes = lanes;
+  return ModelSetManager::Open(options).ValueOrDie();
+}
+
+/// Saves `chain` as one Update chain (deep copies of it when `deep_copy`),
+/// checks every version recovers bit-exact, and returns every blob by name.
+std::map<std::string, std::vector<uint8_t>> SaveUpdateChain(
+    const std::vector<ModelSet>& chain, size_t lanes, bool deep_copy) {
+  const std::string label = "lanes=" + std::to_string(lanes) +
+                            (deep_copy ? " deep" : " shared");
+  InMemoryEnv env;
+  std::unique_ptr<ModelSetManager> manager = OpenInMemory(&env, lanes);
+  std::vector<std::string> ids;
+  for (const ModelSet& version : chain) {
+    ModelSet set = deep_copy ? DeepCopy(version) : version;
+    ModelSetUpdateInfo update;
+    if (!ids.empty()) update.base_set_id = ids.back();
+    Result<SaveResult> saved =
+        ids.empty() ? manager->SaveInitial(ApproachType::kUpdate, set)
+                    : manager->SaveDerived(ApproachType::kUpdate, set, update);
+    EXPECT_TRUE(saved.ok()) << label << ": " << saved.status().ToString();
+    ids.push_back(saved.ValueOrDie().set_id);
+  }
+  for (size_t v = 0; v < chain.size(); ++v) {
+    ExpectSameSet(manager->Recover(ids[v]).ValueOrDie(), chain[v],
+                  label + " version " + std::to_string(v));
+  }
+  std::map<std::string, std::vector<uint8_t>> blobs;
+  for (const std::string& name : manager->file_store()->List().ValueOrDie()) {
+    blobs[name] = manager->file_store()->Get(name).ValueOrDie();
+  }
+  return blobs;
+}
+
+TEST(HashMemoTest, UpdateSavesAreBitExactWithAndWithoutMemos) {
+  const std::vector<ModelSet> chain = SharingChain();
+  // Memo-less reference: every save hashes every layer.
+  const auto reference = SaveUpdateChain(chain, 1, /*deep_copy=*/true);
+  size_t hash_blobs = 0;
+  size_t diff_blobs = 0;
+  for (const auto& [name, bytes] : reference) {
+    hash_blobs += name.ends_with(".hashes.bin");
+    diff_blobs += name.ends_with(".diff.bin");
+  }
+  EXPECT_EQ(hash_blobs, chain.size());
+  EXPECT_EQ(diff_blobs, chain.size() - 1);
+
+  // The first shared run publishes memos as it goes; the later ones find
+  // every buffer already hashed.
+  for (size_t lanes : {1u, 4u, 1u}) {
+    EXPECT_EQ(SaveUpdateChain(chain, lanes, /*deep_copy=*/false), reference)
+        << "shared, lanes=" << lanes;
+    Sha256Digest memo;
+    EXPECT_TRUE(chain[0].models[0][0].second.LoadDigest(&memo));
+  }
+  EXPECT_EQ(SaveUpdateChain(chain, 4, /*deep_copy=*/true), reference);
+}
+
+TEST(HashMemoTest, InPlaceWritesBySoleOwnerReachTheDiff) {
+  InMemoryEnv env;
+  std::unique_ptr<ModelSetManager> manager = OpenInMemory(&env, 1);
+  ModelSet set = MakeInitializedSet(Ffnn48Spec(), 20, 13).ValueOrDie();
+  ModelSet sharer = set;
+  ASSERT_OK_AND_ASSIGN(SaveResult base,
+                       manager->SaveInitial(ApproachType::kUpdate, set));
+  Tensor& layer = set.models[5][2].second;
+  Sha256Digest memo;
+  ASSERT_TRUE(layer.LoadDigest(&memo));
+
+  // `set` becomes the sole owner and writes the layer in place.
+  sharer = ModelSet();
+  const float* before = layer.data().data();
+  layer.mutable_data()[0] += 1.0f;
+  ASSERT_EQ(layer.data().data(), before);
+
+  ModelSetUpdateInfo update;
+  update.base_set_id = base.set_id;
+  ASSERT_OK_AND_ASSIGN(SaveResult derived,
+                       manager->SaveDerived(ApproachType::kUpdate, set, update));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> diff_blob,
+                       manager->file_store()->Get(derived.set_id + ".diff.bin"));
+  ASSERT_OK_AND_ASSIGN(DecodedDiff diff, DecodeDiffBlob(set.spec, diff_blob));
+  ASSERT_EQ(diff.entries.size(), 1u);
+  EXPECT_EQ(diff.entries[0].model_index, 5u);
+  EXPECT_EQ(diff.entries[0].param_index, 2u);
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(derived.set_id));
+  ExpectSameSet(recovered, set, "recovered");
+
+  // A sole owner may keep writing through a span it took before a save:
+  // that save must not have published a memo for the buffer.
+  std::span<float> kept = set.models[6][1].second.mutable_data();
+  update.base_set_id = derived.set_id;
+  ASSERT_OK_AND_ASSIGN(SaveResult unchanged,
+                       manager->SaveDerived(ApproachType::kUpdate, set, update));
+  kept[0] += 1.0f;
+  update.base_set_id = unchanged.set_id;
+  ASSERT_OK_AND_ASSIGN(SaveResult written,
+                       manager->SaveDerived(ApproachType::kUpdate, set, update));
+  ASSERT_OK_AND_ASSIGN(diff_blob,
+                       manager->file_store()->Get(written.set_id + ".diff.bin"));
+  ASSERT_OK_AND_ASSIGN(diff, DecodeDiffBlob(set.spec, diff_blob));
+  ASSERT_EQ(diff.entries.size(), 1u);
+  EXPECT_EQ(diff.entries[0].model_index, 6u);
+  EXPECT_EQ(diff.entries[0].param_index, 1u);
+  ASSERT_OK_AND_ASSIGN(recovered, manager->Recover(written.set_id));
+  ExpectSameSet(recovered, set, "recovered after the span write");
+}
+
+TEST(HashMemoTest, NonUniformSetsHashLikeTheScalarPath) {
+  ModelSet set = MakeInitializedSet(Ffnn48Spec(), 20, 5).ValueOrDie();
+  set.models[3][0].second = testing::RandomTensor(Shape{7}, 1);
+  set.models[17].pop_back();
+  HashTable expected(set.models.size());
+  for (size_t m = 0; m < set.models.size(); ++m) {
+    for (const auto& [key, tensor] : set.models[m]) {
+      expected[m].push_back(Sha256::Hash(std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(tensor.data().data()),
+          tensor.numel() * sizeof(float))));
+    }
+  }
+  const ModelSet sharer = set;  // lets the first pass publish its memos
+  for (size_t lanes : {1u, 4u}) {
+    Executor executor(lanes);
+    for (int pass = 0; pass < 2; ++pass) {
+      ExpectSameHashes(ComputeHashTable(set, &executor), expected,
+                       "lanes=" + std::to_string(lanes) + " pass " +
+                           std::to_string(pass));
+    }
+  }
+  ExpectSameHashes(ComputeHashTable(DeepCopy(set)), expected, "deep copy");
+}
+
+TEST(HashMemoTest, ConcurrentHashersOfSharedBuffersAgree) {
+  for (uint64_t round = 0; round < 4; ++round) {
+    const ModelSet set =
+        MakeInitializedSet(Ffnn48Spec(), 40, 100 + round).ValueOrDie();
+    const HashTable expected = ComputeHashTable(DeepCopy(set));
+    // Two sets over the same buffers, hashed at once: both race to publish
+    // every memo, then both read them.
+    const ModelSet a = set;
+    const ModelSet b = set;
+    for (int pass = 0; pass < 2; ++pass) {
+      HashTable got_b;
+      std::thread other([&] {
+        Executor executor(2);
+        got_b = ComputeHashTable(b, &executor);
+      });
+      HashTable got_a = ComputeHashTable(a);
+      other.join();
+      const std::string label =
+          "round " + std::to_string(round) + " pass " + std::to_string(pass);
+      ExpectSameHashes(got_a, expected, label + " a");
+      ExpectSameHashes(got_b, expected, label + " b");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: every approach is lane-invariant
 // ---------------------------------------------------------------------------
 
@@ -373,16 +598,8 @@ TEST(PipelineEquivalenceTest, AllApproachesLaneInvariant) {
     // Recovery is bit-exact in both worlds.
     ASSERT_EQ(serial.recovered.size(), parallel.recovered.size());
     for (size_t s = 0; s < serial.recovered.size(); ++s) {
-      const ModelSet& a = serial.recovered[s];
-      const ModelSet& b = parallel.recovered[s];
-      ASSERT_EQ(a.models.size(), b.models.size());
-      for (size_t m = 0; m < a.models.size(); ++m) {
-        ASSERT_EQ(a.models[m].size(), b.models[m].size());
-        for (size_t p = 0; p < a.models[m].size(); ++p) {
-          EXPECT_TRUE(a.models[m][p].second.Equals(b.models[m][p].second))
-              << "set " << s << " model " << m << " param " << p;
-        }
-      }
+      ExpectSameSet(parallel.recovered[s], serial.recovered[s],
+                    "set " + std::to_string(s));
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <functional>
 #include <utility>
 
+#include "serialize/sha256.h"
 #include "tensor/ops.h"
 #include "tensor/tensor_serialize.h"
 #include "tests/test_util.h"
@@ -118,6 +119,101 @@ TEST(TensorTest, WritesCopyASharedBufferFirst) {
     write(&original);
     EXPECT_TRUE(kept.Equals(reference));
   }
+}
+
+// The digest memo (see Tensor's class comment): published only on a shared
+// buffer, carried by everything that shares the buffer, cleared by every
+// mutable accessor on a sole owner, absent from a detached copy.
+TEST(TensorTest, DigestMemoIsPublishedOnlyOnASharedBuffer) {
+  const Sha256Digest digest = Sha256::Hash("any 32 bytes stand in here");
+  Sha256Digest loaded;
+  Tensor empty;
+  empty.PublishDigest(digest);
+  EXPECT_FALSE(empty.LoadDigest(&loaded));
+
+  Tensor sole = RandomTensor(Shape{24}, 3);
+  sole.PublishDigest(digest);
+  EXPECT_FALSE(sole.LoadDigest(&loaded));
+
+  Tensor copy = sole;
+  EXPECT_FALSE(copy.LoadDigest(&loaded));
+  copy.PublishDigest(digest);
+  ASSERT_TRUE(sole.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+
+  // A second publish keeps the first memo.
+  copy.PublishDigest(Sha256::Hash("another"));
+  ASSERT_TRUE(copy.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+
+  // Once published it stays readable after the sharing ends.
+  copy = Tensor();
+  ASSERT_TRUE(sole.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+}
+
+TEST(TensorTest, CopiesReshapesAndMovesCarryTheDigestMemo) {
+  const Sha256Digest digest = Sha256::Hash("memo");
+  Tensor original = RandomTensor(Shape{24}, 3);
+  Tensor copy = original;
+  copy.PublishDigest(digest);
+
+  Sha256Digest loaded;
+  Tensor view = original.Reshape(Shape{4, 6});
+  ASSERT_TRUE(view.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+  Tensor assigned;
+  assigned = view;
+  ASSERT_TRUE(assigned.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+  Tensor moved = std::move(copy);
+  ASSERT_TRUE(moved.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+  EXPECT_FALSE(copy.LoadDigest(&loaded));
+  Tensor move_assigned;
+  move_assigned = std::move(moved);
+  ASSERT_TRUE(move_assigned.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
+}
+
+TEST(TensorTest, EveryMutableAccessOfASoleOwnerClearsTheDigestMemo) {
+  const std::vector<
+      std::pair<const char*, std::function<void(Tensor*)>>> accesses = {
+      {"mutable_data", [](Tensor* t) { t->mutable_data(); }},
+      {"at", [](Tensor* t) { t->at(5); }},
+      {"at2", [](Tensor* t) { t->at2(0, 5); }},
+      {"at4", [](Tensor* t) { t->at4(0, 0, 1, 1); }},
+      {"Fill", [](Tensor* t) { t->Fill(0.0f); }},
+  };
+  const std::vector<Shape> shapes = {{24}, {24}, {4, 6}, {1, 2, 3, 4}, {24}};
+  const Sha256Digest digest = Sha256::Hash("memo");
+  for (size_t i = 0; i < accesses.size(); ++i) {
+    SCOPED_TRACE(accesses[i].first);
+    Tensor sole = RandomTensor(shapes[i], 3);
+    {
+      Tensor sharer = sole;
+      sharer.PublishDigest(digest);
+    }
+    Sha256Digest loaded;
+    ASSERT_TRUE(sole.LoadDigest(&loaded));
+    // Even an access that writes nothing clears it: the pointer it hands
+    // out may be written through later.
+    accesses[i].second(&sole);
+    EXPECT_FALSE(sole.LoadDigest(&loaded));
+  }
+}
+
+TEST(TensorTest, ADetachedCopyStartsWithoutADigestMemo) {
+  const Sha256Digest digest = Sha256::Hash("memo");
+  Tensor original = RandomTensor(Shape{24}, 3);
+  Tensor copy = original;
+  copy.PublishDigest(digest);
+  copy.at(0) = -1.0f;  // detaches
+  Sha256Digest loaded;
+  EXPECT_FALSE(copy.LoadDigest(&loaded));
+  // The buffer it left keeps its memo, which still describes its bytes.
+  ASSERT_TRUE(original.LoadDigest(&loaded));
+  EXPECT_EQ(loaded, digest);
 }
 
 TEST(TensorTest, EqualsAndAllClose) {

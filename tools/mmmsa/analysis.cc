@@ -1448,6 +1448,20 @@ void CheckNakedNewDelete(const TokenScan& scan) {
   }
 }
 
+/// ownership/const-cast: no const_cast anywhere. Writing through a
+/// const_cast pointer bypasses Tensor's copy-on-write: the write reaches
+/// every tensor sharing the buffer and leaves its digest memo vouching for
+/// bytes it no longer describes.
+void CheckConstCast(const TokenScan& scan) {
+  for (const Token& tok : scan.file.tokens) {
+    if (IsIdent(&tok, "const_cast")) {
+      scan.Report("ownership", "const-cast", tok.line, "const_cast",
+                  "const_cast: a write through it bypasses copy-on-write "
+                  "buffers and their digest memos; take a mutable accessor");
+    }
+  }
+}
+
 /// lock-order/raw-std-mutex: concurrent code uses the annotated wrappers so
 /// clang's -Wthread-safety can check it.
 void CheckRawStdMutex(const TokenScan& scan) {
@@ -1617,7 +1631,10 @@ void AnalyzeTree(const std::vector<LexedFile>& files, const SaOptions& options,
       CheckDirectManagerOpen(scan);
     }
     if (runs("determinism")) CheckBannedRandom(scan);
-    if (runs("ownership")) CheckNakedNewDelete(scan);
+    if (runs("ownership")) {
+      CheckNakedNewDelete(scan);
+      CheckConstCast(scan);
+    }
   }
 }
 
@@ -1637,7 +1654,7 @@ const std::vector<Analysis>& Catalog() {
       {"store-access",
        {"direct-env-write", "direct-env-read", "direct-manager-open"}},
       {"determinism", {"banned-random"}},
-      {"ownership", {"naked-new", "naked-delete"}},
+      {"ownership", {"naked-new", "naked-delete", "const-cast"}},
   };
   return kCatalog;
 }

@@ -19,7 +19,7 @@
 ///   layer-dag     layer-violation, include-cycle
 ///   store-access  direct-env-write, direct-env-read, direct-manager-open
 ///   determinism   banned-random
-///   ownership     naked-new, naked-delete
+///   ownership     naked-new, naked-delete, const-cast
 ///
 /// Findings carry a `symbol` (lock id, function qualified name, include
 /// edge, offending identifier) so the baseline can ratchet on stable
