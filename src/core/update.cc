@@ -108,7 +108,8 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
 
   // Step 1 (§3.3): reference to the base set and metadata — the SetDocument.
   // Step 2: hash every model's layers, fanned out across the pipeline lanes.
-  // A layer whose buffer an earlier save already hashed costs a memo read.
+  // A layer whose buffer an earlier save hashed while it was shared costs
+  // a memo read.
   HashTable current_hashes = ComputeHashTable(set, context_.executor);
   // Step 3: identify changed parameters against the base set's hash blob.
   MMM_ASSIGN_OR_RETURN(HashTable base_hashes,

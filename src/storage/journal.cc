@@ -184,46 +184,16 @@ Result<uint64_t> CommitJournal::Begin(const std::string& set_id,
                                       std::vector<DocIntent> docs,
                                       std::vector<std::string> deletes) {
   MutexLock lock(mu_);
-  uint64_t txn = next_txn_++;
-  JsonValue record = JsonValue::Object();
-  record.Set("txn", txn);
-  record.Set("state", "begin");
-  record.Set("set_id", set_id);
-  record.Set("approach", approach);
-  JsonValue blob_array = JsonValue::Array();
-  for (const BlobIntent& blob : blobs) {
-    JsonValue intent = JsonValue::Object();
-    intent.Set("name", blob.name);
-    intent.Set("crc", static_cast<int64_t>(blob.crc));
-    if (blob.cas_chunk) intent.Set("cas", true);
-    blob_array.Append(std::move(intent));
-  }
-  record.Set("blobs", std::move(blob_array));
-  JsonValue doc_array = JsonValue::Array();
-  for (const DocIntent& doc : docs) {
-    JsonValue intent = JsonValue::Object();
-    intent.Set("collection", doc.collection);
-    intent.Set("doc", doc.doc);
-    if (doc.replace) intent.Set("replace", true);
-    doc_array.Append(std::move(intent));
-  }
-  record.Set("docs", std::move(doc_array));
-  if (!deletes.empty()) {
-    JsonValue delete_array = JsonValue::Array();
-    for (const std::string& name : deletes) delete_array.Append(name);
-    record.Set("deletes", std::move(delete_array));
-  }
-  MMM_RETURN_NOT_OK(AppendRecord(record));
-
   Entry entry;
-  entry.txn = txn;
+  entry.txn = next_txn_++;
   entry.set_id = set_id;
   entry.approach = approach;
   entry.blobs = std::move(blobs);
   entry.docs = std::move(docs);
   entry.deletes = std::move(deletes);
+  MMM_RETURN_NOT_OK(AppendRecord(BeginRecord(entry)));
   entries_.push_back(std::move(entry));
-  return txn;
+  return entries_.back().txn;
 }
 
 Status CommitJournal::MarkCommitted(uint64_t txn) {
@@ -232,10 +202,7 @@ Status CommitJournal::MarkCommitted(uint64_t txn) {
   if (entry == nullptr) {
     return Status::InvalidArgument("commit journal has no pending txn ", txn);
   }
-  JsonValue record = JsonValue::Object();
-  record.Set("txn", txn);
-  record.Set("state", "commit");
-  MMM_RETURN_NOT_OK(AppendRecord(record));
+  MMM_RETURN_NOT_OK(AppendRecord(CommitRecord(txn)));
   entry->committed = true;
   return Status::OK();
 }
@@ -245,19 +212,23 @@ Status CommitJournal::MarkFinished(uint64_t txn) {
   if (FindEntry(txn) == nullptr) {
     return Status::InvalidArgument("commit journal has no pending txn ", txn);
   }
-  if (entries_.size() == 1) {
-    // The last pending entry: every record in the log now belongs to a
-    // finished entry, so the log is emptied in place of the finish record.
-    // Without this only Replay() at open shrinks it. A crash that leaves
-    // the old log behind leaves this entry committed-but-unfinished, which
-    // replay completes idempotently.
-    MMM_RETURN_NOT_OK(env_->WriteFile(path_, {}));
-  } else {
-    JsonValue record = JsonValue::Object();
-    record.Set("txn", txn);
-    record.Set("state", "finish");
-    MMM_RETURN_NOT_OK(AppendRecord(record));
+  // Every record of a finished entry is dead, so the log is rewritten to
+  // hold only the records of the entries still pending, in place of a
+  // finish record. Without this only Replay() at open shrinks it, and an
+  // entry a failed save left pending would keep the log growing. A crash
+  // before the rewrite lands leaves this entry committed-but-unfinished in
+  // the old log, which replay completes idempotently. That takes a rewrite
+  // that lands whole or not at all, as Env's crash model has it; a torn
+  // one on a real filesystem could drop a pending entry (ROADMAP item 1).
+  std::string text;
+  for (const Entry& entry : entries_) {
+    if (entry.txn == txn) continue;
+    text += Line(BeginRecord(entry));
+    if (entry.committed) text += Line(CommitRecord(entry.txn));
   }
+  MMM_RETURN_NOT_OK(env_->WriteFile(
+      path_, std::span<const uint8_t>(
+                 reinterpret_cast<const uint8_t*>(text.data()), text.size())));
   std::erase_if(entries_, [txn](const Entry& e) { return e.txn == txn; });
   return Status::OK();
 }
@@ -276,9 +247,53 @@ size_t CommitJournal::pending_entries() const {
   return entries_.size();
 }
 
-Status CommitJournal::AppendRecord(const JsonValue& record) {
+JsonValue CommitJournal::BeginRecord(const Entry& entry) {
+  JsonValue record = JsonValue::Object();
+  record.Set("txn", entry.txn);
+  record.Set("state", "begin");
+  record.Set("set_id", entry.set_id);
+  record.Set("approach", entry.approach);
+  JsonValue blob_array = JsonValue::Array();
+  for (const BlobIntent& blob : entry.blobs) {
+    JsonValue intent = JsonValue::Object();
+    intent.Set("name", blob.name);
+    intent.Set("crc", static_cast<int64_t>(blob.crc));
+    if (blob.cas_chunk) intent.Set("cas", true);
+    blob_array.Append(std::move(intent));
+  }
+  record.Set("blobs", std::move(blob_array));
+  JsonValue doc_array = JsonValue::Array();
+  for (const DocIntent& doc : entry.docs) {
+    JsonValue intent = JsonValue::Object();
+    intent.Set("collection", doc.collection);
+    intent.Set("doc", doc.doc);
+    if (doc.replace) intent.Set("replace", true);
+    doc_array.Append(std::move(intent));
+  }
+  record.Set("docs", std::move(doc_array));
+  if (!entry.deletes.empty()) {
+    JsonValue delete_array = JsonValue::Array();
+    for (const std::string& name : entry.deletes) delete_array.Append(name);
+    record.Set("deletes", std::move(delete_array));
+  }
+  return record;
+}
+
+JsonValue CommitJournal::CommitRecord(uint64_t txn) {
+  JsonValue record = JsonValue::Object();
+  record.Set("txn", txn);
+  record.Set("state", "commit");
+  return record;
+}
+
+std::string CommitJournal::Line(const JsonValue& record) {
   std::string line = record.Dump();
   line.push_back('\n');
+  return line;
+}
+
+Status CommitJournal::AppendRecord(const JsonValue& record) {
+  std::string line = Line(record);
   return env_->AppendToFile(
       path_, std::span<const uint8_t>(
                  reinterpret_cast<const uint8_t*>(line.data()), line.size()));

@@ -35,14 +35,13 @@ struct RepairReport {
 
 /// \brief Write-ahead intent log that makes StoreBatch commits atomic.
 ///
-/// Every journaled commit appends three records to an append-only JSON-lines
-/// log (one object per line, like the document store's WAL):
+/// Every journaled commit appends two records to a JSON-lines log (one
+/// object per line, like the document store's WAL):
 ///
 ///   {"txn":N,"state":"begin","set_id":...,"approach":...,
 ///    "blobs":[{"name":...,"crc":...}],"docs":[{"collection":...,"doc":...}],
 ///    "deletes":[...]}
 ///   {"txn":N,"state":"commit"}
-///   {"txn":N,"state":"finish"}
 ///
 /// The `begin` record declares every side effect of the commit before any of
 /// them happens: the blob names with the CRC32 of the exact bytes about to be
@@ -51,21 +50,23 @@ struct RepairReport {
 /// once it is durable (`deletes`, written only when non-empty — used by the
 /// chain compactor to hand superseded delta blobs to GC atomically with the
 /// metadata rewrite). `commit` is the atomicity point — it is appended after
-/// all blob writes succeed and before the first document insert. `finish`
-/// marks the entry fully applied, including the retirement deletes. When
-/// the finishing entry is the last pending one, the journal is truncated
-/// instead of appended to: every record it holds is then finished, so the
-/// log stays bounded by the commits in flight rather than growing with
-/// every commit for the life of the process.
+/// all blob writes succeed and before the first document insert. Once the
+/// entry is fully applied, including the retirement deletes, MarkFinished
+/// rewrites the log to hold only the `begin`/`commit` records of the
+/// entries still pending. The log thus stays bounded by the pending entries
+/// (the commits in flight plus any a failed save left behind) rather than
+/// growing with every commit for the life of the process. Logs written by
+/// older versions may also hold `{"txn":N,"state":"finish"}` records; Open
+/// drops the entry they name.
 ///
 /// Replay() turns a crash at any point into rollback-or-commit:
 ///  - entries without a `commit` mark are rolled back (listed blobs deleted,
 ///    any listed insert documents defensively removed; replace intents keep
 ///    their old live document and retirement deletes never run) — the save
 ///    never happened;
-///  - entries with `commit` but no `finish` are completed by idempotently
-///    inserting (or upserting, for replace intents) the listed documents,
-///    after verifying the listed blobs exist with the recorded CRCs, and by
+///  - pending entries with `commit` are completed by idempotently inserting
+///    (or upserting, for replace intents) the listed documents, after
+///    verifying the listed blobs exist with the recorded CRCs, and by
 ///    re-issuing the retirement deletes — the save fully happened.
 ///
 /// A torn final line (crash mid-append) is dropped, exactly like the document
@@ -123,8 +124,8 @@ class CommitJournal {
                          std::vector<std::string> deletes = {});
   /// Appends the `commit` record: all blob writes are durable.
   Status MarkCommitted(uint64_t txn);
-  /// Appends the `finish` record: all document inserts are durable. If no
-  /// other entry is pending, empties the journal instead.
+  /// All document inserts are durable: drops the entry and rewrites the log
+  /// with the records of the entries still pending (empty if none).
   Status MarkFinished(uint64_t txn);
 
   /// Blob names claimed by unfinished entries. GC must treat these as live:
@@ -148,6 +149,10 @@ class CommitJournal {
     bool committed = false;
   };
 
+  static JsonValue BeginRecord(const Entry& entry);
+  static JsonValue CommitRecord(uint64_t txn);
+  /// One record as a log line: its JSON plus the newline.
+  static std::string Line(const JsonValue& record);
   /// Serializes one record to the log through the Env. Touches no journal
   /// state, but runs under mu_ so records land in txn order.
   Status AppendRecord(const JsonValue& record);

@@ -284,7 +284,10 @@ TEST(CodecCorruptionTest, ZeroWidthSnapshotChecksModelCount) {
   IdGenerator ids(7);
   ASSERT_OK(files.Open());
   ASSERT_OK(docs.Open());
-  StoreContext context{&files, &docs, &ids};
+  StoreContext context;
+  context.file_store = &files;
+  context.doc_store = &docs;
+  context.ids = &ids;
   SetDocument doc;
   doc.id = "set-zero";
   doc.num_models = 2;

@@ -589,13 +589,20 @@ TEST(CommitJournalTest, FinishingTheLastPendingEntryEmptiesTheLog) {
     EXPECT_EQ(size, 0u) << "after commit " << i;
   }
 
-  // While an entry is pending, other commits append their finish records
-  // and the pending entry's records stay on disk for the next replay.
+  // While an entry is pending, each later finish rewrites the log to that
+  // entry's records: the pending entry survives for the next replay and the
+  // file does not grow with the commits that finish around it.
   ASSERT_OK_AND_ASSIGN(uint64_t pending, begin("set-pending"));
   ASSERT_OK(journal.MarkCommitted(pending));
-  ASSERT_OK_AND_ASSIGN(uint64_t other, begin("set-other"));
-  ASSERT_OK(journal.MarkCommitted(other));
-  ASSERT_OK(journal.MarkFinished(other));
+  ASSERT_OK_AND_ASSIGN(uint64_t pending_size, env.FileSize(path));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_OK_AND_ASSIGN(uint64_t other,
+                         begin("set-other-" + std::to_string(i)));
+    ASSERT_OK(journal.MarkCommitted(other));
+    ASSERT_OK(journal.MarkFinished(other));
+    ASSERT_OK_AND_ASSIGN(uint64_t size, env.FileSize(path));
+    EXPECT_EQ(size, pending_size) << "after commit " << i;
+  }
   CommitJournal reopened(&env, path);
   ASSERT_OK(reopened.Open());
   EXPECT_EQ(reopened.pending_entries(), 1u);
@@ -607,6 +614,34 @@ TEST(CommitJournalTest, FinishingTheLastPendingEntryEmptiesTheLog) {
   ASSERT_OK_AND_ASSIGN(uint64_t size, env.FileSize(path));
   EXPECT_EQ(size, 0u);
   EXPECT_EQ(journal.pending_entries(), 0u);
+}
+
+TEST(CommitJournalTest, AnEntryNeverFinishedKeepsTheLogAtItsRecords) {
+  // A failed save leaves its entry pending for the rest of the process.
+  // Later commits must neither grow the log nor lose that entry's intents.
+  InMemoryEnv env;
+  const std::string path = "/commit.journal";
+  CommitJournal journal(&env, path);
+  ASSERT_OK(journal.Open());
+  ASSERT_OK(journal.Begin("set-failed", "update", {{"failed.bin", 3}}, {})
+                .status());
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> failed_records,
+                       env.ReadFile(path));
+  for (int i = 0; i < 8; ++i) {
+    std::string set_id = "set-" + std::to_string(i);
+    ASSERT_OK_AND_ASSIGN(uint64_t txn,
+                         journal.Begin(set_id, "update", {{set_id + ".bin", 7}},
+                                       {}));
+    ASSERT_OK(journal.MarkCommitted(txn));
+    ASSERT_OK(journal.MarkFinished(txn));
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> log, env.ReadFile(path));
+    EXPECT_EQ(log, failed_records) << "after commit " << i;
+  }
+
+  CommitJournal reopened(&env, path);
+  ASSERT_OK(reopened.Open());
+  EXPECT_EQ(reopened.pending_entries(), 1u);
+  EXPECT_EQ(reopened.PendingBlobs(), std::vector<std::string>{"failed.bin"});
 }
 
 TEST(StoreStatsTest, Arithmetic) {
