@@ -6,15 +6,20 @@
 // sets hottest — is then replayed through ModelSetService at several cache
 // capacities, from cache-off to 4x the base set's footprint. Reported per
 // capacity: layer hit rate, sets served without any store read, file-store
-// read ops, and the modeled per-request recovery cost (mean / p99).
+// read ops, the file-store bytes the cache avoided against the cache-off
+// row, and the modeled per-request recovery cost (mean / p99).
 //
-// Expected shape: with the cache sized to hold the base set, derived-set
+// Expected shape: layer hits save bytes in proportion to the hit rate,
+// because the root snapshot is read by range for just the layers that
+// missed; with the cache sized to hold the base set, derived-set
 // recoveries stop re-reading the base snapshot (the staircase in the
 // paper's Figure 5 flattens), so store reads and modeled cost drop sharply;
 // beyond that, extra capacity buys diminishing returns. workers=1 keeps
 // every request's counters exact and the run bit-deterministic.
 //
-// Results are also written to BENCH_serving.json.
+// Results are also written to BENCH_serving.json. Exits 1 if a row with a
+// nonzero hit rate reads as many file-store bytes as the cache-off row:
+// its hits saved no I/O.
 //
 // A second table replays the trace at workers {1, N}; its quantiles are
 // computed over the pooled per-request samples of every worker (quantiles
@@ -95,10 +100,13 @@ int main() {
       "(theta 0.99, base footprint %.2f MB):\n",
       knobs.models, ids.size(), trace.size(),
       static_cast<double>(base_bytes) / 1e6);
-  std::printf("%-10s | %8s | %10s | %10s | %12s | %12s\n", "cache", "hit %",
-              "from-cache", "file reads", "mean ms", "p99 ms");
+  std::printf("%-10s | %8s | %10s | %10s | %14s | %12s | %12s\n", "cache",
+              "hit %", "from-cache", "file reads", "bytes avoided", "mean ms",
+              "p99 ms");
 
   JsonValue out_rows = JsonValue::Array();
+  uint64_t cache_off_bytes = 0;
+  std::vector<std::string> no_savings;
   for (const Row& row : rows) {
     ModelSetServiceOptions service_options;
     service_options.workers = 1;  // exact per-request counters
@@ -124,11 +132,16 @@ int main() {
                     : static_cast<double>(cache.layer_hits) /
                           static_cast<double>(probes);
     LatencySummary lat = Summarize(modeled);
+    if (row.capacity == 0) cache_off_bytes = reads.bytes_read;
+    const int64_t bytes_avoided = static_cast<int64_t>(cache_off_bytes) -
+                                  static_cast<int64_t>(reads.bytes_read);
+    if (hit_rate > 0.0 && bytes_avoided <= 0) no_savings.push_back(row.label);
 
-    std::printf("%-10s | %8.1f | %10llu | %10llu | %12.3f | %12.3f\n",
+    std::printf("%-10s | %8.1f | %10llu | %10llu | %14lld | %12.3f | %12.3f\n",
                 row.label.c_str(), 100.0 * hit_rate,
                 static_cast<unsigned long long>(cache.sets_from_cache),
-                static_cast<unsigned long long>(reads.read_ops), lat.mean / 1e6,
+                static_cast<unsigned long long>(reads.read_ops),
+                static_cast<long long>(bytes_avoided), lat.mean / 1e6,
                 static_cast<double>(lat.p99) / 1e6);
 
     JsonValue entry = JsonValue::Object();
@@ -140,6 +153,7 @@ int main() {
     entry.Set("sets_from_cache", cache.sets_from_cache);
     entry.Set("file_read_ops", reads.read_ops);
     entry.Set("file_bytes_read", reads.bytes_read);
+    entry.Set("bytes_avoided", bytes_avoided);
     entry.Set("mean_recover_nanos", lat.mean);
     entry.Set("p99_recover_nanos", lat.p99);
     out_rows.Append(std::move(entry));
@@ -215,5 +229,11 @@ int main() {
       "is the cache-less control arm.)\n");
 
   CleanupWorkDir(knobs, "/tmp/mmm-bench-serving");
-  return 0;
+  for (const std::string& label : no_savings) {
+    std::fprintf(stderr,
+                 "FAIL: the '%s' row hits the cache but reads as many "
+                 "file-store bytes as the cache-off row\n",
+                 label.c_str());
+  }
+  return no_savings.empty() ? 0 : 1;
 }

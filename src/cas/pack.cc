@@ -7,6 +7,7 @@
 
 #include "serialize/binary_io.h"
 #include "serialize/crc32.h"
+#include "storage/range_planner.h"
 
 namespace mmm {
 
@@ -231,49 +232,31 @@ Status ReadPackedChunks(
     }
   }
 
-  struct Segment {
-    uint64_t pack;
-    uint64_t start;
-    uint64_t end;
-    std::vector<const ChunkLocation*> chunks;
-  };
-  const StoreLatencyModel& cost = store->latency();
-  std::vector<Segment> segments;
+  RangePlanner planner(store->latency());
   std::vector<size_t> segment_of(refs.size());
-  std::map<uint64_t, size_t> current;  // pack -> its open segment
+  std::vector<std::vector<const ChunkLocation*>> chunks_of;  // per segment
   for (size_t i = 0; i < refs.size(); ++i) {
-    const ChunkLocation& w = where[i];
-    auto open = current.find(w.pack);
-    bool extend = false;
-    if (open != current.end() && w.offset >= segments[open->second].end) {
-      const uint64_t gap = w.offset - segments[open->second].end;
-      extend = gap == 0 || static_cast<double>(gap) * cost.per_byte_nanos <
-                               static_cast<double>(cost.per_op_nanos);
-    }
-    if (!extend) {
-      current[w.pack] = segments.size();
-      segments.push_back({w.pack, w.offset, w.offset, {}});
-    }
-    segment_of[i] = current[w.pack];
-    Segment& segment = segments[segment_of[i]];
-    segment.end = w.offset + w.length;
-    segment.chunks.push_back(&w);
+    segment_of[i] =
+        planner.Add(where[i].pack, where[i].offset, where[i].length);
+    chunks_of.resize(planner.ranges().size());
+    chunks_of[segment_of[i]].push_back(&where[i]);
   }
+  const std::vector<RangePlanner::Range>& segments = planner.ranges();
 
   std::map<uint64_t, PackCursor> cursors;
   std::vector<size_t> taken(segments.size(), 0);
   for (size_t i = 0; i < refs.size(); ++i) {
     const size_t s = segment_of[i];
-    const Segment& segment = segments[s];
-    const std::string pack = PackBlobName(segment.pack);
+    const RangePlanner::Range& segment = segments[s];
+    const std::string pack = PackBlobName(segment.stream);
     PackCursor& cursor =
-        cursors.try_emplace(segment.pack, store, segment.pack, window_bytes)
+        cursors.try_emplace(segment.stream, store, segment.stream, window_bytes)
             .first->second;
     if (cursor.segment() != s) cursor.Begin(s, segment.start, segment.end);
     const size_t at = taken[s]++;
     auto bytes = cursor.Read(where[i], std::span<const ChunkLocation* const>(
-                                           segment.chunks.data() + at + 1,
-                                           segment.chunks.size() - at - 1));
+                                           chunks_of[s].data() + at + 1,
+                                           chunks_of[s].size() - at - 1));
     if (!bytes.ok()) {
       // A pack shorter than its index says is Corruption; a missing one
       // stays NotFound.

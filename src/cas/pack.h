@@ -92,13 +92,14 @@ struct ChunkLocation {
 /// `on_chunk(i, bytes)` once its length matches `refs[i]` and its CRC the
 /// pack index; the bytes are valid until the next call.
 ///
-/// Read plan: each pack gets one forward-only cursor. A chunk joins its
-/// pack's current segment unless it lies behind it, or the gap to it costs
-/// more to transfer than a new round trip (`gap * per_byte_nanos >=
-/// per_op_nanos` of the store's latency model). Each segment is one ranged
-/// FileStore::OpenStream, charged as one op plus its bytes; its cursor
-/// reads windows of at most `window_bytes` (or one chunk, if larger) that
-/// start at a chunk and end at a chunk boundary, skipping the rest.
+/// Read plan: each pack gets one forward-only cursor. The chunks are
+/// planned into segments by RangePlanner (storage/range_planner.h), one
+/// stream per pack: a chunk joins its pack's current segment unless it lies
+/// behind it, or the gap to it costs more to transfer than a new round
+/// trip. Each segment is one ranged FileStore::OpenStream, charged as one
+/// op plus its bytes; its cursor reads windows of at most `window_bytes`
+/// (or one chunk, if larger) that start at a chunk and end at a chunk
+/// boundary, skipping the rest.
 ///
 /// Errors name the chunk and the pack: NotFound for a missing pack or an
 /// unlocated chunk, Corruption for a short pack, a length that disagrees

@@ -344,6 +344,14 @@ Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix) {
   return layout;
 }
 
+uint64_t RawParamBlobSize(uint64_t num_models, uint64_t params_per_model) {
+  BinaryWriter header;
+  WriteMagic(&header, kParamMagic);
+  header.WriteVarint(num_models);
+  header.WriteVarint(params_per_model);
+  return header.size() + num_models * params_per_model * sizeof(float) + 4;
+}
+
 Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
                                    std::span<const uint8_t> slice) {
   ParamLayout layout = LayoutOf(spec);
@@ -470,6 +478,50 @@ Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob,
     }
   }
   return hashes;
+}
+
+Result<HashTableLayout> ReadHashTableHeader(std::span<const uint8_t> prefix) {
+  BinaryReader reader(prefix);
+  MMM_RETURN_NOT_OK(CheckMagic(&reader, kHashMagic));
+  HashTableLayout layout;
+  MMM_ASSIGN_OR_RETURN(uint64_t num_models, reader.ReadVarint());
+  MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
+  layout.num_models = num_models;
+  layout.per_model = per_model;
+  layout.header_bytes = reader.offset();
+  return layout;
+}
+
+size_t FirstHashMismatch(std::span<const Tensor> values,
+                         std::span<const Sha256Digest> expected) {
+  // Equal-length values side by side, so each batch is one multi-stream
+  // SIMD call.
+  std::vector<size_t> order(values.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return values[a].numel() < values[b].numel();
+  });
+  size_t first_bad = values.size();
+  for (size_t begin = 0; begin < order.size();) {
+    const size_t length = TensorBytes(values[order[begin]]).size();
+    size_t count = 0;
+    const uint8_t* streams[kSha256MaxLanes];
+    while (count < kSha256MaxLanes && begin + count < order.size() &&
+           TensorBytes(values[order[begin + count]]).size() == length) {
+      streams[count] = TensorBytes(values[order[begin + count]]).data();
+      ++count;
+    }
+    Sha256Digest digests[kSha256MaxLanes];
+    Sha256HashMany(streams, length, count, digests);
+    for (size_t k = 0; k < count; ++k) {
+      const size_t i = order[begin + k];
+      if (digests[k].bytes != expected[i].bytes) {
+        first_bad = std::min(first_bad, i);
+      }
+    }
+    begin += count;
+  }
+  return first_bad;
 }
 
 Tensor XorTensors(const Tensor& a, const Tensor& b) {

@@ -64,6 +64,12 @@ Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix);
 /// Upper bound on the param blob header size (magic + two max varints).
 inline constexpr size_t kParamBlobMaxHeaderBytes = 8 + 10 + 10;
 
+/// Size of an uncompressed param blob of `num_models` models of
+/// `params_per_model` floats each: header, floats and CRC footer. A stored
+/// blob of any other size is not one, which a ranged reader can tell
+/// without reading its header.
+uint64_t RawParamBlobSize(uint64_t num_models, uint64_t params_per_model);
+
 /// Decodes one model's raw float slice (layout order) into a state dict.
 Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
                                    std::span<const uint8_t> slice);
@@ -163,6 +169,33 @@ std::vector<uint8_t> EncodeHashTable(const HashTable& hashes);
 /// (the set document's count), checked before the table is allocated.
 Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob,
                                   uint64_t num_models);
+
+/// Where a hash-table blob keeps each model's row: the rows are fixed-size
+/// runs of 32-byte digests after the header, so one model's row can be
+/// read by range. Ranged reads bypass the blob's CRC footer.
+struct HashTableLayout {
+  size_t header_bytes = 0;  ///< offset of model 0's first digest
+  size_t num_models = 0;
+  size_t per_model = 0;     ///< digests per row
+
+  size_t RowBytes() const { return per_model * sizeof(Sha256Digest::bytes); }
+  size_t RowOffset(size_t model) const {
+    return header_bytes + model * RowBytes();
+  }
+};
+
+/// Upper bound on the hash-table header size (magic + two max varints).
+inline constexpr size_t kHashTableMaxHeaderBytes = 8 + 10 + 10;
+
+/// Parses a hash-table blob's header. `prefix` must hold the first
+/// kHashTableMaxHeaderBytes bytes (or the whole blob if smaller).
+Result<HashTableLayout> ReadHashTableHeader(std::span<const uint8_t> prefix);
+
+/// Index of the first of `values` whose SHA-256 differs from `expected`
+/// (parallel to it), or `values.size()` if every one matches. Equal-length
+/// values are hashed kSha256MaxLanes at a time (Sha256HashMany).
+size_t FirstHashMismatch(std::span<const Tensor> values,
+                         std::span<const Sha256Digest> expected);
 /// @}
 
 /// \name Parameter diff blob (Update approach, paper §3.3 steps 3-4):

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/blob_formats.h"
 #include "core/model_set.h"
@@ -41,7 +43,9 @@ struct CacheRequestStats {
 /// the set's stored per-layer hash table and the architecture it decodes
 /// against. Immutable once built, so a memo can hand out shared references.
 struct SetMeta {
-  HashTable hashes;
+  /// The stored hash table, one digest per slot: hashes[m * num_params + p]
+  /// is parameter p of model m.
+  std::vector<Sha256Digest> hashes;
   ArchitectureSpec spec;
 };
 
@@ -58,22 +62,31 @@ struct SetMeta {
 /// trust: every recovery starts with a live set-document fetch, so a cache
 /// can never resurrect a deleted set.
 ///
-/// RecoverCached offers a layer only after every blob it was decoded from
-/// has passed its CRC check, and only under the requested set's hashes, so
-/// an entry never holds bytes a corrupt blob produced.
+/// RecoverCached offers a layer only after it was verified: every blob it
+/// was decoded from passed its CRC check, or, for a layer read by range
+/// from the root snapshot, its own SHA-256 matched the requested set's
+/// hash table. Layers are offered only under the requested set's hashes,
+/// so an entry never holds bytes a corrupt blob produced.
 ///
+/// Layer calls are batched, one probe and one offer per request, so an
+/// implementation can take its lock once for all of a request's layers.
 /// Implementations must be safe for concurrent calls; lookups and inserts
 /// are advisory (a cache may decline to admit or may have evicted anything).
 class RecoveryCache {
  public:
   virtual ~RecoveryCache() = default;
 
-  /// Returns the tensor cached under a content hash, or null on a miss.
-  virtual std::shared_ptr<const Tensor> GetLayer(const Sha256Digest& hash) = 0;
+  /// Probes every layer of one request at once: `out[i]` receives the
+  /// tensor cached under `hashes[i]`, or null on a miss. `out` is as long
+  /// as `hashes`.
+  virtual void GetLayers(std::span<const Sha256Digest> hashes,
+                         std::span<std::shared_ptr<const Tensor>> out) = 0;
 
-  /// Offers a verified, decoded layer for admission (may be declined).
-  virtual void PutLayer(const Sha256Digest& hash,
-                        std::shared_ptr<const Tensor> value) = 0;
+  /// Offers the verified, decoded layers of one request at once, `values[i]`
+  /// under `hashes[i]` (any may be declined).
+  virtual void PutLayers(
+      std::span<const Sha256Digest> hashes,
+      std::span<const std::shared_ptr<const Tensor>> values) = 0;
 
   /// Returns the memoized metadata of a set, or null on a miss.
   virtual std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) = 0;

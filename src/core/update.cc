@@ -1,11 +1,13 @@
 #include "core/update.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <optional>
 
 #include "cas/blob_io.h"
 #include "core/set_codec.h"
+#include "storage/range_planner.h"
 
 namespace mmm {
 namespace {
@@ -241,6 +243,127 @@ class UpdateChain {
 /// Slot r * num_params + p is parameter p of the r-th requested model.
 using SlotSink = std::function<void(size_t slot, Tensor value)>;
 
+/// Supplies the requested set's stored hashes of the requested models, one
+/// per slot, which verify the layers the root step reads by range. Called
+/// only if the root is read by range.
+using SlotHashesFn = std::function<Result<std::span<const Sha256Digest>>()>;
+
+/// Receives one window's worth of layers a ranged root read produced: the
+/// slots, ascending, and their values as stored in the root (unverified).
+using RootLayersFn = std::function<Status(std::span<const size_t> slots,
+                                          std::span<Tensor> values)>;
+
+/// The root step's ranged read: reads the layers `slots` (ascending) of the
+/// models `models` names (null: the whole set) from `root`'s param blob.
+/// The layers' byte extents are planned into ranges by RangePlanner; each
+/// range is one ranged stream, read window by window with the gaps between
+/// layers skipped, so one window is alive at a time. Each window's layers
+/// go to `on_layers`.
+///
+/// Returns false, having read no layer, when the blob is not read by
+/// range: it is a CAS manifest, or compressed (its size is not the raw
+/// blob's, or its header does not parse), or the whole set is requested
+/// and the plan is one range over every model, which the CRC-checked
+/// whole-blob stream verifies more cheaply than per-layer hashes.
+Result<bool> ReadRootByRange(const StoreContext& context,
+                             const SetDocument& root, const ParamLayout& layout,
+                             const std::vector<size_t>* models,
+                             const std::vector<size_t>& slots,
+                             const RootLayersFn& on_layers) {
+  const std::string& name = root.param_blob;
+  if (context.cas != nullptr && context.cas->IsManifest(name)) return false;
+  const size_t num_params = layout.size();
+  std::vector<uint64_t> param_offset(num_params + 1, 0);
+  for (size_t p = 0; p < num_params; ++p) {
+    param_offset[p + 1] =
+        param_offset[p] + Tensor::NumElements(layout[p].second) * sizeof(float);
+  }
+  const uint64_t model_bytes = param_offset[num_params];
+  // Byte offset of a slot's layer from model 0's first float.
+  auto offset_of = [&](size_t slot) -> uint64_t {
+    const size_t row = slot / num_params;
+    const uint64_t model = models == nullptr ? row : (*models)[row];
+    return model * model_bytes + param_offset[slot % num_params];
+  };
+  auto length_of = [&](size_t slot) -> uint64_t {
+    const size_t p = slot % num_params;
+    return param_offset[p + 1] - param_offset[p];
+  };
+  RangePlanner planner(context.file_store->latency());
+  std::vector<size_t> range_of(slots.size());
+  for (size_t k = 0; k < slots.size(); ++k) {
+    range_of[k] = planner.Add(0, offset_of(slots[k]), length_of(slots[k]));
+  }
+  const std::vector<RangePlanner::Range>& ranges = planner.ranges();
+  if (models == nullptr && ranges.size() == 1 && ranges[0].start == 0 &&
+      ranges[0].end == root.num_models * model_bytes) {
+    return false;
+  }
+
+  MMM_ASSIGN_OR_RETURN(uint64_t size, context.file_store->Size(name));
+  if (size != RawParamBlobSize(root.num_models, model_bytes / sizeof(float))) {
+    return false;
+  }
+  MMM_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> prefix,
+      context.file_store->GetRange(
+          name, 0, std::min<uint64_t>(size, kParamBlobMaxHeaderBytes)));
+  auto header = ReadParamBlobHeader(prefix);
+  if (!header.ok()) return false;
+  const ParamBlobLayout& blob = header.ValueOrDie();
+  if (blob.num_models != root.num_models || blob.ModelBytes() != model_bytes) {
+    return Status::Corruption("param blob header disagrees with set ", root.id);
+  }
+
+  const uint64_t window = context.stream_window_bytes == 0
+                              ? kDefaultStreamWindowBytes
+                              : context.stream_window_bytes;
+  std::vector<size_t> batch;
+  std::vector<Tensor> values;
+  size_t k = 0;
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    const RangePlanner::Range& range = ranges[r];
+    MMM_ASSIGN_OR_RETURN(
+        StreamFile stream,
+        context.file_store->OpenStream(name, blob.header_bytes + range.start,
+                                       range.end - range.start, window));
+    while (k < slots.size() && range_of[k] == r) {
+      // One window: the layer at k and the ones after it in this range
+      // while they fit.
+      const uint64_t start = offset_of(slots[k]);
+      uint64_t end = start + length_of(slots[k]);
+      size_t last = k + 1;
+      for (; last < slots.size() && range_of[last] == r; ++last) {
+        const uint64_t layer_end =
+            offset_of(slots[last]) + length_of(slots[last]);
+        if (layer_end - start > window) break;
+        end = layer_end;
+      }
+      MMM_RETURN_NOT_OK(stream.Skip(start - range.start - stream.offset()));
+      MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
+                           stream.Next(end - start));
+      if (bytes.size() != end - start) {
+        return Status::Corruption("short read of the param blob of set ",
+                                  root.id);
+      }
+      batch.clear();
+      values.clear();
+      for (; k < last; ++k) {
+        std::vector<float> data(length_of(slots[k]) / sizeof(float));
+        if (!data.empty()) {
+          std::memcpy(data.data(), bytes.data() + (offset_of(slots[k]) - start),
+                      length_of(slots[k]));
+        }
+        batch.push_back(slots[k]);
+        values.emplace_back(layout[slots[k] % num_params].second,
+                            std::move(data));
+      }
+      MMM_RETURN_NOT_OK(on_layers(batch, values));
+    }
+  }
+  return true;
+}
+
 /// The one chain resolver behind every Update recovery. Resolves every slot
 /// of the models `models` names (sorted and distinct; null means the whole
 /// set, row r = model r) that `resolved` does not already mark (cache
@@ -251,15 +374,24 @@ using SlotSink = std::function<void(size_t slot, Tensor value)>;
 /// entry resolves its slot, XOR entries accumulate until an absolute value
 /// (a newer absolute entry or the snapshot) is found. The walk stops at the
 /// first level that leaves nothing unresolved, and the full snapshot is
-/// read only for what is left: a model subset with ranged reads, the whole
-/// set streamed. `spec` is the architecture of the chain's root. The
-/// snapshot's CRC is checked only after its layers reach `sink`, so a
-/// caller must not publish a value anywhere until this returns OK.
+/// read only for what is left. `spec` is the architecture of the chain's
+/// root.
+///
+/// With `slot_hashes`, a raw root is read by range (ReadRootByRange), just
+/// the slots still unresolved, and each of those layers, composed with
+/// the XOR deltas above it, must match the requested set's stored SHA-256
+/// before it reaches `sink`. Otherwise, and for a root not read by range,
+/// the whole set is streamed, and a model subset is read with
+/// ReadModelsFromSnapshot (a whole compressed blob, or CRC-checked CAS
+/// chunks). A streamed snapshot's CRC is checked only after its layers
+/// reach `sink`, so a caller must not publish a value anywhere until this
+/// returns OK.
 Status ResolveChain(const StoreContext& context, UpdateChain* chain,
                     const ArchitectureSpec& spec,
                     const std::vector<size_t>* models,
                     std::vector<bool> resolved, const SlotSink& sink,
-                    RecoverStats* stats) {
+                    RecoverStats* stats,
+                    const SlotHashesFn& slot_hashes = nullptr) {
   const ParamLayout layout = LayoutOf(spec);
   const size_t num_params = layout.size();
   const uint64_t num_models = chain->target().num_models;
@@ -278,14 +410,47 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
   if (missing == 0) return Status::OK();
 
   std::vector<std::optional<Tensor>> xor_acc(resolved.size());
-  auto resolve = [&](size_t slot, Tensor value) {
+  auto compose = [&](size_t slot, Tensor value) {
     if (xor_acc[slot].has_value()) {
       value = XorTensors(value, *xor_acc[slot]);
       xor_acc[slot].reset();
     }
+    return value;
+  };
+  auto settle = [&](size_t slot, Tensor value) {
     resolved[slot] = true;
     missing -= 1;
     sink(slot, std::move(value));
+  };
+  auto resolve = [&](size_t slot, Tensor value) {
+    settle(slot, compose(slot, std::move(value)));
+  };
+  // Layers read by range from the root, composed with the XOR deltas above
+  // them, settle only once they match the requested set's stored hashes.
+  std::optional<std::span<const Sha256Digest>> hashes;
+  std::vector<Sha256Digest> expected;
+  auto verify_and_settle = [&](std::span<const size_t> batch,
+                               std::span<Tensor> values) -> Status {
+    if (!hashes.has_value()) {
+      MMM_ASSIGN_OR_RETURN(hashes, slot_hashes());
+    }
+    expected.clear();
+    for (size_t k = 0; k < batch.size(); ++k) {
+      values[k] = compose(batch[k], std::move(values[k]));
+      expected.push_back((*hashes)[batch[k]]);
+    }
+    const size_t bad = FirstHashMismatch(values, expected);
+    if (bad != values.size()) {
+      const size_t row = batch[bad] / num_params;
+      return Status::Corruption(
+          "layer (", models == nullptr ? row : (*models)[row], ", ",
+          batch[bad] % num_params, ") of set ", chain->target().id,
+          " fails its sha-256 check against the root snapshot");
+    }
+    for (size_t k = 0; k < batch.size(); ++k) {
+      settle(batch[k], std::move(values[k]));
+    }
+    return Status::OK();
   };
   for (size_t i = 0; missing > 0; ++i) {
     if (i == chain->fetched()) MMM_RETURN_NOT_OK(chain->FetchNext(context));
@@ -293,6 +458,16 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
     if (i > 0 && stats != nullptr) stats->sets_recovered += 1;
 
     if (level.kind == "full") {
+      if (slot_hashes != nullptr) {
+        std::vector<size_t> slots;
+        for (size_t slot = 0; slot < resolved.size(); ++slot) {
+          if (!resolved[slot]) slots.push_back(slot);
+        }
+        MMM_ASSIGN_OR_RETURN(
+            bool ranged, ReadRootByRange(context, level, layout, models, slots,
+                                         verify_and_settle));
+        if (ranged) return Status::OK();
+      }
       if (models == nullptr) {
         return StreamParamBlob(
             context, level.param_blob, spec, num_models,
@@ -376,11 +551,10 @@ std::vector<StateDict> TakeRows(const ParamLayout& layout, size_t num_rows,
 
 /// Resolves every slot of the models `models` names (null: the whole set)
 /// with nothing filled in advance, and returns them as state dicts.
-Result<std::vector<StateDict>> ResolveRows(const StoreContext& context,
-                                           UpdateChain* chain,
-                                           const ArchitectureSpec& spec,
-                                           const std::vector<size_t>* models,
-                                           RecoverStats* stats) {
+Result<std::vector<StateDict>> ResolveRows(
+    const StoreContext& context, UpdateChain* chain,
+    const ArchitectureSpec& spec, const std::vector<size_t>* models,
+    RecoverStats* stats, const SlotHashesFn& slot_hashes = nullptr) {
   const ParamLayout layout = LayoutOf(spec);
   const size_t num_rows =
       models == nullptr ? chain->target().num_models : models->size();
@@ -388,8 +562,75 @@ Result<std::vector<StateDict>> ResolveRows(const StoreContext& context,
   MMM_RETURN_NOT_OK(ResolveChain(
       context, chain, spec, models, std::vector<bool>(values.size(), false),
       [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
-      stats));
+      stats, slot_hashes));
   return TakeRows(layout, num_rows, &values);
+}
+
+/// Reads the rows of `doc`'s stored hash table for the models `models`
+/// (sorted, distinct), one digest per slot: entry r * num_params + p is
+/// parameter p of model models[r]. A raw, verbatim hash blob is read by
+/// range at the table's fixed row stride, so a selective recovery reads
+/// only the rows it needs; a compressed or chunked one is read whole and
+/// checked against its CRC.
+Result<std::vector<Sha256Digest>> ReadHashRows(
+    const StoreContext& context, const SetDocument& doc,
+    const std::vector<size_t>& models, size_t num_params) {
+  if (doc.hash_blob.empty()) {
+    return Status::Corruption("set ", doc.id, " is missing its hash blob");
+  }
+  const std::string& name = doc.hash_blob;
+  FileStore* files = context.file_store;
+  std::optional<HashTableLayout> table;
+  uint64_t size = 0;
+  if (context.cas == nullptr || !context.cas->IsManifest(name)) {
+    MMM_ASSIGN_OR_RETURN(size, files->Size(name));
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> prefix,
+        files->GetRange(name, 0,
+                        std::min<uint64_t>(size, kHashTableMaxHeaderBytes)));
+    auto header = ReadHashTableHeader(prefix);
+    if (header.ok()) table = header.ValueOrDie();
+  }
+  std::vector<Sha256Digest> out;
+  out.reserve(models.size() * num_params);
+  if (!table.has_value()) {
+    MMM_ASSIGN_OR_RETURN(HashTable all, ReadStoredHashTable(context, doc));
+    for (size_t model : models) {
+      if (all[model].size() != num_params) {
+        return Status::Corruption("hash table of ", doc.id,
+                                  " disagrees with the parameter layout");
+      }
+      out.insert(out.end(), all[model].begin(), all[model].end());
+    }
+    return out;
+  }
+  if (table->num_models != doc.num_models || table->per_model != num_params ||
+      table->RowOffset(table->num_models) > size) {
+    return Status::Corruption("hash table header disagrees with set ", doc.id);
+  }
+  RangePlanner planner(files->latency());
+  std::vector<size_t> range_of(models.size());
+  for (size_t r = 0; r < models.size(); ++r) {
+    range_of[r] =
+        planner.Add(0, table->RowOffset(models[r]), table->RowBytes());
+  }
+  for (size_t i = 0, r = 0; i < planner.ranges().size(); ++i) {
+    const RangePlanner::Range& range = planner.ranges()[i];
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> bytes,
+        files->GetRange(name, range.start, range.end - range.start));
+    for (; r < models.size() && range_of[r] == i; ++r) {
+      const uint8_t* row =
+          bytes.data() + (table->RowOffset(models[r]) - range.start);
+      for (size_t p = 0; p < num_params; ++p) {
+        Sha256Digest digest;
+        std::memcpy(digest.bytes.data(), row + p * digest.bytes.size(),
+                    digest.bytes.size());
+        out.push_back(digest);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -421,8 +662,18 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
   std::vector<size_t> models = indices;
   std::sort(models.begin(), models.end());
   models.erase(std::unique(models.begin(), models.end()), models.end());
-  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> rows,
-                       ResolveRows(context_, &chain, spec, &models, stats));
+  // A raw root is read by range; the requested models' rows of the target's
+  // hash table verify what it returns.
+  std::vector<Sha256Digest> hashes;
+  MMM_ASSIGN_OR_RETURN(
+      std::vector<StateDict> rows,
+      ResolveRows(context_, &chain, spec, &models, stats,
+                  [&]() -> Result<std::span<const Sha256Digest>> {
+                    MMM_ASSIGN_OR_RETURN(
+                        hashes, ReadHashRows(context_, chain.target(), models,
+                                             LayoutOf(spec).size()));
+                    return std::span<const Sha256Digest>(hashes);
+                  }));
 
   std::vector<StateDict> out;
   out.reserve(indices.size());
@@ -459,31 +710,38 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   } else {
     local.meta_misses += 1;
     auto fresh = std::make_shared<SetMeta>();
-    MMM_ASSIGN_OR_RETURN(fresh->hashes,
+    MMM_ASSIGN_OR_RETURN(HashTable table,
                          ReadStoredHashTable(context_, chain.target()));
     MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
     MMM_ASSIGN_OR_RETURN(fresh->spec, ReadSnapshotSpec(context_, *root));
     const size_t num_params = LayoutOf(fresh->spec).size();
-    for (const auto& row : fresh->hashes) {
+    for (const auto& row : table) {
       if (row.size() != num_params) {
         return Status::Corruption("hash table of ", set_id,
                                   " disagrees with the parameter layout");
       }
+      fresh->hashes.insert(fresh->hashes.end(), row.begin(), row.end());
     }
     meta = std::move(fresh);
   }
-  const HashTable& hashes = meta->hashes;
+  const std::vector<Sha256Digest>& hashes = meta->hashes;
   const ParamLayout layout = LayoutOf(meta->spec);
   const size_t num_params = layout.size();
+  const uint64_t num_models = chain.target().num_models;
 
-  // Probe each layer of the requested set once, by content hash. Layers
-  // shared with any set served before (its base, a sibling) hit no matter
-  // which set brought them in; the hits are the slots the resolver skips.
-  const size_t num_slots = hashes.size() * num_params;
+  // Probe each layer of the requested set once, by content hash, in one
+  // batch. Layers shared with any set served before (its base, a sibling)
+  // hit no matter which set brought them in; the hits are the slots the
+  // resolver skips.
+  const size_t num_slots = hashes.size();
+  if (num_slots != num_models * num_params) {
+    return Status::Corruption("hash table of ", set_id, " holds ", num_slots,
+                              " layers, the set ", num_models * num_params);
+  }
   std::vector<std::shared_ptr<const Tensor>> layers(num_slots);
+  cache->GetLayers(hashes, layers);
   std::vector<bool> hit(num_slots, false);
   for (size_t slot = 0; slot < num_slots; ++slot) {
-    layers[slot] = cache->GetLayer(hashes[slot / num_params][slot % num_params]);
     hit[slot] = layers[slot] != nullptr;
   }
   local.layer_hits += static_cast<uint64_t>(
@@ -495,18 +753,26 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
       [&](size_t slot, Tensor value) {
         layers[slot] = std::make_shared<const Tensor>(std::move(value));
       },
-      stats));
+      stats, [&]() -> Result<std::span<const Sha256Digest>> {
+        return std::span<const Sha256Digest>(hashes);
+      }));
 
-  // Verify-then-admit. Every blob a fetched layer came from has now passed
-  // its CRC check, so the layers are offered under the requested set's
-  // hashes only now: a corrupt blob can never leave an entry behind.
+  // Verify-then-admit. Every layer fetched has now been verified: each
+  // blob it came from passed its CRC check, or its own SHA-256 matched,
+  // so the layers are offered under the requested set's hashes only now,
+  // in one batch: a corrupt blob can never leave an entry behind.
   // Ancestors' layers are not admitted under their own hashes.
+  std::vector<Sha256Digest> fetched_hashes;
+  std::vector<std::shared_ptr<const Tensor>> fetched;
+  fetched_hashes.reserve(local.layer_misses);
+  fetched.reserve(local.layer_misses);
   for (size_t slot = 0; slot < num_slots; ++slot) {
     if (!hit[slot]) {
-      cache->PutLayer(hashes[slot / num_params][slot % num_params],
-                      layers[slot]);
+      fetched_hashes.push_back(hashes[slot]);
+      fetched.push_back(layers[slot]);
     }
   }
+  cache->PutLayers(fetched_hashes, fetched);
   if (!meta_hit) cache->PutSetMeta(set_id, meta);
 
   // The content hash covers a tensor's bytes, not its shape: a zeroed
@@ -526,7 +792,7 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   }
   ModelSet set;
   set.spec = meta->spec;
-  set.models = TakeRows(layout, hashes.size(), &values);
+  set.models = TakeRows(layout, num_models, &values);
   if (cache_stats != nullptr) *cache_stats += local;
   capture.FillRecover(stats);
   return set;

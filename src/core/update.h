@@ -52,9 +52,10 @@ class UpdateApproach : public ModelSetApproach {
                            RecoverStats* stats) override;
   /// Selective recovery: the same newest-first resolver as Recover, asked
   /// only for the models at `indices`. Diff entries of other models are
-  /// skipped (after the same range checks), and the root snapshot is read
-  /// with ranged store reads for just the models still unresolved — no full
-  /// set is ever materialized.
+  /// skipped (after the same range checks), and a raw root snapshot is read
+  /// by range for just the layers still unresolved, each checked against
+  /// the requested models' rows of the set's stored hash table (themselves
+  /// read by range) — no full set is ever materialized.
   Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
@@ -64,15 +65,16 @@ class UpdateApproach : public ModelSetApproach {
   /// Recovery through a layer-granular cache (the serving read path).
   ///
   /// The set's stored per-layer content hashes are resolved first (memoized
-  /// via RecoveryCache::GetSetMeta), then each of its layers is probed in
-  /// the cache once, by hash. The shared resolver skips the hits, so a set
-  /// whose layers all hit is assembled without reading a single parameter
-  /// or diff blob, and otherwise only the misses are resolved — the chain's
-  /// diffs newest-first, the full snapshot only if some layer is still
-  /// unresolved after the last diff. The fetched layers
-  /// are offered to the cache under the requested set's hashes once every
-  /// blob they came from has passed its CRC check; ancestors' layers are not
-  /// admitted.
+  /// via RecoveryCache::GetSetMeta), then all of its layers are probed in
+  /// the cache in one batch, by hash. The shared resolver skips the hits,
+  /// so a set whose layers all hit is assembled without reading a single
+  /// parameter or diff blob, and otherwise only the misses are resolved —
+  /// the chain's diffs newest-first, the full snapshot only if some layer
+  /// is still unresolved after the last diff, and a raw snapshot by range
+  /// for just those layers. The fetched layers are offered to the cache in
+  /// one batch, under the requested set's hashes, once each is verified:
+  /// every blob it came from passed its CRC check, or its SHA-256 matched
+  /// the set's hash table. Ancestors' layers are not admitted.
   ///
   /// Bit-exactness: cached tensors are keyed by their SHA-256 content hash,
   /// so assembly reproduces exactly the bytes Recover would return. With

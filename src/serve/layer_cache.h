@@ -1,12 +1,13 @@
 #ifndef MMM_SERVE_LAYER_CACHE_H_
 #define MMM_SERVE_LAYER_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "common/thread_annotations.h"
 #include "serialize/sha256.h"
@@ -14,13 +15,13 @@
 
 namespace mmm {
 
-/// \brief Aggregate counters of a LayerCache, summed over all shards.
+/// \brief Aggregate counters of a LayerCache.
 struct LayerCacheStats {
-  uint64_t hits = 0;         ///< Get calls that found the hash.
-  uint64_t misses = 0;       ///< Get calls that did not.
-  uint64_t inserts = 0;      ///< Puts that admitted a new entry.
+  uint64_t hits = 0;         ///< Probes that found the hash.
+  uint64_t misses = 0;       ///< Probes that did not.
+  uint64_t inserts = 0;      ///< Offers that admitted a new entry.
   uint64_t evictions = 0;    ///< Entries evicted to make room.
-  uint64_t rejected = 0;     ///< Puts declined (would not fit / duplicate).
+  uint64_t rejected = 0;     ///< Offers declined (would not fit / duplicate).
   uint64_t invalidated = 0;  ///< Entries removed by Invalidate.
   uint64_t bytes_used = 0;   ///< Charged bytes currently resident.
   uint64_t bytes_pinned = 0; ///< Charged bytes of pinned entries.
@@ -28,49 +29,64 @@ struct LayerCacheStats {
   uint64_t capacity_bytes = 0;
 };
 
-/// \brief Sharded, layer-granular LRU cache of decoded parameter tensors,
-/// keyed by the per-layer SHA-256 content hash the Update approach persists.
+/// \brief Layer-granular cache of decoded parameter tensors, keyed by the
+/// per-layer SHA-256 content hash the Update approach persists, with one
+/// segmented-LRU recency order under one lock.
 ///
 /// Content-hash keys make entries immutable by construction: a hash can only
 /// ever map to one tensor value, so concurrent Puts for the same key are
 /// idempotent and a hit always returns exactly the bytes a store recovery
 /// would have produced. Entries hold a `shared_ptr<const Tensor>`, so a hit
-/// shares the tensor instead of copying it under the shard lock, and an
-/// evicted tensor stays alive for every reader still holding it. A set
-/// assembled from hits shares the entries' buffers too; a caller's first
-/// write to one of its tensors copies that buffer (Tensor is copy-on-write),
-/// so no write ever reaches an entry.
+/// shares the tensor instead of copying it under the lock, and an evicted
+/// tensor stays alive for every reader still holding it. A set assembled
+/// from hits shares the entries' buffers too; a caller's first write to one
+/// of its tensors copies that buffer (Tensor is copy-on-write), so no write
+/// ever reaches an entry.
 ///
-/// The capacity bound is strict *per shard* (shard capacity = total /
-/// shards), which also bounds the global footprint: charged bytes never
-/// exceed `capacity_bytes()`, even transiently. A Put that cannot fit after
-/// evicting every unpinned entry of its shard is declined. Pinned entries
-/// are never evicted (but are removed by Invalidate/Clear, which track
-/// explicit deletion, not capacity pressure).
+/// Recency is segmented: a new entry starts on probation; a hit promotes it
+/// to the protected segment, which holds at most kProtectedPercent of the
+/// capacity (its least recently used entries fall back to the head of
+/// probation). Eviction takes the probation tail first, then the protected
+/// tail. So a run of admissions that are never hit churns probation only,
+/// and the layers each request hits stay resident together: a recovery's
+/// misses cluster in the layers that were not hit, which the root-snapshot
+/// reader turns into few ranged reads (core/update.cc).
 ///
-/// Each shard has its own mutex; the shard is chosen from digest bytes — so
-/// uniformly distributed — and lookups for different layers mostly touch
-/// different locks.
+/// Calls are batched: Get and Put take every layer of one request and hold
+/// the lock once for all of them, handling them in order. A batch behaves
+/// exactly like the same layers offered one call each.
+///
+/// The capacity bound is strict: charged bytes never exceed
+/// `capacity_bytes()`, even transiently. An offer that cannot fit after
+/// evicting every unpinned entry is declined without evicting anything.
+/// Pinned entries are never evicted (but are removed by Invalidate/Clear,
+/// which track explicit deletion, not capacity pressure).
 class LayerCache {
  public:
-  /// \param capacity_bytes total charged-byte budget across all shards
-  /// \param shards number of independently locked LRU shards (>= 1)
-  explicit LayerCache(uint64_t capacity_bytes, size_t shards = 8);
+  /// Share of the capacity the protected segment may hold, in percent.
+  static constexpr uint64_t kProtectedPercent = 80;
 
-  /// Returns the cached tensor for `hash` and marks the entry
-  /// most-recently used, or null on a miss.
-  std::shared_ptr<const Tensor> Get(const Sha256Digest& hash);
+  /// \param capacity_bytes charged-byte budget
+  explicit LayerCache(uint64_t capacity_bytes);
 
-  /// True if the hash is resident (does not touch LRU order or counters).
+  /// Probes `hashes` in order: `out[i]` receives the tensor cached under
+  /// `hashes[i]`, or null on a miss, and every hit is marked most recently
+  /// used. `out` must be as long as `hashes`. Returns the number of hits.
+  size_t Get(std::span<const Sha256Digest> hashes,
+             std::span<std::shared_ptr<const Tensor>> out);
+
+  /// True if the hash is resident (does not touch recency or counters).
   bool Contains(const Sha256Digest& hash) const;
 
-  /// Admits a tensor under its content hash, evicting least-recently-used
-  /// unpinned entries of the target shard as needed. Returns false if the
-  /// entry was declined (already resident, or cannot fit). `pinned` admits
-  /// the entry pre-pinned (used by PinSet so a pin can never lose the race
-  /// against eviction).
-  bool Put(const Sha256Digest& hash, std::shared_ptr<const Tensor> value,
-           bool pinned = false);
+  /// Offers `values[i]` under `hashes[i]`, in order, each evicting as
+  /// needed (see the class comment). An offer is declined if its hash is
+  /// already resident or it cannot fit. `pinned` admits the entries
+  /// pre-pinned, and pins an entry already resident (used by PinSet, so a
+  /// pin can never lose the race against eviction). Returns the number of
+  /// offers admitted or pinned.
+  size_t Put(std::span<const Sha256Digest> hashes,
+             std::span<const std::shared_ptr<const Tensor>> values,
+             bool pinned = false);
 
   /// Pins a resident entry, shielding it from eviction. Returns false if
   /// the hash is not resident.
@@ -89,10 +105,9 @@ class LayerCache {
   /// Charged size of one cached tensor: payload plus bookkeeping overhead.
   static uint64_t ChargeOf(const Tensor& value);
 
-  uint64_t capacity_bytes() const { return shard_capacity_ * shards_.size(); }
-  size_t shards() const { return shards_.size(); }
+  uint64_t capacity_bytes() const { return capacity_; }
 
-  /// Consistent aggregate snapshot (locks the shards one at a time).
+  /// Consistent snapshot of the counters.
   LayerCacheStats stats() const;
 
  private:
@@ -113,27 +128,36 @@ class LayerCache {
     std::shared_ptr<const Tensor> value;
     uint64_t charge = 0;
     bool pinned = false;
+    bool is_protected = false;
   };
-  struct Shard {
-    mutable Mutex mu MMM_LOCK_RANK(100);
-    std::list<Entry> lru MMM_GUARDED_BY(mu);  ///< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index
-        MMM_GUARDED_BY(mu);
-    uint64_t bytes_used MMM_GUARDED_BY(mu) = 0;
-    uint64_t bytes_pinned MMM_GUARDED_BY(mu) = 0;
-    uint64_t hits MMM_GUARDED_BY(mu) = 0;
-    uint64_t misses MMM_GUARDED_BY(mu) = 0;
-    uint64_t inserts MMM_GUARDED_BY(mu) = 0;
-    uint64_t evictions MMM_GUARDED_BY(mu) = 0;
-    uint64_t rejected MMM_GUARDED_BY(mu) = 0;
-    uint64_t invalidated MMM_GUARDED_BY(mu) = 0;
-  };
+  using List = std::list<Entry>;
 
-  Shard& ShardOf(const Sha256Digest& hash);
-  const Shard& ShardOf(const Sha256Digest& hash) const;
+  /// Marks a hit: moves the entry to the head of the protected segment,
+  /// then demotes protected tail entries to probation while the segment
+  /// is over its share.
+  void Touch(List::iterator entry) MMM_REQUIRES(mu_);
+  /// Admits one offer (see Put). Returns true if admitted or pinned.
+  bool PutOne(const Sha256Digest& hash, std::shared_ptr<const Tensor> value,
+              bool pinned) MMM_REQUIRES(mu_);
+  /// Unlinks an entry from its segment and the index.
+  List::iterator Erase(List::iterator entry) MMM_REQUIRES(mu_);
 
-  uint64_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const uint64_t capacity_;
+  const uint64_t protected_capacity_;
+
+  mutable Mutex mu_ MMM_LOCK_RANK(100);
+  List probation_ MMM_GUARDED_BY(mu_);  ///< front = most recently used
+  List protected_ MMM_GUARDED_BY(mu_);  ///< front = most recently used
+  std::unordered_map<Key, List::iterator, KeyHash> index_ MMM_GUARDED_BY(mu_);
+  uint64_t bytes_used_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t bytes_pinned_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t bytes_protected_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t hits_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t inserts_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t evictions_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t rejected_ MMM_GUARDED_BY(mu_) = 0;
+  uint64_t invalidated_ MMM_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace mmm

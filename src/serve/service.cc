@@ -16,24 +16,20 @@ std::string RawKey(const Sha256Digest& hash) {
                      hash.bytes.size());
 }
 
-std::vector<Sha256Digest> Flatten(const HashTable& hashes) {
-  std::vector<Sha256Digest> flat;
-  for (const auto& row : hashes) flat.insert(flat.end(), row.begin(), row.end());
-  return flat;
-}
-
 uint64_t WallNanos() { return WallClock::NowNanos(); }
 
 }  // namespace
 
-std::shared_ptr<const Tensor> ModelSetService::CacheAdapter::GetLayer(
-    const Sha256Digest& hash) {
-  return service_->layer_cache_.Get(hash);
+void ModelSetService::CacheAdapter::GetLayers(
+    std::span<const Sha256Digest> hashes,
+    std::span<std::shared_ptr<const Tensor>> out) {
+  service_->layer_cache_.Get(hashes, out);
 }
 
-void ModelSetService::CacheAdapter::PutLayer(
-    const Sha256Digest& hash, std::shared_ptr<const Tensor> value) {
-  service_->layer_cache_.Put(hash, std::move(value));
+void ModelSetService::CacheAdapter::PutLayers(
+    std::span<const Sha256Digest> hashes,
+    std::span<const std::shared_ptr<const Tensor>> values) {
+  service_->layer_cache_.Put(hashes, values);
 }
 
 std::shared_ptr<const SetMeta> ModelSetService::CacheAdapter::GetSetMeta(
@@ -53,8 +49,7 @@ ModelSetService::ModelSetService(ModelSetManager* manager,
                                  ModelSetServiceOptions options)
     : manager_(manager),
       options_(options),
-      layer_cache_(options.cache_capacity_bytes,
-                   options.cache_shards == 0 ? 1 : options.cache_shards),
+      layer_cache_(options.cache_capacity_bytes),
       adapter_(this),
       executor_(std::make_unique<Executor>(
           options.workers == 0 ? 1 : options.workers)) {}
@@ -150,13 +145,16 @@ Status ModelSetService::PinSet(const std::string& set_id) {
   for (size_t i = 0; i < hashes.size(); ++i) {
     uint64_t& refs = pinned_hash_refs_[RawKey(hashes[i])];
     if (refs == 0) {
-      const Tensor& value =
-          set.models[i / layers_per_model][i % layers_per_model].second;
       // Pin in place if resident; otherwise admit pre-pinned so the entry
       // can never lose a race against eviction.
-      if (!layer_cache_.Pin(hashes[i]) &&
-          !layer_cache_.Put(hashes[i], std::make_shared<const Tensor>(value),
-                            /*pinned=*/true)) {
+      bool pinned = layer_cache_.Pin(hashes[i]);
+      if (!pinned) {
+        const auto value = std::make_shared<const Tensor>(
+            set.models[i / layers_per_model][i % layers_per_model].second);
+        pinned = layer_cache_.Put({&hashes[i], 1}, {&value, 1},
+                                  /*pinned=*/true) == 1;
+      }
+      if (!pinned) {
         // Roll back every reference taken so far (a set may repeat a hash
         // when models share identical layer bytes).
         pinned_hash_refs_.erase(RawKey(hashes[i]));
@@ -286,7 +284,7 @@ void ModelSetService::InvalidateDeleted(
       MutexLock lock(meta_mu_);
       auto it = meta_index_.find(id);
       if (it != meta_index_.end()) {
-        hashes = Flatten(it->second->hashes);
+        hashes = it->second->hashes;
         meta_index_.erase(it);
       }
     }
@@ -307,7 +305,7 @@ std::vector<Sha256Digest> ModelSetService::KnownHashesOf(
   MutexLock lock(meta_mu_);
   auto it = meta_index_.find(set_id);
   if (it == meta_index_.end()) return {};
-  return Flatten(it->second->hashes);
+  return it->second->hashes;
 }
 
 void ModelSetService::Drain() {

@@ -28,7 +28,6 @@ struct ModelSetServiceOptions {
   bool cache_enabled = true;
   /// Layer-cache budget; capacity is enforced strictly (see LayerCache).
   uint64_t cache_capacity_bytes = 256ull << 20;
-  size_t cache_shards = 8;
 };
 
 /// \brief Outcome of one served recovery request.
@@ -53,10 +52,11 @@ struct ServeResult {
 /// \brief Concurrent model-set recovery service (the serving layer).
 ///
 /// Wraps a ModelSetManager behind a thread-safe facade: recovery requests
-/// run concurrently on a fixed worker pool and answer through a sharded,
-/// layer-granular LRU cache keyed by the per-layer SHA-256 content hashes
-/// the Update approach persists (see core/recovery_cache.h for the key
-/// scheme and why the document store remains the root of trust). Layers
+/// run concurrently on a fixed worker pool and answer through a
+/// layer-granular segmented-LRU cache keyed by the per-layer SHA-256
+/// content hashes the Update approach persists (see core/recovery_cache.h
+/// for the key scheme and why the document store remains the root of
+/// trust). Layers
 /// shared between a base set and its derived sets are fetched and decoded
 /// once; hot sets can be pinned.
 ///
@@ -162,17 +162,19 @@ class ModelSetService {
 
  private:
   /// RecoveryCache view of the service handed to RecoverCached: layers go
-  /// to the sharded LayerCache, set metadata to the per-set memo.
-  /// Calls are concurrent across worker lanes; the sharded cache and the
-  /// metadata memo each take their own locks, and both hand out shared
-  /// immutable values, so neither copies a tensor or a hash table under
-  /// its lock.
+  /// to the LayerCache, set metadata to the per-set memo.
+  /// Calls are concurrent across worker lanes; the layer cache and the
+  /// metadata memo each take their own lock (the layer cache once per
+  /// request), and both hand out shared immutable values, so neither
+  /// copies a tensor or a hash table under its lock.
   class CacheAdapter : public RecoveryCache {
    public:
     explicit CacheAdapter(ModelSetService* service) : service_(service) {}
-    std::shared_ptr<const Tensor> GetLayer(const Sha256Digest& hash) override;
-    void PutLayer(const Sha256Digest& hash,
-                  std::shared_ptr<const Tensor> value) override;
+    void GetLayers(std::span<const Sha256Digest> hashes,
+                   std::span<std::shared_ptr<const Tensor>> out) override;
+    void PutLayers(
+        std::span<const Sha256Digest> hashes,
+        std::span<const std::shared_ptr<const Tensor>> values) override;
     std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) override;
     void PutSetMeta(const std::string& set_id,
                     std::shared_ptr<const SetMeta> meta) override;
@@ -193,7 +195,7 @@ class ModelSetService {
   /// layers a pinned set still needs.
   void InvalidateDeleted(const std::vector<std::string>& deleted_set_ids)
       MMM_EXCLUDES(meta_mu_, pin_mu_);
-  /// Flattened hashes of a set from the metadata memo (empty if unknown).
+  /// A set's layer hashes from the metadata memo (empty if unknown).
   std::vector<Sha256Digest> KnownHashesOf(const std::string& set_id)
       MMM_EXCLUDES(meta_mu_);
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/manager.h"
+#include "core/set_codec.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -143,6 +146,43 @@ TEST_F(SelectiveRecoveryTest, UpdateSelectiveAvoidsFullChainMaterialization) {
   manager_->Recover(heads_[ApproachType::kUpdate]).status().Check();
   uint64_t full_bytes = manager_->file_store()->stats().bytes_read;
   EXPECT_LT(selective_bytes, full_bytes / 2);
+}
+
+// A flipped byte inside a requested model's range of the raw root snapshot
+// fails selective Update recovery with Corruption instead of returning
+// wrong parameters: the ranged read checks each layer against the set's
+// stored hashes. It reads only the requested models' hash rows, so a model
+// elsewhere in the snapshot still recovers selectively and bit-exact.
+TEST_F(SelectiveRecoveryTest, UpdateSelectiveRejectsAFlippedRootByte) {
+  SaveChains(0);
+  const std::string& id = heads_[ApproachType::kUpdate];
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager_->context(), id));
+  FileStore* files = manager_->file_store();
+  ASSERT_OK_AND_ASSIGN(uint64_t param_bytes, files->Size(doc.param_blob));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> prefix,
+                       files->GetRange(doc.param_blob, 0,
+                                       kParamBlobMaxHeaderBytes));
+  ASSERT_OK_AND_ASSIGN(ParamBlobLayout layout, ReadParamBlobHeader(prefix));
+  const std::string path = temp_.path() + "/store/blobs/" + doc.param_blob;
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(io.is_open()) << path;
+  const auto at = static_cast<std::streamoff>(layout.ModelOffset(7) + 5);
+  io.seekg(at);
+  char c = 0;
+  io.get(c);
+  io.seekp(at);
+  io.put(static_cast<char>(c ^ 0x04));
+  io.close();
+
+  Result<std::vector<StateDict>> flipped = manager_->RecoverModels(id, {7});
+  EXPECT_TRUE(flipped.status().IsCorruption()) << flipped.status().ToString();
+
+  files->ResetStats();
+  ASSERT_OK_AND_ASSIGN(std::vector<StateDict> intact,
+                       manager_->RecoverModels(id, {8, 30}));
+  ExpectMatchesLive(intact, {8, 30});
+  EXPECT_LT(files->stats().bytes_read * 10, param_bytes);
 }
 
 TEST_F(SelectiveRecoveryTest, ProvenanceSelectiveRetrainsOnlyRequestedModels) {

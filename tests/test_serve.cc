@@ -39,16 +39,30 @@ std::shared_ptr<const Tensor> Shared(const Tensor& t) {
   return std::make_shared<const Tensor>(t);
 }
 
+// One-layer calls of the batched LayerCache interface.
+std::shared_ptr<const Tensor> GetOne(LayerCache& cache,
+                                     const Sha256Digest& hash) {
+  std::shared_ptr<const Tensor> out;
+  cache.Get({&hash, 1}, {&out, 1});
+  return out;
+}
+
+bool PutOne(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
+            bool pinned = false) {
+  const std::shared_ptr<const Tensor> value = Shared(t);
+  return cache.Put({&hash, 1}, {&value, 1}, pinned) == 1;
+}
+
 // ---------------------------------------------------------------------------
 // LayerCache invariants.
 
 TEST(LayerCacheTest, RoundTripAndHitCounters) {
-  LayerCache cache(1 << 20, /*shards=*/4);
+  LayerCache cache(1 << 20);
   Tensor t = RandomTensor(Shape{16, 4}, 1);
-  EXPECT_EQ(cache.Get(DigestOf(1)), nullptr);
-  EXPECT_TRUE(cache.Put(DigestOf(1), Shared(t)));
-  EXPECT_FALSE(cache.Put(DigestOf(1), Shared(t)));  // duplicate declined
-  std::shared_ptr<const Tensor> out = cache.Get(DigestOf(1));
+  EXPECT_EQ(GetOne(cache, DigestOf(1)), nullptr);
+  EXPECT_TRUE(PutOne(cache, DigestOf(1), t));
+  EXPECT_FALSE(PutOne(cache, DigestOf(1), t));  // duplicate declined
+  std::shared_ptr<const Tensor> out = GetOne(cache, DigestOf(1));
   ASSERT_NE(out, nullptr);
   EXPECT_TRUE(out->Equals(t));
   LayerCacheStats stats = cache.stats();
@@ -62,10 +76,10 @@ TEST(LayerCacheTest, RoundTripAndHitCounters) {
 TEST(LayerCacheTest, CapacityNeverExceeded) {
   Tensor t = RandomTensor(Shape{64}, 2);
   uint64_t charge = LayerCache::ChargeOf(t);
-  // One shard so the budget is a single LRU; room for ~4 entries.
-  LayerCache cache(charge * 4, /*shards=*/1);
+  // Room for 4 entries.
+  LayerCache cache(charge * 4);
   for (uint8_t i = 0; i < 100; ++i) {
-    cache.Put(DigestOf(i), Shared(t));
+    PutOne(cache, DigestOf(i), t);
     LayerCacheStats stats = cache.stats();
     ASSERT_LE(stats.bytes_used, cache.capacity_bytes());
     ASSERT_LE(stats.entries, 4u);
@@ -75,38 +89,38 @@ TEST(LayerCacheTest, CapacityNeverExceeded) {
   EXPECT_EQ(stats.evictions, 96u);
   // An entry larger than the whole budget is declined outright.
   Tensor huge = RandomTensor(Shape{1024}, 3);
-  EXPECT_FALSE(cache.Put(DigestOf(200), Shared(huge)));
+  EXPECT_FALSE(PutOne(cache, DigestOf(200), huge));
   EXPECT_LE(cache.stats().bytes_used, cache.capacity_bytes());
 }
 
 TEST(LayerCacheTest, PinnedEntriesSurviveEvictionPressure) {
   Tensor t = RandomTensor(Shape{64}, 4);
   uint64_t charge = LayerCache::ChargeOf(t);
-  LayerCache cache(charge * 3, /*shards=*/1);
-  ASSERT_TRUE(cache.Put(DigestOf(1), Shared(t), /*pinned=*/true));
-  ASSERT_TRUE(cache.Put(DigestOf(2), Shared(t)));
+  LayerCache cache(charge * 3);
+  ASSERT_TRUE(PutOne(cache, DigestOf(1), t, /*pinned=*/true));
+  ASSERT_TRUE(PutOne(cache, DigestOf(2), t));
   ASSERT_TRUE(cache.Pin(DigestOf(2)));
-  for (uint8_t i = 10; i < 60; ++i) cache.Put(DigestOf(i), Shared(t));
+  for (uint8_t i = 10; i < 60; ++i) PutOne(cache, DigestOf(i), t);
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
   EXPECT_TRUE(cache.Contains(DigestOf(2)));
   ASSERT_LE(cache.stats().bytes_used, cache.capacity_bytes());
   // With only pinned entries left in budget, an oversized Put is declined,
   // never evicting a pinned entry.
   Tensor big = RandomTensor(Shape{140}, 5);
-  EXPECT_FALSE(cache.Put(DigestOf(99), Shared(big)));
+  EXPECT_FALSE(PutOne(cache, DigestOf(99), big));
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
   EXPECT_TRUE(cache.Contains(DigestOf(2)));
   // Unpinning releases them for eviction again.
   cache.Unpin(DigestOf(1));
   cache.Unpin(DigestOf(2));
-  for (uint8_t i = 60; i < 70; ++i) cache.Put(DigestOf(i), Shared(t));
+  for (uint8_t i = 60; i < 70; ++i) PutOne(cache, DigestOf(i), t);
   EXPECT_FALSE(cache.Contains(DigestOf(1)));
 }
 
 TEST(LayerCacheTest, InvalidateRemovesEvenPinned) {
   Tensor t = RandomTensor(Shape{8}, 6);
-  LayerCache cache(1 << 20, /*shards=*/2);
-  ASSERT_TRUE(cache.Put(DigestOf(1), Shared(t), /*pinned=*/true));
+  LayerCache cache(1 << 20);
+  ASSERT_TRUE(PutOne(cache, DigestOf(1), t, /*pinned=*/true));
   EXPECT_TRUE(cache.Invalidate(DigestOf(1)));
   EXPECT_FALSE(cache.Contains(DigestOf(1)));
   LayerCacheStats stats = cache.stats();
@@ -114,6 +128,125 @@ TEST(LayerCacheTest, InvalidateRemovesEvenPinned) {
   EXPECT_EQ(stats.bytes_pinned, 0u);
   EXPECT_EQ(stats.invalidated, 1u);
   EXPECT_FALSE(cache.Invalidate(DigestOf(1)));
+}
+
+// Segmented LRU: a run of admissions that are never hit churns probation
+// only, so an entry hit after its admission outlives all of them, even one
+// admitted later than it.
+TEST(LayerCacheTest, AdmissionsNeverHitCannotEvictAHitEntry) {
+  Tensor t = RandomTensor(Shape{64}, 7);
+  LayerCache cache(LayerCache::ChargeOf(t) * 10);
+  ASSERT_TRUE(PutOne(cache, DigestOf(1), t));
+  for (uint8_t i = 10; i < 15; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  ASSERT_NE(GetOne(cache, DigestOf(1)), nullptr);
+  for (uint8_t i = 20; i < 220; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  EXPECT_TRUE(cache.Contains(DigestOf(1)));
+  EXPECT_FALSE(cache.Contains(DigestOf(10)));
+  EXPECT_TRUE(cache.Contains(DigestOf(219)));
+  EXPECT_EQ(cache.stats().entries, 10u);
+}
+
+// An entry that is never hit leaves again however old it is: newer
+// admissions evict it while the entries that were hit stay.
+TEST(LayerCacheTest, OldEntryNeverHitIsEvictedByNewerAdmissions) {
+  Tensor t = RandomTensor(Shape{64}, 8);
+  LayerCache cache(LayerCache::ChargeOf(t) * 10);
+  ASSERT_TRUE(PutOne(cache, DigestOf(1), t));
+  for (uint8_t i = 2; i < 5; ++i) {
+    ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+    ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
+  }
+  for (uint8_t i = 20; i < 40; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  EXPECT_FALSE(cache.Contains(DigestOf(1)));
+  for (uint8_t i = 2; i < 5; ++i) EXPECT_TRUE(cache.Contains(DigestOf(i)));
+}
+
+// The protected segment holds at most kProtectedPercent of the capacity: when
+// every entry was hit, the least recently hit ones fall back to probation
+// and make room for new admissions, while the rest stay.
+TEST(LayerCacheTest, ProtectedSegmentKeepsRoomForNewEntries) {
+  Tensor t = RandomTensor(Shape{64}, 9);
+  LayerCache cache(LayerCache::ChargeOf(t) * 10);
+  for (uint8_t i = 0; i < 10; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  for (uint8_t i = 0; i < 10; ++i) {
+    ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
+  }
+  for (uint8_t i = 100; i < 150; ++i) {
+    ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  }
+  EXPECT_FALSE(cache.Contains(DigestOf(0)));
+  EXPECT_FALSE(cache.Contains(DigestOf(1)));
+  for (uint8_t i = 2; i < 10; ++i) EXPECT_TRUE(cache.Contains(DigestOf(i)));
+  EXPECT_TRUE(cache.Contains(DigestOf(149)));
+  EXPECT_LE(cache.stats().bytes_used, cache.capacity_bytes());
+}
+
+// A batch behaves exactly like its layers offered one call each: the same
+// hits, misses, admissions, evictions and resident bytes after every step
+// of a seeded mix of probes and offers (layers of several sizes, some
+// pinned), and the byte bound holds throughout.
+TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
+  std::vector<Tensor> tensors;
+  for (uint64_t k = 0; k < 4; ++k) {
+    tensors.push_back(RandomTensor(Shape{16 * (k + 1)}, 30 + k));
+  }
+  const uint64_t capacity = LayerCache::ChargeOf(tensors[1]) * 12;
+  LayerCache batched(capacity);
+  LayerCache single(capacity);
+  Rng rng(17);
+  for (int step = 0; step < 300; ++step) {
+    const size_t count = 1 + rng.NextBounded(12);
+    std::vector<Sha256Digest> hashes;
+    std::vector<std::shared_ptr<const Tensor>> values;
+    for (size_t i = 0; i < count; ++i) {
+      const uint8_t tag = static_cast<uint8_t>(rng.NextBounded(40));
+      hashes.push_back(DigestOf(tag));
+      values.push_back(Shared(tensors[tag % tensors.size()]));
+    }
+    if (rng.NextBounded(2) == 0) {
+      std::vector<std::shared_ptr<const Tensor>> out(count);
+      const size_t hits = batched.Get(hashes, out);
+      size_t single_hits = 0;
+      for (size_t i = 0; i < count; ++i) {
+        std::shared_ptr<const Tensor> one = GetOne(single, hashes[i]);
+        ASSERT_EQ(one == nullptr, out[i] == nullptr) << "step " << step;
+        single_hits += one == nullptr ? 0 : 1;
+      }
+      ASSERT_EQ(hits, single_hits);
+    } else {
+      const bool pinned = rng.NextBounded(10) == 0;
+      const size_t admitted = batched.Put(hashes, values, pinned);
+      size_t single_admitted = 0;
+      for (size_t i = 0; i < count; ++i) {
+        single_admitted +=
+            PutOne(single, hashes[i], *values[i], pinned) ? 1 : 0;
+      }
+      ASSERT_EQ(admitted, single_admitted);
+      if (rng.NextBounded(4) == 0) {
+        for (const Sha256Digest& hash : hashes) {
+          batched.Unpin(hash);
+          single.Unpin(hash);
+        }
+      }
+    }
+    const LayerCacheStats a = batched.stats();
+    const LayerCacheStats b = single.stats();
+    ASSERT_EQ(a.hits, b.hits) << "step " << step;
+    ASSERT_EQ(a.misses, b.misses);
+    ASSERT_EQ(a.inserts, b.inserts);
+    ASSERT_EQ(a.evictions, b.evictions);
+    ASSERT_EQ(a.rejected, b.rejected);
+    ASSERT_EQ(a.bytes_used, b.bytes_used);
+    ASSERT_EQ(a.bytes_pinned, b.bytes_pinned);
+    ASSERT_EQ(a.entries, b.entries);
+    ASSERT_LE(a.bytes_used, capacity);
+    for (uint8_t tag = 0; tag < 40; ++tag) {
+      ASSERT_EQ(batched.Contains(DigestOf(tag)),
+                single.Contains(DigestOf(tag)));
+    }
+  }
+  EXPECT_GT(batched.stats().evictions, 0u);
+  EXPECT_GT(batched.stats().hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +526,6 @@ TEST_F(ServeTest, PinnedSetSurvivesEvictionPressure) {
   ModelSetServiceOptions options;
   options.cache_capacity_bytes =
       SetChargeBytes(expected_[base_id]) + (SetChargeBytes(expected_[base_id]) / 4);
-  options.cache_shards = 1;
   ModelSetService service(manager_.get(), options);
 
   ASSERT_OK(service.PinSet(base_id));
@@ -421,7 +553,6 @@ TEST_F(ServeTest, PinnedSetSurvivesEvictionPressure) {
   // A cache that cannot hold the set refuses the pin and leaks nothing.
   ModelSetServiceOptions tiny;
   tiny.cache_capacity_bytes = 1024;
-  tiny.cache_shards = 1;
   ModelSetService tiny_service(manager_.get(), tiny);
   EXPECT_TRUE(tiny_service.PinSet(base_id).IsInvalidArgument());
   EXPECT_TRUE(tiny_service.PinnedSets().empty());
@@ -924,6 +1055,56 @@ TEST_F(ServeTest, CorruptBlobNeverPoisonsTheCache) {
   }
 }
 
+// Verify-then-admit on the ranged root read. With half a set of capacity,
+// a cold recovery of the root leaves its later layers resident, so the
+// next recovery reads only the earlier ones, by range, from the raw param
+// blob. A byte flipped inside one of those (a layer the cache missed) is
+// outside any CRC the ranged read checks: its SHA-256 check fails the
+// recovery with Corruption, and no layer of that request is admitted.
+TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ModelSetServiceOptions options;
+  options.cache_capacity_bytes = SetChargeBytes(expected_[base_id]) / 2;
+  ModelSetService service(manager_.get(), options);
+  ASSERT_OK(service.Recover(base_id).status());
+
+  // Model 0's first layer: admitted first, so evicted first.
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager_->context(), base_id));
+  FileStore* files = manager_->file_store();
+  ASSERT_OK_AND_ASSIGN(uint64_t param_bytes, files->Size(doc.param_blob));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> prefix,
+                       files->GetRange(doc.param_blob, 0,
+                                       kParamBlobMaxHeaderBytes));
+  ASSERT_OK_AND_ASSIGN(ParamBlobLayout layout, ReadParamBlobHeader(prefix));
+  const std::string path = temp_.path() + "/store/blobs/" + doc.param_blob;
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(io.is_open()) << path;
+  const auto at = static_cast<std::streamoff>(layout.ModelOffset(0) + 2);
+  io.seekg(at);
+  char c = 0;
+  io.get(c);
+  io.seekp(at);
+  io.put(static_cast<char>(c ^ 0x10));
+  io.close();
+
+  const LayerCacheStats before = service.cache_stats();
+  const StoreStats reads_before = files->stats();
+  ServeResult result;
+  Result<ModelSet> recovered = service.Recover(base_id, &result);
+  ASSERT_TRUE(recovered.status().IsCorruption())
+      << recovered.status().ToString();
+  EXPECT_NE(recovered.status().ToString().find("sha-256"), std::string::npos)
+      << recovered.status().ToString();
+  // The layers came by range, not with the whole blob.
+  EXPECT_LT((files->stats() - reads_before).bytes_read, param_bytes);
+  const LayerCacheStats after = service.cache_stats();
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.entries, before.entries);
+}
+
 // Every Update read path against what was saved. Both diff encodings x
 // compression {none, LZ} x CAS {off, on}, over a chain 4 deltas deep:
 // Recover, RecoverModels of a fixed subset, and the service through caches
@@ -931,7 +1112,8 @@ TEST_F(ServeTest, CorruptBlobNeverPoisonsTheCache) {
 // and 4, all return exactly the saved version. The paths share one chain
 // resolver, so each is checked against the saved bytes, not against
 // another path. At 0.3x, entries are evicted while other workers still hold
-// them (a TSan target).
+// them (a TSan target), and on a raw, non-CAS store the root is read by
+// range and each of those layers SHA-256-checked, under both encodings.
 TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
   for (DiffEncoding encoding : {DiffEncoding::kAbsolute, DiffEncoding::kXorBase}) {
     for (Compression compression : {Compression::kNone, Compression::kLz}) {
@@ -1020,6 +1202,34 @@ TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
             EXPECT_LE(service.cache_stats().bytes_used, capacity);
           }
         }
+        if (cas || compression != Compression::kNone) continue;
+        // On a raw, non-CAS store the 0.3x cache leaves part of a set
+        // resident, and a request that walks to the root reads just the
+        // layers still missing there, by range: fewer bytes in the whole
+        // request than the root's param blob alone.
+        ASSERT_OK_AND_ASSIGN(SetDocument root_doc,
+                             FetchSetDocument(manager->context(), ids[0]));
+        ASSERT_OK_AND_ASSIGN(uint64_t param_bytes,
+                             manager->file_store()->Size(root_doc.param_blob));
+        ModelSetServiceOptions service_options;
+        service_options.cache_capacity_bytes = set_bytes * 3 / 10;
+        ModelSetService service(manager.get(), service_options);
+        size_t ranged = 0;
+        for (const std::string& id : trace) {
+          const StoreStats before = manager->file_store()->stats();
+          ServeResult result;
+          ASSERT_OK_AND_ASSIGN(ModelSet served, service.Recover(id, &result));
+          ExpectSetEquals(served, versions[id]);
+          const auto depth = static_cast<uint64_t>(
+              std::find(ids.begin(), ids.end(), id) - ids.begin());
+          const uint64_t bytes =
+              (manager->file_store()->stats() - before).bytes_read;
+          if (result.sets_walked == depth + 1 &&
+              result.cache.layer_misses > 0 && bytes < param_bytes) {
+            ++ranged;
+          }
+        }
+        EXPECT_GT(ranged, 0u);
       }
     }
   }
