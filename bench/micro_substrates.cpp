@@ -55,6 +55,41 @@ void BM_Sha256HashMany(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256HashMany)->Arg(768)->Arg(9216);
 
+void BM_VerifyWindowCrc(benchmark::State& state) {
+  // One 256 KiB window of a ranged root read (the default stream window):
+  // consecutive FFNN-48 layers, model after model, each checked against
+  // its layer CRC table entry the way the ranged readers check them.
+  constexpr size_t kWindowBytes = 256 << 10;
+  ModelSet set = MakeInitializedSet(Ffnn48Spec(), 16, 1).ValueOrDie();
+  std::vector<uint8_t> window;
+  std::vector<size_t> ends;
+  std::vector<uint32_t> expected;
+  for (size_t i = 0; i < set.models.size() * set.models[0].size(); ++i) {
+    const Tensor& tensor =
+        set.models[i / set.models[0].size()][i % set.models[0].size()].second;
+    const size_t bytes = tensor.numel() * sizeof(float);
+    if (window.size() + bytes > kWindowBytes) break;
+    const auto* data = reinterpret_cast<const uint8_t*>(tensor.data().data());
+    window.insert(window.end(), data, data + bytes);
+    ends.push_back(window.size());
+    expected.push_back(LayerCrc(tensor));
+  }
+  for (auto _ : state) {
+    size_t begin = 0;
+    for (size_t k = 0; k < ends.size(); ++k) {
+      std::span<const uint8_t> layer(window.data() + begin, ends[k] - begin);
+      if (Crc32::Compute(layer) != expected[k]) {
+        state.SkipWithError("layer crc mismatch");
+        break;
+      }
+      begin = ends[k];
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(window.size()));
+}
+BENCHMARK(BM_VerifyWindowCrc);
+
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0x5a);
   for (auto _ : state) {

@@ -6,6 +6,8 @@
 // fleet at the end of a 3-delta chain, per approach, compared against full
 // set recovery. Baseline/Update use ranged parameter-blob reads; MMlib-base
 // fetches per-model artifacts; Provenance replays only the requested models.
+// Every selective result is compared, layer by layer and bit for bit, with
+// the same models of the full recovery; a mismatch exits 1.
 //
 // Knobs: MMM_MODELS (default 5000), MMM_SAMPLES (256).
 
@@ -61,7 +63,7 @@ int main() {
     manager->file_store()->ResetStats();
     manager->doc_store()->ResetStats();
     StopWatch full_watch;
-    manager->Recover(heads[type]).status().Check();
+    ModelSet full = manager->Recover(heads[type]).ValueOrDie();
     double full_time = full_watch.ElapsedSeconds();
     uint64_t full_bytes = manager->file_store()->stats().bytes_read +
                           manager->doc_store()->stats().bytes_read;
@@ -74,10 +76,26 @@ int main() {
       manager->file_store()->ResetStats();
       manager->doc_store()->ResetStats();
       StopWatch watch;
-      manager->RecoverModels(heads[type], indices).status().Check();
+      std::vector<StateDict> selected =
+          manager->RecoverModels(heads[type], indices).ValueOrDie();
       double elapsed = watch.ElapsedSeconds();
       uint64_t bytes = manager->file_store()->stats().bytes_read +
                        manager->doc_store()->stats().bytes_read;
+      for (size_t i = 0; i < indices.size(); ++i) {
+        const StateDict& expected = full.models[indices[i]];
+        bool same = selected[i].size() == expected.size();
+        for (size_t p = 0; same && p < expected.size(); ++p) {
+          same = selected[i][p].first == expected[p].first &&
+                 selected[i][p].second.Equals(expected[p].second);
+        }
+        if (!same) {
+          std::fprintf(stderr,
+                       "%s: selective recovery of model %zu differs from "
+                       "the full recovery\n",
+                       ApproachTypeName(type).c_str(), indices[i]);
+          return 1;
+        }
+      }
       std::printf("%-11s | %6zu | %12.4f | %14llu | %11.1f%%\n",
                   ApproachTypeName(type).c_str(), k, elapsed,
                   static_cast<unsigned long long>(bytes),

@@ -13,7 +13,7 @@ namespace mmm {
 namespace {
 
 constexpr char kStateDictMagic[] = "MMMSDIC1";
-constexpr char kParamMagic[] = "MMMPARM1";
+constexpr char kParamMagic[] = "MMMPARM2";
 constexpr char kHashMagic[] = "MMMHASH1";
 constexpr char kDiffMagic[] = "MMMDIFF1";
 
@@ -68,6 +68,27 @@ Status CheckModelCount(const char* what, uint64_t num_models,
   return Status::OK();
 }
 
+/// Reads a param blob's magic: 2 for MMMPARM2, 1 for MMMPARM1, which has
+/// no layer CRC table.
+Result<int> ReadParamMagic(BinaryReader* reader) {
+  uint8_t magic[8];
+  for (uint8_t& byte : magic) {
+    MMM_ASSIGN_OR_RETURN(byte, reader->ReadUint8());
+  }
+  const uint8_t version = magic[7];
+  if (std::memcmp(magic, kParamMagic, 7) != 0 ||
+      (version != '1' && version != '2')) {
+    return Status::Corruption("bad blob magic, expected ", kParamMagic);
+  }
+  return version - '0';
+}
+
+/// Entries of the layer CRC table per model: one per layer in MMMPARM2,
+/// none in MMMPARM1. Each takes 4 bytes, like a float.
+uint64_t TableWidth(int version, const ParamLayout& layout) {
+  return version == 2 ? layout.size() : 0;
+}
+
 void WriteMagic(BinaryWriter* writer, const char* magic) {
   writer->WriteBytes(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(magic), 8));
@@ -113,17 +134,24 @@ std::vector<uint8_t> EncodeParamBlob(const ModelSet& set) {
   ParamLayout layout = LayoutOf(set.spec);
   size_t per_model = LayoutNumel(layout);
   BinaryWriter writer;
-  // The header (magic and two varints), the floats and the CRC footer.
+  // The header (magic and two varints), the floats, the layer CRC table
+  // and the CRC footer.
   writer.Reserve(kParamBlobMaxHeaderBytes +
-                 set.models.size() * per_model * sizeof(float) + 4);
-  WriteMagic(&writer, kParamMagic);
-  writer.WriteVarint(set.models.size());
-  writer.WriteVarint(per_model);
+                 set.models.size() * (per_model + layout.size()) * 4 + 4);
+  writer.WriteBytes(EncodeParamBlobHeader(set.models.size(), per_model));
+  // Each layer's CRC is taken from the bytes just written, while they are
+  // still in cache, not from the tensor in a second pass over the set.
+  std::vector<uint32_t> layer_crcs;
+  layer_crcs.reserve(set.models.size() * layout.size());
   for (const StateDict& state : set.models) {
     for (const auto& [_, tensor] : state) {
+      const size_t at = writer.size();
       writer.WriteFloatSpan(tensor.data());
+      layer_crcs.push_back(
+          Crc32::Compute(std::span<const uint8_t>(writer.buffer()).subspan(at)));
     }
   }
+  for (uint32_t crc : layer_crcs) writer.WriteUint32(crc);
   AppendCrcFooter(&writer);
   return writer.TakeBuffer();
 }
@@ -133,7 +161,7 @@ Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
                                                uint64_t expected_models) {
   MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> payload, CheckCrcFooter(blob));
   BinaryReader reader(payload);
-  MMM_RETURN_NOT_OK(CheckMagic(&reader, kParamMagic));
+  MMM_ASSIGN_OR_RETURN(int version, ReadParamMagic(&reader));
   MMM_ASSIGN_OR_RETURN(uint64_t num_models, reader.ReadVarint());
   MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
   MMM_RETURN_NOT_OK(CheckModelCount("param blob", num_models, expected_models));
@@ -144,7 +172,9 @@ Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
                               " params/model, architecture implies ",
                               LayoutNumel(layout));
   }
-  if (!SizeIs(num_models, per_model, sizeof(float), reader.remaining())) {
+  // The floats, then the table; the footer covers the table's bytes.
+  if (!SizeIs(num_models, per_model + TableWidth(version, layout),
+              sizeof(float), reader.remaining())) {
     return Status::Corruption("param blob size mismatch");
   }
 
@@ -210,10 +240,12 @@ Status ParamBlobStreamDecoder::ParseHeaderByte(uint8_t byte) {
                                 LayoutNumel(layout_));
     }
     const uint64_t payload_bytes = total_bytes_ - 4;
-    if (!SizeIs(num_models_, per_model_, sizeof(float),
-                payload_bytes - position_)) {
+    if (!SizeIs(num_models_, per_model_ + TableWidth(version_, layout_),
+                sizeof(float), payload_bytes - position_)) {
       return Status::Corruption("param blob size mismatch");
     }
+    // The size check bounds the table by the blob.
+    layer_crcs_.resize(num_models_ * TableWidth(version_, layout_));
     if (num_models_ == 0 || layout_.empty()) {
       state_ = State::kDone;
       model_ = num_models_;
@@ -241,13 +273,17 @@ Status ParamBlobStreamDecoder::MaybeEmit() {
     if (++param_ == layout_.size()) {
       param_ = 0;
       if (++model_ == num_models_) {
-        state_ = State::kDone;
+        state_ = AfterTensors();
         break;
       }
     }
     BeginTensor();
   }
   return Status::OK();
+}
+
+ParamBlobStreamDecoder::State ParamBlobStreamDecoder::AfterTensors() const {
+  return version_ == 2 && !layer_crcs_.empty() ? State::kTable : State::kDone;
 }
 
 Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
@@ -271,7 +307,11 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
         crc_ = Crc32::Extend(crc_, data.subspan(pos, 1));
         ++pos;
         ++position_;
-        if (byte != static_cast<uint8_t>(kParamMagic[magic_matched_])) {
+        // The last byte is the version: '2', or '1' for a blob without
+        // the layer CRC table.
+        if (magic_matched_ == 7 && (byte == '1' || byte == '2')) {
+          version_ = byte - '0';
+        } else if (byte != static_cast<uint8_t>(kParamMagic[magic_matched_])) {
           return Fail(
               Status::Corruption("bad blob magic, expected ", kParamMagic));
         }
@@ -306,6 +346,21 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
         if (!status.ok()) return Fail(status);
         break;
       }
+      case State::kTable: {
+        const size_t table_bytes = layer_crcs_.size() * sizeof(uint32_t);
+        const size_t take = static_cast<size_t>(std::min<uint64_t>(
+            {data.size() - pos, payload_bytes - position_,
+             table_bytes - table_filled_}));
+        crc_ = Crc32::Extend(crc_, data.subspan(pos, take));
+        std::memcpy(reinterpret_cast<uint8_t*>(layer_crcs_.data()) +
+                        table_filled_,
+                    data.data() + pos, take);
+        table_filled_ += take;
+        pos += take;
+        position_ += take;
+        if (table_filled_ == table_bytes) state_ = State::kDone;
+        break;
+      }
       case State::kDone:
         // All tensors complete but payload bytes keep arriving — cannot
         // happen once the header size check passed; defensive.
@@ -332,7 +387,12 @@ Status ParamBlobStreamDecoder::Finish() {
   return Status::OK();
 }
 
-Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix) {
+uint32_t LayerCrc(const Tensor& tensor) {
+  return Crc32::Compute(TensorBytes(tensor));
+}
+
+Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix,
+                                            size_t num_layers) {
   BinaryReader reader(prefix);
   MMM_RETURN_NOT_OK(CheckMagic(&reader, kParamMagic));
   ParamBlobLayout layout;
@@ -340,16 +400,24 @@ Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix) {
   MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
   layout.num_models = num_models;
   layout.params_per_model = per_model;
+  layout.num_layers = num_layers;
   layout.header_bytes = reader.offset();
   return layout;
 }
 
-uint64_t RawParamBlobSize(uint64_t num_models, uint64_t params_per_model) {
-  BinaryWriter header;
-  WriteMagic(&header, kParamMagic);
-  header.WriteVarint(num_models);
-  header.WriteVarint(params_per_model);
-  return header.size() + num_models * params_per_model * sizeof(float) + 4;
+std::vector<uint8_t> EncodeParamBlobHeader(uint64_t num_models,
+                                           uint64_t params_per_model) {
+  BinaryWriter writer;
+  WriteMagic(&writer, kParamMagic);
+  writer.WriteVarint(num_models);
+  writer.WriteVarint(params_per_model);
+  return writer.TakeBuffer();
+}
+
+uint64_t RawParamBlobSize(uint64_t num_models, uint64_t params_per_model,
+                          uint64_t num_layers) {
+  return EncodeParamBlobHeader(num_models, params_per_model).size() +
+         num_models * (params_per_model + num_layers) * sizeof(float) + 4;
 }
 
 Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
@@ -480,50 +548,6 @@ Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob,
   return hashes;
 }
 
-Result<HashTableLayout> ReadHashTableHeader(std::span<const uint8_t> prefix) {
-  BinaryReader reader(prefix);
-  MMM_RETURN_NOT_OK(CheckMagic(&reader, kHashMagic));
-  HashTableLayout layout;
-  MMM_ASSIGN_OR_RETURN(uint64_t num_models, reader.ReadVarint());
-  MMM_ASSIGN_OR_RETURN(uint64_t per_model, reader.ReadVarint());
-  layout.num_models = num_models;
-  layout.per_model = per_model;
-  layout.header_bytes = reader.offset();
-  return layout;
-}
-
-size_t FirstHashMismatch(std::span<const Tensor> values,
-                         std::span<const Sha256Digest> expected) {
-  // Equal-length values side by side, so each batch is one multi-stream
-  // SIMD call.
-  std::vector<size_t> order(values.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return values[a].numel() < values[b].numel();
-  });
-  size_t first_bad = values.size();
-  for (size_t begin = 0; begin < order.size();) {
-    const size_t length = TensorBytes(values[order[begin]]).size();
-    size_t count = 0;
-    const uint8_t* streams[kSha256MaxLanes];
-    while (count < kSha256MaxLanes && begin + count < order.size() &&
-           TensorBytes(values[order[begin + count]]).size() == length) {
-      streams[count] = TensorBytes(values[order[begin + count]]).data();
-      ++count;
-    }
-    Sha256Digest digests[kSha256MaxLanes];
-    Sha256HashMany(streams, length, count, digests);
-    for (size_t k = 0; k < count; ++k) {
-      const size_t i = order[begin + k];
-      if (digests[k].bytes != expected[i].bytes) {
-        first_bad = std::min(first_bad, i);
-      }
-    }
-    begin += count;
-  }
-  return first_bad;
-}
-
 Tensor XorTensors(const Tensor& a, const Tensor& b) {
   MMM_DCHECK(a.shape() == b.shape());
   Tensor out = a;
@@ -562,8 +586,8 @@ std::vector<uint8_t> EncodeDiffBlob(const ModelSet& set,
   return writer.TakeBuffer();
 }
 
-Result<DecodedDiff> DecodeDiffBlob(const ArchitectureSpec& spec,
-                                   std::span<const uint8_t> blob) {
+Result<DiffView> DiffView::Parse(const ArchitectureSpec& spec,
+                                 std::span<const uint8_t> blob) {
   MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> payload, CheckCrcFooter(blob));
   BinaryReader reader(payload);
   MMM_RETURN_NOT_OK(CheckMagic(&reader, kDiffMagic));
@@ -578,10 +602,10 @@ Result<DecodedDiff> DecodeDiffBlob(const ArchitectureSpec& spec,
                               reader.remaining(), " bytes");
   }
 
-  ParamLayout layout = LayoutOf(spec);
-  DecodedDiff diff;
-  diff.encoding = static_cast<DiffEncoding>(encoding_value);
-  diff.entries.reserve(count);
+  DiffView view;
+  view.layout_ = LayoutOf(spec);
+  view.encoding_ = static_cast<DiffEncoding>(encoding_value);
+  view.entries_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     MMM_ASSIGN_OR_RETURN(uint64_t model_index, reader.ReadVarint());
     MMM_ASSIGN_OR_RETURN(uint64_t param_index, reader.ReadVarint());
@@ -589,23 +613,43 @@ Result<DecodedDiff> DecodeDiffBlob(const ArchitectureSpec& spec,
       return Status::Corruption("diff entry references model ", model_index,
                                 ", past the 32-bit model index range");
     }
-    if (param_index >= layout.size()) {
+    if (param_index >= view.layout_.size()) {
       return Status::Corruption("diff entry references parameter ", param_index,
-                                " but layout has ", layout.size());
+                                " but layout has ", view.layout_.size());
     }
-    diff.entries.push_back({static_cast<uint32_t>(model_index),
-                            static_cast<uint32_t>(param_index)});
+    view.entries_.push_back({static_cast<uint32_t>(model_index),
+                             static_cast<uint32_t>(param_index)});
   }
-  diff.tensors.reserve(count);
-  for (const DiffEntry& entry : diff.entries) {
-    const Shape& shape = layout[entry.param_index].second;
-    size_t numel = Tensor::NumElements(shape);
-    std::vector<float> data(numel);
-    MMM_RETURN_NOT_OK(reader.ReadFloatSpan(numel, data.data()));
-    diff.tensors.emplace_back(shape, std::move(data));
+  // Each entry's floats follow in order; the payload must hold exactly
+  // them.
+  view.offsets_.reserve(count);
+  size_t offset = reader.offset();
+  for (const DiffEntry& entry : view.entries_) {
+    const size_t bytes =
+        Tensor::NumElements(view.layout_[entry.param_index].second) *
+        sizeof(float);
+    if (bytes > payload.size() - offset) {
+      return Status::Corruption("diff blob truncated at entry ",
+                                view.offsets_.size());
+    }
+    view.offsets_.push_back(offset);
+    offset += bytes;
   }
-  if (!reader.AtEnd()) return Status::Corruption("diff blob has trailing bytes");
-  return diff;
+  if (offset != payload.size()) {
+    return Status::Corruption("diff blob has trailing bytes");
+  }
+  view.payload_ = payload;
+  return view;
+}
+
+Tensor DiffView::TensorAt(size_t e) const {
+  const Shape& shape = layout_[entries_[e].param_index].second;
+  std::vector<float> data(Tensor::NumElements(shape));
+  if (!data.empty()) {
+    std::memcpy(data.data(), payload_.data() + offsets_[e],
+                data.size() * sizeof(float));
+  }
+  return Tensor(shape, std::move(data));
 }
 
 Result<std::vector<DiffEntry>> DiffHashTables(const HashTable& base,

@@ -28,47 +28,71 @@ Result<StateDict> DecodeStateDict(std::span<const uint8_t> blob);
 /// @}
 
 /// \name Set-level parameter blob (Baseline format, paper §3.2):
-/// all models' parameters concatenated as raw floats, no per-model metadata.
+/// all models' parameters concatenated as raw floats, no per-model metadata,
+/// followed by one CRC32 per (model, layer) — the layer CRC table, which
+/// lets a ranged read check each layer it returns (MMMPARM2; docs/FORMATS.md).
 /// @{
 std::vector<uint8_t> EncodeParamBlob(const ModelSet& set);
 /// Decodes using the layout derived from `spec`; validates counts and CRC.
 /// The header's model count must equal `num_models` (the set document's),
-/// checked before anything is sized by it.
+/// checked before anything is sized by it. Accepts MMMPARM2 blobs and the
+/// older MMMPARM1 ones, which have no layer CRC table. The footer covers
+/// the table; its agreement with the layers is fsck's check, not this one.
 Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
                                                std::span<const uint8_t> blob,
                                                uint64_t num_models);
+
+/// The blob's header: magic, model count and floats per model. The floats,
+/// the table and the footer follow it.
+std::vector<uint8_t> EncodeParamBlobHeader(uint64_t num_models,
+                                           uint64_t params_per_model);
+
+/// The layer CRC table entry of one parameter tensor: the CRC32 of its raw
+/// float bytes.
+uint32_t LayerCrc(const Tensor& tensor);
 /// @}
 
 /// \name Ranged access to the set-level parameter blob.
 /// The deployment scenario recovers "a selected number of models" (§1);
 /// because the param blob stores fixed-size raw-float slices, single models
 /// can be fetched with one ranged store read instead of loading the set.
-/// Ranged reads bypass the blob's CRC footer (whole-blob reads still
-/// validate it).
+/// Ranged reads bypass the blob's CRC footer; each layer they return is
+/// checked against its entry of the layer CRC table instead. Only MMMPARM2
+/// blobs are read by range: an MMMPARM1 blob is read whole, like a
+/// compressed one, and checked by its footer.
 /// @{
 struct ParamBlobLayout {
   size_t header_bytes = 0;  ///< offset of model 0's first float
   size_t num_models = 0;
   size_t params_per_model = 0;
+  size_t num_layers = 0;    ///< parameter tensors per model (table row width)
 
   size_t ModelBytes() const { return params_per_model * sizeof(float); }
   size_t ModelOffset(size_t index) const {
     return header_bytes + index * ModelBytes();
   }
+  size_t CrcRowBytes() const { return num_layers * sizeof(uint32_t); }
+  /// Offset of model `model`'s row of the layer CRC table.
+  size_t CrcRowOffset(size_t model) const {
+    return ModelOffset(num_models) + model * CrcRowBytes();
+  }
 };
 
-/// Parses a param blob's header. `prefix` must hold the first
-/// kParamBlobMaxHeaderBytes bytes (or the whole blob if smaller).
-Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix);
+/// Parses an MMMPARM2 blob's header; an MMMPARM1 header is Corruption.
+/// `prefix` must hold the first kParamBlobMaxHeaderBytes bytes (or the
+/// whole blob if smaller); `num_layers` is the architecture's layer count.
+Result<ParamBlobLayout> ReadParamBlobHeader(std::span<const uint8_t> prefix,
+                                            size_t num_layers);
 
 /// Upper bound on the param blob header size (magic + two max varints).
 inline constexpr size_t kParamBlobMaxHeaderBytes = 8 + 10 + 10;
 
-/// Size of an uncompressed param blob of `num_models` models of
-/// `params_per_model` floats each: header, floats and CRC footer. A stored
-/// blob of any other size is not one, which a ranged reader can tell
-/// without reading its header.
-uint64_t RawParamBlobSize(uint64_t num_models, uint64_t params_per_model);
+/// Size of an uncompressed MMMPARM2 blob of `num_models` models of
+/// `params_per_model` floats in `num_layers` layers each. A stored blob of
+/// any other size is not one, which a ranged reader can tell without
+/// reading its header.
+uint64_t RawParamBlobSize(uint64_t num_models, uint64_t params_per_model,
+                          uint64_t num_layers);
 
 /// Decodes one model's raw float slice (layout order) into a state dict.
 Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
@@ -86,7 +110,8 @@ Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
 /// CRC32 footer all validated — the footer necessarily last, at Finish,
 /// since the CRC runs alongside the stream). The emitted tensors are
 /// bit-identical to the one-shot decode, and no layer is emitted before the
-/// header's model count has matched the expected one.
+/// header's model count has matched the expected one. An MMMPARM2 blob's
+/// layer CRC table is kept, unchecked, for layer_crcs().
 class ParamBlobStreamDecoder {
  public:
   /// Called once per completed layer, in (model, param) order. `key` is
@@ -109,14 +134,19 @@ class ParamBlobStreamDecoder {
   Status Finish();
 
   /// High-water mark of internal buffering (≈ one layer), for the
-  /// peak-memory assertions in tests.
+  /// peak-memory assertions in tests. The layer CRC table is not counted.
   size_t peak_buffered_bytes() const { return peak_buffered_; }
+
+  /// The layer CRC table, one entry per (model, layer) in layout order;
+  /// empty for an MMMPARM1 blob. Complete once Finish succeeded.
+  const std::vector<uint32_t>& layer_crcs() const { return layer_crcs_; }
 
  private:
   enum class State : uint8_t {
     kMagic,    // matching the 8 magic bytes
     kHeader,   // reading the two header varints
     kTensors,  // filling layer tensors
+    kTable,    // collecting the layer CRC table (MMMPARM2)
     kDone,     // all models complete; draining the footer
   };
 
@@ -124,6 +154,8 @@ class ParamBlobStreamDecoder {
   Status ParseHeaderByte(uint8_t byte);
   Status MaybeEmit();
   void BeginTensor();
+  /// The state after the last tensor: the table, if the blob has one.
+  State AfterTensors() const;
 
   ParamLayout layout_;
   uint64_t total_bytes_;
@@ -138,6 +170,7 @@ class ParamBlobStreamDecoder {
   size_t footer_size_ = 0;
 
   size_t magic_matched_ = 0;
+  int version_ = 0;  // 1 or 2, once the magic matched
   int header_varints_done_ = 0;
   uint64_t header_value_ = 0;
   int header_shift_ = 0;
@@ -149,6 +182,8 @@ class ParamBlobStreamDecoder {
   std::vector<float> current_;   // layer being filled
   size_t current_filled_ = 0;    // bytes of current_ filled
   size_t peak_buffered_ = 0;
+  std::vector<uint32_t> layer_crcs_;
+  size_t table_filled_ = 0;      // bytes of layer_crcs_ filled
 };
 
 /// \name Per-layer hash table (Update approach, paper §3.3 step 2).
@@ -170,32 +205,6 @@ std::vector<uint8_t> EncodeHashTable(const HashTable& hashes);
 Result<HashTable> DecodeHashTable(std::span<const uint8_t> blob,
                                   uint64_t num_models);
 
-/// Where a hash-table blob keeps each model's row: the rows are fixed-size
-/// runs of 32-byte digests after the header, so one model's row can be
-/// read by range. Ranged reads bypass the blob's CRC footer.
-struct HashTableLayout {
-  size_t header_bytes = 0;  ///< offset of model 0's first digest
-  size_t num_models = 0;
-  size_t per_model = 0;     ///< digests per row
-
-  size_t RowBytes() const { return per_model * sizeof(Sha256Digest::bytes); }
-  size_t RowOffset(size_t model) const {
-    return header_bytes + model * RowBytes();
-  }
-};
-
-/// Upper bound on the hash-table header size (magic + two max varints).
-inline constexpr size_t kHashTableMaxHeaderBytes = 8 + 10 + 10;
-
-/// Parses a hash-table blob's header. `prefix` must hold the first
-/// kHashTableMaxHeaderBytes bytes (or the whole blob if smaller).
-Result<HashTableLayout> ReadHashTableHeader(std::span<const uint8_t> prefix);
-
-/// Index of the first of `values` whose SHA-256 differs from `expected`
-/// (parallel to it), or `values.size()` if every one matches. Equal-length
-/// values are hashed kSha256MaxLanes at a time (Sha256HashMany).
-size_t FirstHashMismatch(std::span<const Tensor> values,
-                         std::span<const Sha256Digest> expected);
 /// @}
 
 /// \name Parameter diff blob (Update approach, paper §3.3 steps 3-4):
@@ -227,13 +236,32 @@ std::vector<uint8_t> EncodeDiffBlob(const ModelSet& set,
                                     DiffEncoding encoding = DiffEncoding::kAbsolute,
                                     const ModelSet* base_set = nullptr);
 
-struct DecodedDiff {
-  DiffEncoding encoding = DiffEncoding::kAbsolute;
-  std::vector<DiffEntry> entries;
-  std::vector<Tensor> tensors;  ///< parallel to entries
+/// A diff blob checked against its CRC and parsed, with its tensors left
+/// in the blob: TensorAt(e) copies entry e's values out on demand, so a
+/// reader pays only for the entries it uses. Borrows the blob's bytes,
+/// which must outlive the view.
+class DiffView {
+ public:
+  /// Validates the CRC, the header, every entry's indexes against the
+  /// layout of `spec`, and that the payload holds exactly the listed
+  /// tensors.
+  static Result<DiffView> Parse(const ArchitectureSpec& spec,
+                                std::span<const uint8_t> blob);
+
+  DiffEncoding encoding() const { return encoding_; }
+  const std::vector<DiffEntry>& entries() const { return entries_; }
+  /// A copy of entry `e`'s values, shaped by the layout.
+  Tensor TensorAt(size_t e) const;
+
+ private:
+  DiffView() = default;
+
+  DiffEncoding encoding_ = DiffEncoding::kAbsolute;
+  ParamLayout layout_;
+  std::vector<DiffEntry> entries_;
+  std::vector<size_t> offsets_;  ///< of each entry's floats in payload_
+  std::span<const uint8_t> payload_;
 };
-Result<DecodedDiff> DecodeDiffBlob(const ArchitectureSpec& spec,
-                                   std::span<const uint8_t> blob);
 
 /// Elementwise XOR of two equal-shape float tensors (bit-level; its own
 /// inverse).

@@ -1,5 +1,6 @@
 #include "core/inspect.h"
 
+#include <algorithm>
 #include <map>
 
 #include "cas/blob_io.h"
@@ -233,7 +234,9 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
     // so it is streamed through recovery's decoder, which checks the same
     // header, counts and CRC footer as DecodeParamBlob but buffers one
     // window and one layer instead of the stored, decompressed and decoded
-    // copies of the blob.
+    // copies of the blob. The footer covers the layer CRC table but not
+    // its agreement with the layers, which only ranged reads rely on, so
+    // each layer's CRC is computed here and compared with the table.
     if (have_spec && !doc.param_blob.empty()) {
       auto size = CasBlobSize(context.file_store, context.cas, doc.param_blob);
       if (!size.ok()) {
@@ -242,14 +245,29 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
       } else {
         ++report.blobs_checked;
         report.bytes_checked += size.ValueOrDie();
+        std::vector<uint32_t> computed;
+        std::vector<uint32_t> table;
         Status st = StreamParamBlob(
             context, doc.param_blob, spec, doc.num_models,
-            [](size_t, size_t, const std::string&, Tensor) {
+            [&computed](size_t, size_t, const std::string&, Tensor tensor) {
+              computed.push_back(LayerCrc(tensor));
               return Status::OK();
-            });
+            },
+            &table);
         if (!st.ok()) {
           report.problems.push_back(doc.id + ": corrupt " + doc.param_blob +
                                     ": " + st.ToString());
+        } else if (!table.empty() && table != computed) {
+          const size_t at = static_cast<size_t>(
+              std::mismatch(table.begin(), table.end(), computed.begin())
+                  .first -
+              table.begin());
+          const size_t num_layers = LayoutOf(spec).size();
+          report.problems.push_back(
+              doc.id + ": corrupt " + doc.param_blob +
+              ": layer crc table disagrees with layer (" +
+              std::to_string(at / num_layers) + ", " +
+              std::to_string(at % num_layers) + ")");
         }
       }
     } else {
@@ -274,7 +292,7 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
                            CasReadBlobString(context.file_store, context.cas,
                                              cursor->arch_blob));
       MMM_ASSIGN_OR_RETURN(ArchitectureSpec root_spec, DecodeArchBlob(text));
-      return DecodeDiffBlob(root_spec, blob).status();
+      return DiffView::Parse(root_spec, blob).status();
     });
     check_blob(doc.prov_blob, [&](const std::vector<uint8_t>& blob) {
       std::string text(reinterpret_cast<const char*>(blob.data()), blob.size());

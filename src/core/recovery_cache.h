@@ -40,13 +40,21 @@ struct CacheRequestStats {
 };
 
 /// \brief Per-set metadata the cached recovery path resolves once per set:
-/// the set's stored per-layer hash table and the architecture it decodes
-/// against. Immutable once built, so a memo can hand out shared references.
+/// the set's stored per-layer hash table, the architecture it decodes
+/// against, and the layer CRC table of its chain's root snapshot. Immutable
+/// once built, so a memo can hand out shared references.
 struct SetMeta {
   /// The stored hash table, one digest per slot: hashes[m * num_params + p]
   /// is parameter p of model m.
   std::vector<Sha256Digest> hashes;
   ArchitectureSpec spec;
+  /// The root snapshot's param blob and its layer CRC table, laid out like
+  /// `hashes`, which check the layers a recovery reads from it by range.
+  /// The table is empty when the blob is read whole (compressed, CAS-
+  /// chunked or MMMPARM1). A recovery uses it only while the chain's root
+  /// still has this blob.
+  std::string root_param_blob;
+  std::vector<uint32_t> root_layer_crcs;
 };
 
 /// \brief Interface of a layer-granular recovery cache, consulted by the
@@ -64,9 +72,9 @@ struct SetMeta {
 ///
 /// RecoverCached offers a layer only after it was verified: every blob it
 /// was decoded from passed its CRC check, or, for a layer read by range
-/// from the root snapshot, its own SHA-256 matched the requested set's
-/// hash table. Layers are offered only under the requested set's hashes,
-/// so an entry never holds bytes a corrupt blob produced.
+/// from the root snapshot, its bytes matched their entry of the root's
+/// layer CRC table. Layers are offered only under the requested set's
+/// hashes, so an entry never holds bytes a corrupt blob produced.
 ///
 /// Layer calls are batched, one probe and one offer per request, so an
 /// implementation can take its lock once for all of a request's layers.

@@ -1,9 +1,13 @@
 #include "core/set_codec.h"
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "cas/blob_io.h"
 #include "core/blob_formats.h"
+#include "serialize/crc32.h"
+#include "storage/range_planner.h"
 
 namespace mmm {
 
@@ -138,7 +142,8 @@ Status WriteFullSnapshot(const StoreContext& context, const std::string& set_id,
 Status StreamParamBlob(const StoreContext& context,
                        const std::string& blob_name,
                        const ArchitectureSpec& spec, uint64_t num_models,
-                       ParamBlobStreamDecoder::LayerSink sink) {
+                       ParamBlobStreamDecoder::LayerSink sink,
+                       std::vector<uint32_t>* layer_crcs) {
   // Three incremental stages chained window-by-window: CAS reassembly →
   // blob decompression → param decode. The decoder is constructed lazily,
   // on the first decompressed bytes, because the decompressed size is only
@@ -173,7 +178,9 @@ Status StreamParamBlob(const StoreContext& context,
   MMM_RETURN_NOT_OK(drain());
   // An empty blob: let the decoder produce the canonical error.
   if (!decoder.has_value()) start_decoder();
-  return decoder->Finish();
+  MMM_RETURN_NOT_OK(decoder->Finish());
+  if (layer_crcs != nullptr) *layer_crcs = decoder->layer_crcs();
+  return Status::OK();
 }
 
 Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
@@ -221,25 +228,69 @@ Result<ArchitectureSpec> ReadSnapshotSpec(const StoreContext& context,
   return DecodeArchBlob(text);
 }
 
+Result<std::optional<ParamBlobLayout>> ReadRangedParamHeader(
+    const StoreContext& context, const SetDocument& doc,
+    const ParamLayout& layout) {
+  const uint64_t per_model = LayoutNumel(layout);
+  MMM_ASSIGN_OR_RETURN(uint64_t size, CasBlobSize(context.file_store,
+                                                  context.cas, doc.param_blob));
+  if (size != RawParamBlobSize(doc.num_models, per_model, layout.size())) {
+    return std::optional<ParamBlobLayout>();
+  }
+  MMM_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> prefix,
+      CasReadBlobRange(context.file_store, context.cas, doc.param_blob, 0,
+                       std::min<uint64_t>(size, kParamBlobMaxHeaderBytes)));
+  auto header = ReadParamBlobHeader(prefix, layout.size());
+  if (!header.ok()) return std::optional<ParamBlobLayout>();
+  if (header.ValueOrDie().num_models != doc.num_models ||
+      header.ValueOrDie().params_per_model != per_model) {
+    return Status::Corruption("param blob header disagrees with set ", doc.id);
+  }
+  return std::optional<ParamBlobLayout>(header.ValueOrDie());
+}
+
+Result<std::vector<uint32_t>> ReadLayerCrcRows(const StoreContext& context,
+                                               const std::string& blob_name,
+                                               const ParamBlobLayout& blob,
+                                               std::span<const size_t> models) {
+  RangePlanner planner(context.file_store->latency());
+  std::vector<size_t> range_of(models.size());
+  for (size_t r = 0; r < models.size(); ++r) {
+    range_of[r] =
+        planner.Add(0, blob.CrcRowOffset(models[r]), blob.CrcRowBytes());
+  }
+  std::vector<uint32_t> out(models.size() * blob.num_layers);
+  for (size_t i = 0, r = 0; i < planner.ranges().size(); ++i) {
+    const RangePlanner::Range& range = planner.ranges()[i];
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> bytes,
+        CasReadBlobRange(context.file_store, context.cas, blob_name,
+                         range.start, range.end - range.start));
+    for (; r < models.size() && range_of[r] == i; ++r) {
+      std::memcpy(out.data() + r * blob.num_layers,
+                  bytes.data() + (blob.CrcRowOffset(models[r]) - range.start),
+                  blob.CrcRowBytes());
+    }
+  }
+  return out;
+}
+
 Result<std::vector<StateDict>> ReadModelsFromSnapshot(
     const StoreContext& context, const SetDocument& doc,
     const std::vector<size_t>& indices) {
   MMM_RETURN_NOT_OK(CheckIndices(indices, doc.num_models));
   MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context, doc));
+  const ParamLayout layout = LayoutOf(spec);
 
-  // Peek at the blob header: compressed blobs cannot be range-read. Ranged
-  // reads go through the CAS helpers so chunked blobs fetch only the chunks
-  // overlapping the requested models, preserving the selective read path.
-  MMM_ASSIGN_OR_RETURN(uint64_t blob_size,
-                       CasBlobSize(context.file_store, context.cas,
-                                   doc.param_blob));
-  uint64_t prefix_len = std::min<uint64_t>(blob_size, kParamBlobMaxHeaderBytes);
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       CasReadBlobRange(context.file_store, context.cas,
-                                        doc.param_blob, 0, prefix_len));
-  auto header = ReadParamBlobHeader(prefix);
-  if (!header.ok()) {
-    // Compressed or legacy layout: load everything, then select.
+  // Ranged reads go through the CAS helpers so chunked blobs fetch only the
+  // chunks overlapping the requested models, preserving the selective read
+  // path.
+  MMM_ASSIGN_OR_RETURN(std::optional<ParamBlobLayout> blob,
+                       ReadRangedParamHeader(context, doc, layout));
+  if (!blob.has_value()) {
+    // Compressed or MMMPARM1: load everything, checked by the footer, then
+    // select.
     MMM_ASSIGN_OR_RETURN(ModelSet set, ReadFullSnapshot(context, doc));
     std::vector<StateDict> out;
     out.reserve(indices.size());
@@ -247,20 +298,36 @@ Result<std::vector<StateDict>> ReadModelsFromSnapshot(
     return out;
   }
 
-  const ParamBlobLayout& layout = header.ValueOrDie();
-  if (layout.num_models != doc.num_models ||
-      layout.params_per_model != LayoutNumel(LayoutOf(spec))) {
-    return Status::Corruption("param blob header disagrees with set ", doc.id);
+  std::vector<size_t> models = indices;
+  std::sort(models.begin(), models.end());
+  models.erase(std::unique(models.begin(), models.end()), models.end());
+  MMM_ASSIGN_OR_RETURN(std::vector<uint32_t> crcs,
+                       ReadLayerCrcRows(context, doc.param_blob, *blob, models));
+  std::vector<StateDict> states;
+  states.reserve(models.size());
+  for (size_t r = 0; r < models.size(); ++r) {
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> slice,
+        CasReadBlobRange(context.file_store, context.cas, doc.param_blob,
+                         blob->ModelOffset(models[r]), blob->ModelBytes()));
+    size_t offset = 0;
+    for (size_t p = 0; p < layout.size(); ++p) {
+      const size_t bytes = Tensor::NumElements(layout[p].second) * sizeof(float);
+      if (Crc32::Compute(std::span<const uint8_t>(slice).subspan(offset, bytes)) !=
+          crcs[r * layout.size() + p]) {
+        return Status::Corruption("layer (", models[r], ", ", p, ") of set ",
+                                  doc.id, " fails its layer crc check");
+      }
+      offset += bytes;
+    }
+    MMM_ASSIGN_OR_RETURN(StateDict state, DecodeModelSlice(spec, slice));
+    states.push_back(std::move(state));
   }
   std::vector<StateDict> out;
   out.reserve(indices.size());
   for (size_t index : indices) {
-    MMM_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> slice,
-        CasReadBlobRange(context.file_store, context.cas, doc.param_blob,
-                         layout.ModelOffset(index), layout.ModelBytes()));
-    MMM_ASSIGN_OR_RETURN(StateDict state, DecodeModelSlice(spec, slice));
-    out.push_back(std::move(state));
+    auto it = std::lower_bound(models.begin(), models.end(), index);
+    out.push_back(states[static_cast<size_t>(it - models.begin())]);
   }
   return out;
 }

@@ -1,7 +1,10 @@
 #ifndef MMM_CORE_SET_CODEC_H_
 #define MMM_CORE_SET_CODEC_H_
 
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/approach.h"
 #include "core/blob_formats.h"
@@ -96,18 +99,39 @@ Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
 /// blobs degenerate to decode-at-finish, since the byte-plane transpose is
 /// global. The CRC footer is checked last, after the sink has seen every
 /// layer, so a sink must not publish a layer anywhere until this returns OK.
+/// With `layer_crcs`, it receives the blob's layer CRC table (empty for
+/// MMMPARM1), unchecked against the layers.
 Status StreamParamBlob(const StoreContext& context,
                        const std::string& blob_name,
                        const ArchitectureSpec& spec, uint64_t num_models,
-                       ParamBlobStreamDecoder::LayerSink sink);
+                       ParamBlobStreamDecoder::LayerSink sink,
+                       std::vector<uint32_t>* layer_crcs = nullptr);
 
-/// Reads only the models at `indices` from a full snapshot. Uncompressed
-/// parameter blobs are accessed with ranged store reads (one per distinct
-/// model); compressed blobs fall back to a full read. The result is
-/// parallel to `indices`.
+/// Reads only the models at `indices` from a full snapshot. A raw MMMPARM2
+/// parameter blob is accessed with ranged store reads, one per distinct
+/// model plus one planned read of their layer CRC rows, and every layer is
+/// checked against its row before it is decoded; any other blob is read
+/// whole and checked by its footer. The result is parallel to `indices`.
 Result<std::vector<StateDict>> ReadModelsFromSnapshot(
     const StoreContext& context, const SetDocument& doc,
     const std::vector<size_t>& indices);
+
+/// The header of `doc`'s param blob if it can be read by range: a raw
+/// MMMPARM2 blob of the size `doc` and `layout` imply. Null when it is to
+/// be read whole, checked by its footer: compressed, MMMPARM1, or of any
+/// other size. A header that parses but disagrees with `doc` is
+/// Corruption.
+Result<std::optional<ParamBlobLayout>> ReadRangedParamHeader(
+    const StoreContext& context, const SetDocument& doc,
+    const ParamLayout& layout);
+
+/// Reads the layer CRC rows of the models `models` (sorted, distinct) of
+/// the raw MMMPARM2 blob `blob_name` laid out as `blob`, in one planned
+/// ranged read: entry r * num_layers + p is layer p of model models[r].
+Result<std::vector<uint32_t>> ReadLayerCrcRows(const StoreContext& context,
+                                               const std::string& blob_name,
+                                               const ParamBlobLayout& blob,
+                                               std::span<const size_t> models);
 
 /// Reads the snapshot's architecture.
 Result<ArchitectureSpec> ReadSnapshotSpec(const StoreContext& context,

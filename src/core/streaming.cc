@@ -5,21 +5,6 @@
 #include "serialize/crc32.h"
 
 namespace mmm {
-namespace {
-
-/// Header of the param blob format (see blob_formats.cc / docs/FORMATS.md):
-/// magic, varint num_models, varint params_per_model.
-std::vector<uint8_t> ParamBlobHeader(size_t num_models, size_t params_per_model) {
-  BinaryWriter writer;
-  static constexpr char kParamMagic[] = "MMMPARM1";
-  writer.WriteBytes(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(kParamMagic), 8));
-  writer.WriteVarint(num_models);
-  writer.WriteVarint(params_per_model);
-  return writer.TakeBuffer();
-}
-
-}  // namespace
 
 StreamingSnapshotWriter::StreamingSnapshotWriter(const StoreContext& context,
                                                  ArchitectureSpec spec,
@@ -51,7 +36,7 @@ Result<std::unique_ptr<StreamingSnapshotWriter>> StreamingSnapshotWriter::Begin(
       new StreamingSnapshotWriter(context, spec, num_models, std::move(set_id)));
 
   std::vector<uint8_t> header =
-      ParamBlobHeader(num_models, writer->params_per_model_);
+      EncodeParamBlobHeader(num_models, writer->params_per_model_);
   MMM_RETURN_NOT_OK(context.file_store->Put(writer->blob_name_, header));
   writer->crc_ = Crc32::Extend(0, header);
   return writer;
@@ -79,6 +64,7 @@ Status StreamingSnapshotWriter::Append(const StateDict& model) {
                                      model[p].first, "')");
     }
     writer.WriteFloatSpan(model[p].second.data());
+    layer_crcs_.push_back(LayerCrc(model[p].second));
   }
   MMM_RETURN_NOT_OK(context_.file_store->Append(blob_name_, writer.buffer()));
   crc_ = Crc32::Extend(crc_, writer.buffer());
@@ -96,10 +82,13 @@ Result<SaveResult> StreamingSnapshotWriter::Finish() {
                                    " were appended");
   }
   finished_ = true;
-  // CRC footer (little-endian), matching EncodeParamBlob's framing.
-  BinaryWriter footer;
-  footer.WriteUint32(crc_);
-  MMM_RETURN_NOT_OK(context_.file_store->Append(blob_name_, footer.buffer()));
+  // The layer CRC table, then the CRC footer over everything before it
+  // (little-endian), matching EncodeParamBlob's framing.
+  BinaryWriter trailer;
+  for (uint32_t crc : layer_crcs_) trailer.WriteUint32(crc);
+  crc_ = Crc32::Extend(crc_, trailer.buffer());
+  trailer.WriteUint32(crc_);
+  MMM_RETURN_NOT_OK(context_.file_store->Append(blob_name_, trailer.buffer()));
 
   SetDocument doc;
   doc.id = set_id_;

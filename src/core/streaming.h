@@ -14,8 +14,9 @@ namespace mmm {
 /// whole parameter blob — ~100 MB for the paper's 5000-model fleet, but
 /// prohibitive for the "n >> 1000" deployments the paper motivates when n
 /// reaches the hundreds of thousands. The streaming writer appends each
-/// model's parameters directly to the file store and keeps only O(1) state
-/// (a running CRC), producing a byte-identical artifact that every reader
+/// model's parameters directly to the file store and keeps only a running
+/// CRC and the layer CRC table (4 bytes per layer), which Finish writes
+/// after the floats, producing a byte-identical artifact that every reader
 /// (full recovery, ranged selective recovery, validation) handles
 /// unchanged.
 ///
@@ -39,7 +40,8 @@ class StreamingSnapshotWriter {
   /// Appends the next model. Keys/shapes must match the architecture.
   Status Append(const StateDict& model);
 
-  /// Writes the CRC footer, the architecture blob, and the set document.
+  /// Writes the layer CRC table and the CRC footer, the architecture blob,
+  /// and the set document.
   /// Fails unless exactly `num_models` models were appended. The writer is
   /// unusable afterwards.
   Result<SaveResult> Finish();
@@ -61,6 +63,7 @@ class StreamingSnapshotWriter {
   std::string blob_name_;
   size_t appended_ = 0;
   uint32_t crc_ = 0;
+  std::vector<uint32_t> layer_crcs_;  ///< the table, one entry per layer
   bool finished_ = false;
   StatsCapture capture_;
 };

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <optional>
 
 #include "cas/blob_io.h"
 #include "core/set_codec.h"
+#include "serialize/crc32.h"
 #include "storage/range_planner.h"
 
 namespace mmm {
@@ -243,33 +245,28 @@ class UpdateChain {
 /// Slot r * num_params + p is parameter p of the r-th requested model.
 using SlotSink = std::function<void(size_t slot, Tensor value)>;
 
-/// Supplies the requested set's stored hashes of the requested models, one
-/// per slot, which verify the layers the root step reads by range. Called
-/// only if the root is read by range.
-using SlotHashesFn = std::function<Result<std::span<const Sha256Digest>>()>;
-
-/// Receives one window's worth of layers a ranged root read produced: the
-/// slots, ascending, and their values as stored in the root (unverified).
-using RootLayersFn = std::function<Status(std::span<const size_t> slots,
-                                          std::span<Tensor> values)>;
-
 /// The root step's ranged read: reads the layers `slots` (ascending) of the
 /// models `models` names (null: the whole set) from `root`'s param blob.
 /// The layers' byte extents are planned into ranges by RangePlanner; each
 /// range is one ranged stream, read window by window with the gaps between
-/// layers skipped, so one window is alive at a time. Each window's layers
-/// go to `on_layers`.
+/// layers skipped, so one window is alive at a time. Each layer's raw bytes
+/// are checked against its entry of the blob's layer CRC table before they
+/// are copied out: `table` is the root's whole table, if the caller has it
+/// memoized, else the rows of the models read are fetched in one planned
+/// ranged read. Each checked layer goes to `on_layer`, as stored in the
+/// root.
 ///
 /// Returns false, having read no layer, when the blob is not read by
-/// range: it is a CAS manifest, or compressed (its size is not the raw
-/// blob's, or its header does not parse), or the whole set is requested
-/// and the plan is one range over every model, which the CRC-checked
-/// whole-blob stream verifies more cheaply than per-layer hashes.
+/// range (ReadRangedParamHeader): it is a CAS manifest, compressed, or
+/// MMMPARM1; or when the whole set is requested and the plan is one range
+/// over every model, which the CRC-checked whole-blob stream reads as
+/// cheaply.
 Result<bool> ReadRootByRange(const StoreContext& context,
                              const SetDocument& root, const ParamLayout& layout,
                              const std::vector<size_t>* models,
                              const std::vector<size_t>& slots,
-                             const RootLayersFn& on_layers) {
+                             const std::vector<uint32_t>* table,
+                             const SlotSink& on_layer) {
   const std::string& name = root.param_blob;
   if (context.cas != nullptr && context.cas->IsManifest(name)) return false;
   const size_t num_params = layout.size();
@@ -279,11 +276,13 @@ Result<bool> ReadRootByRange(const StoreContext& context,
         param_offset[p] + Tensor::NumElements(layout[p].second) * sizeof(float);
   }
   const uint64_t model_bytes = param_offset[num_params];
+  auto model_of = [&](size_t slot) -> size_t {
+    const size_t row = slot / num_params;
+    return models == nullptr ? row : (*models)[row];
+  };
   // Byte offset of a slot's layer from model 0's first float.
   auto offset_of = [&](size_t slot) -> uint64_t {
-    const size_t row = slot / num_params;
-    const uint64_t model = models == nullptr ? row : (*models)[row];
-    return model * model_bytes + param_offset[slot % num_params];
+    return model_of(slot) * model_bytes + param_offset[slot % num_params];
   };
   auto length_of = [&](size_t slot) -> uint64_t {
     const size_t p = slot % num_params;
@@ -299,33 +298,45 @@ Result<bool> ReadRootByRange(const StoreContext& context,
       ranges[0].end == root.num_models * model_bytes) {
     return false;
   }
+  MMM_ASSIGN_OR_RETURN(std::optional<ParamBlobLayout> blob,
+                       ReadRangedParamHeader(context, root, layout));
+  if (!blob.has_value()) return false;
 
-  MMM_ASSIGN_OR_RETURN(uint64_t size, context.file_store->Size(name));
-  if (size != RawParamBlobSize(root.num_models, model_bytes / sizeof(float))) {
-    return false;
-  }
-  MMM_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> prefix,
-      context.file_store->GetRange(
-          name, 0, std::min<uint64_t>(size, kParamBlobMaxHeaderBytes)));
-  auto header = ReadParamBlobHeader(prefix);
-  if (!header.ok()) return false;
-  const ParamBlobLayout& blob = header.ValueOrDie();
-  if (blob.num_models != root.num_models || blob.ModelBytes() != model_bytes) {
-    return Status::Corruption("param blob header disagrees with set ", root.id);
+  // Each slot's layer CRC, from the memoized table or the rows read now.
+  std::vector<uint32_t> expected(slots.size());
+  if (table != nullptr) {
+    if (table->size() != root.num_models * num_params) {
+      return Status::Corruption("layer crc table of set ", root.id,
+                                " disagrees with the parameter layout");
+    }
+    for (size_t k = 0; k < slots.size(); ++k) {
+      expected[k] =
+          (*table)[model_of(slots[k]) * num_params + slots[k] % num_params];
+    }
+  } else {
+    std::vector<size_t> row_models;
+    for (size_t slot : slots) {
+      if (row_models.empty() || row_models.back() != model_of(slot)) {
+        row_models.push_back(model_of(slot));
+      }
+    }
+    MMM_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                         ReadLayerCrcRows(context, name, *blob, row_models));
+    for (size_t k = 0, r = 0; k < slots.size(); ++k) {
+      while (row_models[r] != model_of(slots[k])) ++r;
+      expected[k] = rows[r * num_params + slots[k] % num_params];
+    }
   }
 
   const uint64_t window = context.stream_window_bytes == 0
                               ? kDefaultStreamWindowBytes
                               : context.stream_window_bytes;
-  std::vector<size_t> batch;
-  std::vector<Tensor> values;
   size_t k = 0;
   for (size_t r = 0; r < ranges.size(); ++r) {
     const RangePlanner::Range& range = ranges[r];
     MMM_ASSIGN_OR_RETURN(
         StreamFile stream,
-        context.file_store->OpenStream(name, blob.header_bytes + range.start,
+        context.file_store->OpenStream(name, blob->header_bytes + range.start,
                                        range.end - range.start, window));
     while (k < slots.size() && range_of[k] == r) {
       // One window: the layer at k and the ones after it in this range
@@ -346,22 +357,38 @@ Result<bool> ReadRootByRange(const StoreContext& context,
         return Status::Corruption("short read of the param blob of set ",
                                   root.id);
       }
-      batch.clear();
-      values.clear();
       for (; k < last; ++k) {
-        std::vector<float> data(length_of(slots[k]) / sizeof(float));
-        if (!data.empty()) {
-          std::memcpy(data.data(), bytes.data() + (offset_of(slots[k]) - start),
-                      length_of(slots[k]));
+        std::span<const uint8_t> layer =
+            bytes.subspan(offset_of(slots[k]) - start, length_of(slots[k]));
+        if (Crc32::Compute(layer) != expected[k]) {
+          return Status::Corruption("layer (", model_of(slots[k]), ", ",
+                                    slots[k] % num_params, ") of set ",
+                                    root.id, " fails its layer crc check");
         }
-        batch.push_back(slots[k]);
-        values.emplace_back(layout[slots[k] % num_params].second,
-                            std::move(data));
+        std::vector<float> data(layer.size() / sizeof(float));
+        if (!data.empty()) std::memcpy(data.data(), layer.data(), layer.size());
+        on_layer(slots[k],
+                 Tensor(layout[slots[k] % num_params].second, std::move(data)));
       }
-      MMM_RETURN_NOT_OK(on_layers(batch, values));
     }
   }
   return true;
+}
+
+/// The whole layer CRC table of a root that ReadRootByRange reads by range,
+/// for SetMeta; empty for a root it reads whole.
+Result<std::vector<uint32_t>> ReadRootLayerCrcs(const StoreContext& context,
+                                                const SetDocument& root,
+                                                const ParamLayout& layout) {
+  if (context.cas != nullptr && context.cas->IsManifest(root.param_blob)) {
+    return std::vector<uint32_t>{};
+  }
+  MMM_ASSIGN_OR_RETURN(std::optional<ParamBlobLayout> blob,
+                       ReadRangedParamHeader(context, root, layout));
+  if (!blob.has_value()) return std::vector<uint32_t>{};
+  std::vector<size_t> models(root.num_models);
+  std::iota(models.begin(), models.end(), size_t{0});
+  return ReadLayerCrcRows(context, root.param_blob, *blob, models);
 }
 
 /// The one chain resolver behind every Update recovery. Resolves every slot
@@ -370,28 +397,26 @@ Result<bool> ReadRootByRange(const StoreContext& context,
 /// hits), handing each to `sink`.
 ///
 /// Walks `chain` newest-first, fetching levels only as needed. Each diff
-/// contributes just the entries of slots still unresolved: an absolute
-/// entry resolves its slot, XOR entries accumulate until an absolute value
-/// (a newer absolute entry or the snapshot) is found. The walk stops at the
-/// first level that leaves nothing unresolved, and the full snapshot is
-/// read only for what is left. `spec` is the architecture of the chain's
-/// root.
+/// contributes just the entries of slots still unresolved, and only those
+/// entries' tensors are copied out of it: an absolute entry resolves its
+/// slot, XOR entries accumulate until an absolute value (a newer absolute
+/// entry or the snapshot) is found. The walk stops at the first level that
+/// leaves nothing unresolved, and the full snapshot is read only for what
+/// is left. `spec` is the architecture of the chain's root.
 ///
-/// With `slot_hashes`, a raw root is read by range (ReadRootByRange), just
-/// the slots still unresolved, and each of those layers, composed with
-/// the XOR deltas above it, must match the requested set's stored SHA-256
-/// before it reaches `sink`. Otherwise, and for a root not read by range,
-/// the whole set is streamed, and a model subset is read with
-/// ReadModelsFromSnapshot (a whole compressed blob, or CRC-checked CAS
-/// chunks). A streamed snapshot's CRC is checked only after its layers
-/// reach `sink`, so a caller must not publish a value anywhere until this
-/// returns OK.
+/// With `ranged_root`, a raw root is read by range (ReadRootByRange), just
+/// the slots still unresolved, each checked against the root's layer CRC
+/// table: `memo`'s, if it holds this root's, else the rows read with the
+/// layers. Otherwise, and for a root not read by range, the whole set is
+/// streamed, and a model subset is read with ReadModelsFromSnapshot. A
+/// streamed snapshot's CRC is checked only after its layers reach `sink`,
+/// so a caller must not publish a value anywhere until this returns OK.
 Status ResolveChain(const StoreContext& context, UpdateChain* chain,
                     const ArchitectureSpec& spec,
                     const std::vector<size_t>* models,
                     std::vector<bool> resolved, const SlotSink& sink,
-                    RecoverStats* stats,
-                    const SlotHashesFn& slot_hashes = nullptr) {
+                    RecoverStats* stats, bool ranged_root = false,
+                    const SetMeta* memo = nullptr) {
   const ParamLayout layout = LayoutOf(spec);
   const size_t num_params = layout.size();
   const uint64_t num_models = chain->target().num_models;
@@ -410,47 +435,14 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
   if (missing == 0) return Status::OK();
 
   std::vector<std::optional<Tensor>> xor_acc(resolved.size());
-  auto compose = [&](size_t slot, Tensor value) {
+  auto resolve = [&](size_t slot, Tensor value) {
     if (xor_acc[slot].has_value()) {
       value = XorTensors(value, *xor_acc[slot]);
       xor_acc[slot].reset();
     }
-    return value;
-  };
-  auto settle = [&](size_t slot, Tensor value) {
     resolved[slot] = true;
     missing -= 1;
     sink(slot, std::move(value));
-  };
-  auto resolve = [&](size_t slot, Tensor value) {
-    settle(slot, compose(slot, std::move(value)));
-  };
-  // Layers read by range from the root, composed with the XOR deltas above
-  // them, settle only once they match the requested set's stored hashes.
-  std::optional<std::span<const Sha256Digest>> hashes;
-  std::vector<Sha256Digest> expected;
-  auto verify_and_settle = [&](std::span<const size_t> batch,
-                               std::span<Tensor> values) -> Status {
-    if (!hashes.has_value()) {
-      MMM_ASSIGN_OR_RETURN(hashes, slot_hashes());
-    }
-    expected.clear();
-    for (size_t k = 0; k < batch.size(); ++k) {
-      values[k] = compose(batch[k], std::move(values[k]));
-      expected.push_back((*hashes)[batch[k]]);
-    }
-    const size_t bad = FirstHashMismatch(values, expected);
-    if (bad != values.size()) {
-      const size_t row = batch[bad] / num_params;
-      return Status::Corruption(
-          "layer (", models == nullptr ? row : (*models)[row], ", ",
-          batch[bad] % num_params, ") of set ", chain->target().id,
-          " fails its sha-256 check against the root snapshot");
-    }
-    for (size_t k = 0; k < batch.size(); ++k) {
-      settle(batch[k], std::move(values[k]));
-    }
-    return Status::OK();
   };
   for (size_t i = 0; missing > 0; ++i) {
     if (i == chain->fetched()) MMM_RETURN_NOT_OK(chain->FetchNext(context));
@@ -458,14 +450,19 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
     if (i > 0 && stats != nullptr) stats->sets_recovered += 1;
 
     if (level.kind == "full") {
-      if (slot_hashes != nullptr) {
+      if (ranged_root) {
         std::vector<size_t> slots;
         for (size_t slot = 0; slot < resolved.size(); ++slot) {
           if (!resolved[slot]) slots.push_back(slot);
         }
+        const bool memoized = memo != nullptr &&
+                              memo->root_param_blob == level.param_blob &&
+                              !memo->root_layer_crcs.empty();
         MMM_ASSIGN_OR_RETURN(
-            bool ranged, ReadRootByRange(context, level, layout, models, slots,
-                                         verify_and_settle));
+            bool ranged,
+            ReadRootByRange(context, level, layout, models, slots,
+                            memoized ? &memo->root_layer_crcs : nullptr,
+                            resolve));
         if (ranged) return Status::OK();
       }
       if (models == nullptr) {
@@ -504,29 +501,26 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
         std::vector<uint8_t> bytes,
         CasReadBlobDecompressed(context.file_store, context.cas,
                                 level.diff_blob, context.stream_window_bytes));
-    MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(spec, bytes));
-    const bool xor_encoded = diff.encoding == DiffEncoding::kXorBase;
+    MMM_ASSIGN_OR_RETURN(DiffView diff, DiffView::Parse(spec, bytes));
+    const bool xor_encoded = diff.encoding() == DiffEncoding::kXorBase;
+    const std::vector<DiffEntry>& entries = diff.entries();
     // Backwards, so that within one absolute diff the last entry for a
     // layer wins, as if the diffs were applied in order.
-    for (size_t e = diff.entries.size(); e-- > 0;) {
-      const DiffEntry& entry = diff.entries[e];
-      if (entry.model_index >= num_models || entry.param_index >= num_params) {
+    for (size_t e = entries.size(); e-- > 0;) {
+      const DiffEntry& entry = entries[e];
+      if (entry.model_index >= num_models) {
         return Status::Corruption("diff entry out of range in set ", level.id);
-      }
-      if (xor_encoded &&
-          diff.tensors[e].shape() != layout[entry.param_index].second) {
-        return Status::Corruption("xor diff shape mismatch in set ", level.id);
       }
       const size_t row = row_of(entry.model_index);
       if (row == kNotRequested) continue;
       const size_t slot = row * num_params + entry.param_index;
       if (resolved[slot]) continue;
       if (!xor_encoded) {
-        resolve(slot, std::move(diff.tensors[e]));
+        resolve(slot, diff.TensorAt(e));
       } else if (xor_acc[slot].has_value()) {
-        *xor_acc[slot] = XorTensors(*xor_acc[slot], diff.tensors[e]);
+        *xor_acc[slot] = XorTensors(*xor_acc[slot], diff.TensorAt(e));
       } else {
-        xor_acc[slot] = std::move(diff.tensors[e]);
+        xor_acc[slot] = diff.TensorAt(e);
       }
     }
   }
@@ -554,7 +548,7 @@ std::vector<StateDict> TakeRows(const ParamLayout& layout, size_t num_rows,
 Result<std::vector<StateDict>> ResolveRows(
     const StoreContext& context, UpdateChain* chain,
     const ArchitectureSpec& spec, const std::vector<size_t>* models,
-    RecoverStats* stats, const SlotHashesFn& slot_hashes = nullptr) {
+    RecoverStats* stats, bool ranged_root = false) {
   const ParamLayout layout = LayoutOf(spec);
   const size_t num_rows =
       models == nullptr ? chain->target().num_models : models->size();
@@ -562,75 +556,8 @@ Result<std::vector<StateDict>> ResolveRows(
   MMM_RETURN_NOT_OK(ResolveChain(
       context, chain, spec, models, std::vector<bool>(values.size(), false),
       [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
-      stats, slot_hashes));
+      stats, ranged_root));
   return TakeRows(layout, num_rows, &values);
-}
-
-/// Reads the rows of `doc`'s stored hash table for the models `models`
-/// (sorted, distinct), one digest per slot: entry r * num_params + p is
-/// parameter p of model models[r]. A raw, verbatim hash blob is read by
-/// range at the table's fixed row stride, so a selective recovery reads
-/// only the rows it needs; a compressed or chunked one is read whole and
-/// checked against its CRC.
-Result<std::vector<Sha256Digest>> ReadHashRows(
-    const StoreContext& context, const SetDocument& doc,
-    const std::vector<size_t>& models, size_t num_params) {
-  if (doc.hash_blob.empty()) {
-    return Status::Corruption("set ", doc.id, " is missing its hash blob");
-  }
-  const std::string& name = doc.hash_blob;
-  FileStore* files = context.file_store;
-  std::optional<HashTableLayout> table;
-  uint64_t size = 0;
-  if (context.cas == nullptr || !context.cas->IsManifest(name)) {
-    MMM_ASSIGN_OR_RETURN(size, files->Size(name));
-    MMM_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> prefix,
-        files->GetRange(name, 0,
-                        std::min<uint64_t>(size, kHashTableMaxHeaderBytes)));
-    auto header = ReadHashTableHeader(prefix);
-    if (header.ok()) table = header.ValueOrDie();
-  }
-  std::vector<Sha256Digest> out;
-  out.reserve(models.size() * num_params);
-  if (!table.has_value()) {
-    MMM_ASSIGN_OR_RETURN(HashTable all, ReadStoredHashTable(context, doc));
-    for (size_t model : models) {
-      if (all[model].size() != num_params) {
-        return Status::Corruption("hash table of ", doc.id,
-                                  " disagrees with the parameter layout");
-      }
-      out.insert(out.end(), all[model].begin(), all[model].end());
-    }
-    return out;
-  }
-  if (table->num_models != doc.num_models || table->per_model != num_params ||
-      table->RowOffset(table->num_models) > size) {
-    return Status::Corruption("hash table header disagrees with set ", doc.id);
-  }
-  RangePlanner planner(files->latency());
-  std::vector<size_t> range_of(models.size());
-  for (size_t r = 0; r < models.size(); ++r) {
-    range_of[r] =
-        planner.Add(0, table->RowOffset(models[r]), table->RowBytes());
-  }
-  for (size_t i = 0, r = 0; i < planner.ranges().size(); ++i) {
-    const RangePlanner::Range& range = planner.ranges()[i];
-    MMM_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> bytes,
-        files->GetRange(name, range.start, range.end - range.start));
-    for (; r < models.size() && range_of[r] == i; ++r) {
-      const uint8_t* row =
-          bytes.data() + (table->RowOffset(models[r]) - range.start);
-      for (size_t p = 0; p < num_params; ++p) {
-        Sha256Digest digest;
-        std::memcpy(digest.bytes.data(), row + p * digest.bytes.size(),
-                    digest.bytes.size());
-        out.push_back(digest);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -662,18 +589,11 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
   std::vector<size_t> models = indices;
   std::sort(models.begin(), models.end());
   models.erase(std::unique(models.begin(), models.end()), models.end());
-  // A raw root is read by range; the requested models' rows of the target's
-  // hash table verify what it returns.
-  std::vector<Sha256Digest> hashes;
-  MMM_ASSIGN_OR_RETURN(
-      std::vector<StateDict> rows,
-      ResolveRows(context_, &chain, spec, &models, stats,
-                  [&]() -> Result<std::span<const Sha256Digest>> {
-                    MMM_ASSIGN_OR_RETURN(
-                        hashes, ReadHashRows(context_, chain.target(), models,
-                                             LayoutOf(spec).size()));
-                    return std::span<const Sha256Digest>(hashes);
-                  }));
+  // A raw root is read by range, checked against the requested models' rows
+  // of its layer CRC table.
+  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> rows,
+                       ResolveRows(context_, &chain, spec, &models, stats,
+                                   /*ranged_root=*/true));
 
   std::vector<StateDict> out;
   out.reserve(indices.size());
@@ -699,10 +619,11 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
   CacheRequestStats local;
 
-  // The set's per-layer content hashes and architecture, memoized so a hot
-  // set costs no hash-blob or chain-walk reads. The architecture lives with
-  // the chain's full snapshot, so a memo miss walks the documents down to
-  // it; the resolver reuses them. A memo entry is validated once, here.
+  // The set's per-layer content hashes, its architecture and its root's
+  // layer CRC table, memoized so a hot set costs no hash-blob, table or
+  // chain-walk reads. The architecture and the table live with the chain's
+  // full snapshot, so a memo miss walks the documents down to it; the
+  // resolver reuses them. A memo entry is validated once, here.
   std::shared_ptr<const SetMeta> meta = cache->GetSetMeta(set_id);
   const bool meta_hit = meta != nullptr;
   if (meta_hit) {
@@ -714,6 +635,10 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
                          ReadStoredHashTable(context_, chain.target()));
     MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
     MMM_ASSIGN_OR_RETURN(fresh->spec, ReadSnapshotSpec(context_, *root));
+    fresh->root_param_blob = root->param_blob;
+    MMM_ASSIGN_OR_RETURN(
+        fresh->root_layer_crcs,
+        ReadRootLayerCrcs(context_, *root, LayoutOf(fresh->spec)));
     const size_t num_params = LayoutOf(fresh->spec).size();
     for (const auto& row : table) {
       if (row.size() != num_params) {
@@ -748,26 +673,27 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
       std::count(hit.begin(), hit.end(), true));
   local.layer_misses += num_slots - local.layer_hits;
   if (local.layer_misses == 0) local.sets_from_cache += 1;
+  std::vector<Tensor> resolved(num_slots);
   MMM_RETURN_NOT_OK(ResolveChain(
       context_, &chain, meta->spec, nullptr, hit,
-      [&](size_t slot, Tensor value) {
-        layers[slot] = std::make_shared<const Tensor>(std::move(value));
-      },
-      stats, [&]() -> Result<std::span<const Sha256Digest>> {
-        return std::span<const Sha256Digest>(hashes);
-      }));
+      [&](size_t slot, Tensor value) { resolved[slot] = std::move(value); },
+      stats, /*ranged_root=*/true, meta.get()));
 
   // Verify-then-admit. Every layer fetched has now been verified: each
-  // blob it came from passed its CRC check, or its own SHA-256 matched,
-  // so the layers are offered under the requested set's hashes only now,
-  // in one batch: a corrupt blob can never leave an entry behind.
-  // Ancestors' layers are not admitted under their own hashes.
+  // blob it came from passed its CRC check, or, read by range from the
+  // root, its bytes matched their layer CRC, so the layers are offered
+  // under the requested set's hashes only now, in one batch: a corrupt blob
+  // can never leave an entry behind. Ancestors' layers are not admitted
+  // under their own hashes.
   std::vector<Sha256Digest> fetched_hashes;
   std::vector<std::shared_ptr<const Tensor>> fetched;
   fetched_hashes.reserve(local.layer_misses);
   fetched.reserve(local.layer_misses);
   for (size_t slot = 0; slot < num_slots; ++slot) {
     if (!hit[slot]) {
+      // The entries of one request are allocated together, apart from
+      // the layers' data, so a later hit on them touches fewer pages.
+      layers[slot] = std::make_shared<const Tensor>(std::move(resolved[slot]));
       fetched_hashes.push_back(hashes[slot]);
       fetched.push_back(layers[slot]);
     }

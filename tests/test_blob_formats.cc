@@ -60,9 +60,10 @@ TEST(ParamBlobTest, RoundTrip) {
 TEST(ParamBlobTest, SizeIsDominatedByRawFloats) {
   ModelSet set = SmallSet(20);
   size_t raw = 20 * 4993 * sizeof(float);
+  size_t table = 20 * 8 * sizeof(uint32_t);  // one CRC per layer
   size_t blob = EncodeParamBlob(set).size();
-  EXPECT_GE(blob, raw);
-  EXPECT_LT(blob, raw + 64);  // header + crc only
+  EXPECT_GE(blob, raw + table);
+  EXPECT_LT(blob, raw + table + 64);  // header + crc only
 }
 
 TEST(ParamBlobTest, WrongArchitectureFails) {
@@ -157,12 +158,12 @@ TEST(DiffBlobTest, RoundTrip) {
   ModelSet set = SmallSet(4);
   std::vector<DiffEntry> entries{{1, 0}, {1, 1}, {3, 6}};
   std::vector<uint8_t> blob = EncodeDiffBlob(set, entries);
-  ASSERT_OK_AND_ASSIGN(DecodedDiff diff, DecodeDiffBlob(set.spec, blob));
-  ASSERT_EQ(diff.entries.size(), 3u);
+  ASSERT_OK_AND_ASSIGN(DiffView diff, DiffView::Parse(set.spec, blob));
+  ASSERT_EQ(diff.entries().size(), 3u);
   for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(diff.entries[i].model_index, entries[i].model_index);
-    EXPECT_EQ(diff.entries[i].param_index, entries[i].param_index);
-    EXPECT_TRUE(diff.tensors[i].Equals(
+    EXPECT_EQ(diff.entries()[i].model_index, entries[i].model_index);
+    EXPECT_EQ(diff.entries()[i].param_index, entries[i].param_index);
+    EXPECT_TRUE(diff.TensorAt(i).Equals(
         set.models[entries[i].model_index][entries[i].param_index].second));
   }
 }
@@ -170,8 +171,8 @@ TEST(DiffBlobTest, RoundTrip) {
 TEST(DiffBlobTest, EmptyDiffRoundTrips) {
   ModelSet set = SmallSet(1);
   std::vector<uint8_t> blob = EncodeDiffBlob(set, {});
-  ASSERT_OK_AND_ASSIGN(DecodedDiff diff, DecodeDiffBlob(set.spec, blob));
-  EXPECT_TRUE(diff.entries.empty());
+  ASSERT_OK_AND_ASSIGN(DiffView diff, DiffView::Parse(set.spec, blob));
+  EXPECT_TRUE(diff.entries().empty());
   EXPECT_LT(blob.size(), 32u);
 }
 
@@ -191,14 +192,14 @@ TEST(DiffBlobTest, OutOfRangeParamIndexFails) {
   tiny.family = "tiny";
   tiny.input_shape = {4};
   tiny.layers = {};
-  EXPECT_TRUE(DecodeDiffBlob(tiny, blob).status().IsCorruption());
+  EXPECT_TRUE(DiffView::Parse(tiny, blob).status().IsCorruption());
 }
 
 TEST(DiffBlobTest, DetectsCorruption) {
   ModelSet set = SmallSet(2);
   std::vector<uint8_t> blob = EncodeDiffBlob(set, {{0, 0}});
   blob[20] ^= 0x10;
-  EXPECT_TRUE(DecodeDiffBlob(set.spec, blob).status().IsCorruption());
+  EXPECT_TRUE(DiffView::Parse(set.spec, blob).status().IsCorruption());
 }
 
 TEST(ModelSetTest, CheckSetConsistentAcceptsValidSet) {

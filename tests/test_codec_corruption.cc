@@ -129,6 +129,106 @@ TEST(CodecCorruptionTest, ParamBlob) {
   SweepGarbage(decode, "param blob");
 }
 
+/// The streaming decoder over the same blobs, fed in uneven chunks so a
+/// chunk boundary falls inside the header, the layers and the table.
+Status StreamDecode(const ModelSet& set, std::span<const uint8_t> blob) {
+  ParamBlobStreamDecoder decoder(
+      set.spec, blob.size(), set.models.size(),
+      [](size_t, size_t, const std::string&, Tensor) { return Status::OK(); });
+  for (size_t i = 0; i < blob.size(); i += 1021) {
+    MMM_RETURN_NOT_OK(
+        decoder.Feed(blob.subspan(i, std::min<size_t>(1021, blob.size() - i))));
+  }
+  return decoder.Finish();
+}
+
+TEST(CodecCorruptionTest, ParamBlobStreamDecoder) {
+  ModelSet set = SmallSet(2);
+  std::vector<uint8_t> blob = EncodeParamBlob(set);
+  Decoder decode = [&set](std::span<const uint8_t> b) {
+    return StreamDecode(set, b);
+  };
+  SweepCorruptions(blob, decode, "param blob (stream)");
+  SweepGarbage(decode, "param blob (stream)");
+}
+
+/// Every byte of the layer CRC table and the footer, flipped and cut at,
+/// for both whole-blob decoders. The strided sweeps above sample the
+/// table; this one covers it densely.
+TEST(CodecCorruptionTest, ParamBlobTableBytes) {
+  ModelSet set = SmallSet(3);
+  std::vector<uint8_t> blob = EncodeParamBlob(set);
+  const size_t table_bytes = 3 * LayoutOf(set.spec).size() * sizeof(uint32_t);
+  const size_t table = blob.size() - 4 - table_bytes;
+  const std::vector<Decoder> decoders = {
+      [&set](std::span<const uint8_t> b) {
+        return DecodeParamBlob(set.spec, b, set.models.size()).status();
+      },
+      [&set](std::span<const uint8_t> b) { return StreamDecode(set, b); }};
+  for (const Decoder& decode : decoders) {
+    ASSERT_OK(decode(blob));
+    for (size_t pos = table; pos < blob.size(); ++pos) {
+      std::vector<uint8_t> flipped = blob;
+      flipped[pos] ^= 0x10;
+      EXPECT_FALSE(decode(flipped).ok()) << "flip at " << pos;
+      EXPECT_FALSE(decode(std::span<const uint8_t>(blob).first(pos)).ok())
+          << "truncation to " << pos;
+    }
+  }
+}
+
+/// The ranged reader behind Baseline's and Provenance's RecoverModels: a
+/// flip in any byte of a model's layers or of its row of the layer CRC
+/// table fails that model's read with Corruption. A flip elsewhere leaves
+/// the model readable and bit-exact.
+TEST(CodecCorruptionTest, RangedParamReadChecksLayersAndTable) {
+  ModelSet set = SmallSet(3);
+  const std::vector<uint8_t> blob = EncodeParamBlob(set);
+  InMemoryEnv env;
+  FileStore files(&env, "/blobs");
+  DocumentStore docs(&env, "/wal");
+  IdGenerator ids(7);
+  ASSERT_OK(files.Open());
+  ASSERT_OK(docs.Open());
+  StoreContext context;
+  context.file_store = &files;
+  context.doc_store = &docs;
+  context.ids = &ids;
+  SetDocument doc;
+  doc.id = "set-ranged";
+  doc.num_models = 3;
+  doc.arch_blob = "set-ranged.arch.json";
+  doc.param_blob = "set-ranged.params.bin";
+  ASSERT_OK(files.PutString(doc.arch_blob, EncodeArchBlob(set.spec)));
+  ASSERT_OK_AND_ASSIGN(
+      ParamBlobLayout layout,
+      ReadParamBlobHeader(blob, LayoutOf(set.spec).size()));
+
+  // Model 1's floats (strided) and every byte of its table row.
+  std::vector<size_t> positions;
+  for (size_t at = layout.ModelOffset(1); at < layout.ModelOffset(2); at += 97) {
+    positions.push_back(at);
+  }
+  positions.push_back(layout.ModelOffset(2) - 1);
+  for (size_t at = layout.CrcRowOffset(1); at < layout.CrcRowOffset(2); ++at) {
+    positions.push_back(at);
+  }
+  for (size_t at : positions) {
+    std::vector<uint8_t> flipped = blob;
+    flipped[at] ^= 0x01;
+    ASSERT_OK(files.Put(doc.param_blob, flipped));
+    Result<std::vector<StateDict>> read =
+        ReadModelsFromSnapshot(context, doc, {1});
+    EXPECT_TRUE(read.status().IsCorruption())
+        << "flip at " << at << ": " << read.status().ToString();
+    ASSERT_OK_AND_ASSIGN(std::vector<StateDict> others,
+                         ReadModelsFromSnapshot(context, doc, {0, 2}));
+    for (size_t p = 0; p < others[1].size(); ++p) {
+      EXPECT_TRUE(others[1][p].second.Equals(set.models[2][p].second));
+    }
+  }
+}
+
 TEST(CodecCorruptionTest, HashTableBlob) {
   ModelSet set = SmallSet(3);
   std::vector<uint8_t> blob = EncodeHashTable(ComputeHashTable(set));
@@ -144,7 +244,7 @@ TEST(CodecCorruptionTest, DiffBlobAbsolute) {
   std::vector<DiffEntry> entries = {{0, 0}, {1, 1}};
   std::vector<uint8_t> blob = EncodeDiffBlob(set, entries);
   Decoder decode = [&set](std::span<const uint8_t> b) {
-    return DecodeDiffBlob(set.spec, b).status();
+    return DiffView::Parse(set.spec, b).status();
   };
   SweepCorruptions(blob, decode, "diff blob (absolute)");
   SweepGarbage(decode, "diff blob (absolute)");
@@ -157,7 +257,7 @@ TEST(CodecCorruptionTest, DiffBlobXor) {
   std::vector<uint8_t> blob =
       EncodeDiffBlob(set, entries, DiffEncoding::kXorBase, &base);
   Decoder decode = [&set](std::span<const uint8_t> b) {
-    return DecodeDiffBlob(set.spec, b).status();
+    return DiffView::Parse(set.spec, b).status();
   };
   SweepCorruptions(blob, decode, "diff blob (xor)");
 }
@@ -189,8 +289,8 @@ uint64_t WrappedModelCount(const ModelSet& set) {
   return 1 + (uint64_t{1} << (64 - std::countr_zero(model_bytes)));
 }
 
-std::vector<uint8_t> WrappedParamBlob(const ModelSet& set) {
-  BinaryWriter writer = CraftedBlob("MMMPARM1");
+std::vector<uint8_t> WrappedParamBlob(const ModelSet& set, const char* magic) {
+  BinaryWriter writer = CraftedBlob(magic);
   writer.WriteVarint(WrappedModelCount(set));
   writer.WriteVarint(LayoutNumel(LayoutOf(set.spec)));
   for (const auto& [_, tensor] : set.models[0]) {
@@ -215,25 +315,30 @@ TEST(CodecCorruptionTest, HashTableRejectsWrappedModelCount) {
 
 TEST(CodecCorruptionTest, ParamBlobRejectsWrappedModelCount) {
   ModelSet set = SmallSet(1);
-  Result<std::vector<StateDict>> decoded =
-      DecodeParamBlob(set.spec, WrappedParamBlob(set), WrappedModelCount(set));
-  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+  for (const char* magic : {"MMMPARM1", "MMMPARM2"}) {
+    Result<std::vector<StateDict>> decoded = DecodeParamBlob(
+        set.spec, WrappedParamBlob(set, magic), WrappedModelCount(set));
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << magic << ": " << decoded.status().ToString();
+  }
 }
 
 TEST(CodecCorruptionTest, ParamStreamDecoderRejectsWrappedModelCount) {
   ModelSet set = SmallSet(1);
-  std::vector<uint8_t> blob = WrappedParamBlob(set);
-  size_t layers = 0;
-  ParamBlobStreamDecoder decoder(
-      set.spec, blob.size(), WrappedModelCount(set),
-      [&layers](size_t, size_t, const std::string&, Tensor) {
-        ++layers;
-        return Status::OK();
-      });
-  Status fed = decoder.Feed(blob);
-  EXPECT_TRUE(fed.IsCorruption()) << fed.ToString();
-  EXPECT_EQ(layers, 0u) << "decoder emitted layers past a bad header";
-  EXPECT_TRUE(decoder.Finish().IsCorruption());
+  for (const char* magic : {"MMMPARM1", "MMMPARM2"}) {
+    std::vector<uint8_t> blob = WrappedParamBlob(set, magic);
+    size_t layers = 0;
+    ParamBlobStreamDecoder decoder(
+        set.spec, blob.size(), WrappedModelCount(set),
+        [&layers](size_t, size_t, const std::string&, Tensor) {
+          ++layers;
+          return Status::OK();
+        });
+    Status fed = decoder.Feed(blob);
+    EXPECT_TRUE(fed.IsCorruption()) << magic << ": " << fed.ToString();
+    EXPECT_EQ(layers, 0u) << magic << ": decoder emitted layers past a bad header";
+    EXPECT_TRUE(decoder.Finish().IsCorruption());
+  }
 }
 
 // Zero-width headers: with a zero-parameter architecture no payload byte
@@ -264,17 +369,20 @@ TEST(CodecCorruptionTest, ZeroWidthHashTableChecksModelCount) {
 }
 
 TEST(CodecCorruptionTest, ZeroWidthParamBlobChecksModelCount) {
-  std::vector<uint8_t> blob = ZeroWidthBlob("MMMPARM1");
-  Result<std::vector<StateDict>> decoded =
-      DecodeParamBlob(ZeroParamSpec(), blob, 2);
-  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+  for (const char* magic : {"MMMPARM1", "MMMPARM2"}) {
+    std::vector<uint8_t> blob = ZeroWidthBlob(magic);
+    Result<std::vector<StateDict>> decoded =
+        DecodeParamBlob(ZeroParamSpec(), blob, 2);
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << magic << ": " << decoded.status().ToString();
 
-  ParamBlobStreamDecoder decoder(
-      ZeroParamSpec(), blob.size(), 2,
-      [](size_t, size_t, const std::string&, Tensor) { return Status::OK(); });
-  Status fed = decoder.Feed(blob);
-  EXPECT_TRUE(fed.IsCorruption()) << fed.ToString();
-  EXPECT_TRUE(decoder.Finish().IsCorruption());
+    ParamBlobStreamDecoder decoder(
+        ZeroParamSpec(), blob.size(), 2,
+        [](size_t, size_t, const std::string&, Tensor) { return Status::OK(); });
+    Status fed = decoder.Feed(blob);
+    EXPECT_TRUE(fed.IsCorruption()) << magic << ": " << fed.ToString();
+    EXPECT_TRUE(decoder.Finish().IsCorruption());
+  }
 }
 
 TEST(CodecCorruptionTest, ZeroWidthSnapshotChecksModelCount) {
@@ -306,8 +414,8 @@ TEST(CodecCorruptionTest, DiffBlobRejectsCountPastPayload) {
   writer.WriteVarint(uint64_t{1} << 60);
   writer.WriteVarint(0);
   writer.WriteVarint(0);
-  Result<DecodedDiff> decoded =
-      DecodeDiffBlob(set.spec, SealWithCrc(std::move(writer)));
+  Result<DiffView> decoded =
+      DiffView::Parse(set.spec, SealWithCrc(std::move(writer)));
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
@@ -320,8 +428,8 @@ TEST(CodecCorruptionTest, DiffBlobRejectsModelIndexPast32Bits) {
   writer.WriteVarint((uint64_t{1} << 32) + 3);
   writer.WriteVarint(0);
   writer.WriteFloatSpan(set.models[0][0].second.data());
-  Result<DecodedDiff> decoded =
-      DecodeDiffBlob(set.spec, SealWithCrc(std::move(writer)));
+  Result<DiffView> decoded =
+      DiffView::Parse(set.spec, SealWithCrc(std::move(writer)));
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/manager.h"
+#include "serialize/crc32.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -127,6 +128,46 @@ TEST_F(InspectTest, ValidateDetectsCorruptedParamBlob) {
   ASSERT_OK_AND_ASSIGN(StoreValidationReport report, manager_->ValidateStore());
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.problems[0].find("params.bin"), std::string::npos);
+}
+
+// A param blob whose footer passes but whose layer CRC table disagrees with
+// a layer is reported. A whole-blob recovery does not compare the table
+// (its footer covers the same bytes); ranged reads, which do, fail.
+TEST_F(InspectTest, ValidateDetectsLayerCrcTableMismatch) {
+  std::vector<std::string> ids = BuildUpdateChain(0);
+  std::string blob_name = ids[0] + ".params.bin";
+  auto blob = manager_->file_store()->Get(blob_name).ValueOrDie();
+  const size_t num_layers = LayoutOf(scenario_->current_set().spec).size();
+  const size_t num_models = scenario_->current_set().models.size();
+  // Model 2's entry for layer 5, then a footer that matches again.
+  const size_t table = blob.size() - 4 - num_models * num_layers * 4;
+  blob[table + (2 * num_layers + 5) * 4] ^= 0x01;
+  const uint32_t crc =
+      Crc32::Compute(std::span<const uint8_t>(blob).first(blob.size() - 4));
+  for (int i = 0; i < 4; ++i) {
+    blob[blob.size() - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  manager_->file_store()->Put(blob_name, blob).Check();
+
+  ASSERT_OK_AND_ASSIGN(StoreValidationReport report, manager_->ValidateStore());
+  ASSERT_EQ(report.problems.size(), 1u);
+  EXPECT_NE(report.problems[0].find("layer crc table disagrees with layer (2, 5)"),
+            std::string::npos)
+      << report.problems[0];
+  EXPECT_OK(manager_->Recover(ids[0]).status());
+  EXPECT_TRUE(manager_->RecoverModels(ids[0], {2}).status().IsCorruption());
+}
+
+// An MMMPARM1 blob (no layer CRC table) is valid.
+TEST_F(InspectTest, ValidateAcceptsVersionOneParamBlob) {
+  std::vector<std::string> ids = BuildUpdateChain(0);
+  manager_->file_store()
+      ->Put(ids[0] + ".params.bin",
+            testing::VersionOneParamBlob(scenario_->current_set()))
+      .Check();
+
+  ASSERT_OK_AND_ASSIGN(StoreValidationReport report, manager_->ValidateStore());
+  EXPECT_TRUE(report.ok()) << report.problems.front();
 }
 
 TEST_F(InspectTest, ValidateDetectsMissingParamBlob) {

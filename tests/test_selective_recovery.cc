@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "core/manager.h"
@@ -58,6 +59,31 @@ class SelectiveRecoveryTest : public ::testing::Test {
             << "model " << indices[i] << " param " << expected[p].first;
       }
     }
+  }
+
+  /// Where set `id`'s raw param blob keeps each model and layer CRC row;
+  /// `path` receives the blob's file.
+  ParamBlobLayout StoredLayout(const std::string& id, std::string* path) {
+    SetDocument doc = FetchSetDocument(manager_->context(), id).ValueOrDie();
+    *path = temp_.path() + "/store/blobs/" + doc.param_blob;
+    std::vector<uint8_t> prefix =
+        manager_->file_store()
+            ->GetRange(doc.param_blob, 0, kParamBlobMaxHeaderBytes)
+            .ValueOrDie();
+    return ReadParamBlobHeader(prefix,
+                               LayoutOf(scenario_->current_set().spec).size())
+        .ValueOrDie();
+  }
+
+  /// XORs `mask` into the byte at `at` of the file at `path`.
+  static void FlipByte(const std::string& path, uint64_t at, uint8_t mask) {
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(io.is_open()) << path;
+    io.seekg(static_cast<std::streamoff>(at));
+    char c = 0;
+    io.get(c);
+    io.seekp(static_cast<std::streamoff>(at));
+    io.put(static_cast<char>(c ^ mask));
   }
 
   TempDir temp_;
@@ -150,9 +176,10 @@ TEST_F(SelectiveRecoveryTest, UpdateSelectiveAvoidsFullChainMaterialization) {
 
 // A flipped byte inside a requested model's range of the raw root snapshot
 // fails selective Update recovery with Corruption instead of returning
-// wrong parameters: the ranged read checks each layer against the set's
-// stored hashes. It reads only the requested models' hash rows, so a model
-// elsewhere in the snapshot still recovers selectively and bit-exact.
+// wrong parameters: the ranged read checks each layer against its entry of
+// the blob's layer CRC table. It reads only the requested models' rows, so
+// a model elsewhere in the snapshot still recovers selectively and
+// bit-exact.
 TEST_F(SelectiveRecoveryTest, UpdateSelectiveRejectsAFlippedRootByte) {
   SaveChains(0);
   const std::string& id = heads_[ApproachType::kUpdate];
@@ -163,7 +190,9 @@ TEST_F(SelectiveRecoveryTest, UpdateSelectiveRejectsAFlippedRootByte) {
   ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> prefix,
                        files->GetRange(doc.param_blob, 0,
                                        kParamBlobMaxHeaderBytes));
-  ASSERT_OK_AND_ASSIGN(ParamBlobLayout layout, ReadParamBlobHeader(prefix));
+  ASSERT_OK_AND_ASSIGN(
+      ParamBlobLayout layout,
+      ReadParamBlobHeader(prefix, LayoutOf(scenario_->current_set().spec).size()));
   const std::string path = temp_.path() + "/store/blobs/" + doc.param_blob;
   std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(io.is_open()) << path;
@@ -184,6 +213,68 @@ TEST_F(SelectiveRecoveryTest, UpdateSelectiveRejectsAFlippedRootByte) {
   ExpectMatchesLive(intact, {8, 30});
   EXPECT_LT(files->stats().bytes_read * 10, param_bytes);
 }
+
+// The same checks for every approach whose selective recovery reads a raw
+// snapshot by range: a flipped byte in a requested layer, or in that
+// layer's entry of the layer CRC table, and a truncated table, each fail
+// RecoverModels with Corruption; the intact models around a flip still
+// recover bit-exact.
+class SelectiveCorruptionSweep
+    : public SelectiveRecoveryTest,
+      public ::testing::WithParamInterface<ApproachType> {};
+
+TEST_P(SelectiveCorruptionSweep, FlippedLayerByteIsCorruption) {
+  SaveChains(0);
+  const std::string& id = heads_[GetParam()];
+  std::string path;
+  const ParamBlobLayout layout = StoredLayout(id, &path);
+  FlipByte(path, layout.ModelOffset(7) + 5, 0x04);
+
+  Result<std::vector<StateDict>> flipped = manager_->RecoverModels(id, {7});
+  EXPECT_TRUE(flipped.status().IsCorruption()) << flipped.status().ToString();
+  ASSERT_OK_AND_ASSIGN(std::vector<StateDict> intact,
+                       manager_->RecoverModels(id, {8, 30}));
+  ExpectMatchesLive(intact, {8, 30});
+}
+
+TEST_P(SelectiveCorruptionSweep, FlippedTableEntryIsCorruption) {
+  SaveChains(0);
+  const std::string& id = heads_[GetParam()];
+  std::string path;
+  const ParamBlobLayout layout = StoredLayout(id, &path);
+  // Layer 3's entry in model 7's row.
+  FlipByte(path, layout.CrcRowOffset(7) + 3 * sizeof(uint32_t) + 1, 0x20);
+
+  Result<std::vector<StateDict>> flipped = manager_->RecoverModels(id, {7});
+  EXPECT_TRUE(flipped.status().IsCorruption()) << flipped.status().ToString();
+  ASSERT_OK_AND_ASSIGN(std::vector<StateDict> intact,
+                       manager_->RecoverModels(id, {6, 8}));
+  ExpectMatchesLive(intact, {6, 8});
+}
+
+TEST_P(SelectiveCorruptionSweep, TruncatedTableIsCorruption) {
+  SaveChains(0);
+  const std::string& id = heads_[GetParam()];
+  std::string path;
+  const ParamBlobLayout layout = StoredLayout(id, &path);
+  // The footer and the last row and a half of the table are gone.
+  std::filesystem::resize_file(
+      path, layout.CrcRowOffset(layout.num_models - 1) - layout.CrcRowBytes() / 2);
+
+  for (size_t model : {size_t{7}, layout.num_models - 1}) {
+    Result<std::vector<StateDict>> read = manager_->RecoverModels(id, {model});
+    EXPECT_TRUE(read.status().IsCorruption())
+        << "model " << model << ": " << read.status().ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RawSnapshotApproaches, SelectiveCorruptionSweep,
+                         ::testing::Values(ApproachType::kBaseline,
+                                           ApproachType::kUpdate,
+                                           ApproachType::kProvenance),
+                         [](const auto& info) {
+                           return ApproachTypeName(info.param);
+                         });
 
 TEST_F(SelectiveRecoveryTest, ProvenanceSelectiveRetrainsOnlyRequestedModels) {
   SaveChains(2);

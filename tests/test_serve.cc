@@ -28,6 +28,7 @@ namespace {
 
 using testing::RandomTensor;
 using testing::TempDir;
+using testing::VersionOneParamBlob;
 
 Sha256Digest DigestOf(uint8_t tag) {
   Sha256Digest d;
@@ -498,8 +499,9 @@ TEST_F(ServeTest, HeadAfterBaseReadsOnlyItsDiff) {
   EXPECT_GT(result.cache.layer_misses, 0u);
   EXPECT_EQ(result.sets_walked, 1u);
 
-  // Three blob reads: the head's hash table and the root's architecture
-  // (the head's metadata memo missed), then the head's diff.
+  // Five blob reads: the head's hash table, the root's architecture and
+  // its param blob's header and layer CRC table (the head's metadata memo
+  // missed), then the head's diff. No layer of the param blob is read.
   ASSERT_OK_AND_ASSIGN(SetDocument head_doc,
                        FetchSetDocument(manager_->context(), head_id));
   ASSERT_OK_AND_ASSIGN(SetDocument base_doc,
@@ -509,8 +511,11 @@ TEST_F(ServeTest, HeadAfterBaseReadsOnlyItsDiff) {
   ASSERT_OK_AND_ASSIGN(uint64_t arch_bytes, files->Size(base_doc.arch_blob));
   ASSERT_OK_AND_ASSIGN(uint64_t diff_bytes, files->Size(head_doc.diff_blob));
   ASSERT_OK_AND_ASSIGN(uint64_t param_bytes, files->Size(base_doc.param_blob));
-  EXPECT_EQ(delta.read_ops, 3u);
-  EXPECT_EQ(delta.bytes_read, hash_bytes + arch_bytes + diff_bytes);
+  const uint64_t table_bytes =
+      head.models.size() * LayoutOf(head.spec).size() * sizeof(uint32_t);
+  EXPECT_EQ(delta.read_ops, 5u);
+  EXPECT_EQ(delta.bytes_read, hash_bytes + arch_bytes + diff_bytes +
+                                  kParamBlobMaxHeaderBytes + table_bytes);
   EXPECT_LT(delta.bytes_read, param_bytes);
 }
 
@@ -1059,8 +1064,8 @@ TEST_F(ServeTest, CorruptBlobNeverPoisonsTheCache) {
 // a cold recovery of the root leaves its later layers resident, so the
 // next recovery reads only the earlier ones, by range, from the raw param
 // blob. A byte flipped inside one of those (a layer the cache missed) is
-// outside any CRC the ranged read checks: its SHA-256 check fails the
-// recovery with Corruption, and no layer of that request is admitted.
+// outside the footer's reach: its layer CRC check fails the recovery with
+// Corruption, and no layer of that request is admitted.
 TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   OpenManager();
   std::string base_id = Save(ApproachType::kUpdate, nullptr);
@@ -1077,7 +1082,9 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> prefix,
                        files->GetRange(doc.param_blob, 0,
                                        kParamBlobMaxHeaderBytes));
-  ASSERT_OK_AND_ASSIGN(ParamBlobLayout layout, ReadParamBlobHeader(prefix));
+  ASSERT_OK_AND_ASSIGN(
+      ParamBlobLayout layout,
+      ReadParamBlobHeader(prefix, LayoutOf(expected_[base_id].spec).size()));
   const std::string path = temp_.path() + "/store/blobs/" + doc.param_blob;
   std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(io.is_open()) << path;
@@ -1095,7 +1102,7 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   Result<ModelSet> recovered = service.Recover(base_id, &result);
   ASSERT_TRUE(recovered.status().IsCorruption())
       << recovered.status().ToString();
-  EXPECT_NE(recovered.status().ToString().find("sha-256"), std::string::npos)
+  EXPECT_NE(recovered.status().ToString().find("layer crc"), std::string::npos)
       << recovered.status().ToString();
   // The layers came by range, not with the whole blob.
   EXPECT_LT((files->stats() - reads_before).bytes_read, param_bytes);
@@ -1103,6 +1110,67 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(after.inserts, before.inserts);
   EXPECT_EQ(after.entries, before.entries);
+}
+
+// A root snapshot stored as MMMPARM1 recovers bit-exact through Recover,
+// RecoverModels and the cached path, each reading it whole (checked by its
+// footer) where an MMMPARM2 root would be read by range. Baseline's
+// selective read of an MMMPARM1 snapshot does the same.
+TEST_F(ServeTest, VersionOneParamBlobIsReadWhole) {
+  OpenManager();
+  const std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  const std::string baseline_id = Save(ApproachType::kBaseline, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  const std::string head_id = Save(ApproachType::kUpdate, &update);
+  const std::vector<uint8_t> v1 = VersionOneParamBlob(expected_[base_id]);
+  for (const std::string& id : {base_id, baseline_id}) {
+    ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                         FetchSetDocument(manager_->context(), id));
+    std::ofstream out(temp_.path() + "/store/blobs/" + doc.param_blob,
+                      std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(v1.data()),
+              static_cast<std::streamsize>(v1.size()));
+  }
+  FileStore* files = manager_->file_store();
+  auto bytes_read = [&](auto&& read) {
+    const StoreStats before = files->stats();
+    read();
+    return (files->stats() - before).bytes_read;
+  };
+
+  for (const std::string& id : {base_id, head_id, baseline_id}) {
+    ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager_->Recover(id));
+    ExpectSetEquals(recovered, expected_[id]);
+    // One model is asked for, so only a whole read covers the blob.
+    const std::vector<size_t> models = {3};
+    const uint64_t read = bytes_read([&] {
+      ASSERT_OK_AND_ASSIGN(std::vector<StateDict> selected,
+                           manager_->RecoverModels(id, models));
+      ASSERT_EQ(selected.size(), 1u);
+      for (size_t p = 0; p < selected[0].size(); ++p) {
+        EXPECT_TRUE(selected[0][p].second.Equals(
+            expected_[id].models[3][p].second));
+      }
+    });
+    EXPECT_GE(read, v1.size()) << id;
+  }
+
+  // Half a set of capacity: the second recovery of the root misses some
+  // layers, which an MMMPARM2 root would serve by range.
+  ModelSetServiceOptions options;
+  options.cache_capacity_bytes = SetChargeBytes(expected_[base_id]) / 2;
+  ModelSetService service(manager_.get(), options);
+  ASSERT_OK(service.Recover(base_id).status());
+  ServeResult result;
+  const uint64_t read = bytes_read([&] {
+    ASSERT_OK_AND_ASSIGN(ModelSet served, service.Recover(base_id, &result));
+    ExpectSetEquals(served, expected_[base_id]);
+  });
+  EXPECT_GT(result.cache.layer_hits, 0u);
+  EXPECT_GT(result.cache.layer_misses, 0u);
+  EXPECT_GE(read, v1.size());
+  ASSERT_OK_AND_ASSIGN(ModelSet head, service.Recover(head_id));
+  ExpectSetEquals(head, expected_[head_id]);
 }
 
 // Every Update read path against what was saved. Both diff encodings x
@@ -1113,7 +1181,8 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
 // resolver, so each is checked against the saved bytes, not against
 // another path. At 0.3x, entries are evicted while other workers still hold
 // them (a TSan target), and on a raw, non-CAS store the root is read by
-// range and each of those layers SHA-256-checked, under both encodings.
+// range and each of those layers checked against its layer CRC, under both
+// encodings.
 TEST_F(ServeTest, CachedMatchesDirectAcrossEncodingsCompressionCas) {
   for (DiffEncoding encoding : {DiffEncoding::kAbsolute, DiffEncoding::kXorBase}) {
     for (Compression compression : {Compression::kNone, Compression::kLz}) {

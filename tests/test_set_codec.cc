@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/blob_formats.h"
 #include "tests/test_util.h"
 
@@ -139,12 +141,21 @@ TEST_F(SetCodecTest, ReadModelsFromCompressedSnapshotFallsBack) {
 TEST_F(SetCodecTest, ParamBlobHeaderRoundTrip) {
   ASSERT_OK_AND_ASSIGN(ModelSet set, MakeInitializedSet(Ffnn48Spec(), 3, 5));
   std::vector<uint8_t> blob = EncodeParamBlob(set);
-  ASSERT_OK_AND_ASSIGN(ParamBlobLayout layout,
-                       ReadParamBlobHeader(std::span<const uint8_t>(
-                           blob.data(), kParamBlobMaxHeaderBytes)));
+  ASSERT_OK_AND_ASSIGN(
+      ParamBlobLayout layout,
+      ReadParamBlobHeader(
+          std::span<const uint8_t>(blob.data(), kParamBlobMaxHeaderBytes),
+          LayoutOf(set.spec).size()));
   EXPECT_EQ(layout.num_models, 3u);
   EXPECT_EQ(layout.params_per_model, 4993u);
   EXPECT_EQ(layout.ModelBytes(), 4993u * 4);
+  // The layer CRC table follows the floats, one row of 8 CRCs per model,
+  // and the footer ends the blob.
+  EXPECT_EQ(layout.CrcRowOffset(3) + 4, blob.size());
+  EXPECT_EQ(layout.CrcRowOffset(0), layout.ModelOffset(3));
+  uint32_t crc = 0;
+  std::memcpy(&crc, blob.data() + layout.CrcRowOffset(1) + 7 * 4, 4);
+  EXPECT_EQ(crc, LayerCrc(set.models[1][7].second));
   // Slicing at the computed offset yields model 1 exactly.
   std::span<const uint8_t> slice(blob.data() + layout.ModelOffset(1),
                                  layout.ModelBytes());
@@ -155,7 +166,7 @@ TEST_F(SetCodecTest, ParamBlobHeaderRoundTrip) {
 
 TEST_F(SetCodecTest, ParamBlobHeaderRejectsWrongMagic) {
   std::vector<uint8_t> junk(30, 0x42);
-  EXPECT_TRUE(ReadParamBlobHeader(junk).status().IsCorruption());
+  EXPECT_TRUE(ReadParamBlobHeader(junk, 8).status().IsCorruption());
 }
 
 TEST_F(SetCodecTest, DecodeModelSliceChecksSize) {

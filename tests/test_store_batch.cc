@@ -443,10 +443,10 @@ TEST(HashMemoTest, InPlaceWritesBySoleOwnerReachTheDiff) {
                        manager->SaveDerived(ApproachType::kUpdate, set, update));
   ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> diff_blob,
                        manager->file_store()->Get(derived.set_id + ".diff.bin"));
-  ASSERT_OK_AND_ASSIGN(DecodedDiff diff, DecodeDiffBlob(set.spec, diff_blob));
-  ASSERT_EQ(diff.entries.size(), 1u);
-  EXPECT_EQ(diff.entries[0].model_index, 5u);
-  EXPECT_EQ(diff.entries[0].param_index, 2u);
+  ASSERT_OK_AND_ASSIGN(DiffView diff, DiffView::Parse(set.spec, diff_blob));
+  ASSERT_EQ(diff.entries().size(), 1u);
+  EXPECT_EQ(diff.entries()[0].model_index, 5u);
+  EXPECT_EQ(diff.entries()[0].param_index, 2u);
   ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(derived.set_id));
   ExpectSameSet(recovered, set, "recovered");
 
@@ -462,10 +462,10 @@ TEST(HashMemoTest, InPlaceWritesBySoleOwnerReachTheDiff) {
                        manager->SaveDerived(ApproachType::kUpdate, set, update));
   ASSERT_OK_AND_ASSIGN(diff_blob,
                        manager->file_store()->Get(written.set_id + ".diff.bin"));
-  ASSERT_OK_AND_ASSIGN(diff, DecodeDiffBlob(set.spec, diff_blob));
-  ASSERT_EQ(diff.entries.size(), 1u);
-  EXPECT_EQ(diff.entries[0].model_index, 6u);
-  EXPECT_EQ(diff.entries[0].param_index, 1u);
+  ASSERT_OK_AND_ASSIGN(diff, DiffView::Parse(set.spec, diff_blob));
+  ASSERT_EQ(diff.entries().size(), 1u);
+  EXPECT_EQ(diff.entries()[0].model_index, 6u);
+  EXPECT_EQ(diff.entries()[0].param_index, 1u);
   ASSERT_OK_AND_ASSIGN(recovered, manager->Recover(written.set_id));
   ExpectSameSet(recovered, set, "recovered after the span write");
 }

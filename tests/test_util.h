@@ -5,9 +5,13 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/model_set.h"
+#include "serialize/binary_io.h"
+#include "serialize/crc32.h"
 #include "tensor/tensor.h"
 
 namespace mmm::testing {
@@ -61,6 +65,21 @@ inline Tensor RandomTensor(const Shape& shape, uint64_t seed) {
     x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
   }
   return t;
+}
+
+/// An MMMPARM1 param blob, as stores written before the layer CRC table
+/// hold: the header, the floats and the CRC footer, built by hand.
+inline std::vector<uint8_t> VersionOneParamBlob(const ModelSet& set) {
+  BinaryWriter writer;
+  writer.WriteBytes(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>("MMMPARM1"), 8));
+  writer.WriteVarint(set.models.size());
+  writer.WriteVarint(LayoutNumel(LayoutOf(set.spec)));
+  for (const StateDict& model : set.models) {
+    for (const auto& [key, tensor] : model) writer.WriteFloatSpan(tensor.data());
+  }
+  writer.WriteUint32(Crc32::Compute(writer.buffer()));
+  return writer.TakeBuffer();
 }
 
 }  // namespace mmm::testing

@@ -32,11 +32,11 @@ TEST(XorDiffBlobTest, RoundTripCarriesEncoding) {
   std::vector<DiffEntry> entries{{2, 3}};
   std::vector<uint8_t> blob =
       EncodeDiffBlob(current, entries, DiffEncoding::kXorBase, &base);
-  ASSERT_OK_AND_ASSIGN(DecodedDiff diff, DecodeDiffBlob(current.spec, blob));
-  EXPECT_EQ(diff.encoding, DiffEncoding::kXorBase);
-  ASSERT_EQ(diff.tensors.size(), 1u);
+  ASSERT_OK_AND_ASSIGN(DiffView diff, DiffView::Parse(current.spec, blob));
+  EXPECT_EQ(diff.encoding(), DiffEncoding::kXorBase);
+  ASSERT_EQ(diff.entries().size(), 1u);
   // Applying the XOR delta to the base reproduces the current tensor.
-  Tensor applied = XorTensors(base.models[2][3].second, diff.tensors[0]);
+  Tensor applied = XorTensors(base.models[2][3].second, diff.TensorAt(0));
   EXPECT_TRUE(applied.Equals(current.models[2][3].second));
 }
 
