@@ -9,6 +9,7 @@
 #include "battery/data_gen.h"
 #include "battery/drive_cycle.h"
 #include "battery/ecm.h"
+#include "cas/manifest.h"
 #include "core/blob_formats.h"
 #include "nn/trainer.h"
 #include "serialize/crc32.h"
@@ -101,6 +102,51 @@ void BM_Crc32(benchmark::State& state) {
 // tables, where dispatch and the table-loop tail cost show; 1 MiB is the
 // blob-footer bulk.
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(1 << 20);
+
+// One combine per chunk of a CAS read (8,249 B is a typical chunk), and
+// lengths whose upper bytes use the rest of the shift table.
+void BM_Crc32Combine(benchmark::State& state) {
+  const auto length = static_cast<uint64_t>(state.range(0));
+  uint32_t crc = 0x12345678u;
+  for (auto _ : state) {
+    crc = Crc32::Combine(crc, 0x9abcdef0u, length);
+    benchmark::DoNotOptimize(crc);
+  }
+}
+BENCHMARK(BM_Crc32Combine)
+    ->Arg(8249)
+    ->Arg(1 << 20)
+    ->Arg(int64_t{1} << 40);
+
+// A 10 MB snapshot's manifest (1,220 chunk refs) in the JSON form of older
+// stores (arg 1) and the binary MMCASM2 form (arg 2).
+void BM_DecodeManifest(benchmark::State& state) {
+  CasManifest manifest;
+  for (uint64_t i = 0; i < 1220; ++i) {
+    const std::string seed = std::to_string(i);
+    manifest.chunks.push_back(
+        {Sha256::Hash(std::string_view(seed)).ToHex(), 8000 + i % 500});
+    manifest.raw_size += manifest.chunks.back().length;
+  }
+  manifest.raw_crc = 0xdeadbeefu;
+  std::vector<uint8_t> encoded = EncodeManifest(manifest);
+  if (state.range(0) == 1) {
+    std::string text = "MMCASM1\n{\"raw_size\":" +
+                       std::to_string(manifest.raw_size) + ",\"raw_crc\":" +
+                       std::to_string(manifest.raw_crc) + ",\"chunks\":[";
+    for (size_t i = 0; i < manifest.chunks.size(); ++i) {
+      text += (i > 0 ? ",[\"" : "[\"") + manifest.chunks[i].hash_hex + "\"," +
+              std::to_string(manifest.chunks[i].length) + "]";
+    }
+    text += "]}";
+    encoded.assign(text.begin(), text.end());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeManifest(encoded).ValueOrDie());
+  }
+  state.SetBytesProcessed(state.iterations() * encoded.size());
+}
+BENCHMARK(BM_DecodeManifest)->Arg(1)->Arg(2);
 
 void BM_EncodeParamBlob(benchmark::State& state) {
   ModelSet set =

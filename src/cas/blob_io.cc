@@ -1,7 +1,8 @@
 #include "cas/blob_io.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <tuple>
 
 #include "serialize/compress.h"
 #include "serialize/crc32.h"
@@ -10,7 +11,9 @@ namespace mmm {
 
 namespace {
 
-using ChunkFn = std::function<Status(std::span<const uint8_t>)>;
+/// Receives each chunk with the CRC-32 its pack index records, which the
+/// bytes were checked against.
+using ChunkFn = std::function<Status(std::span<const uint8_t>, uint32_t)>;
 
 /// Hands the chunks `refs` names (a manifest's whole list, or the run of it
 /// a ranged read needs) to `on_chunk` in order. The chunks are resolved to
@@ -31,33 +34,53 @@ Status StreamChunks(FileStore* store, CasStore* cas, const std::string& name,
   auto pins = cas->ResolveChunks(refs, &where);
   if (!pins.ok()) return pins.status().WithContext("blob '", name, "'");
 
-  // Only each chunk's first use is read.
-  std::map<std::string, size_t> uses;
+  // Every use of a chunk resolves to the same place in a pack, so the uses
+  // of one chunk are the refs sharing a location. first[i] is the first
+  // use of ref i's chunk; only first uses are read.
+  const size_t n = refs.size();
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::tie(where[a].pack, where[a].offset, a) <
+           std::tie(where[b].pack, where[b].offset, b);
+  });
+  std::vector<size_t> first(n);
+  std::vector<size_t> uses_left(n, 0);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = order[k];
+    const size_t prev = k == 0 ? i : order[k - 1];
+    const bool repeat = k > 0 && where[i].pack != 0 &&
+                        where[i].pack == where[prev].pack &&
+                        where[i].offset == where[prev].offset;
+    first[i] = repeat ? first[prev] : i;
+    ++uses_left[first[i]];
+  }
   std::vector<size_t> first_use;
   std::vector<CasChunkRef> reads;
   std::vector<ChunkLocation> read_where;
-  for (size_t i = 0; i < refs.size(); ++i) {
-    if (uses[refs[i].hash_hex]++ != 0) continue;
+  for (size_t i = 0; i < n; ++i) {
+    if (first[i] != i) continue;
     first_use.push_back(i);
     reads.push_back(refs[i]);
     read_where.push_back(where[i]);
   }
-  std::map<std::string, std::vector<uint8_t>> retained;
+  std::vector<std::vector<uint8_t>> retained(n);  // by first use
   size_t next = 0;  // the next entry of `refs` to hand on
   Status handed;
   auto hand_on = [&](std::span<const uint8_t> chunk) {
-    const std::string& hex = refs[next++].hash_hex;
-    handed = on_chunk(chunk);
-    if (--uses[hex] == 0) {
-      retained.erase(hex);
-    } else if (retained.count(hex) == 0) {
-      retained.emplace(hex, std::vector<uint8_t>(chunk.begin(), chunk.end()));
+    const size_t i = next++;
+    const size_t f = first[i];
+    handed = on_chunk(chunk, where[i].crc);
+    if (--uses_left[f] == 0) {
+      retained[f] = {};
+    } else if (f == i) {
+      retained[f].assign(chunk.begin(), chunk.end());
     }
     return handed;
   };
   auto replay_until = [&](size_t end) {
     while (next < end) {
-      MMM_RETURN_NOT_OK(hand_on(retained.at(refs[next].hash_hex)));
+      MMM_RETURN_NOT_OK(hand_on(retained[first[next]]));
     }
     return Status::OK();
   };
@@ -71,21 +94,23 @@ Status StreamChunks(FileStore* store, CasStore* cas, const std::string& name,
     // A failed on_chunk comes back unchanged; read errors name the blob.
     return handed.ok() ? read.WithContext("blob '", name, "'") : handed;
   }
-  return replay_until(refs.size());
+  return replay_until(n);
 }
 
 /// StreamChunks over a whole manifest, verifying the reassembled size and
-/// CRC against it.
+/// CRC against it. The CRC is combined from the chunk CRCs the reads
+/// checked, so no byte is checksummed twice.
 Status ReassembleChunks(FileStore* store, CasStore* cas,
                         const std::string& name, const CasManifest& manifest,
-                        const ChunkFn& on_chunk) {
+                        const std::function<Status(std::span<const uint8_t>)>&
+                            on_chunk) {
   uint64_t total = 0;
   uint32_t crc = 0;
   MMM_RETURN_NOT_OK(StreamChunks(
       store, cas, name, manifest.chunks,
-      [&](std::span<const uint8_t> chunk) {
+      [&](std::span<const uint8_t> chunk, uint32_t chunk_crc) {
         total += chunk.size();
-        crc = Crc32::Extend(crc, chunk);
+        crc = Crc32::Combine(crc, chunk_crc, chunk.size());
         return on_chunk(chunk);
       }));
   if (total != manifest.raw_size) {
@@ -110,26 +135,17 @@ Result<CasManifest> DecodeManifestOf(const std::string& name,
 
 }  // namespace
 
-Result<std::vector<uint8_t>> CasReadBlob(FileStore* store, CasStore* cas,
-                                         const std::string& name) {
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> data, store->Get(name));
-  if (!IsManifestPayload(data)) return data;
-  MMM_ASSIGN_OR_RETURN(CasManifest manifest, DecodeManifestOf(name, data));
-  std::vector<uint8_t> out;
-  out.reserve(manifest.raw_size);
-  MMM_RETURN_NOT_OK(ReassembleChunks(
-      store, cas, name, manifest, [&out](std::span<const uint8_t> chunk) {
-        out.insert(out.end(), chunk.begin(), chunk.end());
+Result<std::string> CasReadBlobString(FileStore* store, CasStore* cas,
+                                      const std::string& name) {
+  std::string out;
+  MMM_RETURN_NOT_OK(CasStreamBlob(
+      store, cas, name, /*window_bytes=*/0, nullptr,
+      [&out](std::span<const uint8_t> window) {
+        out.append(reinterpret_cast<const char*>(window.data()),
+                   window.size());
         return Status::OK();
       }));
   return out;
-}
-
-Result<std::string> CasReadBlobString(FileStore* store, CasStore* cas,
-                                      const std::string& name) {
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
-                       CasReadBlob(store, cas, name));
-  return std::string(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
 Result<uint64_t> CasBlobSize(FileStore* store, CasStore* cas,
@@ -176,7 +192,7 @@ Result<std::vector<uint8_t>> CasReadBlobRange(FileStore* store, CasStore* cas,
       store, cas, name,
       std::span<const CasChunkRef>(manifest.chunks).subspan(first,
                                                             last - first),
-      [&](std::span<const uint8_t> chunk) {
+      [&](std::span<const uint8_t> chunk, uint32_t /*crc*/) {
         const uint64_t chunk_end = chunk_start + chunk.size();
         const uint64_t from = std::max(offset, chunk_start) - chunk_start;
         const uint64_t to = std::min(end, chunk_end) - chunk_start;
@@ -195,7 +211,7 @@ Result<std::vector<uint8_t>> CasReadBlobRange(FileStore* store, CasStore* cas,
 
 Status CasStreamBlob(FileStore* store, CasStore* cas, const std::string& name,
                      uint64_t window_bytes,
-                     const std::function<Status(uint64_t)>& on_open,
+                     const std::function<Status(const CasStreamInfo&)>& on_open,
                      const std::function<Status(std::span<const uint8_t>)>&
                          on_window) {
   MMM_ASSIGN_OR_RETURN(StreamFile stream,
@@ -211,7 +227,9 @@ Status CasStreamBlob(FileStore* store, CasStore* cas, const std::string& name,
 
   if (!IsManifestPayload(head)) {
     // Verbatim blob: the stored bytes are the payload.
-    if (on_open != nullptr) MMM_RETURN_NOT_OK(on_open(stream.size()));
+    if (on_open != nullptr) {
+      MMM_RETURN_NOT_OK(on_open(CasStreamInfo{stream.size(), std::nullopt}));
+    }
     if (!head.empty()) {
       MMM_RETURN_NOT_OK(on_window(head));
     }
@@ -232,7 +250,10 @@ Status CasStreamBlob(FileStore* store, CasStore* cas, const std::string& name,
                        DecodeManifestOf(name, head));
   head.clear();
   head.shrink_to_fit();
-  if (on_open != nullptr) MMM_RETURN_NOT_OK(on_open(manifest.raw_size));
+  if (on_open != nullptr) {
+    MMM_RETURN_NOT_OK(
+        on_open(CasStreamInfo{manifest.raw_size, manifest.raw_crc}));
+  }
 
   // Chunks (at most CasOptions::max_chunk_bytes each) are handed on in
   // windows of at most `window_bytes`, like any other stream.

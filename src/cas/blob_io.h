@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,11 +33,8 @@ namespace mmm {
 /// verbatim"). Reading a chunked blob needs `cas` for the chunks'
 /// locations; without it the read fails with Corruption.
 
-/// Reads a blob, reassembling from chunks when it is a manifest.
-Result<std::vector<uint8_t>> CasReadBlob(FileStore* store, CasStore* cas,
-                                         const std::string& name);
-
-/// String flavor of CasReadBlob.
+/// Reads a whole blob's logical payload into a string, through
+/// CasStreamBlob.
 Result<std::string> CasReadBlobString(FileStore* store, CasStore* cas,
                                       const std::string& name);
 
@@ -54,11 +52,21 @@ Result<std::vector<uint8_t>> CasReadBlobRange(FileStore* store, CasStore* cas,
                                               uint64_t offset,
                                               uint64_t length);
 
+/// What CasStreamBlob knows of a blob before its first window.
+struct CasStreamInfo {
+  uint64_t size = 0;  ///< the logical payload's size
+  /// A chunked blob's CRC-32 over its whole payload, from the manifest. The
+  /// stream returns OK only if the payload has this CRC (combined from the
+  /// chunk CRCs it checked, not recomputed), so a caller may rely on it in
+  /// place of a pass of its own. nullopt for a verbatim blob, whose bytes
+  /// the stream does not check.
+  std::optional<uint32_t> crc;
+};
+
 /// \brief Streams a blob's logical payload window-by-window (DESIGN.md
-/// §12) without ever materializing it: `on_open(logical_size)` fires once
-/// (after the manifest, if any, is decoded; may be null), then `on_window`
-/// receives the payload bytes in order. The concatenated windows are
-/// bit-identical to CasReadBlob's result. A verbatim blob is one
+/// §12) without ever materializing it: `on_open(info)` fires once (after
+/// the manifest, if any, is decoded; may be null), then `on_window`
+/// receives the payload bytes in order. A verbatim blob is one
 /// OpenStream. A manifest's chunks are read through one forward cursor per
 /// pack, each buffering at most one window of CasOptions::max_chunk_bytes;
 /// a chunk that repeats later in the manifest is retained until its last
@@ -69,15 +77,14 @@ Result<std::vector<uint8_t>> CasReadBlobRange(FileStore* store, CasStore* cas,
 /// unchanged, so callers can propagate their own decode errors.
 Status CasStreamBlob(FileStore* store, CasStore* cas, const std::string& name,
                      uint64_t window_bytes,
-                     const std::function<Status(uint64_t)>& on_open,
+                     const std::function<Status(const CasStreamInfo&)>& on_open,
                      const std::function<Status(std::span<const uint8_t>)>&
                          on_window);
 
 /// Streams a stored blob through BlobDecompressor into a full decompressed
-/// buffer: same bytes as DecompressBlob(CasReadBlob(...)), but the stored-
-/// side intermediate never exists. For read paths that still need the
-/// whole decoded payload at once (diff and hash-table blobs — small next
-/// to param snapshots).
+/// buffer: the stored-side bytes are never held whole. For read paths that
+/// still need the whole decoded payload at once (diff, hash-table and
+/// state-dict blobs — small next to param snapshots).
 Result<std::vector<uint8_t>> CasReadBlobDecompressed(FileStore* store,
                                                      CasStore* cas,
                                                      const std::string& name,

@@ -39,16 +39,22 @@ class CasBatchSession : public CasWriteSession {
 
     CasManifest manifest;
     manifest.raw_size = data->size();
-    manifest.raw_crc = Crc32::Compute(*data);
     const std::vector<ChunkSpan> spans = ChunkBlob(*data, options);
     // Hash before locking: the digests need no shared state, and GC,
     // audits and other sessions would otherwise wait out ~10 MB of SHA-256.
+    // Each chunk's CRC is taken once: the pack index records it, and the
+    // payload's CRC is combined from them.
     std::vector<std::string> hexes;
+    std::vector<uint32_t> crcs;
     hexes.reserve(spans.size());
+    crcs.reserve(spans.size());
     for (const ChunkSpan& span : spans) {
-      hexes.push_back(Sha256::Hash(std::span<const uint8_t>(
-                                       data->data() + span.offset, span.length))
-                          .ToHex());
+      const std::span<const uint8_t> chunk(data->data() + span.offset,
+                                           span.length);
+      hexes.push_back(Sha256::Hash(chunk).ToHex());
+      crcs.push_back(Crc32::Compute(chunk));
+      manifest.raw_crc =
+          Crc32::Combine(manifest.raw_crc, crcs.back(), span.length);
     }
 
     MutexLock lock(store_->mu_);
@@ -62,8 +68,10 @@ class CasBatchSession : public CasWriteSession {
       PinLocked(hex);
       if (store_->chunks_.count(hex) == 0 && staged_.count(hex) == 0) {
         staged_[hex] = pack_.entries().size();
-        pack_.Add(hex, std::span<const uint8_t>(data->data() + span.offset,
-                                                span.length));
+        pack_.Add(hex,
+                  std::span<const uint8_t>(data->data() + span.offset,
+                                           span.length),
+                  crcs[c]);
       }
     }
     written_manifests_[name] =
@@ -588,12 +596,13 @@ Status CasStore::Repack(SweepReport* report) {
   }
 
   // Copy through the recovery read path (so the same plan and checks
-  // apply), then write the new pack in its own journaled commit.
+  // apply, and each chunk keeps the CRC it was checked against), then
+  // write the new pack in its own journaled commit.
   PackBuilder builder;
   Status status = ReadPackedChunks(
       store_, options_.max_chunk_bytes, refs, from,
       [&](size_t i, std::span<const uint8_t> bytes) {
-        builder.Add(refs[i].hash_hex, bytes);
+        builder.Add(refs[i].hash_hex, bytes, from[i].crc);
         return Status::OK();
       });
   const std::vector<PackEntry> entries = builder.entries();

@@ -2,9 +2,16 @@
 
 #include <cstring>
 
+#include "common/strings.h"
+#include "serialize/binary_io.h"
+#include "serialize/crc32.h"
 #include "serialize/json.h"
 
 namespace mmm {
+
+namespace {
+constexpr size_t kDigestBytes = 32;
+}  // namespace
 
 std::string ChunkBlobName(const std::string& hash_hex) {
   return kCasChunkPrefix + hash_hex;
@@ -18,38 +25,42 @@ std::string ChunkHexOfBlobName(std::string_view name) {
   return std::string(name.substr(sizeof(kCasChunkPrefix) - 1));
 }
 
+void WriteDigest(const std::string& hash_hex, BinaryWriter* out) {
+  std::vector<uint8_t> digest;
+  HexDecode(hash_hex, &digest);
+  digest.resize(kDigestBytes);
+  out->WriteBytes(digest);
+}
+
 bool IsManifestPayload(std::span<const uint8_t> data) {
   return data.size() >= kCasManifestMagicSize &&
-         std::memcmp(data.data(), kCasManifestMagic, kCasManifestMagicSize) == 0;
+         (std::memcmp(data.data(), kCasManifestMagic, kCasManifestMagicSize) ==
+              0 ||
+          std::memcmp(data.data(), kCasManifestV1Magic,
+                      kCasManifestMagicSize) == 0);
 }
 
 std::vector<uint8_t> EncodeManifest(const CasManifest& manifest) {
-  JsonValue record = JsonValue::Object();
-  record.Set("raw_size", manifest.raw_size);
-  record.Set("raw_crc", static_cast<uint64_t>(manifest.raw_crc));
-  JsonValue chunks = JsonValue::Array();
+  BinaryWriter out;
+  out.Reserve(kCasManifestMagicSize + 2 * 10 + 8 +
+              manifest.chunks.size() * (kDigestBytes + 5));
+  out.WriteBytes(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(kCasManifestMagic),
+      kCasManifestMagicSize));
+  out.WriteVarint(manifest.raw_size);
+  out.WriteUint32(manifest.raw_crc);
+  out.WriteVarint(manifest.chunks.size());
   for (const CasChunkRef& chunk : manifest.chunks) {
-    JsonValue entry = JsonValue::Array();
-    entry.Append(chunk.hash_hex);
-    entry.Append(chunk.length);
-    chunks.Append(std::move(entry));
+    WriteDigest(chunk.hash_hex, &out);
+    out.WriteVarint(chunk.length);
   }
-  record.Set("chunks", std::move(chunks));
-
-  std::string body = record.Dump();
-  std::vector<uint8_t> out(kCasManifestMagicSize + body.size());
-  std::memcpy(out.data(), kCasManifestMagic, kCasManifestMagicSize);
-  std::memcpy(out.data() + kCasManifestMagicSize, body.data(), body.size());
-  return out;
+  out.WriteUint32(Crc32::Compute(out.buffer()));
+  return out.TakeBuffer();
 }
 
-Result<CasManifest> DecodeManifest(std::span<const uint8_t> data) {
-  if (!IsManifestPayload(data)) {
-    return Status::Corruption("cas manifest magic mismatch");
-  }
-  std::string_view body(
-      reinterpret_cast<const char*>(data.data()) + kCasManifestMagicSize,
-      data.size() - kCasManifestMagicSize);
+namespace {
+
+Result<CasManifest> DecodeManifestV1(std::string_view body) {
   auto parsed = JsonValue::Parse(body);
   if (!parsed.ok()) {
     return parsed.status().WithContext("cas manifest body");
@@ -81,6 +92,55 @@ Result<CasManifest> DecodeManifest(std::span<const uint8_t> data) {
     manifest.chunks.push_back(std::move(ref));
   }
   return manifest;
+}
+
+Result<CasManifest> DecodeManifestV2(std::span<const uint8_t> data) {
+  // The trailing CRC covers everything before it, so the whole payload's
+  // CRC is the residue exactly when the two agree.
+  if (data.size() < kCasManifestMagicSize + 4 ||
+      Crc32::Compute(data) != Crc32::kResidue) {
+    return Status::Corruption("cas manifest fails its crc");
+  }
+  const std::span<const uint8_t> body = data.subspan(
+      kCasManifestMagicSize, data.size() - kCasManifestMagicSize - 4);
+  BinaryReader reader(body);
+  CasManifest manifest;
+  MMM_ASSIGN_OR_RETURN(manifest.raw_size, reader.ReadVarint());
+  MMM_ASSIGN_OR_RETURN(manifest.raw_crc, reader.ReadUint32());
+  MMM_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
+  // Each entry takes at least a digest and a one-byte length.
+  if (count > reader.remaining() / (kDigestBytes + 1)) {
+    return Status::Corruption("cas manifest claims ", count,
+                              " chunks, more than its ", reader.remaining(),
+                              " bytes hold");
+  }
+  manifest.chunks.resize(count);
+  for (CasChunkRef& ref : manifest.chunks) {
+    const size_t at = reader.offset();
+    MMM_RETURN_NOT_OK(reader.Skip(kDigestBytes));
+    ref.hash_hex = HexEncode(body.subspan(at, kDigestBytes));
+    MMM_ASSIGN_OR_RETURN(ref.length, reader.ReadVarint());
+  }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("cas manifest has ", reader.remaining(),
+                              " trailing bytes");
+  }
+  return manifest;
+}
+
+}  // namespace
+
+Result<CasManifest> DecodeManifest(std::span<const uint8_t> data) {
+  if (!IsManifestPayload(data)) {
+    return Status::Corruption("cas manifest magic mismatch");
+  }
+  if (std::memcmp(data.data(), kCasManifestMagic, kCasManifestMagicSize) ==
+      0) {
+    return DecodeManifestV2(data);
+  }
+  return DecodeManifestV1(std::string_view(
+      reinterpret_cast<const char*>(data.data()) + kCasManifestMagicSize,
+      data.size() - kCasManifestMagicSize));
 }
 
 }  // namespace mmm

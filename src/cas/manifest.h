@@ -10,6 +10,8 @@
 
 namespace mmm {
 
+class BinaryWriter;
+
 /// The retired per-chunk-file layout stored each chunk as its own blob,
 /// `cas-<64 hex chars of the chunk's SHA-256>`. Chunks now live in pack
 /// blobs (cas/pack.h); `CasStore::Open` packs the chunk files of an older
@@ -22,7 +24,10 @@ inline constexpr char kCasChunkPrefix[] = "cas-";
 /// with their own codec magic (see core/blob_formats.h), so a reader can
 /// tell a manifest from a verbatim payload by sniffing bytes it already
 /// fetched — mixed stores (some blobs chunked, some not) stay readable.
-inline constexpr char kCasManifestMagic[] = "MMCASM1\n";
+/// New manifests are binary (`MMCASM2\n`, see EncodeManifest); the JSON
+/// manifests of older stores (`MMCASM1\n`) still decode.
+inline constexpr char kCasManifestMagic[] = "MMCASM2\n";
+inline constexpr char kCasManifestV1Magic[] = "MMCASM1\n";
 inline constexpr size_t kCasManifestMagicSize = 8;
 
 /// \brief One chunk reference inside a manifest.
@@ -48,14 +53,28 @@ bool IsChunkBlobName(std::string_view name);
 /// must satisfy IsChunkBlobName.
 std::string ChunkHexOfBlobName(std::string_view name);
 
-/// True if `data` begins with the manifest magic.
+/// Writes the 32 bytes of the SHA-256 digest `hash_hex` (64 lowercase hex
+/// digits) to `out`, as manifests and pack indexes store it.
+void WriteDigest(const std::string& hash_hex, BinaryWriter* out);
+
+/// True if `data` begins with either manifest magic.
 bool IsManifestPayload(std::span<const uint8_t> data);
 
-/// Serializes a manifest: magic + one-line JSON
-/// `{"raw_size":N,"raw_crc":C,"chunks":[["<hex>",len],...]}`.
+/// Serializes a manifest as MMCASM2 (integers little-endian):
+///
+///   "MMCASM2\n"  varint raw_size  u32 raw_crc  varint n
+///   n x (32-byte SHA-256 of the chunk, varint length)
+///   u32 CRC-32 of every byte before it
+///
+/// `hash_hex` of every chunk must be a 64-digit lowercase hex digest.
 std::vector<uint8_t> EncodeManifest(const CasManifest& manifest);
 
-/// Parses a manifest payload; fails with Corruption on bad magic/JSON.
+/// Parses an MMCASM2 manifest, or an MMCASM1 one as older stores hold it:
+/// the magic and a one-line JSON record
+/// `{"raw_size":N,"raw_crc":C,"chunks":[["<hex>",len],...]}`. Corruption on
+/// a bad magic; for MMCASM2, on a CRC mismatch, a truncated body, a chunk
+/// count larger than the body holds, or trailing bytes; for MMCASM1, on bad
+/// JSON or a hash that is not 64 hex digits.
 Result<CasManifest> DecodeManifest(std::span<const uint8_t> data);
 
 }  // namespace mmm

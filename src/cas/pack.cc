@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 
+#include "common/strings.h"
 #include "serialize/binary_io.h"
 #include "serialize/crc32.h"
 #include "storage/range_planner.h"
@@ -14,32 +15,6 @@ namespace mmm {
 namespace {
 
 constexpr size_t kHashBytes = 32;
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-void AppendHashBytes(const std::string& hex, BinaryWriter* out) {
-  for (size_t i = 0; i < kHashBytes; ++i) {
-    const int hi = i * 2 < hex.size() ? HexValue(hex[i * 2]) : -1;
-    const int lo = i * 2 + 1 < hex.size() ? HexValue(hex[i * 2 + 1]) : -1;
-    out->WriteUint8(static_cast<uint8_t>(
-        hi < 0 || lo < 0 ? 0 : (hi << 4) | lo));
-  }
-}
-
-std::string HexOf(std::span<const uint8_t> bytes) {
-  std::string hex;
-  hex.reserve(bytes.size() * 2);
-  for (uint8_t b : bytes) {
-    hex.push_back(kHexDigits[b >> 4]);
-    hex.push_back(kHexDigits[b & 0xf]);
-  }
-  return hex;
-}
 
 }  // namespace
 
@@ -68,8 +43,12 @@ uint64_t PackIdOfBlobName(std::string_view name) {
 
 void PackBuilder::Add(const std::string& hash_hex,
                       std::span<const uint8_t> bytes) {
-  entries_.push_back(
-      {hash_hex, data_.size(), bytes.size(), Crc32::Compute(bytes)});
+  Add(hash_hex, bytes, Crc32::Compute(bytes));
+}
+
+void PackBuilder::Add(const std::string& hash_hex,
+                      std::span<const uint8_t> bytes, uint32_t crc) {
+  entries_.push_back({hash_hex, data_.size(), bytes.size(), crc});
   data_.insert(data_.end(), bytes.begin(), bytes.end());
 }
 
@@ -85,7 +64,7 @@ std::vector<uint8_t> PackBuilder::Finish() {
 std::vector<uint8_t> EncodePackIndex(const std::vector<PackEntry>& entries) {
   BinaryWriter index;
   for (const PackEntry& entry : entries) {
-    AppendHashBytes(entry.hash_hex, &index);
+    WriteDigest(entry.hash_hex, &index);
     index.WriteUint32(static_cast<uint32_t>(entry.length));
     index.WriteUint32(entry.crc);
   }
@@ -130,7 +109,7 @@ Result<std::vector<PackEntry>> ReadPackIndex(Env* env,
   uint64_t offset = 0;
   for (uint32_t i = 0; i < count; ++i) {
     PackEntry entry;
-    entry.hash_hex = HexOf(std::span<const uint8_t>(
+    entry.hash_hex = HexEncode(std::span<const uint8_t>(
         index.data() + reader.offset(), kHashBytes));
     MMM_RETURN_NOT_OK(reader.Skip(kHashBytes));
     MMM_ASSIGN_OR_RETURN(uint32_t length, reader.ReadUint32());
@@ -248,7 +227,6 @@ Status ReadPackedChunks(
   for (size_t i = 0; i < refs.size(); ++i) {
     const size_t s = segment_of[i];
     const RangePlanner::Range& segment = segments[s];
-    const std::string pack = PackBlobName(segment.stream);
     PackCursor& cursor =
         cursors.try_emplace(segment.stream, store, segment.stream, window_bytes)
             .first->second;
@@ -262,16 +240,19 @@ Status ReadPackedChunks(
       // stays NotFound.
       if (bytes.status().IsOutOfRange()) {
         return Status::Corruption("chunk ", refs[i].hash_hex,
-                                  " lies past the end of pack '", pack,
+                                  " lies past the end of pack '",
+                                  PackBlobName(segment.stream),
                                   "': ", bytes.status().ToString());
       }
       return bytes.status().WithContext("chunk ", refs[i].hash_hex,
-                                        " in pack '", pack, "'");
+                                        " in pack '",
+                                        PackBlobName(segment.stream), "'");
     }
     if (Crc32::Compute(bytes.ValueOrDie()) != where[i].crc) {
       return Status::Corruption("chunk ", refs[i].hash_hex, " at [",
                                 where[i].offset, ", +", where[i].length,
-                                ") of pack '", pack, "' fails its crc");
+                                ") of pack '", PackBlobName(where[i].pack),
+                                "' fails its crc");
     }
     MMM_RETURN_NOT_OK(on_chunk(i, bytes.ValueOrDie()));
   }

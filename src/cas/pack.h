@@ -57,6 +57,9 @@ class PackBuilder {
  public:
   /// Appends a chunk. `hash_hex` must be a 64-digit lowercase hex digest.
   void Add(const std::string& hash_hex, std::span<const uint8_t> bytes);
+  /// Add with the chunk's CRC-32, which the caller has already computed.
+  void Add(const std::string& hash_hex, std::span<const uint8_t> bytes,
+           uint32_t crc);
 
   bool empty() const { return entries_.empty(); }
   const std::vector<PackEntry>& entries() const { return entries_; }

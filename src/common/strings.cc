@@ -37,11 +37,10 @@ bool EndsWith(std::string_view input, std::string_view suffix) {
 
 std::string HexEncode(std::span<const uint8_t> bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (uint8_t b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xf]);
+  std::string out(bytes.size() * 2, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    out[2 * i] = kDigits[bytes[i] >> 4];
+    out[2 * i + 1] = kDigits[bytes[i] & 0xf];
   }
   return out;
 }

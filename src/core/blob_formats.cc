@@ -140,20 +140,38 @@ std::vector<uint8_t> EncodeParamBlob(const ModelSet& set) {
                  set.models.size() * (per_model + layout.size()) * 4 + 4);
   writer.WriteBytes(EncodeParamBlobHeader(set.models.size(), per_model));
   // Each layer's CRC is taken from the bytes just written, while they are
-  // still in cache, not from the tensor in a second pass over the set.
+  // still in cache, and folded into the footer's CRC, so no byte is
+  // checksummed twice.
+  const std::vector<uint32_t> ops = LayerCombineOps(layout);
+  uint32_t crc = Crc32::Compute(writer.buffer());
   std::vector<uint32_t> layer_crcs;
   layer_crcs.reserve(set.models.size() * layout.size());
   for (const StateDict& state : set.models) {
-    for (const auto& [_, tensor] : state) {
+    for (size_t p = 0; p < state.size(); ++p) {
       const size_t at = writer.size();
-      writer.WriteFloatSpan(tensor.data());
-      layer_crcs.push_back(
-          Crc32::Compute(std::span<const uint8_t>(writer.buffer()).subspan(at)));
+      writer.WriteFloatSpan(state[p].second.data());
+      const uint32_t layer = Crc32::Compute(
+          std::span<const uint8_t>(writer.buffer()).subspan(at));
+      layer_crcs.push_back(layer);
+      crc = Crc32::CombineOp(crc, layer, ops[p]);
     }
   }
-  for (uint32_t crc : layer_crcs) writer.WriteUint32(crc);
-  AppendCrcFooter(&writer);
+  const size_t table_at = writer.size();
+  for (uint32_t layer : layer_crcs) writer.WriteUint32(layer);
+  crc = Crc32::Extend(
+      crc, std::span<const uint8_t>(writer.buffer()).subspan(table_at));
+  writer.WriteUint32(crc);
   return writer.TakeBuffer();
+}
+
+std::vector<uint32_t> LayerCombineOps(const ParamLayout& layout) {
+  std::vector<uint32_t> ops;
+  ops.reserve(layout.size());
+  for (const auto& [_, shape] : layout) {
+    ops.push_back(
+        Crc32::CombineGen(Tensor::NumElements(shape) * sizeof(float)));
+  }
+  return ops;
 }
 
 Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
@@ -197,11 +215,13 @@ Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
 ParamBlobStreamDecoder::ParamBlobStreamDecoder(const ArchitectureSpec& spec,
                                                uint64_t total_bytes,
                                                uint64_t num_models,
-                                               LayerSink sink)
+                                               LayerSink sink,
+                                               bool footer_checked)
     : layout_(LayoutOf(spec)),
       total_bytes_(total_bytes),
       expected_models_(num_models),
-      sink_(std::move(sink)) {
+      sink_(std::move(sink)),
+      footer_checked_(footer_checked) {
   if (total_bytes_ < 4) {
     error_ = Status::Corruption("blob too small for crc footer");
   }
@@ -210,6 +230,10 @@ ParamBlobStreamDecoder::ParamBlobStreamDecoder(const ArchitectureSpec& spec,
 Status ParamBlobStreamDecoder::Fail(Status status) {
   error_ = status;
   return error_;
+}
+
+void ParamBlobStreamDecoder::Checksum(std::span<const uint8_t> bytes) {
+  if (!footer_checked_) crc_ = Crc32::Extend(crc_, bytes);
 }
 
 void ParamBlobStreamDecoder::BeginTensor() {
@@ -304,7 +328,7 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
     switch (state_) {
       case State::kMagic: {
         const uint8_t byte = data[pos];
-        crc_ = Crc32::Extend(crc_, data.subspan(pos, 1));
+        Checksum(data.subspan(pos, 1));
         ++pos;
         ++position_;
         // The last byte is the version: '2', or '1' for a blob without
@@ -320,7 +344,7 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
       }
       case State::kHeader: {
         const uint8_t byte = data[pos];
-        crc_ = Crc32::Extend(crc_, data.subspan(pos, 1));
+        Checksum(data.subspan(pos, 1));
         // Advance before parsing: the varint completion handler sizes the
         // remaining payload from position_.
         ++pos;
@@ -335,7 +359,7 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
         const size_t tensor_bytes = current_.size() * sizeof(float);
         const size_t take =
             std::min(payload_avail, tensor_bytes - current_filled_);
-        crc_ = Crc32::Extend(crc_, data.subspan(pos, take));
+        Checksum(data.subspan(pos, take));
         std::memcpy(
             reinterpret_cast<uint8_t*>(current_.data()) + current_filled_,
             data.data() + pos, take);
@@ -351,7 +375,7 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
         const size_t take = static_cast<size_t>(std::min<uint64_t>(
             {data.size() - pos, payload_bytes - position_,
              table_bytes - table_filled_}));
-        crc_ = Crc32::Extend(crc_, data.subspan(pos, take));
+        Checksum(data.subspan(pos, take));
         std::memcpy(reinterpret_cast<uint8_t*>(layer_crcs_.data()) +
                         table_filled_,
                     data.data() + pos, take);
@@ -383,7 +407,9 @@ Status ParamBlobStreamDecoder::Finish() {
   for (int i = 0; i < 4; ++i) {
     stored |= static_cast<uint32_t>(footer_[i]) << (8 * i);
   }
-  if (crc_ != stored) return Fail(Status::Corruption("blob crc mismatch"));
+  if (!footer_checked_ && crc_ != stored) {
+    return Fail(Status::Corruption("blob crc mismatch"));
+  }
   return Status::OK();
 }
 

@@ -32,6 +32,8 @@ Result<StateDict> DecodeStateDict(std::span<const uint8_t> blob);
 /// followed by one CRC32 per (model, layer) — the layer CRC table, which
 /// lets a ranged read check each layer it returns (MMMPARM2; docs/FORMATS.md).
 /// @{
+/// `set` must pass CheckSetConsistent: every model follows the layout of
+/// `set.spec`.
 std::vector<uint8_t> EncodeParamBlob(const ModelSet& set);
 /// Decodes using the layout derived from `spec`; validates counts and CRC.
 /// The header's model count must equal `num_models` (the set document's),
@@ -50,6 +52,12 @@ std::vector<uint8_t> EncodeParamBlobHeader(uint64_t num_models,
 /// The layer CRC table entry of one parameter tensor: the CRC32 of its raw
 /// float bytes.
 uint32_t LayerCrc(const Tensor& tensor);
+
+/// Crc32::CombineGen of each layer's byte length, in layout order. A param
+/// blob writer folds each layer's CRC into the footer's CRC with these, so
+/// the footer costs no second pass over the floats; the blob's bytes are
+/// the same.
+std::vector<uint32_t> LayerCombineOps(const ParamLayout& layout);
 /// @}
 
 /// \name Ranged access to the set-level parameter blob.
@@ -123,14 +131,20 @@ class ParamBlobStreamDecoder {
 
   /// `total_bytes` is the decompressed blob's full size (header through
   /// CRC footer), known up front from the stream being decoded;
-  /// `num_models` is the model count the set document records.
+  /// `num_models` is the model count the set document records. With
+  /// `footer_checked`, the caller checks the footer itself, by comparing
+  /// the CRC of the whole blob (footer included) with Crc32::kResidue, as
+  /// StreamParamBlob does for a chunked raw blob whose CRC the CAS read
+  /// already checked: Feed then takes no CRC and Finish skips the compare.
   ParamBlobStreamDecoder(const ArchitectureSpec& spec, uint64_t total_bytes,
-                         uint64_t num_models, LayerSink sink);
+                         uint64_t num_models, LayerSink sink,
+                         bool footer_checked = false);
 
   /// Absorbs the next chunk of the decompressed blob. Errors are sticky.
   Status Feed(std::span<const uint8_t> data);
 
-  /// Validates completeness and the CRC footer.
+  /// Validates completeness and, unless the caller checks it, the CRC
+  /// footer.
   Status Finish();
 
   /// High-water mark of internal buffering (≈ one layer), for the
@@ -151,6 +165,8 @@ class ParamBlobStreamDecoder {
   };
 
   Status Fail(Status status);
+  /// Extends the running CRC over `bytes`, unless the caller checks it.
+  void Checksum(std::span<const uint8_t> bytes);
   Status ParseHeaderByte(uint8_t byte);
   Status MaybeEmit();
   void BeginTensor();
@@ -161,6 +177,7 @@ class ParamBlobStreamDecoder {
   uint64_t total_bytes_;
   uint64_t expected_models_;
   LayerSink sink_;
+  bool footer_checked_;
   Status error_;  // sticky
   State state_ = State::kMagic;
 

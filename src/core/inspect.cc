@@ -40,9 +40,9 @@ Result<uint64_t> ArtifactBytes(const StoreContext& context,
     if (!exists) continue;
     // Logical artifact size: a chunked blob counts its reassembled bytes,
     // so summaries stay comparable across CAS-on and CAS-off stores.
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
-                         CasReadBlob(context.file_store, context.cas, blob));
-    total += data.size();
+    MMM_ASSIGN_OR_RETURN(uint64_t size,
+                         CasBlobSize(context.file_store, context.cas, blob));
+    total += size;
   }
   return total;
 }
@@ -149,8 +149,9 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
           report.problems.push_back(model_id + ": document lacks weights_blob");
           continue;
         }
-        auto blob = CasReadBlob(context.file_store, context.cas,
-                                weights_name.ValueOrDie());
+        auto blob = CasReadBlobDecompressed(
+            context.file_store, context.cas, weights_name.ValueOrDie(),
+            context.stream_window_bytes);
         if (!blob.ok()) {
           report.problems.push_back(model_id + ": cannot read weights blob");
           continue;
@@ -210,20 +211,15 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
     auto check_blob = [&](const std::string& name,
                           auto decode) {
       if (name.empty()) return;
-      auto raw = CasReadBlob(context.file_store, context.cas, name);
-      if (!raw.ok()) {
-        report.problems.push_back(doc.id + ": cannot read " + name + ": " +
-                                  raw.status().ToString());
-        return;
-      }
-      ++report.blobs_checked;
-      report.bytes_checked += raw.ValueOrDie().size();
-      auto decompressed = DecompressBlob(raw.ValueOrDie());
+      auto decompressed = CasReadBlobDecompressed(
+          context.file_store, context.cas, name, context.stream_window_bytes);
       if (!decompressed.ok()) {
-        report.problems.push_back(doc.id + ": cannot decompress " + name + ": " +
+        report.problems.push_back(doc.id + ": cannot read " + name + ": " +
                                   decompressed.status().ToString());
         return;
       }
+      ++report.blobs_checked;
+      report.bytes_checked += decompressed.ValueOrDie().size();
       Status st = decode(decompressed.ValueOrDie());
       if (!st.ok()) {
         report.problems.push_back(doc.id + ": corrupt " + name + ": " +

@@ -109,9 +109,10 @@ Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
     MMM_ASSIGN_OR_RETURN(JsonValue doc,
                          context_.doc_store->Get(kMmlibModelCollection, model_id));
     MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                         CasReadBlob(context_.file_store, context_.cas,
-                                     weights_blob));
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> blob,
+        CasReadBlobDecompressed(context_.file_store, context_.cas,
+                                weights_blob, context_.stream_window_bytes));
     MMM_ASSIGN_OR_RETURN(StateDict state, DecodeStateDict(blob));
     models.push_back(std::move(state));
   }
@@ -145,9 +146,10 @@ Result<ModelSet> MMlibBaseApproach::Recover(const std::string& set_id,
       have_spec = true;
     }
     MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                         CasReadBlob(context_.file_store, context_.cas,
-                                     weights_blob));
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> blob,
+        CasReadBlobDecompressed(context_.file_store, context_.cas,
+                                weights_blob, context_.stream_window_bytes));
     MMM_ASSIGN_OR_RETURN(set.models[index], DecodeStateDict(blob));
   }
   MMM_RETURN_NOT_OK(CheckSetConsistent(set));

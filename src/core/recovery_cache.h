@@ -48,12 +48,13 @@ struct SetMeta {
   /// is parameter p of model m.
   std::vector<Sha256Digest> hashes;
   ArchitectureSpec spec;
-  /// The root snapshot's param blob and its layer CRC table, laid out like
-  /// `hashes`, which check the layers a recovery reads from it by range.
-  /// The table is empty when the blob is read whole (compressed, CAS-
-  /// chunked or MMMPARM1). A recovery uses it only while the chain's root
-  /// still has this blob.
+  /// The root snapshot's param blob, its parsed header, and its layer CRC
+  /// table, laid out like `hashes`, which check the layers a recovery reads
+  /// from it by range. The table is empty, and the header unset, when the
+  /// blob is read whole (compressed, CAS-chunked or MMMPARM1). A recovery
+  /// uses them only while the chain's root still has this blob.
   std::string root_param_blob;
+  ParamBlobLayout root_layout;
   std::vector<uint32_t> root_layer_crcs;
 };
 

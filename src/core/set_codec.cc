@@ -6,6 +6,7 @@
 
 #include "cas/blob_io.h"
 #include "core/blob_formats.h"
+#include "serialize/compress.h"
 #include "serialize/crc32.h"
 #include "storage/range_planner.h"
 
@@ -144,41 +145,74 @@ Status StreamParamBlob(const StoreContext& context,
                        const ArchitectureSpec& spec, uint64_t num_models,
                        ParamBlobStreamDecoder::LayerSink sink,
                        std::vector<uint32_t>* layer_crcs) {
-  // Three incremental stages chained window-by-window: CAS reassembly →
-  // blob decompression → param decode. The decoder is constructed lazily,
-  // on the first decompressed bytes, because the decompressed size is only
-  // known once the blob header has streamed (raw bytes fall back to the
-  // stored logical size — for them the two are the same).
+  // Incremental stages chained window-by-window: CAS reassembly, blob
+  // decompression for a framed blob, param decode. A raw blob skips the
+  // decompressor, which would only copy it; its head is held until the
+  // frame magic can be told apart. The decoder is constructed lazily, on
+  // the first decompressed bytes, because a framed blob's decompressed size
+  // is only known once its header has streamed.
+  //
+  // A chunked raw blob's CRC is checked by the CAS read, combined from the
+  // chunk CRCs it checked (CasStreamInfo::crc). Since the footer is the CRC
+  // of the bytes before it, the blob's footer holds exactly when that CRC
+  // is Crc32::kResidue, so the decoder takes no CRC of its own and every
+  // byte gets one CRC pass. Other blobs are checked by the decoder.
+  CasStreamInfo info;
+  enum class Shape : uint8_t { kUnknown, kRaw, kFramed };
+  Shape shape = Shape::kUnknown;
+  std::vector<uint8_t> head;
   BlobDecompressor decompressor;
   std::optional<ParamBlobStreamDecoder> decoder;
-  uint64_t stored_logical = 0;
   std::vector<uint8_t> ready;
-  auto start_decoder = [&]() {
-    decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
-                    num_models, std::move(sink));
+  const auto footer_checked = [&] {
+    return shape == Shape::kRaw && info.crc.has_value();
   };
-  auto drain = [&]() -> Status {
+  auto decode = [&](std::span<const uint8_t> bytes) -> Status {
+    if (!decoder.has_value()) {
+      decoder.emplace(spec, decompressor.raw_size().value_or(info.size),
+                      num_models, std::move(sink), footer_checked());
+    }
+    return bytes.empty() ? Status::OK() : decoder->Feed(bytes);
+  };
+  auto take = [&](std::span<const uint8_t> bytes) -> Status {
+    if (shape == Shape::kRaw) return decode(bytes);
+    MMM_RETURN_NOT_OK(decompressor.Feed(bytes, &ready));
     if (ready.empty()) return Status::OK();
-    if (!decoder.has_value()) start_decoder();
-    Status status = decoder->Feed(ready);
+    Status status = decode(ready);
     ready.clear();
+    return status;
+  };
+  // Settles the shape from the head and passes the head on.
+  auto settle = [&]() -> Status {
+    shape = IsFramedBlob(head) ? Shape::kFramed : Shape::kRaw;
+    Status status = take(head);
+    head.clear();
+    head.shrink_to_fit();
     return status;
   };
   MMM_RETURN_NOT_OK(CasStreamBlob(
       context.file_store, context.cas, blob_name, context.stream_window_bytes,
-      [&](uint64_t logical_size) -> Status {
-        stored_logical = logical_size;
+      [&](const CasStreamInfo& opened) -> Status {
+        info = opened;
         return Status::OK();
       },
       [&](std::span<const uint8_t> window) -> Status {
-        MMM_RETURN_NOT_OK(decompressor.Feed(window, &ready));
-        return drain();
+        if (shape != Shape::kUnknown) return take(window);
+        head.insert(head.end(), window.begin(), window.end());
+        return head.size() < kBlobFrameSniffBytes ? Status::OK() : settle();
       }));
-  MMM_RETURN_NOT_OK(decompressor.Finish(&ready));
-  MMM_RETURN_NOT_OK(drain());
+  // A blob shorter than the sniff is raw.
+  if (shape == Shape::kUnknown) MMM_RETURN_NOT_OK(settle());
+  if (shape == Shape::kFramed) {
+    MMM_RETURN_NOT_OK(decompressor.Finish(&ready));
+    MMM_RETURN_NOT_OK(decode(ready));
+  }
   // An empty blob: let the decoder produce the canonical error.
-  if (!decoder.has_value()) start_decoder();
+  MMM_RETURN_NOT_OK(decode({}));
   MMM_RETURN_NOT_OK(decoder->Finish());
+  if (footer_checked() && *info.crc != Crc32::kResidue) {
+    return Status::Corruption("blob crc mismatch");
+  }
   if (layer_crcs != nullptr) *layer_crcs = decoder->layer_crcs();
   return Status::OK();
 }

@@ -99,6 +99,9 @@ Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
 /// blobs degenerate to decode-at-finish, since the byte-plane transpose is
 /// global. The CRC footer is checked last, after the sink has seen every
 /// layer, so a sink must not publish a layer anywhere until this returns OK.
+/// Each byte gets one CRC pass: a CAS-chunked raw blob's footer is checked
+/// through the CRC its chunks' checks yield, any other blob's by the
+/// decoder.
 /// With `layer_crcs`, it receives the blob's layer CRC table (empty for
 /// MMMPARM1), unchecked against the layers.
 Status StreamParamBlob(const StoreContext& context,

@@ -14,6 +14,7 @@ StreamingSnapshotWriter::StreamingSnapshotWriter(const StoreContext& context,
       spec_(std::move(spec)),
       layout_(LayoutOf(spec_)),
       params_per_model_(LayoutNumel(layout_)),
+      layer_ops_(LayerCombineOps(layout_)),
       num_models_(num_models),
       set_id_(std::move(set_id)),
       blob_name_(set_id_ + ".params.bin"),
@@ -64,10 +65,11 @@ Status StreamingSnapshotWriter::Append(const StateDict& model) {
                                      model[p].first, "')");
     }
     writer.WriteFloatSpan(model[p].second.data());
-    layer_crcs_.push_back(LayerCrc(model[p].second));
+    const uint32_t layer = LayerCrc(model[p].second);
+    layer_crcs_.push_back(layer);
+    crc_ = Crc32::CombineOp(crc_, layer, layer_ops_[p]);
   }
   MMM_RETURN_NOT_OK(context_.file_store->Append(blob_name_, writer.buffer()));
-  crc_ = Crc32::Extend(crc_, writer.buffer());
   ++appended_;
   return Status::OK();
 }

@@ -15,7 +15,8 @@ namespace mmm {
 /// prohibitive for the "n >> 1000" deployments the paper motivates when n
 /// reaches the hundreds of thousands. The streaming writer appends each
 /// model's parameters directly to the file store and keeps only a running
-/// CRC and the layer CRC table (4 bytes per layer), which Finish writes
+/// CRC, folded from the layer CRCs, and the layer CRC table (4 bytes per
+/// layer), which Finish writes
 /// after the floats, producing a byte-identical artifact that every reader
 /// (full recovery, ranged selective recovery, validation) handles
 /// unchanged.
@@ -58,6 +59,7 @@ class StreamingSnapshotWriter {
   ArchitectureSpec spec_;
   ParamLayout layout_;
   size_t params_per_model_;
+  std::vector<uint32_t> layer_ops_;  ///< LayerCombineOps(layout_)
   size_t num_models_;
   std::string set_id_;
   std::string blob_name_;

@@ -251,10 +251,11 @@ using SlotSink = std::function<void(size_t slot, Tensor value)>;
 /// range is one ranged stream, read window by window with the gaps between
 /// layers skipped, so one window is alive at a time. Each layer's raw bytes
 /// are checked against its entry of the blob's layer CRC table before they
-/// are copied out: `table` is the root's whole table, if the caller has it
-/// memoized, else the rows of the models read are fetched in one planned
-/// ranged read. Each checked layer goes to `on_layer`, as stored in the
-/// root.
+/// are copied out. With `memo` (whose root must be `root`), the blob's
+/// header and whole table come from it, so only the layers are read; else
+/// the header is read, and the rows of the models read are fetched in one
+/// planned ranged read. Each checked layer goes to `on_layer`, as stored in
+/// the root.
 ///
 /// Returns false, having read no layer, when the blob is not read by
 /// range (ReadRangedParamHeader): it is a CAS manifest, compressed, or
@@ -265,8 +266,7 @@ Result<bool> ReadRootByRange(const StoreContext& context,
                              const SetDocument& root, const ParamLayout& layout,
                              const std::vector<size_t>* models,
                              const std::vector<size_t>& slots,
-                             const std::vector<uint32_t>* table,
-                             const SlotSink& on_layer) {
+                             const SetMeta* memo, const SlotSink& on_layer) {
   const std::string& name = root.param_blob;
   if (context.cas != nullptr && context.cas->IsManifest(name)) return false;
   const size_t num_params = layout.size();
@@ -298,20 +298,25 @@ Result<bool> ReadRootByRange(const StoreContext& context,
       ranges[0].end == root.num_models * model_bytes) {
     return false;
   }
-  MMM_ASSIGN_OR_RETURN(std::optional<ParamBlobLayout> blob,
-                       ReadRangedParamHeader(context, root, layout));
-  if (!blob.has_value()) return false;
+  std::optional<ParamBlobLayout> blob;
+  if (memo != nullptr) {
+    blob = memo->root_layout;
+  } else {
+    MMM_ASSIGN_OR_RETURN(blob, ReadRangedParamHeader(context, root, layout));
+    if (!blob.has_value()) return false;
+  }
 
   // Each slot's layer CRC, from the memoized table or the rows read now.
   std::vector<uint32_t> expected(slots.size());
-  if (table != nullptr) {
-    if (table->size() != root.num_models * num_params) {
+  if (memo != nullptr) {
+    const std::vector<uint32_t>& table = memo->root_layer_crcs;
+    if (table.size() != root.num_models * num_params) {
       return Status::Corruption("layer crc table of set ", root.id,
                                 " disagrees with the parameter layout");
     }
     for (size_t k = 0; k < slots.size(); ++k) {
       expected[k] =
-          (*table)[model_of(slots[k]) * num_params + slots[k] % num_params];
+          table[model_of(slots[k]) * num_params + slots[k] % num_params];
     }
   } else {
     std::vector<size_t> row_models;
@@ -375,20 +380,24 @@ Result<bool> ReadRootByRange(const StoreContext& context,
   return true;
 }
 
-/// The whole layer CRC table of a root that ReadRootByRange reads by range,
-/// for SetMeta; empty for a root it reads whole.
-Result<std::vector<uint32_t>> ReadRootLayerCrcs(const StoreContext& context,
-                                                const SetDocument& root,
-                                                const ParamLayout& layout) {
+/// Fills `meta`'s root header and whole layer CRC table for a root that
+/// ReadRootByRange reads by range; leaves the table empty for a root it
+/// reads whole.
+Status ReadRootRangeMeta(const StoreContext& context, const SetDocument& root,
+                         const ParamLayout& layout, SetMeta* meta) {
   if (context.cas != nullptr && context.cas->IsManifest(root.param_blob)) {
-    return std::vector<uint32_t>{};
+    return Status::OK();
   }
   MMM_ASSIGN_OR_RETURN(std::optional<ParamBlobLayout> blob,
                        ReadRangedParamHeader(context, root, layout));
-  if (!blob.has_value()) return std::vector<uint32_t>{};
+  if (!blob.has_value()) return Status::OK();
   std::vector<size_t> models(root.num_models);
   std::iota(models.begin(), models.end(), size_t{0});
-  return ReadLayerCrcRows(context, root.param_blob, *blob, models);
+  MMM_ASSIGN_OR_RETURN(
+      meta->root_layer_crcs,
+      ReadLayerCrcRows(context, root.param_blob, *blob, models));
+  meta->root_layout = *blob;
+  return Status::OK();
 }
 
 /// The one chain resolver behind every Update recovery. Resolves every slot
@@ -406,8 +415,8 @@ Result<std::vector<uint32_t>> ReadRootLayerCrcs(const StoreContext& context,
 ///
 /// With `ranged_root`, a raw root is read by range (ReadRootByRange), just
 /// the slots still unresolved, each checked against the root's layer CRC
-/// table: `memo`'s, if it holds this root's, else the rows read with the
-/// layers. Otherwise, and for a root not read by range, the whole set is
+/// table: `memo`'s, whose root header then spares the header read, if it
+/// holds this root's, else the rows read with the layers. Otherwise, and for a root not read by range, the whole set is
 /// streamed, and a model subset is read with ReadModelsFromSnapshot. A
 /// streamed snapshot's CRC is checked only after its layers reach `sink`,
 /// so a caller must not publish a value anywhere until this returns OK.
@@ -461,8 +470,7 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
         MMM_ASSIGN_OR_RETURN(
             bool ranged,
             ReadRootByRange(context, level, layout, models, slots,
-                            memoized ? &memo->root_layer_crcs : nullptr,
-                            resolve));
+                            memoized ? memo : nullptr, resolve));
         if (ranged) return Status::OK();
       }
       if (models == nullptr) {
@@ -636,9 +644,8 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
     MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
     MMM_ASSIGN_OR_RETURN(fresh->spec, ReadSnapshotSpec(context_, *root));
     fresh->root_param_blob = root->param_blob;
-    MMM_ASSIGN_OR_RETURN(
-        fresh->root_layer_crcs,
-        ReadRootLayerCrcs(context_, *root, LayoutOf(fresh->spec)));
+    MMM_RETURN_NOT_OK(ReadRootRangeMeta(context_, *root, LayoutOf(fresh->spec),
+                                        fresh.get()));
     const size_t num_params = LayoutOf(fresh->spec).size();
     for (const auto& row : table) {
       if (row.size() != num_params) {

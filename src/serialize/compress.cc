@@ -30,6 +30,11 @@ void WriteLength(std::vector<uint8_t>* out, size_t value) {
 
 }  // namespace
 
+bool IsFramedBlob(std::span<const uint8_t> head) {
+  return head.size() >= kBlobFrameSniffBytes &&
+         std::memcmp(head.data(), kMagic, 4) == 0;
+}
+
 std::string_view CompressionName(Compression method) {
   switch (method) {
     case Compression::kNone:
@@ -349,8 +354,8 @@ Status BlobDecompressor::Feed(std::span<const uint8_t> data,
   if (mode_ == Mode::kHeader) {
     header_.insert(header_.end(), data.begin(), data.end());
     peak_header_ = std::max(peak_header_, header_.size());
-    if (header_.size() < 5) return Status::OK();
-    if (std::memcmp(header_.data(), kMagic, 4) != 0) {
+    if (header_.size() < kBlobFrameSniffBytes) return Status::OK();
+    if (!IsFramedBlob(header_)) {
       // Raw legacy blob: everything seen so far is payload.
       mode_ = Mode::kPassthrough;
       payload = header_;
@@ -427,8 +432,7 @@ Status BlobDecompressor::Finish(std::vector<uint8_t>* out) {
   switch (mode_) {
     case Mode::kHeader:
       // Fewer than 5 bytes total, or a framed header cut off mid-varint.
-      if (header_.size() >= 5 &&
-          std::memcmp(header_.data(), kMagic, 4) == 0) {
+      if (IsFramedBlob(header_)) {
         return Fail(Status::Corruption("truncated blob header"));
       }
       out->insert(out->end(), header_.begin(), header_.end());
@@ -512,7 +516,7 @@ std::vector<uint8_t> CompressBlob(Compression method,
 }
 
 Result<std::vector<uint8_t>> DecompressBlob(std::span<const uint8_t> input) {
-  if (input.size() < 5 || std::memcmp(input.data(), kMagic, 4) != 0) {
+  if (!IsFramedBlob(input)) {
     // Raw legacy blob.
     return std::vector<uint8_t>(input.begin(), input.end());
   }

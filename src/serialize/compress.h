@@ -33,6 +33,16 @@ Result<Compression> CompressionFromName(std::string_view name);
 std::vector<uint8_t> CompressBlob(Compression method,
                                   std::span<const uint8_t> input);
 
+/// The bytes a blob's head must hold to tell a CompressBlob frame from a
+/// raw blob: the magic and the method byte.
+inline constexpr size_t kBlobFrameSniffBytes = 5;
+
+/// True if `head`, the first bytes of a blob (at least
+/// kBlobFrameSniffBytes of them, or the whole blob), starts a CompressBlob
+/// frame. A blob that does not is raw: BlobDecompressor and DecompressBlob
+/// pass it through unchanged.
+bool IsFramedBlob(std::span<const uint8_t> head);
+
 /// \brief Inverse of CompressBlob. If `input` does not start with the
 /// compression magic it is returned unchanged (raw legacy blob).
 Result<std::vector<uint8_t>> DecompressBlob(std::span<const uint8_t> input);

@@ -117,6 +117,50 @@ bool UseClmul() {
 
 #endif  // defined(__x86_64__)
 
+// Polynomials modulo P(x) in the reflected domain: bit 31 is x^0.
+constexpr uint32_t kOne = 1u << 31;
+
+// a(x) * b(x) mod P(x) (zlib's multmodp, without its bit-at-a-time loop).
+// The 63-bit carry-less product, shifted left once, holds the reflected
+// product: its high word is the x^0..x^31 part and its low word L the
+// x^32..x^63 part, L(x) * x^32. Four zero bytes through the CRC table
+// reduce that one, since each multiplies the register by x^8 mod P(x).
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  // Carry-less a * b, four bits of `a` at a time.
+  uint64_t multiples[16];
+  multiples[0] = 0;
+  for (size_t i = 1; i < 16; ++i) {
+    multiples[i] = (multiples[i >> 1] << 1) ^ ((i & 1) != 0 ? b : 0);
+  }
+  uint64_t product = 0;
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    product = (product << 4) ^ multiples[(a >> shift) & 15];
+  }
+  product <<= 1;
+  const auto& table = Table();
+  uint32_t low = static_cast<uint32_t>(product);
+  for (int i = 0; i < 4; ++i) low = table[low & 0xff] ^ (low >> 8);
+  return static_cast<uint32_t>(product >> 32) ^ low;
+}
+
+// kShift[k][v] = x^(8 * v * 256^k) mod P(x): shifting a CRC over v * 256^k
+// zero bytes. A combine multiplies the entries of its length's nonzero bytes.
+using ShiftTable = std::array<std::array<uint32_t, 256>, 8>;
+
+const ShiftTable& Shifts() {
+  static const ShiftTable table = [] {
+    ShiftTable t{};
+    uint32_t step = 1u << 23;  // x^8: one zero byte
+    for (auto& row : t) {
+      row[0] = kOne;
+      for (size_t v = 1; v < 256; ++v) row[v] = MultModP(row[v - 1], step);
+      step = MultModP(row[255], step);  // x^(8 * 256^(k+1))
+    }
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 uint32_t Crc32::Extend(uint32_t crc, std::span<const uint8_t> data) {
@@ -135,6 +179,25 @@ uint32_t Crc32::Extend(uint32_t crc, std::span<const uint8_t> data) {
 }
 
 uint32_t Crc32::Compute(std::span<const uint8_t> data) { return Extend(0, data); }
+
+uint32_t Crc32::CombineGen(uint64_t length_b) {
+  const ShiftTable& shifts = Shifts();
+  uint32_t op = kOne;
+  for (size_t k = 0; length_b != 0; ++k, length_b >>= 8) {
+    if ((length_b & 0xff) == 0) continue;
+    const uint32_t power = shifts[k][length_b & 0xff];
+    op = op == kOne ? power : MultModP(power, op);
+  }
+  return op;
+}
+
+uint32_t Crc32::CombineOp(uint32_t crc_a, uint32_t crc_b, uint32_t op) {
+  return MultModP(op, crc_a) ^ crc_b;
+}
+
+uint32_t Crc32::Combine(uint32_t crc_a, uint32_t crc_b, uint64_t length_b) {
+  return CombineOp(crc_a, crc_b, CombineGen(length_b));
+}
 
 uint32_t Crc32::Compute(std::string_view data) {
   return Compute(std::span<const uint8_t>(

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <thread>
 
@@ -40,6 +41,33 @@ CasOptions SmallChunkOptions() {
   options.max_chunk_bytes = 1024;
   options.min_blob_bytes = 256;
   return options;
+}
+
+/// An MMCASM1 manifest, as stores written before the binary manifest hold:
+/// the magic and a one-line JSON record, built by hand.
+std::vector<uint8_t> VersionOneManifest(const CasManifest& manifest) {
+  std::string text = "MMCASM1\n{\"raw_size\":" +
+                     std::to_string(manifest.raw_size) +
+                     ",\"raw_crc\":" + std::to_string(manifest.raw_crc) +
+                     ",\"chunks\":[";
+  for (size_t i = 0; i < manifest.chunks.size(); ++i) {
+    if (i > 0) text += ",";
+    text += "[\"" + manifest.chunks[i].hash_hex + "\"," +
+            std::to_string(manifest.chunks[i].length) + "]";
+  }
+  text += "]}";
+  return std::vector<uint8_t>(text.begin(), text.end());
+}
+
+/// `payload` with its last 4 bytes replaced by the CRC-32 of the rest: an
+/// MMCASM2 manifest edited behind its CRC, resealed.
+std::vector<uint8_t> Resealed(std::vector<uint8_t> payload) {
+  payload.resize(payload.size() - 4);
+  const uint32_t crc = Crc32::Compute(payload);
+  for (int i = 0; i < 4; ++i) {
+    payload.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+  }
+  return payload;
 }
 
 // ---------------------------------------------------------------------------
@@ -173,20 +201,95 @@ TEST(ManifestTest, RoundTrips) {
   EXPECT_EQ(decoded.chunks[1].length, manifest.chunks[1].length);
 }
 
+// The JSON manifests of older stores still decode.
+TEST(ManifestTest, DecodesVersionOneManifests) {
+  CasManifest manifest;
+  manifest.raw_size = 12345;
+  manifest.raw_crc = 0xdeadbeef;
+  manifest.chunks.push_back({std::string(64, 'a'), 4096});
+  manifest.chunks.push_back({std::string(64, 'b'), 8249});
+
+  std::vector<uint8_t> encoded = VersionOneManifest(manifest);
+  ASSERT_TRUE(IsManifestPayload(encoded));
+  ASSERT_OK_AND_ASSIGN(CasManifest decoded, DecodeManifest(encoded));
+  EXPECT_EQ(decoded.raw_size, manifest.raw_size);
+  EXPECT_EQ(decoded.raw_crc, manifest.raw_crc);
+  ASSERT_EQ(decoded.chunks.size(), 2u);
+  EXPECT_EQ(decoded.chunks[1].hash_hex, manifest.chunks[1].hash_hex);
+  EXPECT_EQ(decoded.chunks[1].length, manifest.chunks[1].length);
+}
+
+// Malformed manifests of either version are Corruption, never a manifest:
+// no magic, an MMCASM1 hash that is not a digest, truncated payloads.
 TEST(ManifestTest, RejectsCorruptPayloads) {
   EXPECT_TRUE(DecodeManifest(std::vector<uint8_t>{}).status().IsCorruption());
   std::vector<uint8_t> wrong_magic = {'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X'};
   EXPECT_TRUE(DecodeManifest(wrong_magic).status().IsCorruption());
 
+  // MMCASM2 stores raw digests, so only a JSON manifest can hold a hash
+  // that is not one.
   CasManifest manifest;
   manifest.raw_size = 10;
   manifest.chunks.push_back({"tooshort", 10});
-  std::vector<uint8_t> bad_hash = EncodeManifest(manifest);
+  std::vector<uint8_t> bad_hash = VersionOneManifest(manifest);
   EXPECT_TRUE(DecodeManifest(bad_hash).status().IsCorruption());
 
-  std::vector<uint8_t> truncated = EncodeManifest(CasManifest{});
-  truncated.resize(truncated.size() - 3);
-  EXPECT_TRUE(DecodeManifest(truncated).status().IsCorruption());
+  for (std::vector<uint8_t> truncated :
+       {VersionOneManifest(CasManifest{}), EncodeManifest(CasManifest{})}) {
+    truncated.resize(truncated.size() - 3);
+    EXPECT_TRUE(DecodeManifest(truncated).status().IsCorruption());
+  }
+}
+
+// MMCASM2 damage, each Corruption: a flipped byte anywhere, truncation at
+// any length, trailing bytes, and, behind a resealed CRC, a chunk count
+// larger than the body holds, a cut-off entry or trailing bytes.
+TEST(ManifestTest, RejectsCorruptBinaryManifests) {
+  CasManifest manifest;
+  manifest.raw_size = 300;
+  manifest.raw_crc = 0x12345678;
+  manifest.chunks.push_back(
+      {Sha256::Hash(std::string_view("first")).ToHex(), 200});
+  manifest.chunks.push_back(
+      {Sha256::Hash(std::string_view("second")).ToHex(), 100});
+  const std::vector<uint8_t> encoded = EncodeManifest(manifest);
+  ASSERT_OK(DecodeManifest(encoded).status());
+
+  for (size_t at = 0; at < encoded.size(); ++at) {
+    std::vector<uint8_t> flipped = encoded;
+    flipped[at] ^= 0x01;
+    EXPECT_TRUE(DecodeManifest(flipped).status().IsCorruption())
+        << "flipped byte " << at;
+  }
+  for (size_t size = 0; size < encoded.size(); ++size) {
+    const std::vector<uint8_t> truncated(encoded.begin(),
+                                         encoded.begin() + size);
+    EXPECT_TRUE(DecodeManifest(truncated).status().IsCorruption())
+        << "truncated to " << size;
+    if (size > kCasManifestMagicSize + 4) {
+      EXPECT_TRUE(DecodeManifest(Resealed(truncated)).status().IsCorruption())
+          << "truncated to " << size << " and resealed";
+    }
+  }
+  std::vector<uint8_t> trailing = encoded;
+  trailing.push_back(0);
+  EXPECT_TRUE(DecodeManifest(trailing).status().IsCorruption());
+  trailing.insert(trailing.end(), {0, 0, 0});
+  EXPECT_TRUE(DecodeManifest(Resealed(trailing)).status().IsCorruption());
+
+  BinaryWriter oversized;
+  oversized.WriteBytes(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(kCasManifestMagic),
+      kCasManifestMagicSize));
+  oversized.WriteVarint(300);
+  oversized.WriteUint32(0);
+  oversized.WriteVarint(uint64_t{1} << 40);  // chunks, with none following
+  oversized.WriteUint32(0);                  // the CRC, resealed below
+  const Status status =
+      DecodeManifest(Resealed(oversized.TakeBuffer())).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("claims"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(ManifestTest, ChunkNamespaceHelpers) {
@@ -722,7 +825,7 @@ TEST_F(CasManagerTest, AuditFlagsMissingAndCorruptChunks) {
 // pack-index CRC before handing it on. Behind the store's back, in turn:
 // the pack is truncated into its chunks, deleted, has a byte flipped inside
 // one chunk's range, and gets an index that disagrees with its bytes. The
-// streaming recovery and CasReadBlob both fail — Corruption for damage,
+// streaming recovery and CasReadBlobString both fail — Corruption for damage,
 // NotFound for the missing pack — never with wrong bytes, and the error
 // names a chunk of the blob and the pack (the damaged chunk, where one is).
 TEST_F(CasManagerTest, ResizedOrMissingChunksFailNamingTheChunk) {
@@ -796,7 +899,8 @@ TEST_F(CasManagerTest, ResizedOrMissingChunksFailNamingTheChunk) {
 
     const Status streamed = manager->Recover(saved.set_id).status();
     const Status materialized =
-        CasReadBlob(manager->file_store(), manager->cas(), manifest_name)
+        CasReadBlobString(manager->file_store(), manager->cas(),
+                          manifest_name)
             .status();
     for (const Status& status : {streamed, materialized}) {
       ASSERT_FALSE(status.ok());
@@ -847,9 +951,9 @@ TEST_F(CasManagerTest, RepeatedChunksAreReadOnceAndReplayed) {
   EXPECT_EQ(stats.unique_chunks, 3u);  // the block and two pieces of tail
 
   const StoreStats before = store->stats();
-  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> whole,
-                       CasReadBlob(store, cas, "repeats.bin"));
-  EXPECT_EQ(whole, payload);
+  ASSERT_OK_AND_ASSIGN(std::string whole,
+                       CasReadBlobString(store, cas, "repeats.bin"));
+  EXPECT_EQ(std::vector<uint8_t>(whole.begin(), whole.end()), payload);
   EXPECT_EQ((store->stats() - before).read_ops, 2u);  // manifest + pack
   std::vector<uint8_t> streamed;
   ASSERT_OK(CasStreamBlob(store, cas, "repeats.bin", /*window_bytes=*/100,
@@ -1053,6 +1157,128 @@ TEST_F(CasManagerTest, OpenMigratesChunkFilesIntoOnePack) {
       ExpectSetEquals(recovered, state);
     }
     ExpectHealthy(manager.get());
+  }
+}
+
+// A store whose manifests are all MMCASM1 JSON, as older stores hold them:
+// CasStore::Open indexes it, every set recovers bit-exact and the store
+// passes fsck; new saves beside them write MMCASM2.
+TEST_F(CasManagerTest, VersionOneManifestsStillOpenRecoverAndPassFsck) {
+  InitScenario(8);
+  std::vector<std::pair<std::string, ModelSet>> saved;
+  {
+    auto manager = OpenCas("store");
+    for (ApproachType type : {ApproachType::kMMlibBase, ApproachType::kBaseline,
+                              ApproachType::kUpdate,
+                              ApproachType::kProvenance}) {
+      ASSERT_OK_AND_ASSIGN(
+          SaveResult result,
+          manager->SaveInitial(type, scenario_->current_set()));
+      saved.emplace_back(result.set_id, scenario_->current_set());
+    }
+  }
+  Env* env = Env::Default();
+  const std::string blob_dir = temp_.path() + "/store/blobs";
+  size_t rewritten = 0;
+  for (const std::string& name : env->ListDir(blob_dir).ValueOrDie()) {
+    const std::string path = blob_dir + "/" + name;
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, env->ReadFile(path));
+    if (!IsManifestPayload(bytes)) continue;
+    ASSERT_OK_AND_ASSIGN(CasManifest manifest, DecodeManifest(bytes));
+    ASSERT_OK(env->WriteFile(path, VersionOneManifest(manifest)));
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  auto manager = OpenCas("store");
+  for (const auto& [id, state] : saved) {
+    ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(id));
+    ExpectSetEquals(recovered, state);
+  }
+  ExpectHealthy(manager.get());
+  std::vector<std::string> problems;
+  ASSERT_OK(manager->cas()->Audit(&problems));
+  EXPECT_TRUE(problems.empty()) << problems.front();
+
+  ASSERT_OK(scenario_->AdvanceCycle().status());
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult fresh,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager->context(), fresh.set_id));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> manifest,
+                       manager->file_store()->Get(doc.param_blob));
+  EXPECT_EQ(std::memcmp(manifest.data(), kCasManifestMagic,
+                        kCasManifestMagicSize),
+            0);
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(fresh.set_id));
+  ExpectSetEquals(recovered, scenario_->current_set());
+  ASSERT_OK_AND_ASSIGN(recovered, manager->Recover(saved[1].first));
+  ExpectSetEquals(recovered, saved[1].second);
+  ExpectHealthy(manager.get());
+}
+
+// A chunked raw param blob is checked by the CRC its chunk checks yield,
+// not by a second pass: one whose chunks and manifest agree with its bytes
+// but whose own footer is wrong still fails recovery and fsck.
+TEST_F(CasManagerTest, ChunkedParamBlobWithAWrongFooterFails) {
+  InitScenario(8);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult saved,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager->context(), saved.set_id));
+  std::vector<uint8_t> blob = EncodeParamBlob(scenario_->current_set());
+  blob.back() ^= 0x01;
+  StoreBatch batch = MakeBatch(manager->context());
+  batch.PutBlob(doc.param_blob, blob);
+  ASSERT_OK(batch.Commit());
+  ASSERT_TRUE(manager->cas()->IsManifest(doc.param_blob));
+  ASSERT_OK_AND_ASSIGN(
+      std::string stored,
+      CasReadBlobString(manager->file_store(), manager->cas(), doc.param_blob));
+  ASSERT_EQ(std::vector<uint8_t>(stored.begin(), stored.end()), blob);
+
+  const Status status = manager->Recover(saved.set_id).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("blob crc mismatch"), std::string::npos)
+      << status.ToString();
+  ASSERT_OK_AND_ASSIGN(StoreValidationReport report, manager->ValidateStore());
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.problems.front().find("blob crc mismatch"),
+            std::string::npos)
+      << report.problems.front();
+}
+
+// A manifest whose raw_crc disagrees with its chunks fails reassembly,
+// though every chunk passes its own check: the CRC combined from the chunk
+// CRCs is compared with the manifest's.
+TEST_F(CasManagerTest, ManifestCrcMismatchFailsReassembly) {
+  InitScenario(8);
+  auto manager = OpenCas("store");
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult saved,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager->context(), saved.set_id));
+  const std::string path =
+      manager->file_store()->root() + "/" + doc.param_blob;
+  Env* env = Env::Default();
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, env->ReadFile(path));
+  ASSERT_OK_AND_ASSIGN(CasManifest manifest, DecodeManifest(bytes));
+  manifest.raw_crc ^= 0x01;
+  ASSERT_OK(env->WriteFile(path, EncodeManifest(manifest)));
+
+  for (const Status& status :
+       {manager->Recover(saved.set_id).status(),
+        CasReadBlobString(manager->file_store(), manager->cas(),
+                          doc.param_blob)
+            .status()}) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.ToString().find("fails its manifest crc"),
+              std::string::npos)
+        << status.ToString();
   }
 }
 

@@ -146,6 +146,76 @@ TEST(Crc32Test, ChainedExtendAcrossFoldBoundaries) {
   }
 }
 
+// Combine(Compute(a), Compute(b), |b|) == Compute(a + b) on random splits,
+// among them the empty head and tail and one-byte tails.
+TEST(Crc32Test, CombineMatchesComputeOnRandomSplits) {
+  Rng rng(14);
+  const std::vector<uint8_t> data = RandomBytes(&rng, 5000);
+  for (size_t trial = 0; trial < 300; ++trial) {
+    const size_t size = rng.NextBounded(data.size() + 1);
+    const std::span<const uint8_t> all(data.data(), size);
+    size_t cut = rng.NextBounded(size + 1);
+    if (trial % 5 == 0) cut = 0;
+    if (trial % 5 == 1) cut = size;
+    if (trial % 5 == 2 && size > 0) cut = size - 1;
+    const std::span<const uint8_t> a = all.subspan(0, cut);
+    const std::span<const uint8_t> b = all.subspan(cut);
+    ASSERT_EQ(Crc32::Combine(Crc32::Compute(a), Crc32::Compute(b), b.size()),
+              Crc32::Compute(all))
+        << "size " << size << " cut " << cut;
+    ASSERT_EQ(Crc32::CombineOp(Crc32::Compute(a), Crc32::Compute(b),
+                               Crc32::CombineGen(b.size())),
+              Crc32::Compute(all));
+  }
+}
+
+// Tails of 2^24 bytes and more use the length's upper table rows.
+TEST(Crc32Test, CombineMatchesComputeOnLongTails) {
+  Rng rng(15);
+  const std::vector<uint8_t> data = RandomBytes(&rng, (size_t{1} << 24) + 300);
+  const std::span<const uint8_t> all(data);
+  const uint32_t whole = Crc32::Compute(all);
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
+                     size_t{299}, size_t{300}}) {
+    const std::span<const uint8_t> b = all.subspan(cut);
+    ASSERT_GE(b.size(), size_t{1} << 24);
+    EXPECT_EQ(Crc32::Combine(Crc32::Compute(all.subspan(0, cut)),
+                             Crc32::Compute(b), b.size()),
+              whole)
+        << "cut " << cut;
+  }
+}
+
+// Past what a test can hash: shifting over n1 zero bytes and then n2 is
+// shifting over n1 + n2, for lengths of every magnitude up to 2^63.
+TEST(Crc32Test, CombineShiftsComposeForHugeLengths) {
+  Rng rng(16);
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint64_t n1 = rng.NextUint64() >> (1 + rng.NextBounded(63));
+    const uint64_t n2 = rng.NextUint64() >> (1 + rng.NextBounded(63));
+    const auto crc = static_cast<uint32_t>(rng.NextUint64());
+    ASSERT_EQ(Crc32::Combine(Crc32::Combine(crc, 0, n1), 0, n2),
+              Crc32::Combine(crc, 0, n1 + n2))
+        << n1 << " + " << n2;
+  }
+}
+
+// Any message followed by its own CRC, little-endian, has the CRC kResidue.
+TEST(Crc32Test, MessageWithItsFooterHasTheResidue) {
+  Rng rng(17);
+  for (size_t size : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
+                      size_t{1000}, size_t{70000}}) {
+    std::vector<uint8_t> blob = RandomBytes(&rng, size);
+    const uint32_t crc = Crc32::Compute(blob);
+    for (int i = 0; i < 4; ++i) {
+      blob.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+    }
+    EXPECT_EQ(Crc32::Compute(blob), Crc32::kResidue) << "size " << size;
+    blob[blob.size() / 2] ^= 0x10;
+    EXPECT_NE(Crc32::Compute(blob), Crc32::kResidue) << "size " << size;
+  }
+}
+
 // Plain FIPS 180-4, one padded message at a time: independent of the
 // SHA-NI path Sha256::Hash and Update take and of every multi-lane kernel.
 Sha256Digest ReferenceSha256(std::span<const uint8_t> data) {

@@ -1112,6 +1112,32 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   EXPECT_EQ(after.entries, before.entries);
 }
 
+// A request whose metadata memo hits reads the root's missing layers with
+// one ranged stream: the memo holds the root's header as well as its layer
+// CRC table, so neither the blob's header nor its size is read again.
+TEST_F(ServeTest, MemoHitRangedRootReadIsOneReadOp) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ModelSetServiceOptions options;
+  options.cache_capacity_bytes = SetChargeBytes(expected_[base_id]) / 2;
+  ModelSetService service(manager_.get(), options);
+  ASSERT_OK(service.Recover(base_id).status());
+
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager_->context(), base_id));
+  FileStore* files = manager_->file_store();
+  ASSERT_OK_AND_ASSIGN(uint64_t param_bytes, files->Size(doc.param_blob));
+  const StoreStats before = files->stats();
+  ServeResult result;
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, service.Recover(base_id, &result));
+  const StoreStats delta = files->stats() - before;
+  ExpectSetEquals(recovered, expected_[base_id]);
+  EXPECT_EQ(result.cache.meta_hits, 1u);
+  ASSERT_GT(result.cache.layer_misses, 0u);
+  EXPECT_EQ(delta.read_ops, 1u);
+  EXPECT_LT(delta.bytes_read, param_bytes);  // by range, not whole
+}
+
 // A root snapshot stored as MMMPARM1 recovers bit-exact through Recover,
 // RecoverModels and the cached path, each reading it whole (checked by its
 // footer) where an MMMPARM2 root would be read by range. Baseline's
