@@ -10,11 +10,13 @@
 #include "battery/drive_cycle.h"
 #include "battery/ecm.h"
 #include "cas/manifest.h"
+#include "common/rng.h"
 #include "core/blob_formats.h"
 #include "nn/trainer.h"
 #include "serialize/crc32.h"
 #include "serialize/json.h"
 #include "serialize/sha256.h"
+#include "serve/layer_cache.h"
 #include "storage/document_store.h"
 #include "storage/executor.h"
 #include "storage/file_store.h"
@@ -171,6 +173,63 @@ void BM_DecodeParamBlob(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * blob.size());
 }
 BENCHMARK(BM_DecodeParamBlob)->Arg(100)->Arg(1000);
+
+void BM_LayerCacheRequest(benchmark::State& state) {
+  // One recover_cold-shaped request against a full cache of half a set:
+  // 4,000 probes of a 500-model FFNN-48 set (each layer one of three
+  // versions, picked at random), then one offer batch of the misses.
+  constexpr size_t kModels = 500;
+  constexpr size_t kVersions = 3;
+  const ParamLayout layout = LayoutOf(Ffnn48Spec());
+  const size_t num_slots = kModels * layout.size();
+  std::vector<Tensor> tensors;
+  uint64_t set_charge = 0;
+  for (const auto& [key, shape] : layout) {
+    tensors.emplace_back(shape);
+    set_charge += kModels * LayerCache::ChargeOf(tensors.back());
+  }
+  std::vector<Sha256Digest> universe(num_slots * kVersions);
+  for (size_t i = 0; i < universe.size(); ++i) {
+    universe[i] = Sha256::Hash("layer " + std::to_string(i));
+  }
+  LayerCache cache(set_charge / 2);
+  Rng rng(5);
+  std::vector<Sha256Digest> hashes(num_slots);
+  std::vector<std::shared_ptr<const Tensor>> found(num_slots);
+  // Times the two cache calls only: drawing the request and copying the
+  // offered tensors (a recovery decodes them) are paused.
+  auto request = [&](bool timed) {
+    if (timed) state.PauseTiming();
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      hashes[slot] = universe[slot * kVersions + rng.NextBounded(kVersions)];
+    }
+    if (timed) state.ResumeTiming();
+    cache.Get(hashes, found);
+    if (timed) state.PauseTiming();
+    std::vector<Sha256Digest> missed;
+    std::vector<Tensor> values;
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      if (found[slot] != nullptr) continue;
+      missed.push_back(hashes[slot]);
+      values.push_back(tensors[slot % layout.size()]);
+    }
+    std::vector<std::shared_ptr<const Tensor>> entries(missed.size());
+    if (timed) state.ResumeTiming();
+    cache.Put(missed, values, entries);
+  };
+  for (int warm = 0; warm < 20; ++warm) request(false);
+  const LayerCacheStats before = cache.stats();
+  for (auto _ : state) request(true);
+  const LayerCacheStats after = cache.stats();
+  const double requests = static_cast<double>(state.iterations());
+  state.counters["hit_ratio"] =
+      static_cast<double>(after.hits - before.hits) /
+      static_cast<double>(after.hits + after.misses - before.hits -
+                          before.misses);
+  state.counters["evictions_per_req"] =
+      static_cast<double>(after.evictions - before.evictions) / requests;
+}
+BENCHMARK(BM_LayerCacheRequest)->Unit(benchmark::kMicrosecond);
 
 void BM_EncodeStateDict(benchmark::State& state) {
   ModelSet set = MakeInitializedSet(Ffnn48Spec(), 1, 1).ValueOrDie();

@@ -7,7 +7,8 @@
 // capacities, from cache-off to 4x the base set's footprint. Reported per
 // capacity: layer hit rate, sets served without any store read, file-store
 // read ops, the file-store bytes the cache avoided against the cache-off
-// row, and the modeled per-request recovery cost (mean / p99).
+// row, the cache's admissions and evictions per request, and the modeled
+// per-request recovery cost (mean / p99).
 //
 // Expected shape: layer hits save bytes in proportion to the hit rate,
 // because the root snapshot is read by range for just the layers that
@@ -19,7 +20,9 @@
 //
 // Results are also written to BENCH_serving.json. Exits 1 if a row with a
 // nonzero hit rate reads as many file-store bytes as the cache-off row:
-// its hits saved no I/O.
+// its hits saved no I/O. Exits 1 too if the 0.5x row evicts more than a
+// quarter of a set's layers per request: a cache smaller than the working
+// set must keep the layers requests share instead of turning over.
 //
 // A second table replays the trace at workers {1, N}; its quantiles are
 // computed over the pooled per-request samples of every worker (quantiles
@@ -72,9 +75,11 @@ int main() {
 
   // The base set's cache footprint anchors the capacity sweep.
   uint64_t base_bytes = 0;
+  uint64_t set_layers = 0;
   for (const StateDict& model : base_set.models) {
     for (const auto& [key, tensor] : model) {
       base_bytes += LayerCache::ChargeOf(tensor);
+      set_layers += 1;
     }
   }
 
@@ -100,13 +105,14 @@ int main() {
       "(theta 0.99, base footprint %.2f MB):\n",
       knobs.models, ids.size(), trace.size(),
       static_cast<double>(base_bytes) / 1e6);
-  std::printf("%-10s | %8s | %10s | %10s | %14s | %12s | %12s\n", "cache",
-              "hit %", "from-cache", "file reads", "bytes avoided", "mean ms",
-              "p99 ms");
+  std::printf("%-10s | %8s | %10s | %10s | %14s | %9s | %9s | %12s | %12s\n",
+              "cache", "hit %", "from-cache", "file reads", "bytes avoided",
+              "admit/req", "evict/req", "mean ms", "p99 ms");
 
   JsonValue out_rows = JsonValue::Array();
   uint64_t cache_off_bytes = 0;
   std::vector<std::string> no_savings;
+  std::vector<std::string> churning;
   for (const Row& row : rows) {
     ModelSetServiceOptions service_options;
     service_options.workers = 1;  // exact per-request counters
@@ -136,13 +142,24 @@ int main() {
     const int64_t bytes_avoided = static_cast<int64_t>(cache_off_bytes) -
                                   static_cast<int64_t>(reads.bytes_read);
     if (hit_rate > 0.0 && bytes_avoided <= 0) no_savings.push_back(row.label);
+    const LayerCacheStats residency = service.cache_stats();
+    const double admissions_per_req =
+        static_cast<double>(residency.inserts) / static_cast<double>(trace.size());
+    const double evictions_per_req = static_cast<double>(residency.evictions) /
+                                     static_cast<double>(trace.size());
+    if (row.capacity == base_bytes / 2 &&
+        evictions_per_req > static_cast<double>(set_layers) / 4) {
+      churning.push_back(row.label);
+    }
 
-    std::printf("%-10s | %8.1f | %10llu | %10llu | %14lld | %12.3f | %12.3f\n",
-                row.label.c_str(), 100.0 * hit_rate,
-                static_cast<unsigned long long>(cache.sets_from_cache),
-                static_cast<unsigned long long>(reads.read_ops),
-                static_cast<long long>(bytes_avoided), lat.mean / 1e6,
-                static_cast<double>(lat.p99) / 1e6);
+    std::printf(
+        "%-10s | %8.1f | %10llu | %10llu | %14lld | %9.1f | %9.1f | %12.3f | "
+        "%12.3f\n",
+        row.label.c_str(), 100.0 * hit_rate,
+        static_cast<unsigned long long>(cache.sets_from_cache),
+        static_cast<unsigned long long>(reads.read_ops),
+        static_cast<long long>(bytes_avoided), admissions_per_req,
+        evictions_per_req, lat.mean / 1e6, static_cast<double>(lat.p99) / 1e6);
 
     JsonValue entry = JsonValue::Object();
     entry.Set("label", row.label);
@@ -154,6 +171,8 @@ int main() {
     entry.Set("file_read_ops", reads.read_ops);
     entry.Set("file_bytes_read", reads.bytes_read);
     entry.Set("bytes_avoided", bytes_avoided);
+    entry.Set("admissions_per_request", admissions_per_req);
+    entry.Set("evictions_per_request", evictions_per_req);
     entry.Set("mean_recover_nanos", lat.mean);
     entry.Set("p99_recover_nanos", lat.p99);
     out_rows.Append(std::move(entry));
@@ -213,6 +232,7 @@ int main() {
   doc.Set("requests", static_cast<uint64_t>(trace.size()));
   doc.Set("theta", 0.99);
   doc.Set("base_footprint_bytes", base_bytes);
+  doc.Set("layers_per_set", set_layers);
   doc.Set("rows", std::move(out_rows));
   doc.Set("worker_rows", std::move(worker_rows));
   std::string json = doc.DumpPretty() + "\n";
@@ -235,5 +255,11 @@ int main() {
                  "file-store bytes as the cache-off row\n",
                  label.c_str());
   }
-  return no_savings.empty() ? 0 : 1;
+  for (const std::string& label : churning) {
+    std::fprintf(stderr,
+                 "FAIL: the '%s' row evicts more than a quarter of a set's "
+                 "%llu layers per request\n",
+                 label.c_str(), static_cast<unsigned long long>(set_layers));
+  }
+  return no_savings.empty() && churning.empty() ? 0 : 1;
 }

@@ -272,14 +272,19 @@ Status CasStreamBlob(FileStore* store, CasStore* cas, const std::string& name,
 
 Result<std::vector<uint8_t>> CasReadBlobDecompressed(FileStore* store,
                                                      CasStore* cas,
-                                                     const std::string& name,
-                                                     uint64_t window_bytes) {
+                                                     const std::string& name) {
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored, store->Get(name));
+  if (!IsManifestPayload(stored)) {
+    if (!IsFramedBlob(stored)) return stored;
+    return DecompressBlob(stored);
+  }
+  MMM_ASSIGN_OR_RETURN(const CasManifest manifest,
+                       DecodeManifestOf(name, stored));
   std::vector<uint8_t> out;
   BlobDecompressor decompressor;
-  MMM_RETURN_NOT_OK(CasStreamBlob(
-      store, cas, name, window_bytes, nullptr,
-      [&](std::span<const uint8_t> window) {
-        return decompressor.Feed(window, &out);
+  MMM_RETURN_NOT_OK(ReassembleChunks(
+      store, cas, name, manifest, [&](std::span<const uint8_t> chunk) {
+        return decompressor.Feed(chunk, &out);
       }));
   MMM_RETURN_NOT_OK(decompressor.Finish(&out));
   return out;

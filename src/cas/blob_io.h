@@ -81,14 +81,16 @@ Status CasStreamBlob(FileStore* store, CasStore* cas, const std::string& name,
                      const std::function<Status(std::span<const uint8_t>)>&
                          on_window);
 
-/// Streams a stored blob through BlobDecompressor into a full decompressed
-/// buffer: the stored-side bytes are never held whole. For read paths that
-/// still need the whole decoded payload at once (diff, hash-table and
-/// state-dict blobs — small next to param snapshots).
+/// Reads a stored blob whole and decompresses it, for read paths that need
+/// the whole decoded payload at once (diff, hash-table and state-dict
+/// blobs, small next to param snapshots). A verbatim blob is one
+/// FileStore::Get, decompressed only if it is framed (DecompressBlob); a
+/// manifest's chunks stream through BlobDecompressor, so its stored bytes
+/// are never held whole. Either way the modeled charge is the one a stream
+/// of the blob would have: one op plus the stored bytes.
 Result<std::vector<uint8_t>> CasReadBlobDecompressed(FileStore* store,
                                                      CasStore* cas,
-                                                     const std::string& name,
-                                                     uint64_t window_bytes);
+                                                     const std::string& name);
 
 }  // namespace mmm
 

@@ -202,9 +202,8 @@ Result<std::vector<StateDict>> DecodeParamBlob(const ArchitectureSpec& spec,
     StateDict state;
     state.reserve(layout.size());
     for (const auto& [key, shape] : layout) {
-      size_t numel = Tensor::NumElements(shape);
-      std::vector<float> data(numel);
-      MMM_RETURN_NOT_OK(reader.ReadFloatSpan(numel, data.data()));
+      MMM_ASSIGN_OR_RETURN(std::vector<float> data,
+                           reader.ReadFloats(Tensor::NumElements(shape)));
       state.emplace_back(key, Tensor(shape, std::move(data)));
     }
     models.push_back(std::move(state));
@@ -237,11 +236,25 @@ void ParamBlobStreamDecoder::Checksum(std::span<const uint8_t> bytes) {
 }
 
 void ParamBlobStreamDecoder::BeginTensor() {
-  const size_t numel = Tensor::NumElements(layout_[param_].second);
-  current_.assign(numel, 0.0f);
-  current_filled_ = 0;
-  peak_buffered_ =
-      std::max(peak_buffered_, current_.size() * sizeof(float));
+  current_numel_ = Tensor::NumElements(layout_[param_].second);
+  current_.reserve(current_numel_);
+  partial_size_ = 0;
+  peak_buffered_ = std::max(peak_buffered_, current_numel_ * sizeof(float));
+}
+
+void ParamBlobStreamDecoder::AppendLayerBytes(std::span<const uint8_t> bytes) {
+  if (partial_size_ > 0) {
+    const size_t fill = std::min(bytes.size(), sizeof(float) - partial_size_);
+    std::memcpy(partial_ + partial_size_, bytes.data(), fill);
+    partial_size_ += fill;
+    bytes = bytes.subspan(fill);
+    if (partial_size_ < sizeof(float)) return;
+    AppendFloatBytes(partial_, &current_);
+  }
+  const size_t whole = bytes.size() - bytes.size() % sizeof(float);
+  AppendFloatBytes(bytes.first(whole), &current_);
+  partial_size_ = bytes.size() - whole;
+  std::memcpy(partial_, bytes.data() + whole, partial_size_);
 }
 
 Status ParamBlobStreamDecoder::ParseHeaderByte(uint8_t byte) {
@@ -288,8 +301,7 @@ Status ParamBlobStreamDecoder::ParseHeaderByte(uint8_t byte) {
 Status ParamBlobStreamDecoder::MaybeEmit() {
   // Emits every tensor whose bytes are complete; loops so zero-element
   // layers cannot stall the byte-driven state machine.
-  while (state_ == State::kTensors &&
-         current_filled_ == current_.size() * sizeof(float)) {
+  while (state_ == State::kTensors && current_.size() == current_numel_) {
     Tensor tensor(layout_[param_].second, std::move(current_));
     current_ = {};
     MMM_RETURN_NOT_OK(
@@ -356,14 +368,11 @@ Status ParamBlobStreamDecoder::Feed(std::span<const uint8_t> data) {
       case State::kTensors: {
         const size_t payload_avail = static_cast<size_t>(
             std::min<uint64_t>(data.size() - pos, payload_bytes - position_));
-        const size_t tensor_bytes = current_.size() * sizeof(float);
+        const size_t filled = current_.size() * sizeof(float) + partial_size_;
         const size_t take =
-            std::min(payload_avail, tensor_bytes - current_filled_);
+            std::min(payload_avail, current_numel_ * sizeof(float) - filled);
         Checksum(data.subspan(pos, take));
-        std::memcpy(
-            reinterpret_cast<uint8_t*>(current_.data()) + current_filled_,
-            data.data() + pos, take);
-        current_filled_ += take;
+        AppendLayerBytes(data.subspan(pos, take));
         pos += take;
         position_ += take;
         Status status = MaybeEmit();
@@ -458,9 +467,8 @@ Result<StateDict> DecodeModelSlice(const ArchitectureSpec& spec,
   StateDict state;
   state.reserve(layout.size());
   for (const auto& [key, shape] : layout) {
-    size_t numel = Tensor::NumElements(shape);
-    std::vector<float> data(numel);
-    MMM_RETURN_NOT_OK(reader.ReadFloatSpan(numel, data.data()));
+    MMM_ASSIGN_OR_RETURN(std::vector<float> data,
+                         reader.ReadFloats(Tensor::NumElements(shape)));
     state.emplace_back(key, Tensor(shape, std::move(data)));
   }
   return state;
@@ -670,12 +678,9 @@ Result<DiffView> DiffView::Parse(const ArchitectureSpec& spec,
 
 Tensor DiffView::TensorAt(size_t e) const {
   const Shape& shape = layout_[entries_[e].param_index].second;
-  std::vector<float> data(Tensor::NumElements(shape));
-  if (!data.empty()) {
-    std::memcpy(data.data(), payload_.data() + offsets_[e],
-                data.size() * sizeof(float));
-  }
-  return Tensor(shape, std::move(data));
+  return Tensor(shape, FloatsFromBytes(payload_.subspan(
+                           offsets_[e],
+                           Tensor::NumElements(shape) * sizeof(float))));
 }
 
 Result<std::vector<DiffEntry>> DiffHashTables(const HashTable& base,

@@ -170,6 +170,8 @@ class ParamBlobStreamDecoder {
   Status ParseHeaderByte(uint8_t byte);
   Status MaybeEmit();
   void BeginTensor();
+  /// Appends the next `bytes` of the current layer to it.
+  void AppendLayerBytes(std::span<const uint8_t> bytes);
   /// The state after the last tensor: the table, if the blob has one.
   State AfterTensors() const;
 
@@ -196,8 +198,12 @@ class ParamBlobStreamDecoder {
 
   size_t model_ = 0;
   size_t param_ = 0;
-  std::vector<float> current_;   // layer being filled
-  size_t current_filled_ = 0;    // bytes of current_ filled
+  // The layer being filled: its values so far, reserved for all of them,
+  // and the bytes of a value split across two feeds.
+  std::vector<float> current_;
+  size_t current_numel_ = 0;
+  uint8_t partial_[sizeof(float)] = {0, 0, 0, 0};
+  size_t partial_size_ = 0;
   size_t peak_buffered_ = 0;
   std::vector<uint32_t> layer_crcs_;
   size_t table_filled_ = 0;      // bytes of layer_crcs_ filled

@@ -149,9 +149,8 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
           report.problems.push_back(model_id + ": document lacks weights_blob");
           continue;
         }
-        auto blob = CasReadBlobDecompressed(
-            context.file_store, context.cas, weights_name.ValueOrDie(),
-            context.stream_window_bytes);
+        auto blob = CasReadBlobDecompressed(context.file_store, context.cas,
+                                            weights_name.ValueOrDie());
         if (!blob.ok()) {
           report.problems.push_back(model_id + ": cannot read weights blob");
           continue;
@@ -211,8 +210,8 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
     auto check_blob = [&](const std::string& name,
                           auto decode) {
       if (name.empty()) return;
-      auto decompressed = CasReadBlobDecompressed(
-          context.file_store, context.cas, name, context.stream_window_bytes);
+      auto decompressed =
+          CasReadBlobDecompressed(context.file_store, context.cas, name);
       if (!decompressed.ok()) {
         report.problems.push_back(doc.id + ": cannot read " + name + ": " +
                                   decompressed.status().ToString());

@@ -112,7 +112,7 @@ Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> blob,
         CasReadBlobDecompressed(context_.file_store, context_.cas,
-                                weights_blob, context_.stream_window_bytes));
+                                weights_blob));
     MMM_ASSIGN_OR_RETURN(StateDict state, DecodeStateDict(blob));
     models.push_back(std::move(state));
   }
@@ -149,7 +149,7 @@ Result<ModelSet> MMlibBaseApproach::Recover(const std::string& set_id,
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> blob,
         CasReadBlobDecompressed(context_.file_store, context_.cas,
-                                weights_blob, context_.stream_window_bytes));
+                                weights_blob));
     MMM_ASSIGN_OR_RETURN(set.models[index], DecodeStateDict(blob));
   }
   MMM_RETURN_NOT_OK(CheckSetConsistent(set));

@@ -92,10 +92,13 @@ class RecoveryCache {
                          std::span<std::shared_ptr<const Tensor>> out) = 0;
 
   /// Offers the verified, decoded layers of one request at once, `values[i]`
-  /// under `hashes[i]` (any may be declined).
-  virtual void PutLayers(
-      std::span<const Sha256Digest> hashes,
-      std::span<const std::shared_ptr<const Tensor>> values) = 0;
+  /// under `hashes[i]` (any may be declined). An admitted value is moved
+  /// into the cache's entry, which `entries[i]` receives; a declined one is
+  /// left in `values[i]`, and `entries[i]` is set null. `entries` is as
+  /// long as `hashes`.
+  virtual void PutLayers(std::span<const Sha256Digest> hashes,
+                         std::span<Tensor> values,
+                         std::span<std::shared_ptr<const Tensor>> entries) = 0;
 
   /// Returns the memoized metadata of a set, or null on a miss.
   virtual std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) = 0;

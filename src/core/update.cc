@@ -1,13 +1,13 @@
 #include "core/update.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <numeric>
 #include <optional>
 
 #include "cas/blob_io.h"
 #include "core/set_codec.h"
+#include "serialize/binary_io.h"
 #include "serialize/crc32.h"
 #include "storage/range_planner.h"
 
@@ -24,8 +24,7 @@ Result<HashTable> ReadStoredHashTable(const StoreContext& context,
   }
   MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                        CasReadBlobDecompressed(context.file_store, context.cas,
-                                               doc.hash_blob,
-                                               context.stream_window_bytes));
+                                               doc.hash_blob));
   return DecodeHashTable(bytes, doc.num_models);
 }
 
@@ -370,10 +369,8 @@ Result<bool> ReadRootByRange(const StoreContext& context,
                                     slots[k] % num_params, ") of set ",
                                     root.id, " fails its layer crc check");
         }
-        std::vector<float> data(layer.size() / sizeof(float));
-        if (!data.empty()) std::memcpy(data.data(), layer.data(), layer.size());
-        on_layer(slots[k],
-                 Tensor(layout[slots[k] % num_params].second, std::move(data)));
+        on_layer(slots[k], Tensor(layout[slots[k] % num_params].second,
+                                  FloatsFromBytes(layer)));
       }
     }
   }
@@ -508,7 +505,7 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> bytes,
         CasReadBlobDecompressed(context.file_store, context.cas,
-                                level.diff_blob, context.stream_window_bytes));
+                                level.diff_blob));
     MMM_ASSIGN_OR_RETURN(DiffView diff, DiffView::Parse(spec, bytes));
     const bool xor_encoded = diff.encoding() == DiffEncoding::kXorBase;
     const std::vector<DiffEntry>& entries = diff.entries();
@@ -680,10 +677,10 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
       std::count(hit.begin(), hit.end(), true));
   local.layer_misses += num_slots - local.layer_hits;
   if (local.layer_misses == 0) local.sets_from_cache += 1;
-  std::vector<Tensor> resolved(num_slots);
+  std::vector<Tensor> values(num_slots);
   MMM_RETURN_NOT_OK(ResolveChain(
       context_, &chain, meta->spec, nullptr, hit,
-      [&](size_t slot, Tensor value) { resolved[slot] = std::move(value); },
+      [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
       stats, /*ranged_root=*/true, meta.get()));
 
   // Verify-then-admit. Every layer fetched has now been verified: each
@@ -691,21 +688,24 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   // root, its bytes matched their layer CRC, so the layers are offered
   // under the requested set's hashes only now, in one batch: a corrupt blob
   // can never leave an entry behind. Ancestors' layers are not admitted
-  // under their own hashes.
+  // under their own hashes. The cache moves each layer it takes into an
+  // entry; a declined layer stays here and goes to the caller as is.
+  const size_t num_fetched = static_cast<size_t>(local.layer_misses);
+  std::vector<size_t> fetched_slots;
   std::vector<Sha256Digest> fetched_hashes;
-  std::vector<std::shared_ptr<const Tensor>> fetched;
-  fetched_hashes.reserve(local.layer_misses);
-  fetched.reserve(local.layer_misses);
+  std::vector<Tensor> fetched;
+  fetched_slots.reserve(num_fetched);
+  fetched_hashes.reserve(num_fetched);
+  fetched.reserve(num_fetched);
   for (size_t slot = 0; slot < num_slots; ++slot) {
     if (!hit[slot]) {
-      // The entries of one request are allocated together, apart from
-      // the layers' data, so a later hit on them touches fewer pages.
-      layers[slot] = std::make_shared<const Tensor>(std::move(resolved[slot]));
+      fetched_slots.push_back(slot);
       fetched_hashes.push_back(hashes[slot]);
-      fetched.push_back(layers[slot]);
+      fetched.push_back(std::move(values[slot]));
     }
   }
-  cache->PutLayers(fetched_hashes, fetched);
+  std::vector<std::shared_ptr<const Tensor>> admitted(num_fetched);
+  cache->PutLayers(fetched_hashes, fetched, admitted);
   if (!meta_hit) cache->PutSetMeta(set_id, meta);
 
   // The content hash covers a tensor's bytes, not its shape: a zeroed
@@ -713,8 +713,14 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   // therefore takes its shape from the layout, never from the entry. It
   // shares the entry's buffer; a caller's first write copies it, so the
   // cache never sees the write.
-  std::vector<Tensor> values(num_slots);
+  for (size_t k = 0; k < num_fetched; ++k) {
+    const size_t slot = fetched_slots[k];
+    values[slot] = admitted[k] != nullptr
+                       ? admitted[k]->Reshape(layout[slot % num_params].second)
+                       : std::move(fetched[k]);
+  }
   for (size_t slot = 0; slot < num_slots; ++slot) {
+    if (!hit[slot]) continue;
     const Shape& shape = layout[slot % num_params].second;
     if (layers[slot]->numel() != Tensor::NumElements(shape)) {
       return Status::Corruption("layer (", slot / num_params, ", ",

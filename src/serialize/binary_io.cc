@@ -91,26 +91,34 @@ Result<std::string> BinaryReader::ReadString() {
   return out;
 }
 
-Status BinaryReader::ReadFloatSpan(size_t count, float* out) {
-  size_t bytes = count * sizeof(float);
-  if (remaining() < bytes) {
+Result<std::vector<float>> BinaryReader::ReadFloats(size_t count) {
+  if (remaining() / sizeof(float) < count) {
     return Status::Corruption("binary reader: truncated float span of ", count,
                               " floats at offset ", offset_);
   }
-  std::memcpy(out, data_.data() + offset_, bytes);
+  const size_t bytes = count * sizeof(float);
+  std::vector<float> values = FloatsFromBytes(data_.subspan(offset_, bytes));
   offset_ += bytes;
-  return Status::OK();
+  return values;
 }
 
 Result<std::vector<float>> BinaryReader::ReadFloatVector() {
   MMM_ASSIGN_OR_RETURN(uint64_t count, ReadVarint());
-  if (remaining() < count * sizeof(float)) {
-    return Status::Corruption("binary reader: truncated float vector of ", count,
-                              " floats at offset ", offset_);
-  }
-  std::vector<float> values(count);
-  MMM_RETURN_NOT_OK(ReadFloatSpan(count, values.data()));
-  return values;
+  return ReadFloats(count);
+}
+
+void AppendFloatBytes(std::span<const uint8_t> bytes, std::vector<float>* out) {
+  // A range insert of a trivially copyable type is one memmove, which reads
+  // the bytes at any alignment; no value is loaded through `first`.
+  const auto* first = reinterpret_cast<const float*>(bytes.data());
+  out->insert(out->end(), first, first + bytes.size() / sizeof(float));
+}
+
+std::vector<float> FloatsFromBytes(std::span<const uint8_t> bytes) {
+  std::vector<float> out;
+  out.reserve(bytes.size() / sizeof(float));
+  AppendFloatBytes(bytes, &out);
+  return out;
 }
 
 Status BinaryReader::Skip(size_t count) {

@@ -77,6 +77,14 @@ class BinaryWriter {
   std::vector<uint8_t> buffer_;
 };
 
+/// Appends the raw float32 values in `bytes` (bytes.size() / 4 of them, at
+/// any alignment) to `*out` with one copy, and no zero-fill before it as
+/// resize-then-memcpy would write.
+void AppendFloatBytes(std::span<const uint8_t> bytes, std::vector<float>* out);
+
+/// The raw float32 values in `bytes`, built in one pass (AppendFloatBytes).
+std::vector<float> FloatsFromBytes(std::span<const uint8_t> bytes);
+
 /// \brief Bounds-checked reader for BinaryWriter output.
 ///
 /// All accessors return Result so that corrupted or truncated artifacts
@@ -96,8 +104,9 @@ class BinaryReader {
   Result<uint64_t> ReadVarint();
   Result<std::string> ReadString();
 
-  /// Reads `count` raw floats.
-  Status ReadFloatSpan(size_t count, float* out);
+  /// Reads `count` raw floats into a new vector, built in one pass
+  /// (FloatsFromBytes).
+  Result<std::vector<float>> ReadFloats(size_t count);
 
   /// Reads a varint count followed by that many floats.
   Result<std::vector<float>> ReadFloatVector();

@@ -123,62 +123,9 @@ Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> input,
   }
   std::vector<uint8_t> out;
   out.reserve(raw_size);
-  size_t pos = 0;
-  auto read_length = [&](size_t base) -> Result<size_t> {
-    size_t value = base;
-    if (base == 15) {
-      while (true) {
-        if (pos >= input.size()) {
-          return Status::Corruption("lz: truncated length at ", pos);
-        }
-        uint8_t byte = input[pos++];
-        value += byte;
-        if (byte != 255) break;
-      }
-    }
-    return value;
-  };
-
-  while (out.size() < raw_size) {
-    if (pos >= input.size()) {
-      return Status::Corruption("lz: truncated stream at ", pos);
-    }
-    uint8_t token = input[pos++];
-    MMM_ASSIGN_OR_RETURN(size_t literal_len, read_length(token >> 4));
-    if (pos + literal_len > input.size()) {
-      return Status::Corruption("lz: literals run past end at ", pos);
-    }
-    if (out.size() + literal_len > raw_size) {
-      return Status::Corruption("lz: output overflow in literals");
-    }
-    out.insert(out.end(), input.begin() + pos, input.begin() + pos + literal_len);
-    pos += literal_len;
-    if (out.size() >= raw_size) break;
-
-    if (pos + 2 > input.size()) {
-      return Status::Corruption("lz: truncated match offset at ", pos);
-    }
-    size_t offset = input[pos] | (static_cast<size_t>(input[pos + 1]) << 8);
-    pos += 2;
-    if (offset == 0 || offset > out.size()) {
-      return Status::Corruption("lz: invalid match offset ", offset);
-    }
-    MMM_ASSIGN_OR_RETURN(size_t match_code, read_length(token & 0x0f));
-    size_t match_len = match_code + kMinMatch;
-    if (out.size() + match_len > raw_size) {
-      return Status::Corruption("lz: output overflow in match");
-    }
-    // Overlapping matches (offset < match_len) are the run-length case and
-    // must replicate already-written output — exactly ReplicateRun's
-    // contract, which wide-copies only when that is bit-equivalent.
-    const size_t before = out.size();
-    out.resize(before + match_len);
-    simd::ReplicateRun(out.data() + before, offset, match_len);
-  }
-  if (out.size() != raw_size) {
-    return Status::Corruption("lz: decompressed ", out.size(), " bytes, want ",
-                              raw_size);
-  }
+  LzDecompressor decompressor(raw_size);
+  MMM_RETURN_NOT_OK(decompressor.Feed(input, &out));
+  MMM_RETURN_NOT_OK(decompressor.Finish());
   return out;
 }
 
@@ -240,8 +187,7 @@ Status LzDecompressor::Feed(std::span<const uint8_t> data,
   while (true) {
     switch (state_) {
       case State::kDone:
-        // Trailing compressed bytes after raw_size output are ignored,
-        // matching LzDecompress.
+        // Trailing compressed bytes after raw_size output are ignored.
         return Status::OK();
       case State::kToken: {
         if (pos >= data.size()) return Status::OK();
@@ -284,7 +230,7 @@ Status LzDecompressor::Feed(std::span<const uint8_t> data,
         }
         if (literal_remaining_ == 0) {
           // A final token carries only literals: once raw_size is reached
-          // there is no match half to parse (same break LzDecompress takes).
+          // there is no match half to parse.
           state_ = produced_ == raw_size_ ? State::kDone : State::kOffset;
           offset_ = 0;
           offset_bytes_ = 0;
@@ -299,8 +245,8 @@ Status LzDecompressor::Feed(std::span<const uint8_t> data,
           return Fail(Status::Corruption("lz: invalid match offset 0"));
         }
         // The retained window spans min(produced, kMaxOffset) bytes, so
-        // this is the materializing decoder's `offset > produced` check —
-        // and the hard guarantee that no window read reaches evicted bytes.
+        // this is the `offset > produced` check — and the hard guarantee
+        // that no window read reaches evicted bytes.
         if (offset_ > window_.size()) {
           return Fail(Status::Corruption(
               "lz: match offset ", offset_,
@@ -516,35 +462,11 @@ std::vector<uint8_t> CompressBlob(Compression method,
 }
 
 Result<std::vector<uint8_t>> DecompressBlob(std::span<const uint8_t> input) {
-  if (!IsFramedBlob(input)) {
-    // Raw legacy blob.
-    return std::vector<uint8_t>(input.begin(), input.end());
-  }
-  BinaryReader reader(input);
-  MMM_RETURN_NOT_OK(reader.Skip(4));
-  MMM_ASSIGN_OR_RETURN(uint8_t method_byte, reader.ReadUint8());
-  if (method_byte > static_cast<uint8_t>(Compression::kShuffleLz)) {
-    return Status::Corruption("unknown compression method ", method_byte);
-  }
-  auto method = static_cast<Compression>(method_byte);
-  MMM_ASSIGN_OR_RETURN(uint64_t raw_size, reader.ReadVarint());
-  std::span<const uint8_t> payload = input.subspan(reader.offset());
-
-  switch (method) {
-    case Compression::kNone:
-      if (payload.size() != raw_size) {
-        return Status::Corruption("stored blob size mismatch");
-      }
-      return std::vector<uint8_t>(payload.begin(), payload.end());
-    case Compression::kLz:
-      return LzDecompress(payload, raw_size);
-    case Compression::kShuffleLz: {
-      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> shuffled,
-                           LzDecompress(payload, raw_size));
-      return UnshuffleBytes(shuffled, 4);
-    }
-  }
-  return Status::Internal("unreachable");
+  std::vector<uint8_t> out;
+  BlobDecompressor decompressor;
+  MMM_RETURN_NOT_OK(decompressor.Feed(input, &out));
+  MMM_RETURN_NOT_OK(decompressor.Finish(&out));
+  return out;
 }
 
 }  // namespace mmm

@@ -44,7 +44,9 @@ inline constexpr size_t kBlobFrameSniffBytes = 5;
 bool IsFramedBlob(std::span<const uint8_t> head);
 
 /// \brief Inverse of CompressBlob. If `input` does not start with the
-/// compression magic it is returned unchanged (raw legacy blob).
+/// compression magic it is returned unchanged (raw legacy blob). One Feed
+/// of the whole input to a BlobDecompressor, so the one-shot and the
+/// incremental read share one decoder.
 Result<std::vector<uint8_t>> DecompressBlob(std::span<const uint8_t> input);
 
 /// \name Raw primitives (exposed for tests and benchmarks).
@@ -55,29 +57,27 @@ Result<std::vector<uint8_t>> DecompressBlob(std::span<const uint8_t> input);
 std::vector<uint8_t> LzCompress(std::span<const uint8_t> input);
 
 /// Decompresses LzCompress output; `raw_size` must be the original size.
+/// One Feed of the whole input to an LzDecompressor, into a buffer reserved
+/// for `raw_size` bytes once that size is plausible for the input.
 Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> input,
                                           size_t raw_size);
 
-/// \brief Incremental LzDecompress for the streaming recovery path
-/// (DESIGN.md §12): absorbs the compressed stream in arbitrarily sized
-/// chunks and emits decompressed bytes as each token completes, retaining
-/// only the 64 KiB match window internally — peak memory is O(window), not
-/// O(raw_size).
+/// \brief The LZ decoder (LzDecompress is one Feed of it) for the streaming
+/// recovery path (DESIGN.md §12): absorbs the compressed stream in
+/// arbitrarily sized chunks and emits decompressed bytes as each token
+/// completes, retaining only the 64 KiB match window internally — peak
+/// memory is O(window), not O(raw_size).
 ///
-/// Bit-exact with LzDecompress over the concatenated feeds: it accepts
-/// exactly the streams the materializing decoder accepts (including its
-/// tolerance for trailing bytes once `raw_size` output has been produced)
-/// and rejects the rest, with one deliberate tightening that is vacuous
-/// for well-formed streams: a match offset reaching before the retained
-/// window is rejected outright. Since retention equals the format's
-/// maximum offset (65535), that is the same `offset > produced` check the
-/// materializing decoder performs.
+/// The output does not depend on how the stream is chunked. Trailing bytes
+/// once `raw_size` output has been produced are ignored. A match offset
+/// reaching before the retained window is rejected; since retention equals
+/// the format's maximum offset (65535), that is exactly an offset past the
+/// bytes produced so far.
 class LzDecompressor {
  public:
   /// `raw_size` is the expected decompressed size (from the blob header).
-  /// Unlike the materializing decoder it never drives allocation, so no
-  /// plausibility clamp is needed: an implausible size simply runs out of
-  /// input and fails at Finish().
+  /// It never drives allocation here, so no plausibility clamp is needed:
+  /// an implausible size simply runs out of input and fails at Finish().
   explicit LzDecompressor(size_t raw_size);
 
   /// Absorbs the next compressed chunk, appending any newly decompressed

@@ -1,13 +1,73 @@
 #include "serve/layer_cache.h"
 
+#include <algorithm>
+#include <bit>
 #include <iterator>
 
 namespace mmm {
 
+namespace {
+
+/// Per-row multipliers of the sketch's index hash (Caffeine's seeds).
+constexpr uint64_t kSketchSeeds[4] = {0xc3a5c85c97cb3127ull,
+                                      0xb492b66fbe98f273ull,
+                                      0x9ae16a3b2f90404full,
+                                      0xcbf29ce484222325ull};
+
+/// Bounds of the sketch's width. Below 1,024 counters a row, a run of
+/// distinct keys a few times the cache's entry count already inflates the
+/// estimates of keys seen once; above 2^20 (4 MiB of counters, for a cache
+/// of 256 MiB or more) the sketch stops growing with the capacity.
+constexpr uint64_t kMinSketchWidth = 1024;
+constexpr uint64_t kMaxSketchWidth = uint64_t{1} << 20;
+
+}  // namespace
+
+FrequencySketch::FrequencySketch(uint64_t width)
+    : mask_(std::bit_ceil(
+                std::clamp(width, kMinSketchWidth, kMaxSketchWidth)) -
+            1),
+      sample_size_(10 * (mask_ + 1)),
+      counters_(kRows * (mask_ + 1), 0) {}
+
+size_t FrequencySketch::IndexOf(uint64_t key, size_t row) const {
+  uint64_t h = (key + kSketchSeeds[row]) * kSketchSeeds[row];
+  h += h >> 32;
+  return row * (mask_ + 1) + (h & mask_);
+}
+
+void FrequencySketch::Record(uint64_t key) {
+  bool counted = false;
+  for (size_t row = 0; row < kRows; ++row) {
+    uint8_t& counter = counters_[IndexOf(key, row)];
+    if (counter < kMaxCount) {
+      counter += 1;
+      counted = true;
+    }
+  }
+  if (counted && ++events_ == sample_size_) Age();
+}
+
+uint32_t FrequencySketch::Estimate(uint64_t key) const {
+  uint32_t estimate = kMaxCount;
+  for (size_t row = 0; row < kRows; ++row) {
+    estimate = std::min<uint32_t>(estimate, counters_[IndexOf(key, row)]);
+  }
+  return estimate;
+}
+
+void FrequencySketch::Age() {
+  for (uint8_t& counter : counters_) counter >>= 1;
+  events_ /= 2;
+}
+
 LayerCache::LayerCache(uint64_t capacity_bytes)
     : capacity_(capacity_bytes),
       protected_capacity_(capacity_bytes / 100 * kProtectedPercent +
-                          capacity_bytes % 100 * kProtectedPercent / 100) {}
+                          capacity_bytes % 100 * kProtectedPercent / 100),
+      record_threshold_(capacity_bytes - capacity_bytes / 8 *
+                                             (8 - kRecordFullEighths)),
+      sketch_(capacity_bytes / kBytesPerSketchCounter) {}
 
 uint64_t LayerCache::ChargeOf(const Tensor& value) {
   // Payload plus an estimate of list/map node + Entry overhead, so capacity
@@ -35,6 +95,9 @@ size_t LayerCache::Get(std::span<const Sha256Digest> hashes,
                        std::span<std::shared_ptr<const Tensor>> out) {
   size_t found = 0;
   MutexLock lock(mu_);
+  if (bytes_used_ >= record_threshold_) {
+    for (const Sha256Digest& hash : hashes) sketch_.Record(SketchKey(hash.bytes));
+  }
   for (size_t i = 0; i < hashes.size(); ++i) {
     auto it = index_.find(Key{hashes[i].bytes});
     if (it == index_.end()) {
@@ -64,8 +127,26 @@ LayerCache::List::iterator LayerCache::Erase(List::iterator entry) {
   return segment.erase(entry);
 }
 
-bool LayerCache::PutOne(const Sha256Digest& hash,
-                        std::shared_ptr<const Tensor> value, bool pinned) {
+bool LayerCache::Admits(uint64_t key, uint64_t charge) const {
+  const uint32_t frequency = sketch_.Estimate(key);
+  // The victims the eviction loop in PutOne would take, in its order.
+  uint64_t freed = 0;
+  for (const List* segment : {&probation_, &protected_}) {
+    for (auto victim = segment->rbegin();
+         victim != segment->rend() && bytes_used_ - freed + charge > capacity_;
+         ++victim) {
+      if (victim->pinned) continue;
+      if (sketch_.Estimate(SketchKey(victim->key.bytes)) >= frequency) {
+        return false;
+      }
+      freed += victim->charge;
+    }
+  }
+  return true;
+}
+
+LayerCache::Offer LayerCache::PutOne(const Sha256Digest& hash,
+                                     uint64_t charge, bool pinned) {
   auto it = index_.find(Key{hash.bytes});
   if (it != index_.end()) {
     // Content-hash keys are immutable: the resident value is already
@@ -73,17 +154,21 @@ bool LayerCache::PutOne(const Sha256Digest& hash,
     if (pinned && !it->second->pinned) {
       it->second->pinned = true;
       bytes_pinned_ += it->second->charge;
-      return true;
+      return Offer::kPinned;
     }
     rejected_ += 1;
-    return false;
+    return Offer::kDeclined;
   }
-  const uint64_t charge = ChargeOf(*value);
   // Only unpinned bytes can be evicted; decline before evicting anything
   // if even all of them would not make room.
   if (charge > capacity_ - bytes_pinned_) {
     rejected_ += 1;
-    return false;
+    return Offer::kDeclined;
+  }
+  if (!pinned && bytes_used_ + charge > capacity_ &&
+      !Admits(SketchKey(hash.bytes), charge)) {
+    declined_ += 1;
+    return Offer::kDeclined;
   }
   for (List* segment : {&probation_, &protected_}) {
     auto victim = segment->end();
@@ -94,22 +179,41 @@ bool LayerCache::PutOne(const Sha256Digest& hash,
       evictions_ += 1;
     }
   }
-  probation_.push_front(Entry{Key{hash.bytes}, std::move(value), charge, pinned,
-                              /*is_protected=*/false});
+  probation_.push_front(Entry{Key{hash.bytes}, /*value=*/nullptr, charge,
+                              pinned, /*is_protected=*/false});
   index_[Key{hash.bytes}] = probation_.begin();
   bytes_used_ += charge;
   if (pinned) bytes_pinned_ += charge;
   inserts_ += 1;
-  return true;
+  return Offer::kInserted;
 }
 
 size_t LayerCache::Put(std::span<const Sha256Digest> hashes,
-                       std::span<const std::shared_ptr<const Tensor>> values,
+                       std::span<Tensor> values,
+                       std::span<std::shared_ptr<const Tensor>> entries,
                        bool pinned) {
+  for (auto& entry : entries) entry = nullptr;
   size_t admitted = 0;
+  std::vector<size_t> inserted;
   MutexLock lock(mu_);
   for (size_t i = 0; i < hashes.size(); ++i) {
-    admitted += PutOne(hashes[i], values[i], pinned) ? 1 : 0;
+    const Offer offer = PutOne(hashes[i], ChargeOf(values[i]), pinned);
+    if (offer == Offer::kInserted) inserted.push_back(i);
+    admitted += offer == Offer::kDeclined ? 0 : 1;
+  }
+  // The values go into their entries only now, in one run: a request's
+  // entries are allocated together, apart from the list and index nodes,
+  // so a later hit on them touches fewer pages. An offer that a later one
+  // of the batch evicted still gets its entry, as it would offered alone;
+  // content-hash keys make whichever value fills a re-admitted key's entry
+  // hold the same bytes.
+  for (size_t i : inserted) {
+    auto value = std::make_shared<const Tensor>(std::move(values[i]));
+    auto it = index_.find(Key{hashes[i].bytes});
+    if (it != index_.end() && it->second->value == nullptr) {
+      it->second->value = value;
+    }
+    if (!entries.empty()) entries[i] = std::move(value);
   }
   return admitted;
 }
@@ -162,6 +266,7 @@ LayerCacheStats LayerCache::stats() const {
   out.inserts = inserts_;
   out.evictions = evictions_;
   out.rejected = rejected_;
+  out.declined = declined_;
   out.invalidated = invalidated_;
   out.bytes_used = bytes_used_;
   out.bytes_pinned = bytes_pinned_;

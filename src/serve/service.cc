@@ -27,9 +27,9 @@ void ModelSetService::CacheAdapter::GetLayers(
 }
 
 void ModelSetService::CacheAdapter::PutLayers(
-    std::span<const Sha256Digest> hashes,
-    std::span<const std::shared_ptr<const Tensor>> values) {
-  service_->layer_cache_.Put(hashes, values);
+    std::span<const Sha256Digest> hashes, std::span<Tensor> values,
+    std::span<std::shared_ptr<const Tensor>> entries) {
+  service_->layer_cache_.Put(hashes, values, entries);
 }
 
 std::shared_ptr<const SetMeta> ModelSetService::CacheAdapter::GetSetMeta(
@@ -149,9 +149,9 @@ Status ModelSetService::PinSet(const std::string& set_id) {
       // can never lose a race against eviction.
       bool pinned = layer_cache_.Pin(hashes[i]);
       if (!pinned) {
-        const auto value = std::make_shared<const Tensor>(
-            set.models[i / layers_per_model][i % layers_per_model].second);
-        pinned = layer_cache_.Put({&hashes[i], 1}, {&value, 1},
+        Tensor value =
+            set.models[i / layers_per_model][i % layers_per_model].second;
+        pinned = layer_cache_.Put({&hashes[i], 1}, {&value, 1}, {},
                                   /*pinned=*/true) == 1;
       }
       if (!pinned) {

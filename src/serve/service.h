@@ -172,9 +172,9 @@ class ModelSetService {
     explicit CacheAdapter(ModelSetService* service) : service_(service) {}
     void GetLayers(std::span<const Sha256Digest> hashes,
                    std::span<std::shared_ptr<const Tensor>> out) override;
-    void PutLayers(
-        std::span<const Sha256Digest> hashes,
-        std::span<const std::shared_ptr<const Tensor>> values) override;
+    void PutLayers(std::span<const Sha256Digest> hashes,
+                   std::span<Tensor> values,
+                   std::span<std::shared_ptr<const Tensor>> entries) override;
     std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) override;
     void PutSetMeta(const std::string& set_id,
                     std::shared_ptr<const SetMeta> meta) override;

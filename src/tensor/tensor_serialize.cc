@@ -23,8 +23,7 @@ Result<Tensor> ReadTensor(BinaryReader* reader) {
   if (reader->remaining() < numel * sizeof(float)) {
     return Status::Corruption("tensor data truncated: need ", numel, " floats");
   }
-  std::vector<float> data(numel);
-  MMM_RETURN_NOT_OK(reader->ReadFloatSpan(numel, data.data()));
+  MMM_ASSIGN_OR_RETURN(std::vector<float> data, reader->ReadFloats(numel));
   return Tensor(std::move(shape), std::move(data));
 }
 

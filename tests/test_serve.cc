@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -36,8 +37,9 @@ Sha256Digest DigestOf(uint8_t tag) {
   return d;
 }
 
-std::shared_ptr<const Tensor> Shared(const Tensor& t) {
-  return std::make_shared<const Tensor>(t);
+// A digest for any id, for tests that need more than 256 distinct keys.
+Sha256Digest DigestOfId(uint32_t id) {
+  return Sha256::Hash("layer " + std::to_string(id));
 }
 
 // One-layer calls of the batched LayerCache interface.
@@ -50,8 +52,18 @@ std::shared_ptr<const Tensor> GetOne(LayerCache& cache,
 
 bool PutOne(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
             bool pinned = false) {
-  const std::shared_ptr<const Tensor> value = Shared(t);
-  return cache.Put({&hash, 1}, {&value, 1}, pinned) == 1;
+  Tensor value = t;
+  return cache.Put({&hash, 1}, {&value, 1}, {}, pinned) == 1;
+}
+
+// A recovery's use of the cache for one layer: `probes` probes, then an
+// offer if the last one missed. Returns true if the layer is resident
+// afterwards.
+bool Request(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
+             int probes = 1) {
+  bool hit = false;
+  for (int i = 0; i < probes; ++i) hit = GetOne(cache, hash) != nullptr;
+  return hit || PutOne(cache, hash, t);
 }
 
 // ---------------------------------------------------------------------------
@@ -74,26 +86,47 @@ TEST(LayerCacheTest, RoundTripAndHitCounters) {
   EXPECT_EQ(stats.entries, 1u);
 }
 
+// An admitted value moves into the entry the caller gets back; a declined
+// one stays with the caller.
+TEST(LayerCacheTest, PutHandsBackTheEntriesItTakes) {
+  Tensor t = RandomTensor(Shape{64}, 10);
+  LayerCache cache(LayerCache::ChargeOf(t));
+  std::vector<Sha256Digest> hashes = {DigestOf(1), DigestOf(2)};
+  std::vector<Tensor> values = {t, t};
+  std::vector<std::shared_ptr<const Tensor>> entries(2);
+  EXPECT_EQ(cache.Put(hashes, values, entries), 1u);
+  ASSERT_NE(entries[0], nullptr);
+  EXPECT_TRUE(entries[0]->Equals(t));
+  EXPECT_EQ(entries[0], GetOne(cache, DigestOf(1)));
+  EXPECT_EQ(entries[1], nullptr);
+  EXPECT_TRUE(values[1].Equals(t));
+}
+
+// The byte bound holds under request-shaped churn: every offer is probed
+// first, and each one past the fourth either evicts or is declined.
 TEST(LayerCacheTest, CapacityNeverExceeded) {
   Tensor t = RandomTensor(Shape{64}, 2);
   uint64_t charge = LayerCache::ChargeOf(t);
   // Room for 4 entries.
   LayerCache cache(charge * 4);
   for (uint8_t i = 0; i < 100; ++i) {
-    PutOne(cache, DigestOf(i), t);
+    Request(cache, DigestOf(i), t, /*probes=*/1 + i % 3);
     LayerCacheStats stats = cache.stats();
     ASSERT_LE(stats.bytes_used, cache.capacity_bytes());
     ASSERT_LE(stats.entries, 4u);
   }
   LayerCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 4u);
-  EXPECT_EQ(stats.evictions, 96u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.evictions + stats.declined, 96u);
   // An entry larger than the whole budget is declined outright.
   Tensor huge = RandomTensor(Shape{1024}, 3);
   EXPECT_FALSE(PutOne(cache, DigestOf(200), huge));
   EXPECT_LE(cache.stats().bytes_used, cache.capacity_bytes());
 }
 
+// Pinned entries sit at the probation tail while offers that the filter
+// admits (each probed more often than the one before) evict past them.
 TEST(LayerCacheTest, PinnedEntriesSurviveEvictionPressure) {
   Tensor t = RandomTensor(Shape{64}, 4);
   uint64_t charge = LayerCache::ChargeOf(t);
@@ -101,7 +134,10 @@ TEST(LayerCacheTest, PinnedEntriesSurviveEvictionPressure) {
   ASSERT_TRUE(PutOne(cache, DigestOf(1), t, /*pinned=*/true));
   ASSERT_TRUE(PutOne(cache, DigestOf(2), t));
   ASSERT_TRUE(cache.Pin(DigestOf(2)));
-  for (uint8_t i = 10; i < 60; ++i) PutOne(cache, DigestOf(i), t);
+  for (uint8_t i = 10; i < 25; ++i) {
+    ASSERT_TRUE(Request(cache, DigestOf(i), t, /*probes=*/i - 9));
+  }
+  EXPECT_EQ(cache.stats().evictions, 14u);
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
   EXPECT_TRUE(cache.Contains(DigestOf(2)));
   ASSERT_LE(cache.stats().bytes_used, cache.capacity_bytes());
@@ -114,7 +150,7 @@ TEST(LayerCacheTest, PinnedEntriesSurviveEvictionPressure) {
   // Unpinning releases them for eviction again.
   cache.Unpin(DigestOf(1));
   cache.Unpin(DigestOf(2));
-  for (uint8_t i = 60; i < 70; ++i) PutOne(cache, DigestOf(i), t);
+  for (uint8_t i = 60; i < 70; ++i) Request(cache, DigestOf(i), t);
   EXPECT_FALSE(cache.Contains(DigestOf(1)));
 }
 
@@ -131,40 +167,47 @@ TEST(LayerCacheTest, InvalidateRemovesEvenPinned) {
   EXPECT_FALSE(cache.Invalidate(DigestOf(1)));
 }
 
-// Segmented LRU: a run of admissions that are never hit churns probation
-// only, so an entry hit after its admission outlives all of them, even one
-// admitted later than it.
+// Segmented LRU: eviction takes probation first, so offers that are never
+// hit, even ones probed more often than a hit entry, evict only each other
+// and the other never-hit entries.
 TEST(LayerCacheTest, AdmissionsNeverHitCannotEvictAHitEntry) {
   Tensor t = RandomTensor(Shape{64}, 7);
   LayerCache cache(LayerCache::ChargeOf(t) * 10);
   ASSERT_TRUE(PutOne(cache, DigestOf(1), t));
-  for (uint8_t i = 10; i < 15; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  for (uint8_t i = 10; i < 19; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
   ASSERT_NE(GetOne(cache, DigestOf(1)), nullptr);
-  for (uint8_t i = 20; i < 220; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  for (uint8_t i = 20; i < 220; ++i) Request(cache, DigestOf(i), t, 2);
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
-  EXPECT_FALSE(cache.Contains(DigestOf(10)));
-  EXPECT_TRUE(cache.Contains(DigestOf(219)));
+  for (uint8_t i = 10; i < 19; ++i) EXPECT_FALSE(cache.Contains(DigestOf(i)));
+  EXPECT_TRUE(cache.Contains(DigestOf(20)));
+  EXPECT_EQ(cache.stats().evictions, 9u);
   EXPECT_EQ(cache.stats().entries, 10u);
 }
 
-// An entry that is never hit leaves again however old it is: newer
-// admissions evict it while the entries that were hit stay.
+// No entry lives forever once the sketch ages: an entry admitted on a
+// burst of probes and never probed again first holds off newer offers,
+// then loses to one of them once the halved counts fall below theirs.
 TEST(LayerCacheTest, OldEntryNeverHitIsEvictedByNewerAdmissions) {
   Tensor t = RandomTensor(Shape{64}, 8);
   LayerCache cache(LayerCache::ChargeOf(t) * 10);
-  ASSERT_TRUE(PutOne(cache, DigestOf(1), t));
-  for (uint8_t i = 2; i < 5; ++i) {
-    ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
-    ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
+  for (uint32_t i = 0; i < 10; ++i) ASSERT_TRUE(PutOne(cache, DigestOfId(i), t));
+  const Sha256Digest old = DigestOf(1);
+  ASSERT_TRUE(Request(cache, old, t, /*probes=*/15));
+  uint32_t next = 100;
+  for (; next < 150; ++next) Request(cache, DigestOfId(next), t, 3);
+  ASSERT_TRUE(cache.Contains(old));
+  const uint64_t declined = cache.stats().declined;
+  EXPECT_GT(declined, 0u);
+  for (; next < 20000 && cache.Contains(old); ++next) {
+    Request(cache, DigestOfId(next), t, 3);
   }
-  for (uint8_t i = 20; i < 40; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
-  EXPECT_FALSE(cache.Contains(DigestOf(1)));
-  for (uint8_t i = 2; i < 5; ++i) EXPECT_TRUE(cache.Contains(DigestOf(i)));
+  EXPECT_FALSE(cache.Contains(old));
+  EXPECT_TRUE(cache.Contains(DigestOfId(next - 1)));
 }
 
 // The protected segment holds at most kProtectedPercent of the capacity: when
 // every entry was hit, the least recently hit ones fall back to probation
-// and make room for new admissions, while the rest stay.
+// and make room for new, more frequent entries, while the rest stay.
 TEST(LayerCacheTest, ProtectedSegmentKeepsRoomForNewEntries) {
   Tensor t = RandomTensor(Shape{64}, 9);
   LayerCache cache(LayerCache::ChargeOf(t) * 10);
@@ -172,20 +215,81 @@ TEST(LayerCacheTest, ProtectedSegmentKeepsRoomForNewEntries) {
   for (uint8_t i = 0; i < 10; ++i) {
     ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
   }
-  for (uint8_t i = 100; i < 150; ++i) {
-    ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
-  }
+  for (uint8_t i = 100; i < 150; ++i) Request(cache, DigestOf(i), t, 2);
   EXPECT_FALSE(cache.Contains(DigestOf(0)));
   EXPECT_FALSE(cache.Contains(DigestOf(1)));
   for (uint8_t i = 2; i < 10; ++i) EXPECT_TRUE(cache.Contains(DigestOf(i)));
-  EXPECT_TRUE(cache.Contains(DigestOf(149)));
+  EXPECT_TRUE(cache.Contains(DigestOf(100)));
+  EXPECT_TRUE(cache.Contains(DigestOf(101)));
   EXPECT_LE(cache.stats().bytes_used, cache.capacity_bytes());
 }
 
+// The admission filter: a run of offers probed once each, against a full
+// cache whose entries were probed again and again, is declined and evicts
+// nothing.
+TEST(LayerCacheTest, OnceProbedOffersCannotDisplaceFrequentEntries) {
+  Tensor t = RandomTensor(Shape{64}, 11);
+  LayerCache cache(LayerCache::ChargeOf(t) * 10);
+  for (uint8_t i = 0; i < 10; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  for (int round = 0; round < 4; ++round) {
+    for (uint8_t i = 0; i < 10; ++i) {
+      ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
+    }
+  }
+  const LayerCacheStats before = cache.stats();
+  for (uint32_t i = 1000; i < 1200; ++i) {
+    EXPECT_FALSE(Request(cache, DigestOfId(i), t));
+  }
+  const LayerCacheStats after = cache.stats();
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.declined - before.declined, 200u);
+  for (uint8_t i = 0; i < 10; ++i) EXPECT_TRUE(cache.Contains(DigestOf(i)));
+}
+
+// Pinned offers bypass the filter: never-probed pinned offers against a
+// full cache of frequent entries are admitted while they fit, and the
+// first one that does not fit is declined without evicting anything.
+TEST(LayerCacheTest, PinnedOffersAreNeverDeclinedByAdmission) {
+  Tensor t = RandomTensor(Shape{64}, 12);
+  LayerCache cache(LayerCache::ChargeOf(t) * 10);
+  for (uint8_t i = 0; i < 10; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
+  for (int round = 0; round < 4; ++round) {
+    for (uint8_t i = 0; i < 10; ++i) GetOne(cache, DigestOf(i));
+  }
+  for (uint8_t i = 100; i < 110; ++i) {
+    EXPECT_TRUE(PutOne(cache, DigestOf(i), t, /*pinned=*/true));
+  }
+  LayerCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.declined, 0u);
+  EXPECT_EQ(stats.evictions, 10u);
+  EXPECT_EQ(stats.bytes_pinned, cache.capacity_bytes());
+  EXPECT_FALSE(PutOne(cache, DigestOf(110), t, /*pinned=*/true));
+  EXPECT_EQ(cache.stats().evictions, 10u);
+  for (uint8_t i = 100; i < 110; ++i) EXPECT_TRUE(cache.Contains(DigestOf(i)));
+}
+
+// With free room, every offer is admitted: the filter only decides which
+// of two layers keeps a byte the cache cannot hold both of.
+TEST(LayerCacheTest, CacheWithFreeRoomAdmitsEveryOffer) {
+  Tensor t = RandomTensor(Shape{64}, 13);
+  LayerCache cache(LayerCache::ChargeOf(t) * 300);
+  for (uint32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(PutOne(cache, DigestOfId(i), t)) << i;
+  }
+  LayerCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.inserts, 300u);
+  EXPECT_EQ(stats.declined, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.bytes_used, cache.capacity_bytes());
+}
+
 // A batch behaves exactly like its layers offered one call each: the same
-// hits, misses, admissions, evictions and resident bytes after every step
-// of a seeded mix of probes and offers (layers of several sizes, some
-// pinned), and the byte bound holds throughout.
+// hits, misses, admissions, declines, evictions and resident bytes after
+// every step of a seeded mix of probe batches, offer batches and
+// request-shaped batches (a probe of every layer, then an offer of the
+// misses), with layers of several sizes, some pinned. The byte bound holds
+// throughout.
 TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
   std::vector<Tensor> tensors;
   for (uint64_t k = 0; k < 4; ++k) {
@@ -195,16 +299,18 @@ TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
   LayerCache batched(capacity);
   LayerCache single(capacity);
   Rng rng(17);
-  for (int step = 0; step < 300; ++step) {
+  for (int step = 0; step < 600; ++step) {
     const size_t count = 1 + rng.NextBounded(12);
     std::vector<Sha256Digest> hashes;
-    std::vector<std::shared_ptr<const Tensor>> values;
+    std::vector<Tensor> values;
     for (size_t i = 0; i < count; ++i) {
       const uint8_t tag = static_cast<uint8_t>(rng.NextBounded(40));
       hashes.push_back(DigestOf(tag));
-      values.push_back(Shared(tensors[tag % tensors.size()]));
+      values.push_back(tensors[tag % tensors.size()]);
     }
-    if (rng.NextBounded(2) == 0) {
+    const uint64_t kind = rng.NextBounded(3);
+    std::vector<bool> offer(count, true);
+    if (kind != 1) {
       std::vector<std::shared_ptr<const Tensor>> out(count);
       const size_t hits = batched.Get(hashes, out);
       size_t single_hits = 0;
@@ -212,19 +318,37 @@ TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
         std::shared_ptr<const Tensor> one = GetOne(single, hashes[i]);
         ASSERT_EQ(one == nullptr, out[i] == nullptr) << "step " << step;
         single_hits += one == nullptr ? 0 : 1;
+        offer[i] = out[i] == nullptr;
       }
       ASSERT_EQ(hits, single_hits);
-    } else {
-      const bool pinned = rng.NextBounded(10) == 0;
-      const size_t admitted = batched.Put(hashes, values, pinned);
-      size_t single_admitted = 0;
+    }
+    if (kind != 0) {
+      std::vector<Sha256Digest> offered_hashes;
+      std::vector<Tensor> offered;
       for (size_t i = 0; i < count; ++i) {
+        if (!offer[i]) continue;
+        offered_hashes.push_back(hashes[i]);
+        offered.push_back(values[i]);
+      }
+      const bool pinned = rng.NextBounded(10) == 0;
+      const std::vector<Tensor> single_offered = offered;
+      const uint64_t inserts_before = batched.stats().inserts;
+      std::vector<std::shared_ptr<const Tensor>> entries(offered.size());
+      const size_t admitted =
+          batched.Put(offered_hashes, offered, entries, pinned);
+      ASSERT_EQ(static_cast<uint64_t>(std::count_if(
+                    entries.begin(), entries.end(),
+                    [](const auto& entry) { return entry != nullptr; })),
+                batched.stats().inserts - inserts_before);
+      size_t single_admitted = 0;
+      for (size_t i = 0; i < offered_hashes.size(); ++i) {
         single_admitted +=
-            PutOne(single, hashes[i], *values[i], pinned) ? 1 : 0;
+            PutOne(single, offered_hashes[i], single_offered[i], pinned) ? 1
+                                                                         : 0;
       }
       ASSERT_EQ(admitted, single_admitted);
       if (rng.NextBounded(4) == 0) {
-        for (const Sha256Digest& hash : hashes) {
+        for (const Sha256Digest& hash : offered_hashes) {
           batched.Unpin(hash);
           single.Unpin(hash);
         }
@@ -237,6 +361,7 @@ TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
     ASSERT_EQ(a.inserts, b.inserts);
     ASSERT_EQ(a.evictions, b.evictions);
     ASSERT_EQ(a.rejected, b.rejected);
+    ASSERT_EQ(a.declined, b.declined);
     ASSERT_EQ(a.bytes_used, b.bytes_used);
     ASSERT_EQ(a.bytes_pinned, b.bytes_pinned);
     ASSERT_EQ(a.entries, b.entries);
@@ -247,6 +372,7 @@ TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
     }
   }
   EXPECT_GT(batched.stats().evictions, 0u);
+  EXPECT_GT(batched.stats().declined, 0u);
   EXPECT_GT(batched.stats().hits, 0u);
 }
 
@@ -285,7 +411,8 @@ class ServeTest : public ::testing::Test {
 
   void OpenManager(UpdateApproachOptions update_options = {},
                    Compression compression = Compression::kNone,
-                   bool cas = false) {
+                   bool cas = false, Env* env = nullptr,
+                   uint64_t stream_window_bytes = 0) {
     ScenarioConfig config = ScenarioConfig::Battery(12);
     config.samples_per_dataset = 64;
     scenario_ = std::make_unique<MultiModelScenario>(config);
@@ -296,6 +423,8 @@ class ServeTest : public ::testing::Test {
     options.update_options = update_options;
     options.blob_compression = compression;
     options.cas.enabled = cas;
+    options.env = env;
+    options.stream_window_bytes = stream_window_bytes;
     // Modeled store latency on, so per-request cost comparisons are
     // meaningful (the clock is simulated — no real waiting).
     options.profile = SetupProfile::Server();
@@ -1061,11 +1190,12 @@ TEST_F(ServeTest, CorruptBlobNeverPoisonsTheCache) {
 }
 
 // Verify-then-admit on the ranged root read. With half a set of capacity,
-// a cold recovery of the root leaves its later layers resident, so the
-// next recovery reads only the earlier ones, by range, from the raw param
-// blob. A byte flipped inside one of those (a layer the cache missed) is
-// outside the footer's reach: its layer CRC check fails the recovery with
-// Corruption, and no layer of that request is admitted.
+// a cold recovery of the root admits its layers while they fit and the
+// admission filter declines the rest, so the next recovery reads the
+// layers the cache does not hold by range from the raw param blob. A byte
+// flipped inside one of those is outside the footer's reach: its layer CRC
+// check fails the recovery with Corruption, and no layer of that request is
+// admitted.
 TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   OpenManager();
   std::string base_id = Save(ApproachType::kUpdate, nullptr);
@@ -1074,7 +1204,8 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   ModelSetService service(manager_.get(), options);
   ASSERT_OK(service.Recover(base_id).status());
 
-  // Model 0's first layer: admitted first, so evicted first.
+  // The last model's first layer: offered when the cache was full, so not
+  // held; the Corruption below shows it was read from the store.
   ASSERT_OK_AND_ASSIGN(SetDocument doc,
                        FetchSetDocument(manager_->context(), base_id));
   FileStore* files = manager_->file_store();
@@ -1088,7 +1219,8 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   const std::string path = temp_.path() + "/store/blobs/" + doc.param_blob;
   std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(io.is_open()) << path;
-  const auto at = static_cast<std::streamoff>(layout.ModelOffset(0) + 2);
+  const auto at = static_cast<std::streamoff>(
+      layout.ModelOffset(expected_[base_id].models.size() - 1) + 2);
   io.seekg(at);
   char c = 0;
   io.get(c);
@@ -1110,6 +1242,128 @@ TEST_F(ServeTest, RangedRootReadFailsAFlippedLayerAndAdmitsNothing) {
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(after.inserts, before.inserts);
   EXPECT_EQ(after.entries, before.entries);
+}
+
+// Counts the Env read calls (whole and ranged) per path; everything else
+// passes through.
+class ReadCountingEnv : public Env {
+ public:
+  explicit ReadCountingEnv(Env* base) : base_(base) {}
+  int reads(const std::string& path) const {
+    MutexLock lock(mu_);
+    auto it = reads_.find(path);
+    return it == reads_.end() ? 0 : it->second;
+  }
+  Status WriteFile(const std::string& path,
+                   std::span<const uint8_t> data) override {
+    return base_->WriteFile(path, data);
+  }
+  Status AppendToFile(const std::string& path,
+                      std::span<const uint8_t> data) override {
+    return base_->AppendToFile(path, data);
+  }
+  Result<std::vector<uint8_t>> ReadFile(const std::string& path) override {
+    Count(path);
+    return base_->ReadFile(path);
+  }
+  Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
+                                             uint64_t offset,
+                                             uint64_t length) override {
+    Count(path);
+    return base_->ReadFileRange(path, offset, length);
+  }
+  Result<bool> FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_->CreateDirs(path);
+  }
+  Status RemoveDirs(const std::string& path) override {
+    return base_->RemoveDirs(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& path) override {
+    return base_->ListDir(path);
+  }
+
+ private:
+  void Count(const std::string& path) {
+    MutexLock lock(mu_);
+    reads_[path] += 1;
+  }
+  Env* base_;
+  mutable Mutex mu_;
+  std::map<std::string, int> reads_ MMM_GUARDED_BY(mu_);
+};
+
+// A diff level that is not CAS-chunked is read whole in one Env read, raw
+// or compressed, however small the stream window: its diff blob is many
+// windows long, yet the cached recovery of the head reads it once.
+TEST_F(ServeTest, NonCasDiffLevelIsOneEnvRead) {
+  constexpr uint64_t kWindow = 512;
+  for (Compression compression : {Compression::kNone, Compression::kLz}) {
+    SCOPED_TRACE(std::string(CompressionName(compression)));
+    manager_.reset();
+    heads_.clear();
+    expected_.clear();
+    std::filesystem::remove_all(temp_.path() + "/store");
+    ReadCountingEnv env(Env::Default());
+    OpenManager({}, compression, /*cas=*/false, &env, kWindow);
+    std::string base_id = Save(ApproachType::kUpdate, nullptr);
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+    std::string head_id = Save(ApproachType::kUpdate, &update);
+    ASSERT_OK_AND_ASSIGN(SetDocument head,
+                         FetchSetDocument(manager_->context(), head_id));
+    ASSERT_OK_AND_ASSIGN(uint64_t diff_bytes,
+                         manager_->file_store()->Size(head.diff_blob));
+    ASSERT_GT(diff_bytes, 4 * kWindow);
+    const std::string diff_path =
+        temp_.path() + "/store/blobs/" + head.diff_blob;
+    ASSERT_EQ(env.reads(diff_path), 0);
+
+    ModelSetService service(manager_.get(), ModelSetServiceOptions{});
+    ASSERT_OK_AND_ASSIGN(ModelSet recovered, service.Recover(head_id));
+    ExpectSetEquals(recovered, expected_[head_id]);
+    EXPECT_EQ(env.reads(diff_path), 1);
+    manager_.reset();
+  }
+}
+
+// Verify-then-admit on the whole-blob diff read: a byte flipped in a diff
+// blob fails the head's recovery with Corruption, and no layer of that
+// request reaches the cache, neither the diff's nor the base's.
+TEST_F(ServeTest, FlippedDiffByteIsCorruptionAndAdmitsNothing) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  std::string head_id = Save(ApproachType::kUpdate, &update);
+  ASSERT_OK_AND_ASSIGN(SetDocument head,
+                       FetchSetDocument(manager_->context(), head_id));
+  const std::string path = temp_.path() + "/store/blobs/" + head.diff_blob;
+  const auto size = static_cast<std::streamoff>(std::filesystem::file_size(path));
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(io.is_open()) << path;
+  io.seekg(size / 2);
+  char c = 0;
+  io.get(c);
+  io.seekp(size / 2);
+  io.put(static_cast<char>(c ^ 0x04));
+  io.close();
+
+  ModelSetService service(manager_.get(), ModelSetServiceOptions{});
+  Result<ModelSet> recovered = service.Recover(head_id);
+  ASSERT_TRUE(recovered.status().IsCorruption())
+      << recovered.status().ToString();
+  EXPECT_EQ(service.cache_stats().inserts, 0u);
+  EXPECT_EQ(service.cache_stats().entries, 0u);
+  // The base does not depend on the diff and still recovers bit-exactly.
+  ASSERT_OK_AND_ASSIGN(ModelSet base, service.Recover(base_id));
+  ExpectSetEquals(base, expected_[base_id]);
 }
 
 // A request whose metadata memo hits reads the root's missing layers with
