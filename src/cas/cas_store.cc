@@ -1,6 +1,7 @@
 #include "cas/cas_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "serialize/crc32.h"
@@ -10,75 +11,28 @@
 
 namespace mmm {
 
+class CasChunkingSink;
+
 /// \brief Per-commit write session (see storage/cas_iface.h for the
-/// protocol). Collects refcount deltas and the commit's new chunks, and
-/// applies them atomically under the store's lock once the commit is
-/// durable.
+/// protocol). Collects refcount deltas and streams the commit's new chunks
+/// into its pack, and applies the deltas atomically under the store's lock
+/// once the commit is durable.
 class CasBatchSession : public CasWriteSession {
  public:
-  explicit CasBatchSession(CasStore* store) : store_(store) {}
+  explicit CasBatchSession(CasStore* store) : store_(store) {
+    MutexLock lock(store_->mu_);
+    pack_id_ = store_->next_pack_id_++;
+    store_->writing_packs_.insert(pack_id_);
+    pack_name_ = PackBlobName(pack_id_);
+  }
   ~CasBatchSession() override {
     if (!closed_) Aborted();
   }
 
-  Status TransformWrite(const std::string& name,
-                        std::vector<uint8_t>* data) override {
-    if (IsPackBlobName(name) || IsChunkBlobName(name)) {
-      return Status::Internal("cas session asked to transform chunk blob '",
-                              name, "'");
-    }
-    const CasOptions& options = store_->options_;
-    // Small payloads stay verbatim — unless they happen to start with the
-    // manifest magic, which a raw payload must never do (the read path
-    // would misparse it), so those are chunked regardless of size.
-    if (data->size() < options.min_blob_bytes && !IsManifestPayload(*data)) {
-      MutexLock lock(store_->mu_);
-      RecordRetireLocked(name);
-      return Status::OK();
-    }
+  const std::string& pack_name() const override { return pack_name_; }
 
-    CasManifest manifest;
-    manifest.raw_size = data->size();
-    const std::vector<ChunkSpan> spans = ChunkBlob(*data, options);
-    // Hash before locking: the digests need no shared state, and GC,
-    // audits and other sessions would otherwise wait out ~10 MB of SHA-256.
-    // Each chunk's CRC is taken once: the pack index records it, and the
-    // payload's CRC is combined from them.
-    std::vector<std::string> hexes;
-    std::vector<uint32_t> crcs;
-    hexes.reserve(spans.size());
-    crcs.reserve(spans.size());
-    for (const ChunkSpan& span : spans) {
-      const std::span<const uint8_t> chunk(data->data() + span.offset,
-                                           span.length);
-      hexes.push_back(Sha256::Hash(chunk).ToHex());
-      crcs.push_back(Crc32::Compute(chunk));
-      manifest.raw_crc =
-          Crc32::Combine(manifest.raw_crc, crcs.back(), span.length);
-    }
-
-    MutexLock lock(store_->mu_);
-    // Overwriting a previously chunked blob retires the old version's refs.
-    RecordRetireLocked(name);
-    for (size_t c = 0; c < spans.size(); ++c) {
-      const ChunkSpan& span = spans[c];
-      const std::string& hex = hexes[c];
-      manifest.chunks.push_back({hex, span.length});
-      increments_[hex] += 1;
-      PinLocked(hex);
-      if (store_->chunks_.count(hex) == 0 && staged_.count(hex) == 0) {
-        staged_[hex] = pack_.entries().size();
-        pack_.Add(hex,
-                  std::span<const uint8_t>(data->data() + span.offset,
-                                           span.length),
-                  crcs[c]);
-      }
-    }
-    written_manifests_[name] =
-        CasStore::ManifestState{manifest.raw_size, manifest.chunks};
-    *data = EncodeManifest(manifest);
-    return Status::OK();
-  }
+  Result<std::unique_ptr<CasBlobSink>> OpenBlob(const std::string& name,
+                                                BlobSink* pack) override;
 
   Status TrackDelete(const std::string& name) override {
     MutexLock lock(store_->mu_);
@@ -86,17 +40,10 @@ class CasBatchSession : public CasWriteSession {
     return Status::OK();
   }
 
-  bool TakePack(BlobWrite* pack) override {
-    if (pack_.empty()) return false;
-    entries_ = pack_.entries();
-    {
-      MutexLock lock(store_->mu_);
-      pack_id_ = store_->next_pack_id_++;
-      store_->writing_packs_.insert(pack_id_);
-    }
-    pack->name = PackBlobName(pack_id_);
-    pack->data = pack_.Finish();
-    pack_file_bytes_ = pack->data.size();
+  Result<bool> FinishPack() override {
+    if (!pack_.has_value() || pack_->empty()) return false;
+    MMM_RETURN_NOT_OK(pack_->Finish());
+    pack_used_ = true;
     return true;
   }
 
@@ -116,11 +63,15 @@ class CasBatchSession : public CasWriteSession {
       }
       store_->manifests_.erase(it);
     }
-    if (pack_id_ != 0) {
+    store_->writing_packs_.erase(pack_id_);
+    if (pack_used_) {
       uint64_t data_bytes = 0;
-      for (const PackEntry& entry : entries_) data_bytes += entry.length;
-      store_->packs_[pack_id_] = {pack_file_bytes_, data_bytes, 0};
-      store_->writing_packs_.erase(pack_id_);
+      for (const PackEntry& entry : pack_->entries()) data_bytes += entry.length;
+      store_->packs_[pack_id_] = {pack_->size(), data_bytes, 0};
+    } else if (store_->next_pack_id_ == pack_id_ + 1) {
+      // The reserved name went unused and the commit is finished, so no
+      // journal entry names it any more: the next commit may take it.
+      store_->next_pack_id_ = pack_id_;
     }
     Status status;
     for (const auto& [hex, count] : increments_) {
@@ -130,12 +81,12 @@ class CasBatchSession : public CasWriteSession {
         // A chunk another session committed first keeps that first copy;
         // this pack's copy is then dead bytes.
         auto staged = staged_.find(hex);
-        if (staged == staged_.end()) {
+        if (staged == staged_.end() || !pack_used_) {
           status = Status::Internal("cas chunk ", hex,
                                     " is neither indexed nor in the pack");
           continue;
         }
-        const PackEntry& entry = entries_[staged->second];
+        const PackEntry& entry = pack_->entries()[staged->second];
         it->second.where = {pack_id_, entry.offset, entry.length, entry.crc};
         store_->packs_[pack_id_].live_bytes += entry.length;
       }
@@ -161,14 +112,49 @@ class CasBatchSession : public CasWriteSession {
     MutexLock lock(store_->mu_);
     UnpinAllLocked();
     // A pack that already landed is rolled back by journal replay or
-    // reclaimed by the untracked-pack sweep.
-    if (pack_id_ != 0) store_->writing_packs_.erase(pack_id_);
+    // reclaimed by the untracked-pack sweep. Its name stays taken: a
+    // pending journal entry may still name it.
+    store_->writing_packs_.erase(pack_id_);
     increments_.clear();
     written_manifests_.clear();
     retired_.clear();
   }
 
  private:
+  friend class CasChunkingSink;
+
+  /// Takes the chunks of one window of a blob: counts a reference to each,
+  /// pins it, and appends to the pack each chunk neither the store nor this
+  /// session holds yet. One lock per window.
+  Status AddChunks(std::span<const uint8_t> bytes,
+                   std::span<const ChunkSpan> spans,
+                   std::span<const std::string> hexes,
+                   std::span<const uint32_t> crcs) {
+    MutexLock lock(store_->mu_);
+    for (size_t c = 0; c < spans.size(); ++c) {
+      const std::string& hex = hexes[c];
+      increments_[hex] += 1;
+      PinLocked(hex);
+      if (store_->chunks_.count(hex) == 0 && staged_.count(hex) == 0) {
+        staged_[hex] = pack_->entries().size();
+        MMM_RETURN_NOT_OK(pack_->Add(
+            hex, bytes.subspan(spans[c].offset, spans[c].length), crcs[c]));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Ends blob `name`: stored verbatim (no manifest), or as `manifest`.
+  void EndBlob(const std::string& name, const CasManifest* manifest) {
+    MutexLock lock(store_->mu_);
+    // Overwriting a previously chunked blob retires the old version's refs.
+    RecordRetireLocked(name);
+    if (manifest != nullptr) {
+      written_manifests_[name] =
+          CasStore::ManifestState{manifest->raw_size, manifest->chunks};
+    }
+  }
+
   void RecordRetireLocked(const std::string& name)
       MMM_REQUIRES(store_->mu_) {
     if (store_->manifests_.count(name) != 0) retired_.insert(name);
@@ -187,21 +173,136 @@ class CasBatchSession : public CasWriteSession {
 
   CasStore* store_;
   bool closed_ = false;
+  uint64_t pack_id_ = 0;
+  std::string pack_name_;
+  /// This commit's new chunks, streamed to the batch's pack sink.
+  std::optional<PackWriter> pack_;
+  bool pack_used_ = false;
   /// chunk hex -> reference count this commit adds.
   std::map<std::string, uint64_t> increments_;
-  /// This commit's new chunks, and where each sits in pack_.
-  PackBuilder pack_;
+  /// chunk hex -> its entry in pack_.
   std::map<std::string, size_t> staged_;
-  /// pack_'s entries, kept past TakePack for Applied.
-  std::vector<PackEntry> entries_;
-  uint64_t pack_id_ = 0;
-  uint64_t pack_file_bytes_ = 0;
   /// Chunks this session pinned against concurrent sweeps.
   std::set<std::string> pinned_;
   /// Manifest names this commit overwrites or deletes.
   std::set<std::string> retired_;
   std::map<std::string, CasStore::ManifestState> written_manifests_;
 };
+
+/// \brief One blob of a CAS session. Holds the payload's head until it
+/// reaches `min_blob_bytes` (a smaller blob stays verbatim), then cuts
+/// chunks as bytes arrive and hands the session one window of whole chunks
+/// at a time, so it buffers about kWriteWindowBytes plus one chunk.
+class CasChunkingSink : public CasBlobSink {
+ public:
+  CasChunkingSink(CasBatchSession* session, std::string name)
+      : session_(session),
+        name_(std::move(name)),
+        options_(session->store_->options()),
+        chunker_(options_) {}
+
+  Status Append(std::span<const uint8_t> bytes) override {
+    if (!chunking_) {
+      pending_.insert(pending_.end(), bytes.begin(), bytes.end());
+      if (pending_.size() < options_.min_blob_bytes) return Status::OK();
+      return StartChunking();
+    }
+    return Cut(bytes);
+  }
+
+  Result<std::vector<uint8_t>> Finish() override {
+    // Small payloads stay verbatim — unless they happen to start with the
+    // manifest magic, which a raw payload must never do (the read path
+    // would misparse it), so those are chunked regardless of size.
+    if (!chunking_) {
+      if (!IsManifestPayload(pending_)) {
+        session_->EndBlob(name_, nullptr);
+        return std::move(pending_);
+      }
+      MMM_RETURN_NOT_OK(StartChunking());
+    }
+    if (chunk_start_ < pending_.size()) {
+      spans_.push_back({chunk_start_, pending_.size() - chunk_start_});
+      chunk_start_ = pending_.size();
+    }
+    MMM_RETURN_NOT_OK(Flush());
+    session_->EndBlob(name_, &manifest_);
+    return EncodeManifest(manifest_);
+  }
+
+ private:
+  /// Re-scans the held head as the first bytes of the chunked stream.
+  Status StartChunking() {
+    chunking_ = true;
+    std::vector<uint8_t> head = std::move(pending_);
+    pending_.clear();
+    return Cut(head);
+  }
+
+  Status Cut(std::span<const uint8_t> bytes) {
+    while (!bytes.empty()) {
+      bool cut = false;
+      const size_t taken = chunker_.Scan(bytes, &cut);
+      pending_.insert(pending_.end(), bytes.begin(), bytes.begin() + taken);
+      bytes = bytes.subspan(taken);
+      manifest_.raw_size += taken;
+      if (!cut) continue;
+      spans_.push_back({chunk_start_, pending_.size() - chunk_start_});
+      chunk_start_ = pending_.size();
+      if (chunk_start_ >= kWriteWindowBytes) MMM_RETURN_NOT_OK(Flush());
+    }
+    return Status::OK();
+  }
+
+  /// Hands the whole chunks held to the session and keeps the open one.
+  Status Flush() {
+    // Hash before locking: the digests need no shared state, and GC,
+    // audits and other sessions would otherwise wait out the SHA-256.
+    // Each chunk's CRC is taken once: the pack index records it, and the
+    // payload's CRC is combined from them.
+    hexes_.clear();
+    crcs_.clear();
+    for (const ChunkSpan& span : spans_) {
+      const std::span<const uint8_t> chunk(pending_.data() + span.offset,
+                                           span.length);
+      hexes_.push_back(Sha256::Hash(chunk).ToHex());
+      crcs_.push_back(Crc32::Compute(chunk));
+      manifest_.raw_crc =
+          Crc32::Combine(manifest_.raw_crc, crcs_.back(), span.length);
+      manifest_.chunks.push_back({hexes_.back(), span.length});
+    }
+    MMM_RETURN_NOT_OK(session_->AddChunks(pending_, spans_, hexes_, crcs_));
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<ptrdiff_t>(chunk_start_));
+    chunk_start_ = 0;
+    spans_.clear();
+    return Status::OK();
+  }
+
+  CasBatchSession* session_;
+  std::string name_;
+  const CasOptions& options_;
+  GearChunker chunker_;
+  bool chunking_ = false;
+  /// The head, then the whole chunks not yet handed on and the open one.
+  std::vector<uint8_t> pending_;
+  /// Whole chunks in pending_, and where the open one starts.
+  std::vector<ChunkSpan> spans_;
+  size_t chunk_start_ = 0;
+  std::vector<std::string> hexes_;
+  std::vector<uint32_t> crcs_;
+  CasManifest manifest_;
+};
+
+Result<std::unique_ptr<CasBlobSink>> CasBatchSession::OpenBlob(
+    const std::string& name, BlobSink* pack) {
+  if (IsPackBlobName(name) || IsChunkBlobName(name)) {
+    return Status::Internal("cas session asked to chunk blob '", name, "'");
+  }
+  if (!pack_.has_value()) pack_.emplace(pack);
+  return std::unique_ptr<CasBlobSink>(
+      std::make_unique<CasChunkingSink>(this, name));
+}
 
 CasStore::PackPins::PackPins(PackPins&& other) noexcept
     : cas_(other.cas_), packs_(std::move(other.packs_)) {
@@ -321,10 +422,12 @@ Result<CasStore::Rebuilt> CasStore::ScanStore() const {
 
 Status CasStore::MigrateLegacyChunks(Rebuilt* scan) {
   const uint64_t id = scan->max_pack_id + 1;
-  PackBuilder builder;
   StoreBatch batch(store_, /*doc_store=*/nullptr, /*executor=*/nullptr, {},
                    journal_);
   batch.AnnotateCommit("", "cas-migrate");
+  // The chunk files live manifests still reference, checked against their
+  // names before the pack is declared.
+  std::vector<std::string> keep;
   for (const auto& [name, size] : scan->legacy_chunks) {
     const std::string hex = ChunkHexOfBlobName(name);
     auto chunk = scan->chunks.find(hex);
@@ -339,16 +442,26 @@ Status CasStore::MigrateLegacyChunks(Rebuilt* scan) {
                                  "' content hashes to " + actual);
         continue;
       }
-      builder.Add(hex, bytes);
+      keep.push_back(name);
     }
     batch.DeleteBlob(name);
   }
-  std::vector<PackEntry> entries = builder.entries();
+  std::vector<PackEntry> entries;
   uint64_t file_bytes = 0;
-  if (!builder.empty()) {
-    std::vector<uint8_t> pack = builder.Finish();
-    file_bytes = pack.size();
-    batch.PutBlob(PackBlobName(id), std::move(pack));
+  if (!keep.empty()) {
+    batch.PutBlobDeferred(PackBlobName(id), [&](BlobSink* sink) -> Status {
+      PackWriter pack(sink);
+      for (const std::string& name : keep) {
+        MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                             env_->ReadFile(store_->root() + "/" + name));
+        MMM_RETURN_NOT_OK(pack.Add(ChunkHexOfBlobName(name), bytes,
+                                   Crc32::Compute(bytes)));
+      }
+      MMM_RETURN_NOT_OK(pack.Finish());
+      entries = pack.entries();
+      file_bytes = pack.size();
+      return Status::OK();
+    });
   }
   MMM_RETURN_NOT_OK(batch.Commit());
 
@@ -595,36 +708,36 @@ Status CasStore::Repack(SweepReport* report) {
     refs.push_back(std::move(ref));
   }
 
-  // Copy through the recovery read path (so the same plan and checks
-  // apply, and each chunk keeps the CRC it was checked against), then
-  // write the new pack in its own journaled commit.
-  PackBuilder builder;
-  Status status = ReadPackedChunks(
-      store_, options_.max_chunk_bytes, refs, from,
-      [&](size_t i, std::span<const uint8_t> bytes) {
-        builder.Add(refs[i].hash_hex, bytes, from[i].crc);
-        return Status::OK();
-      });
-  const std::vector<PackEntry> entries = builder.entries();
+  // Write the new pack in its own journaled commit, copying through the
+  // recovery read path, so the same plan and checks apply and each chunk
+  // keeps the CRC it was checked against.
   uint64_t id = 0;
-  uint64_t file_bytes = 0;
-  if (status.ok()) {
-    {
-      MutexLock lock(mu_);
-      id = next_pack_id_++;
-      writing_packs_.insert(id);
-    }
-    std::vector<uint8_t> pack = builder.Finish();
-    file_bytes = pack.size();
-    StoreBatch batch(store_, /*doc_store=*/nullptr, /*executor=*/nullptr, {},
-                     journal_);
-    batch.AnnotateCommit("", "cas-repack");
-    batch.PutBlob(PackBlobName(id), std::move(pack));
-    status = batch.Commit();
+  {
+    MutexLock lock(mu_);
+    id = next_pack_id_++;
+    writing_packs_.insert(id);
   }
+  std::vector<PackEntry> entries;
+  uint64_t file_bytes = 0;
+  StoreBatch batch(store_, /*doc_store=*/nullptr, /*executor=*/nullptr, {},
+                   journal_);
+  batch.AnnotateCommit("", "cas-repack");
+  batch.PutBlobDeferred(PackBlobName(id), [&](BlobSink* sink) -> Status {
+    PackWriter pack(sink);
+    MMM_RETURN_NOT_OK(ReadPackedChunks(
+        store_, options_.max_chunk_bytes, refs, from,
+        [&](size_t i, std::span<const uint8_t> bytes) {
+          return pack.Add(refs[i].hash_hex, bytes, from[i].crc);
+        }));
+    MMM_RETURN_NOT_OK(pack.Finish());
+    entries = pack.entries();
+    file_bytes = pack.size();
+    return Status::OK();
+  });
+  Status status = batch.Commit();
 
   MutexLock lock(mu_);
-  if (id != 0) writing_packs_.erase(id);
+  writing_packs_.erase(id);
   for (uint64_t source : sources) {
     auto pin = reader_pins_.find(source);
     if (pin != reader_pins_.end() && --pin->second == 0) {

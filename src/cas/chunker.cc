@@ -1,5 +1,6 @@
 #include "cas/chunker.h"
 
+#include <algorithm>
 #include <array>
 
 namespace mmm {
@@ -56,33 +57,48 @@ Status CasOptions::Validate() const {
   return Status::OK();
 }
 
+size_t GearChunker::Scan(std::span<const uint8_t> bytes, bool* cut) {
+  *cut = false;
+  if (options_.fixed_size) {
+    const size_t take = static_cast<size_t>(
+        std::min<uint64_t>(options_.avg_chunk_bytes - length_, bytes.size()));
+    length_ += take;
+    if (length_ == options_.avg_chunk_bytes) {
+      *cut = true;
+      length_ = 0;
+    }
+    return take;
+  }
+  const uint64_t mask = options_.avg_chunk_bytes - 1;
+  uint64_t hash = hash_;
+  uint64_t length = length_;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    hash = (hash << 1) + kGearTable[bytes[i]];
+    ++length;
+    if ((length >= options_.min_chunk_bytes && (hash & mask) == 0) ||
+        length >= options_.max_chunk_bytes) {
+      *cut = true;
+      hash_ = 0;
+      length_ = 0;
+      return i + 1;
+    }
+  }
+  hash_ = hash;
+  length_ = length;
+  return bytes.size();
+}
+
 std::vector<ChunkSpan> ChunkBlob(std::span<const uint8_t> data,
                                  const CasOptions& options) {
   std::vector<ChunkSpan> spans;
-  if (data.empty()) return spans;
-
-  if (options.fixed_size) {
-    const size_t step = static_cast<size_t>(options.avg_chunk_bytes);
-    for (size_t start = 0; start < data.size(); start += step) {
-      spans.push_back({start, std::min(step, data.size() - start)});
-    }
-    return spans;
-  }
-
-  const uint64_t mask = options.avg_chunk_bytes - 1;
+  GearChunker chunker(options);
   size_t start = 0;
-  uint64_t hash = 0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    hash = (hash << 1) + kGearTable[data[i]];
-    const size_t length = i + 1 - start;
-    if ((length >= options.min_chunk_bytes && (hash & mask) == 0) ||
-        length >= options.max_chunk_bytes) {
-      spans.push_back({start, length});
-      start = i + 1;
-      hash = 0;
-    }
+  while (start < data.size()) {
+    bool cut = false;
+    const size_t length = chunker.Scan(data.subspan(start), &cut);
+    spans.push_back({start, length});
+    start += length;
   }
-  if (start < data.size()) spans.push_back({start, data.size() - start});
   return spans;
 }
 

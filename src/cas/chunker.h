@@ -40,6 +40,25 @@ struct ChunkSpan {
   size_t length = 0;
 };
 
+/// \brief The Gear chunker over a stream (DESIGN.md §10): finds the cut
+/// points of a blob whose bytes arrive in pieces, holding only the rolling
+/// hash and the current chunk's length. Cuts are those ChunkBlob finds in
+/// the whole blob, however the bytes are split.
+class GearChunker {
+ public:
+  explicit GearChunker(const CasOptions& options) : options_(options) {}
+
+  /// Scans `bytes`, the stream's next bytes, up to and including the next
+  /// cut: returns how many bytes it took, and whether a chunk ends after
+  /// the last of them. The end of the stream ends the last chunk too.
+  size_t Scan(std::span<const uint8_t> bytes, bool* cut);
+
+ private:
+  const CasOptions& options_;
+  uint64_t hash_ = 0;
+  uint64_t length_ = 0;  ///< bytes of the current chunk so far
+};
+
 /// Splits `data` into content-defined chunks (Gear rolling hash; see
 /// DESIGN.md §10). Deterministic in the bytes alone: two blobs sharing a run
 /// of content longer than a few max-chunk windows produce identical chunks

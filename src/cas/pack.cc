@@ -41,24 +41,19 @@ uint64_t PackIdOfBlobName(std::string_view name) {
   return id;
 }
 
-void PackBuilder::Add(const std::string& hash_hex,
-                      std::span<const uint8_t> bytes) {
-  Add(hash_hex, bytes, Crc32::Compute(bytes));
+Status PackWriter::Add(const std::string& hash_hex,
+                       std::span<const uint8_t> bytes, uint32_t crc) {
+  MMM_RETURN_NOT_OK(out_->Append(bytes));
+  entries_.push_back({hash_hex, size_, bytes.size(), crc});
+  size_ += bytes.size();
+  return Status::OK();
 }
 
-void PackBuilder::Add(const std::string& hash_hex,
-                      std::span<const uint8_t> bytes, uint32_t crc) {
-  entries_.push_back({hash_hex, data_.size(), bytes.size(), crc});
-  data_.insert(data_.end(), bytes.begin(), bytes.end());
-}
-
-std::vector<uint8_t> PackBuilder::Finish() {
-  std::vector<uint8_t> index = EncodePackIndex(entries_);
-  std::vector<uint8_t> out = std::move(data_);
-  out.insert(out.end(), index.begin(), index.end());
-  data_.clear();
-  entries_.clear();
-  return out;
+Status PackWriter::Finish() {
+  const std::vector<uint8_t> index = EncodePackIndex(entries_);
+  MMM_RETURN_NOT_OK(out_->Append(index));
+  size_ += index.size();
+  return Status::OK();
 }
 
 std::vector<uint8_t> EncodePackIndex(const std::vector<PackEntry>& entries) {

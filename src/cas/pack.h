@@ -10,6 +10,7 @@
 
 #include "cas/manifest.h"
 #include "common/result.h"
+#include "storage/blob_sink.h"
 #include "storage/env.h"
 #include "storage/file_store.h"
 
@@ -52,29 +53,35 @@ struct PackEntry {
   uint32_t crc = 0;      ///< CRC-32 of the chunk bytes
 };
 
-/// \brief Builds one pack blob in memory.
-class PackBuilder {
+/// \brief Streams one pack blob into a sink: each chunk as it is added,
+/// then the index and footer. Holds only the index entries, never the
+/// chunks. Every pack is written by one: a commit's CAS session, repack and
+/// the migration of legacy chunk files.
+class PackWriter {
  public:
-  /// Appends a chunk. `hash_hex` must be a 64-digit lowercase hex digest.
-  void Add(const std::string& hash_hex, std::span<const uint8_t> bytes);
-  /// Add with the chunk's CRC-32, which the caller has already computed.
-  void Add(const std::string& hash_hex, std::span<const uint8_t> bytes,
-           uint32_t crc);
+  explicit PackWriter(BlobSink* out) : out_(out) {}
+
+  /// Appends a chunk. `hash_hex` must be a 64-digit lowercase hex digest
+  /// and `crc` the chunk's CRC-32.
+  Status Add(const std::string& hash_hex, std::span<const uint8_t> bytes,
+             uint32_t crc);
 
   bool empty() const { return entries_.empty(); }
   const std::vector<PackEntry>& entries() const { return entries_; }
+  /// Bytes appended so far: the whole blob once Finish has run.
+  uint64_t size() const { return size_; }
 
-  /// The finished blob: the chunk bytes followed by the index and footer.
-  /// The builder is empty afterwards.
-  std::vector<uint8_t> Finish();
+  /// Appends the index and footer.
+  Status Finish();
 
  private:
-  std::vector<uint8_t> data_;
+  BlobSink* out_;
   std::vector<PackEntry> entries_;
+  uint64_t size_ = 0;
 };
 
 /// The index and footer for `entries` (which must tile `[0, data size)` in
-/// order); PackBuilder::Finish appends exactly these bytes.
+/// order); PackWriter::Finish appends exactly these bytes.
 std::vector<uint8_t> EncodePackIndex(const std::vector<PackEntry>& entries);
 
 /// Reads and checks the index of the pack blob at `path` through `env`:

@@ -130,38 +130,92 @@ Result<StateDict> DecodeStateDict(std::span<const uint8_t> blob) {
   return state;
 }
 
-std::vector<uint8_t> EncodeParamBlob(const ModelSet& set) {
-  ParamLayout layout = LayoutOf(set.spec);
-  size_t per_model = LayoutNumel(layout);
-  BinaryWriter writer;
-  // The header (magic and two varints), the floats, the layer CRC table
-  // and the CRC footer.
-  writer.Reserve(kParamBlobMaxHeaderBytes +
-                 set.models.size() * (per_model + layout.size()) * 4 + 4);
-  writer.WriteBytes(EncodeParamBlobHeader(set.models.size(), per_model));
-  // Each layer's CRC is taken from the bytes just written, while they are
-  // still in cache, and folded into the footer's CRC, so no byte is
-  // checksummed twice.
-  const std::vector<uint32_t> ops = LayerCombineOps(layout);
-  uint32_t crc = Crc32::Compute(writer.buffer());
-  std::vector<uint32_t> layer_crcs;
-  layer_crcs.reserve(set.models.size() * layout.size());
-  for (const StateDict& state : set.models) {
-    for (size_t p = 0; p < state.size(); ++p) {
-      const size_t at = writer.size();
-      writer.WriteFloatSpan(state[p].second.data());
-      const uint32_t layer = Crc32::Compute(
-          std::span<const uint8_t>(writer.buffer()).subspan(at));
-      layer_crcs.push_back(layer);
-      crc = Crc32::CombineOp(crc, layer, ops[p]);
+ParamBlobEncoder::ParamBlobEncoder(ParamLayout layout, uint64_t num_models,
+                                   BlobSink* sink)
+    : layout_(std::move(layout)),
+      layer_ops_(LayerCombineOps(layout_)),
+      num_models_(num_models),
+      sink_(sink) {}
+
+Result<ParamBlobEncoder> ParamBlobEncoder::Begin(const ArchitectureSpec& spec,
+                                                 uint64_t num_models,
+                                                 BlobSink* sink) {
+  ParamBlobEncoder encoder(LayoutOf(spec), num_models, sink);
+  encoder.layer_crcs_.reserve(num_models * encoder.layout_.size());
+  const std::vector<uint8_t> header =
+      EncodeParamBlobHeader(num_models, LayoutNumel(encoder.layout_));
+  encoder.crc_ = Crc32::Compute(header);
+  MMM_RETURN_NOT_OK(sink->Append(header));
+  return encoder;
+}
+
+Status ParamBlobEncoder::Append(const StateDict& model) {
+  if (finished_) {
+    return Status::InvalidArgument("param blob encoder already finished");
+  }
+  if (appended_ >= num_models_) {
+    return Status::InvalidArgument("param blob declared ", num_models_,
+                                   " models; cannot append more");
+  }
+  if (model.size() != layout_.size()) {
+    return Status::InvalidArgument("model has ", model.size(),
+                                   " parameters, layout expects ",
+                                   layout_.size());
+  }
+  for (size_t p = 0; p < layout_.size(); ++p) {
+    if (model[p].first != layout_[p].first ||
+        model[p].second.shape() != layout_[p].second) {
+      return Status::InvalidArgument("model parameter '", model[p].first,
+                                     "' does not match layout entry '",
+                                     layout_[p].first, "'");
     }
   }
-  const size_t table_at = writer.size();
-  for (uint32_t layer : layer_crcs) writer.WriteUint32(layer);
-  crc = Crc32::Extend(
-      crc, std::span<const uint8_t>(writer.buffer()).subspan(table_at));
-  writer.WriteUint32(crc);
-  return writer.TakeBuffer();
+  // Each layer's CRC is taken from its own buffer and folded into the
+  // footer's CRC, so no byte is checksummed twice.
+  for (size_t p = 0; p < layout_.size(); ++p) {
+    const std::span<const uint8_t> bytes = TensorBytes(model[p].second);
+    const uint32_t layer = Crc32::Compute(bytes);
+    layer_crcs_.push_back(layer);
+    crc_ = Crc32::CombineOp(crc_, layer, layer_ops_[p]);
+    MMM_RETURN_NOT_OK(sink_->Append(bytes));
+  }
+  ++appended_;
+  return Status::OK();
+}
+
+Status ParamBlobEncoder::Finish() {
+  if (finished_) {
+    return Status::InvalidArgument("param blob encoder already finished");
+  }
+  if (appended_ != num_models_) {
+    return Status::InvalidArgument("param blob declared ", num_models_,
+                                   " models but ", appended_,
+                                   " were appended");
+  }
+  finished_ = true;
+  BinaryWriter tail;
+  tail.Reserve(layer_crcs_.size() * sizeof(uint32_t) + sizeof(uint32_t));
+  for (uint32_t layer : layer_crcs_) tail.WriteUint32(layer);
+  crc_ = Crc32::Extend(crc_, tail.buffer());
+  tail.WriteUint32(crc_);
+  layer_crcs_ = {};
+  return sink_->Append(tail.buffer());
+}
+
+Status EncodeParamBlob(const ModelSet& set, BlobSink* sink) {
+  MMM_ASSIGN_OR_RETURN(ParamBlobEncoder encoder,
+                       ParamBlobEncoder::Begin(set.spec, set.models.size(),
+                                               sink));
+  for (const StateDict& model : set.models) {
+    MMM_RETURN_NOT_OK(encoder.Append(model));
+  }
+  return encoder.Finish();
+}
+
+std::vector<uint8_t> EncodeParamBlob(const ModelSet& set) {
+  VectorSink sink;
+  if (!EncodeParamBlob(set, &sink).ok()) return {};
+  return sink.Take();
 }
 
 std::vector<uint32_t> LayerCombineOps(const ParamLayout& layout) {

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "core/model_set.h"
 #include "serialize/sha256.h"
+#include "storage/blob_sink.h"
 #include "storage/executor.h"
 
 namespace mmm {
@@ -32,8 +33,48 @@ Result<StateDict> DecodeStateDict(std::span<const uint8_t> blob);
 /// followed by one CRC32 per (model, layer) — the layer CRC table, which
 /// lets a ranged read check each layer it returns (MMMPARM2; docs/FORMATS.md).
 /// @{
-/// `set` must pass CheckSetConsistent: every model follows the layout of
-/// `set.spec`.
+
+/// \brief The param-blob window encoder (DESIGN.md §12): streams a blob
+/// into a sink, the header at Begin, each model's floats as the model is
+/// appended (one window per layer, straight from the tensor's buffer), and
+/// at Finish the layer CRC table and the footer. It holds the table (4
+/// bytes per layer) and the footer's running CRC, folded from the layer
+/// CRCs, so no byte is checksummed twice. Every save of a param blob runs
+/// one, so the bytes are the same whether they end in a file, a CAS pack
+/// or memory.
+class ParamBlobEncoder {
+ public:
+  /// Starts a blob of exactly `num_models` models of `spec`'s layout and
+  /// appends its header to `sink`.
+  static Result<ParamBlobEncoder> Begin(const ArchitectureSpec& spec,
+                                        uint64_t num_models, BlobSink* sink);
+
+  /// Appends the next model. InvalidArgument if its keys or shapes do not
+  /// follow the layout, or `num_models` were appended already.
+  Status Append(const StateDict& model);
+  /// Appends the layer CRC table and the footer. InvalidArgument unless
+  /// exactly `num_models` models were appended; the encoder takes nothing
+  /// afterwards.
+  Status Finish();
+
+ private:
+  ParamBlobEncoder(ParamLayout layout, uint64_t num_models, BlobSink* sink);
+
+  ParamLayout layout_;
+  std::vector<uint32_t> layer_ops_;  ///< LayerCombineOps(layout_)
+  uint64_t num_models_;
+  BlobSink* sink_;
+  size_t appended_ = 0;
+  bool finished_ = false;
+  uint32_t crc_ = 0;
+  std::vector<uint32_t> layer_crcs_;  ///< the table, one entry per layer
+};
+
+/// Streams `set`'s param blob into `sink` through one ParamBlobEncoder.
+/// `set` must pass CheckSetConsistent.
+Status EncodeParamBlob(const ModelSet& set, BlobSink* sink);
+/// The same bytes in memory, for tests and benchmarks; empty if `set` is
+/// not consistent.
 std::vector<uint8_t> EncodeParamBlob(const ModelSet& set);
 /// Decodes using the layout derived from `spec`; validates counts and CRC.
 /// The header's model count must equal `num_models` (the set document's),

@@ -45,10 +45,9 @@ Result<SaveResult> MMlibBaseApproach::SaveAllIndividually(const ModelSet& set) {
     std::string model_id = StringFormat("%s-m%05zu", result.set_id.c_str(), index);
     std::string weights_blob = model_id + ".weights.bin";
     const StateDict* model = &set.models[index];
-    batch.PutBlobDeferred(weights_blob,
-                          [model]() -> Result<std::vector<uint8_t>> {
-                            return EncodeStateDict(*model);
-                          });
+    batch.PutBlobDeferred(weights_blob, [model](BlobSink* sink) {
+      return sink->Append(EncodeStateDict(*model));
+    });
     // ... one code artifact ...
     std::string code_blob = model_id + ".code.py";
     batch.PutBlobString(code_blob, source_code);

@@ -114,18 +114,13 @@ Status StageFullSnapshot(const StoreContext& context, StoreBatch* batch,
   doc->arch_blob = set_id + ".arch.json";
   doc->param_blob = set_id + ".params.bin";
   batch->PutBlobString(doc->arch_blob, EncodeArchBlob(set.spec));
-  // The parameter encode dominates a snapshot save; produce it on a
+  // The parameter encode dominates a snapshot save; it streams on a
   // pipeline lane so it overlaps with the batch's other work.
   const ModelSet* set_ptr = &set;
-  const Compression compression = context.blob_compression;
   batch->PutBlobDeferred(
-      doc->param_blob, [set_ptr, compression]() -> Result<std::vector<uint8_t>> {
-        std::vector<uint8_t> params = EncodeParamBlob(*set_ptr);
-        if (compression != Compression::kNone) {
-          params = CompressBlob(compression, params);
-        }
-        return params;
-      });
+      doc->param_blob,
+      [set_ptr](BlobSink* sink) { return EncodeParamBlob(*set_ptr, sink); },
+      context.blob_compression);
   doc->kind = "full";
   doc->chain_depth = 0;
   doc->family = set.spec.family;
@@ -223,12 +218,18 @@ Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
     return Status::Corruption("set ", doc.id, " is not a full snapshot");
   }
   MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context, doc));
+  const size_t num_params = LayoutOf(spec).size();
   std::vector<StateDict> models;
   MMM_RETURN_NOT_OK(StreamParamBlob(
       context, doc.param_blob, spec, doc.num_models,
       [&](size_t model, size_t /*param*/, const std::string& key,
           Tensor tensor) -> Status {
-        if (models.size() <= model) models.resize(model + 1);
+        // The decoder checked the header's model count against the
+        // document before the first layer, so the set is sized once.
+        if (models.empty()) {
+          models.resize(doc.num_models);
+          for (StateDict& state : models) state.reserve(num_params);
+        }
         models[model].emplace_back(key, std::move(tensor));
         return Status::OK();
       }));

@@ -57,15 +57,12 @@ Result<SaveResult> UpdateApproach::SaveSnapshotWithHashes(
   // without loading this set's parameters (paper §3.3 step 2).
   doc.hash_blob = result.set_id + ".hashes.bin";
   const HashTable* hashes_ptr = &hash_table;
-  const Compression compression = context_.blob_compression;
   batch.PutBlobDeferred(
-      doc.hash_blob, [hashes_ptr, compression]() -> Result<std::vector<uint8_t>> {
-        std::vector<uint8_t> hashes = EncodeHashTable(*hashes_ptr);
-        if (compression != Compression::kNone) {
-          hashes = CompressBlob(compression, hashes);
-        }
-        return hashes;
-      });
+      doc.hash_blob,
+      [hashes_ptr](BlobSink* sink) {
+        return sink->Append(EncodeHashTable(*hashes_ptr));
+      },
+      context_.blob_compression);
   StageSetDocument(&batch, doc);
   MMM_RETURN_NOT_OK(batch.Commit());
 
@@ -146,24 +143,18 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
   const std::vector<DiffEntry>* entries_ptr = &entries;
   batch.PutBlobDeferred(
       doc.diff_blob,
-      [set_ptr, entries_ptr, diff_encoding, base_set_ptr,
-       compression]() -> Result<std::vector<uint8_t>> {
-        std::vector<uint8_t> diff =
-            EncodeDiffBlob(*set_ptr, *entries_ptr, diff_encoding, base_set_ptr);
-        if (compression != Compression::kNone) {
-          diff = CompressBlob(compression, diff);
-        }
-        return diff;
-      });
+      [set_ptr, entries_ptr, diff_encoding, base_set_ptr](BlobSink* sink) {
+        return sink->Append(EncodeDiffBlob(*set_ptr, *entries_ptr,
+                                           diff_encoding, base_set_ptr));
+      },
+      compression);
   const HashTable* hashes_ptr = &current_hashes;
   batch.PutBlobDeferred(
-      doc.hash_blob, [hashes_ptr, compression]() -> Result<std::vector<uint8_t>> {
-        std::vector<uint8_t> hashes = EncodeHashTable(*hashes_ptr);
-        if (compression != Compression::kNone) {
-          hashes = CompressBlob(compression, hashes);
-        }
-        return hashes;
-      });
+      doc.hash_blob,
+      [hashes_ptr](BlobSink* sink) {
+        return sink->Append(EncodeHashTable(*hashes_ptr));
+      },
+      compression);
   StageSetDocument(&batch, doc);
   MMM_RETURN_NOT_OK(batch.Commit());
 
@@ -713,10 +704,15 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   // therefore takes its shape from the layout, never from the entry. It
   // shares the entry's buffer; a caller's first write copies it, so the
   // cache never sees the write.
+  // A layer whose entry already has the layout's shape (the usual case)
+  // is copied as is, without a Reshape.
+  const auto shaped = [](const Tensor& entry, const Shape& shape) {
+    return entry.shape() == shape ? entry : entry.Reshape(shape);
+  };
   for (size_t k = 0; k < num_fetched; ++k) {
     const size_t slot = fetched_slots[k];
     values[slot] = admitted[k] != nullptr
-                       ? admitted[k]->Reshape(layout[slot % num_params].second)
+                       ? shaped(*admitted[k], layout[slot % num_params].second)
                        : std::move(fetched[k]);
   }
   for (size_t slot = 0; slot < num_slots; ++slot) {
@@ -727,7 +723,7 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
                                 slot % num_params, ") of ", set_id,
                                 " does not match its content hash");
     }
-    values[slot] = layers[slot]->Reshape(shape);
+    values[slot] = shaped(*layers[slot], shape);
   }
   ModelSet set;
   set.spec = meta->spec;

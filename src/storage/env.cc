@@ -288,47 +288,69 @@ Result<std::vector<std::string>> InMemoryEnv::ListDir(const std::string& path) {
 // Write-order tagging
 
 namespace {
-// The active tag of this thread, published by ScopedWriteOrderTag. One level
-// is enough: a batch wraps exactly the env write of one staged op.
-thread_local const WriteOrderGroup* tls_write_order_group = nullptr;
+// The active tag of this thread, published by ScopedWriteOrderTag, and the
+// writes FaultInjectionEnv has numbered under it. One level is enough: a
+// batch wraps exactly the env writes of one staged blob.
+thread_local WriteOrderGroup* tls_write_order_group = nullptr;
 thread_local size_t tls_write_order_index = 0;
+thread_local int64_t tls_write_order_writes = 0;
 }  // namespace
 
-ScopedWriteOrderTag::ScopedWriteOrderTag(const WriteOrderGroup* group,
+void WriteOrderGroup::Finish(size_t member, int64_t writes) {
+  {
+    MutexLock lock(mu_);
+    writes_[member] = writes;
+  }
+  finished_.NotifyAll();
+}
+
+ScopedWriteOrderTag::ScopedWriteOrderTag(WriteOrderGroup* group,
                                          size_t index) {
   tls_write_order_group = group;
   tls_write_order_index = index;
+  tls_write_order_writes = 0;
 }
 
 ScopedWriteOrderTag::~ScopedWriteOrderTag() {
+  tls_write_order_group->Finish(tls_write_order_index, tls_write_order_writes);
   tls_write_order_group = nullptr;
   tls_write_order_index = 0;
+  tls_write_order_writes = 0;
 }
 
 // ---------------------------------------------------------------------------
 // FaultInjectionEnv
 
 Status FaultInjectionEnv::MaybeFail() {
-  int64_t index;
+  int64_t index = -1;
   int64_t fail_after;
   {
     MutexLock lock(mu_);
-    const WriteOrderGroup* group = tls_write_order_group;
-    if (group != nullptr) {
-      int64_t base = group->base_.load(std::memory_order_relaxed);
-      if (base < 0) {
-        // First member of the group to arrive claims the whole block, so
-        // every member's index reflects staging order, not arrival order.
-        base = next_index_;
-        group->base_.store(base, std::memory_order_relaxed);
-        next_index_ += static_cast<int64_t>(group->size());
-      }
-      index = base + static_cast<int64_t>(tls_write_order_index);
-    } else {
+    fail_after = fail_after_;
+    // Without a plan no write fails, so arrival order numbers them as well
+    // as any; only the count matters.
+    if (tls_write_order_group == nullptr || fail_after < 0) {
       index = next_index_++;
     }
-    fail_after = fail_after_;
   }
+  if (index < 0) {
+    WriteOrderGroup* group = tls_write_order_group;
+    const size_t member = tls_write_order_index;
+    MutexLock group_lock(group->mu_);
+    if (group->base_ < 0) {
+      MutexLock lock(mu_);
+      group->base_ = next_index_;
+    }
+    int64_t before = 0;
+    for (size_t j = 0; j < member; ++j) {
+      while (group->writes_[j] < 0) group->finished_.Wait(group->mu_);
+      before += group->writes_[j];
+    }
+    index = group->base_ + before + tls_write_order_writes;
+    MutexLock lock(mu_);
+    next_index_ = std::max(next_index_, index + 1);
+  }
+  if (tls_write_order_group != nullptr) ++tls_write_order_writes;
   if (fail_after >= 0 && index >= fail_after) {
     return Status::IOError("injected write failure (write #", index, ")");
   }

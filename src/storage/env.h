@@ -1,7 +1,6 @@
 #ifndef MMM_STORAGE_ENV_H_
 #define MMM_STORAGE_ENV_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -89,33 +88,46 @@ class InMemoryEnv : public Env {
       MMM_GUARDED_BY(mu_);
 };
 
-/// \brief Declares how many writes a concurrent batch is about to issue so
-/// FaultInjectionEnv can number them by *staging* order, not arrival order.
+/// \brief Numbers the writes of a batch that fans its blobs out over
+/// worker lanes by *staging* order, not arrival order, for
+/// FaultInjectionEnv.
 ///
-/// A batch that fans writes out over worker lanes creates one group sized to
-/// its write count and wraps every write in a ScopedWriteOrderTag carrying
-/// the write's staging index. The first tagged write to reach the env claims
-/// a contiguous block of `size` write indices; each tagged write then gets
-/// index `block_base + staging_index` regardless of which lane delivered it
-/// first. A group is single-use: one batch commit against one env.
+/// A batch creates one group sized to its blob count and wraps all writes
+/// of blob `i` in a ScopedWriteOrderTag carrying `i`. A streamed blob takes
+/// one write per window, and how many only shows once it is written. Write
+/// `w` of blob `i` is numbered `base + (writes of blobs 0..i-1) + w`, where
+/// `base` is the first free index when the group's first write arrives:
+/// exactly the number it gets when one lane issues the blobs in staging
+/// order. So a fault plan hits the same (blob, window) at any lane count.
+/// Under an armed plan a tagged write waits until every lower-numbered
+/// blob's tag is gone; since lanes take their blobs in increasing order,
+/// the lowest unfinished blob is always running, so the wait ends. A group
+/// is single-use: one batch commit against one env.
 class WriteOrderGroup {
  public:
-  explicit WriteOrderGroup(size_t size) : size_(size) {}
+  explicit WriteOrderGroup(size_t size) : writes_(size, -1) {}
 
-  size_t size() const { return size_; }
+  size_t size() const { return writes_.size(); }
 
  private:
   friend class FaultInjectionEnv;
-  size_t size_;
-  /// First write index of the claimed block; -1 until a member write arrives.
-  mutable std::atomic<int64_t> base_{-1};
+  friend class ScopedWriteOrderTag;
+  /// Blob `member` is done after `writes` writes.
+  void Finish(size_t member, int64_t writes);
+
+  mutable Mutex mu_ MMM_LOCK_RANK(138);
+  CondVar finished_;
+  /// Writes of each blob once its tag is gone; -1 before.
+  std::vector<int64_t> writes_ MMM_GUARDED_BY(mu_);
+  /// First write index of the group; -1 until a member write arrives.
+  int64_t base_ MMM_GUARDED_BY(mu_) = -1;
 };
 
-/// \brief RAII tag marking every env write on this thread as write number
-/// `index` of `group` (see WriteOrderGroup). Nesting is not supported.
+/// \brief RAII tag marking every env write on this thread as a write of
+/// blob `index` of `group` (see WriteOrderGroup). Nesting is not supported.
 class ScopedWriteOrderTag {
  public:
-  ScopedWriteOrderTag(const WriteOrderGroup* group, size_t index);
+  ScopedWriteOrderTag(WriteOrderGroup* group, size_t index);
   ~ScopedWriteOrderTag();
 
   ScopedWriteOrderTag(const ScopedWriteOrderTag&) = delete;
@@ -132,12 +144,11 @@ class ScopedWriteOrderTag {
 ///
 /// Indices are assigned in *staging* order: an untagged write takes the next
 /// free index on arrival, while writes tagged via WriteOrderGroup /
-/// ScopedWriteOrderTag receive `group base + staging index`, where the group
-/// claims a contiguous index block on its first member's arrival. Since a
-/// batch's writes fan out between two untagged writes, the block's position
-/// is the same no matter how many lanes race — so a fault plan hits the same
-/// logical write at any lane count, which is what makes crash-point sweeps
-/// reproducible under the parallel pipeline.
+/// ScopedWriteOrderTag are numbered by (blob, window) in staging order from
+/// the group's base. Since a batch's writes fan out between two untagged
+/// writes, the numbering is the same no matter how many lanes race — so a
+/// fault plan hits the same logical write at any lane count, which is what
+/// makes crash-point sweeps reproducible under the parallel pipeline.
 class FaultInjectionEnv : public Env {
  public:
   explicit FaultInjectionEnv(Env* base) : base_(base) {}
@@ -203,8 +214,8 @@ class FaultInjectionEnv : public Env {
   /// Path prefixes whose reads and writes fail (see FailPathsUnder).
   std::vector<std::string> dead_prefixes_ MMM_GUARDED_BY(mu_);
   int64_t fail_after_ MMM_GUARDED_BY(mu_) = -1;
-  /// Next unassigned write index (== total writes seen, since tagged groups
-  /// reserve their whole block up front).
+  /// Next unassigned write index (== total writes seen once no group is in
+  /// flight).
   int64_t next_index_ MMM_GUARDED_BY(mu_) = 0;
 };
 

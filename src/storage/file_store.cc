@@ -1,6 +1,61 @@
 #include "storage/file_store.h"
 
+#include <algorithm>
+
+#include "serialize/crc32.h"
+
 namespace mmm {
+
+Status BlobWriteStream::Append(std::span<const uint8_t> bytes) {
+  if (closed_) {
+    return Status::InvalidArgument("blob ", name_, " is already closed");
+  }
+  while (!bytes.empty()) {
+    if (window_.empty() && bytes.size() >= kWriteWindowBytes) {
+      // A whole window in hand is written from the caller's bytes.
+      MMM_RETURN_NOT_OK(Write(bytes.first(kWriteWindowBytes)));
+      bytes = bytes.subspan(kWriteWindowBytes);
+      continue;
+    }
+    const size_t take = static_cast<size_t>(std::min<uint64_t>(
+        kWriteWindowBytes - window_.size(), bytes.size()));
+    window_.insert(window_.end(), bytes.begin(), bytes.begin() + take);
+    bytes = bytes.subspan(take);
+    if (window_.size() == kWriteWindowBytes) {
+      MMM_RETURN_NOT_OK(Write(window_));
+      window_.clear();
+    }
+  }
+  return Status::OK();
+}
+
+Status BlobWriteStream::Write(std::span<const uint8_t> bytes) {
+  Env* env = store_->env_;
+  MMM_RETURN_NOT_OK(env_writes_ == 0 ? env->WriteFile(path_, bytes)
+                                     : env->AppendToFile(path_, bytes));
+  ++env_writes_;
+  written_ += bytes.size();
+  crc_ = Crc32::Extend(crc_, bytes);
+  return Status::OK();
+}
+
+Status BlobWriteStream::Close() {
+  if (closed_) {
+    return Status::InvalidArgument("blob ", name_, " is already closed");
+  }
+  if (!window_.empty() || env_writes_ == 0) MMM_RETURN_NOT_OK(Write(window_));
+  closed_ = true;
+  window_ = {};
+  if (detached_) {
+    stats_.write_ops = 1;
+    stats_.bytes_written = written_;
+    cost_nanos_ = store_->latency_.CostNanos(written_);
+  } else {
+    store_->stats_.AddWrite(written_);
+    store_->Charge(written_);
+  }
+  return Status::OK();
+}
 
 FileStore::FileStore(Env* env, std::string root, StoreLatencyModel latency,
                      SimulatedClock* sim_clock)
@@ -21,11 +76,9 @@ void FileStore::Charge(uint64_t bytes) {
 }
 
 Status FileStore::Put(const std::string& name, std::span<const uint8_t> data) {
-  MMM_RETURN_NOT_OK(ValidateName(name));
-  MMM_RETURN_NOT_OK(env_->WriteFile(root_ + "/" + name, data));
-  stats_.AddWrite(data.size());
-  Charge(data.size());
-  return Status::OK();
+  MMM_ASSIGN_OR_RETURN(BlobWriteStream stream, OpenWriteStream(name));
+  MMM_RETURN_NOT_OK(stream.Append(data));
+  return stream.Close();
 }
 
 Status FileStore::PutString(const std::string& name, std::string_view data) {
@@ -33,23 +86,10 @@ Status FileStore::PutString(const std::string& name, std::string_view data) {
                        reinterpret_cast<const uint8_t*>(data.data()), data.size()));
 }
 
-Status FileStore::Append(const std::string& name, std::span<const uint8_t> data) {
+Result<BlobWriteStream> FileStore::OpenWriteStream(const std::string& name,
+                                                   bool detached) {
   MMM_RETURN_NOT_OK(ValidateName(name));
-  MMM_RETURN_NOT_OK(env_->AppendToFile(root_ + "/" + name, data));
-  stats_.AddWrite(data.size());
-  Charge(data.size());
-  return Status::OK();
-}
-
-Status FileStore::PutDetached(const std::string& name,
-                              std::span<const uint8_t> data, StoreStats* stats,
-                              uint64_t* cost_nanos) const {
-  MMM_RETURN_NOT_OK(ValidateName(name));
-  MMM_RETURN_NOT_OK(env_->WriteFile(root_ + "/" + name, data));
-  ++stats->write_ops;
-  stats->bytes_written += data.size();
-  *cost_nanos = latency_.CostNanos(data.size());
-  return Status::OK();
+  return BlobWriteStream(this, name, root_ + "/" + name, detached);
 }
 
 void FileStore::MergeBatch(const StoreStats& delta, uint64_t charge_nanos) {

@@ -8,12 +8,74 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "storage/blob_sink.h"
 #include "storage/env.h"
 #include "storage/latency_model.h"
 #include "storage/store_stats.h"
 #include "storage/stream_file.h"
 
 namespace mmm {
+
+/// Window of a streamed blob write: a BlobWriteStream issues one Env write
+/// per full window, so a blob of at most this many bytes is one Env write.
+/// Fixed, not an option: it bounds what a save holds per blob in flight.
+inline constexpr uint64_t kWriteWindowBytes = uint64_t{1} << 20;
+
+class FileStore;
+
+/// \brief Writes one blob in windows of kWriteWindowBytes: the first
+/// window with Env::WriteFile (replacing any old blob), the rest with
+/// Env::AppendToFile. Nothing reaches the Env before the first full window
+/// or Close. The CRC-32 of the bytes is folded as they pass, so a journaled
+/// commit never reads a payload back to checksum it.
+///
+/// Cost model: Close charges one write op plus the blob's bytes, exactly
+/// like Put, however many Env writes the blob took. A stream opened
+/// detached charges nothing and leaves its op and cost in stats() and
+/// cost_nanos() for StoreBatch to merge (see FileStore::MergeBatch).
+/// A stream dropped without Close charges nothing; the windows it already
+/// wrote stay, for the commit journal's rollback to delete.
+class BlobWriteStream : public BlobSink {
+ public:
+  BlobWriteStream(BlobWriteStream&&) = default;
+  BlobWriteStream& operator=(BlobWriteStream&&) = default;
+
+  Status Append(std::span<const uint8_t> bytes) override;
+  /// Writes the last window (an empty blob is still created) and charges
+  /// the write. The stream takes no bytes afterwards.
+  Status Close();
+
+  const std::string& name() const { return name_; }
+  /// CRC-32 of the whole blob; valid after Close.
+  uint32_t crc() const { return crc_; }
+  /// A detached stream's counters and modeled cost; valid after Close.
+  const StoreStats& stats() const { return stats_; }
+  uint64_t cost_nanos() const { return cost_nanos_; }
+
+ private:
+  friend class FileStore;
+  BlobWriteStream(FileStore* store, std::string name, std::string path,
+                  bool detached)
+      : store_(store),
+        name_(std::move(name)),
+        path_(std::move(path)),
+        detached_(detached) {}
+
+  /// One Env write of `bytes` at the end of what is written.
+  Status Write(std::span<const uint8_t> bytes);
+
+  FileStore* store_;
+  std::string name_;
+  std::string path_;
+  bool detached_;
+  bool closed_ = false;
+  std::vector<uint8_t> window_;
+  uint64_t written_ = 0;
+  uint64_t env_writes_ = 0;
+  uint32_t crc_ = 0;
+  StoreStats stats_;
+  uint64_t cost_nanos_ = 0;
+};
 
 /// \brief Named-blob store backed by an Env directory.
 ///
@@ -34,17 +96,18 @@ class FileStore {
   /// Creates the root directory.
   Status Open();
 
-  /// Writes a blob; overwrites silently. Blob names must be non-empty and
-  /// must not contain '/'.
+  /// Writes a blob through one BlobWriteStream; overwrites silently. Blob
+  /// names must be non-empty and must not contain '/'.
   Status Put(const std::string& name, std::span<const uint8_t> data);
 
   /// Writes a string blob.
   Status PutString(const std::string& name, std::string_view data);
 
-  /// Appends to a blob (creates it if absent). Lets writers stream large
-  /// artifacts — e.g. a parameter blob for a fleet larger than RAM —
-  /// without buffering them.
-  Status Append(const std::string& name, std::span<const uint8_t> data);
+  /// Opens a windowed write of blob `name` (see BlobWriteStream). With
+  /// `detached`, the stream's accounting is left to the caller, so lanes
+  /// may write distinct blobs concurrently.
+  Result<BlobWriteStream> OpenWriteStream(const std::string& name,
+                                          bool detached = false);
 
   /// Reads a blob.
   Result<std::vector<uint8_t>> Get(const std::string& name);
@@ -86,14 +149,6 @@ class FileStore {
   /// \name Batched-write support (see storage/store_batch.h).
   /// @{
 
-  /// Writes a blob like Put but defers all accounting to the caller: shared
-  /// stats are untouched, nothing is charged to the simulated clock, and the
-  /// op's counters and modeled cost are returned through `stats` /
-  /// `cost_nanos` instead. Safe to call concurrently for distinct names —
-  /// this is the entry point StoreBatch fans out across executor lanes.
-  Status PutDetached(const std::string& name, std::span<const uint8_t> data,
-                     StoreStats* stats, uint64_t* cost_nanos) const;
-
   /// Folds a batch's merged per-lane counters back into this store's stats
   /// and charges `charge_nanos` of modeled time (the batch's overlapped
   /// total) to the simulated clock.
@@ -113,6 +168,7 @@ class FileStore {
   const StoreLatencyModel& latency() const { return latency_; }
 
  private:
+  friend class BlobWriteStream;
   Status ValidateName(const std::string& name) const;
   void Charge(uint64_t bytes);
 

@@ -6,6 +6,18 @@
 
 namespace mmm {
 
+namespace {
+
+Result<CommitJournal::LandedBlob> ParseLandedBlob(const JsonValue& blob) {
+  CommitJournal::LandedBlob landed;
+  MMM_ASSIGN_OR_RETURN(landed.name, blob.GetString("name"));
+  MMM_ASSIGN_OR_RETURN(int64_t crc, blob.GetInt64("crc"));
+  landed.crc = static_cast<uint32_t>(crc);
+  return landed;
+}
+
+}  // namespace
+
 Status CommitJournal::Open() {
   MutexLock lock(mu_);
   entries_.clear();
@@ -48,8 +60,11 @@ Status CommitJournal::Open() {
       for (const JsonValue& blob : blobs->array_items()) {
         BlobIntent intent;
         MMM_ASSIGN_OR_RETURN(intent.name, blob.GetString("name"));
-        MMM_ASSIGN_OR_RETURN(int64_t crc, blob.GetInt64("crc"));
-        intent.crc = static_cast<uint32_t>(crc);
+        if (blob.Has("crc")) {
+          // An older log: the CRC of a blob about to be written.
+          MMM_ASSIGN_OR_RETURN(LandedBlob landed, ParseLandedBlob(blob));
+          entry.landed.push_back(std::move(landed));
+        }
         if (blob.Has("cas")) {
           MMM_ASSIGN_OR_RETURN(intent.cas_chunk, blob.GetBool("cas"));
         }
@@ -81,6 +96,14 @@ Status CommitJournal::Open() {
                                   ": commit mark for unknown txn ", txn);
       }
       entry->committed = true;
+      if (record.Has("blobs")) {
+        MMM_ASSIGN_OR_RETURN(const JsonValue* blobs, record.Get("blobs"));
+        entry->landed.clear();
+        for (const JsonValue& blob : blobs->array_items()) {
+          MMM_ASSIGN_OR_RETURN(LandedBlob landed, ParseLandedBlob(blob));
+          entry->landed.push_back(std::move(landed));
+        }
+      }
     } else if (state == "finish") {
       std::erase_if(entries_, [txn](const Entry& e) { return e.txn == txn; });
     } else {
@@ -127,9 +150,9 @@ Result<RepairReport> CommitJournal::Replay(FileStore* file_store,
       ++report.rolled_back;
       continue;
     }
-    // Committed: every blob is durable; roll the entry forward by inserting
-    // whichever declared documents are still missing.
-    for (const BlobIntent& blob : entry.blobs) {
+    // Committed: every blob that landed is durable; roll the entry forward
+    // by inserting whichever declared documents are still missing.
+    for (const LandedBlob& blob : entry.landed) {
       auto data = file_store->Get(blob.name);
       if (!data.ok()) {
         report.problems.push_back("committed txn " + std::to_string(entry.txn) +
@@ -196,13 +219,19 @@ Result<uint64_t> CommitJournal::Begin(const std::string& set_id,
   return entries_.back().txn;
 }
 
-Status CommitJournal::MarkCommitted(uint64_t txn) {
+Status CommitJournal::MarkCommitted(uint64_t txn,
+                                    std::vector<LandedBlob> landed) {
   MutexLock lock(mu_);
   Entry* entry = FindEntry(txn);
   if (entry == nullptr) {
     return Status::InvalidArgument("commit journal has no pending txn ", txn);
   }
-  MMM_RETURN_NOT_OK(AppendRecord(CommitRecord(txn)));
+  entry->landed = std::move(landed);
+  Status appended = AppendRecord(CommitRecord(*entry));
+  if (!appended.ok()) {
+    entry->landed.clear();
+    return appended;
+  }
   entry->committed = true;
   return Status::OK();
 }
@@ -224,7 +253,7 @@ Status CommitJournal::MarkFinished(uint64_t txn) {
   for (const Entry& entry : entries_) {
     if (entry.txn == txn) continue;
     text += Line(BeginRecord(entry));
-    if (entry.committed) text += Line(CommitRecord(entry.txn));
+    if (entry.committed) text += Line(CommitRecord(entry));
   }
   MMM_RETURN_NOT_OK(env_->WriteFile(
       path_, std::span<const uint8_t>(
@@ -257,7 +286,6 @@ JsonValue CommitJournal::BeginRecord(const Entry& entry) {
   for (const BlobIntent& blob : entry.blobs) {
     JsonValue intent = JsonValue::Object();
     intent.Set("name", blob.name);
-    intent.Set("crc", static_cast<int64_t>(blob.crc));
     if (blob.cas_chunk) intent.Set("cas", true);
     blob_array.Append(std::move(intent));
   }
@@ -279,10 +307,18 @@ JsonValue CommitJournal::BeginRecord(const Entry& entry) {
   return record;
 }
 
-JsonValue CommitJournal::CommitRecord(uint64_t txn) {
+JsonValue CommitJournal::CommitRecord(const Entry& entry) {
   JsonValue record = JsonValue::Object();
-  record.Set("txn", txn);
+  record.Set("txn", entry.txn);
   record.Set("state", "commit");
+  JsonValue blob_array = JsonValue::Array();
+  for (const LandedBlob& blob : entry.landed) {
+    JsonValue landed = JsonValue::Object();
+    landed.Set("name", blob.name);
+    landed.Set("crc", static_cast<int64_t>(blob.crc));
+    blob_array.Append(std::move(landed));
+  }
+  record.Set("blobs", std::move(blob_array));
   return record;
 }
 

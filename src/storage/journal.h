@@ -39,35 +39,42 @@ struct RepairReport {
 /// object per line, like the document store's WAL):
 ///
 ///   {"txn":N,"state":"begin","set_id":...,"approach":...,
-///    "blobs":[{"name":...,"crc":...}],"docs":[{"collection":...,"doc":...}],
+///    "blobs":[{"name":...}],"docs":[{"collection":...,"doc":...}],
 ///    "deletes":[...]}
-///   {"txn":N,"state":"commit"}
+///   {"txn":N,"state":"commit","blobs":[{"name":...,"crc":...}]}
 ///
 /// The `begin` record declares every side effect of the commit before any of
-/// them happens: the blob names with the CRC32 of the exact bytes about to be
-/// written, the metadata documents about to be inserted (or, with
-/// `"replace":true`, overwritten in place), and the blobs the commit retires
-/// once it is durable (`deletes`, written only when non-empty — used by the
-/// chain compactor to hand superseded delta blobs to GC atomically with the
-/// metadata rewrite). `commit` is the atomicity point — it is appended after
-/// all blob writes succeed and before the first document insert. Once the
-/// entry is fully applied, including the retirement deletes, MarkFinished
-/// rewrites the log to hold only the `begin`/`commit` records of the
-/// entries still pending. The log thus stays bounded by the pending entries
-/// (the commits in flight plus any a failed save left behind) rather than
-/// growing with every commit for the life of the process. Logs written by
-/// older versions may also hold `{"txn":N,"state":"finish"}` records; Open
-/// drops the entry they name.
+/// them happens: the names of every blob the commit may write (a CAS
+/// commit's pack name is reserved up front and may stay unused), the
+/// metadata documents about to be inserted (or, with `"replace":true`,
+/// overwritten in place), and the blobs the commit retires once it is
+/// durable (`deletes`, written only when non-empty — used by the chain
+/// compactor to hand superseded delta blobs to GC atomically with the
+/// metadata rewrite). Blobs are streamed, so their CRCs are known only once
+/// written: `commit` lists each blob that landed with the CRC32 folded as
+/// its bytes passed to the store. `commit` is the atomicity point — it is
+/// appended after all blob writes succeed and before the first document
+/// insert. Once the entry is fully applied, including the retirement
+/// deletes, MarkFinished rewrites the log to hold only the `begin`/`commit`
+/// records of the entries still pending. The log thus stays bounded by the
+/// pending entries (the commits in flight plus any a failed save left
+/// behind) rather than growing with every commit for the life of the
+/// process.
+///
+/// Logs written by older versions carry each blob's CRC in `begin`
+/// (`{"name":...,"crc":...}`) and a `commit` record without blobs; every
+/// declared blob then counts as landed with that CRC. They may also hold
+/// `{"txn":N,"state":"finish"}` records; Open drops the entry they name.
 ///
 /// Replay() turns a crash at any point into rollback-or-commit:
-///  - entries without a `commit` mark are rolled back (listed blobs deleted,
-///    any listed insert documents defensively removed; replace intents keep
-///    their old live document and retirement deletes never run) — the save
-///    never happened;
+///  - entries without a `commit` mark are rolled back (declared blobs
+///    deleted, by name, any listed insert documents defensively removed;
+///    replace intents keep their old live document and retirement deletes
+///    never run) — the save never happened;
 ///  - pending entries with `commit` are completed by idempotently inserting
 ///    (or upserting, for replace intents) the listed documents, after
-///    verifying the listed blobs exist with the recorded CRCs, and by
-///    re-issuing the retirement deletes — the save fully happened.
+///    verifying the blobs that landed exist with their recorded CRCs, and
+///    by re-issuing the retirement deletes — the save fully happened.
 ///
 /// A torn final line (crash mid-append) is dropped, exactly like the document
 /// store's WAL: the record was never acknowledged, so the entry it would have
@@ -80,8 +87,8 @@ struct RepairReport {
 /// single-threaded open-time operations.
 class CommitJournal {
  public:
-  /// One blob the commit is about to write, with the CRC32 of its payload.
-  /// `cas_chunk` (serialized as `"cas":true`) marks a blob rollback must
+  /// One blob the commit may write. `cas_chunk` (serialized as
+  /// `"cas":true`) marks a blob rollback must
   /// NOT delete because other commits may share it. Only journals of the
   /// retired per-chunk-file CAS layout carry it — each of its `cas-<hex>`
   /// chunk files could back manifests an earlier commit made durable — and
@@ -89,8 +96,12 @@ class CommitJournal {
   /// commit, so they are journaled as ordinary blobs (see cas/pack.h).
   struct BlobIntent {
     std::string name;
-    uint32_t crc = 0;
     bool cas_chunk = false;
+  };
+  /// One blob the commit wrote, with the CRC32 of its stored bytes.
+  struct LandedBlob {
+    std::string name;
+    uint32_t crc = 0;
   };
   /// One document the commit is about to insert. When `replace` is set the
   /// commit overwrites an existing document under the same `_id` (remove +
@@ -122,8 +133,9 @@ class CommitJournal {
                          std::vector<BlobIntent> blobs,
                          std::vector<DocIntent> docs,
                          std::vector<std::string> deletes = {});
-  /// Appends the `commit` record: all blob writes are durable.
-  Status MarkCommitted(uint64_t txn);
+  /// Appends the `commit` record: the blobs in `landed`, each a declared
+  /// one, are durable with those CRCs, and the commit wrote no other blob.
+  Status MarkCommitted(uint64_t txn, std::vector<LandedBlob> landed = {});
   /// All document inserts are durable: drops the entry and rewrites the log
   /// with the records of the entries still pending (empty if none).
   Status MarkFinished(uint64_t txn);
@@ -144,13 +156,15 @@ class CommitJournal {
     std::string set_id;
     std::string approach;
     std::vector<BlobIntent> blobs;
+    /// Set by the commit mark (or, in older logs, by `begin`).
+    std::vector<LandedBlob> landed;
     std::vector<DocIntent> docs;
     std::vector<std::string> deletes;
     bool committed = false;
   };
 
   static JsonValue BeginRecord(const Entry& entry);
-  static JsonValue CommitRecord(uint64_t txn);
+  static JsonValue CommitRecord(const Entry& entry);
   /// One record as a log line: its JSON plus the newline.
   static std::string Line(const JsonValue& record);
   /// Serializes one record to the log through the Env. Touches no journal

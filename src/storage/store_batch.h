@@ -8,7 +8,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "serialize/compress.h"
 #include "serialize/json.h"
+#include "storage/blob_sink.h"
 #include "storage/cas_iface.h"
 #include "storage/document_store.h"
 #include "storage/executor.h"
@@ -29,32 +31,37 @@ struct StorePipelineOptions {
   uint64_t dispatch_nanos_per_op = 0;
 };
 
-/// Produces a blob payload on a worker lane. This is where CPU-heavy save
-/// work (state-dict encoding, diff encoding, compression) runs when the
-/// pipeline has more than one lane.
-using BlobProducer = std::function<Result<std::vector<uint8_t>>()>;
+/// Streams a blob's payload into a sink at commit time, on a worker lane
+/// when the pipeline has more than one. This is where CPU-heavy save work
+/// (state-dict encoding, diff encoding) runs. The bytes go straight on to
+/// the store (or to the CAS chunker), so a writer never holds its whole
+/// blob unless it builds one.
+using BlobWriter = std::function<Status(BlobSink*)>;
 
 /// \brief An op-batch over the file and document stores.
 ///
-/// Callers stage blob writes, document inserts, and deferred
-/// encode/compress work items, then Commit() once. Commit executes
-/// independent file-store writes (and their producers) in parallel across
-/// the executor's lanes; document inserts always run serially on the
-/// committing thread, in staging order, modeling the single metadata-store
-/// connection.
+/// Callers stage blob writes, document inserts, and deferred blob writers,
+/// then Commit() once. Every blob goes through one sink chain (DESIGN.md
+/// §12): its writer (or its ready bytes), an optional compressor stage
+/// (which holds the whole blob: shuffle-lz transposes it), then a
+/// FileStore write stream, or, with CAS, the session's chunking sink. With
+/// more than one lane, independent blobs stream in parallel; document
+/// inserts always run serially on the committing thread, in staging order,
+/// modeling the single metadata-store connection, after every blob.
 ///
 /// Latency accounting models overlapped I/O lanes: file op `i` (staging
 /// order) is assigned to lane `i % lanes`, each lane's cost is the sum of
 /// its ops' modeled costs, and the batch charges
 /// `max(lane costs) + dispatch_nanos_per_op * file_ops` to the simulated
-/// clock. With one lane the max over a single lane is the serial sum and no
-/// dispatch cost applies, so lane=1 is bit-identical to issuing every op
+/// clock. A streamed blob is one op of its full size, however many windows
+/// it took. With one lane the max over a single lane is the serial sum and
+/// no dispatch cost applies, so lane=1 is bit-identical to issuing every op
 /// directly against the stores. Store statistics (`write_ops`,
 /// `bytes_written`) are collected per op and merged once per commit, so
 /// counters stay exact for any lane count.
 ///
-/// Error handling: Commit returns the first failing op in *staging* order
-/// among the ops that ran, and skips the document phase if any file op
+/// Error handling: Commit returns the first failing blob in *staging*
+/// order among the blobs that ran, and skips the document phase if any
 /// failed. Blob writes that already completed are not rolled back in
 /// process (matching the pre-pipeline behavior of a failed multi-write
 /// save); with a journal attached, the next open's journal replay rolls
@@ -62,14 +69,15 @@ using BlobProducer = std::function<Result<std::vector<uint8_t>>()>;
 /// all-or-nothing (see storage/journal.h). Committing clears the batch
 /// either way.
 ///
-/// With a journal, Commit additionally brackets the batch in a commit
-/// protocol: all deferred producers run first (so a failed encode touches
-/// nothing), then a `begin` intent record, then the blob writes, a `commit`
-/// mark, the document inserts, and a `finish` mark. Blob writes are
-/// numbered in staging order through a WriteOrderGroup, so fault-injection
-/// sweeps hit identical crash points at any lane count.
+/// With a journal, Commit brackets the batch in a commit protocol: a
+/// `begin` record naming every blob it may write, the blob streams, a
+/// `commit` record with the CRC of each blob that landed (folded as its
+/// bytes passed), the document inserts, and a `finish` mark. Blob writes
+/// are numbered by (blob, window) in staging order through a
+/// WriteOrderGroup, so fault-injection sweeps hit identical crash points at
+/// any lane count.
 ///
-/// Deferred producers may capture references to caller state (e.g. the
+/// Deferred writers may capture references to caller state (e.g. the
 /// ModelSet being saved); that state must stay alive and unmodified until
 /// Commit returns. A batch is single-owner: stage and commit from one
 /// thread.
@@ -78,11 +86,11 @@ class StoreBatch {
   /// \param executor worker pool; nullptr means serial (one lane).
   /// \param journal commit journal; nullptr commits without crash atomicity.
   /// \param cas content-addressed store; nullptr stores payloads verbatim.
-  ///   When set, Commit first runs every deferred producer inline and hands
-  ///   each blob write to a CAS session, which may rewrite it into a
-  ///   manifest (see storage/cas_iface.h). The session's one pack write is
-  ///   staged ahead of every other op, so fault-injection crash points stay
-  ///   lane-invariant and no manifest lands before its chunks.
+  ///   When set, Commit streams every blob, in staging order on the
+  ///   committing thread, through a CAS session, which appends new chunks
+  ///   to the commit's pack and turns the blob into a manifest or keeps it
+  ///   verbatim (see storage/cas_iface.h). The pack is written whole
+  ///   before any of those, so no manifest lands before its chunks.
   StoreBatch(FileStore* file_store, DocumentStore* doc_store,
              Executor* executor = nullptr, StorePipelineOptions options = {},
              CommitJournal* journal = nullptr, CasWriter* cas = nullptr);
@@ -91,9 +99,10 @@ class StoreBatch {
   void PutBlob(std::string name, std::vector<uint8_t> data);
   /// Stages a blob write of a string payload.
   void PutBlobString(std::string name, std::string_view data);
-  /// Stages a blob write whose payload is produced on a worker lane at
-  /// commit time.
-  void PutBlobDeferred(std::string name, BlobProducer producer);
+  /// Stages a blob write whose payload `writer` streams at commit time,
+  /// compressed with `compression` on the way to the store.
+  void PutBlobDeferred(std::string name, BlobWriter writer,
+                       Compression compression = Compression::kNone);
   /// Stages a document insert. The document is captured by value at staging
   /// time; inserts execute in staging order.
   void InsertDocument(std::string collection, JsonValue doc);
@@ -128,25 +137,33 @@ class StoreBatch {
     OpKind kind;
     std::string name;  ///< blob name (kBlobWrite/kBlobDelete) or collection
     std::vector<uint8_t> data;
-    BlobProducer producer;  ///< non-null: produces `data` at commit time
+    BlobWriter writer;  ///< non-null: streams the payload at commit time
+    Compression compression = Compression::kNone;
     JsonValue doc;
   };
 
-  /// Runs producers, hands every blob write to a CAS session (which may
-  /// rewrite it into a manifest), and stages the session's pack write
-  /// first. Fills `*session` for post-commit Applied()/Aborted().
-  Status ApplyCasTransform(std::unique_ptr<CasWriteSession>* session);
-
+  /// Writes, declares (with a journal) and applies everything staged.
+  Status CommitOps(size_t lanes, CasWriteSession* session);
+  /// Streams `op`'s payload through its compressor stage into `sink`.
+  static Status Produce(StagedOp& op, BlobSink* sink);
+  /// Streams `op` to its own file-store write stream and closes it.
+  Result<BlobWriteStream> StreamBlob(StagedOp& op, bool detached);
+  /// Streams every staged blob to its own file-store write stream: in
+  /// staging order for one lane, fanned out under a WriteOrderGroup for
+  /// more. Fills `landed` in staging order; returns the first failure in
+  /// staging order.
+  /// `written`, if not null, is a blob streamed before the fan-out (a CAS
+  /// commit's pack): file op 0 in the lane accounting.
+  Status WriteBlobs(const std::vector<size_t>& blob_ops, size_t lanes,
+                    const BlobWriteStream* written,
+                    std::vector<CommitJournal::LandedBlob>* landed);
+  /// Streams every staged blob through `session` into its pack, writes the
+  /// pack whole, then the manifests and verbatim blobs the session returns.
+  Status WriteBlobsThroughCas(const std::vector<size_t>& blob_ops,
+                              size_t lanes, CasWriteSession* session,
+                              std::vector<CommitJournal::LandedBlob>* landed);
   /// Executes one staged kDocInsert/kDocReplace against the document store.
   Status ApplyDocOp(const StagedOp& op);
-
-  Status CommitSerial();
-  Status CommitParallel();
-  Status CommitJournaled(size_t lanes);
-  /// Writes every staged blob (producers must have run already): in staging
-  /// order via Put for one lane, fanned out via PutDetached under a
-  /// WriteOrderGroup for more. Returns the first failure in staging order.
-  Status WriteBlobs(const std::vector<size_t>& blob_ops, size_t lanes);
 
   FileStore* file_store_;
   DocumentStore* doc_store_;

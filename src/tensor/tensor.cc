@@ -107,8 +107,12 @@ Tensor Tensor::FromVector(std::vector<float> values) {
 
 Tensor Tensor::Reshape(Shape new_shape) const {
   MMM_DCHECK(NumElements(new_shape) == numel());
-  Tensor out = *this;
+  // Built with the new shape, not as a copy whose shape is then replaced.
+  Tensor out;
   out.shape_ = std::move(new_shape);
+  out.buffer_ = buffer_;
+  out.data_ = data_;
+  out.numel_ = numel_;
   return out;
 }
 

@@ -311,15 +311,19 @@ TEST(ManifestTest, ChunkNamespaceHelpers) {
 
 TEST(PackTest, IndexRoundTripsAndTilesTheData) {
   InMemoryEnv env;
-  PackBuilder builder;
+  VectorSink sink;
+  PackWriter writer(&sink);
   const std::vector<uint8_t> a = RandomBytes(300, 1);
   const std::vector<uint8_t> b = RandomBytes(17, 2);
   const std::string a_hex = Sha256::Hash(std::span<const uint8_t>(a)).ToHex();
   const std::string b_hex = Sha256::Hash(std::span<const uint8_t>(b)).ToHex();
-  builder.Add(a_hex, a);
-  builder.Add(b_hex, b);
-  const std::vector<uint8_t> pack = builder.Finish();
-  EXPECT_TRUE(builder.empty());
+  ASSERT_OK(writer.Add(a_hex, a, Crc32::Compute(a)));
+  ASSERT_OK(writer.Add(b_hex, b, Crc32::Compute(b)));
+  // Chunks go to the sink as they are added; the index follows at Finish.
+  EXPECT_EQ(sink.bytes().size(), a.size() + b.size());
+  ASSERT_OK(writer.Finish());
+  const std::vector<uint8_t> pack = sink.Take();
+  EXPECT_EQ(writer.size(), pack.size());
   ASSERT_EQ(pack.size(), a.size() + b.size() + 2 * kCasPackEntrySize +
                              kCasPackFooterSize);
   ASSERT_OK(env.WriteFile("/p", pack));
@@ -756,10 +760,13 @@ TEST_F(CasManagerTest, OrphanSweepReclaimsUntrackedChunksOnly) {
   // Plant a pack no index entry references (what an aborted commit's
   // already-written pack leaves behind).
   std::vector<uint8_t> junk = RandomBytes(100, /*seed=*/23);
-  PackBuilder builder;
-  builder.Add(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex(), junk);
+  VectorSink sink;
+  PackWriter writer(&sink);
+  ASSERT_OK(writer.Add(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex(),
+                       junk, Crc32::Compute(junk)));
+  ASSERT_OK(writer.Finish());
   const std::string junk_name = PackBlobName(999);
-  ASSERT_OK(manager->file_store()->Put(junk_name, builder.Finish()));
+  ASSERT_OK(manager->file_store()->Put(junk_name, sink.bytes()));
 
   ASSERT_OK_AND_ASSIGN(OrphanReport orphans,
                        FindOrphanBlobs(manager->context()));
@@ -808,12 +815,15 @@ TEST_F(CasManagerTest, AuditFlagsMissingAndCorruptChunks) {
   ASSERT_OK(manager->cas()->Audit(&problems));
   EXPECT_FALSE(problems.empty());
   ASSERT_OK(env->WriteFile(pack_path, original));
-  PackBuilder builder;
+  VectorSink sink;
+  PackWriter writer(&sink);
   std::vector<uint8_t> junk = RandomBytes(64, /*seed=*/29);
-  builder.Add(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex(), junk);
+  ASSERT_OK(writer.Add(Sha256::Hash(std::span<const uint8_t>(junk)).ToHex(),
+                       junk, Crc32::Compute(junk)));
+  ASSERT_OK(writer.Finish());
   ASSERT_OK(env->WriteFile(
       manager->file_store()->root() + "/" + PackBlobName(where.pack + 100),
-      builder.Finish()));
+      sink.bytes()));
   problems.clear();
   ASSERT_OK(manager->cas()->Audit(&problems));
   ASSERT_EQ(problems.size(), 1u);

@@ -55,7 +55,7 @@ struct World {
 
   Status Open(ApproachType type, size_t lanes) {
     approach = type;
-    scenario = std::make_unique<MultiModelScenario>(SweepScenario());
+    scenario = std::make_unique<MultiModelScenario>(config);
     MMM_RETURN_NOT_OK(scenario->Init());
     return Reopen(lanes);
   }
@@ -86,6 +86,7 @@ struct World {
 
   InMemoryEnv base;
   FaultInjectionEnv fault;
+  ScenarioConfig config = SweepScenario();
   ApproachType approach;
   /// Off by default (the seed contract); CAS sweeps turn it on before Open.
   CasOptions cas;
@@ -250,6 +251,85 @@ INSTANTIATE_TEST_SUITE_P(AllApproaches, CrashSweep,
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Multi-window sweep: a param blob several write windows long reaches the
+// Env as one WriteFile and then AppendToFile calls (FileStore's
+// BlobWriteStream), so a crash can leave a blob, or a CAS pack, cut off
+// after any window. Each such point must roll back or commit like any
+// other, and the numbering of (blob, window) writes must not depend on the
+// lane count.
+
+struct MultiWindowCase {
+  ApproachType approach;
+  bool cas;
+};
+
+class MultiWindowCrashSweep
+    : public ::testing::TestWithParam<MultiWindowCase> {
+ protected:
+  static Status OpenWorld(World* world, size_t lanes) {
+    // 110 FFNN-48 models: a 2.2 MB param blob, three write windows.
+    world->config = ScenarioConfig::Battery(110);
+    world->config.samples_per_dataset = 16;
+    world->cas.enabled = GetParam().cas;
+    return world->Open(GetParam().approach, lanes);
+  }
+
+  static std::string Label(size_t lanes, int64_t k) {
+    return ApproachTypeName(GetParam().approach) +
+           (GetParam().cas ? " cas" : "") + " lanes=" + std::to_string(lanes) +
+           " crash@" + std::to_string(k);
+  }
+};
+
+TEST_P(MultiWindowCrashSweep, EveryCrashPointOfAMultiWindowSaveRecovers) {
+  std::map<size_t, int64_t> writes_at;
+  // lanes -> crash point -> blob -> bytes on disk right after the crash.
+  std::map<size_t, std::map<int64_t, std::map<std::string, uint64_t>>> left;
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    World probe;
+    ASSERT_OK(OpenWorld(&probe, lanes));
+    const int64_t before = probe.fault.write_count();
+    ASSERT_OK_AND_ASSIGN(SaveResult saved, probe.SaveInitial());
+    const int64_t writes = probe.fault.write_count() - before;
+    writes_at[lanes] = writes;
+    // begin, >= 3 windows of the param blob (or pack), the other blobs,
+    // commit, document, finish.
+    ASSERT_GE(writes, 7) << Label(lanes, -1);
+
+    for (int64_t k = 0; k < writes; ++k) {
+      const std::string label = Label(lanes, k);
+      World world;
+      ASSERT_OK(OpenWorld(&world, lanes));
+      ASSERT_EQ(world.fault.write_count(), before) << label;
+      world.fault.FailWritesAfter(before + k);
+      EXPECT_FALSE(world.SaveInitial().ok()) << label;
+      world.fault.Heal();
+      const std::string root = world.manager->file_store()->root();
+      for (const std::string& name : world.base.ListDir(root).ValueOrDie()) {
+        left[lanes][k][name] =
+            world.base.FileSize(root + "/" + name).ValueOrDie();
+      }
+      ASSERT_OK(world.Reopen(lanes));
+      ExpectStoreConsistent(&world, label);
+      ExpectRollbackOrCommit(&world, saved.set_id,
+                             world.scenario->current_set(), label);
+    }
+  }
+  EXPECT_EQ(writes_at[1], writes_at[4]);
+  // The same fault index cut the same (blob, window) at either lane count.
+  EXPECT_TRUE(left[1] == left[4]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Snapshots, MultiWindowCrashSweep,
+    ::testing::Values(MultiWindowCase{ApproachType::kUpdate, false},
+                      MultiWindowCase{ApproachType::kBaseline, true}),
+    [](const auto& info) {
+      return ApproachTypeName(info.param.approach) +
+             (info.param.cas ? "_cas" : "_raw");
+    });
 
 // ---------------------------------------------------------------------------
 // CAS crash sweep: with the content-addressed chunk store on, a save stages

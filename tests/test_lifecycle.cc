@@ -7,7 +7,6 @@
 
 #include "core/adaptive.h"
 #include "core/gc.h"
-#include "core/streaming.h"
 #include "nn/metrics.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -34,13 +33,9 @@ TEST(LifecycleTest, FullDeploymentStory) {
   ASSERT_OK_AND_ASSIGN(auto manager, ModelSetManager::Open(options));
 
   // --- Commissioning: stream the initial fleet into a baseline snapshot.
-  ASSERT_OK_AND_ASSIGN(auto writer,
-                       StreamingSnapshotWriter::Begin(
-                           manager->context(), config.spec, 24));
-  for (const StateDict& model : scenario.current_set().models) {
-    ASSERT_OK(writer->Append(model));
-  }
-  ASSERT_OK_AND_ASSIGN(SaveResult commissioned, writer->Finish());
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult commissioned,
+      manager->SaveInitial(ApproachType::kBaseline, scenario.current_set()));
 
   // --- Deployment: three update cycles archived with the Update approach,
   // seeded from the streamed snapshot's models.

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "serialize/crc32.h"
 #include "storage/document_store.h"
 #include "storage/env.h"
 #include "storage/file_store.h"
@@ -579,7 +580,7 @@ TEST(CommitJournalTest, FinishingTheLastPendingEntryEmptiesTheLog) {
   CommitJournal journal(&env, path);
   ASSERT_OK(journal.Open());
   auto begin = [&](const std::string& set_id) {
-    return journal.Begin(set_id, "update", {{set_id + ".bin", 7}}, {});
+    return journal.Begin(set_id, "update", {{set_id + ".bin"}}, {});
   };
   for (int i = 0; i < 4; ++i) {
     ASSERT_OK_AND_ASSIGN(uint64_t txn, begin("set-" + std::to_string(i)));
@@ -623,14 +624,14 @@ TEST(CommitJournalTest, AnEntryNeverFinishedKeepsTheLogAtItsRecords) {
   const std::string path = "/commit.journal";
   CommitJournal journal(&env, path);
   ASSERT_OK(journal.Open());
-  ASSERT_OK(journal.Begin("set-failed", "update", {{"failed.bin", 3}}, {})
+  ASSERT_OK(journal.Begin("set-failed", "update", {{"failed.bin"}}, {})
                 .status());
   ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> failed_records,
                        env.ReadFile(path));
   for (int i = 0; i < 8; ++i) {
     std::string set_id = "set-" + std::to_string(i);
     ASSERT_OK_AND_ASSIGN(uint64_t txn,
-                         journal.Begin(set_id, "update", {{set_id + ".bin", 7}},
+                         journal.Begin(set_id, "update", {{set_id + ".bin"}},
                                        {}));
     ASSERT_OK(journal.MarkCommitted(txn));
     ASSERT_OK(journal.MarkFinished(txn));
@@ -642,6 +643,102 @@ TEST(CommitJournalTest, AnEntryNeverFinishedKeepsTheLogAtItsRecords) {
   ASSERT_OK(reopened.Open());
   EXPECT_EQ(reopened.pending_entries(), 1u);
   EXPECT_EQ(reopened.PendingBlobs(), std::vector<std::string>{"failed.bin"});
+}
+
+TEST(CommitJournalTest, ReplaysALogWithCrcsInItsBeginRecords) {
+  // Logs written before blob CRCs moved to the commit record carry each
+  // blob's CRC in `begin` and a bare `commit` mark. Such a log still
+  // replays: an entry without a commit mark is rolled back by name, and a
+  // committed one is rolled forward, its blobs checked against the CRCs
+  // its `begin` declared.
+  InMemoryEnv env;
+  FileStore files(&env, "/blobs");
+  ASSERT_OK(files.Open());
+  DocumentStore docs(&env, "/docs.wal");
+  ASSERT_OK(docs.Open());
+  const std::vector<uint8_t> rolled = {1, 2, 3};
+  const std::vector<uint8_t> kept = {4, 5, 6, 7};
+  const std::vector<uint8_t> damaged = {8, 9};
+  ASSERT_OK(files.Put("rolled.bin", rolled));
+  ASSERT_OK(files.Put("kept.bin", kept));
+  ASSERT_OK(files.Put("damaged.bin", damaged));
+  const auto crc = [](const std::vector<uint8_t>& bytes) {
+    return std::to_string(Crc32::Compute(bytes));
+  };
+  const std::string log =
+      R"({"txn":1,"state":"begin","set_id":"set-r","approach":"baseline",)"
+      R"("blobs":[{"name":"rolled.bin","crc":)" + crc(rolled) + "}],"
+      R"("docs":[{"collection":"sets","doc":{"_id":"set-r"}}]})" "\n"
+      R"({"txn":2,"state":"begin","set_id":"set-k","approach":"baseline",)"
+      R"("blobs":[{"name":"kept.bin","crc":)" + crc(kept) + "}],"
+      R"("docs":[{"collection":"sets","doc":{"_id":"set-k"}}]})" "\n"
+      R"({"txn":2,"state":"commit"})" "\n"
+      R"({"txn":3,"state":"begin","set_id":"set-d","approach":"baseline",)"
+      R"("blobs":[{"name":"damaged.bin","crc":)" + crc(kept) + "}],"
+      R"("docs":[{"collection":"sets","doc":{"_id":"set-d"}}]})" "\n"
+      R"({"txn":3,"state":"commit"})" "\n";
+  ASSERT_OK(env.WriteFile(
+      "/commit.journal",
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(log.data()),
+                               log.size())));
+
+  CommitJournal journal(&env, "/commit.journal");
+  ASSERT_OK(journal.Open());
+  EXPECT_EQ(journal.pending_entries(), 3u);
+  ASSERT_OK_AND_ASSIGN(RepairReport report, journal.Replay(&files, &docs));
+  EXPECT_EQ(report.rolled_back, 1u);
+  EXPECT_EQ(report.completed, 2u);
+  EXPECT_EQ(report.docs_inserted, 2u);
+  EXPECT_FALSE(files.Exists("rolled.bin").ValueOrDie());
+  EXPECT_TRUE(files.Exists("kept.bin").ValueOrDie());
+  EXPECT_TRUE(docs.Get("sets", "set-k").ok());
+  EXPECT_FALSE(docs.Get("sets", "set-r").ok());
+  ASSERT_EQ(report.problems.size(), 1u);
+  EXPECT_NE(report.problems[0].find("damaged.bin"), std::string::npos)
+      << report.problems[0];
+  EXPECT_NE(report.problems[0].find("journaled crc"), std::string::npos);
+}
+
+TEST(CommitJournalTest, CommitRecordCarriesTheCrcsOfTheBlobsThatLanded) {
+  // Today's records: `begin` names blobs, `commit` lists those that landed
+  // with their CRCs. A declared blob that never landed (a CAS commit's
+  // unused pack name) is not checked on roll-forward.
+  InMemoryEnv env;
+  FileStore files(&env, "/blobs");
+  ASSERT_OK(files.Open());
+  DocumentStore docs(&env, "/docs.wal");
+  ASSERT_OK(docs.Open());
+  const std::vector<uint8_t> landed = {1, 2, 3};
+  ASSERT_OK(files.Put("landed.bin", landed));
+  {
+    CommitJournal journal(&env, "/commit.journal");
+    ASSERT_OK(journal.Open());
+    JsonValue doc = JsonValue::Object();
+    doc.Set("_id", "set-1");
+    ASSERT_OK_AND_ASSIGN(
+        uint64_t txn,
+        journal.Begin("set-1", "baseline", {{"pack-unused"}, {"landed.bin"}},
+                      {{"sets", doc}}));
+    ASSERT_OK(journal.MarkCommitted(
+        txn, {{"landed.bin", Crc32::Compute(landed)}}));
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> raw,
+                         env.ReadFile("/commit.journal"));
+    const std::string text(raw.begin(), raw.end());
+    const size_t newline = text.find('\n');
+    ASSERT_NE(newline, std::string::npos);
+    const std::string begin = text.substr(0, newline);
+    const std::string commit = text.substr(newline + 1);
+    EXPECT_EQ(begin.find("\"crc\""), std::string::npos) << begin;
+    EXPECT_NE(commit.find("\"crc\""), std::string::npos) << commit;
+    EXPECT_EQ(commit.find("pack-unused"), std::string::npos) << commit;
+  }
+  // The process stopped before the document landed: replay rolls forward.
+  CommitJournal journal(&env, "/commit.journal");
+  ASSERT_OK(journal.Open());
+  ASSERT_OK_AND_ASSIGN(RepairReport report, journal.Replay(&files, &docs));
+  EXPECT_TRUE(report.clean()) << report.problems.front();
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_TRUE(docs.Get("sets", "set-1").ok());
 }
 
 TEST(StoreStatsTest, Arithmetic) {

@@ -8,8 +8,16 @@
 #include <thread>
 #include <vector>
 
+#include "cas/blob_io.h"
+#include "cas/chunker.h"
+#include "cas/manifest.h"
+#include "cas/pack.h"
 #include "core/blob_formats.h"
 #include "core/manager.h"
+#include "serialize/binary_io.h"
+#include "serialize/compress.h"
+#include "serialize/crc32.h"
+#include "serialize/sha256.h"
 #include "storage/env.h"
 #include "storage/executor.h"
 #include "tests/test_util.h"
@@ -106,11 +114,11 @@ void StageMixedOps(StoreBatch* batch) {
   batch->PutBlob("b0.bin", {0, 1, 2, 3});
   batch->InsertDocument("sets", Doc("d0"));
   batch->PutBlobString("b1.txt", "payload-one");
-  batch->PutBlobDeferred("b2.bin", []() -> Result<std::vector<uint8_t>> {
-    return std::vector<uint8_t>{9, 8, 7};
+  batch->PutBlobDeferred("b2.bin", [](BlobSink* sink) {
+    return sink->Append(std::vector<uint8_t>{9, 8, 7});
   });
-  batch->PutBlobDeferred("b3.bin", []() -> Result<std::vector<uint8_t>> {
-    return std::vector<uint8_t>(100, 42);
+  batch->PutBlobDeferred("b3.bin", [](BlobSink* sink) {
+    return sink->Append(std::vector<uint8_t>(100, 42));
   });
   batch->InsertDocument("sets", Doc("d1"));
 }
@@ -260,7 +268,7 @@ TEST(StoreBatchTest, ParallelCommitReportsFirstStagedError) {
   Executor executor(8);
   StoreBatch batch(&stores.file_store, &stores.doc_store, &executor);
   batch.PutBlob("ok.bin", {1});
-  batch.PutBlobDeferred("enc.bin", []() -> Result<std::vector<uint8_t>> {
+  batch.PutBlobDeferred("enc.bin", [](BlobSink*) {
     return Status::Internal("producer exploded");
   });
   batch.PutBlob("ok2.bin", {2});
@@ -600,6 +608,146 @@ TEST(PipelineEquivalenceTest, AllApproachesLaneInvariant) {
     for (size_t s = 0; s < serial.recovered.size(); ++s) {
       ExpectSameSet(parallel.recovered[s], serial.recovered[s],
                     "set " + std::to_string(s));
+    }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// One streamed save path: stored bytes
+// ---------------------------------------------------------------------------
+
+/// A whole-blob param encoder kept in the test, independent of the
+/// library's window encoder: header, floats, layer CRC table, footer.
+std::vector<uint8_t> ReferenceParamBlob(const ModelSet& set) {
+  BinaryWriter writer;
+  const char magic[] = "MMMPARM2";
+  writer.WriteBytes(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(magic), 8));
+  writer.WriteVarint(set.models.size());
+  writer.WriteVarint(set.spec.ParameterCount());
+  std::vector<uint32_t> table;
+  for (const StateDict& model : set.models) {
+    for (const auto& [key, tensor] : model) {
+      const size_t at = writer.size();
+      writer.WriteFloatSpan(tensor.data());
+      table.push_back(Crc32::Compute(
+          std::span<const uint8_t>(writer.buffer()).subspan(at)));
+    }
+  }
+  for (uint32_t crc : table) writer.WriteUint32(crc);
+  writer.WriteUint32(Crc32::Compute(writer.buffer()));
+  return writer.TakeBuffer();
+}
+
+/// One saved store: every blob's logical bytes by name (a manifest read
+/// back through the CAS read path), without the pack blobs.
+struct SavedStore {
+  std::map<std::string, std::vector<uint8_t>> blobs;
+  std::map<std::string, CasManifest> manifests;
+  std::vector<std::pair<std::string, ModelSet>> snapshots;  ///< param blob
+};
+
+SavedStore SaveScenario(ApproachType type, Compression codec, bool cas,
+                        size_t lanes) {
+  // 60 FFNN-48 models: a 1.2 MB param blob, two write windows.
+  ScenarioConfig config =
+      ScenarioConfig::Battery(type == ApproachType::kMMlibBase ? 6 : 60);
+  config.samples_per_dataset = 16;
+  MultiModelScenario scenario(config);
+  scenario.Init().Check();
+  InMemoryEnv env;
+  ModelSetManager::Options options;
+  options.root_dir = "/store";
+  options.env = &env;
+  options.resolver = &scenario;
+  options.blob_compression = codec;
+  options.cas.enabled = cas;
+  options.pipeline.lanes = lanes;
+  auto manager = ModelSetManager::Open(options).ValueOrDie();
+  SavedStore out;
+  SaveResult saved =
+      manager->SaveInitial(type, scenario.current_set()).ValueOrDie();
+  out.snapshots.push_back({saved.set_id + ".params.bin",
+                           scenario.current_set()});
+  ModelSetUpdateInfo update = scenario.AdvanceCycle().ValueOrDie();
+  update.base_set_id = saved.set_id;
+  manager->SaveDerived(type, scenario.current_set(), update).ValueOrDie();
+
+  FileStore* files = manager->file_store();
+  for (const std::string& name : files->List().ValueOrDie()) {
+    if (IsPackBlobName(name)) continue;
+    out.blobs[name] =
+        cas ? CasReadBlobRange(files, manager->cas(), name, 0,
+                               CasBlobSize(files, manager->cas(), name)
+                                   .ValueOrDie())
+                  .ValueOrDie()
+            : files->Get(name).ValueOrDie();
+    std::vector<uint8_t> stored = files->Get(name).ValueOrDie();
+    if (IsManifestPayload(stored)) {
+      out.manifests[name] = DecodeManifest(stored).ValueOrDie();
+    }
+  }
+  return out;
+}
+
+TEST(StreamedSaveTest, StoredBlobsMatchTheReferenceEncodersEverywhere) {
+  CasOptions chunking;
+  for (ApproachType type : kAllApproaches) {
+    for (Compression codec :
+         {Compression::kNone, Compression::kLz, Compression::kShuffleLz}) {
+      const std::string combo =
+          ApproachTypeName(type) + "/" + std::string(CompressionName(codec));
+      // One lane, no CAS: every param blob equals the test's own encoder
+      // (framed by the codec); the other blobs come from their whole-blob
+      // encoders and are the reference for the other configurations.
+      const SavedStore reference = SaveScenario(type, codec, false, 1);
+      for (const auto& [name, set] : reference.snapshots) {
+        if (type == ApproachType::kMMlibBase) continue;
+        const std::vector<uint8_t> raw = ReferenceParamBlob(set);
+        ASSERT_TRUE(reference.blobs.count(name) != 0) << combo << " " << name;
+        EXPECT_TRUE(reference.blobs.at(name) ==
+                    (codec == Compression::kNone ? raw
+                                                 : CompressBlob(codec, raw)))
+            << combo << " " << name;
+      }
+      for (bool cas : {false, true}) {
+        for (size_t lanes : {size_t{1}, size_t{4}}) {
+          const std::string label = combo + (cas ? " cas" : " raw") +
+                                    " lanes=" + std::to_string(lanes);
+          const SavedStore saved = SaveScenario(type, codec, cas, lanes);
+          EXPECT_EQ(saved.blobs.size(), reference.blobs.size()) << label;
+          for (const auto& [name, bytes] : reference.blobs) {
+            auto it = saved.blobs.find(name);
+            ASSERT_TRUE(it != saved.blobs.end()) << label << " " << name;
+            EXPECT_TRUE(it->second == bytes) << label << " " << name;
+          }
+          if (!cas) {
+            EXPECT_TRUE(saved.manifests.empty()) << label;
+            continue;
+          }
+          // A manifest lists the chunks ChunkBlob cuts from the whole
+          // payload, with its size and CRC.
+          for (const auto& [name, manifest] : saved.manifests) {
+            const std::vector<uint8_t>& payload = reference.blobs.at(name);
+            EXPECT_EQ(manifest.raw_size, payload.size()) << label << " " << name;
+            EXPECT_EQ(manifest.raw_crc, Crc32::Compute(payload))
+                << label << " " << name;
+            const std::vector<ChunkSpan> spans = ChunkBlob(payload, chunking);
+            ASSERT_EQ(manifest.chunks.size(), spans.size())
+                << label << " " << name;
+            for (size_t c = 0; c < spans.size(); ++c) {
+              EXPECT_EQ(manifest.chunks[c].length, spans[c].length);
+              EXPECT_EQ(manifest.chunks[c].hash_hex,
+                        Sha256::Hash(std::span<const uint8_t>(payload).subspan(
+                                         spans[c].offset, spans[c].length))
+                            .ToHex())
+                  << label << " " << name << " chunk " << c;
+            }
+          }
+          EXPECT_FALSE(saved.manifests.empty()) << label;
+        }
+      }
     }
   }
 }
