@@ -1,5 +1,9 @@
 #include "core/model_set.h"
 
+#include <cstring>
+
+#include "common/strings.h"
+
 namespace mmm {
 
 ParamLayout LayoutOf(const ArchitectureSpec& spec) {
@@ -58,6 +62,35 @@ Result<ModelSet> MakeInitializedSet(const ArchitectureSpec& spec, size_t count,
     set.models.push_back(model.GetStateDict());
   }
   return set;
+}
+
+std::string DiffSets(const ModelSet& got, const ModelSet& want) {
+  if (!(got.spec == want.spec)) return "architecture spec differs";
+  if (got.models.size() != want.models.size()) {
+    return StringFormat("model count %zu != expected %zu", got.models.size(),
+                        want.models.size());
+  }
+  for (size_t m = 0; m < got.models.size(); ++m) {
+    if (got.models[m].size() != want.models[m].size()) {
+      return StringFormat("model %zu parameter count differs", m);
+    }
+    for (size_t p = 0; p < got.models[m].size(); ++p) {
+      const auto& [got_key, got_tensor] = got.models[m][p];
+      const auto& [want_key, want_tensor] = want.models[m][p];
+      if (got_key != want_key) {
+        return StringFormat("model %zu param %zu key '%s' != '%s'", m, p,
+                            got_key.c_str(), want_key.c_str());
+      }
+      if (got_tensor.shape() != want_tensor.shape() ||
+          (got_tensor.numel() != 0 &&
+           std::memcmp(got_tensor.data().data(), want_tensor.data().data(),
+                       got_tensor.numel() * sizeof(float)) != 0)) {
+        return StringFormat("model %zu param '%s' bytes differ", m,
+                            got_key.c_str());
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace mmm

@@ -38,6 +38,11 @@ size_t LayoutNumel(const ParamLayout& layout);
 /// Verifies every model in the set matches the spec's layout.
 Status CheckSetConsistent(const ModelSet& set);
 
+/// "" when `got` equals `want` bit for bit (spec, model count, parameter
+/// keys, shapes and bytes), else a one-line description of the first
+/// divergence.
+std::string DiffSets(const ModelSet& got, const ModelSet& want);
+
 /// Creates a set of `count` freshly initialized models. Model k is seeded
 /// with (seed, k), so sets are reproducible and models differ from each
 /// other.

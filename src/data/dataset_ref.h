@@ -39,6 +39,10 @@ std::string HashTrainingData(const TrainingData& data);
 /// Implementations wrap whatever external system owns the data; in this
 /// repository the scenario generators (battery, CIFAR) act as the external
 /// system because their output is deterministic in the URI.
+///
+/// Thread-safety: Resolve() must be safe to call concurrently. Provenance
+/// recovery calls it from service worker threads, and several recoveries
+/// may run at once.
 class DatasetResolver {
  public:
   virtual ~DatasetResolver() = default;

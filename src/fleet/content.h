@@ -28,9 +28,10 @@ namespace mmm {
 /// plan may derive several children from one base. Everything is memoized;
 /// computing a set twice returns the identical object.
 ///
-/// Thread-safety: Resolve() is pure (no memo access) because provenance
-/// recovery calls it from service worker threads; all other methods are
-/// confined to the simulator thread.
+/// Thread-safety: Resolve() and GenerateData() are pure (no memo access)
+/// and safe to call concurrently, because provenance recovery calls Resolve
+/// from service worker threads; all other methods are confined to the
+/// simulator thread.
 class FleetContentEngine : public DatasetResolver {
  public:
   struct Config {
@@ -76,6 +77,7 @@ class FleetContentEngine : public DatasetResolver {
     uint64_t parent = 0;
   };
 
+  /// Pure function of (config, model, cycle); safe to call concurrently.
   TrainingData GenerateData(uint64_t model_index, uint64_t cycle) const;
   TrainPipelineSpec PipelineFor(uint64_t ordinal) const;
 

@@ -15,33 +15,6 @@
 namespace mmm {
 namespace {
 
-/// "" when bit-identical, else a one-line description of the first
-/// divergence.
-std::string DiffSets(const ModelSet& got, const ModelSet& want) {
-  if (!(got.spec == want.spec)) return "architecture spec differs";
-  if (got.models.size() != want.models.size()) {
-    return StringFormat("model count %zu != expected %zu", got.models.size(),
-                        want.models.size());
-  }
-  for (size_t m = 0; m < got.models.size(); ++m) {
-    if (got.models[m].size() != want.models[m].size()) {
-      return StringFormat("model %zu parameter count differs", m);
-    }
-    for (size_t p = 0; p < got.models[m].size(); ++p) {
-      if (got.models[m][p].first != want.models[m][p].first) {
-        return StringFormat("model %zu param %zu key '%s' != '%s'", m, p,
-                            got.models[m][p].first.c_str(),
-                            want.models[m][p].first.c_str());
-      }
-      if (!got.models[m][p].second.Equals(want.models[m][p].second)) {
-        return StringFormat("model %zu param '%s' bytes differ", m,
-                            got.models[m][p].first.c_str());
-      }
-    }
-  }
-  return "";
-}
-
 std::string JoinIds(const std::set<std::string>& ids) {
   std::string out;
   for (const std::string& id : ids) {

@@ -118,10 +118,6 @@ Result<TrainReport> TrainModel(Model* model, const Tensor& inputs,
       MakeOptimizer(config, model->network()->Parameters()));
 
   TrainReport report;
-  MMM_ASSIGN_OR_RETURN(report.initial_loss,
-                       EvaluateLoss(model, inputs, targets, config.loss));
-  report.final_loss = report.initial_loss;
-
   const size_t n = inputs.dim(0);
   Rng shuffle_rng = Rng(config.shuffle_seed).Fork("train-shuffle");
   std::vector<size_t> order(n);

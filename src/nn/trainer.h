@@ -36,7 +36,7 @@ struct TrainConfig {
 
 /// \brief Outcome statistics of one training run.
 struct TrainReport {
-  float initial_loss = 0.0f;
+  /// Loss of the last mini-batch (0 when no step ran).
   float final_loss = 0.0f;
   int64_t steps = 0;
 };

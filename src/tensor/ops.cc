@@ -1,5 +1,6 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mmm {
@@ -70,12 +71,6 @@ Tensor AddScalar(const Tensor& a, float value) {
   return out;
 }
 
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  Tensor out = a;
-  for (float& x : out.mutable_data()) x = fn(x);
-  return out;
-}
-
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   MMM_DCHECK(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(0));
   const size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
@@ -98,17 +93,22 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   MMM_DCHECK(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(1));
   const size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  // With b^T laid out [k,n], the innermost loop runs across the n outputs
+  // of row i: independent sums the compiler can vectorize, each still
+  // accumulated in increasing p. No zero skip, so 0 * Inf and 0 * NaN
+  // reach the sum exactly as in a dot product.
+  const Tensor bt = Transpose2D(b);
   Tensor out(Shape{m, n});
   const float* pa = a.data().data();
-  const float* pb = b.data().data();
+  const float* pb = bt.data().data();
   float* po = out.mutable_data().data();
   for (size_t i = 0; i < m; ++i) {
     const float* arow = pa + i * k;
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      po[i * n + j] = acc;
+    float* orow = po + i * n;
+    for (size_t p = 0; p < k; ++p) {
+      const float av = arow[p];
+      const float* brow = pb + p * n;
+      for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
   return out;

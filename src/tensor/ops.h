@@ -1,8 +1,6 @@
 #ifndef MMM_TENSOR_OPS_H_
 #define MMM_TENSOR_OPS_H_
 
-#include <functional>
-
 #include "tensor/tensor.h"
 
 namespace mmm {
@@ -12,7 +10,10 @@ namespace mmm {
 /// result; *InPlace variants mutate the first argument. Shape mismatches are
 /// programmer errors (MMM_DCHECK). Reductions use a fixed left-to-right
 /// order, which keeps training bit-deterministic across runs — a requirement
-/// for the Provenance approach's exact replay.
+/// for the Provenance approach's exact replay. Kernels vectorize across
+/// independent outputs only, never by reordering one output's reduction, and
+/// the library builds with -ffp-contract=off so no build fuses a multiply
+/// and an add into an FMA: trained bytes are the same on every build.
 
 /// \name Elementwise binary ops (equal shapes).
 /// @{
@@ -32,15 +33,23 @@ void ScaleInPlace(Tensor* a, float factor);
 Tensor AddScalar(const Tensor& a, float value);
 /// @}
 
-/// Applies `fn` elementwise.
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
+/// Applies `fn` (float -> float) elementwise. A template, so the callable
+/// inlines into the loop.
+template <typename Fn>
+Tensor Map(const Tensor& a, Fn&& fn) {
+  Tensor out = a;
+  for (float& x : out.mutable_data()) x = fn(x);
+  return out;
+}
 
 /// \name Matrix ops (2-D tensors).
 /// @{
 /// [m,k] x [k,n] -> [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
-/// [m,k] x [n,k]^T -> [m,n] (right operand transposed; avoids materializing
-/// the transpose in Linear::Forward).
+/// [m,k] x [n,k]^T -> [m,n] (right operand transposed, as Linear::Forward
+/// holds its weight). Each output is the k-ordered sum
+/// `((0 + a[i,0]*b[j,0]) + a[i,1]*b[j,1]) + ...`, computed for a whole row of
+/// outputs at once.
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 /// [m,k]^T x [m,n] -> [k,n] (left operand transposed; used for weight grads).
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);

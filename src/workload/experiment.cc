@@ -107,6 +107,19 @@ Result<UseCaseResult> ExperimentRunner::MeasureUseCase(
     chain_head_[type] = metrics.set_id;
 
     // --- Time-to-recover: `runs` recoveries of the canonical set. ---
+    // A recovery that replays everything must give back the saved set bit
+    // for bit; a capped Provenance replay (the §4.4 shortcut) does not.
+    const bool exact = type != ApproachType::kProvenance ||
+                       (config_.provenance_recover.max_replay_models == 0 &&
+                        config_.provenance_recover.max_replay_samples == 0);
+    auto check = [&](const ModelSet& recovered) -> Status {
+      if (!exact) return Status::OK();
+      std::string diff = DiffSets(recovered, set);
+      if (diff.empty()) return Status::OK();
+      return Status::Corruption("recovered ", label, " with ",
+                                ApproachTypeName(type),
+                                " differs from the saved set: ", diff);
+    };
     if (config_.measure_ttr) {
       if (config_.ttr_warmup) {
         Result<ModelSet> warmup = manager->Recover(metrics.set_id, nullptr);
@@ -114,6 +127,7 @@ Result<UseCaseResult> ExperimentRunner::MeasureUseCase(
           return warmup.status().WithContext("warm-up recovery of ", label,
                                              " with ", ApproachTypeName(type));
         }
+        MMM_RETURN_NOT_OK(check(warmup.ValueOrDie()));
       }
       std::vector<double> ttr_total, ttr_wall, ttr_modeled;
       for (int run = 0; run < config_.runs; ++run) {
@@ -125,6 +139,7 @@ Result<UseCaseResult> ExperimentRunner::MeasureUseCase(
           return recovered.status().WithContext("recovering ", label, " with ",
                                                 ApproachTypeName(type));
         }
+        MMM_RETURN_NOT_OK(check(recovered.ValueOrDie()));
         double modeled = static_cast<double>(stats.simulated_store_nanos) * 1e-9;
         ttr_wall.push_back(wall);
         ttr_modeled.push_back(modeled);

@@ -66,7 +66,9 @@ struct ExperimentConfig {
 /// Saving is repeated `runs` times per (use case, approach) for the median
 /// TTS; the first save of each cycle is the canonical set that derived saves
 /// and recoveries reference. TTR is measured by `runs` recoveries of the
-/// canonical set.
+/// canonical set. Every recovery that is not a capped Provenance replay is
+/// compared with the set that was saved; a difference fails Run() with
+/// Corruption.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExperimentConfig config);

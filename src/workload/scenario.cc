@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "common/strings.h"
 #include "nn/trainer.h"
@@ -15,6 +16,14 @@ BatteryDataConfig MakeBatteryDataConfig(const ScenarioConfig& config) {
   data_config.seed = config.seed;
   data_config.samples_per_cycle = config.samples_per_dataset;
   return data_config;
+}
+
+constexpr size_t kMaxTrainLanes = 8;
+
+size_t TrainLanes(const ScenarioConfig& config) {
+  size_t lanes = config.train_lanes;
+  if (lanes == 0) lanes = std::thread::hardware_concurrency();
+  return std::clamp<size_t>(lanes, 1, kMaxTrainLanes);
 }
 
 }  // namespace
@@ -49,7 +58,8 @@ ScenarioConfig ScenarioConfig::Cifar(size_t num_models) {
 MultiModelScenario::MultiModelScenario(ScenarioConfig config)
     : config_(std::move(config)),
       battery_gen_(MakeBatteryDataConfig(config_)),
-      cifar_gen_(config_.seed) {}
+      cifar_gen_(config_.seed),
+      train_executor_(TrainLanes(config_)) {}
 
 Status MultiModelScenario::Init() {
   if (initialized_) return Status::InvalidArgument("scenario already initialized");
@@ -81,14 +91,19 @@ TrainingData MultiModelScenario::GenerateData(uint64_t model_index,
   return battery_gen_.GenerateCellDataset(model_index, cycle, soh);
 }
 
+std::string MultiModelScenario::DatasetUri(uint64_t model_index,
+                                          uint64_t cycle) const {
+  const char* scheme =
+      config_.kind == ScenarioKind::kCifar ? "cifar://model" : "battery://cell";
+  return StringFormat("%s/%llu/cycle/%llu", scheme,
+                      static_cast<unsigned long long>(model_index),
+                      static_cast<unsigned long long>(cycle));
+}
+
 DatasetRef MultiModelScenario::MakeDatasetRef(uint64_t model_index,
                                               uint64_t cycle) const {
   DatasetRef ref;
-  const char* scheme =
-      config_.kind == ScenarioKind::kCifar ? "cifar://model" : "battery://cell";
-  ref.uri = StringFormat("%s/%llu/cycle/%llu", scheme,
-                         static_cast<unsigned long long>(model_index),
-                         static_cast<unsigned long long>(cycle));
+  ref.uri = DatasetUri(model_index, cycle);
   ref.content_hash = HashTrainingData(GenerateData(model_index, cycle));
   return ref;
 }
@@ -125,20 +140,19 @@ Result<TrainingData> MultiModelScenario::Resolve(const DatasetRef& ref) {
 }
 
 Status MultiModelScenario::TrainOne(size_t model_index, UpdateKind kind,
-                                    uint64_t cycle, std::string* content_hash) {
+                                    uint64_t cycle, StateDict* trained,
+                                    std::string* content_hash) const {
   TrainingData data = GenerateData(model_index, cycle);
-  if (content_hash != nullptr) *content_hash = HashTrainingData(data);
+  *content_hash = HashTrainingData(data);
   MMM_ASSIGN_OR_RETURN(Model model, Model::Create(config_.spec));
   MMM_RETURN_NOT_OK(model.LoadStateDict(set_.models[model_index]));
-  TrainPipelineSpec pipeline = PipelineForCycle(cycle);
-  TrainConfig train = pipeline.train_config;
+  TrainConfig train = PipelineForCycle(cycle).train_config;
   if (kind == UpdateKind::kPartial) {
     train.trainable_layers = config_.partial_layers;
   }
-  MMM_ASSIGN_OR_RETURN(TrainReport report,
-                       TrainModel(&model, data.inputs, data.targets, train));
-  (void)report;
-  set_.models[model_index] = model.GetStateDict();
+  MMM_RETURN_NOT_OK(
+      TrainModel(&model, data.inputs, data.targets, train).status());
+  *trained = model.GetStateDict();
   return Status::OK();
 }
 
@@ -146,7 +160,7 @@ Result<ModelSetUpdateInfo> MultiModelScenario::AdvanceCycle() {
   if (!initialized_) {
     return Status::InvalidArgument("scenario not initialized");
   }
-  ++cycle_;
+  const uint64_t cycle = cycle_ + 1;
 
   const size_t n = config_.num_models;
   auto count_full = static_cast<size_t>(
@@ -155,31 +169,44 @@ Result<ModelSetUpdateInfo> MultiModelScenario::AdvanceCycle() {
       std::llround(config_.partial_update_fraction * static_cast<double>(n)));
   count_full = std::min(count_full, n);
   count_partial = std::min(count_partial, n - count_full);
+  const size_t count = count_full + count_partial;
 
   // "only a subset of models has diverged significantly ... and needs
   // updating" (§4.1) — the subset is drawn fresh every cycle.
-  Rng schedule_rng = Rng(config_.seed).Fork("update-schedule", cycle_);
+  Rng schedule_rng = Rng(config_.seed).Fork("update-schedule", cycle);
   std::vector<size_t> order = schedule_rng.Permutation(n);
+  auto kind_of = [count_full](size_t i) {
+    return i < count_full ? UpdateKind::kFull : UpdateKind::kPartial;
+  };
+
+  // Item i trains model order[i] on lane i % lanes. Each reads only its own
+  // model and writes only its own slot, so no lane sees another's work.
+  struct Trained {
+    Status status;
+    StateDict state;
+    std::string content_hash;
+  };
+  std::vector<Trained> trained(count);
+  train_executor_.ParallelFor(count, [&](size_t i) {
+    trained[i].status = TrainOne(order[i], kind_of(i), cycle, &trained[i].state,
+                                 &trained[i].content_hash);
+  });
+  for (const Trained& slot : trained) MMM_RETURN_NOT_OK(slot.status);
 
   ModelSetUpdateInfo info;
   info.kinds.assign(n, UpdateKind::kNone);
   info.data_refs.resize(n);
-  info.pipeline = PipelineForCycle(cycle_);
+  info.pipeline = PipelineForCycle(cycle);
   info.partial_layers = config_.partial_layers;
-
-  for (size_t i = 0; i < count_full + count_partial; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     size_t model_index = order[i];
-    UpdateKind kind = i < count_full ? UpdateKind::kFull : UpdateKind::kPartial;
-    info.kinds[model_index] = kind;
-    DatasetRef ref;
-    MMM_RETURN_NOT_OK(TrainOne(model_index, kind, cycle_, &ref.content_hash));
-    const char* scheme =
-        config_.kind == ScenarioKind::kCifar ? "cifar://model" : "battery://cell";
-    ref.uri = StringFormat("%s/%llu/cycle/%llu", scheme,
-                           static_cast<unsigned long long>(model_index),
-                           static_cast<unsigned long long>(cycle_));
-    info.data_refs[model_index] = std::move(ref);
+    info.kinds[model_index] = kind_of(i);
+    DatasetRef& ref = info.data_refs[model_index];
+    ref.uri = DatasetUri(model_index, cycle);
+    ref.content_hash = std::move(trained[i].content_hash);
+    set_.models[model_index] = std::move(trained[i].state);
   }
+  cycle_ = cycle;
   return info;
 }
 

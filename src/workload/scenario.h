@@ -8,6 +8,7 @@
 #include "core/model_set.h"
 #include "data/cifar_synthetic.h"
 #include "data/dataset_ref.h"
+#include "storage/executor.h"
 
 namespace mmm {
 
@@ -44,6 +45,10 @@ struct ScenarioConfig {
   double initial_soh = 1.0;
   double soh_decrement = 0.01;
 
+  /// Threads that train a cycle's models (0 = hardware threads). At most
+  /// 8 are used. The trained sets do not depend on it.
+  size_t train_lanes = 0;
+
   /// Default battery scenario (FFNN-48).
   static ScenarioConfig Battery(size_t num_models = 5000);
   /// Battery scenario with the larger FFNN-69 model.
@@ -58,7 +63,14 @@ struct ScenarioConfig {
 ///
 /// Fully deterministic in the config: two scenarios with equal configs
 /// produce bit-identical model-set sequences, so every approach can be
-/// evaluated on exactly the same workload.
+/// evaluated on exactly the same workload. `train_lanes` is no exception:
+/// each model trains alone on its own data, so the lane that runs it cannot
+/// change a bit.
+///
+/// Thread-safety: Resolve() reads only the config and the generators, so it
+/// is safe to call concurrently (provenance recovery calls it from service
+/// worker threads), even while AdvanceCycle runs. Init and AdvanceCycle are
+/// confined to one thread.
 class MultiModelScenario : public DatasetResolver {
  public:
   explicit MultiModelScenario(ScenarioConfig config);
@@ -70,6 +82,9 @@ class MultiModelScenario : public DatasetResolver {
   /// Runs one U3 iteration: selects models per the update fractions,
   /// retrains them on freshly generated data, and returns the derivation
   /// metadata (base_set_id left empty — each approach chain fills its own).
+  /// The selected models train in parallel on the scenario's lanes. If any
+  /// fails, the first failing one in schedule order is returned and the set
+  /// and cycle stay as they were.
   Result<ModelSetUpdateInfo> AdvanceCycle();
 
   /// The live model set (after Init / the latest AdvanceCycle).
@@ -80,6 +95,9 @@ class MultiModelScenario : public DatasetResolver {
 
   const ScenarioConfig& config() const { return config_; }
 
+  /// Lanes AdvanceCycle trains on (config().train_lanes resolved and capped).
+  size_t train_lanes() const { return train_executor_.lanes(); }
+
   /// The shared training pipeline of cycle `cycle` (identical across models
   /// of a cycle — §3.4's assumption 1).
   TrainPipelineSpec PipelineForCycle(uint64_t cycle) const;
@@ -89,13 +107,20 @@ class MultiModelScenario : public DatasetResolver {
 
   /// DatasetResolver: regenerates the referenced dataset (the scenario's
   /// generators play the role of the external data owner) and verifies the
-  /// content hash.
+  /// content hash. Safe to call concurrently.
   Result<TrainingData> Resolve(const DatasetRef& ref) override;
 
  private:
+  /// "<scheme>://<entity>/<model>/cycle/<cycle>", the URI Resolve parses.
+  std::string DatasetUri(uint64_t model_index, uint64_t cycle) const;
+  /// Pure function of (config, model, cycle); safe to call concurrently,
+  /// which the training lanes and concurrent Resolve() calls rely on.
   TrainingData GenerateData(uint64_t model_index, uint64_t cycle) const;
+  /// Trains model `model_index` of the current set for `cycle` into
+  /// `trained`, leaving the set untouched. Safe to call concurrently for
+  /// distinct models.
   Status TrainOne(size_t model_index, UpdateKind kind, uint64_t cycle,
-                  std::string* content_hash);
+                  StateDict* trained, std::string* content_hash) const;
 
   ScenarioConfig config_;
   BatteryDataGenerator battery_gen_;
@@ -103,6 +128,8 @@ class MultiModelScenario : public DatasetResolver {
   ModelSet set_;
   uint64_t cycle_ = 0;
   bool initialized_ = false;
+  /// Declared last, so its threads are joined before any other member goes.
+  Executor train_executor_;
 };
 
 }  // namespace mmm

@@ -116,5 +116,19 @@ TEST_F(ExperimentTest, SubsetOfApproachesRuns) {
   EXPECT_FALSE(results[0].metrics.contains(ApproachType::kProvenance));
 }
 
+TEST_F(ExperimentTest, UncappedProvenanceRecoveriesAreCheckedAgainstTheSavedSets) {
+  // Run() compares every uncapped recovery with the set it saved and fails
+  // with Corruption on a difference, so success means each replay was
+  // bit-exact.
+  TempDir temp("experiment-exact");
+  ExperimentConfig config = SmallConfig(temp);
+  config.approaches = {ApproachType::kProvenance};
+  config.provenance_recover = {};
+  config.scenario.train_lanes = 4;
+  ExperimentRunner runner(config);
+  ASSERT_OK_AND_ASSIGN(std::vector<UseCaseResult> results, runner.Run());
+  EXPECT_EQ(results.size(), 3u);
+}
+
 }  // namespace
 }  // namespace mmm

@@ -542,7 +542,7 @@ TEST(MmmsaSelfCheck, TreeSuppressionsAreTheKnownFour) {
   }
   std::vector<std::tuple<std::string, int, std::string>> want = {
       {"bench/suite/mmmbench.cc", 128, "banned-random"},
-      {"src/fleet/simulator.cc", 125, "direct-manager-open"},
+      {"src/fleet/simulator.cc", 98, "direct-manager-open"},
       {"src/workload/experiment.cc", 45, "direct-manager-open"},
       {"tools/mmmctl.cpp", 684, "direct-manager-open"},
   };

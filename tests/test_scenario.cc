@@ -185,5 +185,49 @@ TEST(ScenarioTest, CifarScenarioEndToEnd) {
   EXPECT_EQ(updated, 2u);
 }
 
+TEST(ScenarioTest, AdvanceCycleIsLaneInvariant) {
+  // 80 models: 8 retrained per cycle (4 full, 4 partial), two per lane at 4.
+  ScenarioConfig serial = SmallBattery(80);
+  serial.train_lanes = 1;
+  ScenarioConfig parallel = serial;
+  parallel.train_lanes = 4;
+  MultiModelScenario a(serial), b(parallel);
+  EXPECT_EQ(a.train_lanes(), 1u);
+  EXPECT_EQ(b.train_lanes(), 4u);
+  ASSERT_OK(a.Init());
+  ASSERT_OK(b.Init());
+  for (int cycle = 1; cycle <= 3; ++cycle) {
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo ua, a.AdvanceCycle());
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo ub, b.AdvanceCycle());
+    EXPECT_EQ(ua.kinds, ub.kinds) << "cycle " << cycle;
+    EXPECT_EQ(ua.data_refs, ub.data_refs) << "cycle " << cycle;
+    EXPECT_EQ(ua.pipeline, ub.pipeline) << "cycle " << cycle;
+    EXPECT_EQ(ua.partial_layers, ub.partial_layers) << "cycle " << cycle;
+    EXPECT_EQ(DiffSets(a.current_set(), b.current_set()), "") << "cycle " << cycle;
+  }
+}
+
+TEST(ScenarioTest, TrainLanesAreCappedAtEight) {
+  ScenarioConfig config = SmallBattery(4);
+  config.train_lanes = 9;
+  EXPECT_EQ(MultiModelScenario(config).train_lanes(), 8u);
+  config.train_lanes = 0;  // hardware threads
+  size_t lanes = MultiModelScenario(config).train_lanes();
+  EXPECT_GE(lanes, 1u);
+  EXPECT_LE(lanes, 8u);
+}
+
+TEST(ScenarioTest, FailedCycleLeavesTheSetAndCycleUnchanged) {
+  ScenarioConfig config = SmallBattery(40);
+  config.partial_layers = {"no-such-layer"};  // every partial update fails
+  config.train_lanes = 4;
+  MultiModelScenario scenario(config);
+  ASSERT_OK(scenario.Init());
+  ModelSet before = scenario.current_set();
+  EXPECT_TRUE(scenario.AdvanceCycle().status().IsInvalidArgument());
+  EXPECT_EQ(scenario.cycle(), 0u);
+  EXPECT_EQ(DiffSets(scenario.current_set(), before), "");
+}
+
 }  // namespace
 }  // namespace mmm

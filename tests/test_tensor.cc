@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "serialize/sha256.h"
@@ -278,6 +281,82 @@ TEST(TensorOpsTest, TransposedVariantsAgreeWithExplicitTranspose) {
   Tensor c = RandomTensor(Shape{4, 3}, 3);   // a^T c : [6,3]
   Tensor expected2 = MatMul(Transpose2D(a), c);
   EXPECT_TRUE(MatMulTransposedA(a, c).AllClose(expected2, 1e-5f));
+}
+
+/// The dot-product loop MatMulTransposedB replaced. Trained parameters, and
+/// so Provenance replay of sets saved by older builds, depend on the kernel
+/// computing exactly these sums.
+Tensor DotProductMatMulTransposedB(const Tensor& a, const Tensor& b) {
+  const size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  Tensor out(Shape{m, n});
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < k; ++p) acc += a.at2(i, p) * b.at2(j, p);
+      out.at2(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+/// Equal bits, or both NaN: IEEE 754 leaves the payload of a NaN produced
+/// from two NaN operands to the operand order, which the compiler may swap.
+bool SameBits(float x, float y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::bit_cast<uint32_t>(x) == std::bit_cast<uint32_t>(y);
+}
+
+/// Values in [-1, 1), with one in `special_every` drawn from `specials`.
+Tensor MixedTensor(const Shape& shape, Rng* rng,
+                   const std::vector<float>& specials, uint64_t special_every) {
+  Tensor t(shape);
+  for (float& x : t.mutable_data()) {
+    x = specials.empty() || rng->NextBounded(special_every) != 0
+            ? static_cast<float>(rng->NextUniform(-1.0, 1.0))
+            : specials[rng->NextBounded(specials.size())];
+  }
+  return t;
+}
+
+TEST(TensorOpsTest, MatMulTransposedBMatchesTheDotProductLoopBitForBit) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kDenormMin = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> signed_tiny = {0.0f, -0.0f, kDenormMin, -kDenormMin,
+                                          1e-39f, -3e-40f, 1e-20f, -1e-20f};
+  std::vector<float> non_finite = signed_tiny;
+  non_finite.insert(non_finite.end(),
+                    {kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+                     3e38f, -3e38f});
+  struct Mix {
+    const char* name;
+    std::vector<float> specials;
+    uint64_t every;
+  };
+  const Mix mixes[] = {{"finite", {}, 1},
+                       {"zeros and subnormals", signed_tiny, 2},
+                       {"inf and nan", non_finite, 12}};
+  const size_t ms[] = {0, 1, 3, 17};
+  const size_t ks[] = {0, 1, 2, 7, 33};
+  const size_t ns[] = {0, 1, 5, 16, 17, 31};
+  Rng rng(2024);
+  for (const Mix& mix : mixes) {
+    for (size_t m : ms) {
+      for (size_t k : ks) {
+        for (size_t n : ns) {
+          Tensor a = MixedTensor(Shape{m, k}, &rng, mix.specials, mix.every);
+          Tensor b = MixedTensor(Shape{n, k}, &rng, mix.specials, mix.every);
+          Tensor got = MatMulTransposedB(a, b);
+          Tensor want = DotProductMatMulTransposedB(a, b);
+          ASSERT_EQ(got.shape(), want.shape());
+          for (size_t i = 0; i < got.numel(); ++i) {
+            ASSERT_TRUE(SameBits(got.at(i), want.at(i)))
+                << mix.name << " m=" << m << " k=" << k << " n=" << n
+                << " output " << i << ": " << got.at(i) << " vs " << want.at(i);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TensorOpsTest, TransposeIsInvolution) {

@@ -1207,7 +1207,8 @@ class LayerDagAnalysis {
          {"common", "serialize", "tensor", "storage", "cas", "nn", "data",
           "prov"}},
         {"serve", {"common", "serialize", "tensor", "storage", "core"}},
-        {"workload", {"common", "core", "data", "nn", "prov", "battery"}},
+        {"workload",
+         {"common", "storage", "core", "data", "nn", "prov", "battery"}},
         {"cluster", {"common", "serialize", "storage", "core", "serve"}},
         {"fleet",
          {"common", "serialize", "storage", "cas", "core", "serve", "cluster",
