@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "battery/data_gen.h"
 #include "battery/drive_cycle.h"
 #include "battery/ecm.h"
@@ -205,27 +208,28 @@ void BM_LayerCacheRequest(benchmark::State& state) {
   LayerCache cache(set_charge / 2);
   Rng rng(5);
   std::vector<Sha256Digest> hashes(num_slots);
-  std::vector<std::shared_ptr<const Tensor>> found(num_slots);
-  // Times the two cache calls only: drawing the request and copying the
-  // offered tensors (a recovery decodes them) are paused.
+  std::vector<Tensor> found;
+  // Times the two cache calls only: drawing the request, clearing the
+  // slots a recovery starts with and copying the offered tensors (a
+  // recovery decodes them) are paused.
   auto request = [&](bool timed) {
     if (timed) state.PauseTiming();
     for (size_t slot = 0; slot < num_slots; ++slot) {
       hashes[slot] = universe[slot * kVersions + rng.NextBounded(kVersions)];
     }
+    found.assign(num_slots, Tensor());
     if (timed) state.ResumeTiming();
-    cache.Get(hashes, found);
+    const std::vector<bool> hit = cache.Get(hashes, found);
     if (timed) state.PauseTiming();
     std::vector<Sha256Digest> missed;
     std::vector<Tensor> values;
     for (size_t slot = 0; slot < num_slots; ++slot) {
-      if (found[slot] != nullptr) continue;
+      if (hit[slot]) continue;
       missed.push_back(hashes[slot]);
       values.push_back(tensors[slot % layout.size()]);
     }
-    std::vector<std::shared_ptr<const Tensor>> entries(missed.size());
     if (timed) state.ResumeTiming();
-    cache.Put(missed, values, entries);
+    cache.Put(missed, values);
   };
   for (int warm = 0; warm < 20; ++warm) request(false);
   const LayerCacheStats before = cache.stats();
@@ -240,6 +244,53 @@ void BM_LayerCacheRequest(benchmark::State& state) {
       static_cast<double>(after.evictions - before.evictions) / requests;
 }
 BENCHMARK(BM_LayerCacheRequest)->Unit(benchmark::kMicrosecond);
+
+void BM_LayerCacheHotRequest(benchmark::State& state) {
+  // One recover_hot-shaped request: 4,000 probes of a 500-model FFNN-48 set
+  // that is wholly resident in a cache of twice its charge, so every probe
+  // hits and no offer follows. The threads probe the same set at once, as
+  // concurrent readers of one hot version do, and contend for the cache
+  // lock and for the entries' reference counts. Each iteration also drops
+  // its copies, as a caller does when done with the set.
+  struct HotSet {
+    std::vector<Sha256Digest> hashes;
+    std::unique_ptr<LayerCache> cache;
+  };
+  static const HotSet hot = [] {
+    constexpr size_t kModels = 500;
+    const ParamLayout layout = LayoutOf(Ffnn48Spec());
+    HotSet set;
+    std::vector<Tensor> values;
+    uint64_t set_charge = 0;
+    for (size_t slot = 0; slot < kModels * layout.size(); ++slot) {
+      set.hashes.push_back(Sha256::Hash("layer " + std::to_string(slot)));
+      values.emplace_back(layout[slot % layout.size()].second);
+      set_charge += LayerCache::ChargeOf(values.back());
+    }
+    set.cache = std::make_unique<LayerCache>(2 * set_charge);
+    set.cache->Put(set.hashes, values);
+    return set;
+  }();
+  const std::vector<Sha256Digest>& hashes = hot.hashes;
+  LayerCache& cache = *hot.cache;
+  std::vector<Tensor> found;
+  size_t hits = 0;
+  for (auto _ : state) {
+    found.assign(hashes.size(), Tensor());
+    const std::vector<bool> hit = cache.Get(hashes, found);
+    benchmark::DoNotOptimize(found.data());
+    hits += static_cast<size_t>(std::count(hit.begin(), hit.end(), true));
+  }
+  state.counters["hit_ratio"] = benchmark::Counter(
+      static_cast<double>(hits) /
+          static_cast<double>(hashes.size() * state.iterations()),
+      benchmark::Counter::kAvgThreads);
+}
+BENCHMARK(BM_LayerCacheHotRequest)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime()
+    ->Threads(1)
+    ->Threads(3);
 
 void BM_EncodeStateDict(benchmark::State& state) {
   ModelSet set = MakeInitializedSet(Ffnn48Spec(), 1, 1).ValueOrDie();

@@ -41,6 +41,7 @@ class CasBatchSession : public CasWriteSession {
   }
 
   Result<bool> FinishPack() override {
+    MutexLock pack_lock(pack_mu_);
     if (!pack_.has_value() || pack_->empty()) return false;
     MMM_RETURN_NOT_OK(pack_->Finish());
     pack_used_ = true;
@@ -49,6 +50,7 @@ class CasBatchSession : public CasWriteSession {
 
   Status Applied() override {
     closed_ = true;
+    MutexLock pack_lock(pack_mu_);
     MutexLock lock(store_->mu_);
     // Retired manifests first: a chunk both retired and re-referenced nets
     // out under the same lock, so it never becomes sweepable in between.
@@ -125,21 +127,32 @@ class CasBatchSession : public CasWriteSession {
 
   /// Takes the chunks of one window of a blob: counts a reference to each,
   /// pins it, and appends to the pack each chunk neither the store nor this
-  /// session holds yet. One lock per window.
+  /// session holds yet. The store's lock is held once per window, only to
+  /// decide which chunks are new; the appends, which reach the Env, run
+  /// after it is released, so readers resolving chunks never wait on a
+  /// pack write. pack_mu_ is held across both, so the pack's order is the
+  /// order in which staged_ numbered its entries.
   Status AddChunks(std::span<const uint8_t> bytes,
                    std::span<const ChunkSpan> spans,
                    std::span<const std::string> hexes,
                    std::span<const uint32_t> crcs) {
-    MutexLock lock(store_->mu_);
-    for (size_t c = 0; c < spans.size(); ++c) {
-      const std::string& hex = hexes[c];
-      increments_[hex] += 1;
-      PinLocked(hex);
-      if (store_->chunks_.count(hex) == 0 && staged_.count(hex) == 0) {
-        staged_[hex] = pack_->entries().size();
-        MMM_RETURN_NOT_OK(pack_->Add(
-            hex, bytes.subspan(spans[c].offset, spans[c].length), crcs[c]));
+    MutexLock pack_lock(pack_mu_);
+    std::vector<size_t> fresh;
+    {
+      MutexLock lock(store_->mu_);
+      for (size_t c = 0; c < spans.size(); ++c) {
+        const std::string& hex = hexes[c];
+        increments_[hex] += 1;
+        PinLocked(hex);
+        if (store_->chunks_.count(hex) == 0 && staged_.count(hex) == 0) {
+          staged_[hex] = pack_->entries().size() + fresh.size();
+          fresh.push_back(c);
+        }
       }
+    }
+    for (size_t c : fresh) {
+      MMM_RETURN_NOT_OK(pack_->Add(
+          hexes[c], bytes.subspan(spans[c].offset, spans[c].length), crcs[c]));
     }
     return Status::OK();
   }
@@ -175,13 +188,15 @@ class CasBatchSession : public CasWriteSession {
   bool closed_ = false;
   uint64_t pack_id_ = 0;
   std::string pack_name_;
+  /// Orders this session's pack appends; taken before the store's lock.
+  Mutex pack_mu_ MMM_LOCK_RANK(108);
   /// This commit's new chunks, streamed to the batch's pack sink.
-  std::optional<PackWriter> pack_;
+  std::optional<PackWriter> pack_ MMM_GUARDED_BY(pack_mu_);
   bool pack_used_ = false;
   /// chunk hex -> reference count this commit adds.
   std::map<std::string, uint64_t> increments_;
   /// chunk hex -> its entry in pack_.
-  std::map<std::string, size_t> staged_;
+  std::map<std::string, size_t> staged_ MMM_GUARDED_BY(pack_mu_);
   /// Chunks this session pinned against concurrent sweeps.
   std::set<std::string> pinned_;
   /// Manifest names this commit overwrites or deletes.
@@ -299,7 +314,10 @@ Result<std::unique_ptr<CasBlobSink>> CasBatchSession::OpenBlob(
   if (IsPackBlobName(name) || IsChunkBlobName(name)) {
     return Status::Internal("cas session asked to chunk blob '", name, "'");
   }
-  if (!pack_.has_value()) pack_.emplace(pack);
+  {
+    MutexLock pack_lock(pack_mu_);
+    if (!pack_.has_value()) pack_.emplace(pack);
+  }
   return std::unique_ptr<CasBlobSink>(
       std::make_unique<CasChunkingSink>(this, name));
 }

@@ -66,10 +66,10 @@ struct SetMeta {
 /// layers shared between a base set and its derived sets have identical
 /// hashes, so one cached decode serves every set that contains the layer.
 /// Entries are therefore immutable by construction — a content hash can
-/// never map to stale bytes — and are shared, never copied, between the
-/// cache and its readers. The *document store* remains the single root of
-/// trust: every recovery starts with a live set-document fetch, so a cache
-/// can never resurrect a deleted set.
+/// never map to stale bytes — and a reader's copy of one shares its buffer
+/// (Tensor is copy-on-write), so a hit never copies bytes. The *document
+/// store* remains the single root of trust: every recovery starts with a
+/// live set-document fetch, so a cache can never resurrect a deleted set.
 ///
 /// RecoverCached offers a layer only after it was verified: every blob it
 /// was decoded from passed its CRC check, or, for a layer read by range
@@ -85,20 +85,19 @@ class RecoveryCache {
  public:
   virtual ~RecoveryCache() = default;
 
-  /// Probes every layer of one request at once: `out[i]` receives the
-  /// tensor cached under `hashes[i]`, or null on a miss. `out` is as long
-  /// as `hashes`.
-  virtual void GetLayers(std::span<const Sha256Digest> hashes,
-                         std::span<std::shared_ptr<const Tensor>> out) = 0;
+  /// Probes every layer of one request at once. A hit copies the tensor
+  /// cached under `hashes[i]` into `out[i]`, sharing its buffer; a miss
+  /// leaves `out[i]` as it was. `out` is as long as `hashes`. Returns one
+  /// hit flag per hash.
+  virtual std::vector<bool> GetLayers(std::span<const Sha256Digest> hashes,
+                                      std::span<Tensor> out) = 0;
 
   /// Offers the verified, decoded layers of one request at once, `values[i]`
-  /// under `hashes[i]` (any may be declined). An admitted value is moved
-  /// into the cache's entry, which `entries[i]` receives; a declined one is
-  /// left in `values[i]`, and `entries[i]` is set null. `entries` is as
-  /// long as `hashes`.
+  /// under `hashes[i]` (any may be declined). An admitted value is copied
+  /// into the cache's entry, sharing its buffer; the caller keeps every
+  /// value. RecoverCached makes no offer when it fetched nothing.
   virtual void PutLayers(std::span<const Sha256Digest> hashes,
-                         std::span<Tensor> values,
-                         std::span<std::shared_ptr<const Tensor>> entries) = 0;
+                         std::span<const Tensor> values) = 0;
 
   /// Returns the memoized metadata of a set, or null on a miss.
   virtual std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) = 0;

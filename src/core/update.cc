@@ -431,9 +431,10 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
   if (stats != nullptr) stats->sets_recovered += 1;
   if (missing == 0) return Status::OK();
 
-  std::vector<std::optional<Tensor>> xor_acc(resolved.size());
+  // Sized at the first XOR entry: absolute diffs never need it.
+  std::vector<std::optional<Tensor>> xor_acc;
   auto resolve = [&](size_t slot, Tensor value) {
-    if (xor_acc[slot].has_value()) {
+    if (!xor_acc.empty() && xor_acc[slot].has_value()) {
       value = XorTensors(value, *xor_acc[slot]);
       xor_acc[slot].reset();
     }
@@ -513,7 +514,10 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
       if (resolved[slot]) continue;
       if (!xor_encoded) {
         resolve(slot, diff.TensorAt(e));
-      } else if (xor_acc[slot].has_value()) {
+        continue;
+      }
+      if (xor_acc.empty()) xor_acc.resize(resolved.size());
+      if (xor_acc[slot].has_value()) {
         *xor_acc[slot] = XorTensors(*xor_acc[slot], diff.TensorAt(e));
       } else {
         xor_acc[slot] = diff.TensorAt(e);
@@ -658,17 +662,15 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
     return Status::Corruption("hash table of ", set_id, " holds ", num_slots,
                               " layers, the set ", num_models * num_params);
   }
-  std::vector<std::shared_ptr<const Tensor>> layers(num_slots);
-  cache->GetLayers(hashes, layers);
-  std::vector<bool> hit(num_slots, false);
-  for (size_t slot = 0; slot < num_slots; ++slot) {
-    hit[slot] = layers[slot] != nullptr;
-  }
+  // A hit is copied straight into its slot and shares the entry's buffer;
+  // a caller's first write to it copies the buffer (Tensor is
+  // copy-on-write), so the cache never sees the write.
+  std::vector<Tensor> values(num_slots);
+  const std::vector<bool> hit = cache->GetLayers(hashes, values);
   local.layer_hits += static_cast<uint64_t>(
       std::count(hit.begin(), hit.end(), true));
   local.layer_misses += num_slots - local.layer_hits;
   if (local.layer_misses == 0) local.sets_from_cache += 1;
-  std::vector<Tensor> values(num_slots);
   MMM_RETURN_NOT_OK(ResolveChain(
       context_, &chain, meta->spec, nullptr, hit,
       [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
@@ -679,51 +681,43 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   // root, its bytes matched their layer CRC, so the layers are offered
   // under the requested set's hashes only now, in one batch: a corrupt blob
   // can never leave an entry behind. Ancestors' layers are not admitted
-  // under their own hashes. The cache moves each layer it takes into an
-  // entry; a declined layer stays here and goes to the caller as is.
+  // under their own hashes. An all-hit request makes no offer.
   const size_t num_fetched = static_cast<size_t>(local.layer_misses);
-  std::vector<size_t> fetched_slots;
-  std::vector<Sha256Digest> fetched_hashes;
-  std::vector<Tensor> fetched;
-  fetched_slots.reserve(num_fetched);
-  fetched_hashes.reserve(num_fetched);
-  fetched.reserve(num_fetched);
-  for (size_t slot = 0; slot < num_slots; ++slot) {
-    if (!hit[slot]) {
-      fetched_slots.push_back(slot);
-      fetched_hashes.push_back(hashes[slot]);
-      fetched.push_back(std::move(values[slot]));
+  if (num_fetched > 0) {
+    std::vector<size_t> fetched_slots;
+    std::vector<Sha256Digest> fetched_hashes;
+    std::vector<Tensor> fetched;
+    fetched_slots.reserve(num_fetched);
+    fetched_hashes.reserve(num_fetched);
+    fetched.reserve(num_fetched);
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      if (!hit[slot]) {
+        fetched_slots.push_back(slot);
+        fetched_hashes.push_back(hashes[slot]);
+        fetched.push_back(std::move(values[slot]));
+      }
+    }
+    cache->PutLayers(fetched_hashes, fetched);
+    for (size_t k = 0; k < num_fetched; ++k) {
+      values[fetched_slots[k]] = std::move(fetched[k]);
     }
   }
-  std::vector<std::shared_ptr<const Tensor>> admitted(num_fetched);
-  cache->PutLayers(fetched_hashes, fetched, admitted);
   if (!meta_hit) cache->PutSetMeta(set_id, meta);
 
   // The content hash covers a tensor's bytes, not its shape: a zeroed
-  // [48] bias and a zeroed [1, 48] weight share one entry. Each layer
-  // therefore takes its shape from the layout, never from the entry. It
-  // shares the entry's buffer; a caller's first write copies it, so the
-  // cache never sees the write.
-  // A layer whose entry already has the layout's shape (the usual case)
-  // is copied as is, without a Reshape.
-  const auto shaped = [](const Tensor& entry, const Shape& shape) {
-    return entry.shape() == shape ? entry : entry.Reshape(shape);
-  };
-  for (size_t k = 0; k < num_fetched; ++k) {
-    const size_t slot = fetched_slots[k];
-    values[slot] = admitted[k] != nullptr
-                       ? shaped(*admitted[k], layout[slot % num_params].second)
-                       : std::move(fetched[k]);
-  }
+  // [48] bias and a zeroed [1, 48] weight share one entry. Each hit
+  // therefore takes its shape from the layout, never from the entry; one
+  // whose entry already has it (the usual case) stays as it is.
   for (size_t slot = 0; slot < num_slots; ++slot) {
     if (!hit[slot]) continue;
     const Shape& shape = layout[slot % num_params].second;
-    if (layers[slot]->numel() != Tensor::NumElements(shape)) {
+    Tensor& value = values[slot];
+    if (value.numel() != Tensor::NumElements(shape)) {
       return Status::Corruption("layer (", slot / num_params, ", ",
                                 slot % num_params, ") of ", set_id,
                                 " does not match its content hash");
     }
-    values[slot] = shaped(*layers[slot], shape);
+    if (value.shape() != shape) value = value.Reshape(shape);
   }
   ModelSet set;
   set.spec = meta->spec;

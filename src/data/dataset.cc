@@ -19,8 +19,8 @@ TrainingData TrainingData::Head(size_t count) const {
                              inputs.data().begin() + n * in_sample);
   std::vector<float> out_data(targets.data().begin(),
                               targets.data().begin() + n * out_sample);
-  return TrainingData{Tensor(std::move(in_shape), std::move(in_data)),
-                      Tensor(std::move(out_shape), std::move(out_data))};
+  return TrainingData{Tensor(in_shape, std::move(in_data)),
+                      Tensor(out_shape, std::move(out_data))};
 }
 
 }  // namespace mmm

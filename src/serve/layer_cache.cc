@@ -91,8 +91,9 @@ void LayerCache::Touch(List::iterator entry) {
   }
 }
 
-size_t LayerCache::Get(std::span<const Sha256Digest> hashes,
-                       std::span<std::shared_ptr<const Tensor>> out) {
+std::vector<bool> LayerCache::Get(std::span<const Sha256Digest> hashes,
+                                  std::span<Tensor> out) {
+  std::vector<bool> hit(hashes.size(), false);
   size_t found = 0;
   MutexLock lock(mu_);
   if (bytes_used_ >= record_threshold_) {
@@ -100,17 +101,15 @@ size_t LayerCache::Get(std::span<const Sha256Digest> hashes,
   }
   for (size_t i = 0; i < hashes.size(); ++i) {
     auto it = index_.find(Key{hashes[i].bytes});
-    if (it == index_.end()) {
-      out[i] = nullptr;
-      continue;
-    }
+    if (it == index_.end()) continue;
     out[i] = it->second->value;
+    hit[i] = true;
     Touch(it->second);
     found += 1;
   }
   hits_ += found;
   misses_ += hashes.size() - found;
-  return found;
+  return hit;
 }
 
 bool LayerCache::Contains(const Sha256Digest& hash) const {
@@ -145,8 +144,9 @@ bool LayerCache::Admits(uint64_t key, uint64_t charge) const {
   return true;
 }
 
-LayerCache::Offer LayerCache::PutOne(const Sha256Digest& hash,
-                                     uint64_t charge, bool pinned) {
+bool LayerCache::PutOne(const Sha256Digest& hash, const Tensor& value,
+                        bool pinned) {
+  const uint64_t charge = ChargeOf(value);
   auto it = index_.find(Key{hash.bytes});
   if (it != index_.end()) {
     // Content-hash keys are immutable: the resident value is already
@@ -154,21 +154,21 @@ LayerCache::Offer LayerCache::PutOne(const Sha256Digest& hash,
     if (pinned && !it->second->pinned) {
       it->second->pinned = true;
       bytes_pinned_ += it->second->charge;
-      return Offer::kPinned;
+      return true;
     }
     rejected_ += 1;
-    return Offer::kDeclined;
+    return false;
   }
   // Only unpinned bytes can be evicted; decline before evicting anything
   // if even all of them would not make room.
   if (charge > capacity_ - bytes_pinned_) {
     rejected_ += 1;
-    return Offer::kDeclined;
+    return false;
   }
   if (!pinned && bytes_used_ + charge > capacity_ &&
       !Admits(SketchKey(hash.bytes), charge)) {
     declined_ += 1;
-    return Offer::kDeclined;
+    return false;
   }
   for (List* segment : {&probation_, &protected_}) {
     auto victim = segment->end();
@@ -179,41 +179,21 @@ LayerCache::Offer LayerCache::PutOne(const Sha256Digest& hash,
       evictions_ += 1;
     }
   }
-  probation_.push_front(Entry{Key{hash.bytes}, /*value=*/nullptr, charge,
-                              pinned, /*is_protected=*/false});
+  probation_.push_front(
+      Entry{Key{hash.bytes}, value, charge, pinned, /*is_protected=*/false});
   index_[Key{hash.bytes}] = probation_.begin();
   bytes_used_ += charge;
   if (pinned) bytes_pinned_ += charge;
   inserts_ += 1;
-  return Offer::kInserted;
+  return true;
 }
 
 size_t LayerCache::Put(std::span<const Sha256Digest> hashes,
-                       std::span<Tensor> values,
-                       std::span<std::shared_ptr<const Tensor>> entries,
-                       bool pinned) {
-  for (auto& entry : entries) entry = nullptr;
+                       std::span<const Tensor> values, bool pinned) {
   size_t admitted = 0;
-  std::vector<size_t> inserted;
   MutexLock lock(mu_);
   for (size_t i = 0; i < hashes.size(); ++i) {
-    const Offer offer = PutOne(hashes[i], ChargeOf(values[i]), pinned);
-    if (offer == Offer::kInserted) inserted.push_back(i);
-    admitted += offer == Offer::kDeclined ? 0 : 1;
-  }
-  // The values go into their entries only now, in one run: a request's
-  // entries are allocated together, apart from the list and index nodes,
-  // so a later hit on them touches fewer pages. An offer that a later one
-  // of the batch evicted still gets its entry, as it would offered alone;
-  // content-hash keys make whichever value fills a re-admitted key's entry
-  // hold the same bytes.
-  for (size_t i : inserted) {
-    auto value = std::make_shared<const Tensor>(std::move(values[i]));
-    auto it = index_.find(Key{hashes[i].bytes});
-    if (it != index_.end() && it->second->value == nullptr) {
-      it->second->value = value;
-    }
-    if (!entries.empty()) entries[i] = std::move(value);
+    admitted += PutOne(hashes[i], values[i], pinned) ? 1 : 0;
   }
   return admitted;
 }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <list>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -73,11 +72,12 @@ class FrequencySketch {
 /// Content-hash keys make entries immutable by construction: a hash can only
 /// ever map to one tensor value, so concurrent Puts for the same key are
 /// idempotent and a hit always returns exactly the bytes a store recovery
-/// would have produced. Entries hold a `shared_ptr<const Tensor>`, so a hit
-/// shares the tensor instead of copying it under the lock, and an evicted
-/// tensor stays alive for every reader still holding it. A set assembled
-/// from hits shares the entries' buffers too; a caller's first write to one
-/// of its tensors copies that buffer (Tensor is copy-on-write), so no write
+/// would have produced. Entries hold their Tensor by value, in the entry's
+/// own list node. A hit copies the tensor into the caller's slot: the copy
+/// shares the entry's buffer, and its shape is inline, so it costs one
+/// reference-count bump and no allocation. An evicted entry's buffer stays
+/// alive for every reader still holding a copy. A caller's first write to
+/// such a copy copies the buffer (Tensor is copy-on-write), so no write
 /// ever reaches an entry.
 ///
 /// Recency is segmented: a new entry starts on probation; a hit promotes it
@@ -122,11 +122,12 @@ class LayerCache {
   /// \param capacity_bytes charged-byte budget
   explicit LayerCache(uint64_t capacity_bytes);
 
-  /// Probes `hashes` in order: `out[i]` receives the tensor cached under
-  /// `hashes[i]`, or null on a miss, and every hit is marked most recently
-  /// used. `out` must be as long as `hashes`. Returns the number of hits.
-  size_t Get(std::span<const Sha256Digest> hashes,
-             std::span<std::shared_ptr<const Tensor>> out);
+  /// Probes `hashes` in order. On a hit, `out[i]` receives a copy of the
+  /// tensor cached under `hashes[i]` (sharing its buffer) and the entry is
+  /// marked most recently used; on a miss `out[i]` is left as it was.
+  /// `out` must be as long as `hashes`. Returns one hit flag per hash.
+  std::vector<bool> Get(std::span<const Sha256Digest> hashes,
+                        std::span<Tensor> out);
 
   /// True if the hash is resident (does not touch recency or counters).
   bool Contains(const Sha256Digest& hash) const;
@@ -134,15 +135,13 @@ class LayerCache {
   /// Offers `values[i]` under `hashes[i]`, in order, each evicting as
   /// needed (see the class comment). An offer is declined if its hash is
   /// already resident, it cannot fit, or the admission filter turns it
-  /// away. An admitted value is moved into a new entry, which `entries[i]`
-  /// receives (when `entries` is not empty); a declined value is left as it
-  /// was and `entries[i]` is set null. `pinned` admits the entries
-  /// pre-pinned, past the filter, and pins an entry already resident (used
-  /// by PinSet, so a pin can never lose the race against eviction). Returns
-  /// the number of offers admitted or pinned.
-  size_t Put(std::span<const Sha256Digest> hashes, std::span<Tensor> values,
-             std::span<std::shared_ptr<const Tensor>> entries = {},
-             bool pinned = false);
+  /// away. An admitted value is copied into a new entry, which shares its
+  /// buffer. `pinned` admits the entries pre-pinned, past the filter, and
+  /// pins an entry already resident (used by PinSet, so a pin can never
+  /// lose the race against eviction). Returns the number of offers
+  /// admitted or pinned.
+  size_t Put(std::span<const Sha256Digest> hashes,
+             std::span<const Tensor> values, bool pinned = false);
 
   /// Pins a resident entry, shielding it from eviction. Returns false if
   /// the hash is not resident.
@@ -188,7 +187,7 @@ class LayerCache {
   }
   struct Entry {
     Key key;
-    std::shared_ptr<const Tensor> value;
+    Tensor value;
     uint64_t charge = 0;
     bool pinned = false;
     bool is_protected = false;
@@ -203,10 +202,8 @@ class LayerCache {
   /// whose sketch key is `key` is more frequent than every entry it would
   /// evict. Evicts nothing.
   bool Admits(uint64_t key, uint64_t charge) const MMM_REQUIRES(mu_);
-  enum class Offer : uint8_t { kDeclined, kPinned, kInserted };
-  /// Offers one value of `charge` bytes (see Put). An inserted entry has
-  /// no value yet: Put fills it before releasing the lock.
-  Offer PutOne(const Sha256Digest& hash, uint64_t charge, bool pinned)
+  /// Offers one value (see Put). Returns true if it was admitted or pinned.
+  bool PutOne(const Sha256Digest& hash, const Tensor& value, bool pinned)
       MMM_REQUIRES(mu_);
   /// Unlinks an entry from its segment and the index.
   List::iterator Erase(List::iterator entry) MMM_REQUIRES(mu_);

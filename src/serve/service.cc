@@ -20,16 +20,14 @@ uint64_t WallNanos() { return WallClock::NowNanos(); }
 
 }  // namespace
 
-void ModelSetService::CacheAdapter::GetLayers(
-    std::span<const Sha256Digest> hashes,
-    std::span<std::shared_ptr<const Tensor>> out) {
-  service_->layer_cache_.Get(hashes, out);
+std::vector<bool> ModelSetService::CacheAdapter::GetLayers(
+    std::span<const Sha256Digest> hashes, std::span<Tensor> out) {
+  return service_->layer_cache_.Get(hashes, out);
 }
 
 void ModelSetService::CacheAdapter::PutLayers(
-    std::span<const Sha256Digest> hashes, std::span<Tensor> values,
-    std::span<std::shared_ptr<const Tensor>> entries) {
-  service_->layer_cache_.Put(hashes, values, entries);
+    std::span<const Sha256Digest> hashes, std::span<const Tensor> values) {
+  service_->layer_cache_.Put(hashes, values);
 }
 
 std::shared_ptr<const SetMeta> ModelSetService::CacheAdapter::GetSetMeta(
@@ -149,9 +147,9 @@ Status ModelSetService::PinSet(const std::string& set_id) {
       // can never lose a race against eviction.
       bool pinned = layer_cache_.Pin(hashes[i]);
       if (!pinned) {
-        Tensor value =
+        const Tensor& value =
             set.models[i / layers_per_model][i % layers_per_model].second;
-        pinned = layer_cache_.Put({&hashes[i], 1}, {&value, 1}, {},
+        pinned = layer_cache_.Put({&hashes[i], 1}, {&value, 1},
                                   /*pinned=*/true) == 1;
       }
       if (!pinned) {

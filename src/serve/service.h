@@ -164,17 +164,18 @@ class ModelSetService {
   /// RecoveryCache view of the service handed to RecoverCached: layers go
   /// to the LayerCache, set metadata to the per-set memo.
   /// Calls are concurrent across worker lanes; the layer cache and the
-  /// metadata memo each take their own lock (the layer cache once per
-  /// request), and both hand out shared immutable values, so neither
-  /// copies a tensor or a hash table under its lock.
+  /// metadata memo each take their own lock (the layer cache at most twice
+  /// per request: one probe, and one offer if anything was fetched). A
+  /// layer hit copies a tensor that shares the entry's buffer, and a
+  /// metadata hit shares the memo, so neither copies bytes or a hash
+  /// table under its lock.
   class CacheAdapter : public RecoveryCache {
    public:
     explicit CacheAdapter(ModelSetService* service) : service_(service) {}
-    void GetLayers(std::span<const Sha256Digest> hashes,
-                   std::span<std::shared_ptr<const Tensor>> out) override;
+    std::vector<bool> GetLayers(std::span<const Sha256Digest> hashes,
+                                std::span<Tensor> out) override;
     void PutLayers(std::span<const Sha256Digest> hashes,
-                   std::span<Tensor> values,
-                   std::span<std::shared_ptr<const Tensor>> entries) override;
+                   std::span<const Tensor> values) override;
     std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) override;
     void PutSetMeta(const std::string& set_id,
                     std::shared_ptr<const SetMeta> meta) override;

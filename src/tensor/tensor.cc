@@ -28,31 +28,34 @@ size_t Tensor::NumElements(const Shape& shape) {
 }
 
 Tensor::Tensor(Shape shape)
-    : shape_(std::move(shape)),
-      buffer_(std::make_shared<Buffer>(
-          std::vector<float>(NumElements(shape_), 0.0f))),
+    : buffer_(std::make_shared<Buffer>(
+          std::vector<float>(NumElements(shape), 0.0f))),
       data_(buffer_->values.data()),
-      numel_(buffer_->values.size()) {}
+      numel_(buffer_->values.size()),
+      shape_(shape) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)),
-      buffer_(std::make_shared<Buffer>(std::move(data))),
+    : buffer_(std::make_shared<Buffer>(std::move(data))),
       data_(buffer_->values.data()),
-      numel_(buffer_->values.size()) {
+      numel_(buffer_->values.size()),
+      shape_(shape) {
   MMM_DCHECK(numel_ == NumElements(shape_));
 }
 
 Tensor::Tensor(Tensor&& other) noexcept
-    : shape_(std::move(other.shape_)),
-      buffer_(std::move(other.buffer_)),
+    : buffer_(std::move(other.buffer_)),
       data_(std::exchange(other.data_, nullptr)),
-      numel_(std::exchange(other.numel_, 0)) {}
+      numel_(std::exchange(other.numel_, 0)),
+      shape_(other.shape_) {
+  other.shape_.clear();
+}
 
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
-  shape_ = std::move(other.shape_);
   buffer_ = std::move(other.buffer_);
   data_ = std::exchange(other.data_, nullptr);
   numel_ = std::exchange(other.numel_, 0);
+  shape_ = other.shape_;
+  other.shape_.clear();
   return *this;
 }
 
@@ -95,21 +98,21 @@ void Tensor::PublishDigest(const Sha256Digest& digest) const {
 }
 
 Tensor Tensor::Full(Shape shape, float value) {
-  Tensor t(std::move(shape));
+  Tensor t(shape);
   t.Fill(value);
   return t;
 }
 
 Tensor Tensor::FromVector(std::vector<float> values) {
   Shape shape{values.size()};
-  return Tensor(std::move(shape), std::move(values));
+  return Tensor(shape, std::move(values));
 }
 
 Tensor Tensor::Reshape(Shape new_shape) const {
   MMM_DCHECK(NumElements(new_shape) == numel());
   // Built with the new shape, not as a copy whose shape is then replaced.
   Tensor out;
-  out.shape_ = std::move(new_shape);
+  out.shape_ = new_shape;
   out.buffer_ = buffer_;
   out.data_ = data_;
   out.numel_ = numel_;

@@ -1,8 +1,11 @@
 #ifndef MMM_TENSOR_TENSOR_H_
 #define MMM_TENSOR_TENSOR_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,8 +16,53 @@
 
 namespace mmm {
 
-/// Row-major tensor shape.
-using Shape = std::vector<size_t>;
+/// \brief Row-major tensor shape: up to kMaxRank dimensions, held inline.
+///
+/// A vector-like value that never allocates, so copying a tensor (a cache
+/// hit, a reshape) copies its shape without a heap allocation, and two
+/// shapes compare without chasing a pointer. Exceeding kMaxRank is a
+/// programmer error and aborts via MMM_DCHECK; ReadTensor turns a stored
+/// rank above it into Corruption before building a shape.
+class Shape {
+ public:
+  /// The largest rank a shape holds (the library's tensors use at most 4).
+  static constexpr size_t kMaxRank = 8;
+
+  using value_type = size_t;
+  using iterator = size_t*;
+  using const_iterator = const size_t*;
+
+  Shape() = default;
+  Shape(std::initializer_list<size_t> dims) : Shape(dims.begin(), dims.end()) {}
+  template <std::input_iterator It>
+  Shape(It first, It last) {
+    for (; first != last; ++first) push_back(static_cast<size_t>(*first));
+  }
+
+  size_t size() const { return rank_; }
+  bool empty() const { return rank_ == 0; }
+  /// Unchecked, like std::vector's.
+  size_t operator[](size_t i) const { return dims_[i]; }
+  size_t& operator[](size_t i) { return dims_[i]; }
+  const size_t* begin() const { return dims_.data(); }
+  const size_t* end() const { return dims_.data() + rank_; }
+  size_t* begin() { return dims_.data(); }
+  size_t* end() { return dims_.data() + rank_; }
+
+  void push_back(size_t dim) {
+    MMM_DCHECK(rank_ < kMaxRank);
+    dims_[rank_++] = dim;
+  }
+  void clear() { rank_ = 0; }
+
+  friend bool operator==(const Shape& a, const Shape& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<size_t, kMaxRank> dims_{};
+  size_t rank_ = 0;
+};
 
 /// \brief Dense row-major float32 tensor.
 ///
@@ -24,7 +72,10 @@ using Shape = std::vector<size_t>;
 /// copying a tensor (or reshaping it) shares its buffer, and the first
 /// write through a tensor whose buffer is shared gives that tensor a copy
 /// of its own. A write can therefore never reach another tensor, and a
-/// tensor handed out by a cache costs a reference-count bump. A span or
+/// tensor handed out by a cache costs a reference-count bump. The shape is
+/// held inline (Shape, at most Shape::kMaxRank dimensions), so no copy
+/// allocates, and the fields a read touches (buffer, data pointer, element
+/// count) come first, ahead of the shape. A span or
 /// reference from a mutable accessor must not be written through after the
 /// tensor is copied: the copy shares the buffer it points into. Shape
 /// violations are programmer errors and abort via MMM_DCHECK; fallible I/O
@@ -65,7 +116,7 @@ class Tensor {
 
   /// \name Factories
   /// @{
-  static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
+  static Tensor Zeros(Shape shape) { return Tensor(shape); }
   static Tensor Full(Shape shape, float value);
   /// 1-D tensor from values.
   static Tensor FromVector(std::vector<float> values);
@@ -154,12 +205,12 @@ class Tensor {
   /// its memo if not) and returns its first element.
   float* Writable();
 
-  Shape shape_;
   std::shared_ptr<Buffer> buffer_;
   /// `buffer_`'s first value and value count, cached so const access is a
   /// plain pointer index.
   float* data_ = nullptr;
   size_t numel_ = 0;
+  Shape shape_;
 };
 
 }  // namespace mmm

@@ -10,21 +10,21 @@ void WriteTensor(BinaryWriter* writer, const Tensor& tensor) {
 
 Result<Tensor> ReadTensor(BinaryReader* reader) {
   MMM_ASSIGN_OR_RETURN(uint64_t ndim, reader->ReadVarint());
-  if (ndim > 8) {
+  if (ndim > Shape::kMaxRank) {
     return Status::Corruption("tensor with implausible rank ", ndim);
   }
-  Shape shape(ndim);
+  Shape shape;
   size_t numel = ndim == 0 ? 0 : 1;
   for (size_t i = 0; i < ndim; ++i) {
     MMM_ASSIGN_OR_RETURN(uint64_t d, reader->ReadVarint());
-    shape[i] = d;
+    shape.push_back(d);
     numel *= d;
   }
   if (reader->remaining() < numel * sizeof(float)) {
     return Status::Corruption("tensor data truncated: need ", numel, " floats");
   }
   MMM_ASSIGN_OR_RETURN(std::vector<float> data, reader->ReadFloats(numel));
-  return Tensor(std::move(shape), std::move(data));
+  return Tensor(shape, std::move(data));
 }
 
 }  // namespace mmm

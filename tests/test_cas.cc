@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -1124,6 +1126,89 @@ TEST_F(CasManagerTest, ConcurrentRecoveriesSurviveRepackingGc) {
   done = true;
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(bad.load(), 0);
+  ExpectHealthy(manager.get());
+}
+
+/// Parks the first pack write after Arm() until Release(); every other
+/// call passes straight through to the in-memory store.
+class PackParkingEnv : public InMemoryEnv {
+ public:
+  Status WriteFile(const std::string& path,
+                   std::span<const uint8_t> data) override {
+    MaybePark(path);
+    return InMemoryEnv::WriteFile(path, data);
+  }
+  Status AppendToFile(const std::string& path,
+                      std::span<const uint8_t> data) override {
+    MaybePark(path);
+    return InMemoryEnv::AppendToFile(path, data);
+  }
+
+  void Arm() { armed_ = true; }
+  /// Ready once a pack write is parked.
+  std::future<void> Parked() { return parked_.get_future(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  void MaybePark(const std::string& path) {
+    if (!IsPackBlobName(path.substr(path.rfind('/') + 1)) ||
+        !armed_.exchange(false)) {
+      return;
+    }
+    parked_.set_value();
+    released_.wait();
+  }
+
+  std::atomic<bool> armed_{false};
+  std::promise<void> parked_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+// A save's pack appends run outside the chunk index's lock: while a save
+// is parked inside a pack write (its new chunks outgrow one write window,
+// so the pack reaches the Env while chunks are still being added), a
+// recovery of an already committed chunked set resolves its chunks and
+// finishes. Both sets then recover bit-exact and the store is healthy.
+TEST_F(CasManagerTest, RecoveryFinishesWhileASavesPackWriteIsParked) {
+  PackParkingEnv env;
+  ModelSetManager::Options options = BaseOptions("store");
+  options.cas = SmallChunkOptions();
+  options.env = &env;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ModelSetManager> manager,
+                       ModelSetManager::Open(std::move(options)));
+  // 100 FFNN-48 models are ~2 MB of chunks, more than one write window.
+  ASSERT_OK_AND_ASSIGN(ModelSet first, MakeInitializedSet(Ffnn48Spec(), 100, 1));
+  ASSERT_OK_AND_ASSIGN(ModelSet second,
+                       MakeInitializedSet(Ffnn48Spec(), 100, 2));
+  ASSERT_OK_AND_ASSIGN(SaveResult committed,
+                       manager->SaveInitial(ApproachType::kBaseline, first));
+
+  env.Arm();
+  std::future<void> parked = env.Parked();
+  std::future<Result<SaveResult>> save = std::async(std::launch::async, [&] {
+    return manager->SaveInitial(ApproachType::kBaseline, second);
+  });
+  const bool was_parked = parked.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+  std::future<Result<ModelSet>> recovery;
+  bool finished = false;
+  if (was_parked) {
+    recovery = std::async(std::launch::async,
+                          [&] { return manager->Recover(committed.set_id); });
+    finished = recovery.wait_for(std::chrono::seconds(30)) ==
+               std::future_status::ready;
+  }
+  // Released before any assertion can return, so the save always ends.
+  env.Release();
+  ASSERT_TRUE(was_parked) << "no pack write reached the Env mid-save";
+  EXPECT_TRUE(finished) << "the recovery waited for the parked pack write";
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, recovery.get());
+  ExpectSetEquals(recovered, first);
+
+  ASSERT_OK_AND_ASSIGN(SaveResult saved, save.get());
+  ASSERT_OK_AND_ASSIGN(recovered, manager->Recover(saved.set_id));
+  ExpectSetEquals(recovered, second);
   ExpectHealthy(manager.get());
 }
 

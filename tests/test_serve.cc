@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -42,18 +44,17 @@ Sha256Digest DigestOfId(uint32_t id) {
   return Sha256::Hash("layer " + std::to_string(id));
 }
 
-// One-layer calls of the batched LayerCache interface.
-std::shared_ptr<const Tensor> GetOne(LayerCache& cache,
-                                     const Sha256Digest& hash) {
-  std::shared_ptr<const Tensor> out;
-  cache.Get({&hash, 1}, {&out, 1});
+// One-layer calls of the batched LayerCache interface: the tensor cached
+// under `hash`, or nullopt on a miss.
+std::optional<Tensor> GetOne(LayerCache& cache, const Sha256Digest& hash) {
+  Tensor out;
+  if (!cache.Get({&hash, 1}, {&out, 1})[0]) return std::nullopt;
   return out;
 }
 
 bool PutOne(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
             bool pinned = false) {
-  Tensor value = t;
-  return cache.Put({&hash, 1}, {&value, 1}, {}, pinned) == 1;
+  return cache.Put({&hash, 1}, {&t, 1}, pinned) == 1;
 }
 
 // A recovery's use of the cache for one layer: `probes` probes, then an
@@ -62,7 +63,7 @@ bool PutOne(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
 bool Request(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
              int probes = 1) {
   bool hit = false;
-  for (int i = 0; i < probes; ++i) hit = GetOne(cache, hash) != nullptr;
+  for (int i = 0; i < probes; ++i) hit = GetOne(cache, hash).has_value();
   return hit || PutOne(cache, hash, t);
 }
 
@@ -72,11 +73,11 @@ bool Request(LayerCache& cache, const Sha256Digest& hash, const Tensor& t,
 TEST(LayerCacheTest, RoundTripAndHitCounters) {
   LayerCache cache(1 << 20);
   Tensor t = RandomTensor(Shape{16, 4}, 1);
-  EXPECT_EQ(GetOne(cache, DigestOf(1)), nullptr);
+  EXPECT_FALSE(GetOne(cache, DigestOf(1)).has_value());
   EXPECT_TRUE(PutOne(cache, DigestOf(1), t));
   EXPECT_FALSE(PutOne(cache, DigestOf(1), t));  // duplicate declined
-  std::shared_ptr<const Tensor> out = GetOne(cache, DigestOf(1));
-  ASSERT_NE(out, nullptr);
+  std::optional<Tensor> out = GetOne(cache, DigestOf(1));
+  ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(out->Equals(t));
   LayerCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -86,20 +87,47 @@ TEST(LayerCacheTest, RoundTripAndHitCounters) {
   EXPECT_EQ(stats.entries, 1u);
 }
 
-// An admitted value moves into the entry the caller gets back; a declined
-// one stays with the caller.
-TEST(LayerCacheTest, PutHandsBackTheEntriesItTakes) {
+// An admitted value is copied into its entry, sharing its buffer, and the
+// caller keeps every value it offered, admitted or declined.
+TEST(LayerCacheTest, PutCopiesAdmittedValuesAndLeavesTheCallersOwn) {
   Tensor t = RandomTensor(Shape{64}, 10);
   LayerCache cache(LayerCache::ChargeOf(t));
   std::vector<Sha256Digest> hashes = {DigestOf(1), DigestOf(2)};
   std::vector<Tensor> values = {t, t};
-  std::vector<std::shared_ptr<const Tensor>> entries(2);
-  EXPECT_EQ(cache.Put(hashes, values, entries), 1u);
-  ASSERT_NE(entries[0], nullptr);
-  EXPECT_TRUE(entries[0]->Equals(t));
-  EXPECT_EQ(entries[0], GetOne(cache, DigestOf(1)));
-  EXPECT_EQ(entries[1], nullptr);
+  EXPECT_EQ(cache.Put(hashes, values), 1u);
+  std::optional<Tensor> entry = GetOne(cache, DigestOf(1));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_TRUE(entry->Equals(t));
+  EXPECT_EQ(entry->data().data(), values[0].data().data());
+  EXPECT_FALSE(cache.Contains(DigestOf(2)));
+  EXPECT_TRUE(values[0].Equals(t));
   EXPECT_TRUE(values[1].Equals(t));
+}
+
+// A write through a tensor a hit returned copies the buffer first: the
+// entry, and every other reader's copy of it, keep their bytes.
+TEST(LayerCacheTest, WriteThroughAHitLeavesTheEntryAndOtherReaders) {
+  const Tensor t = RandomTensor(Shape{16, 4}, 14);
+  const std::vector<float> want(t.data().begin(), t.data().end());
+  LayerCache cache(1 << 20);
+  ASSERT_TRUE(PutOne(cache, DigestOf(1), t));
+  std::optional<Tensor> writer = GetOne(cache, DigestOf(1));
+  std::optional<Tensor> reader = GetOne(cache, DigestOf(1));
+  ASSERT_TRUE(writer.has_value() && reader.has_value());
+  ASSERT_EQ(writer->data().data(), reader->data().data());
+  for (float& x : writer->mutable_data()) x = -x - 1.0f;
+  EXPECT_NE(writer->data().data(), reader->data().data());
+  const auto bits_equal = [&](const Tensor& tensor) {
+    return tensor.shape() == t.shape() &&
+           std::memcmp(tensor.data().data(), want.data(),
+                       want.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(bits_equal(*reader));
+  std::optional<Tensor> again = GetOne(cache, DigestOf(1));
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(bits_equal(*again));
+  EXPECT_EQ(again->data().data(), reader->data().data());
+  EXPECT_FALSE(writer->Equals(*again));
 }
 
 // The byte bound holds under request-shaped churn: every offer is probed
@@ -175,7 +203,7 @@ TEST(LayerCacheTest, AdmissionsNeverHitCannotEvictAHitEntry) {
   LayerCache cache(LayerCache::ChargeOf(t) * 10);
   ASSERT_TRUE(PutOne(cache, DigestOf(1), t));
   for (uint8_t i = 10; i < 19; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
-  ASSERT_NE(GetOne(cache, DigestOf(1)), nullptr);
+  ASSERT_TRUE(GetOne(cache, DigestOf(1)).has_value());
   for (uint8_t i = 20; i < 220; ++i) Request(cache, DigestOf(i), t, 2);
   EXPECT_TRUE(cache.Contains(DigestOf(1)));
   for (uint8_t i = 10; i < 19; ++i) EXPECT_FALSE(cache.Contains(DigestOf(i)));
@@ -213,7 +241,7 @@ TEST(LayerCacheTest, ProtectedSegmentKeepsRoomForNewEntries) {
   LayerCache cache(LayerCache::ChargeOf(t) * 10);
   for (uint8_t i = 0; i < 10; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
   for (uint8_t i = 0; i < 10; ++i) {
-    ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
+    ASSERT_TRUE(GetOne(cache, DigestOf(i)).has_value());
   }
   for (uint8_t i = 100; i < 150; ++i) Request(cache, DigestOf(i), t, 2);
   EXPECT_FALSE(cache.Contains(DigestOf(0)));
@@ -233,7 +261,7 @@ TEST(LayerCacheTest, OnceProbedOffersCannotDisplaceFrequentEntries) {
   for (uint8_t i = 0; i < 10; ++i) ASSERT_TRUE(PutOne(cache, DigestOf(i), t));
   for (int round = 0; round < 4; ++round) {
     for (uint8_t i = 0; i < 10; ++i) {
-      ASSERT_NE(GetOne(cache, DigestOf(i)), nullptr);
+      ASSERT_TRUE(GetOne(cache, DigestOf(i)).has_value());
     }
   }
   const LayerCacheStats before = cache.stats();
@@ -311,14 +339,20 @@ TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
     const uint64_t kind = rng.NextBounded(3);
     std::vector<bool> offer(count, true);
     if (kind != 1) {
-      std::vector<std::shared_ptr<const Tensor>> out(count);
-      const size_t hits = batched.Get(hashes, out);
+      std::vector<Tensor> out(count);
+      const std::vector<bool> hit = batched.Get(hashes, out);
+      ASSERT_EQ(hit.size(), count);
+      const size_t hits =
+          static_cast<size_t>(std::count(hit.begin(), hit.end(), true));
       size_t single_hits = 0;
       for (size_t i = 0; i < count; ++i) {
-        std::shared_ptr<const Tensor> one = GetOne(single, hashes[i]);
-        ASSERT_EQ(one == nullptr, out[i] == nullptr) << "step " << step;
-        single_hits += one == nullptr ? 0 : 1;
-        offer[i] = out[i] == nullptr;
+        std::optional<Tensor> one = GetOne(single, hashes[i]);
+        ASSERT_EQ(one.has_value(), hit[i]) << "step " << step;
+        if (hit[i]) {
+          ASSERT_TRUE(out[i].Equals(*one)) << "step " << step;
+        }
+        single_hits += one.has_value() ? 1 : 0;
+        offer[i] = !hit[i];
       }
       ASSERT_EQ(hits, single_hits);
     }
@@ -333,13 +367,13 @@ TEST(LayerCacheTest, BatchedAndPerLayerCallsAgree) {
       const bool pinned = rng.NextBounded(10) == 0;
       const std::vector<Tensor> single_offered = offered;
       const uint64_t inserts_before = batched.stats().inserts;
-      std::vector<std::shared_ptr<const Tensor>> entries(offered.size());
-      const size_t admitted =
-          batched.Put(offered_hashes, offered, entries, pinned);
-      ASSERT_EQ(static_cast<uint64_t>(std::count_if(
-                    entries.begin(), entries.end(),
-                    [](const auto& entry) { return entry != nullptr; })),
-                batched.stats().inserts - inserts_before);
+      const size_t admitted = batched.Put(offered_hashes, offered, pinned);
+      // Admitted counts new entries, plus resident ones a pinned offer pins.
+      const uint64_t inserted = batched.stats().inserts - inserts_before;
+      ASSERT_LE(inserted, admitted);
+      if (!pinned) {
+        ASSERT_EQ(inserted, admitted);
+      }
       size_t single_admitted = 0;
       for (size_t i = 0; i < offered_hashes.size(); ++i) {
         single_admitted +=
@@ -606,6 +640,79 @@ TEST_F(ServeTest, WarmCacheHitCountersAreExact) {
   EXPECT_EQ(base_result.cache.layer_misses, layers - shared);
   EXPECT_EQ(base_result.cache.sets_from_cache, 0u);
   EXPECT_EQ(base_result.sets_walked, 1u);
+}
+
+// A RecoveryCache over one LayerCache and a metadata map that counts the
+// layer calls RecoverCached makes.
+class CountingRecoveryCache : public RecoveryCache {
+ public:
+  std::vector<bool> GetLayers(std::span<const Sha256Digest> hashes,
+                              std::span<Tensor> out) override {
+    get_calls += 1;
+    return layers_.Get(hashes, out);
+  }
+  void PutLayers(std::span<const Sha256Digest> hashes,
+                 std::span<const Tensor> values) override {
+    put_calls += 1;
+    offered += hashes.size();
+    layers_.Put(hashes, values);
+  }
+  std::shared_ptr<const SetMeta> GetSetMeta(const std::string& set_id) override {
+    auto it = meta_.find(set_id);
+    return it == meta_.end() ? nullptr : it->second;
+  }
+  void PutSetMeta(const std::string& set_id,
+                  std::shared_ptr<const SetMeta> meta) override {
+    meta_[set_id] = std::move(meta);
+  }
+
+  int get_calls = 0;
+  int put_calls = 0;
+  size_t offered = 0;
+
+ private:
+  LayerCache layers_{64 << 20};
+  std::map<std::string, std::shared_ptr<const SetMeta>> meta_;
+};
+
+// RecoverCached offers exactly the layers it fetched, in one call, and an
+// all-hit recovery makes no offer at all.
+TEST_F(ServeTest, AllHitRecoveryMakesNoOffer) {
+  OpenManager();
+  std::string base_id = Save(ApproachType::kUpdate, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  std::string head_id = Save(ApproachType::kUpdate, &update);
+  UpdateApproach* update_approach = manager_->update_approach();
+  CountingRecoveryCache cache;
+
+  CacheRequestStats cold;
+  ASSERT_OK_AND_ASSIGN(ModelSet base, update_approach->RecoverCached(
+                                          base_id, &cache, nullptr, &cold));
+  ExpectSetEquals(base, expected_[base_id]);
+  EXPECT_EQ(cold.layer_hits, 0u);
+  EXPECT_EQ(cache.get_calls, 1);
+  EXPECT_EQ(cache.put_calls, 1);
+  EXPECT_EQ(cache.offered, TotalLayers(base));
+
+  CacheRequestStats partial;
+  ASSERT_OK_AND_ASSIGN(ModelSet head, update_approach->RecoverCached(
+                                          head_id, &cache, nullptr, &partial));
+  ExpectSetEquals(head, expected_[head_id]);
+  EXPECT_GT(partial.layer_hits, 0u);
+  EXPECT_GT(partial.layer_misses, 0u);
+  EXPECT_EQ(cache.put_calls, 2);
+  EXPECT_EQ(cache.offered, TotalLayers(base) + partial.layer_misses);
+
+  for (const std::string& id : {base_id, head_id}) {
+    CacheRequestStats hot;
+    ASSERT_OK_AND_ASSIGN(ModelSet again, update_approach->RecoverCached(
+                                             id, &cache, nullptr, &hot));
+    ExpectSetEquals(again, expected_[id]);
+    EXPECT_EQ(hot.layer_misses, 0u);
+    EXPECT_EQ(hot.sets_from_cache, 1u);
+  }
+  EXPECT_EQ(cache.get_calls, 4);
+  EXPECT_EQ(cache.put_calls, 2);
 }
 
 // Recovering the head after its base reads the head's diff blob and no

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "serialize/sha256.h"
 #include "tensor/ops.h"
@@ -18,6 +20,76 @@ namespace mmm {
 namespace {
 
 using testing::RandomTensor;
+
+TEST(ShapeTest, BuildsFromAListIteratorsOrPushBack) {
+  const Shape empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.begin(), empty.end());
+
+  const Shape listed{6, 3, 5, 5};
+  ASSERT_EQ(listed.size(), 4u);
+  EXPECT_FALSE(listed.empty());
+  EXPECT_EQ(listed[0], 6u);
+  EXPECT_EQ(listed[3], 5u);
+  EXPECT_EQ(std::vector<size_t>(listed.begin(), listed.end()),
+            (std::vector<size_t>{6, 3, 5, 5}));
+
+  const std::vector<size_t> dims = {2, 7, 1};
+  const Shape from_vector(dims.begin(), dims.end());
+  EXPECT_EQ(from_vector, (Shape{2, 7, 1}));
+  Shape pushed;
+  for (size_t d : dims) pushed.push_back(d);
+  EXPECT_EQ(pushed, from_vector);
+  pushed[1] = 9;
+  EXPECT_EQ(pushed, (Shape{2, 9, 1}));
+  EXPECT_EQ(from_vector, (Shape{2, 7, 1}));
+  pushed.clear();
+  EXPECT_TRUE(pushed.empty());
+  EXPECT_EQ(pushed, Shape{});
+}
+
+TEST(TensorTest, MovedFromTensorIsEmpty) {
+  Tensor source = RandomTensor(Shape{3, 4}, 5);
+  const float* storage = source.data().data();
+  Tensor moved(std::move(source));
+  EXPECT_EQ(moved.shape(), (Shape{3, 4}));
+  EXPECT_EQ(moved.data().data(), storage);
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.ndim(), 0u);
+  Tensor assigned = RandomTensor(Shape{2}, 6);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.shape(), (Shape{3, 4}));
+  EXPECT_EQ(assigned.data().data(), storage);
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.shape(), Shape{});
+}
+
+TEST(ShapeTest, EqualityComparesRankThenDims) {
+  EXPECT_EQ(Shape{}, Shape{});
+  EXPECT_EQ((Shape{48}), (Shape{48}));
+  EXPECT_NE((Shape{48}), (Shape{1, 48}));
+  EXPECT_NE((Shape{1, 48}), (Shape{48, 1}));
+  EXPECT_NE((Shape{2, 3}), (Shape{2, 3, 1}));
+  EXPECT_NE((Shape{6}), (Shape{2, 3}));
+  EXPECT_NE(Shape{}, (Shape{0}));
+  // Only the first size() dims count, whatever the shape held before.
+  const Shape wide{4, 5, 6};
+  EXPECT_EQ(Shape(wide.begin(), wide.begin() + 2), (Shape{4, 5}));
+  EXPECT_EQ((Shape{1, 2, 3, 4, 5, 6, 7, 8}), (Shape{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_NE((Shape{1, 2, 3, 4, 5, 6, 7, 8}), (Shape{1, 2, 3, 4, 5, 6, 7, 9}));
+}
+
+TEST(ShapeTest, HoldsUpToMaxRankInlineAndAbortsPastIt) {
+  static_assert(Shape::kMaxRank == 8);
+  static_assert(std::is_trivially_copyable_v<Shape>);
+  Shape full;
+  for (size_t d = 0; d < Shape::kMaxRank; ++d) full.push_back(d + 1);
+  ASSERT_EQ(full.size(), Shape::kMaxRank);
+  EXPECT_EQ(full[Shape::kMaxRank - 1], Shape::kMaxRank);
+  EXPECT_EQ(Tensor::NumElements(full), 40320u);
+  EXPECT_DEATH(full.push_back(1), "DCHECK failed");
+}
 
 TEST(TensorTest, DefaultIsEmpty) {
   Tensor t;
@@ -456,6 +528,27 @@ TEST(TensorSerializeTest, TruncatedDataFails) {
   BinaryReader reader(
       std::span<const uint8_t>(writer.buffer().data(), writer.size() - 4));
   EXPECT_TRUE(ReadTensor(&reader).status().IsCorruption());
+}
+
+TEST(TensorSerializeTest, RankEightRoundTripsAndRankNineIsCorruption) {
+  const Tensor eight = RandomTensor(Shape{1, 2, 1, 2, 1, 2, 1, 2}, 7);
+  BinaryWriter writer;
+  WriteTensor(&writer, eight);
+  BinaryReader reader(writer.buffer());
+  ASSERT_OK_AND_ASSIGN(Tensor decoded, ReadTensor(&reader));
+  EXPECT_EQ(decoded.shape(), eight.shape());
+  EXPECT_TRUE(decoded.Equals(eight));
+  EXPECT_TRUE(reader.AtEnd());
+
+  // The same encoding with one more unit dimension: well-formed bytes,
+  // but past the inline shape's capacity.
+  BinaryWriter nine;
+  nine.WriteVarint(9);
+  for (int d = 0; d < 9; ++d) nine.WriteVarint(d % 2 == 0 ? 1 : 2);
+  nine.WriteFloatSpan(eight.data());
+  BinaryReader nine_reader(nine.buffer());
+  Result<Tensor> rejected = ReadTensor(&nine_reader);
+  EXPECT_TRUE(rejected.status().IsCorruption()) << rejected.status().ToString();
 }
 
 TEST(TensorSerializeTest, AbsurdRankFails) {
