@@ -175,9 +175,13 @@ class UpdateChain {
  public:
   static Result<UpdateChain> Open(const StoreContext& context,
                                   const std::string& set_id) {
-    UpdateChain chain;
     MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context, set_id));
-    MMM_RETURN_NOT_OK(chain.Append(std::move(doc)));
+    return Open(std::move(doc));
+  }
+  /// Opens the chain of a target document the caller has just fetched.
+  static Result<UpdateChain> Open(SetDocument target) {
+    UpdateChain chain;
+    MMM_RETURN_NOT_OK(chain.Append(std::move(target)));
     return chain;
   }
 
@@ -528,16 +532,31 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
 }
 
 /// Moves `values` (row-major, one per slot) into `num_rows` state dicts,
-/// keyed by the layout.
-std::vector<StateDict> TakeRows(const ParamLayout& layout, size_t num_rows,
-                                std::vector<Tensor>* values) {
+/// keyed by the layout. Each value takes its shape from the layout: a cache
+/// entry is keyed by a content hash, which covers bytes, not shape, so a
+/// zeroed [48] bias and a zeroed [1, 48] weight share one entry. A value
+/// whose element count is not its layout's fails with Corruption.
+Result<std::vector<StateDict>> TakeRows(const ParamLayout& layout,
+                                        size_t num_rows,
+                                        std::vector<Tensor>* values,
+                                        const std::string& set_id) {
   const size_t num_params = layout.size();
   std::vector<StateDict> rows(num_rows);
   for (size_t r = 0; r < num_rows; ++r) {
     rows[r].reserve(num_params);
     for (size_t p = 0; p < num_params; ++p) {
-      rows[r].emplace_back(layout[p].first,
-                           std::move((*values)[r * num_params + p]));
+      const Shape& shape = layout[p].second;
+      Tensor& value = (*values)[r * num_params + p];
+      if (value.shape() != shape) {
+        if (value.numel() != Tensor::NumElements(shape)) {
+          return Status::Corruption("layer (", r, ", ", p, ") of ", set_id,
+                                    " holds ", value.numel(),
+                                    " values, its layout ",
+                                    Tensor::NumElements(shape));
+        }
+        value = value.Reshape(shape);
+      }
+      rows[r].emplace_back(layout[p].first, std::move(value));
     }
   }
   return rows;
@@ -557,7 +576,7 @@ Result<std::vector<StateDict>> ResolveRows(
       context, chain, spec, models, std::vector<bool>(values.size(), false),
       [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
       stats, ranged_root));
-  return TakeRows(layout, num_rows, &values);
+  return TakeRows(layout, num_rows, &values, chain->target().id);
 }
 
 }  // namespace
@@ -612,11 +631,27 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   if (cache == nullptr) return Recover(set_id, stats);
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  // The set document is always fetched live. The document store stays the
-  // single root of trust, so recovering a deleted set fails right here no
-  // matter what the cache still holds — a cache hit can never resurrect a
-  // collected set.
-  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(SetDocument target, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(
+      ModelSet set, RecoverCached(std::move(target), cache, stats, cache_stats));
+  // The whole call, the document fetch included.
+  capture.FillRecover(stats);
+  return set;
+}
+
+Result<ModelSet> UpdateApproach::RecoverCached(SetDocument target,
+                                               RecoveryCache* cache,
+                                               RecoverStats* stats,
+                                               CacheRequestStats* cache_stats) {
+  if (cache == nullptr) return Recover(target.id, stats);
+  MMM_RETURN_NOT_OK(context_.Validate());
+  StatsCapture capture(context_);
+  const std::string set_id = target.id;
+  // The set document is always fetched live, by the caller. The document
+  // store stays the single root of trust, so recovering a deleted set
+  // fails at that fetch no matter what the cache still holds — a cache hit
+  // can never resurrect a collected set.
+  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(std::move(target)));
   CacheRequestStats local;
 
   // The set's per-layer content hashes, its architecture and its root's
@@ -704,24 +739,11 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
   }
   if (!meta_hit) cache->PutSetMeta(set_id, meta);
 
-  // The content hash covers a tensor's bytes, not its shape: a zeroed
-  // [48] bias and a zeroed [1, 48] weight share one entry. Each hit
-  // therefore takes its shape from the layout, never from the entry; one
-  // whose entry already has it (the usual case) stays as it is.
-  for (size_t slot = 0; slot < num_slots; ++slot) {
-    if (!hit[slot]) continue;
-    const Shape& shape = layout[slot % num_params].second;
-    Tensor& value = values[slot];
-    if (value.numel() != Tensor::NumElements(shape)) {
-      return Status::Corruption("layer (", slot / num_params, ", ",
-                                slot % num_params, ") of ", set_id,
-                                " does not match its content hash");
-    }
-    if (value.shape() != shape) value = value.Reshape(shape);
-  }
+  // A hit takes its shape from the layout, never from the entry (TakeRows).
   ModelSet set;
   set.spec = meta->spec;
-  set.models = TakeRows(layout, num_models, &values);
+  MMM_ASSIGN_OR_RETURN(set.models,
+                       TakeRows(layout, num_models, &values, set_id));
   if (cache_stats != nullptr) *cache_stats += local;
   capture.FillRecover(stats);
   return set;

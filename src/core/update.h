@@ -84,6 +84,12 @@ class UpdateApproach : public ModelSetApproach {
                                  RecoveryCache* cache,
                                  RecoverStats* stats = nullptr,
                                  CacheRequestStats* cache_stats = nullptr);
+  /// As above, for a set whose document `target` the caller has just
+  /// fetched (a server learns the approach from it), so one recovery
+  /// fetches it once. `stats` covers this call only, not that fetch.
+  Result<ModelSet> RecoverCached(SetDocument target, RecoveryCache* cache,
+                                 RecoverStats* stats = nullptr,
+                                 CacheRequestStats* cache_stats = nullptr);
 
  private:
   Result<SaveResult> SaveSnapshotWithHashes(const ModelSet& set,

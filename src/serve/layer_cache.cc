@@ -1,8 +1,8 @@
 #include "serve/layer_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <iterator>
 
 namespace mmm {
 
@@ -70,72 +70,142 @@ LayerCache::LayerCache(uint64_t capacity_bytes)
       sketch_(capacity_bytes / kBytesPerSketchCounter) {}
 
 uint64_t LayerCache::ChargeOf(const Tensor& value) {
-  // Payload plus an estimate of list/map node + Entry overhead, so capacity
-  // also bounds the footprint of many tiny layers.
-  return value.numel() * sizeof(float) + 96;
+  // The entry, the two index slots it has at the index's highest load, and
+  // the buffer's header.
+  static const uint64_t kOverhead = sizeof(Entry) + 2 * sizeof(Index::Slot) +
+                                    Tensor::BufferHeaderBytes();
+  return value.numel() * sizeof(float) + kOverhead;
 }
 
-void LayerCache::Touch(List::iterator entry) {
+void LayerCache::Segment::PushFront(Entry* entry) {
+  entry->prev = nullptr;
+  entry->next = head;
+  if (head != nullptr) {
+    head->prev = entry;
+  } else {
+    tail = entry;
+  }
+  head = entry;
+}
+
+void LayerCache::Segment::Unlink(Entry* entry) {
+  (entry->prev != nullptr ? entry->prev->next : head) = entry->next;
+  (entry->next != nullptr ? entry->next->prev : tail) = entry->prev;
+  entry->prev = nullptr;
+  entry->next = nullptr;
+}
+
+void LayerCache::Touch(Entry* entry) {
   if (entry->is_protected) {
-    protected_.splice(protected_.begin(), protected_, entry);
+    protected_.Unlink(entry);
+    protected_.PushFront(entry);
     return;
   }
   entry->is_protected = true;
   bytes_protected_ += entry->charge;
-  protected_.splice(protected_.begin(), probation_, entry);
+  probation_.Unlink(entry);
+  protected_.PushFront(entry);
   while (bytes_protected_ > protected_capacity_) {
-    auto demoted = std::prev(protected_.end());
+    Entry* demoted = protected_.tail;
     demoted->is_protected = false;
     bytes_protected_ -= demoted->charge;
-    probation_.splice(probation_.begin(), protected_, demoted);
+    protected_.Unlink(demoted);
+    probation_.PushFront(demoted);
   }
 }
 
+namespace {
+
+/// Hints the CPU to fetch every cache line of `bytes` bytes at `p`.
+void PrefetchLines(const void* p, size_t bytes) {
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t start = reinterpret_cast<uintptr_t>(p);
+  for (uintptr_t line = start & ~(kLine - 1); line < start + bytes;
+       line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
+
+}  // namespace
+
 std::vector<bool> LayerCache::Get(std::span<const Sha256Digest> hashes,
                                   std::span<Tensor> out) {
-  std::vector<bool> hit(hashes.size(), false);
-  size_t found = 0;
+  constexpr size_t kD = kProbeDistance;
+  const size_t n = hashes.size();
+  std::vector<bool> hit(n, false);
+  // The slot step two found for each of the last kD probes; step three
+  // reads probe k's before step two overwrites it with probe k + kD's.
+  std::array<size_t, kD> scanned{};
+  size_t hits = 0;
   MutexLock lock(mu_);
+  found_.assign(n, nullptr);
   if (bytes_used_ >= record_threshold_) {
-    for (const Sha256Digest& hash : hashes) sketch_.Record(SketchKey(hash.bytes));
+    for (const Sha256Digest& hash : hashes) sketch_.Record(SketchKey(hash));
   }
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    auto it = index_.find(Key{hashes[i].bytes});
-    if (it == index_.end()) continue;
-    out[i] = it->second->value;
-    hit[i] = true;
-    Touch(it->second);
-    found += 1;
+  for (size_t i = 0; i < n + 2 * kD; ++i) {
+    // Step three, probe k: check the key, prefetch the buffer's counts.
+    if (i >= 2 * kD) {
+      const size_t k = i - 2 * kD;
+      Entry* entry = index_.FindFrom(scanned[k % kD], hashes[k]);
+      if (entry != nullptr) {
+        entry->value.PrefetchBuffer();
+        found_[k] = entry;
+        hit[k] = true;
+        hits += 1;
+      }
+    }
+    // Step two, probe j: find the first slot with its tag, prefetch the
+    // entry there.
+    if (i >= kD && i - kD < n) {
+      const size_t j = i - kD;
+      const uint64_t tag = Index::TagOf(hashes[j]);
+      const size_t slot = index_.Scan(index_.Home(tag), tag);
+      scanned[j % kD] = slot;
+      if (const Entry* entry = index_.At(slot)) {
+        PrefetchLines(entry, sizeof(Entry));
+      }
+    }
+    // Step one, probe i: prefetch its home slot.
+    if (i < n) index_.Prefetch(index_.Home(Index::TagOf(hashes[i])));
   }
-  hits_ += found;
-  misses_ += hashes.size() - found;
+  for (size_t i = 0; i < n; ++i) {
+    if (found_[i] != nullptr) out[i] = found_[i]->value;
+  }
+  for (Entry* entry : found_) {
+    if (entry != nullptr) Touch(entry);
+  }
+  hits_ += hits;
+  misses_ += n - hits;
   return hit;
 }
 
 bool LayerCache::Contains(const Sha256Digest& hash) const {
   MutexLock lock(mu_);
-  return index_.find(Key{hash.bytes}) != index_.end();
+  return index_.Find(hash) != nullptr;
 }
 
-LayerCache::List::iterator LayerCache::Erase(List::iterator entry) {
+void LayerCache::Erase(Entry* entry) {
   bytes_used_ -= entry->charge;
   if (entry->pinned) bytes_pinned_ -= entry->charge;
-  List& segment = entry->is_protected ? protected_ : probation_;
-  if (entry->is_protected) bytes_protected_ -= entry->charge;
-  index_.erase(entry->key);
-  return segment.erase(entry);
+  if (entry->is_protected) {
+    bytes_protected_ -= entry->charge;
+    protected_.Unlink(entry);
+  } else {
+    probation_.Unlink(entry);
+  }
+  index_.Erase(entry->key);
 }
 
 bool LayerCache::Admits(uint64_t key, uint64_t charge) const {
   const uint32_t frequency = sketch_.Estimate(key);
   // The victims the eviction loop in PutOne would take, in its order.
   uint64_t freed = 0;
-  for (const List* segment : {&probation_, &protected_}) {
-    for (auto victim = segment->rbegin();
-         victim != segment->rend() && bytes_used_ - freed + charge > capacity_;
-         ++victim) {
+  for (const Segment* segment : {&probation_, &protected_}) {
+    for (const Entry* victim = segment->tail;
+         victim != nullptr && bytes_used_ - freed + charge > capacity_;
+         victim = victim->prev) {
       if (victim->pinned) continue;
-      if (sketch_.Estimate(SketchKey(victim->key.bytes)) >= frequency) {
+      if (sketch_.Estimate(SketchKey(victim->key)) >= frequency) {
         return false;
       }
       freed += victim->charge;
@@ -147,13 +217,12 @@ bool LayerCache::Admits(uint64_t key, uint64_t charge) const {
 bool LayerCache::PutOne(const Sha256Digest& hash, const Tensor& value,
                         bool pinned) {
   const uint64_t charge = ChargeOf(value);
-  auto it = index_.find(Key{hash.bytes});
-  if (it != index_.end()) {
+  if (Entry* resident = index_.Find(hash)) {
     // Content-hash keys are immutable: the resident value is already
     // correct. Honor a pin request, otherwise decline the duplicate.
-    if (pinned && !it->second->pinned) {
-      it->second->pinned = true;
-      bytes_pinned_ += it->second->charge;
+    if (pinned && !resident->pinned) {
+      resident->pinned = true;
+      bytes_pinned_ += resident->charge;
       return true;
     }
     rejected_ += 1;
@@ -166,22 +235,28 @@ bool LayerCache::PutOne(const Sha256Digest& hash, const Tensor& value,
     return false;
   }
   if (!pinned && bytes_used_ + charge > capacity_ &&
-      !Admits(SketchKey(hash.bytes), charge)) {
+      !Admits(SketchKey(hash), charge)) {
     declined_ += 1;
     return false;
   }
-  for (List* segment : {&probation_, &protected_}) {
-    auto victim = segment->end();
-    while (bytes_used_ + charge > capacity_ && victim != segment->begin()) {
-      --victim;
-      if (victim->pinned) continue;
-      victim = Erase(victim);
-      evictions_ += 1;
+  for (Segment* segment : {&probation_, &protected_}) {
+    Entry* victim = segment->tail;
+    while (bytes_used_ + charge > capacity_ && victim != nullptr) {
+      Entry* newer = victim->prev;
+      if (!victim->pinned) {
+        Erase(victim);
+        evictions_ += 1;
+      }
+      victim = newer;
     }
   }
-  probation_.push_front(
-      Entry{Key{hash.bytes}, value, charge, pinned, /*is_protected=*/false});
-  index_[Key{hash.bytes}] = probation_.begin();
+  auto entry = std::make_unique<Entry>();
+  entry->key = hash;
+  entry->value = value;
+  entry->charge = charge;
+  entry->pinned = pinned;
+  probation_.PushFront(entry.get());
+  index_.Insert(std::move(entry));
   bytes_used_ += charge;
   if (pinned) bytes_pinned_ += charge;
   inserts_ += 1;
@@ -200,28 +275,28 @@ size_t LayerCache::Put(std::span<const Sha256Digest> hashes,
 
 bool LayerCache::Pin(const Sha256Digest& hash) {
   MutexLock lock(mu_);
-  auto it = index_.find(Key{hash.bytes});
-  if (it == index_.end()) return false;
-  if (!it->second->pinned) {
-    it->second->pinned = true;
-    bytes_pinned_ += it->second->charge;
+  Entry* entry = index_.Find(hash);
+  if (entry == nullptr) return false;
+  if (!entry->pinned) {
+    entry->pinned = true;
+    bytes_pinned_ += entry->charge;
   }
   return true;
 }
 
 void LayerCache::Unpin(const Sha256Digest& hash) {
   MutexLock lock(mu_);
-  auto it = index_.find(Key{hash.bytes});
-  if (it == index_.end() || !it->second->pinned) return;
-  it->second->pinned = false;
-  bytes_pinned_ -= it->second->charge;
+  Entry* entry = index_.Find(hash);
+  if (entry == nullptr || !entry->pinned) return;
+  entry->pinned = false;
+  bytes_pinned_ -= entry->charge;
 }
 
 bool LayerCache::Invalidate(const Sha256Digest& hash) {
   MutexLock lock(mu_);
-  auto it = index_.find(Key{hash.bytes});
-  if (it == index_.end()) return false;
-  Erase(it->second);
+  Entry* entry = index_.Find(hash);
+  if (entry == nullptr) return false;
+  Erase(entry);
   invalidated_ += 1;
   return true;
 }
@@ -229,9 +304,9 @@ bool LayerCache::Invalidate(const Sha256Digest& hash) {
 void LayerCache::Clear() {
   MutexLock lock(mu_);
   invalidated_ += index_.size();
-  probation_.clear();
-  protected_.clear();
-  index_.clear();
+  probation_ = Segment{};
+  protected_ = Segment{};
+  index_.Clear();
   bytes_used_ = 0;
   bytes_pinned_ = 0;
   bytes_protected_ = 0;

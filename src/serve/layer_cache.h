@@ -1,16 +1,15 @@
 #ifndef MMM_SERVE_LAYER_CACHE_H_
 #define MMM_SERVE_LAYER_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <cstring>
-#include <list>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "serialize/sha256.h"
+#include "serve/digest_index.h"
 #include "tensor/tensor.h"
 
 namespace mmm {
@@ -72,10 +71,12 @@ class FrequencySketch {
 /// Content-hash keys make entries immutable by construction: a hash can only
 /// ever map to one tensor value, so concurrent Puts for the same key are
 /// idempotent and a hit always returns exactly the bytes a store recovery
-/// would have produced. Entries hold their Tensor by value, in the entry's
-/// own list node. A hit copies the tensor into the caller's slot: the copy
-/// shares the entry's buffer, and its shape is inline, so it costs one
-/// reference-count bump and no allocation. An evicted entry's buffer stays
+/// would have produced. Each entry is one allocation holding its key, its
+/// Tensor by value and its recency links; one open-addressed DigestIndex
+/// owns the entries and finds them by digest, with no node of its own. A
+/// hit copies the tensor into the caller's slot: the copy shares the
+/// entry's buffer, and its shape is inline, so it costs one reference-count
+/// bump and no allocation. An evicted entry's buffer stays
 /// alive for every reader still holding a copy. A caller's first write to
 /// such a copy copies the buffer (Tensor is copy-on-write), so no write
 /// ever reaches an entry.
@@ -100,8 +101,9 @@ class FrequencySketch {
 /// popularity. Pinned offers bypass the filter.
 ///
 /// Calls are batched: Get and Put take every layer of one request and hold
-/// the lock once for all of them, handling them in order. A batch behaves
-/// exactly like the same layers offered one call each.
+/// the lock once for all of them. A batch behaves exactly like the same
+/// layers offered one call each. Get pipelines its probes so that their
+/// cache misses overlap (see Get).
 ///
 /// The capacity bound is strict: charged bytes never exceed
 /// `capacity_bytes()`, even transiently. An offer that cannot fit after
@@ -118,14 +120,24 @@ class LayerCache {
   /// Capacity bytes per sketch counter (per row): the sketch's width is
   /// the capacity over this, rounded up to a power of two.
   static constexpr uint64_t kBytesPerSketchCounter = 256;
+  /// Probes between two stages of Get's pipeline.
+  static constexpr size_t kProbeDistance = 4;
 
   /// \param capacity_bytes charged-byte budget
   explicit LayerCache(uint64_t capacity_bytes);
 
-  /// Probes `hashes` in order. On a hit, `out[i]` receives a copy of the
-  /// tensor cached under `hashes[i]` (sharing its buffer) and the entry is
-  /// marked most recently used; on a miss `out[i]` is left as it was.
-  /// `out` must be as long as `hashes`. Returns one hit flag per hash.
+  /// Probes `hashes`. On a hit, `out[i]` receives a copy of the tensor
+  /// cached under `hashes[i]` (sharing its buffer) and the entry is marked
+  /// most recently used, in request order; on a miss `out[i]` is left as it
+  /// was. `out` must be as long as `hashes`. Returns one hit flag per hash.
+  ///
+  /// The lookups are software-pipelined (group prefetching, Chen,
+  /// Ailamaki, Gibbons & Mowry, ICDE 2004): while probe i's key is checked
+  /// and its buffer's reference counts are prefetched, probe i +
+  /// kProbeDistance resolves its slot and prefetches its entry, and probe
+  /// i + 2 * kProbeDistance prefetches its slot. The hits are then copied
+  /// in a second pass and touched in a third, so each reference-count
+  /// increment finds its line already fetched.
   std::vector<bool> Get(std::span<const Sha256Digest> hashes,
                         std::span<Tensor> out);
 
@@ -157,7 +169,9 @@ class LayerCache {
   /// Removes everything, including pinned entries.
   void Clear();
 
-  /// Charged size of one cached tensor: payload plus bookkeeping overhead.
+  /// Charged size of one cached tensor: its values plus the bytes its entry
+  /// adds (the entry, its share of the index's slots and the buffer's
+  /// header), so capacity also bounds the footprint of many tiny layers.
   static uint64_t ChargeOf(const Tensor& value);
 
   uint64_t capacity_bytes() const { return capacity_; }
@@ -166,38 +180,37 @@ class LayerCache {
   LayerCacheStats stats() const;
 
  private:
-  struct Key {
-    std::array<uint8_t, 32> bytes;
-    bool operator==(const Key& other) const { return bytes == other.bytes; }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      // A SHA-256 prefix is already uniformly distributed.
-      uint64_t h;
-      std::memcpy(&h, k.bytes.data(), sizeof(h));
-      return static_cast<size_t>(h);
-    }
-  };
   /// The sketch's key: the digest's second 8 bytes, independent of the
-  /// index's.
-  static uint64_t SketchKey(const std::array<uint8_t, 32>& bytes) {
+  /// index's tag.
+  static uint64_t SketchKey(const Sha256Digest& hash) {
     uint64_t h;
-    std::memcpy(&h, bytes.data() + 8, sizeof(h));
+    std::memcpy(&h, hash.bytes.data() + 8, sizeof(h));
     return h;
   }
+  /// One cached layer. The key and the tensor's hot fields lead, so a
+  /// probe's key check and its copy read the entry's first lines.
   struct Entry {
-    Key key;
+    Sha256Digest key;
     Tensor value;
+    Entry* prev = nullptr;  ///< toward its segment's head (more recent)
+    Entry* next = nullptr;  ///< toward its segment's tail
     uint64_t charge = 0;
     bool pinned = false;
     bool is_protected = false;
   };
-  using List = std::list<Entry>;
+  /// An intrusive recency list of entries; the index owns them.
+  struct Segment {
+    Entry* head = nullptr;  ///< most recently used
+    Entry* tail = nullptr;
+    void PushFront(Entry* entry);
+    void Unlink(Entry* entry);
+  };
+  using Index = DigestIndex<Entry>;
 
   /// Marks a hit: moves the entry to the head of the protected segment,
   /// then demotes protected tail entries to probation while the segment
   /// is over its share.
-  void Touch(List::iterator entry) MMM_REQUIRES(mu_);
+  void Touch(Entry* entry) MMM_REQUIRES(mu_);
   /// The admission filter: true if an unpinned offer of `charge` bytes
   /// whose sketch key is `key` is more frequent than every entry it would
   /// evict. Evicts nothing.
@@ -205,17 +218,20 @@ class LayerCache {
   /// Offers one value (see Put). Returns true if it was admitted or pinned.
   bool PutOne(const Sha256Digest& hash, const Tensor& value, bool pinned)
       MMM_REQUIRES(mu_);
-  /// Unlinks an entry from its segment and the index.
-  List::iterator Erase(List::iterator entry) MMM_REQUIRES(mu_);
+  /// Unlinks an entry from its segment and destroys it.
+  void Erase(Entry* entry) MMM_REQUIRES(mu_);
 
   const uint64_t capacity_;
   const uint64_t protected_capacity_;
   const uint64_t record_threshold_;
 
   mutable Mutex mu_ MMM_LOCK_RANK(100);
-  List probation_ MMM_GUARDED_BY(mu_);  ///< front = most recently used
-  List protected_ MMM_GUARDED_BY(mu_);  ///< front = most recently used
-  std::unordered_map<Key, List::iterator, KeyHash> index_ MMM_GUARDED_BY(mu_);
+  Segment probation_ MMM_GUARDED_BY(mu_);
+  Segment protected_ MMM_GUARDED_BY(mu_);
+  Index index_ MMM_GUARDED_BY(mu_);  ///< owns every entry
+  /// Get's hits, one per probe (null on a miss); kept to spare each
+  /// request an allocation.
+  std::vector<Entry*> found_ MMM_GUARDED_BY(mu_);
   FrequencySketch sketch_ MMM_GUARDED_BY(mu_);
   uint64_t bytes_used_ MMM_GUARDED_BY(mu_) = 0;
   uint64_t bytes_pinned_ MMM_GUARDED_BY(mu_) = 0;

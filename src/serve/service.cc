@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/clock.h"
 #include "core/inspect.h"
@@ -79,13 +80,17 @@ Result<ModelSet> ModelSetService::RecoverLocked(const std::string& set_id,
       // direct Recover call (no extra document fetch, no cache probes).
       return manager_->Recover(set_id, &stats);
     }
+    // The document is fetched once, live, and handed on; its fetch counts
+    // in the request's modeled cost.
+    StatsCapture capture(manager_->context());
     MMM_ASSIGN_OR_RETURN(SetDocument doc,
                          FetchSetDocument(manager_->context(), set_id));
-    if (doc.approach == "update") {
-      return manager_->update_approach()->RecoverCached(set_id, &adapter_,
-                                                        &stats, &cache_stats);
-    }
-    return manager_->Recover(set_id, &stats);
+    if (doc.approach != "update") return manager_->Recover(set_id, &stats);
+    MMM_ASSIGN_OR_RETURN(ModelSet set,
+                         manager_->update_approach()->RecoverCached(
+                             std::move(doc), &adapter_, &stats, &cache_stats));
+    capture.FillRecover(&stats);
+    return set;
   }();
   if (result != nullptr) {
     result->modeled_store_nanos = stats.simulated_store_nanos;
@@ -132,7 +137,7 @@ Status ModelSetService::PinSet(const std::string& set_id) {
   // Materialize through the cache; this also records the set's hash table
   // in the metadata memo, aligned m-major with set.models.
   MMM_ASSIGN_OR_RETURN(ModelSet set, manager_->update_approach()->RecoverCached(
-                                         set_id, &adapter_, nullptr, nullptr));
+                                         std::move(doc), &adapter_));
   std::vector<Sha256Digest> hashes = KnownHashesOf(set_id);
   size_t layers_per_model = set.models.empty() ? 0 : set.models[0].size();
   if (hashes.size() != set.models.size() * layers_per_model) {

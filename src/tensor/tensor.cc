@@ -21,6 +21,10 @@ struct Tensor::Buffer {
   Sha256Digest digest;
 };
 
+size_t Tensor::BufferHeaderBytes() {
+  return sizeof(void*) + 2 * sizeof(uint32_t) + sizeof(Buffer);
+}
+
 size_t Tensor::NumElements(const Shape& shape) {
   size_t n = 1;
   for (size_t d : shape) n *= d;

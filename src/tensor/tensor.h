@@ -187,6 +187,24 @@ class Tensor {
   /// Number of elements implied by a shape.
   static size_t NumElements(const Shape& shape);
 
+  /// Heap bytes a buffer takes besides its values: the shared_ptr control
+  /// block (a vtable pointer and two 4-byte counts) and the Buffer header
+  /// that follows it in the one allocation std::make_shared makes.
+  static size_t BufferHeaderBytes();
+
+  /// Hints the CPU to fetch the line that holds this tensor's buffer
+  /// reference counts, which a copy increments. Under std::make_shared the
+  /// counts are the word just before the Buffer. A hint only: no effect on
+  /// any value, and a no-op for a tensor with no buffer.
+  void PrefetchBuffer() const {
+    if (buffer_ != nullptr) {
+      __builtin_prefetch(reinterpret_cast<const void*>(
+                             reinterpret_cast<uintptr_t>(buffer_.get()) -
+                             sizeof(uint64_t)),
+                         /*rw=*/1);
+    }
+  }
+
   /// \name Digest memo (see the class comment)
   /// @{
   /// Copies the published digest of data()'s bytes into `*digest`; false
