@@ -15,6 +15,8 @@
 #include "cas/manifest.h"
 #include "common/rng.h"
 #include "core/blob_formats.h"
+#include "core/gc.h"
+#include "core/manager.h"
 #include "nn/trainer.h"
 #include "serialize/crc32.h"
 #include "serialize/json.h"
@@ -374,6 +376,39 @@ void BM_StoreBatchCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * set.models.size());
 }
 BENCHMARK(BM_StoreBatchCommit)->Arg(1)->Arg(2)->Arg(4);
+
+void BM_CasCommit(benchmark::State& state) {
+  // One Baseline save with CAS on (default chunking, in-memory Env) into a
+  // store that already holds range(0) live sets of 100 FFNN-48 models
+  // (~2 MB of distinct chunks each). A commit writes its pack, manifests
+  // and documents, so its time should not grow with the live sets.
+  // Deleting the saved set after each timed save (paused) keeps the store
+  // at the same size, and the next save packs its chunks anew.
+  constexpr size_t kModels = 100;
+  InMemoryEnv env;
+  ModelSetManager::Options options;
+  options.root_dir = "/store";
+  options.env = &env;
+  options.cas.enabled = true;
+  std::unique_ptr<ModelSetManager> manager =
+      ModelSetManager::Open(options).ValueOrDie();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const ModelSet live =
+        MakeInitializedSet(Ffnn48Spec(), kModels, 100 + static_cast<uint64_t>(i))
+            .ValueOrDie();
+    manager->SaveInitial(ApproachType::kBaseline, live).status().Check();
+  }
+  const ModelSet set =
+      MakeInitializedSet(Ffnn48Spec(), kModels, 1).ValueOrDie();
+  for (auto _ : state) {
+    const std::string id =
+        manager->SaveInitial(ApproachType::kBaseline, set).ValueOrDie().set_id;
+    state.PauseTiming();
+    DeleteSet(manager->context(), id).status().Check();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CasCommit)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_DiffHashTables(benchmark::State& state) {
   ModelSet base =

@@ -5,11 +5,16 @@
 #include <set>
 
 #include "serialize/crc32.h"
-#include "serialize/json.h"
 #include "serialize/sha256.h"
 #include "storage/store_batch.h"
 
 namespace mmm {
+namespace {
+
+/// The whole content of the marker file `CasStore::Open` writes.
+constexpr uint8_t kMarker[] = {'M', 'M', 'C', 'A', 'S', '1', '\n'};
+
+}  // namespace
 
 class CasChunkingSink;
 
@@ -105,8 +110,7 @@ class CasBatchSession : public CasWriteSession {
     CasStore::SweepReport ignored;
     store_->DropZeroRefChunksLocked(&ignored);
     MMM_RETURN_NOT_OK(store_->DeleteDeadPacksLocked(&ignored));
-    MMM_RETURN_NOT_OK(status);
-    return store_->PersistIndexLocked();
+    return status;
   }
 
   void Aborted() override {
@@ -336,11 +340,16 @@ void CasStore::PackPins::Release() {
 
 Result<std::unique_ptr<CasStore>> CasStore::Open(Env* env, FileStore* store,
                                                  CommitJournal* journal,
-                                                 std::string index_path,
+                                                 std::string marker_path,
                                                  CasOptions options) {
   MMM_RETURN_NOT_OK(options.Validate());
+  // Marked before anything is chunked. Only the marker's presence is ever
+  // read, so one written by an older store (a JSON checkpoint, or torn)
+  // stays as it is.
+  MMM_ASSIGN_OR_RETURN(bool marked, env->FileExists(marker_path));
+  if (!marked) MMM_RETURN_NOT_OK(env->WriteFile(marker_path, kMarker));
   auto cas = std::unique_ptr<CasStore>(
-      new CasStore(env, store, journal, std::move(index_path), options));
+      new CasStore(env, store, journal, std::move(marker_path), options));
   MMM_ASSIGN_OR_RETURN(Rebuilt scan, cas->ScanStore());
   // Skipped when the scan saw undecodable manifests or packs: their
   // references are unknown, so deleting anything could orphan a
@@ -361,7 +370,6 @@ Result<std::unique_ptr<CasStore>> CasStore::Open(Env* env, FileStore* store,
     SweepReport ignored;
     MMM_RETURN_NOT_OK(cas->DeleteDeadPacksLocked(&ignored));
   }
-  MMM_RETURN_NOT_OK(cas->PersistIndexLocked());
   return cas;
 }
 
@@ -684,7 +692,6 @@ Result<CasStore::SweepReport> CasStore::SweepZeroRefChunks() {
     MutexLock lock(mu_);
     DropZeroRefChunksLocked(&report);
     MMM_RETURN_NOT_OK(DeleteDeadPacksLocked(&report));
-    MMM_RETURN_NOT_OK(PersistIndexLocked());
   }
   MMM_RETURN_NOT_OK(Repack(&report));
   return report;
@@ -782,8 +789,7 @@ Status CasStore::Repack(SweepReport* report) {
     packs_[id].live_bytes += entries[i].length;
   }
   report->packs_repacked += sources.size();
-  MMM_RETURN_NOT_OK(DeleteDeadPacksLocked(report));
-  return PersistIndexLocked();
+  return DeleteDeadPacksLocked(report);
 }
 
 Result<CasStore::SweepReport> CasStore::SweepUntrackedPacks() {
@@ -810,6 +816,14 @@ Status CasStore::Audit(std::vector<std::string>* problems) const {
   MMM_ASSIGN_OR_RETURN(Rebuilt scan, ScanStore());
   for (const std::string& problem : scan.problems) {
     problems->push_back(problem);
+  }
+  // Without its marker, a reopen that does not ask for CAS leaves it off,
+  // and CAS-blind GC would delete manifests without their chunks.
+  MMM_ASSIGN_OR_RETURN(bool marked, env_->FileExists(marker_path_));
+  if (!marked && (!scan.packs.empty() || !scan.manifests.empty() ||
+                  !scan.legacy_chunks.empty())) {
+    problems->push_back("cas marker '" + marker_path_ +
+                        "' is missing, so a reopen would leave CAS off");
   }
   // Every referenced chunk must sit in a pack with the manifest's length.
   for (const auto& [name, manifest] : scan.manifests) {
@@ -932,87 +946,11 @@ Status CasStore::Audit(std::vector<std::string>* problems) const {
                           "' content hashes to " + actual);
     }
   }
-  // The persisted checkpoint must agree with the recomputed refcounts.
-  MMM_ASSIGN_OR_RETURN(bool checkpoint_exists, env_->FileExists(index_path_));
-  if (!checkpoint_exists) {
-    problems->push_back("cas index checkpoint '" + index_path_ +
-                        "' is missing");
-    return Status::OK();
-  }
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, env_->ReadFile(index_path_));
-  auto parsed = JsonValue::Parse(std::string_view(
-      reinterpret_cast<const char*>(raw.data()), raw.size()));
-  if (!parsed.ok()) {
-    problems->push_back("cas index checkpoint unparseable: " +
-                        parsed.status().ToString());
-    return Status::OK();
-  }
-  const JsonValue record = std::move(parsed).ValueOrDie();
-  std::map<std::string, uint64_t> recorded;
-  MMM_ASSIGN_OR_RETURN(const JsonValue* chunk_array, record.Get("chunks"));
-  for (const JsonValue& entry : chunk_array->array_items()) {
-    MMM_ASSIGN_OR_RETURN(const JsonValue* hex, entry.At(0));
-    MMM_ASSIGN_OR_RETURN(const JsonValue* refs, entry.At(1));
-    MMM_ASSIGN_OR_RETURN(std::string hex_value, hex->AsString());
-    MMM_ASSIGN_OR_RETURN(int64_t ref_count, refs->AsInt64());
-    recorded[hex_value] = static_cast<uint64_t>(ref_count);
-  }
-  for (const auto& [hex, state] : scan.chunks) {
-    auto it = recorded.find(hex);
-    if (it == recorded.end()) {
-      problems->push_back("checkpoint is missing chunk " + hex);
-    } else if (it->second != state.refs) {
-      problems->push_back("checkpoint chunk " + hex + " refcount " +
-                          std::to_string(it->second) + " != recomputed " +
-                          std::to_string(state.refs));
-    }
-  }
-  for (const auto& [hex, refs] : recorded) {
-    if (refs > 0 && scan.chunks.count(hex) == 0) {
-      problems->push_back("checkpoint chunk " + hex +
-                          " no longer exists in the store");
-    }
-  }
   return Status::OK();
 }
 
 std::unique_ptr<CasWriteSession> CasStore::BeginSession() {
   return std::make_unique<CasBatchSession>(this);
-}
-
-Status CasStore::PersistIndexLocked() {
-  JsonValue record = JsonValue::Object();
-  record.Set("version", 1);
-  JsonValue chunk_array = JsonValue::Array();
-  for (const auto& [hex, state] : chunks_) {
-    JsonValue entry = JsonValue::Array();
-    entry.Append(hex);
-    entry.Append(state.refs);
-    entry.Append(state.where.length);
-    chunk_array.Append(std::move(entry));
-  }
-  record.Set("chunks", std::move(chunk_array));
-  JsonValue manifest_array = JsonValue::Array();
-  for (const auto& [name, state] : manifests_) {
-    JsonValue entry = JsonValue::Array();
-    entry.Append(name);
-    entry.Append(state.raw_size);
-    JsonValue chunks = JsonValue::Array();
-    for (const CasChunkRef& ref : state.chunks) {
-      JsonValue chunk = JsonValue::Array();
-      chunk.Append(ref.hash_hex);
-      chunk.Append(ref.length);
-      chunks.Append(std::move(chunk));
-    }
-    entry.Append(std::move(chunks));
-    manifest_array.Append(std::move(entry));
-  }
-  record.Set("manifests", std::move(manifest_array));
-  const std::string text = record.Dump();
-  return env_->WriteFile(
-      index_path_,
-      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
-                               text.size()));
 }
 
 }  // namespace mmm

@@ -50,11 +50,12 @@ namespace mmm {
 /// indexes after journal replay (where two packs hold a chunk, the newer
 /// pack's copy wins, which rolls an interrupted repack forward), deletes
 /// packs holding no referenced chunk, and packs the `cas-<hex>` chunk
-/// files of an older store into one pack (see kCasChunkPrefix). The
-/// checkpoint file (`cas.index`, written through Env like the journal,
-/// charging nothing to the modeled store costs) is an audited cache: fsck
-/// recomputes the index from the store and flags any divergence from
-/// memory or checkpoint.
+/// files of an older store into one pack (see kCasChunkPrefix). Nothing
+/// persists the index itself: a commit writes only its pack and manifests.
+/// The marker file (`cas.index`, written once by Open through Env,
+/// charging nothing to the modeled store costs) says only that the store
+/// uses CAS. fsck recomputes the index from the store and flags any
+/// divergence from memory, and a CAS store without its marker.
 ///
 /// Invariants (audited by fsck / `mmmctl cas-stats`):
 ///  - every chunk a live manifest references has a location in a pack, its
@@ -148,17 +149,18 @@ class CasStore : public CasWriter {
   /// and chunk locations from the live manifests and pack indexes (reading
   /// through `env` directly — open-time infrastructure, like journal
   /// replay), packs the chunk files of an older store (one journaled
-  /// commit through `journal`, which may be null), deletes packs no
-  /// manifest references, and persists the checkpoint to `index_path`.
+  /// commit through `journal`, which may be null), and deletes packs no
+  /// manifest references. First writes the marker file `marker_path` if it
+  /// is absent; an existing one, whatever it holds, is left as it is.
   /// Call after CommitJournal::Replay so the scan sees only consistent
   /// commits.
   static Result<std::unique_ptr<CasStore>> Open(Env* env, FileStore* store,
                                                 CommitJournal* journal,
-                                                std::string index_path,
+                                                std::string marker_path,
                                                 CasOptions options);
 
   const CasOptions& options() const { return options_; }
-  const std::string& index_path() const { return index_path_; }
+  const std::string& marker_path() const { return marker_path_; }
 
   /// \name Read-side queries (cas/blob_io.h, GC, fleet oracles).
   /// @{
@@ -199,7 +201,7 @@ class CasStore : public CasWriter {
   /// Drops every unpinned zero-refcount chunk from the index, deletes the
   /// packs left without a live chunk, repacks those below
   /// kRepackLiveFraction (pack reads and writes go through FileStore —
-  /// this is real, modeled GC work), and persists the checkpoint.
+  /// this is real, modeled GC work).
   Result<SweepReport> SweepZeroRefChunks();
   /// Deletes pack blobs present in the store that the index does not track
   /// and no session is writing — leftovers of an aborted in-process commit
@@ -210,9 +212,10 @@ class CasStore : public CasWriter {
   /// @}
 
   /// fsck: recomputes the index from the store, re-hashes every live chunk
-  /// from its pack range, and appends any divergence (memory vs store vs
-  /// checkpoint, missing/corrupt chunks, unreadable or unreferenced packs)
-  /// to `problems`. Read-only; never repairs.
+  /// from its pack range, and appends any divergence (memory vs store,
+  /// missing/corrupt chunks, unreadable or unreferenced packs, a missing
+  /// marker beside packs or manifests) to `problems`. Read-only; never
+  /// repairs.
   Status Audit(std::vector<std::string>* problems) const;
 
   /// CasWriter: one session per StoreBatch commit.
@@ -247,11 +250,11 @@ class CasStore : public CasWriter {
   };
 
   CasStore(Env* env, FileStore* store, CommitJournal* journal,
-           std::string index_path, CasOptions options)
+           std::string marker_path, CasOptions options)
       : env_(env),
         store_(store),
         journal_(journal),
-        index_path_(std::move(index_path)),
+        marker_path_(std::move(marker_path)),
         options_(options) {}
 
   /// Scans the store through Env and recomputes the whole index.
@@ -274,12 +277,11 @@ class CasStore : public CasWriter {
       MMM_REQUIRES(mu_);
   Status DeleteDeadPacksLocked(SweepReport* report) MMM_REQUIRES(mu_);
   void UnpinPacks(const std::vector<uint64_t>& packs);
-  Status PersistIndexLocked() MMM_REQUIRES(mu_);
 
   Env* env_;
   FileStore* store_;
   CommitJournal* journal_;
-  std::string index_path_;
+  std::string marker_path_;
   CasOptions options_;
 
   /// Serializes repacks; taken before mu_.

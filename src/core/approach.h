@@ -92,10 +92,17 @@ struct RecoverStats {
   uint64_t simulated_store_nanos = 0;
 };
 
+struct SetDocument;  // core/set_codec.h
+
 /// \brief Interface of a multi-model management approach (paper §3).
 ///
 /// Implementations: MMlibBaseApproach (the reference point), BaselineApproach
 /// (§3.2), UpdateApproach (§3.3), ProvenanceApproach (§3.4).
+///
+/// Each recovery entry point comes in two forms: by set id, which fetches
+/// the set's document and goes on as the second, and from a document the
+/// caller has just fetched (a manager or server learns the approach from
+/// it), so that one recovery fetches the document once.
 class ModelSetApproach {
  public:
   virtual ~ModelSetApproach() = default;
@@ -112,13 +119,17 @@ class ModelSetApproach {
   virtual Result<SaveResult> SaveDerived(const ModelSet& set,
                                          const ModelSetUpdateInfo& update) = 0;
 
-  /// Recovers a previously saved set by id. `stats` is optional.
-  virtual Result<ModelSet> Recover(const std::string& set_id,
-                                   RecoverStats* stats) = 0;
+  /// Recovers a previously saved set by id. `stats` is optional and
+  /// covers the document fetch too.
+  Result<ModelSet> Recover(const std::string& set_id, RecoverStats* stats);
 
   Result<ModelSet> Recover(const std::string& set_id) {
     return Recover(set_id, nullptr);
   }
+
+  /// Recovers the set whose document is `doc`. `stats` covers this call
+  /// only, not the fetch of `doc`.
+  virtual Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats) = 0;
 
   /// Recovers only the models at `indices` (any order, duplicates allowed);
   /// the result is parallel to `indices`. This is the paper's deployment
@@ -126,14 +137,25 @@ class ModelSetApproach {
   /// example, after an accident" (§1) — and implementations avoid
   /// materializing the full set where their format permits (ranged reads of
   /// the parameter blob, per-model diff filtering, subset replay).
-  virtual Result<std::vector<StateDict>> RecoverModels(
+  Result<std::vector<StateDict>> RecoverModels(
       const std::string& set_id, const std::vector<size_t>& indices,
-      RecoverStats* stats) = 0;
+      RecoverStats* stats);
 
   Result<std::vector<StateDict>> RecoverModels(
       const std::string& set_id, const std::vector<size_t>& indices) {
     return RecoverModels(set_id, indices, nullptr);
   }
+
+  /// RecoverModels of the set whose document is `doc`; `stats` as for
+  /// Recover(SetDocument, RecoverStats*).
+  virtual Result<std::vector<StateDict>> RecoverModels(
+      SetDocument doc, const std::vector<size_t>& indices,
+      RecoverStats* stats) = 0;
+
+ protected:
+  explicit ModelSetApproach(StoreContext context) : context_(context) {}
+
+  StoreContext context_;
 };
 
 /// Name of the document-store collection holding one document per saved set.

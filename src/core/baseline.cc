@@ -40,13 +40,11 @@ Result<SaveResult> BaselineApproach::SaveDerived(const ModelSet& set,
 }
 
 Result<std::vector<StateDict>> BaselineApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
-    RecoverStats* stats) {
+    SetDocument doc, const std::vector<size_t>& indices, RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
   if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
+    return Status::InvalidArgument("set ", doc.id, " was saved by '",
                                    doc.approach, "', not baseline");
   }
   MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
@@ -58,13 +56,12 @@ Result<std::vector<StateDict>> BaselineApproach::RecoverModels(
   return models;
 }
 
-Result<ModelSet> BaselineApproach::Recover(const std::string& set_id,
+Result<ModelSet> BaselineApproach::Recover(SetDocument doc,
                                            RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
   if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
+    return Status::InvalidArgument("set ", doc.id, " was saved by '",
                                    doc.approach, "', not baseline");
   }
   MMM_ASSIGN_OR_RETURN(ModelSet set, ReadFullSnapshot(context_, doc));

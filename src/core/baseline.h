@@ -17,15 +17,14 @@ namespace mmm {
 /// across update cycles, and time-to-recover is constant (Figures 3/5).
 class BaselineApproach : public ModelSetApproach {
  public:
-  explicit BaselineApproach(StoreContext context) : context_(context) {}
+  explicit BaselineApproach(StoreContext context) : ModelSetApproach(context) {}
 
   std::string Name() const override { return "baseline"; }
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
-                           RecoverStats* stats) override;
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats) override;
+  Result<std::vector<StateDict>> RecoverModels(SetDocument doc,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
   using ModelSetApproach::Recover;
@@ -34,8 +33,6 @@ class BaselineApproach : public ModelSetApproach {
  private:
   Result<SaveResult> SaveSnapshot(const ModelSet& set,
                                   const std::string& base_set_id);
-
-  StoreContext context_;
 };
 
 }  // namespace mmm

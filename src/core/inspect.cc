@@ -317,8 +317,8 @@ Result<StoreValidationReport> ValidateStore(const StoreContext& context) {
 
   // 5. Content-addressed store invariants (DESIGN.md §10): every manifest's
   // chunks exist with the right sizes and hashes, no chunk is orphaned or
-  // refcounted wrong, and the persisted index checkpoint agrees with the
-  // store. Chunk blobs count toward the totals like any other artifact.
+  // refcounted wrong, and the store keeps the marker that re-enables CAS.
+  // Chunk blobs count toward the totals like any other artifact.
   if (context.cas != nullptr) {
     MMM_ASSIGN_OR_RETURN(CasStore::Stats cas_stats, context.cas->ComputeStats());
     report.blobs_checked += cas_stats.unique_chunks;

@@ -1,6 +1,9 @@
 #include "core/manager.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "core/set_codec.h"
 
 namespace mmm {
 
@@ -93,19 +96,19 @@ Result<std::unique_ptr<ModelSetManager>> ModelSetManager::Open(Options options) 
 
   // Open the content-addressed store after journal replay (its rebuild
   // must see only consistent commits) and before anything reads or writes
-  // blobs. A store that ever ran with CAS re-enables it via its checkpoint
-  // marker, so chunked blobs never meet CAS-blind GC.
-  const std::string cas_index_path = options.root_dir + "/cas.index";
+  // blobs. A store that ever ran with CAS re-enables it via its marker
+  // file, so chunked blobs never meet CAS-blind GC.
+  const std::string cas_marker_path = options.root_dir + "/cas.index";
   bool cas_enabled = options.cas.enabled;
   if (!cas_enabled) {
-    MMM_ASSIGN_OR_RETURN(cas_enabled, env->FileExists(cas_index_path));
+    MMM_ASSIGN_OR_RETURN(cas_enabled, env->FileExists(cas_marker_path));
   }
   if (cas_enabled) {
     options.cas.enabled = true;
     MMM_ASSIGN_OR_RETURN(
         manager->cas_,
         CasStore::Open(env, manager->file_store_.get(),
-                       manager->journal_.get(), cas_index_path, options.cas));
+                       manager->journal_.get(), cas_marker_path, options.cas));
   }
 
   // New ids must not collide with sets persisted by a previous session.
@@ -185,21 +188,30 @@ Result<CompactionReport> ModelSetManager::CompactChains(
 
 Result<ModelSet> ModelSetManager::Recover(const std::string& set_id,
                                           RecoverStats* stats) {
-  MMM_ASSIGN_OR_RETURN(JsonValue doc,
-                       doc_store_->Get(kSetCollection, set_id));
-  MMM_ASSIGN_OR_RETURN(std::string approach_name, doc.GetString("approach"));
-  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(approach_name));
-  return approach(type)->Recover(set_id, stats);
+  StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(ModelSet set, Recover(std::move(doc), stats));
+  capture.FillRecover(stats);
+  return set;
+}
+
+Result<ModelSet> ModelSetManager::Recover(SetDocument doc,
+                                          RecoverStats* stats) {
+  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(doc.approach));
+  return approach(type)->Recover(std::move(doc), stats);
 }
 
 Result<std::vector<StateDict>> ModelSetManager::RecoverModels(
     const std::string& set_id, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_ASSIGN_OR_RETURN(JsonValue doc,
-                       doc_store_->Get(kSetCollection, set_id));
-  MMM_ASSIGN_OR_RETURN(std::string approach_name, doc.GetString("approach"));
-  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(approach_name));
-  return approach(type)->RecoverModels(set_id, indices, stats);
+  StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(doc.approach));
+  MMM_ASSIGN_OR_RETURN(
+      std::vector<StateDict> models,
+      approach(type)->RecoverModels(std::move(doc), indices, stats));
+  capture.FillRecover(stats);
+  return models;
 }
 
 }  // namespace mmm

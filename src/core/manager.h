@@ -78,8 +78,8 @@ class ModelSetManager {
     /// enabled, parameter-scale blobs are deduplicated chunk-wise across
     /// all sets and GC refcounts chunks. A store that was ever written
     /// with CAS re-enables it automatically on reopen (the `cas.index`
-    /// checkpoint is the marker), so chunked blobs always get CAS-aware
-    /// GC; chunk-size knobs affect only new writes.
+    /// marker, written once, records that it did), so chunked blobs always
+    /// get CAS-aware GC; chunk-size knobs affect only new writes.
     CasOptions cas;
     /// Write-pipeline configuration. `pipeline.lanes = 1` (the default)
     /// reproduces the paper's serialized cost model bit-exactly; more lanes
@@ -119,9 +119,12 @@ class ModelSetManager {
                                  const ModelSetUpdateInfo& update);
 
   /// Recovers any saved set; dispatches on the approach recorded in the
-  /// set's metadata document.
+  /// set's metadata document, which it fetches once and hands on.
   Result<ModelSet> Recover(const std::string& set_id,
                            RecoverStats* stats = nullptr);
+  /// As above, from a set document the caller has just fetched; `stats`
+  /// does not cover that fetch.
+  Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats = nullptr);
 
   /// Recovers only the models at `indices` from any saved set (the paper's
   /// post-accident analysis read path); dispatches like Recover.

@@ -9,7 +9,7 @@ namespace mmm {
 
 MMlibBaseApproach::MMlibBaseApproach(StoreContext context,
                                      EnvironmentInfo environment)
-    : context_(context), environment_(std::move(environment)) {}
+    : ModelSetApproach(context), environment_(std::move(environment)) {}
 
 Result<SaveResult> MMlibBaseApproach::SaveAllIndividually(const ModelSet& set) {
   MMM_RETURN_NOT_OK(context_.Validate());
@@ -89,11 +89,11 @@ Result<SaveResult> MMlibBaseApproach::SaveDerived(const ModelSet& set,
 }
 
 Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
+    SetDocument set_doc, const std::vector<size_t>& indices,
     RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument set_doc, FetchSetDocument(context_, set_id));
+  const std::string& set_id = set_doc.id;
   if (set_doc.approach != Name()) {
     return Status::InvalidArgument("set ", set_id, " was saved by '",
                                    set_doc.approach, "', not mmlib-base");
@@ -122,11 +122,11 @@ Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
   return models;
 }
 
-Result<ModelSet> MMlibBaseApproach::Recover(const std::string& set_id,
+Result<ModelSet> MMlibBaseApproach::Recover(SetDocument set_doc,
                                             RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument set_doc, FetchSetDocument(context_, set_id));
+  const std::string& set_id = set_doc.id;
   if (set_doc.approach != Name()) {
     return Status::InvalidArgument("set ", set_id, " was saved by '",
                                    set_doc.approach, "', not mmlib-base");

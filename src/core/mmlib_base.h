@@ -27,9 +27,8 @@ class MMlibBaseApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
-                           RecoverStats* stats) override;
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<ModelSet> Recover(SetDocument set_doc, RecoverStats* stats) override;
+  Result<std::vector<StateDict>> RecoverModels(SetDocument set_doc,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
   using ModelSetApproach::Recover;
@@ -38,7 +37,6 @@ class MMlibBaseApproach : public ModelSetApproach {
  private:
   Result<SaveResult> SaveAllIndividually(const ModelSet& set);
 
-  StoreContext context_;
   EnvironmentInfo environment_;
 };
 

@@ -27,13 +27,24 @@ Result<UpdateKind> UpdateKindFromName(const std::string& name) {
   return Status::Corruption("unknown update kind '", name, "'");
 }
 
+/// Fetches the base of `doc` for a recursion level with `depth_budget`
+/// levels left.
+Result<SetDocument> FetchBase(const StoreContext& context,
+                              const SetDocument& doc, uint64_t depth_budget) {
+  if (depth_budget == 0) {
+    return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
+                              doc.base_set_id);
+  }
+  return FetchSetDocument(context, doc.base_set_id);
+}
+
 }  // namespace
 
 ProvenanceApproach::ProvenanceApproach(StoreContext context,
                                        DatasetResolver* resolver,
                                        EnvironmentInfo environment,
                                        ProvenanceRecoverOptions recover_options)
-    : context_(context),
+    : ModelSetApproach(context),
       replay_(resolver),
       environment_(std::move(environment)),
       recover_options_(recover_options) {}
@@ -138,20 +149,19 @@ Result<SaveResult> ProvenanceApproach::SaveDerived(
   return result;
 }
 
-Result<ModelSet> ProvenanceApproach::Recover(const std::string& set_id,
+Result<ModelSet> ProvenanceApproach::Recover(SetDocument doc,
                                              RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
   uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
   MMM_ASSIGN_OR_RETURN(ModelSet set,
-                       RecoverInternal(set_id, stats, depth_budget));
+                       RecoverInternal(std::move(doc), stats, depth_budget));
   capture.FillRecover(stats);
   return set;
 }
 
 Result<std::vector<StateDict>> ProvenanceApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
-    RecoverStats* stats) {
+    SetDocument doc, const std::vector<size_t>& indices, RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
   std::vector<size_t> unique = indices;
@@ -160,7 +170,8 @@ Result<std::vector<StateDict>> ProvenanceApproach::RecoverModels(
   uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
   MMM_ASSIGN_OR_RETURN(
       auto by_index,
-      RecoverModelsInternal(set_id, unique, nullptr, stats, depth_budget));
+      RecoverModelsInternal(std::move(doc), unique, nullptr, stats,
+                            depth_budget));
   std::vector<StateDict> out;
   out.reserve(indices.size());
   for (size_t index : indices) out.push_back(by_index.at(index));
@@ -169,14 +180,10 @@ Result<std::vector<StateDict>> ProvenanceApproach::RecoverModels(
 }
 
 Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
-    const std::string& set_id, const std::vector<size_t>& unique_indices,
+    SetDocument doc, const std::vector<size_t>& unique_indices,
     const ArchitectureSpec* spec_hint, RecoverStats* stats,
     uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  const std::string& set_id = doc.id;
   if (doc.approach != Name()) {
     return Status::InvalidArgument("set ", set_id, " was saved by '",
                                    doc.approach, "', not provenance");
@@ -214,8 +221,10 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
     spec_hint = &resolved_spec;
   }
 
+  MMM_ASSIGN_OR_RETURN(SetDocument base,
+                       FetchBase(context_, doc, depth_budget - 1));
   MMM_ASSIGN_OR_RETURN(
-      auto models, RecoverModelsInternal(doc.base_set_id, unique_indices,
+      auto models, RecoverModelsInternal(std::move(base), unique_indices,
                                          spec_hint, stats, depth_budget - 1));
 
   MMM_ASSIGN_OR_RETURN(std::string record_text,
@@ -259,14 +268,10 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
   return models;
 }
 
-Result<ModelSet> ProvenanceApproach::RecoverInternal(const std::string& set_id,
+Result<ModelSet> ProvenanceApproach::RecoverInternal(SetDocument doc,
                                                      RecoverStats* stats,
                                                      uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  const std::string& set_id = doc.id;
   if (doc.approach != Name()) {
     return Status::InvalidArgument("set ", set_id, " was saved by '",
                                    doc.approach, "', not provenance");
@@ -283,8 +288,10 @@ Result<ModelSet> ProvenanceApproach::RecoverInternal(const std::string& set_id,
 
   // Recursive recovery: materialize the base set, then re-train every
   // updated model on its referenced data (§3.4).
+  MMM_ASSIGN_OR_RETURN(SetDocument base,
+                       FetchBase(context_, doc, depth_budget - 1));
   MMM_ASSIGN_OR_RETURN(
-      ModelSet set, RecoverInternal(doc.base_set_id, stats, depth_budget - 1));
+      ModelSet set, RecoverInternal(std::move(base), stats, depth_budget - 1));
   MMM_ASSIGN_OR_RETURN(std::string record_text,
                        CasReadBlobString(context_.file_store, context_.cas,
                                          doc.prov_blob));

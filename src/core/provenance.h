@@ -44,12 +44,11 @@ class ProvenanceApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
-                           RecoverStats* stats) override;
+  Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats) override;
   /// Selective recovery replays only the requested models' updates along
   /// the chain (always exactly — the recover-option caps are a full-set
   /// measurement protocol and do not apply here).
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<std::vector<StateDict>> RecoverModels(SetDocument doc,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
   using ModelSetApproach::Recover;
@@ -63,14 +62,13 @@ class ProvenanceApproach : public ModelSetApproach {
   }
 
  private:
-  Result<ModelSet> RecoverInternal(const std::string& set_id,
-                                   RecoverStats* stats, uint64_t depth_budget);
+  Result<ModelSet> RecoverInternal(SetDocument doc, RecoverStats* stats,
+                                   uint64_t depth_budget);
   Result<std::map<size_t, StateDict>> RecoverModelsInternal(
-      const std::string& set_id, const std::vector<size_t>& unique_indices,
+      SetDocument doc, const std::vector<size_t>& unique_indices,
       const ArchitectureSpec* spec_hint, RecoverStats* stats,
       uint64_t depth_budget);
 
-  StoreContext context_;
   ReplayEngine replay_;
   EnvironmentInfo environment_;
   ProvenanceRecoverOptions recover_options_;

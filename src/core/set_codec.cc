@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "cas/blob_io.h"
 #include "core/blob_formats.h"
@@ -382,6 +383,28 @@ Result<SetDocument> FetchSetDocument(const StoreContext& context,
   MMM_ASSIGN_OR_RETURN(JsonValue json,
                        context.doc_store->Get(kSetCollection, set_id));
   return SetDocument::FromJson(json);
+}
+
+Result<ModelSet> ModelSetApproach::Recover(const std::string& set_id,
+                                           RecoverStats* stats) {
+  MMM_RETURN_NOT_OK(context_.Validate());
+  StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(ModelSet set, Recover(std::move(doc), stats));
+  capture.FillRecover(stats);
+  return set;
+}
+
+Result<std::vector<StateDict>> ModelSetApproach::RecoverModels(
+    const std::string& set_id, const std::vector<size_t>& indices,
+    RecoverStats* stats) {
+  MMM_RETURN_NOT_OK(context_.Validate());
+  StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
+                       RecoverModels(std::move(doc), indices, stats));
+  capture.FillRecover(stats);
+  return models;
 }
 
 }  // namespace mmm

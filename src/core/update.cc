@@ -31,7 +31,7 @@ Result<HashTable> ReadStoredHashTable(const StoreContext& context,
 }  // namespace
 
 UpdateApproach::UpdateApproach(StoreContext context, UpdateApproachOptions options)
-    : context_(context), options_(options) {}
+    : ModelSetApproach(context), options_(options) {}
 
 Result<SaveResult> UpdateApproach::SaveSnapshotWithHashes(
     const ModelSet& set, const std::string& base_set_id) {
@@ -173,11 +173,6 @@ namespace {
 /// every set of every approach in a mixed store.
 class UpdateChain {
  public:
-  static Result<UpdateChain> Open(const StoreContext& context,
-                                  const std::string& set_id) {
-    MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context, set_id));
-    return Open(std::move(doc));
-  }
   /// Opens the chain of a target document the caller has just fetched.
   static Result<UpdateChain> Open(SetDocument target) {
     UpdateChain chain;
@@ -581,11 +576,11 @@ Result<std::vector<StateDict>> ResolveRows(
 
 }  // namespace
 
-Result<ModelSet> UpdateApproach::Recover(const std::string& set_id,
+Result<ModelSet> UpdateApproach::Recover(SetDocument target,
                                          RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(std::move(target)));
   MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
   ModelSet set;
   MMM_ASSIGN_OR_RETURN(set.spec, ReadSnapshotSpec(context_, *root));
@@ -596,11 +591,11 @@ Result<ModelSet> UpdateApproach::Recover(const std::string& set_id,
 }
 
 Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
+    SetDocument target, const std::vector<size_t>& indices,
     RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(std::move(target)));
   MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
   MMM_RETURN_NOT_OK(CheckIndices(indices, chain.target().num_models));
   MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context_, *root));
@@ -643,7 +638,7 @@ Result<ModelSet> UpdateApproach::RecoverCached(SetDocument target,
                                                RecoveryCache* cache,
                                                RecoverStats* stats,
                                                CacheRequestStats* cache_stats) {
-  if (cache == nullptr) return Recover(target.id, stats);
+  if (cache == nullptr) return Recover(std::move(target), stats);
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
   const std::string set_id = target.id;

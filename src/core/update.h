@@ -48,15 +48,14 @@ class UpdateApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
-                           RecoverStats* stats) override;
+  Result<ModelSet> Recover(SetDocument target, RecoverStats* stats) override;
   /// Selective recovery: the same newest-first resolver as Recover, asked
   /// only for the models at `indices`. Diff entries of other models are
   /// skipped (after the same range checks), and a raw root snapshot is read
   /// by range for just the layers still unresolved, each checked against
   /// the requested models' rows of the root's layer CRC table (read by
   /// range with them) — no full set is ever materialized.
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<std::vector<StateDict>> RecoverModels(SetDocument target,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
   using ModelSetApproach::Recover;
@@ -95,7 +94,6 @@ class UpdateApproach : public ModelSetApproach {
   Result<SaveResult> SaveSnapshotWithHashes(const ModelSet& set,
                                             const std::string& base_set_id);
 
-  StoreContext context_;
   UpdateApproachOptions options_;
 };
 

@@ -80,15 +80,19 @@ Result<ModelSet> ModelSetService::RecoverLocked(const std::string& set_id,
       // direct Recover call (no extra document fetch, no cache probes).
       return manager_->Recover(set_id, &stats);
     }
-    // The document is fetched once, live, and handed on; its fetch counts
-    // in the request's modeled cost.
+    // The document is fetched once, live, and handed on, for every
+    // approach; its fetch counts in the request's modeled cost.
     StatsCapture capture(manager_->context());
     MMM_ASSIGN_OR_RETURN(SetDocument doc,
                          FetchSetDocument(manager_->context(), set_id));
-    if (doc.approach != "update") return manager_->Recover(set_id, &stats);
-    MMM_ASSIGN_OR_RETURN(ModelSet set,
-                         manager_->update_approach()->RecoverCached(
-                             std::move(doc), &adapter_, &stats, &cache_stats));
+    ModelSet set;
+    if (doc.approach == "update") {
+      MMM_ASSIGN_OR_RETURN(
+          set, manager_->update_approach()->RecoverCached(
+                   std::move(doc), &adapter_, &stats, &cache_stats));
+    } else {
+      MMM_ASSIGN_OR_RETURN(set, manager_->Recover(std::move(doc), &stats));
+    }
     capture.FillRecover(&stats);
     return set;
   }();

@@ -36,8 +36,8 @@ namespace mmm {
 ///      writes the manifests only after the pack is whole, so no manifest
 ///      lands before its chunks.
 ///   5. After the commit is durable, Applied() folds the session's refcount
-///      deltas and chunk locations into the index, reclaims packs that no
-///      longer hold a live chunk, and persists the index checkpoint. If the
+///      deltas and chunk locations into the index and reclaims packs that
+///      no longer hold a live chunk; it writes nothing else. If the
 ///      commit fails, Aborted() drops the session; a pack that already
 ///      landed is rolled back by journal replay or reclaimed by the
 ///      untracked-pack sweep.
@@ -65,7 +65,7 @@ class CasWriteSession {
   /// appended to it. Call once, after the last blob.
   virtual Result<bool> FinishPack() = 0;
 
-  /// The commit is durable: apply refcount deltas, sweep, checkpoint.
+  /// The commit is durable: apply refcount deltas and sweep.
   virtual Status Applied() = 0;
 
   /// The commit failed before becoming durable: discard the session.

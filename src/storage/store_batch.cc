@@ -70,8 +70,8 @@ Status StoreBatch::Commit() {
   Status status = CommitOps(lanes, session.get());
   if (session != nullptr) {
     if (status.ok()) {
-      // The commit is durable: fold the refcount deltas in, sweep chunks
-      // the retirements zeroed, persist the index checkpoint.
+      // The commit is durable: fold the refcount deltas in and sweep
+      // chunks the retirements zeroed.
       status = session->Applied();
     } else {
       session->Aborted();

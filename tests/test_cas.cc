@@ -679,6 +679,129 @@ TEST_F(CasManagerTest, ReopenRebuildsIndexAndAutoEnables) {
   EXPECT_TRUE(reopened->file_store()->List().ValueOrDie().empty());
 }
 
+/// Counts the writes that reach one path; every call passes straight
+/// through to the in-memory store.
+class WriteCountingEnv : public InMemoryEnv {
+ public:
+  explicit WriteCountingEnv(std::string watched)
+      : watched_(std::move(watched)) {}
+
+  Status WriteFile(const std::string& path,
+                   std::span<const uint8_t> data) override {
+    if (path == watched_) ++writes_;
+    return InMemoryEnv::WriteFile(path, data);
+  }
+  Status AppendToFile(const std::string& path,
+                      std::span<const uint8_t> data) override {
+    if (path == watched_) ++writes_;
+    return InMemoryEnv::AppendToFile(path, data);
+  }
+
+  int writes() const { return writes_.load(); }
+
+ private:
+  const std::string watched_;
+  std::atomic<int> writes_{0};
+};
+
+// `cas.index` is a marker written once, by the Open of a store that does
+// not have it yet. No commit, sweep or repack writes it, and neither does
+// a reopen.
+TEST_F(CasManagerTest, OnlyTheFirstOpenWritesTheMarker) {
+  InitScenario(8, /*full_update_fraction=*/0.75,
+               /*partial_update_fraction=*/0.25);
+  ModelSetManager::Options options = BaseOptions("store");
+  options.cas = SmallChunkOptions();
+  const std::string marker = options.root_dir + "/cas.index";
+  WriteCountingEnv env(marker);
+  options.env = &env;
+  ASSERT_OK_AND_ASSIGN(auto manager, ModelSetManager::Open(options));
+  EXPECT_EQ(env.writes(), 1);
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> written, env.ReadFile(marker));
+  EXPECT_LT(written.size(), 16u);
+
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult a,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  ASSERT_OK(scenario_->AdvanceCycle().status());
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult b,
+      manager->SaveInitial(ApproachType::kBaseline, scenario_->current_set()));
+  const ModelSet b_state = scenario_->current_set();
+  // B shares under half of A's pack, so deleting A sweeps and repacks.
+  ASSERT_OK_AND_ASSIGN(DeleteReport deleted,
+                       DeleteSet(manager->context(), a.set_id));
+  EXPECT_GT(deleted.chunks_swept, 0u);
+  EXPECT_GT(deleted.packs_repacked, 0u);
+  ASSERT_OK(manager->cas()->SweepZeroRefChunks().status());
+  EXPECT_EQ(env.writes(), 1);
+  ExpectHealthy(manager.get());
+
+  manager.reset();
+  ASSERT_OK_AND_ASSIGN(manager, ModelSetManager::Open(options));
+  EXPECT_EQ(env.writes(), 1);
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> reread, env.ReadFile(marker));
+  EXPECT_EQ(reread, written);
+  ASSERT_OK_AND_ASSIGN(ModelSet recovered, manager->Recover(b.set_id));
+  ExpectSetEquals(recovered, b_state);
+}
+
+// Only the marker's presence counts. A store whose `cas.index` is the full
+// JSON checkpoint older stores rewrote on every commit, or a file torn to
+// nothing, reopens with CAS on without asking for it, recovers bit-exact
+// and passes fsck; the file is left as it was.
+TEST_F(CasManagerTest, AnyMarkerContentReenablesCas) {
+  InitScenario(8);
+  const std::vector<std::string> contents = {
+      "{\"version\":1,\"chunks\":[[\"00ab\",2,64]],"
+      "\"manifests\":[[\"set.params.bin\",64,[[\"00ab\",64]]]]}",
+      ""};
+  for (size_t i = 0; i < contents.size(); ++i) {
+    const std::string subdir = "store" + std::to_string(i);
+    std::string set_id;
+    {
+      auto manager = OpenCas(subdir);
+      ASSERT_OK_AND_ASSIGN(SaveResult saved,
+                           manager->SaveInitial(ApproachType::kBaseline,
+                                                scenario_->current_set()));
+      set_id = saved.set_id;
+    }
+    Env* env = Env::Default();
+    const std::string marker = temp_.path() + "/" + subdir + "/cas.index";
+    const std::vector<uint8_t> content(contents[i].begin(), contents[i].end());
+    ASSERT_OK(env->WriteFile(marker, content));
+
+    ASSERT_OK_AND_ASSIGN(auto reopened,
+                         ModelSetManager::Open(BaseOptions(subdir)));
+    ASSERT_NE(reopened->cas(), nullptr) << subdir;
+    ASSERT_OK_AND_ASSIGN(ModelSet recovered, reopened->Recover(set_id));
+    ExpectSetEquals(recovered, scenario_->current_set());
+    ExpectHealthy(reopened.get());
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> kept, env->ReadFile(marker));
+    EXPECT_EQ(kept, content) << subdir;
+  }
+}
+
+// fsck flags a store that holds packs and manifests but has lost its
+// marker: a reopen that does not ask for CAS would leave it off.
+TEST_F(CasManagerTest, AuditFlagsAMissingMarker) {
+  InitScenario(8);
+  auto manager = OpenCas("store");
+  ASSERT_OK(manager
+                ->SaveInitial(ApproachType::kBaseline, scenario_->current_set())
+                .status());
+  ASSERT_OK(Env::Default()->DeleteFile(manager->cas()->marker_path()));
+  ASSERT_OK_AND_ASSIGN(StoreValidationReport health, manager->ValidateStore());
+  ASSERT_EQ(health.problems.size(), 1u);
+  EXPECT_NE(health.problems[0].find("cas.index"), std::string::npos)
+      << health.problems[0];
+
+  // An open writes it back.
+  manager.reset();
+  manager = OpenCas("store");
+  ExpectHealthy(manager.get());
+}
+
 TEST_F(CasManagerTest, MixedStoreOldVerbatimBlobsStayReadable) {
   InitScenario(8);
   std::string old_id;

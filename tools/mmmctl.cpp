@@ -197,7 +197,7 @@ int CmdFsck(ModelSetManager* manager) {
 int CmdCasStats(ModelSetManager* manager) {
   CasStore* cas = manager->cas();
   if (cas == nullptr) {
-    // Opening a store that ever checkpointed a CAS index re-enables it
+    // Opening a store that holds the CAS marker re-enables CAS
     // automatically, so reaching here means this store never used CAS.
     std::fprintf(stderr,
                  "store has no content-addressed chunk index (save with "
