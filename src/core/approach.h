@@ -2,6 +2,7 @@
 #define MMM_CORE_APPROACH_H_
 
 #include <string>
+#include <vector>
 
 #include "cas/cas_store.h"
 #include "common/clock.h"
@@ -85,7 +86,7 @@ struct SaveResult {
 struct RecoverStats {
   /// Chain levels visited, the requested set included (1 for a full
   /// snapshot): for Update each level whose blob the walk read, for
-  /// Provenance every replayed base.
+  /// Provenance every level of the chain.
   uint64_t sets_recovered = 0;
   /// Models retrained during provenance replay.
   uint64_t models_retrained = 0;
@@ -102,7 +103,9 @@ struct SetDocument;  // core/set_codec.h
 /// Each recovery entry point comes in two forms: by set id, which fetches
 /// the set's document and goes on as the second, and from a document the
 /// caller has just fetched (a manager or server learns the approach from
-/// it), so that one recovery fetches the document once.
+/// it), so that one recovery fetches the document once. Both recover a set
+/// or a subset of its models through the one method an approach
+/// implements, Resolve.
 class ModelSetApproach {
  public:
   virtual ~ModelSetApproach() = default;
@@ -121,15 +124,12 @@ class ModelSetApproach {
 
   /// Recovers a previously saved set by id. `stats` is optional and
   /// covers the document fetch too.
-  Result<ModelSet> Recover(const std::string& set_id, RecoverStats* stats);
-
-  Result<ModelSet> Recover(const std::string& set_id) {
-    return Recover(set_id, nullptr);
-  }
+  Result<ModelSet> Recover(const std::string& set_id,
+                           RecoverStats* stats = nullptr);
 
   /// Recovers the set whose document is `doc`. `stats` covers this call
   /// only, not the fetch of `doc`.
-  virtual Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats) = 0;
+  Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats = nullptr);
 
   /// Recovers only the models at `indices` (any order, duplicates allowed);
   /// the result is parallel to `indices`. This is the paper's deployment
@@ -139,23 +139,41 @@ class ModelSetApproach {
   /// the parameter blob, per-model diff filtering, subset replay).
   Result<std::vector<StateDict>> RecoverModels(
       const std::string& set_id, const std::vector<size_t>& indices,
-      RecoverStats* stats);
-
-  Result<std::vector<StateDict>> RecoverModels(
-      const std::string& set_id, const std::vector<size_t>& indices) {
-    return RecoverModels(set_id, indices, nullptr);
-  }
+      RecoverStats* stats = nullptr);
 
   /// RecoverModels of the set whose document is `doc`; `stats` as for
   /// Recover(SetDocument, RecoverStats*).
-  virtual Result<std::vector<StateDict>> RecoverModels(
+  Result<std::vector<StateDict>> RecoverModels(
       SetDocument doc, const std::vector<size_t>& indices,
-      RecoverStats* stats) = 0;
+      RecoverStats* stats = nullptr);
 
  protected:
   explicit ModelSetApproach(StoreContext context) : context_(context) {}
 
+  /// The one recovery each approach implements. Recovers the models
+  /// `models` names (sorted and distinct, each < doc.num_models; null for
+  /// the whole set) of the set whose document is `doc`, which was saved by
+  /// this approach. Row r of the result's models is model (*models)[r], or
+  /// model r for the whole set; its spec is the set's architecture. Adds
+  /// the chain levels walked and the models retrained to `stats`; the
+  /// caller fills in the modeled store time.
+  virtual Result<ModelSet> Resolve(SetDocument doc,
+                                   const std::vector<size_t>* models,
+                                   RecoverStats* stats) = 0;
+
   StoreContext context_;
+
+ private:
+  /// Validation, the approach check, index checks and stats around
+  /// Resolve. With `indices` (the caller's, unchecked), returns their
+  /// models in the caller's order, duplicates included.
+  Result<ModelSet> ResolveChecked(SetDocument doc,
+                                  const std::vector<size_t>* indices,
+                                  RecoverStats* stats);
+  /// ResolveChecked after fetching the document of `set_id`.
+  Result<ModelSet> ResolveById(const std::string& set_id,
+                               const std::vector<size_t>* indices,
+                               RecoverStats* stats);
 };
 
 /// Name of the document-store collection holding one document per saved set.

@@ -39,37 +39,11 @@ Result<SaveResult> BaselineApproach::SaveDerived(const ModelSet& set,
   return SaveSnapshot(set, update.base_set_id);
 }
 
-Result<std::vector<StateDict>> BaselineApproach::RecoverModels(
-    SetDocument doc, const std::vector<size_t>& indices, RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", doc.id, " was saved by '",
-                                   doc.approach, "', not baseline");
-  }
-  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
-                       ReadModelsFromSnapshot(context_, doc, indices));
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
-  return models;
-}
-
-Result<ModelSet> BaselineApproach::Recover(SetDocument doc,
+Result<ModelSet> BaselineApproach::Resolve(SetDocument doc,
+                                           const std::vector<size_t>* models,
                                            RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", doc.id, " was saved by '",
-                                   doc.approach, "', not baseline");
-  }
-  MMM_ASSIGN_OR_RETURN(ModelSet set, ReadFullSnapshot(context_, doc));
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
-  return set;
+  if (stats != nullptr) stats->sets_recovered += 1;
+  return ReadSnapshot(context_, doc, models);
 }
 
 }  // namespace mmm

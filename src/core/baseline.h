@@ -23,14 +23,10 @@ class BaselineApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats) override;
-  Result<std::vector<StateDict>> RecoverModels(SetDocument doc,
-                                               const std::vector<size_t>& indices,
-                                               RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
  private:
+  Result<ModelSet> Resolve(SetDocument doc, const std::vector<size_t>* models,
+                           RecoverStats* stats) override;
   Result<SaveResult> SaveSnapshot(const ModelSet& set,
                                   const std::string& base_set_id);
 };

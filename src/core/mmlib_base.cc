@@ -88,74 +88,32 @@ Result<SaveResult> MMlibBaseApproach::SaveDerived(const ModelSet& set,
   return SaveAllIndividually(set);
 }
 
-Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
-    SetDocument set_doc, const std::vector<size_t>& indices,
-    RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  const std::string& set_id = set_doc.id;
-  if (set_doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   set_doc.approach, "', not mmlib-base");
-  }
-  MMM_RETURN_NOT_OK(CheckIndices(indices, set_doc.num_models));
-  // Per-model storage makes selective recovery natural: one document fetch
-  // and one blob read per requested model.
-  std::vector<StateDict> models;
-  models.reserve(indices.size());
-  for (size_t index : indices) {
-    std::string model_id = StringFormat("%s-m%05zu", set_id.c_str(), index);
-    MMM_ASSIGN_OR_RETURN(JsonValue doc,
-                         context_.doc_store->Get(kMmlibModelCollection, model_id));
-    MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
-    MMM_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> blob,
-        CasReadBlobDecompressed(context_.file_store, context_.cas,
-                                weights_blob));
-    MMM_ASSIGN_OR_RETURN(StateDict state, DecodeStateDict(blob));
-    models.push_back(std::move(state));
-  }
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
-  return models;
-}
-
-Result<ModelSet> MMlibBaseApproach::Recover(SetDocument set_doc,
+Result<ModelSet> MMlibBaseApproach::Resolve(SetDocument set_doc,
+                                            const std::vector<size_t>* models,
                                             RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  const std::string& set_id = set_doc.id;
-  if (set_doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   set_doc.approach, "', not mmlib-base");
-  }
-
+  const size_t num_rows =
+      models == nullptr ? set_doc.num_models : models->size();
   ModelSet set;
-  set.models.resize(set_doc.num_models);
-  bool have_spec = false;
-  for (size_t index = 0; index < set_doc.num_models; ++index) {
-    std::string model_id = StringFormat("%s-m%05zu", set_id.c_str(), index);
+  set.models.resize(num_rows);
+  for (size_t row = 0; row < num_rows; ++row) {
+    const size_t index = models == nullptr ? row : (*models)[row];
+    std::string model_id =
+        StringFormat("%s-m%05zu", set_doc.id.c_str(), index);
     MMM_ASSIGN_OR_RETURN(JsonValue doc,
                          context_.doc_store->Get(kMmlibModelCollection, model_id));
-    if (!have_spec) {
+    if (row == 0) {
       MMM_ASSIGN_OR_RETURN(const JsonValue* arch, doc.Get("architecture"));
       MMM_ASSIGN_OR_RETURN(set.spec, ArchitectureSpec::FromJson(*arch));
-      have_spec = true;
     }
     MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> blob,
         CasReadBlobDecompressed(context_.file_store, context_.cas,
                                 weights_blob));
-    MMM_ASSIGN_OR_RETURN(set.models[index], DecodeStateDict(blob));
+    MMM_ASSIGN_OR_RETURN(set.models[row], DecodeStateDict(blob));
   }
   MMM_RETURN_NOT_OK(CheckSetConsistent(set));
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
+  if (stats != nullptr) stats->sets_recovered += 1;
   return set;
 }
 

@@ -27,14 +27,13 @@ class MMlibBaseApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(SetDocument set_doc, RecoverStats* stats) override;
-  Result<std::vector<StateDict>> RecoverModels(SetDocument set_doc,
-                                               const std::vector<size_t>& indices,
-                                               RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
  private:
+  /// One document fetch and one blob read per requested model: per-model
+  /// storage makes selective recovery natural.
+  Result<ModelSet> Resolve(SetDocument set_doc,
+                           const std::vector<size_t>* models,
+                           RecoverStats* stats) override;
   Result<SaveResult> SaveAllIndividually(const ModelSet& set);
 
   EnvironmentInfo environment_;

@@ -27,17 +27,6 @@ Result<UpdateKind> UpdateKindFromName(const std::string& name) {
   return Status::Corruption("unknown update kind '", name, "'");
 }
 
-/// Fetches the base of `doc` for a recursion level with `depth_budget`
-/// levels left.
-Result<SetDocument> FetchBase(const StoreContext& context,
-                              const SetDocument& doc, uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
-                              doc.base_set_id);
-  }
-  return FetchSetDocument(context, doc.base_set_id);
-}
-
 }  // namespace
 
 ProvenanceApproach::ProvenanceApproach(StoreContext context,
@@ -149,192 +138,104 @@ Result<SaveResult> ProvenanceApproach::SaveDerived(
   return result;
 }
 
-Result<ModelSet> ProvenanceApproach::Recover(SetDocument doc,
+Result<ModelSet> ProvenanceApproach::Resolve(SetDocument doc,
+                                             const std::vector<size_t>* models,
                                              RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
+  // The chain from the requested set down to its full snapshot, newest
+  // first, each document fetched once. The budget (one more than the sets
+  // stored) ends a corrupted base-pointer cycle.
+  std::vector<SetDocument> chain;
+  chain.push_back(std::move(doc));
   uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
+  while (chain.back().kind != "full") {
+    const SetDocument& level = chain.back();
+    if (level.kind != "prov") {
+      return Status::Corruption("set ", level.id, " has unexpected kind '",
+                                level.kind, "'");
+    }
+    if (--depth_budget == 0) {
+      return Status::Corruption(
+          "provenance recovery chain too deep (cycle?) at ", level.base_set_id);
+    }
+    MMM_ASSIGN_OR_RETURN(SetDocument base,
+                         FetchSetDocument(context_, level.base_set_id));
+    if (base.approach != Name()) {
+      return Status::InvalidArgument("set ", base.id, " was saved by '",
+                                     base.approach, "', not provenance");
+    }
+    if (base.num_models != chain.front().num_models) {
+      return Status::Corruption("base set ", base.id, " holds ",
+                                base.num_models, " models, derived set ",
+                                chain.front().id, " holds ",
+                                chain.front().num_models);
+    }
+    chain.push_back(std::move(base));
+  }
+  if (stats != nullptr) stats->sets_recovered += chain.size();
+
+  // The base rows, then every level's updates oldest first over them: a
+  // retrain starts from the previous level's parameters (§3.4). The
+  // recover-option caps are a whole-set measurement protocol; selective
+  // recovery is always exact.
   MMM_ASSIGN_OR_RETURN(ModelSet set,
-                       RecoverInternal(std::move(doc), stats, depth_budget));
-  capture.FillRecover(stats);
-  return set;
-}
-
-Result<std::vector<StateDict>> ProvenanceApproach::RecoverModels(
-    SetDocument doc, const std::vector<size_t>& indices, RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  std::vector<size_t> unique = indices;
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
-  MMM_ASSIGN_OR_RETURN(
-      auto by_index,
-      RecoverModelsInternal(std::move(doc), unique, nullptr, stats,
-                            depth_budget));
-  std::vector<StateDict> out;
-  out.reserve(indices.size());
-  for (size_t index : indices) out.push_back(by_index.at(index));
-  capture.FillRecover(stats);
-  return out;
-}
-
-Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
-    SetDocument doc, const std::vector<size_t>& unique_indices,
-    const ArchitectureSpec* spec_hint, RecoverStats* stats,
-    uint64_t depth_budget) {
-  const std::string& set_id = doc.id;
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not provenance");
-  }
-  if (stats != nullptr) stats->sets_recovered += 1;
-
-  if (doc.kind == "full") {
-    MMM_RETURN_NOT_OK(CheckIndices(unique_indices, doc.num_models));
-    MMM_ASSIGN_OR_RETURN(std::vector<StateDict> states,
-                         ReadModelsFromSnapshot(context_, doc, unique_indices));
-    std::map<size_t, StateDict> out;
-    for (size_t i = 0; i < unique_indices.size(); ++i) {
-      out[unique_indices[i]] = std::move(states[i]);
+                       ReadSnapshot(context_, chain.back(), models));
+  const uint64_t num_models = chain.front().num_models;
+  const bool capped = models == nullptr;
+  const size_t max_models = capped ? recover_options_.max_replay_models : 0;
+  const size_t max_samples = capped ? recover_options_.max_replay_samples : 0;
+  for (size_t level = chain.size() - 1; level-- > 0;) {
+    MMM_ASSIGN_OR_RETURN(std::string record_text,
+                         CasReadBlobString(context_.file_store, context_.cas,
+                                           chain[level].prov_blob));
+    MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));
+    MMM_ASSIGN_OR_RETURN(const JsonValue* pipeline_json,
+                         record.Get("pipeline"));
+    MMM_ASSIGN_OR_RETURN(TrainPipelineSpec pipeline,
+                         TrainPipelineSpec::FromJson(*pipeline_json));
+    MMM_ASSIGN_OR_RETURN(const JsonValue* partial_json,
+                         record.Get("partial_layers"));
+    std::vector<std::string> partial_layers;
+    for (const JsonValue& layer : partial_json->array_items()) {
+      MMM_ASSIGN_OR_RETURN(std::string name, layer.AsString());
+      partial_layers.push_back(std::move(name));
     }
-    return out;
-  }
-  if (doc.kind != "prov") {
-    return Status::Corruption("set ", set_id, " has unexpected kind '", doc.kind,
-                              "'");
-  }
-  MMM_RETURN_NOT_OK(CheckIndices(unique_indices, doc.num_models));
+    MMM_ASSIGN_OR_RETURN(const JsonValue* updates, record.Get("updates"));
 
-  // Resolve the architecture once at the top of the recursion.
-  ArchitectureSpec resolved_spec;
-  if (spec_hint == nullptr) {
-    SetDocument cursor = doc;
-    uint64_t budget = depth_budget;
-    while (cursor.arch_blob.empty() && !cursor.base_set_id.empty()) {
-      if (budget-- == 0) {
-        return Status::Corruption("provenance chain too deep resolving spec");
+    size_t replayed = 0;
+    for (const JsonValue& entry : updates->array_items()) {
+      if (max_models > 0 && replayed >= max_models) {
+        break;  // measurement protocol: remaining models keep base parameters
       }
-      MMM_ASSIGN_OR_RETURN(cursor, FetchSetDocument(context_, cursor.base_set_id));
+      MMM_ASSIGN_OR_RETURN(int64_t index_value, entry.GetInt64("index"));
+      if (index_value < 0 || static_cast<uint64_t>(index_value) >= num_models) {
+        return Status::Corruption("provenance update references model ",
+                                  index_value);
+      }
+      auto index = static_cast<size_t>(index_value);
+      size_t row = index;
+      if (models != nullptr) {
+        auto it = std::lower_bound(models->begin(), models->end(), index);
+        if (it == models->end() || *it != index) continue;  // not requested
+        row = static_cast<size_t>(it - models->begin());
+      }
+      MMM_ASSIGN_OR_RETURN(std::string kind_name, entry.GetString("kind"));
+      MMM_ASSIGN_OR_RETURN(UpdateKind kind, UpdateKindFromName(kind_name));
+      MMM_ASSIGN_OR_RETURN(const JsonValue* ref_json, entry.Get("data_ref"));
+      MMM_ASSIGN_OR_RETURN(DatasetRef data_ref,
+                           DatasetRef::FromJson(*ref_json));
+
+      MMM_ASSIGN_OR_RETURN(Model model, Model::Create(set.spec));
+      MMM_RETURN_NOT_OK(model.LoadStateDict(set.models[row]));
+      TrainPipelineSpec model_pipeline = pipeline;
+      model_pipeline.train_config.trainable_layers =
+          kind == UpdateKind::kPartial ? partial_layers
+                                       : std::vector<std::string>{};
+      MMM_RETURN_NOT_OK(
+          replay_.ReplayUpdate(&model, model_pipeline, data_ref, max_samples));
+      set.models[row] = model.GetStateDict();
+      if (stats != nullptr) stats->models_retrained += 1;
+      ++replayed;
     }
-    MMM_ASSIGN_OR_RETURN(resolved_spec, ReadSnapshotSpec(context_, cursor));
-    spec_hint = &resolved_spec;
-  }
-
-  MMM_ASSIGN_OR_RETURN(SetDocument base,
-                       FetchBase(context_, doc, depth_budget - 1));
-  MMM_ASSIGN_OR_RETURN(
-      auto models, RecoverModelsInternal(std::move(base), unique_indices,
-                                         spec_hint, stats, depth_budget - 1));
-
-  MMM_ASSIGN_OR_RETURN(std::string record_text,
-                       CasReadBlobString(context_.file_store, context_.cas,
-                                         doc.prov_blob));
-  MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));
-  MMM_ASSIGN_OR_RETURN(const JsonValue* pipeline_json, record.Get("pipeline"));
-  MMM_ASSIGN_OR_RETURN(TrainPipelineSpec pipeline,
-                       TrainPipelineSpec::FromJson(*pipeline_json));
-  MMM_ASSIGN_OR_RETURN(const JsonValue* partial_json,
-                       record.Get("partial_layers"));
-  std::vector<std::string> partial_layers;
-  for (const JsonValue& layer : partial_json->array_items()) {
-    MMM_ASSIGN_OR_RETURN(std::string name, layer.AsString());
-    partial_layers.push_back(std::move(name));
-  }
-  MMM_ASSIGN_OR_RETURN(const JsonValue* updates, record.Get("updates"));
-
-  for (const JsonValue& entry : updates->array_items()) {
-    MMM_ASSIGN_OR_RETURN(int64_t index_value, entry.GetInt64("index"));
-    auto index = static_cast<size_t>(index_value);
-    auto it = models.find(index);
-    if (it == models.end()) continue;  // not a requested model
-    MMM_ASSIGN_OR_RETURN(std::string kind_name, entry.GetString("kind"));
-    MMM_ASSIGN_OR_RETURN(UpdateKind kind, UpdateKindFromName(kind_name));
-    MMM_ASSIGN_OR_RETURN(const JsonValue* ref_json, entry.Get("data_ref"));
-    MMM_ASSIGN_OR_RETURN(DatasetRef data_ref, DatasetRef::FromJson(*ref_json));
-
-    MMM_ASSIGN_OR_RETURN(Model model, Model::Create(*spec_hint));
-    MMM_RETURN_NOT_OK(model.LoadStateDict(it->second));
-    TrainPipelineSpec model_pipeline = pipeline;
-    model_pipeline.train_config.trainable_layers =
-        kind == UpdateKind::kPartial ? partial_layers
-                                     : std::vector<std::string>{};
-    // Selective recovery is always exact: no replay caps.
-    MMM_RETURN_NOT_OK(
-        replay_.ReplayUpdate(&model, model_pipeline, data_ref, /*max_samples=*/0));
-    it->second = model.GetStateDict();
-    if (stats != nullptr) stats->models_retrained += 1;
-  }
-  return models;
-}
-
-Result<ModelSet> ProvenanceApproach::RecoverInternal(SetDocument doc,
-                                                     RecoverStats* stats,
-                                                     uint64_t depth_budget) {
-  const std::string& set_id = doc.id;
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not provenance");
-  }
-  if (stats != nullptr) stats->sets_recovered += 1;
-
-  if (doc.kind == "full") {
-    return ReadFullSnapshot(context_, doc);
-  }
-  if (doc.kind != "prov") {
-    return Status::Corruption("set ", set_id, " has unexpected kind '", doc.kind,
-                              "'");
-  }
-
-  // Recursive recovery: materialize the base set, then re-train every
-  // updated model on its referenced data (§3.4).
-  MMM_ASSIGN_OR_RETURN(SetDocument base,
-                       FetchBase(context_, doc, depth_budget - 1));
-  MMM_ASSIGN_OR_RETURN(
-      ModelSet set, RecoverInternal(std::move(base), stats, depth_budget - 1));
-  MMM_ASSIGN_OR_RETURN(std::string record_text,
-                       CasReadBlobString(context_.file_store, context_.cas,
-                                         doc.prov_blob));
-  MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));
-  MMM_ASSIGN_OR_RETURN(const JsonValue* pipeline_json, record.Get("pipeline"));
-  MMM_ASSIGN_OR_RETURN(TrainPipelineSpec pipeline,
-                       TrainPipelineSpec::FromJson(*pipeline_json));
-  MMM_ASSIGN_OR_RETURN(const JsonValue* partial_json,
-                       record.Get("partial_layers"));
-  std::vector<std::string> partial_layers;
-  for (const JsonValue& layer : partial_json->array_items()) {
-    MMM_ASSIGN_OR_RETURN(std::string name, layer.AsString());
-    partial_layers.push_back(std::move(name));
-  }
-  MMM_ASSIGN_OR_RETURN(const JsonValue* updates, record.Get("updates"));
-
-  size_t replayed = 0;
-  for (const JsonValue& entry : updates->array_items()) {
-    if (recover_options_.max_replay_models > 0 &&
-        replayed >= recover_options_.max_replay_models) {
-      break;  // measurement protocol: remaining models keep base parameters
-    }
-    MMM_ASSIGN_OR_RETURN(int64_t index_value, entry.GetInt64("index"));
-    auto index = static_cast<size_t>(index_value);
-    if (index >= set.models.size()) {
-      return Status::Corruption("provenance update references model ", index);
-    }
-    MMM_ASSIGN_OR_RETURN(std::string kind_name, entry.GetString("kind"));
-    MMM_ASSIGN_OR_RETURN(UpdateKind kind, UpdateKindFromName(kind_name));
-    MMM_ASSIGN_OR_RETURN(const JsonValue* ref_json, entry.Get("data_ref"));
-    MMM_ASSIGN_OR_RETURN(DatasetRef data_ref, DatasetRef::FromJson(*ref_json));
-
-    MMM_ASSIGN_OR_RETURN(Model model, Model::Create(set.spec));
-    MMM_RETURN_NOT_OK(model.LoadStateDict(set.models[index]));
-    TrainPipelineSpec model_pipeline = pipeline;
-    model_pipeline.train_config.trainable_layers =
-        kind == UpdateKind::kPartial ? partial_layers
-                                     : std::vector<std::string>{};
-    MMM_RETURN_NOT_OK(replay_.ReplayUpdate(&model, model_pipeline, data_ref,
-                                           recover_options_.max_replay_samples));
-    set.models[index] = model.GetStateDict();
-    if (stats != nullptr) stats->models_retrained += 1;
-    ++replayed;
   }
   return set;
 }

@@ -1,8 +1,6 @@
 #ifndef MMM_CORE_PROVENANCE_H_
 #define MMM_CORE_PROVENANCE_H_
 
-#include <map>
-
 #include "core/approach.h"
 #include "data/dataset_ref.h"
 #include "prov/environment.h"
@@ -30,9 +28,9 @@ struct ProvenanceRecoverOptions {
 /// represented by provenance only: the environment and training-pipeline
 /// description once per set (O2 — MMlib stored them per model), plus one
 /// dataset *reference* per updated model (O2 — the data itself is stored by
-/// its owner regardless of model management). Recovery recursively recovers
-/// the base set and deterministically re-trains every updated model on its
-/// referenced data.
+/// its owner regardless of model management). Recovery reads the chain's
+/// full snapshot and, level by level from the oldest, deterministically
+/// re-trains every updated model on its referenced data.
 class ProvenanceApproach : public ModelSetApproach {
  public:
   /// \param resolver external owner of the training data (hash-verified).
@@ -44,15 +42,6 @@ class ProvenanceApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(SetDocument doc, RecoverStats* stats) override;
-  /// Selective recovery replays only the requested models' updates along
-  /// the chain (always exactly — the recover-option caps are a full-set
-  /// measurement protocol and do not apply here).
-  Result<std::vector<StateDict>> RecoverModels(SetDocument doc,
-                                               const std::vector<size_t>& indices,
-                                               RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
   void set_recover_options(const ProvenanceRecoverOptions& options) {
     recover_options_ = options;
@@ -62,12 +51,13 @@ class ProvenanceApproach : public ModelSetApproach {
   }
 
  private:
-  Result<ModelSet> RecoverInternal(SetDocument doc, RecoverStats* stats,
-                                   uint64_t depth_budget);
-  Result<std::map<size_t, StateDict>> RecoverModelsInternal(
-      SetDocument doc, const std::vector<size_t>& unique_indices,
-      const ArchitectureSpec* spec_hint, RecoverStats* stats,
-      uint64_t depth_budget);
+  /// The one resolver: fetches the chain newest first, reads the requested
+  /// rows of its full snapshot, and replays each level's updates of those
+  /// rows oldest first. Selective recovery replays only the requested
+  /// models' updates, always exactly: the recover-option caps are a
+  /// whole-set measurement protocol and do not apply to it.
+  Result<ModelSet> Resolve(SetDocument doc, const std::vector<size_t>* models,
+                           RecoverStats* stats) override;
 
   ReplayEngine replay_;
   EnvironmentInfo environment_;

@@ -312,12 +312,12 @@ Result<std::vector<uint32_t>> ReadLayerCrcRows(const StoreContext& context,
   return out;
 }
 
-Result<std::vector<StateDict>> ReadModelsFromSnapshot(
-    const StoreContext& context, const SetDocument& doc,
-    const std::vector<size_t>& indices) {
-  MMM_RETURN_NOT_OK(CheckIndices(indices, doc.num_models));
-  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context, doc));
-  const ParamLayout layout = LayoutOf(spec);
+Result<ModelSet> ReadModelsFromSnapshot(const StoreContext& context,
+                                        const SetDocument& doc,
+                                        const std::vector<size_t>& models) {
+  ModelSet out;
+  MMM_ASSIGN_OR_RETURN(out.spec, ReadSnapshotSpec(context, doc));
+  const ParamLayout layout = LayoutOf(out.spec);
 
   // Ranged reads go through the CAS helpers so chunked blobs fetch only the
   // chunks overlapping the requested models, preserving the selective read
@@ -328,19 +328,16 @@ Result<std::vector<StateDict>> ReadModelsFromSnapshot(
     // Compressed or MMMPARM1: load everything, checked by the footer, then
     // select.
     MMM_ASSIGN_OR_RETURN(ModelSet set, ReadFullSnapshot(context, doc));
-    std::vector<StateDict> out;
-    out.reserve(indices.size());
-    for (size_t index : indices) out.push_back(set.models[index]);
+    out.models.reserve(models.size());
+    for (size_t index : models) {
+      out.models.push_back(std::move(set.models[index]));
+    }
     return out;
   }
 
-  std::vector<size_t> models = indices;
-  std::sort(models.begin(), models.end());
-  models.erase(std::unique(models.begin(), models.end()), models.end());
   MMM_ASSIGN_OR_RETURN(std::vector<uint32_t> crcs,
                        ReadLayerCrcRows(context, doc.param_blob, *blob, models));
-  std::vector<StateDict> states;
-  states.reserve(models.size());
+  out.models.reserve(models.size());
   for (size_t r = 0; r < models.size(); ++r) {
     MMM_ASSIGN_OR_RETURN(
         std::vector<uint8_t> slice,
@@ -356,16 +353,17 @@ Result<std::vector<StateDict>> ReadModelsFromSnapshot(
       }
       offset += bytes;
     }
-    MMM_ASSIGN_OR_RETURN(StateDict state, DecodeModelSlice(spec, slice));
-    states.push_back(std::move(state));
-  }
-  std::vector<StateDict> out;
-  out.reserve(indices.size());
-  for (size_t index : indices) {
-    auto it = std::lower_bound(models.begin(), models.end(), index);
-    out.push_back(states[static_cast<size_t>(it - models.begin())]);
+    MMM_ASSIGN_OR_RETURN(StateDict state, DecodeModelSlice(out.spec, slice));
+    out.models.push_back(std::move(state));
   }
   return out;
+}
+
+Result<ModelSet> ReadSnapshot(const StoreContext& context,
+                              const SetDocument& doc,
+                              const std::vector<size_t>* models) {
+  return models == nullptr ? ReadFullSnapshot(context, doc)
+                           : ReadModelsFromSnapshot(context, doc, *models);
 }
 
 void StageSetDocument(StoreBatch* batch, const SetDocument& doc) {
@@ -385,26 +383,71 @@ Result<SetDocument> FetchSetDocument(const StoreContext& context,
   return SetDocument::FromJson(json);
 }
 
-Result<ModelSet> ModelSetApproach::Recover(const std::string& set_id,
-                                           RecoverStats* stats) {
+Result<ModelSet> ModelSetApproach::ResolveChecked(
+    SetDocument doc, const std::vector<size_t>* indices, RecoverStats* stats) {
+  MMM_RETURN_NOT_OK(context_.Validate());
+  StatsCapture capture(context_);
+  if (doc.approach != Name()) {
+    return Status::InvalidArgument("set ", doc.id, " was saved by '",
+                                   doc.approach, "', not ", Name());
+  }
+  std::vector<size_t> models;
+  if (indices != nullptr) {
+    MMM_RETURN_NOT_OK(CheckIndices(*indices, doc.num_models));
+    models = *indices;
+    std::sort(models.begin(), models.end());
+    models.erase(std::unique(models.begin(), models.end()), models.end());
+  }
+  MMM_ASSIGN_OR_RETURN(
+      ModelSet set,
+      Resolve(std::move(doc), indices == nullptr ? nullptr : &models, stats));
+  if (indices != nullptr) {
+    std::vector<StateDict> out;
+    out.reserve(indices->size());
+    for (size_t index : *indices) {
+      auto it = std::lower_bound(models.begin(), models.end(), index);
+      out.push_back(set.models[static_cast<size_t>(it - models.begin())]);
+    }
+    set.models = std::move(out);
+  }
+  capture.FillRecover(stats);
+  return set;
+}
+
+Result<ModelSet> ModelSetApproach::ResolveById(
+    const std::string& set_id, const std::vector<size_t>* indices,
+    RecoverStats* stats) {
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
   MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  MMM_ASSIGN_OR_RETURN(ModelSet set, Recover(std::move(doc), stats));
+  MMM_ASSIGN_OR_RETURN(ModelSet set,
+                       ResolveChecked(std::move(doc), indices, stats));
   capture.FillRecover(stats);
   return set;
+}
+
+Result<ModelSet> ModelSetApproach::Recover(const std::string& set_id,
+                                           RecoverStats* stats) {
+  return ResolveById(set_id, nullptr, stats);
+}
+
+Result<ModelSet> ModelSetApproach::Recover(SetDocument doc,
+                                           RecoverStats* stats) {
+  return ResolveChecked(std::move(doc), nullptr, stats);
 }
 
 Result<std::vector<StateDict>> ModelSetApproach::RecoverModels(
     const std::string& set_id, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
-                       RecoverModels(std::move(doc), indices, stats));
-  capture.FillRecover(stats);
-  return models;
+  MMM_ASSIGN_OR_RETURN(ModelSet set, ResolveById(set_id, &indices, stats));
+  return std::move(set.models);
+}
+
+Result<std::vector<StateDict>> ModelSetApproach::RecoverModels(
+    SetDocument doc, const std::vector<size_t>& indices, RecoverStats* stats) {
+  MMM_ASSIGN_OR_RETURN(ModelSet set,
+                       ResolveChecked(std::move(doc), &indices, stats));
+  return std::move(set.models);
 }
 
 }  // namespace mmm

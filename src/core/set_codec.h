@@ -110,14 +110,21 @@ Status StreamParamBlob(const StoreContext& context,
                        ParamBlobStreamDecoder::LayerSink sink,
                        std::vector<uint32_t>* layer_crcs = nullptr);
 
-/// Reads only the models at `indices` from a full snapshot. A raw MMMPARM2
-/// parameter blob is accessed with ranged store reads, one per distinct
+/// Reads only the models `models` (sorted, distinct, each < doc.num_models)
+/// from a full snapshot: row r of the result is model models[r]. A raw
+/// MMMPARM2 parameter blob is accessed with ranged store reads, one per
 /// model plus one planned read of their layer CRC rows, and every layer is
 /// checked against its row before it is decoded; any other blob is read
-/// whole and checked by its footer. The result is parallel to `indices`.
-Result<std::vector<StateDict>> ReadModelsFromSnapshot(
-    const StoreContext& context, const SetDocument& doc,
-    const std::vector<size_t>& indices);
+/// whole and checked by its footer.
+Result<ModelSet> ReadModelsFromSnapshot(const StoreContext& context,
+                                        const SetDocument& doc,
+                                        const std::vector<size_t>& models);
+
+/// The one read of a full snapshot behind recovery: ReadFullSnapshot when
+/// `models` is null, else ReadModelsFromSnapshot.
+Result<ModelSet> ReadSnapshot(const StoreContext& context,
+                              const SetDocument& doc,
+                              const std::vector<size_t>* models);
 
 /// The header of `doc`'s param blob if it can be read by range: a raw
 /// MMMPARM2 blob of the size `doc` and `layout` imply. Null when it is to

@@ -411,7 +411,7 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
                     const ArchitectureSpec& spec,
                     const std::vector<size_t>* models,
                     std::vector<bool> resolved, const SlotSink& sink,
-                    RecoverStats* stats, bool ranged_root = false,
+                    RecoverStats* stats, bool ranged_root,
                     const SetMeta* memo = nullptr) {
   const ParamLayout layout = LayoutOf(spec);
   const size_t num_params = layout.size();
@@ -482,12 +482,14 @@ Status ResolveChain(const StoreContext& context, UpdateChain* chain,
           }
         }
       }
-      MMM_ASSIGN_OR_RETURN(std::vector<StateDict> states,
+      MMM_ASSIGN_OR_RETURN(ModelSet read,
                            ReadModelsFromSnapshot(context, level, root_models));
       for (size_t k = 0; k < root_rows.size(); ++k) {
         for (size_t p = 0; p < num_params; ++p) {
           const size_t slot = root_rows[k] * num_params + p;
-          if (!resolved[slot]) resolve(slot, std::move(states[k][p].second));
+          if (!resolved[slot]) {
+            resolve(slot, std::move(read.models[k][p].second));
+          }
         }
       }
       return Status::OK();
@@ -557,66 +559,27 @@ Result<std::vector<StateDict>> TakeRows(const ParamLayout& layout,
   return rows;
 }
 
-/// Resolves every slot of the models `models` names (null: the whole set)
-/// with nothing filled in advance, and returns them as state dicts.
-Result<std::vector<StateDict>> ResolveRows(
-    const StoreContext& context, UpdateChain* chain,
-    const ArchitectureSpec& spec, const std::vector<size_t>* models,
-    RecoverStats* stats, bool ranged_root = false) {
-  const ParamLayout layout = LayoutOf(spec);
-  const size_t num_rows =
-      models == nullptr ? chain->target().num_models : models->size();
-  std::vector<Tensor> values(num_rows * layout.size());
-  MMM_RETURN_NOT_OK(ResolveChain(
-      context, chain, spec, models, std::vector<bool>(values.size(), false),
-      [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
-      stats, ranged_root));
-  return TakeRows(layout, num_rows, &values, chain->target().id);
-}
-
 }  // namespace
 
-Result<ModelSet> UpdateApproach::Recover(SetDocument target,
+Result<ModelSet> UpdateApproach::Resolve(SetDocument target,
+                                         const std::vector<size_t>* models,
                                          RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
   MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(std::move(target)));
   MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
   ModelSet set;
   MMM_ASSIGN_OR_RETURN(set.spec, ReadSnapshotSpec(context_, *root));
-  MMM_ASSIGN_OR_RETURN(set.models,
-                       ResolveRows(context_, &chain, set.spec, nullptr, stats));
-  capture.FillRecover(stats);
+  const ParamLayout layout = LayoutOf(set.spec);
+  const size_t num_rows =
+      models == nullptr ? chain.target().num_models : models->size();
+  std::vector<Tensor> values(num_rows * layout.size());
+  MMM_RETURN_NOT_OK(ResolveChain(
+      context_, &chain, set.spec, models,
+      std::vector<bool>(values.size(), false),
+      [&](size_t slot, Tensor value) { values[slot] = std::move(value); },
+      stats, /*ranged_root=*/models != nullptr));
+  MMM_ASSIGN_OR_RETURN(set.models, TakeRows(layout, num_rows, &values,
+                                            chain.target().id));
   return set;
-}
-
-Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
-    SetDocument target, const std::vector<size_t>& indices,
-    RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(UpdateChain chain, UpdateChain::Open(std::move(target)));
-  MMM_ASSIGN_OR_RETURN(const SetDocument* root, chain.FetchRoot(context_));
-  MMM_RETURN_NOT_OK(CheckIndices(indices, chain.target().num_models));
-  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context_, *root));
-
-  std::vector<size_t> models = indices;
-  std::sort(models.begin(), models.end());
-  models.erase(std::unique(models.begin(), models.end()), models.end());
-  // A raw root is read by range, checked against the requested models' rows
-  // of its layer CRC table.
-  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> rows,
-                       ResolveRows(context_, &chain, spec, &models, stats,
-                                   /*ranged_root=*/true));
-
-  std::vector<StateDict> out;
-  out.reserve(indices.size());
-  for (size_t index : indices) {
-    auto it = std::lower_bound(models.begin(), models.end(), index);
-    out.push_back(rows[static_cast<size_t>(it - models.begin())]);
-  }
-  capture.FillRecover(stats);
-  return out;
 }
 
 Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,

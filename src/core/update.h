@@ -48,18 +48,6 @@ class UpdateApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(SetDocument target, RecoverStats* stats) override;
-  /// Selective recovery: the same newest-first resolver as Recover, asked
-  /// only for the models at `indices`. Diff entries of other models are
-  /// skipped (after the same range checks), and a raw root snapshot is read
-  /// by range for just the layers still unresolved, each checked against
-  /// the requested models' rows of the root's layer CRC table (read by
-  /// range with them) — no full set is ever materialized.
-  Result<std::vector<StateDict>> RecoverModels(SetDocument target,
-                                               const std::vector<size_t>& indices,
-                                               RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
   /// Recovery through a layer-granular cache (the serving read path).
   ///
@@ -91,6 +79,15 @@ class UpdateApproach : public ModelSetApproach {
                                  CacheRequestStats* cache_stats = nullptr);
 
  private:
+  /// The newest-first chain resolver. A selective recovery skips diff
+  /// entries of other models (after the same range checks) and reads a raw
+  /// root snapshot by range for just the layers still unresolved, each
+  /// checked against the requested models' rows of the root's layer CRC
+  /// table (read by range with them), so no full set is ever materialized;
+  /// a whole-set recovery streams its root.
+  Result<ModelSet> Resolve(SetDocument target,
+                           const std::vector<size_t>* models,
+                           RecoverStats* stats) override;
   Result<SaveResult> SaveSnapshotWithHashes(const ModelSet& set,
                                             const std::string& base_set_id);
 

@@ -20,8 +20,8 @@ class ReplayEngine {
   explicit ReplayEngine(DatasetResolver* resolver) : resolver_(resolver) {}
 
   /// Replays one model update in place. `model` must hold the parameters it
-  /// had *before* the update being replayed (the recursive recovery engine
-  /// guarantees this by replaying sets oldest-first).
+  /// had *before* the update being replayed (Provenance recovery
+  /// guarantees this by replaying a chain's levels oldest first).
   ///
   /// \param max_samples optional cap on the replayed dataset size (the
   ///        paper's "reduced data" recovery protocol, §4.4); 0 = use all.

@@ -43,7 +43,7 @@ struct ServeResult {
   uint64_t modeled_store_nanos = 0;
   /// Chain levels the recovery visited: the target, plus each ancestor
   /// whose diff or snapshot blob was read to resolve a layer (for
-  /// Provenance, every set recursively recovered).
+  /// Provenance, every set of the chain).
   uint64_t sets_walked = 0;
   /// Cache effectiveness of this request (all-zero on the uncached path).
   CacheRequestStats cache;

@@ -56,7 +56,7 @@ Status DocumentStore::Open() {
     MMM_ASSIGN_OR_RETURN(std::string id, doc->GetString("_id"));
     auto& docs = collections_[collection];
     id_index_[collection][id] = docs.size();
-    docs.push_back(*doc);
+    docs.push_back({*doc, doc->Dump().size()});
   }
   return Status::OK();
 }
@@ -75,6 +75,7 @@ Status DocumentStore::Insert(const std::string& collection, const JsonValue& doc
   record.Set("doc", doc);
   std::string line = record.Dump();
   line.push_back('\n');
+  const uint64_t doc_bytes = doc.Dump().size();
 
   {
     WriterMutexLock lock(mu_);
@@ -90,7 +91,7 @@ Status DocumentStore::Insert(const std::string& collection, const JsonValue& doc
                                  line.size())));
     auto& docs = collections_[collection];
     index[id] = docs.size();
-    docs.push_back(doc);
+    docs.push_back({doc, doc_bytes});
   }
 
   stats_.AddWrite(line.size());
@@ -102,7 +103,7 @@ void DocumentStore::RemoveAt(const std::string& collection, size_t position) {
   auto& docs = collections_[collection];
   auto& index = id_index_[collection];
   // Erase and re-index the documents that shifted left.
-  std::string removed_id = docs[position].GetString("_id").ValueOrDie();
+  std::string removed_id = docs[position].doc.GetString("_id").ValueOrDie();
   docs.erase(docs.begin() + static_cast<ptrdiff_t>(position));
   index.erase(removed_id);
   for (auto& [id, pos] : index) {
@@ -141,10 +142,10 @@ Status DocumentStore::Compact() {
   WriterMutexLock lock(mu_);
   std::string rewritten;
   for (const auto& [collection, docs] : collections_) {
-    for (const JsonValue& doc : docs) {
+    for (const StoredDocument& stored : docs) {
       JsonValue record = JsonValue::Object();
       record.Set("collection", collection);
-      record.Set("doc", doc);
+      record.Set("doc", stored.doc);
       rewritten += record.Dump();
       rewritten.push_back('\n');
     }
@@ -163,7 +164,7 @@ Result<uint64_t> DocumentStore::WalBytes() const {
 
 Result<JsonValue> DocumentStore::Get(const std::string& collection,
                                      const std::string& id) const {
-  JsonValue doc;
+  StoredDocument found;
   {
     ReaderMutexLock lock(mu_);
     auto coll_it = id_index_.find(collection);
@@ -175,31 +176,32 @@ Result<JsonValue> DocumentStore::Get(const std::string& collection,
       return Status::NotFound("no document '", id, "' in collection '",
                               collection, "'");
     }
-    doc = collections_.at(collection)[doc_it->second];
+    found = collections_.at(collection)[doc_it->second];
   }
-  uint64_t bytes = doc.Dump().size();
-  stats_.AddRead(bytes);
-  Charge(bytes);
-  return doc;
+  stats_.AddRead(found.bytes);
+  Charge(found.bytes);
+  return std::move(found.doc);
 }
 
 Result<std::vector<JsonValue>> DocumentStore::Find(const std::string& collection,
                                                    const std::string& field,
                                                    const JsonValue& value) const {
   std::vector<JsonValue> matches;
+  uint64_t bytes = 0;
   {
     ReaderMutexLock lock(mu_);
     auto coll_it = collections_.find(collection);
     if (coll_it == collections_.end()) {
       return Status::NotFound("no collection '", collection, "'");
     }
-    for (const JsonValue& doc : coll_it->second) {
-      auto member = doc.Get(field);
-      if (member.ok() && *member.ValueOrDie() == value) matches.push_back(doc);
+    for (const StoredDocument& stored : coll_it->second) {
+      auto member = stored.doc.Get(field);
+      if (member.ok() && *member.ValueOrDie() == value) {
+        matches.push_back(stored.doc);
+        bytes += stored.bytes;
+      }
     }
   }
-  uint64_t bytes = 0;
-  for (const JsonValue& doc : matches) bytes += doc.Dump().size();
   stats_.AddRead(bytes);
   Charge(bytes);
   return matches;
@@ -208,16 +210,19 @@ Result<std::vector<JsonValue>> DocumentStore::Find(const std::string& collection
 Result<std::vector<JsonValue>> DocumentStore::All(
     const std::string& collection) const {
   std::vector<JsonValue> docs;
+  uint64_t bytes = 0;
   {
     ReaderMutexLock lock(mu_);
     auto coll_it = collections_.find(collection);
     if (coll_it == collections_.end()) {
       return Status::NotFound("no collection '", collection, "'");
     }
-    docs = coll_it->second;
+    docs.reserve(coll_it->second.size());
+    for (const StoredDocument& stored : coll_it->second) {
+      docs.push_back(stored.doc);
+      bytes += stored.bytes;
+    }
   }
-  uint64_t bytes = 0;
-  for (const JsonValue& doc : docs) bytes += doc.Dump().size();
   stats_.AddRead(bytes);
   Charge(bytes);
   return docs;

@@ -92,8 +92,13 @@ class DocumentStore {
   // Callers may hold the CAS, journal or executor locks (110-130); the
   // store calls into the Env, whose locks (140/150) nest inside this one.
   mutable SharedMutex mu_ MMM_LOCK_RANK(135);
+  /// A document and the size of its Dump(), which every query charges.
+  struct StoredDocument {
+    JsonValue doc;
+    uint64_t bytes = 0;
+  };
   // collection -> ordered documents; ids index into the vector.
-  std::map<std::string, std::vector<JsonValue>> collections_
+  std::map<std::string, std::vector<StoredDocument>> collections_
       MMM_GUARDED_BY(mu_);
   std::map<std::string, std::map<std::string, size_t>> id_index_
       MMM_GUARDED_BY(mu_);

@@ -334,6 +334,67 @@ TEST_F(ApproachTest, ProvenanceCappedRecoveryIsApproximate) {
   EXPECT_EQ(recovered.models.size(), scenario_->current_set().models.size());
 }
 
+// The caps are a whole-set measurement protocol: a capped manager's
+// selective recovery still replays every requested update, exactly.
+TEST_F(ApproachTest, ProvenanceCapsDoNotApplyToSelectiveRecovery) {
+  ProvenanceRecoverOptions prov;
+  prov.max_replay_models = 1;
+  prov.max_replay_samples = 16;
+  OpenManager(ScenarioConfig::Battery(40), {}, prov);
+  Save(ApproachType::kProvenance, nullptr);
+  ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+  Save(ApproachType::kProvenance, &update);
+  // Every updated model and one that was not.
+  std::vector<size_t> requested;
+  size_t unchanged = update.kinds.size();
+  for (size_t i = 0; i < update.kinds.size(); ++i) {
+    if (update.kinds[i] != UpdateKind::kNone) {
+      requested.push_back(i);
+    } else if (unchanged == update.kinds.size()) {
+      unchanged = i;
+    }
+  }
+  ASSERT_GT(requested.size(), 1u);
+  const uint64_t num_updated = requested.size();
+  ASSERT_LT(unchanged, update.kinds.size());
+  requested.push_back(unchanged);
+
+  RecoverStats stats;
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<StateDict> recovered,
+      manager_->RecoverModels(heads_[ApproachType::kProvenance], requested,
+                              &stats));
+  EXPECT_EQ(stats.models_retrained, num_updated);
+  ASSERT_EQ(recovered.size(), requested.size());
+  for (size_t i = 0; i < requested.size(); ++i) {
+    const StateDict& expected = scenario_->current_set().models[requested[i]];
+    ASSERT_EQ(recovered[i].size(), expected.size());
+    for (size_t p = 0; p < expected.size(); ++p) {
+      EXPECT_TRUE(recovered[i][p].second.Equals(expected[p].second))
+          << "model " << requested[i] << " param " << expected[p].first;
+    }
+  }
+}
+
+// The replay cap holds per level: a capped whole-set recovery over two
+// provenance levels retrains one model at each.
+TEST_F(ApproachTest, ProvenanceCapAppliesPerLevel) {
+  ProvenanceRecoverOptions prov;
+  prov.max_replay_models = 1;
+  prov.max_replay_samples = 16;
+  OpenManager(ScenarioConfig::Battery(40), {}, prov);
+  Save(ApproachType::kProvenance, nullptr);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+    Save(ApproachType::kProvenance, &update);
+  }
+  RecoverStats stats;
+  ASSERT_OK(manager_->Recover(heads_[ApproachType::kProvenance], &stats)
+                .status());
+  EXPECT_EQ(stats.sets_recovered, 3u);
+  EXPECT_EQ(stats.models_retrained, 2u);
+}
+
 TEST_F(ApproachTest, ProvenanceRecoveryFailsWhenDataChanged) {
   OpenManager();
   Save(ApproachType::kProvenance, nullptr);

@@ -217,14 +217,13 @@ TEST(CodecCorruptionTest, RangedParamReadChecksLayersAndTable) {
     std::vector<uint8_t> flipped = blob;
     flipped[at] ^= 0x01;
     ASSERT_OK(files.Put(doc.param_blob, flipped));
-    Result<std::vector<StateDict>> read =
-        ReadModelsFromSnapshot(context, doc, {1});
+    Result<ModelSet> read = ReadModelsFromSnapshot(context, doc, {1});
     EXPECT_TRUE(read.status().IsCorruption())
         << "flip at " << at << ": " << read.status().ToString();
-    ASSERT_OK_AND_ASSIGN(std::vector<StateDict> others,
+    ASSERT_OK_AND_ASSIGN(ModelSet others,
                          ReadModelsFromSnapshot(context, doc, {0, 2}));
-    for (size_t p = 0; p < others[1].size(); ++p) {
-      EXPECT_TRUE(others[1][p].second.Equals(set.models[2][p].second));
+    for (size_t p = 0; p < others.models[1].size(); ++p) {
+      EXPECT_TRUE(others.models[1][p].second.Equals(set.models[2][p].second));
     }
   }
 }

@@ -36,6 +36,7 @@ class SelectiveRecoveryTest : public ::testing::Test {
     }
     for (int i = 0; i < cycles; ++i) {
       ModelSetUpdateInfo update = scenario_->AdvanceCycle().ValueOrDie();
+      updates_.push_back(update);
       for (ApproachType type : kAllApproaches) {
         ModelSetUpdateInfo derived = update;
         derived.base_set_id = heads_[type];
@@ -90,6 +91,8 @@ class SelectiveRecoveryTest : public ::testing::Test {
   std::unique_ptr<MultiModelScenario> scenario_;
   std::unique_ptr<ModelSetManager> manager_;
   std::map<ApproachType, std::string> heads_;
+  /// The update of each cycle SaveChains saved, oldest first.
+  std::vector<ModelSetUpdateInfo> updates_;
 };
 
 class SelectiveRecoverySweep
@@ -278,17 +281,73 @@ INSTANTIATE_TEST_SUITE_P(RawSnapshotApproaches, SelectiveCorruptionSweep,
 
 TEST_F(SelectiveRecoveryTest, ProvenanceSelectiveRetrainsOnlyRequestedModels) {
   SaveChains(2);
-  // Find a model updated in cycle 1 or 2 and one never updated.
+  const std::vector<size_t> requested{0, 1, 2, 3};
   RecoverStats stats;
   ASSERT_OK_AND_ASSIGN(
       std::vector<StateDict> recovered,
-      manager_->RecoverModels(heads_[ApproachType::kProvenance], {0, 1, 2, 3},
+      manager_->RecoverModels(heads_[ApproachType::kProvenance], requested,
                               &stats));
   ASSERT_EQ(recovered.size(), 4u);
-  // At most (4 requested) x (2 cycles) retrainings; full recovery would do
-  // 8 retrainings (4 updated models per cycle x 2 cycles).
-  EXPECT_LE(stats.models_retrained, 8u);
-  ExpectMatchesLive(recovered, {0, 1, 2, 3});
+  // One retrain per (cycle, requested model) update, no more.
+  uint64_t expected_retrains = 0;
+  for (const ModelSetUpdateInfo& update : updates_) {
+    for (size_t index : requested) {
+      if (update.kinds[index] != UpdateKind::kNone) ++expected_retrains;
+    }
+  }
+  EXPECT_EQ(stats.models_retrained, expected_retrains);
+  EXPECT_EQ(stats.sets_recovered, 3u);
+  ExpectMatchesLive(recovered, requested);
+}
+
+// An update entry of a provenance record that names a model outside the
+// set, past its end or negative, is Corruption on every recovery path,
+// also when the request names only other models; so is a record that
+// holds more models than its base.
+TEST_F(SelectiveRecoveryTest, ProvenanceUpdateOutOfRangeIsCorruption) {
+  SaveChains(1);
+  const StoreContext& context = manager_->context();
+  ASSERT_OK_AND_ASSIGN(
+      SetDocument head,
+      FetchSetDocument(context, heads_[ApproachType::kProvenance]));
+  ASSERT_OK_AND_ASSIGN(std::string text,
+                       manager_->file_store()->GetString(head.prov_blob));
+  for (int64_t bad : {static_cast<int64_t>(head.num_models), int64_t{-1}}) {
+    SCOPED_TRACE(bad);
+    ASSERT_OK_AND_ASSIGN(JsonValue record, JsonValue::Parse(text));
+    ASSERT_OK_AND_ASSIGN(const JsonValue* good, record.Get("updates"));
+    JsonValue entry = JsonValue::Object();
+    entry.Set("index", bad);
+    entry.Set("kind", "full");
+    JsonValue updates = JsonValue::Array();
+    updates.Append(std::move(entry));
+    for (const JsonValue& item : good->array_items()) updates.Append(item);
+    record.Set("updates", std::move(updates));
+
+    SetDocument planted = head;
+    planted.id = head.id + (bad < 0 ? "-negative" : "-past-end");
+    planted.prov_blob = planted.id + ".prov.json";
+    ASSERT_OK(manager_->file_store()->PutString(planted.prov_blob,
+                                                record.Dump()));
+    ASSERT_OK(InsertSetDocument(context, planted));
+
+    Result<ModelSet> whole = manager_->Recover(planted.id);
+    EXPECT_TRUE(whole.status().IsCorruption()) << whole.status().ToString();
+    Result<std::vector<StateDict>> some =
+        manager_->RecoverModels(planted.id, {0});
+    EXPECT_TRUE(some.status().IsCorruption()) << some.status().ToString();
+  }
+
+  // A record that claims one model more than its base holds.
+  SetDocument wider = head;
+  wider.id = head.id + "-wider";
+  wider.num_models = head.num_models + 1;
+  ASSERT_OK(InsertSetDocument(context, wider));
+  Result<ModelSet> whole = manager_->Recover(wider.id);
+  EXPECT_TRUE(whole.status().IsCorruption()) << whole.status().ToString();
+  Result<std::vector<StateDict>> extra =
+      manager_->RecoverModels(wider.id, {head.num_models});
+  EXPECT_TRUE(extra.status().IsCorruption()) << extra.status().ToString();
 }
 
 TEST_F(SelectiveRecoveryTest, SelectiveRecoveryFromCompressedStore) {

@@ -1921,6 +1921,45 @@ TEST_F(ServeTest, EveryRecoveryPathFetchesTheSetDocumentOnce) {
   }
 }
 
+// A selective recovery reads each document of a depth-2 chain once: the
+// chain_depth + 1 set documents, plus, for MMlib-base, one document per
+// distinct model it recovers.
+TEST_F(ServeTest, SelectiveRecoveryReadsEachChainDocumentOnce) {
+  OpenManager();
+  SaveAll(nullptr);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario_->AdvanceCycle());
+    SaveAll(&update);
+  }
+  DocumentStore* docs = manager_->doc_store();
+  const std::vector<size_t> indices{3, 1, 3};
+  for (ApproachType type : kAllApproaches) {
+    SCOPED_TRACE(ApproachTypeName(type));
+    const std::string& id = heads_[type];
+    ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                         FetchSetDocument(manager_->context(), id));
+    const bool chained =
+        type == ApproachType::kUpdate || type == ApproachType::kProvenance;
+    EXPECT_EQ(doc.chain_depth, chained ? 2u : 0u);
+    const uint64_t distinct = type == ApproachType::kMMlibBase ? 2 : 0;
+
+    const uint64_t before = docs->stats().read_ops;
+    ASSERT_OK_AND_ASSIGN(std::vector<StateDict> selected,
+                         manager_->RecoverModels(id, indices));
+    EXPECT_EQ(docs->stats().read_ops - before,
+              doc.chain_depth + 1 + distinct);
+    ASSERT_EQ(selected.size(), indices.size());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      const StateDict& expected = expected_[id].models[indices[i]];
+      ASSERT_EQ(selected[i].size(), expected.size());
+      for (size_t p = 0; p < expected.size(); ++p) {
+        EXPECT_TRUE(selected[i][p].second.Equals(expected[p].second))
+            << "model " << indices[i] << " param " << expected[p].first;
+      }
+    }
+  }
+}
+
 // Corrupted chains fail cleanly on every read path: Recover, RecoverModels
 // and the cached path. Two planted delta documents whose base_set_ids point
 // at each other end in Corruption within chain_depth + 1 fetches of the

@@ -116,11 +116,12 @@ TEST_F(SetCodecTest, ReadModelsFromSnapshotUsesRangedReads) {
   doc.id = "set-r";
   ASSERT_OK(WriteFullSnapshot(context_, "set-r", set, &doc));
   file_store_.ResetStats();
-  ASSERT_OK_AND_ASSIGN(std::vector<StateDict> models,
+  ASSERT_OK_AND_ASSIGN(ModelSet read,
                        ReadModelsFromSnapshot(context_, doc, {7, 13}));
-  ASSERT_EQ(models.size(), 2u);
-  EXPECT_TRUE(models[0][0].second.Equals(set.models[7][0].second));
-  EXPECT_TRUE(models[1][0].second.Equals(set.models[13][0].second));
+  EXPECT_EQ(read.spec, set.spec);
+  ASSERT_EQ(read.models.size(), 2u);
+  EXPECT_TRUE(read.models[0][0].second.Equals(set.models[7][0].second));
+  EXPECT_TRUE(read.models[1][0].second.Equals(set.models[13][0].second));
   // Bytes read: arch blob + header peek + two model slices, far below the
   // whole 20-model blob.
   EXPECT_LT(file_store_.stats().bytes_read, 20u * 4993 * 4 / 2);
@@ -133,9 +134,9 @@ TEST_F(SetCodecTest, ReadModelsFromCompressedSnapshotFallsBack) {
   SetDocument doc;
   doc.id = "set-c";
   ASSERT_OK(WriteFullSnapshot(compressed, "set-c", set, &doc));
-  ASSERT_OK_AND_ASSIGN(std::vector<StateDict> models,
+  ASSERT_OK_AND_ASSIGN(ModelSet read,
                        ReadModelsFromSnapshot(compressed, doc, {2}));
-  EXPECT_TRUE(models[0][1].second.Equals(set.models[2][1].second));
+  EXPECT_TRUE(read.models[0][1].second.Equals(set.models[2][1].second));
 }
 
 TEST_F(SetCodecTest, ParamBlobHeaderRoundTrip) {

@@ -571,6 +571,60 @@ TEST(DocumentStoreTest, ChargesLatencyPerOperation) {
   EXPECT_EQ(clock.nanos(), 20000u);
 }
 
+// Every query charges each document it returns the size of its Dump(),
+// whether the document was inserted in this session or replayed from the
+// WAL, also after a removal shifted the documents and Compact rewrote the
+// log.
+TEST(DocumentStoreTest, QueriesChargeEachDocumentsDumpSize) {
+  InMemoryEnv env;
+  JsonValue replayed = MakeDoc("old", 1);
+  replayed.Set("note", "quoted \"text\"\n and a tab\t");
+  {
+    DocumentStore store(&env, "/wal");
+    ASSERT_OK(store.Open());
+    ASSERT_OK(store.Insert("c", MakeDoc("gone", 2)));
+    ASSERT_OK(store.Insert("c", replayed));
+  }
+  DocumentStore store(&env, "/wal");
+  ASSERT_OK(store.Open());
+  JsonValue fresh = MakeDoc("new", 3);
+  JsonValue values = JsonValue::Array();
+  values.Append(0.25);
+  values.Append(-7);
+  fresh.Set("values", std::move(values));
+  ASSERT_OK(store.Insert("c", fresh));
+  ASSERT_OK(store.Remove("c", "gone"));
+  ASSERT_OK(store.Compact());
+
+  auto bytes_read = [&store](const auto& query) {
+    const uint64_t before = store.stats().bytes_read;
+    query();
+    return store.stats().bytes_read - before;
+  };
+  const uint64_t old_bytes = replayed.Dump().size();
+  const uint64_t new_bytes = fresh.Dump().size();
+  EXPECT_EQ(bytes_read([&] {
+              EXPECT_EQ(store.Get("c", "old").ValueOrDie().Dump().size(),
+                        old_bytes);
+            }),
+            old_bytes);
+  EXPECT_EQ(bytes_read([&] {
+              EXPECT_EQ(store.Get("c", "new").ValueOrDie().Dump().size(),
+                        new_bytes);
+            }),
+            new_bytes);
+  EXPECT_EQ(bytes_read([&] {
+              EXPECT_EQ(store.Find("c", "value", JsonValue(3)).ValueOrDie()
+                            .size(),
+                        1u);
+            }),
+            new_bytes);
+  EXPECT_EQ(bytes_read([&] {
+              EXPECT_EQ(store.All("c").ValueOrDie().size(), 2u);
+            }),
+            old_bytes + new_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Commit journal size
 
